@@ -280,10 +280,10 @@ let counter_whitelist =
     "local_catchup_bytes_total";
     "node_restarts_total";
     "open_loop_arrivals_total";
+    "repair_log_bytes_total";
     "replay_entries_total";
+    "replicate_gap_detected_total";
     "strong_aborted_total";
-    "sync_log_bytes_total";
-    "sync_peer_drops_total";
     "sync_snapshot_bytes_total";
     "txn_overloaded_total";
     "wal_torn_truncations_total";

@@ -105,6 +105,11 @@ type t = {
   mutable last_sent : int;  (* leader: highest DELIVER timestamp issued *)
   mutable last_ts : int;  (* leader: last proposed strong timestamp *)
   mutable do_not_wait : Types.tid list;
+  (* Decisions learned while [Recovering]: chosen values, kept until
+     [install_state] can apply them to the prepared entries it installs
+     (the state may have been captured before the decision reached its
+     sender). *)
+  learned : (Types.tid, bool * Vc.t * int) Hashtbl.t;
   mutable recovery_acks :
     (int * (int * Msg.prepared_strong list * Msg.decided_strong list)) list;
   mutable state_acks : int list;
@@ -150,6 +155,7 @@ let create ?(bid_interval_us = default_bid_interval_us) ctx ~leader_dc =
     last_sent = 0;
     last_ts = 0;
     do_not_wait = [];
+    learned = Hashtbl.create 8;
     recovery_acks = [];
     state_acks = [];
     last_activity = 0;
@@ -539,26 +545,31 @@ let restoring_done t =
     try_deliver t
   end
 
+(* Move an accepted transaction to the decided log. *)
+let decide_prepared t (p : Msg.prepared_strong) ~dec ~vec ~lc =
+  remove_prepared t p.Msg.ps_tid;
+  add_decided t
+    {
+      Msg.ds_tid = p.Msg.ps_tid;
+      ds_origin = p.Msg.ps_origin;
+      ds_wbuff = p.Msg.ps_wbuff;
+      ds_ops = p.Msg.ps_ops;
+      ds_dec = dec;
+      ds_vec = vec;
+      ds_lc = lc;
+    }
+
 let handle_learn_decision t ~b ~tid ~dec ~vec ~lc =
   chase_ballot t b;
-  if
+  if t.status = Recovering then Hashtbl.replace t.learned tid (dec, vec, lc)
+  else if
     (t.status = Leader || t.status = Follower || t.status = Restoring)
     && b <= t.ballot  (* chosen values survive ballot changes *)
   then begin
     match Hashtbl.find_opt t.prepared tid with
     | None -> ()  (* already decided or never accepted here *)
     | Some p ->
-        remove_prepared t tid;
-        add_decided t
-          {
-            Msg.ds_tid = tid;
-            ds_origin = p.Msg.ps_origin;
-            ds_wbuff = p.Msg.ps_wbuff;
-            ds_ops = p.Msg.ps_ops;
-            ds_dec = dec;
-            ds_vec = vec;
-            ds_lc = lc;
-          };
+        decide_prepared t p ~dec ~vec ~lc;
         restoring_done t;
         try_deliver t
   end
@@ -656,7 +667,8 @@ let handle_new_leader t ~b ~from ~from_dc =
   end
   else t.ctx.x_send from (Msg.Nack { b = t.ballot; from = t.ctx.x_self () })
 
-(* Replace this member's certification state (recovery). *)
+(* Replace this member's certification state (recovery), then decide the
+   installed prepared entries whose decision was learned meanwhile. *)
 let install_state t ~prepared ~decided =
   Hashtbl.reset t.prepared;
   Hashtbl.reset t.prepared_at;
@@ -672,7 +684,14 @@ let install_state t ~prepared ~decided =
         Hashtbl.replace t.prepared p.Msg.ps_tid p;
         Hashtbl.replace t.prepared_at p.Msg.ps_tid (t.ctx.x_now ())
       end)
-    prepared
+    prepared;
+  Hashtbl.iter
+    (fun tid (dec, vec, lc) ->
+      match Hashtbl.find_opt t.prepared tid with
+      | None -> ()
+      | Some p -> decide_prepared t p ~dec ~vec ~lc)
+    t.learned;
+  Hashtbl.reset t.learned
 
 let handle_new_leader_ack t ~b ~cballot ~prepared ~decided ~from_dc =
   if t.status = Recovering && t.ballot = b then begin
@@ -781,6 +800,7 @@ let begin_rejoin t ~delivered =
   t.do_not_wait <- [];
   t.recovery_acks <- [];
   t.state_acks <- [];
+  Hashtbl.reset t.learned;
   (* the crash destroyed this member's log state; pretending otherwise
      would let a pre-crash entry leak into a recovery ack. What the group
      decided comes back wholesale with [New_state]. *)
@@ -817,6 +837,7 @@ let restart t ~ballot ~cballot ~prepared ~delivered =
   t.do_not_wait <- [];
   t.recovery_acks <- [];
   t.state_acks <- [];
+  Hashtbl.reset t.learned;
   Hashtbl.reset t.prepared;
   Hashtbl.reset t.prepared_at;
   Hashtbl.reset t.decided;

@@ -128,10 +128,9 @@ type t = {
   link_faults : Net.Faults.spec option;  (* lossy inter-DC links (nemesis) *)
   metrics_probe_us : int;  (* period of the uniformity-lag / queue probes *)
   gc_grace_us : int;  (* how long a crashed DC holds GC floors (rejoin) *)
-  sync_chunk : int;  (* max log entries per rejoin sync message *)
-  sync_pull_deadline_us : int;  (* rejoin pull round deadline: a polled
-                                   sibling silent for this long is dropped
-                                   from the round (partition tolerance) *)
+  sync_chunk : int;  (* max entries per snapshot / repair message *)
+  sync_pull_deadline_us : int;  (* gap-repair round deadline: a silent
+                                   source is rotated away from *)
   client_failover_us : int;  (* client request timeout before DC failover;
                                 0 disables failover (calls block forever) *)
   admission_max_pending : int;  (* per-DC bound on in-flight strong
@@ -273,23 +272,6 @@ let rto_cap_us t = t.detection_delay_us + Net.Topology.max_rtt_us t.topo
    with the deployment rather than a fixed 1 s. *)
 let reclaim_debounce_us t = t.fd_period_us + Net.Topology.max_rtt_us t.topo
 
-(* Backoff a rejoining replica holds against a sync peer it dropped for
-   missing a pull-round deadline. A peer that went silent for a whole
-   round is either dead or badly degraded: bar it for one full Ω
-   suspicion window — so that a genuinely dead peer is confirmed by the
-   detector (whose rehabilitation clears the bar early on recovery)
-   before we would repoll it — rounded up to whole deadline rounds,
-   plus two further rounds of quarantine so a merely-slow peer sits out
-   at least that long even under an aggressive detector. At the
-   defaults (500 ms detection, 300 ms deadline) this is
-   ceil(500/300) + 2 = 4 rounds = 1.2 s — exactly the hand-tuned 4x
-   multiplier of PR 4, now scaling with the detector and the deadline
-   instead of being a magic constant. *)
-let sync_drop_backoff_us t =
-  let d = t.sync_pull_deadline_us in
-  let detect_rounds = (t.detection_delay_us + d - 1) / d in
-  (detect_rounds + 2) * d
-
 (* Base of the randomized backoff a client sleeps after an R_overloaded
    shed before resubmitting. The shed means the DC's
    pending-certification queue is at its admission bound; the queue
@@ -301,11 +283,8 @@ let sync_drop_backoff_us t =
 let overload_backoff_us t = 2 * t.broadcast_period_us
 
 (* Deadline of one origin-scoped repair pull round (gap repair after a
-   detected replication-continuity break) before rotating to another
-   source. The repair target faces exactly the adversity a rejoin pull
-   peer does — lossy links, partitions, suspicion — so the repair
-   machinery reuses the rejoin round deadline rather than introducing a
-   second knob to tune. *)
+   detected replication-continuity break, which is also how a rejoining
+   or restarted replica catches up) before rotating to another source. *)
 let repair_deadline_us t = t.sync_pull_deadline_us
 
 (* Does this mode track uniformity (exchange STABLEVEC between siblings

@@ -84,14 +84,13 @@ type t = {
           decided-log GC floors, so it can rejoin by log catch-up; after
           expiry the floors advance and a rejoiner needs a full snapshot *)
   sync_chunk : int;
-      (** maximum log entries per rejoin sync message (bounds message
-          size during snapshot transfer and log replay) *)
+      (** maximum entries per snapshot-transfer or repair-reply message
+          (bounds message size during a rejoin's catch-up) *)
   sync_pull_deadline_us : int;
-      (** rejoin pull-round deadline: a polled sibling that has not
-          answered with its tail within this budget is dropped from the
-          round and the round restarts without it, so a partitioned or
-          gray-degraded peer cannot stall the rejoin; dropped peers are
-          retried after a backoff and on Ω rehabilitation *)
+      (** deadline of one gap-repair round ({!repair_deadline_us}): a
+          source that has not answered within it is rotated away from,
+          so a partitioned or gray-degraded peer cannot stall a repair —
+          or the catch-up of a rejoining or restarted replica *)
   client_failover_us : int;
       (** client-side request timeout before the session fails over to
           another live DC; [0] disables failover (calls block forever on
@@ -195,13 +194,6 @@ val rto_cap_us : t -> int
     than the former fixed 1 s on typical deployments. *)
 val reclaim_debounce_us : t -> int
 
-(** Derived backoff against a sync peer dropped from a rejoin pull round
-    ([Replica]): one Ω suspicion window rounded up to whole pull-round
-    deadlines, plus two rounds of quarantine. 4× the deadline (1.2 s) at
-    the defaults — PR 4's hand-tuned multiplier, now scaling with the
-    detector and the deadline. *)
-val sync_drop_backoff_us : t -> int
-
 (** Derived base of the randomized client backoff after an
     [R_overloaded] shed: two broadcast periods, enough for the
     pending-certification queue to drain measurably before the retry
@@ -211,8 +203,7 @@ val overload_backoff_us : t -> int
 
 (** Deadline of one origin-scoped repair pull round (replication-gap
     repair, [Replica.handle_replicate]) before the requester rotates to
-    another source. Reuses [sync_pull_deadline_us]: the repair target
-    faces the same adversity as a rejoin pull peer. *)
+    another source: [sync_pull_deadline_us]. *)
 val repair_deadline_us : t -> int
 
 (** Whether the mode exchanges STABLEVEC between siblings and exposes

@@ -197,7 +197,7 @@ type t =
       from : addr;
     }
   | New_state_ack of { b : int; from : addr }
-  (* ---- DC rejoin: snapshot + causal-log catch-up -------------------- *)
+  (* ---- DC rejoin: snapshot transfer ---------------------------------- *)
   (* A recovering replica asks a live sibling of its partition for a
      snapshot of the materialized store. [sq] tags the attempt so chunks
      from an abandoned peer are discarded after a rotation. *)
@@ -206,29 +206,14 @@ type t =
      final chunk carries [last = true] and the cut vector — the peer's
      knownVec at snapshot time; entries above it (the peer's own not yet
      propagated commits) are excluded and reach the rejoiner through
-     ordinary replication. *)
+     ordinary replication, whose windows above the cut gap repair fills
+     ([Repair_request]/[Repair_log]). *)
   | Sync_store of {
       sq : int;
       entries : (Store.Keyspace.key * Crdt.op * Vc.t * Crdt.tag) list;
       last : bool;
       cut : Vc.t;
     }
-  (* Log catch-up round: ask a sibling for committed causal transactions
-     above [vec]; it answers with [Sync_log] batches followed by a
-     [Sync_tail] carrying its knownVec (FIFO channels order them).
-     [Sync_log] is deliberately distinct from [Replicate]: the rejoiner
-     defers the direct replication stream until it has caught up, and
-     must not defer the pull responses that let it catch up. A tail with
-     [syncing = true] comes from a peer that is itself rejoining and
-     cannot serve the round. *)
-  | Sync_pull of { from : addr; vec : Vc.t; sq : int }
-  | Sync_log of {
-      origin : int;
-      txs : Types.tx_rec list;
-      from_ts : int;
-      sq : int;
-    }
-  | Sync_tail of { from_dc : int; known : Vc.t; syncing : bool; sq : int }
   (* A Restoring certification member asks the group leader to re-send
      the decided/prepared state ([New_state]). [ballot] is the
      requester's durable ballot promise: the leader must answer at a
@@ -274,10 +259,9 @@ let cost (c : Config.costs) = function
   | Nack _ | New_leader _ | New_leader_ack _ | New_state _ | New_state_ack _
     ->
       c.c_base
-  | Sync_request _ | Sync_pull _ | Sync_tail _ | State_request _ -> c.c_base
+  | Sync_request _ | State_request _ -> c.c_base
   | Sync_store { entries; _ } ->
       c.c_base + (c.c_replicate_tx * List.length entries)
-  | Sync_log { txs; _ } -> c.c_base + (c.c_replicate_tx * List.length txs)
   | Fd_ping _ -> c.c_vec
 
 (* Cost profile of the REDBLUE centralized service nodes: certification
@@ -375,10 +359,6 @@ let size_bytes = function
         (fun acc (_, _, vec, _) -> acc + 24 + vc_bytes vec)
         (header_bytes + 8 + vc_bytes cut)
         entries
-  | Sync_pull { vec; _ } -> header_bytes + 8 + vc_bytes vec
-  | Sync_log { txs; _ } ->
-      List.fold_left (fun acc tx -> acc + tx_bytes tx) (header_bytes + 24) txs
-  | Sync_tail { known; _ } -> header_bytes + 16 + vc_bytes known
   | State_request _ -> header_bytes + 16
   | Fd_ping _ -> header_bytes + 8
 
@@ -430,8 +410,5 @@ let kind = function
   | New_state_ack _ -> "new_state_ack"
   | Sync_request _ -> "sync_request"
   | Sync_store _ -> "sync_store"
-  | Sync_pull _ -> "sync_pull"
-  | Sync_log _ -> "sync_log"
-  | Sync_tail _ -> "sync_tail"
   | State_request _ -> "state_request"
   | Fd_ping _ -> "fd_ping"

@@ -480,8 +480,8 @@ let random_schedule ~seed ~dcs ~horizon_us ?(max_crashes = 1)
      crash/recover cycle, cut partitions ([max_sync_partitions]) and
      inject gray links ([max_sync_degrades]) between the recovering DC
      and its sync peers, starting inside the crash→recover window so the
-     fault spans the snapshot/pull rounds, and lasting until the final
-     [Heal_all] — the whole pull window. The defaults of 0 draw nothing
+     fault spans the snapshot transfer and the catch-up, and lasting
+     until the final [Heal_all] — the whole catch-up window. The defaults of 0 draw nothing
      from the Rng, preserving every existing seed's schedule (all new
      draws also come after every pre-existing one). *)
   if (max_sync_partitions > 0 || max_sync_degrades > 0) && dcs > 1 then

@@ -63,7 +63,7 @@ type coord_tx = {
    persistent-state contract — see [Cert.event]). Applied state is
    logged asynchronously ([W_commit]/[W_replicate]/[W_strong]): losing
    the un-fsynced suffix of those only loses state some peer still
-   holds, which the post-restart catch-up pull re-fetches. *)
+   holds, which the post-restart gap repair re-fetches. *)
 type wal_record =
   | W_genesis
       (* first record of a from-empty log: its presence proves the WAL
@@ -96,10 +96,6 @@ type node_snapshot = {
   ns_frontier_tids : Types.tid list array;
   ns_frontier_ts : int array;
   ns_decisions : (Types.tid * (Vclock.Vc.t * int * int)) list;
-  ns_provisional : int array;
-      (* per-origin provisional-adoption floor (see [t.provisional_from]):
-         frontier entries above it rest on third-party claims and must be
-         re-verified (repaired) after a restart, not trusted *)
   ns_cert : (int * int * Msg.prepared_strong list) option;
       (* ballot, cballot, accepted log — [Cert.persistent_state] *)
 }
@@ -140,7 +136,6 @@ let node_snapshot_bytes ns =
   + List.fold_left
       (fun acc (_, (vec, _, _)) -> acc + 32 + Msg.vc_bytes vec)
       8 ns.ns_decisions
-  + (8 * Array.length ns.ns_provisional)
   + (match ns.ns_cert with
     | None -> 8
     | Some (_, _, ps) ->
@@ -177,8 +172,8 @@ type waiter = { w_pred : unit -> bool; w_action : unit -> unit }
 (* Per-origin repair pull (gap repair of the causal replication stream).
    A detected continuity break records the claimed frontier in [r_upto]
    and drives rounds of [Repair_request]s — origin first, then rotating
-   over live siblings — each armed with a deadline reusing the rejoin
-   pull-round machinery ([Config.repair_deadline_us]). [r_sq] tags the
+   over live siblings — each armed with a deadline
+   ([Config.repair_deadline_us]). [r_sq] tags the
    current round so replies from an abandoned target are discarded;
    [r_stalled] counts consecutive fruitless rounds, after which the
    repair parks ([r_active = false], [r_upto] retained) until the next
@@ -194,45 +189,21 @@ type repair_state = {
   mutable r_mark : int;  (* our frontier when the current round started *)
 }
 
-(* DC rejoin state machine. A replica of a freshly recovered data center
-   rebuilds from a live sibling of its partition: first a snapshot of the
-   materialized store below the peer's knownVec (the cut), then rounds of
-   causal-log catch-up pulls, until its own knownVec covers every live
-   sibling's and its certification member has re-entered the group. Only
-   then does it resume its periodic tasks and serve clients. *)
-type sync_phase = Sync_snapshot | Sync_pull
-
+(* Catch-up after a DC rejoin or a node restart. A replica of a freshly
+   recovered data center first installs a snapshot of the materialized
+   store from a live sibling of its partition (the cut: that sibling's
+   knownVec); a restarted node starts from its own replayed disk
+   instead. From there on the replication stream is dispatched as usual
+   and gap repair fills every origin's window above the frontier. The
+   replica stays out of service — no clients, no periodic tasks — until
+   its certification member has re-entered the group and its own
+   stream, which only its peers still hold, is back. *)
 type sync_state = {
-  mutable s_phase : sync_phase;
-  mutable s_sq : int;  (* attempt / round tag echoed by sync replies *)
-  mutable s_peer : int;  (* DC currently serving the snapshot *)
+  s_wan : bool;  (* DC rejoin over the WAN, not a restart from disk *)
+  mutable s_snapshot : bool;  (* waiting for the snapshot's last chunk *)
+  mutable s_sq : int;  (* snapshot attempt tag echoed by [Sync_store] *)
   mutable s_progress : bool;  (* snapshot chunk seen since last tick *)
-  mutable s_tails : (int * Vclock.Vc.t) list;  (* round: dc -> its knownVec *)
-  mutable s_polled : int list;  (* DCs polled in the current round *)
-  mutable s_weak : int list;  (* polled DCs that answered "also syncing" *)
-  (* Peers dropped from the sync for missing a deadline (pull-round
-     silence, snapshot refusal): dc -> the time from which they may be
-     polled again. A partitioned or gray-degraded sibling lands here so
-     the round can restart without it instead of stalling; Ω
-     rehabilitation or an answered poll removes the entry early. *)
-  mutable s_dropped : (int * int) list;
-  mutable s_round_started : int;  (* when the current pull round began *)
-  (* knownVec snapshot taken when the current pull round was issued: the
-     continuity boundary of the round's [Sync_log]/[Sync_tail] answers
-     (a peer ships everything it holds above this vector). *)
-  mutable s_round_vec : Vclock.Vc.t;
-  (* Late-bound reactions into the running round (set by [begin_rejoin];
-     they close over functions defined below the handlers that fire
-     them): the Ω suspicion feed, and "finish the sync if complete,
-     otherwise restart the round". *)
-  mutable s_on_suspect : int -> unit;
-  mutable s_try_complete : unit -> unit;
-  (* The direct replication stream ([Replicate]/[Heartbeat]) deferred
-     while syncing, newest first. It cannot simply be dropped: each
-     transaction is propagated exactly once and the receiving frontier
-     advances by jumps, so a lost batch would be a permanent gap. It is
-     replayed in arrival (FIFO) order once the catch-up completes. *)
-  mutable s_deferred : Msg.t list;
+  mutable s_heard : int list;  (* peers whose knownVec gossip arrived *)
   s_started : int;
   s_done : unit -> unit;  (* System's completion callback *)
 }
@@ -331,15 +302,7 @@ type t = {
      applied at the current frontier timestamp. *)
   frontier_tids : Types.tid list array;  (* per origin DC *)
   frontier_ts : int array;
-  (* Stream-continuity state (gap-detecting replication). For origin [o],
-     [provisional_from.(o) = f >= 0] means the frontier window (f,
-     knownVec[o]] rests on third-party claims adopted by [finish_sync]
-     (tail maxima for origins that could not answer the pulls) and has
-     not been verified first-hand: the replica never vouches for it to
-     others ([vouched]) and the first continuity check against [o]'s
-     stream repairs it instead of trusting it. -1 = fully verified. *)
-  provisional_from : int array;
-  repair : repair_state array;  (* per origin *)
+  repair : repair_state array;  (* per origin: gap-repair pulls *)
   mutable repair_ctr : int;  (* replica-level monotone round tag source *)
   (* --- Fig. 6 measurement --------------------------------------------- *)
   pending_vis : (int * int) list ref array;  (* per origin: (local ts, arrival) *)
@@ -437,7 +400,6 @@ let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
     timer_gen = 0;
     frontier_tids = Array.make d [];
     frontier_ts = Array.make d (-1);
-    provisional_from = Array.make d (-1);
     repair =
       Array.init d (fun _ ->
           {
@@ -484,11 +446,19 @@ let local_replica t part = t.env.e_lookup t.dc part
 
 let persistent t = t.disk <> None
 
+(* State logging is off while the WAL replays (never re-log what is
+   being replayed) and for a whole WAN rejoin: the scrubbed disk holds no
+   base until [finish_sync] re-seeds it with a full snapshot, so a crash
+   mid-rejoin must not leave a base-less log that looks replayable. *)
+let logging t =
+  (not t.replaying)
+  && match t.sync with Some { s_wan = true; _ } -> false | _ -> true
+
 (* Append [r] and run [k] once it is fsynced; inline in memory-only
-   mode. Replay never re-logs what it is replaying. *)
+   mode or while logging is off. *)
 let log_durably t r k =
   match t.disk with
-  | Some w when not t.replaying -> ignore (Store.Wal.append w ~k r)
+  | Some w when logging t -> ignore (Store.Wal.append w ~k r)
   | _ -> k ()
 
 (* Applied-state records (replication, deliveries, local commits) need
@@ -497,7 +467,7 @@ let log_durably t r k =
    the GC gossip only ever vouches for recoverable state. *)
 let log_async t r =
   match t.disk with
-  | Some w when not t.replaying ->
+  | Some w when logging t ->
       let at_append = Vc.copy t.known_vec in
       ignore
         (Store.Wal.append w
@@ -901,8 +871,8 @@ let handle_commit_abort t ~tid =
 (* Replication, heartbeats, forwarding (Algorithm A4), and the
    stream-continuity machinery that makes them gap-detecting: every
    frontier-advancing message carries [from_ts], the boundary its sender
-   vouches contiguity from, and a receiver whose trusted floor sits
-   below the boundary refuses the jump and pulls the missing window
+   vouches contiguity from, and a receiver whose frontier sits below
+   the boundary refuses the jump and pulls the missing window
    through [Repair_request]/[Repair_log] instead.                       *)
 
 let is_syncing t = match t.sync with Some _ -> true | None -> false
@@ -915,53 +885,15 @@ let live_peers t =
   in
   go (dcs t - 1) []
 
-(* The highest timestamp of [origin]'s stream this replica can vouch for
-   first-hand: its frontier, capped at the provisional floor while the
-   window above it rests on adopted third-party claims. Everything the
-   replica asserts to others about [origin]'s stream — GC gossip,
-   forwarded batches, sync answers — is capped here, so a provisional
-   adoption can never launder an unverified claim into a peer's trusted
-   frontier (and peers keep retaining the repair window). *)
-let vouched t origin =
-  let f = Vc.get t.known_vec origin in
-  let p = t.provisional_from.(origin) in
-  if p >= 0 && p < f then p else f
-
-(* [known_vec] with every provisional window capped away (strong entry
-   untouched) — the vector this replica may assert to others. *)
-let vouched_vec t =
-  let v = Vc.copy t.known_vec in
-  for o = 0 to dcs t - 1 do
-    let p = t.provisional_from.(o) in
-    if p >= 0 && p < Vc.get v o then Vc.set v o p
-  done;
-  v
-
-(* The floor a continuity claim is checked against. While syncing or
-   replaying the WAL the stream is either the replica's own durable past
-   or chained pull chunks — both first-hand — so the plain frontier
-   applies; in normal operation a provisional window must not count as
-   covered, so the trusted (vouched) floor applies instead — which is
-   what turns the first post-adoption message from the origin into a
-   verification repair. *)
-let continuity_floor t origin =
-  if is_syncing t || t.replaying then Vc.get t.known_vec origin
-  else vouched t origin
-
-(* A first-hand contiguous claim covering (f, last] with f at or below
-   the provisional floor verifies the provisional window up to [last]:
-   clear it if the whole window is covered, raise the floor otherwise.
-   Callers guarantee contiguity from at or below the floor. Runs during
-   WAL replay too — replay re-applies the same records that raised the
-   floor live, and the floor doubles as the backfill-dedup boundary
-   ([apply_replicate_txs]), so it must rise in lock-step with the data
-   both live and on replay. *)
-let confirm_provisional t ~origin ~last =
-  let p = t.provisional_from.(origin) in
-  if p >= 0 && not (is_syncing t) then
-    if last >= Vc.get t.known_vec origin then
-      t.provisional_from.(origin) <- -1
-    else if last > p then t.provisional_from.(origin) <- last
+(* Live siblings not suspected by Ω — all live ones when Ω suspects
+   every sibling (a total partition of this replica): the deadline that
+   rotates the choice keeps probing, and whichever peer heals first
+   answers. *)
+let eligible_peers t =
+  let live = live_peers t in
+  match List.filter (fun i -> not (List.mem i t.suspected)) live with
+  | [] -> live
+  | l -> l
 
 (* Start (or rotate) a repair pull round for [origin]'s stream: ask the
    origin itself first — it always holds its own history — then rotate
@@ -969,12 +901,7 @@ let confirm_provisional t ~origin ~last =
    claim, so any sibling holds the window it vouches for). *)
 let rec start_repair_round t origin =
   let r = t.repair.(origin) in
-  let eligible =
-    let live = live_peers t in
-    match List.filter (fun i -> not (List.mem i t.suspected)) live with
-    | [] -> live
-    | l -> l
-  in
+  let eligible = eligible_peers t in
   let candidates =
     if List.mem origin eligible then
       origin :: List.filter (fun i -> i <> origin) eligible
@@ -991,7 +918,7 @@ let rec start_repair_round t origin =
       Sim.Metrics.incr
         (Sim.Metrics.counter t.metrics "repair_pull_rounds_total");
       let target = List.nth cs ((r.r_attempt - 1) mod List.length cs) in
-      let vec_from = vouched t origin in
+      let vec_from = Vc.get t.known_vec origin in
       Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"repair-round"
         "pull dc%d's stream (%d, %d] from dc%d (round %d)" origin vec_from
         r.r_upto target r.r_sq;
@@ -1004,8 +931,7 @@ let rec start_repair_round t origin =
           (* round still open at the deadline: the target is lossy,
              partitioned or gone — count a stall and rotate, or park
              after every candidate had a fair shot *)
-          if alive t && (not (is_syncing t)) && r.r_active && r.r_sq = sq
-          then begin
+          if alive t && r.r_active && r.r_sq = sq then begin
             r.r_stalled <- r.r_stalled + 1;
             if r.r_stalled > 2 * max 1 (List.length (live_peers t)) then begin
               r.r_active <- false;
@@ -1020,7 +946,7 @@ let rec start_repair_round t origin =
           end)
 
 (* A continuity break in [origin]'s stream: refuse the jump, account it,
-   remember the claimed frontier and (outside sync/replay) start the
+   remember the claimed frontier and (outside WAL replay) start the
    repair. Detections while a repair is already in flight only raise the
    target. *)
 let note_gap t ~origin ~floor ~from_ts ~claimed =
@@ -1032,8 +958,7 @@ let note_gap t ~origin ~floor ~from_ts ~claimed =
     origin from_ts claimed floor;
   let r = t.repair.(origin) in
   if claimed > r.r_upto then r.r_upto <- claimed;
-  if (not r.r_active) && (not (is_syncing t)) && (not t.replaying) && alive t
-  then begin
+  if (not r.r_active) && (not t.replaying) && alive t then begin
     r.r_attempt <- 0;
     r.r_stalled <- 0;
     start_repair_round t origin
@@ -1102,30 +1027,21 @@ let propagate_local_txs t =
 (* Apply a sorted batch of [origin]'s stream: dedup against the
    frontier, materialize the writes, queue for forwarding (or re-retain
    own history), advance the frontier. Shared by the direct stream
-   ([handle_replicate]), the rejoin pulls ([handle_sync_log]) and the
-   repair path ([handle_repair_log]) — idempotence comes from the
-   tid-at-frontier dedup, so overlapping deliveries are safe. *)
+   ([handle_replicate]) and the repair path ([handle_repair_log]) —
+   idempotence comes from the tid-at-frontier dedup, so overlapping
+   deliveries are safe. *)
 let apply_replicate_txs t ~origin txs =
   List.iter
     (fun tx ->
       let ts = Vc.get tx.Types.tx_vec origin in
-      (* Dedup against the vouched floor, not the raw frontier: with no
-         provisional window the two coincide and this is the classic
-         "below the frontier = duplicate" check, but when the frontier
-         rests on an adopted claim the window (floor, frontier] is
-         data-free by construction (claims jump the frontier, only
-         applications fill it, and every apply is followed by a floor
-         update covering what it filled) — so a transaction inside it is
-         backfill to apply, not a duplicate to drop. Equal-timestamp
-         siblings of the last applied transaction dedup by tid. *)
-      let floor_v = vouched t origin in
       (* An own-origin transaction still sitting in the pending
          propagation queue was restored there by WAL replay
          ([W_commit]) — already applied to the store, but below nothing
          the frontier records, because replay cannot know how far the
-         previous incarnation propagated. A rejoin pull redelivering it
-         proves a peer holds it: move it to the propagated log (it must
-         be servable to repair pulls) instead of applying it twice. *)
+         previous incarnation propagated. A repair of our own stream
+         redelivering it proves a peer holds it: move it to the
+         propagated log (it must be servable to repair pulls) instead of
+         applying it twice. *)
       let restored_own =
         origin = t.dc
         &&
@@ -1140,9 +1056,11 @@ let apply_replicate_txs t ~origin txs =
             q := rest;
             true
       in
+      (* below the frontier = duplicate; equal-timestamp siblings of the
+         last applied transaction dedup by tid *)
       let fresh =
         (not restored_own)
-        && (ts > floor_v
+        && (ts > Vc.get t.known_vec origin
            || (ts = t.frontier_ts.(origin)
               && not
                    (List.exists
@@ -1178,11 +1096,18 @@ let apply_replicate_txs t ~origin txs =
             Store.Oplog.append t.oplog w.Types.wkey ~op:w.Types.wop
               ~vec:tx.Types.tx_vec ~tag)
           tx.Types.tx_writes;
-        (* own-origin transactions only arrive here through a rejoin
-           pull: they are our pre-crash history, already propagated by
-           our previous incarnation — retain them without re-propagating,
-           and keep new prepare timestamps above them (Property 1) *)
+        (* own-origin transactions only arrive here through a repair of
+           our own stream after a crash: they are our pre-crash history,
+           already propagated by our previous incarnation — retain them
+           without re-propagating, keep new prepare timestamps above them
+           (Property 1), and settle a replayed prepare whose commit
+           record the crash lost (the coordinator's answer to the orphan
+           query must not apply it a second time) *)
         if origin = t.dc then begin
+          t.prepared_causal <-
+            List.filter
+              (fun p -> not (Types.tid_equal p.pc_tid tx.Types.tx_tid))
+              t.prepared_causal;
           t.propagated_log := tx :: !(t.propagated_log);
           t.last_prep_ts <- max t.last_prep_ts ts;
           observe_clock t ts
@@ -1195,7 +1120,7 @@ let apply_replicate_txs t ~origin txs =
         if ts > Vc.get t.known_vec origin then Vc.set t.known_vec origin ts;
         if
           t.cfg.Config.measure_visibility && t.part = 0 && origin <> t.dc
-          && not t.replaying
+          && (not t.replaying) && not (is_syncing t)
         then begin
           let pv = t.pending_vis.(origin) in
           pv := (ts, now t) :: !pv
@@ -1217,13 +1142,13 @@ let handle_replicate t ~origin ~txs ~from_ts =
       (fun acc tx -> max acc (Vc.get tx.Types.tx_vec origin))
       from_ts txs
   in
-  let floor = continuity_floor t origin in
+  let floor = Vc.get t.known_vec origin in
   if from_ts > floor && not t.replaying then
     (* the batch starts above what we trust: applying it would jump the
        frontier over entries we never saw (or never verified). Refuse it
        wholesale — the repair pull re-fetches the whole window including
        this batch, and applying without advancing would double-apply on
-       the overlap. Replay is exempt: every record was gap-checked when
+       the overlap. WAL replay is exempt: every record was gap-checked when
        it was accepted live, and heartbeat frontier jumps between
        records are deliberately not logged, so the replayed frontier
        legitimately trails the logged [from_ts] chain across windows
@@ -1231,22 +1156,18 @@ let handle_replicate t ~origin ~txs ~from_ts =
     note_gap t ~origin ~floor ~from_ts ~claimed:last
   else begin
     apply_replicate_txs t ~origin txs;
-    if txs <> [] then log_async t (W_replicate (origin, txs, from_ts));
-    confirm_provisional t ~origin ~last
+    if txs <> [] then log_async t (W_replicate (origin, txs, from_ts))
   end
 
 let handle_heartbeat t ~origin ~ts ~from_ts =
-  let floor = continuity_floor t origin in
+  let floor = Vc.get t.known_vec origin in
   if from_ts > floor then
     (* heartbeats jump frontiers exactly like batches do (claiming the
        window (from_ts, ts] holds no transactions): the same continuity
        check applies, or a heartbeat racing ahead of a lost batch would
        paper over the gap *)
     note_gap t ~origin ~floor ~from_ts ~claimed:ts
-  else begin
-    if ts > Vc.get t.known_vec origin then Vc.set t.known_vec origin ts;
-    confirm_provisional t ~origin ~last:ts
-  end
+  else if ts > Vc.get t.known_vec origin then Vc.set t.known_vec origin ts
 
 (* Serve an origin-scoped repair pull: the retained transactions of
    [origin]'s stream in (vec_from, upto], chunked with chained [from_ts]
@@ -1255,7 +1176,7 @@ let handle_heartbeat t ~origin ~ts ~from_ts =
    even if the window held no transactions). GC floors guarantee
    completeness: nothing above the requester's own gossiped claim — and
    [vec_from] never exceeds it — is ever pruned. A replica that is
-   itself syncing must not serve (its log is still partial); the
+   itself catching up must not serve (its log is still partial); the
    requester's deadline rotates past us. *)
 let handle_repair_request t ~from ~origin ~vec_from ~upto ~sq =
   ignore upto;
@@ -1263,7 +1184,7 @@ let handle_repair_request t ~from ~origin ~vec_from ~upto ~sq =
     let source =
       if origin = t.dc then !(t.propagated_log) else !(t.committed_causal.(origin))
     in
-    let vouch = vouched t origin in
+    let vouch = Vc.get t.known_vec origin in
     (* Serve everything we can vouch for above [vec_from] — deliberately
        NOT capped at the requester's [upto]. The claim behind [upto] is
        stale by at least the request's flight time, and while the origin
@@ -1271,7 +1192,7 @@ let handle_repair_request t ~from ~origin ~vec_from ~upto ~sq =
        [from_ts] of the next in-FIFO stream message: the requester
        refuses it, detects a fresh gap and pulls again — a perpetual
        chase one round-trip behind the live edge. Serving to our current
-       vouched position instead puts [covered] at or ahead of every
+       frontier instead puts [covered] at or ahead of every
        stream boundary the origin stamped before we served (its
        [propagated_upto] never exceeds its frontier), so the next stream
        message behind the reply on the same FIFO channel chains cleanly
@@ -1330,57 +1251,46 @@ let handle_repair_request t ~from ~origin ~vec_from ~upto ~sq =
   end
 
 (* Apply a repair reply chunk. This is the below-frontier entry point
-   [handle_replicate] deliberately refuses to be: chunks chain
-   contiguously from the [vec_from] we asked for (at or below our
-   frontier), so applying them can only fill, never jump — and the
-   tid-at-frontier dedup makes re-delivered overlap idempotent. The
-   final chunk's [covered] is a first-hand assertion by the server, so
-   the frontier may jump there and the provisional floor rises with
-   it. *)
+   [handle_replicate] deliberately refuses to be: a chunk chaining from
+   at or below our frontier covers its window contiguously, so applying
+   it can only fill, never jump — and the tid-at-frontier dedup makes
+   re-delivered overlap idempotent. The final chunk's [covered] is a
+   first-hand assertion by the server, so the frontier may jump there.
+   That holds for a chunk of an abandoned round too: a slow source's late
+   answer still fills the window (on a lossy link it may never beat the
+   round deadline), and only the round bookkeeping is tied to [sq]. *)
 let handle_repair_log t ~origin ~txs ~from_ts ~covered ~last ~sq =
   let r = t.repair.(origin) in
-  if r.r_active && r.r_sq = sq && not (is_syncing t) then begin
-    let before = Vc.get t.known_vec origin in
-    if from_ts <= before then begin
-      let txs =
-        List.sort
-          (fun a b ->
-            compare (Vc.get a.Types.tx_vec origin) (Vc.get b.Types.tx_vec origin))
-          txs
-      in
-      apply_replicate_txs t ~origin txs;
-      if txs <> [] then log_async t (W_replicate (origin, txs, from_ts));
-      (* the covered jump stays volatile (not WAL-logged): recovering
-         with a lower frontier is always safe — the stream or a fresh
-         repair re-covers it *)
-      if last && covered > Vc.get t.known_vec origin then
-        Vc.set t.known_vec origin covered;
-      (* every chunk raises the provisional floor over the window it
-         filled (non-final chunks' [covered] is their last transaction):
-         the floor is also the backfill-dedup boundary, so it must track
-         the fill chunk by chunk or an interleaved accepted stream batch
-         could re-apply what a chunk just wrote *)
-      confirm_provisional t ~origin ~last:covered
-    end;
-    if last then begin
-      let after = Vc.get t.known_vec origin in
-      if after >= r.r_upto && t.provisional_from.(origin) < 0 then begin
-        r.r_active <- false;
-        r.r_attempt <- 0;
-        r.r_stalled <- 0;
-        Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"repair-done"
-          "dc%d's stream repaired to %d" origin after
-      end
-      else if after > r.r_mark then begin
-        (* progress but not done (the server's own frontier stopped short
-           of the claim, or a provisional window remains): next round
-           immediately — rotation finds a source that can go further *)
-        r.r_stalled <- 0;
-        start_repair_round t origin
-      end
-      (* no progress: leave the armed deadline to rotate/park, so a
-         useless source is not re-polled in a hot loop *)
-    end
+  if from_ts <= Vc.get t.known_vec origin then begin
+    let txs =
+      List.sort
+        (fun a b ->
+          compare (Vc.get a.Types.tx_vec origin) (Vc.get b.Types.tx_vec origin))
+        txs
+    in
+    apply_replicate_txs t ~origin txs;
+    if txs <> [] then log_async t (W_replicate (origin, txs, from_ts));
+    (* the covered jump stays volatile (not WAL-logged): recovering
+       with a lower frontier is always safe — the stream or a fresh
+       repair re-covers it *)
+    if last && covered > Vc.get t.known_vec origin then
+      Vc.set t.known_vec origin covered
+  end;
+  let after = Vc.get t.known_vec origin in
+  if r.r_active && after >= r.r_upto then begin
+    r.r_active <- false;
+    r.r_attempt <- 0;
+    r.r_stalled <- 0;
+    Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"repair-done"
+      "dc%d's stream repaired to %d" origin after
+  end
+  else if r.r_active && last && r.r_sq = sq && after > r.r_mark then begin
+    (* progress but not done (the server's own frontier stopped short of
+       the claim): next round immediately — rotation finds a source that
+       can go further. Without progress the armed deadline rotates or
+       parks, so a useless source is not re-polled in a hot loop. *)
+    r.r_stalled <- 0;
+    start_repair_round t origin
   end
 
 (* FORWARD_REMOTE_TXS(i, j): forward transactions that originated at the
@@ -1392,11 +1302,9 @@ let forward_remote_txs t ~dst ~origin =
      [threshold] is an honest continuity boundary: it is [dst]'s own
      gossiped claim (never above its frontier, so no false gap there)
      and the GC floor pins our retention above it (so we hold — and ship
-     — everything in between). Both the shipped window and the claimed
-     frontier are capped at [vouched]: we never forward the part of our
-     own view that rests on unverified third-party adoption. *)
+     — everything in between) *)
   let threshold = Vc.get t.global_matrix.(dst) origin in
-  let vouch = vouched t origin in
+  let vouch = Vc.get t.known_vec origin in
   let txs =
     List.filter
       (fun tx ->
@@ -1432,13 +1340,16 @@ let holds_floor t i =
 
 (* Drop forwarded buffers — and our own propagated log — once every live
    DC and every crashed DC still within its rejoin grace period stores
-   them (§5.5). *)
+   them (§5.5). The origin's own claim counts too: a DC that lost its
+   history in a crash gets it back only from these buffers, and until
+   its fresh claim arrives its row is pinned at zero
+   ([reset_peer_view]). *)
 let prune_committed t =
   for j = 0 to dcs t - 1 do
     let covered ts =
       let ok = ref true in
       for i = 0 to dcs t - 1 do
-        if i <> j && i <> t.dc && holds_floor t i then
+        if i <> t.dc && holds_floor t i then
           if Vc.get t.global_matrix.(i) j < ts then ok := false
       done;
       !ok
@@ -1456,11 +1367,7 @@ let tree_children t part =
   List.filter (fun c -> c < partitions t) [ c1; c2 ]
 
 let subtree_agg t =
-  (* stability (and through it uniformity) must count only first-hand
-     storage: a provisional window is a claim about data this replica
-     does not hold, and letting it into stableVec would let an
-     under-replicated transaction pass the f+1 uniformity bar *)
-  let agg = vouched_vec t in
+  let agg = Vc.copy t.known_vec in
   List.iter
     (fun c ->
       let v = t.local_agg.(c) in
@@ -1476,9 +1383,24 @@ let update_stable t vec =
   recompute_uniform t;
   flush_uniform_local t
 
-(* Messages must carry value snapshots, not live references: the
-   simulation is shared-memory and a receiver processes a message later,
-   when the sender's vector has already advanced. *)
+(* The knownVec claim gossiped to siblings, who prune their catch-up
+   logs below it: in persistence mode it only vouches for what a
+   node-level crash cannot lose. A fresh copy — messages must carry
+   value snapshots, not live references: the simulation is shared-memory
+   and a receiver processes a message later, when the sender's vector
+   has already advanced. *)
+let gc_claim t =
+  let v = Vc.copy t.known_vec in
+  if persistent t then begin
+    for o = 0 to dcs t - 1 do
+      if Vc.get t.durable_known o < Vc.get v o then
+        Vc.set v o (Vc.get t.durable_known o)
+    done;
+    if Vc.strong t.durable_known < Vc.strong v then
+      Vc.set_strong v (Vc.strong t.durable_known)
+  end;
+  v
+
 let broadcast_vecs t =
   let agg = subtree_agg t in
   if t.part = 0 then begin
@@ -1501,20 +1423,7 @@ let broadcast_vecs t =
       if Config.tracks_uniformity t.cfg && dcs t > 1 then
         send t (sibling t i)
           (Msg.Stablevec { dc = t.dc; vec = Vc.copy t.stable_vec });
-      (* peers prune their catch-up logs below this claim: in
-         persistence mode only vouch for what a node-level crash cannot
-         lose, and never for a provisional window — peers must retain
-         the repair window until we verified it first-hand *)
-      let gc_vec = vouched_vec t in
-      if persistent t then begin
-        for o = 0 to dcs t - 1 do
-          if Vc.get t.durable_known o < Vc.get gc_vec o then
-            Vc.set gc_vec o (Vc.get t.durable_known o)
-        done;
-        if Vc.strong t.durable_known < Vc.strong gc_vec then
-          Vc.set_strong gc_vec (Vc.strong t.durable_known)
-      end;
-      send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; vec = gc_vec })
+      send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; vec = gc_claim t })
     end
   done;
   prune_committed t
@@ -1530,8 +1439,21 @@ let handle_stablevec t ~dc ~vec =
   recompute_uniform t;
   flush_uniform_local t
 
+(* While catching up, the gossip is also how the replica learns which of
+   its own pre-crash transactions a sibling holds: nobody else ever sends
+   a DC its own stream back, so a claim above our own frontier is a gap
+   in our own history, repaired from the siblings' forwarding buffers
+   (the GC floors retain it for us, see [prune_committed]). *)
 let handle_knownvec_global t ~dc ~vec =
-  Vc.merge_into t.global_matrix.(dc) vec
+  Vc.merge_into t.global_matrix.(dc) vec;
+  match t.sync with
+  | None -> ()
+  | Some s ->
+      if not (List.mem dc s.s_heard) then s.s_heard <- dc :: s.s_heard;
+      let own = Vc.get t.known_vec t.dc and claimed = Vc.get vec t.dc in
+      let r = t.repair.(t.dc) in
+      if claimed > own && (claimed > r.r_upto || not r.r_active) then
+        note_gap t ~origin:t.dc ~floor:own ~from_ts:own ~claimed
 
 (* ------------------------------------------------------------------ *)
 (* Uniform barrier and attach (§5.6).                                   *)
@@ -1905,20 +1827,16 @@ let suspect t failed_dc =
     t.suspected <- failed_dc :: t.suspected;
     Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"suspect"
       "dc%d suspected; forwarding its transactions" failed_dc;
-    (* While rebuilding after a crash, feed Ω's verdict into the running
-       sync round (a suspected snapshot source fails over, a suspected
-       polled sibling is dropped) and still retarget certification trust
-       — when the crashed leader DC is the one being suspected, the
-       group's election needs this member's ack, and deferring the
+    (* While catching up after a crash, still retarget certification
+       trust — when the crashed leader DC is the one being suspected,
+       the group's election needs this member's ack, and deferring the
        retarget until the catch-up completes deadlocks against
        [cert_caught_up]. The one thing a half-synced member must never
        do is bid for leadership itself (electing on stale state could
        lose decisions), so the retarget is skipped exactly when Ω would
        point at our own DC; [finish_sync] recomputes trust in full. *)
     match t.sync with
-    | Some s ->
-        s.s_on_suspect failed_dc;
-        if preferred_leader t <> t.dc then retarget_trust t
+    | Some _ -> if preferred_leader t <> t.dc then retarget_trust t
     | None -> (
         retarget_trust t;
         (* eagerly finish 2PCs the suspected DC was coordinating: an
@@ -1937,12 +1855,9 @@ let unsuspect t dc =
     t.suspected <- List.filter (fun d -> d <> dc) t.suspected;
     Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"unsuspect"
       "dc%d rehabilitated" dc;
+    (* the trust retarget follows the same no-self-bid rule as above *)
     match t.sync with
-    | Some s ->
-        (* a rehabilitated peer may serve the sync again right away; the
-           trust retarget follows the same no-self-bid rule as above *)
-        s.s_dropped <- List.remove_assoc dc s.s_dropped;
-        if preferred_leader t <> t.dc then retarget_trust t
+    | Some _ -> if preferred_leader t <> t.dc then retarget_trust t
     | None -> retarget_trust t
   end
 
@@ -2037,7 +1952,6 @@ let snapshot_of t =
       Hashtbl.fold
         (fun tid (_, vec, lc, origin) acc -> (tid, (vec, lc, origin)) :: acc)
         t.coord_decisions [];
-    ns_provisional = Array.copy t.provisional_from;
     ns_cert =
       (match t.cert with Some c -> Some (Cert.persistent_state c) | None -> None);
   }
@@ -2235,8 +2149,9 @@ let handle_resubmit_strong t ~client ~client_id ~req ~tid ~wbuff ~ops ~snap
               send t client (Msg.R_strong { req; dec = false; vec = snap; lc })))
 
 (* ------------------------------------------------------------------ *)
-(* DC rejoin: snapshot transfer and causal-log catch-up (tentpole of
-   the crash-recovery subsystem; see DESIGN.md "DC recovery & rejoin"). *)
+(* Catch-up after a DC rejoin or a node restart: the snapshot transfer,
+   then the ordinary replication stream and gap repair (tentpole of the
+   crash-recovery subsystem; see DESIGN.md §4e).                        *)
 
 (* Causal-log backlog retained for [origin] (GC grace-window tests):
    the forwarded buffer for remote origins, the propagated log for our
@@ -2245,7 +2160,6 @@ let committed_backlog t ~origin =
   if origin = t.dc then List.length !(t.propagated_log)
   else List.length !(t.committed_causal.(origin))
 
-let provisional_floor t ~origin = t.provisional_from.(origin)
 let repair_active t ~origin = t.repair.(origin).r_active
 let propagated_upto t = t.propagated_upto
 
@@ -2265,8 +2179,10 @@ let reset_peer_view t ~dc =
   end
 
 (* Everything a crash destroys. The clocks, rid/heartbeat counters and
-   the lifetime metrics survive (restarted processes keep their identity);
-   everything else restarts empty and is rebuilt by the sync protocol. *)
+   the lifetime metrics survive (restarted processes keep their
+   identity); everything else restarts empty and is rebuilt by the
+   catch-up. Ω's suspicions are reset once per recovery by the callers,
+   not on every snapshot attempt. *)
 let wipe_state t =
   Store.Oplog.clear t.oplog;
   let zero v =
@@ -2291,7 +2207,6 @@ let wipe_state t =
     t.frontier_tids.(i) <- [];
     t.frontier_ts.(i) <- -1;
     t.pending_vis.(i) := [];
-    t.provisional_from.(i) <- -1;
     (let r = t.repair.(i) in
      r.r_active <- false;
      r.r_upto <- 0;
@@ -2304,45 +2219,7 @@ let wipe_state t =
   Sim.Heap.clear t.wait_known_local;
   Sim.Heap.clear t.wait_known_strong;
   Sim.Heap.clear t.wait_uniform_local;
-  t.waiters <- [];
-  t.suspected <- []
-
-(* Is [dc] currently barred from serving this sync? Ω-suspected peers
-   and peers that recently missed a deadline (pull-round silence or a
-   refused/stalled snapshot) are skipped until their backoff expires or
-   Ω rehabilitates them — a partitioned sibling is otherwise re-picked
-   forever, stalling the rejoin for as long as the adversity lasts. *)
-let sync_barred t s dc =
-  List.mem dc t.suspected
-  ||
-  match List.assoc_opt dc s.s_dropped with
-  | Some retry_at -> now t < retry_at
-  | None -> false
-
-(* Peers eligible to serve the sync. When adversity has barred every
-   live sibling (total partition of the rejoiner), fall back to all of
-   them rather than going dark: the periodic restarts keep probing, and
-   whichever peer heals first answers. *)
-let sync_peers t s =
-  let live = live_peers t in
-  match List.filter (fun i -> not (sync_barred t s i)) live with
-  | [] -> live
-  | eligible -> eligible
-
-let sync_drop_backoff_us t = Config.sync_drop_backoff_us t.cfg
-
-(* Drop [dc] from the current round: it missed the pull deadline, never
-   produced a snapshot chunk, or became Ω-suspected before answering.
-   It keeps any tail it already delivered (an answered poll is not a
-   laggard) and is barred from the next rounds until the backoff
-   expires. *)
-let sync_drop_peer t s dc =
-  Sim.Metrics.incr (Sim.Metrics.counter t.metrics "sync_peer_drops_total");
-  Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-drop"
-    "dc%d dropped from the sync round (deadline/suspicion)" dc;
-  s.s_dropped <-
-    (dc, now t + sync_drop_backoff_us t) :: List.remove_assoc dc s.s_dropped;
-  s.s_polled <- List.filter (fun i -> i <> dc) s.s_polled
+  t.waiters <- []
 
 (* Ask an eligible sibling for the snapshot, rotating the peer across
    attempts. Any partially applied chunks from an abandoned attempt are
@@ -2350,15 +2227,12 @@ let sync_drop_peer t s dc =
    the [sq] check. *)
 let request_snapshot t s =
   s.s_sq <- s.s_sq + 1;
-  s.s_phase <- Sync_snapshot;
   s.s_progress <- false;
-  s.s_peer <- -1;
   wipe_state t;
-  match sync_peers t s with
+  match eligible_peers t with
   | [] -> ()  (* nobody to sync from; the retry tick keeps looking *)
   | peers ->
       let peer = List.nth peers (s.s_sq mod List.length peers) in
-      s.s_peer <- peer;
       Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-request"
         "snapshot from dc%d (attempt %d)" peer s.s_sq;
       send t (sibling t peer)
@@ -2379,47 +2253,15 @@ let request_cert_state t =
           send t (sibling t i) (Msg.State_request { from = t.addr; ballot }))
         (live_peers t)
 
-(* Start a catch-up pull round over the eligible peers, and arm its
-   deadline: a polled sibling that has not answered with its tail when
-   the deadline fires is dropped (with a backoff before it is polled
-   again) and the round restarts without it — mirroring the co-syncing
-   exclusion, but driven by time and Ω instead of an explicit weak
-   tail. Without the deadline, a sibling partitioned or gray-degraded
-   mid-round can neither answer nor be exempted (it has not crashed),
-   and the rejoin stalls for as long as the adversity lasts. *)
-let start_pull_round t s =
-  s.s_sq <- s.s_sq + 1;
-  s.s_tails <- [];
-  s.s_polled <- [];
-  s.s_weak <- [];
-  s.s_round_started <- now t;
-  (* freeze the round's continuity boundary: peers answer with
-     everything above this vector, so their [Sync_log] chunks chain from
-     its entries and their tails' own-entry claims are contiguous from
-     it *)
-  let round_vec = Vc.copy t.known_vec in
-  s.s_round_vec <- round_vec;
+(* Tell every live sibling how far we hold each stream. Besides pinning
+   their GC floors, this is our answer to a sibling that is catching up
+   itself (see [sync_complete]): our periodic gossip is down until we
+   finish, so the retry tick re-sends it. *)
+let gossip_known t =
   List.iter
     (fun i ->
-      s.s_polled <- i :: s.s_polled;
-      send t (sibling t i)
-        (Msg.Sync_pull { from = t.addr; vec = round_vec; sq = s.s_sq }))
-    (sync_peers t s);
-  let sq = s.s_sq in
-  Engine.schedule t.eng ~delay:t.cfg.Config.sync_pull_deadline_us (fun () ->
-      match t.sync with
-      | Some s' when s' == s && s.s_phase = Sync_pull && s.s_sq = sq && alive t
-        ->
-          let laggards =
-            List.filter
-              (fun i -> not (List.mem_assoc i s.s_tails))
-              s.s_polled
-          in
-          if laggards <> [] then begin
-            List.iter (fun i -> sync_drop_peer t s i) laggards;
-            s.s_try_complete ()
-          end
-      | _ -> ())
+      send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; vec = gc_claim t }))
+    (live_peers t)
 
 let cert_caught_up t =
   match t.cert with
@@ -2429,118 +2271,60 @@ let cert_caught_up t =
       | Cert.Leader | Cert.Follower -> true
       | Cert.Recovering | Cert.Restoring -> false)
 
-(* Origins whose entries the completion predicate cannot wait for:
-   crashed DCs, co-syncing peers, Ω-suspected peers, and peers dropped
-   from the round for missing a deadline (a partitioned or gray sibling
-   lands there). What a tail claims for such an origin may exceed any
-   data a pull can deliver — heartbeats advance frontiers past the last
-   transaction, and the origin itself cannot answer — so [finish_sync]
-   adopts the tails' claims instead; see there for why that is
-   gap-free. *)
-let sync_exempt t s o =
-  Network.dc_failed t.net o
-  || List.mem o s.s_weak
-  || List.mem o t.suspected
-  || List.mem_assoc o s.s_dropped
-
-(* Caught up once every polled sibling sent its tail and our knownVec
-   covers each answering origin's OWN tail claim — it arrived as a tail
-   heartbeat, so this holds as soon as the round's chunks drained.
-   Deliberately NOT required: covering what tail senders claim about
-   *third parties*. Those claims ride the 5 ms heartbeat exchange, so
-   in every round some peer's view of origin [o] is one heartbeat
-   fresher than [o]'s own directly-received tail — and with frontiers
-   advancing on heartbeats even at quiescence, waiting for cross-peer
-   coverage livelocks the sync forever (seen as a stuck [dcs_syncing]
-   under 5-DC explorer schedules). The window between [o]'s tail claim
-   and fresher third-party views is exactly what the stream-continuity
-   scheme (§4j) guards: the deferred live stream replays with
-   [from_ts] chaining from the tail claim, and any real gap trips the
-   continuity check and is backfilled by the repair pull instead of
-   being prevented by conservative waiting. The strong entry is driven
-   by the certification member's deliveries, which the rejoiner
-   receives like everyone else once its member re-entered. *)
+(* Caught up once the snapshot is installed, the certification member
+   re-entered its group, and every live sibling has told us how far it
+   holds our own stream — and we hold that much again
+   ([handle_knownvec_global] repairs the difference). A sibling that Ω
+   suspects before it told us is not waited for: a partitioned sibling
+   must not stall the rejoin. One that told us is waited for even when
+   suspected, since it holds commits of ours: finishing without them
+   would restart our stream below them, and our first heartbeat would
+   tell every sibling lacking them that the window was empty. Nothing
+   else is waited for: the other origins' windows above the frontier
+   are filled by gap repair as soon as their stream shows them, and
+   waiting for a third party's view of some origin livelocks against
+   frontiers that heartbeats keep advancing. The claims about our own
+   stream stand still while we are out of service, so they cannot run
+   away. *)
 let sync_complete t s =
-  let exempt o = sync_exempt t s o in
-  s.s_phase = Sync_pull
-  && s.s_polled <> []
-  && List.for_all (fun i -> List.mem_assoc i s.s_tails) s.s_polled
-  && List.for_all
-       (fun (j, known) ->
-         Vc.strong known <= Vc.strong t.known_vec
-         && (exempt j || Vc.get known j <= Vc.get t.known_vec j))
-       s.s_tails
+  let own = Vc.get t.known_vec t.dc in
+  (not s.s_snapshot)
   && cert_caught_up t
+  && List.for_all
+       (fun i ->
+         if List.mem i s.s_heard then Vc.get t.global_matrix.(i) t.dc <= own
+         else List.mem i t.suspected)
+       (live_peers t)
 
-(* Leave the sync state machine and resume normal operation. Returns the
-   deferred replication stream; the caller ([complete_sync]) replays it
-   through the ordinary dispatch once [t.sync] is cleared. *)
+(* Leave the catch-up and resume normal operation. *)
 let finish_sync t s =
   t.sync <- None;
-  (* Adopt the tails' entries for origins that could not answer the
-     pulls themselves — crashed, co-syncing, suspected or dropped — but
-     only PROVISIONALLY. The maximum of the tails is a third-party
-     claim: the answering peers shipped all they held above our vector,
-     but a tail can lag the dropped origin's true frontier (the claimant
-     itself missed batches behind the same adversity), and trusting it
-     outright lets the origin's next direct batch jump clean over the
-     window between the lagging claim and its true boundary — acked
-     writes silently gone. Marking the adoption provisional (floor = the
-     pre-adoption frontier) makes the first post-sync continuity check
-     for the origin repair the window first-hand instead of trusting
-     it. *)
-  for o = 0 to dcs t - 1 do
-    if o <> t.dc && sync_exempt t s o then begin
-      let claim =
-        List.fold_left
-          (fun acc (_, known) -> max acc (Vc.get known o))
-          (-1) s.s_tails
-      in
-      let before = Vc.get t.known_vec o in
-      if claim > before then begin
-        Vc.set t.known_vec o claim;
-        t.provisional_from.(o) <-
-          (if t.provisional_from.(o) >= 0 then min t.provisional_from.(o) before
-           else before);
-        Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-adopt"
-          "adopted dc%d's frontier %d from tail claims, provisional from %d"
-          o claim
-          t.provisional_from.(o)
-      end
-    end
-  done;
   let took = now t - s.s_started in
   Sim.Metrics.observe (Sim.Metrics.histogram t.metrics "dc_catchup_us") took;
   Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-done"
-    "caught up in %d us (replaying %d deferred)" took
-    (List.length s.s_deferred);
+    "caught up in %d us" took;
   (* re-seed the disk: a full snapshot makes the log replayable again
-     (the WAN-installed base never hit the WAL), resumes state logging,
-     and marks everything recovered as durable *)
+     (after a WAN rejoin the installed base never hit the WAL), and
+     marks everything recovered as durable *)
   if persistent t then begin
-    t.replaying <- false;
     take_snapshot t;
     Vc.merge_into t.durable_known t.known_vec
   end;
   (* Re-seed the outgoing stream position at the recovered frontier:
      everything at or below it is held first-hand (snapshot, WAL replay
-     or pulled into [propagated_log]), and every commit above it is
+     or repaired into [propagated_log]), and every commit above it is
      still queued, so the first post-recovery batch honestly covers
      (frontier, batch-last]. Receivers ahead of the boundary dedup;
-     receivers behind it trip the gap check and repair — exactly the
-     post-restart verification the continuity scheme wants. *)
+     receivers behind it trip the gap check and repair from us. *)
   t.propagated_upto <- Vc.get t.known_vec t.dc;
   (* resume normal operation: fresh periodic tasks, immediate metadata
      broadcast so siblings unpin the GC floors, and trust recomputed from
-     the suspicions recorded while syncing (possibly reclaiming
+     the suspicions recorded while catching up (possibly reclaiming
      leadership through the ordinary recovery protocol) *)
   start_timers t ~phase:(t.uid * 7 mod 1_000);
   broadcast_vecs t;
   retarget_trust t;
-  s.s_done ();
-  let deferred = List.rev s.s_deferred in
-  s.s_deferred <- [];
-  deferred
+  s.s_done ()
 
 (* Serve a snapshot to a rejoining sibling: every oplog entry except the
    writes of our own not-yet-propagated commits, which sit above the cut
@@ -2578,7 +2362,7 @@ let handle_sync_request t ~from ~part ~sq =
 
 let handle_sync_store t ~sq ~entries ~last ~cut =
   match t.sync with
-  | Some s when s.s_phase = Sync_snapshot && s.s_sq = sq ->
+  | Some s when s.s_snapshot && s.s_sq = sq ->
       s.s_progress <- true;
       List.iter
         (fun (key, op, vec, tag) -> Store.Oplog.append t.oplog key ~op ~vec ~tag)
@@ -2595,125 +2379,32 @@ let handle_sync_store t ~sq ~entries ~last ~cut =
         (match t.cert with
         | Some c -> Cert.begin_rejoin c ~delivered:(Vc.strong cut)
         | None -> ());
-        s.s_phase <- Sync_pull;
+        s.s_snapshot <- false;
         Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-snapshot"
           "installed cut %a" Vc.pp cut;
         request_cert_state t;
-        start_pull_round t s
+        gossip_known t
       end
   | _ -> ()  (* stale chunk from an abandoned attempt *)
 
-(* Answer a catch-up pull: for every origin — our own propagated log
-   included, since nobody else may hold our history up to our frontier —
-   the retained committed transactions above the requester's vector, in
-   ascending local-timestamp order (gap-free relative to our frontier),
-   chunked, then a tail carrying our knownVec over the same FIFO
-   channel. Our own pending commits sit above the shipped log and above
-   the tail's own entry, so Property 1 is preserved. A replica that is
-   itself syncing answers with just a weak ([syncing = true]) tail. *)
-let handle_sync_pull t ~from ~vec ~sq =
-  (if not (is_syncing t) then
-     for o = 0 to dcs t - 1 do
-       let source =
-         if o = t.dc then !(t.propagated_log) else !(t.committed_causal.(o))
-       in
-       (* ship only what we vouch for first-hand: above a provisional
-          floor our own view of [o]'s stream may have the very hole the
-          requester is trying to close, and chained chunks must never
-          claim contiguity across it *)
-       let vouch = vouched t o in
-       let txs =
-         List.filter
-           (fun tx ->
-             let ts = Vc.get tx.Types.tx_vec o in
-             ts > Vc.get vec o && ts <= vouch)
-           source
-       in
-       let txs =
-         List.sort
-           (fun a b ->
-             compare (Vc.get a.Types.tx_vec o) (Vc.get b.Types.tx_vec o))
-           txs
-       in
-       let rec ship from_ts = function
-         | [] -> ()
-         | txs ->
-             let rec split n acc = function
-               | rest when n = 0 -> (List.rev acc, rest)
-               | [] -> (List.rev acc, [])
-               | tx :: rest -> split (n - 1) (tx :: acc) rest
-             in
-             let batch, rest = split t.cfg.Config.sync_chunk [] txs in
-             let batch_last =
-               List.fold_left
-                 (fun acc tx -> max acc (Vc.get tx.Types.tx_vec o))
-                 from_ts batch
-             in
-             send t from (Msg.Sync_log { origin = o; txs = batch; from_ts; sq });
-             ship batch_last rest
-       in
-       ship (Vc.get vec o) txs
-     done);
-  (* the tail, too, asserts only the vouched view: sync_complete and the
-     finish-time adoption both read these claims *)
-  send t from
-    (Msg.Sync_tail
-       { from_dc = t.dc; known = vouched_vec t; syncing = is_syncing t; sq })
-
-let handle_sync_log t ~origin ~txs ~from_ts ~sq =
-  match t.sync with
-  | Some s when s.s_phase = Sync_pull && s.s_sq = sq ->
-      handle_replicate t ~origin ~txs ~from_ts
-  | _ -> ()  (* stale batch from an earlier round *)
-
-let handle_sync_tail t ~from_dc ~known ~syncing ~sq =
-  match t.sync with
-  | Some s when s.s_phase = Sync_pull && s.s_sq = sq ->
-      if syncing then begin
-        (* a co-rejoining peer cannot serve the round: stop waiting for
-           it, and never trust its partial frontier *)
-        s.s_weak <- from_dc :: List.filter (fun i -> i <> from_dc) s.s_weak;
-        s.s_polled <- List.filter (fun i -> i <> from_dc) s.s_polled;
-        s.s_tails <- List.remove_assoc from_dc s.s_tails;
-        s.s_dropped <- List.remove_assoc from_dc s.s_dropped
-      end
-      else begin
-        (* FIFO channels order every [Sync_log] batch of the response
-           before its tail, so the tail's own entry is a heartbeat
-           contiguous from the round's pull vector: the peer holds
-           nothing of its own stream below [known] that it has not
-           already shipped to us in this round *)
-        handle_heartbeat t ~origin:from_dc ~ts:(Vc.get known from_dc)
-          ~from_ts:(Vc.get s.s_round_vec from_dc);
-        s.s_tails <- (from_dc, known) :: List.remove_assoc from_dc s.s_tails;
-        (* an answer — even a late one — proves the link works again *)
-        s.s_dropped <- List.remove_assoc from_dc s.s_dropped
-      end
-  | _ -> ()
-
-(* While syncing, traffic other than the deferred replication stream
-   (handled before this filter) is mostly refused: during the snapshot
-   phase anything but snapshot chunks; during the pull phase everything
-   needed to converge — catch-up batches and tails, gossip,
-   certification — but no client requests (the client's failover handles
-   those) and no snapshot service to other rejoiners. [Sync_pull] itself
-   is admitted so that co-rejoining peers receive a weak tail instead of
-   deadlocking on each other's silence. *)
+(* What a replica admits while catching up. The snapshot phase admits
+   snapshot chunks only. The replication stream is dropped there, not
+   buffered: the cut covers everything the stream carried up to it, and
+   the first message whose window starts above the cut trips the
+   continuity check and is repaired. After the snapshot everything
+   needed to converge is admitted — the stream, repair replies, gossip,
+   certification — but no client requests (the client's failover
+   handles those) and no intra-DC transaction traffic. *)
 let sync_admits s msg =
-  match (s.s_phase, msg) with
-  | Sync_snapshot, Msg.Sync_store _ -> true
-  | Sync_snapshot, _ -> false
-  | ( Sync_pull,
-      ( Msg.C_start _ | Msg.C_read _ | Msg.C_update _ | Msg.C_commit_causal _
-      | Msg.C_commit_strong _ | Msg.C_uniform_barrier _ | Msg.C_attach _
-      | Msg.C_failover _ | Msg.C_resubmit_strong _ | Msg.Sync_request _
-      | Msg.Sync_store _ | Msg.Get_version _ | Msg.Version _ | Msg.Prepare _
-      | Msg.Prepare_ack _ | Msg.Commit _ | Msg.Repair_request _ ) ) ->
-      (* Repair_request included: a syncing replica's log is partial and
-         must not serve repair windows (the handler re-checks, but
-         refusing here keeps the accounting honest) *)
+  match msg with
+  | Msg.Sync_store _ -> true
+  | _ when s.s_snapshot -> false
+  | Msg.C_start _ | Msg.C_read _ | Msg.C_update _ | Msg.C_commit_causal _
+  | Msg.C_commit_strong _ | Msg.C_uniform_barrier _ | Msg.C_attach _
+  | Msg.C_failover _ | Msg.C_resubmit_strong _ | Msg.Get_version _
+  | Msg.Version _ | Msg.Prepare _ | Msg.Prepare_ack _ | Msg.Commit _ ->
       false
-  | Sync_pull, _ -> true
+  | _ -> true
 
 let dispatch t msg =
   (match msg with
@@ -2738,11 +2429,6 @@ let dispatch t msg =
   | Msg.Sync_request { from; part; sq } -> handle_sync_request t ~from ~part ~sq
   | Msg.Sync_store { sq; entries; last; cut } ->
       handle_sync_store t ~sq ~entries ~last ~cut
-  | Msg.Sync_pull { from; vec; sq } -> handle_sync_pull t ~from ~vec ~sq
-  | Msg.Sync_log { origin; txs; from_ts; sq } ->
-      handle_sync_log t ~origin ~txs ~from_ts ~sq
-  | Msg.Sync_tail { from_dc; known; syncing; sq } ->
-      handle_sync_tail t ~from_dc ~known ~syncing ~sq
   | Msg.Get_version { from; tid; key; snap } ->
       handle_get_version t ~from ~tid ~key ~snap
   | Msg.Version { tid; key; value; lc } -> handle_version t ~tid ~key ~value ~lc
@@ -2790,56 +2476,25 @@ let dispatch t msg =
               k "replica %d.%d dropped %s (no certification group)" t.dc
                 t.part (Msg.kind m))))
 
-(* Finish the catch-up and replay the deferred replication stream in
-   arrival order: entries at or below the frontier dedup away, entries
-   above continue each origin's FIFO exactly where the pulls stopped,
-   and heartbeats replay after the data they vouch for. *)
-let complete_sync t s = List.iter (dispatch t) (finish_sync t s)
-
-(* Build the sync state machine and wire its late-bound reactions. *)
-let make_sync t ~on_done =
+let make_sync t ~wan ~on_done =
   let s =
     {
-      s_phase = Sync_snapshot;
+      s_wan = wan;
+      s_snapshot = wan;
       s_sq = 0;
-      s_peer = -1;
       s_progress = false;
-      s_tails = [];
-      s_polled = [];
-      s_weak = [];
-      s_dropped = [];
-      s_round_started = now t;
-      s_round_vec = Vc.create ~dcs:(dcs t);
-      s_on_suspect = (fun _ -> ());
-      s_try_complete = (fun () -> ());
-      s_deferred = [];
+      s_heard = [];
       s_started = now t;
       s_done = on_done;
     }
   in
   t.sync <- Some s;
-  s.s_try_complete <-
-    (fun () -> if sync_complete t s then complete_sync t s else start_pull_round t s);
-  (* The Ω feed: a suspected sibling is treated like a missed deadline
-     immediately — snapshot source failover, or a pull round restarted
-     without the suspect — instead of waiting for the timer. *)
-  s.s_on_suspect <-
-    (fun dc ->
-      match s.s_phase with
-      | Sync_snapshot ->
-          if dc = s.s_peer then begin
-            sync_drop_peer t s dc;
-            request_snapshot t s
-          end
-      | Sync_pull ->
-          if List.mem dc s.s_polled && not (List.mem_assoc dc s.s_tails)
-          then begin
-            sync_drop_peer t s dc;
-            s.s_try_complete ()
-          end);
   s
 
-(* The retry tick driving the sync until it completes. *)
+(* The retry tick driving the catch-up until it completes: rotate a
+   snapshot source that sent nothing since the last tick, re-ask for the
+   certification state, re-send our claims to siblings that are
+   catching up too. *)
 let arm_sync_retry t s =
   let period = 500_000 in
   let label =
@@ -2850,37 +2505,28 @@ let arm_sync_retry t s =
   Engine.every t.eng ~label ~period ~phase:(t.uid * 13 mod period) (fun () ->
       match t.sync with
       | Some s' when s' == s && alive t -> (
-          (match s.s_phase with
-          | Sync_snapshot ->
-              (* no chunk since the last tick: the peer died, refused, or
-                 sits behind a partition; bar it for a backoff and rotate
-                 to the next eligible one *)
-              if s.s_progress then s.s_progress <- false
-              else begin
-                if s.s_peer >= 0 then sync_drop_peer t s s.s_peer;
-                request_snapshot t s
-              end
-          | Sync_pull ->
-              if sync_complete t s then complete_sync t s
-              else begin
-                if not (cert_caught_up t) then request_cert_state t;
-                start_pull_round t s
-              end);
+          (if s.s_snapshot then begin
+             (* no chunk since the last tick: the peer died, refused, or
+                sits behind a partition; rotate to the next one *)
+             if s.s_progress then s.s_progress <- false
+             else request_snapshot t s
+           end
+           else if sync_complete t s then finish_sync t s
+           else begin
+             if not (cert_caught_up t) then request_cert_state t;
+             gossip_known t
+           end);
           match t.sync with Some s' when s' == s -> true | _ -> false)
       | _ -> false)
 
 (* Re-enter the system after the DC recovered: wipe what the crash
-   destroyed, park the certification member in Recovering, and drive the
-   snapshot/pull state machine off a retry tick until caught up. The
-   periodic tasks stay down throughout — [finish_sync] re-arms them. *)
+   destroyed, park the certification member in Recovering, and fetch a
+   snapshot off the retry tick. The periodic tasks stay down until
+   [finish_sync] re-arms them. *)
 let begin_rejoin t ~on_done =
   t.timer_gen <- t.timer_gen + 1;
-  (* During a WAN rejoin the disk holds no base (it was scrubbed with
-     the machine): suppress state logging until [finish_sync] re-seeds
-     it with a full snapshot, so a crash mid-rejoin never leaves a
-     base-less log that looks replayable. *)
-  if persistent t then t.replaying <- true;
-  let s = make_sync t ~on_done in
+  t.suspected <- [];
+  let s = make_sync t ~wan:true ~on_done in
   (match t.cert with
   | Some c -> Cert.begin_rejoin c ~delivered:0
   | None -> ());
@@ -2888,12 +2534,13 @@ let begin_rejoin t ~on_done =
   arm_sync_retry t s
 
 (* ------------------------------------------------------------------ *)
-(* Node-level crash/restart: recover from the replica's own disk and
-   catch up the missed suffix from a peer (tentpole of the persistence
-   subsystem; DESIGN.md §4g). Distinct from the whole-DC path above:
-   the disk survives, so no WAN snapshot transfer is needed.            *)
+(* Node-level crash/restart: recover from the replica's own disk, then
+   catch up like a rejoiner past its snapshot (tentpole of the
+   persistence subsystem; DESIGN.md §4g). Distinct from the whole-DC
+   path above: the disk survives, so no WAN snapshot transfer is
+   needed.                                                              *)
 
-(* The process dies: timers retire, a running sync is abandoned, and
+(* The process dies: timers retire, a running catch-up is abandoned, and
    un-fsynced WAL appends are lost (the in-flight head may tear). The
    network side ([Network.fail_node]) is driven by [System].            *)
 let crash_node t =
@@ -2919,9 +2566,6 @@ let install_snapshot t ns =
   t.last_prep_ts <- ns.ns_last_prep;
   Array.iteri (fun i l -> t.frontier_tids.(i) <- l) ns.ns_frontier_tids;
   Array.iteri (fun i v -> t.frontier_ts.(i) <- v) ns.ns_frontier_ts;
-  (* a provisional window survives the crash: the restart must repair
-     it, not rediscover it the hard way *)
-  Array.iteri (fun i v -> t.provisional_from.(i) <- v) ns.ns_provisional;
   List.iter
     (fun (tid, (vec, lc, origin)) ->
       Hashtbl.replace t.coord_decisions tid (now t, vec, lc, origin))
@@ -2970,13 +2614,14 @@ let replay_record t cert_acc = function
       cert_acc := (bal, cbal, prepared)
 
 (* Restart from the node's own disk: replay snapshot + WAL tail, hand
-   certification its durable promises back, then catch up the suffix
-   missed while down by entering the sync machine directly at the pull
-   phase — a clean node restart ships zero WAN snapshot bytes. Falls
-   back to the whole-DC WAN rejoin when the disk holds nothing (first
-   boot after a scrub). *)
+   certification its durable promises back, then catch up what was
+   missed while down exactly as a rejoiner does past its snapshot — a
+   clean node restart ships zero WAN snapshot bytes. Falls back to the
+   WAN rejoin when the disk holds nothing (first boot after a scrub).
+   Like a rejoiner, the restarted process starts with no suspicions. *)
 let restart_from_disk t ~on_done =
   Sim.Metrics.incr (Sim.Metrics.counter t.metrics "node_restarts_total");
+  t.suspected <- [];
   match t.disk with
   | None -> begin_rejoin t ~on_done
   | Some w -> (
@@ -3026,7 +2671,7 @@ let restart_from_disk t ~on_done =
           observe_clock t (Vc.get t.known_vec t.dc);
           observe_clock t (Vc.strong t.known_vec);
           Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"node-restart"
-            "replayed %d entries on top of %s; pulling the missed suffix"
+            "replayed %d entries on top of %s; catching up"
             (List.length tail)
             (match snap with Some _ -> "a snapshot" | None -> "an empty disk");
           (match t.cert with
@@ -3035,42 +2680,25 @@ let restart_from_disk t ~on_done =
               Cert.restart c ~ballot ~cballot ~prepared
                 ~delivered:(Vc.strong t.known_vec)
           | None -> ());
-          let s = make_sync t ~on_done in
-          s.s_phase <- Sync_pull;
+          let s = make_sync t ~wan:false ~on_done in
           request_cert_state t;
-          start_pull_round t s;
+          gossip_known t;
           arm_sync_retry t s)
 
 let handle t msg =
   match t.sync with
   | None -> dispatch t msg
-  | Some s -> (
-      match msg with
-      | Msg.Replicate _ | Msg.Heartbeat _ ->
-          (* The direct replication stream cannot be refused — each
-             transaction is shipped exactly once and the frontier jumps,
-             so a dropped batch would be a permanent gap that a later
-             heartbeat papers over. Defer it for replay at the finish. *)
-          Sim.Metrics.incr
-            ~by:(Msg.size_bytes msg)
-            (Sim.Metrics.counter t.metrics "sync_log_bytes_total");
-          s.s_deferred <- msg :: s.s_deferred
-      | _ ->
-          if sync_admits s msg then begin
-            (* account catch-up traffic: snapshot chunks vs log replay *)
-            (match msg with
-            | Msg.Sync_store _ ->
-                Sim.Metrics.incr
-                  ~by:(Msg.size_bytes msg)
-                  (Sim.Metrics.counter t.metrics "sync_snapshot_bytes_total")
-            | Msg.Sync_log _ | Msg.Sync_tail _ ->
-                Sim.Metrics.incr
-                  ~by:(Msg.size_bytes msg)
-                  (Sim.Metrics.counter t.metrics "sync_log_bytes_total")
-            | _ -> ());
-            dispatch t msg;
-            (* the message may have been the one completing the catch-up *)
-            match t.sync with
-            | Some s' when s' == s && sync_complete t s -> complete_sync t s
-            | _ -> ()
-          end)
+  | Some s ->
+      if sync_admits s msg then begin
+        (match msg with
+        | Msg.Sync_store _ when s.s_snapshot ->
+            Sim.Metrics.incr
+              ~by:(Msg.size_bytes msg)
+              (Sim.Metrics.counter t.metrics "sync_snapshot_bytes_total")
+        | _ -> ());
+        dispatch t msg;
+        (* the message may have been the one completing the catch-up *)
+        match t.sync with
+        | Some s' when s' == s && sync_complete t s -> finish_sync t s
+        | _ -> ()
+      end

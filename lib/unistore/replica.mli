@@ -85,15 +85,19 @@ val strong_heartbeat : t -> unit
 (** {2 DC crash recovery} *)
 
 (** Re-enter the system after this replica's DC recovered from a crash:
-    wipe the state the crash destroyed, request a snapshot of the
-    materialized store from a live sibling of the partition, then pull
-    causal-log catch-up rounds (and re-enter the certification group via
-    [State_request]/[New_state]) until this replica's knownVec covers
-    every live sibling's. Client requests are refused throughout; the
+    wipe the state the crash destroyed and install a snapshot of the
+    materialized store from a live sibling of the partition. From the
+    snapshot's cut on, the replication stream is applied as usual and
+    gap repair fills every origin's window above the frontier. The
+    replica is caught up once its certification member re-entered the
+    group ([State_request]/[New_state]) and it holds again every
+    transaction of its own stream that a live, unsuspected sibling
+    reports holding. Client requests are refused throughout; the
     periodic tasks restart and [on_done] runs once caught up. *)
 val begin_rejoin : t -> on_done:(unit -> unit) -> unit
 
-(** Whether this replica is still catching up after a rejoin. *)
+(** Whether this replica is still catching up after a rejoin or a node
+    restart. *)
 val is_syncing : t -> bool
 
 (** A peer DC rejoined with empty state: zero its rows of the gossip
@@ -105,12 +109,6 @@ val reset_peer_view : t -> dc:int -> unit
 val committed_backlog : t -> origin:int -> int
 
 (** {2 Replication-continuity inspection (tests and debugging)} *)
-
-(** The provisional floor of [origin]'s stream: [-1] when the whole
-    frontier is first-hand, otherwise the highest timestamp verified
-    first-hand — everything above it up to the frontier rests on adopted
-    third-party claims awaiting repair. *)
-val provisional_floor : t -> origin:int -> int
 
 (** Whether an origin-scoped repair pull for [origin]'s stream is in
     flight. *)
@@ -134,16 +132,16 @@ val propagated_upto : t -> int
 val enable_persistence : t -> unit
 
 (** Node-level process crash: retire the timers, abandon any running
-    sync, power-cut the disk (un-fsynced appends lost, the in-flight
+    catch-up, power-cut the disk (un-fsynced appends lost, the in-flight
     head may tear). Pair with [Net.Network.fail_node]. *)
 val crash_node : t -> unit
 
 (** Restart after {!crash_node}: recover snapshot + WAL tail from the
     node's own disk (truncating a torn suffix), restore certification's
-    durable promises, then pull only the suffix missed while down from
-    a live sibling — no WAN snapshot transfer. Falls back to
-    {!begin_rejoin} if the disk is empty. [on_done] runs once caught
-    up. *)
+    durable promises, then catch up what was missed while down as
+    {!begin_rejoin} does past its snapshot — no WAN snapshot transfer.
+    Falls back to the WAN rejoin if the disk is empty. [on_done] runs
+    once caught up. *)
 val restart_from_disk : t -> on_done:(unit -> unit) -> unit
 
 (** Destroy the disk (whole-DC failure domain: the machine is lost). *)

@@ -85,8 +85,8 @@ let phases_json reg =
 (* DC-recovery section, present only when a recovery ran or a
    replication-stream gap was detected (every metric below is interned
    lazily, so crash-free runs — and their golden artifacts — are
-   untouched): catch-up duration, snapshot and log-replay transfer
-   volume, client failovers, peak syncing DCs, and the
+   untouched): catch-up duration, snapshot transfer volume, client
+   failovers, peak syncing DCs, and the
    stream-continuity repair counters (gaps refused, repair pull rounds,
    repair backfill volume). *)
 let recovery_json reg =
@@ -115,7 +115,6 @@ let recovery_json reg =
            (catchup_field
            @ [
                ("snapshot_bytes", Json.Int (counter_total "sync_snapshot_bytes_total"));
-               ("log_replay_bytes", Json.Int (counter_total "sync_log_bytes_total"));
                ("client_failovers", Json.Int (counter_total "client_failovers_total"));
                ("dcs_syncing_peak", Json.Float peak_syncing);
                ("replicate_gaps", Json.Int gaps);

@@ -74,8 +74,8 @@ val fail_dc : t -> int -> unit
     detector node, zero its rows of the peers' gossip matrices (pinning
     the causal-buffer and decided-log GC floors until fresh vectors
     arrive), and drive every partition replica through the rejoin
-    protocol — snapshot from a live sibling, causal-log pull rounds and
-    certification-state catch-up — until it serves clients again.
+    protocol — snapshot from a live sibling, gap repair of every stream
+    above its cut and certification-state catch-up — until it serves clients again.
     Idempotent: recovering a DC that has not failed — never crashed, or
     already recovered by an overlapping schedule — is a warned no-op.
     Raises [Invalid_argument] under the REDBLUE centralized service

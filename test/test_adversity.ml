@@ -1,21 +1,15 @@
-(* Adversity *during* recovery: the rejoin state machine must survive
-   partitions, gray links and sibling crashes that land in the middle of
-   its own sync rounds. These tests script the exact interleavings the
-   seeded combined-adversity soak (bench `adversity`) explores randomly:
-   the snapshot source going unreachable mid-SYNC_STORE, a polled
-   sibling partitioned away mid-SYNC_PULL, a polled sibling crashing
-   mid-round — plus the seeded acceptance scenario and the recovery
+(* Adversity *during* recovery: a rejoin must survive partitions, gray
+   links and sibling crashes that land in the middle of its catch-up.
+   These tests script the exact interleavings the seeded
+   combined-adversity soak (bench `adversity`) explores randomly: the
+   snapshot source going unreachable mid-SYNC_STORE, a sibling
+   partitioned away while the rejoiner catches up, a sibling crashing
+   mid-catch-up — plus the seeded acceptance scenario and the recovery
    guard rails. *)
 
 module U = Unistore
 module Client = U.Client
 module Fiber = Sim.Fiber
-
-let counter_total reg name =
-  List.fold_left
-    (fun acc (_, c) -> acc + Sim.Metrics.counter_value c)
-    0
-    (Sim.Metrics.counters_matching reg name)
 
 (* A causal writer at [dc] bumping [key] until [until]; returns the
    commit counter so the test can read the value back elsewhere. *)
@@ -49,8 +43,8 @@ let read_back sys ~dc ~keys ~at =
 (* (1) The snapshot source is partitioned away mid-SYNC_STORE: dc2's
    first snapshot request goes to dc1 (peer rotation starts there), but
    the dc1 <-> dc2 link is cut across the whole window. The no-progress
-   retry must drop dc1 from the round, fail the snapshot over to dc0 and
-   finish the rejoin with the partition still up. *)
+   retry must fail the snapshot over to dc0 and finish the rejoin with
+   the partition still up. *)
 let test_partition_snapshot_source () =
   let sys = Util.make_system ~partitions:3 ~seed:21 () in
   let keys = [| 100; 101 |] in
@@ -78,8 +72,6 @@ let test_partition_snapshot_source () =
   U.System.run sys ~until:8_000_000;
   Alcotest.(check bool) "rejoin finished with the partition still up" true
     !done_during_partition;
-  Alcotest.(check bool) "the unreachable source was dropped" true
-    (counter_total (U.System.metrics sys) "sync_peer_drops_total" >= 1);
   Util.assert_por sys;
   Util.assert_convergence sys;
   let vals = read_back sys ~dc:2 ~keys ~at:8_500_000 in
@@ -88,13 +80,13 @@ let test_partition_snapshot_source () =
   Alcotest.(check int) "dc1's increments visible at dc2 exactly once" !c1
     vals.(1)
 
-(* (2) A polled sibling is partitioned away mid-SYNC_PULL: the snapshot
-   comes from dc1, but dc0 — polled in the pull round — sits behind a
-   cut link. The per-round deadline must drop dc0, restart the round
-   without it and finish against dc1 alone, before the heal. The cert
-   leaders live at dc1 here so the partitioned sibling is a plain
-   follower: a rejoiner cut off from the live *leader* legitimately
-   cannot finish its strong-side catch-up until the heal. *)
+(* (2) A sibling is partitioned away while the rejoiner catches up: the
+   snapshot comes from dc1, but dc0 sits behind a cut link. Once Ω
+   suspects dc0 the rejoin must finish against dc1 alone, before the
+   heal. The cert leaders live at dc1 here so the partitioned sibling is
+   a plain follower: a rejoiner cut off from the live *leader*
+   legitimately cannot finish its strong-side catch-up until the
+   heal. *)
 let test_partition_polled_sibling () =
   let sys = Util.make_system ~partitions:3 ~seed:23 ~leader_dc:1 () in
   let keys = [| 110; 111 |] in
@@ -120,9 +112,6 @@ let test_partition_polled_sibling () =
   U.System.run sys ~until:8_500_000;
   Alcotest.(check bool) "rejoin finished with the partition still up" true
     !done_during_partition;
-  Alcotest.(check bool) "the laggard sibling was dropped from the round"
-    true
-    (counter_total (U.System.metrics sys) "sync_peer_drops_total" >= 1);
   Util.assert_por sys;
   Util.assert_convergence sys;
   let vals = read_back sys ~dc:2 ~keys ~at:9_000_000 in
@@ -131,10 +120,10 @@ let test_partition_polled_sibling () =
   Alcotest.(check int) "dc1's increments visible at dc2 exactly once" !c1
     vals.(1)
 
-(* (3) A polled sibling crashes mid-round and stays dead: dc2 rejoins
-   via dc1's snapshot while dc0 dies permanently around the first pull
-   round. The rejoin must conclude against the one surviving sibling,
-   and the correct DCs converge. *)
+(* (3) A sibling crashes mid-catch-up and stays dead: dc2 rejoins via
+   dc1's snapshot while dc0 dies permanently right after. The rejoin
+   must conclude against the one surviving sibling, and the correct DCs
+   converge. *)
 let test_crash_polled_sibling () =
   let sys = Util.make_system ~partitions:3 ~seed:25 () in
   let key = 120 in

@@ -232,6 +232,35 @@ let test_prune_decided () =
   U.Cert.prune_decided (m 0) ~keep_after:1500;
   Alcotest.(check int) "old pruned" 0 (U.Cert.decided_count (m 0))
 
+(* A decision learned while rejoining survives until the group state
+   lands. The leader answers the rejoiner's [State_request] after
+   broadcasting [Learn_decision] but before its own loopback copy settled
+   the entry, so its [New_state] still lists the transaction as prepared;
+   the earlier [Learn_decision] reached the rejoiner while it was
+   [Recovering]. The member must keep that chosen value and apply it to
+   the installed entry, or the transaction stays prepared forever and the
+   rejoiner never applies the acked write. *)
+let test_rejoiner_keeps_decision_learned_while_recovering () =
+  let bus, m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  let _, _, prepared = U.Cert.persistent_state (m 0) in
+  U.Cert.begin_rejoin (m 2) ~delivered:0;
+  let vec = Vc.create ~dcs:3 in
+  Vc.set_strong vec 1000;
+  let handle2 msg = ignore (U.Cert.handle (m 2) msg) in
+  handle2 (U.Msg.Learn_decision { b = 0; tid = tid 1; dec = true; vec; lc = 1 });
+  handle2 (U.Msg.New_state { b = 0; prepared; decided = []; from = 0 });
+  Alcotest.(check string) "rejoiner follows again" "follower"
+    (U.Cert.status_name (U.Cert.status (m 2)));
+  Alcotest.(check int) "nothing left prepared" 0 (U.Cert.prepared_count (m 2));
+  Alcotest.(check int) "decided" 1 (U.Cert.decided_count (m 2));
+  bus.delivered <- [];
+  handle2 (U.Msg.Deliver { b = 0; ts = 1000 });
+  Alcotest.(check (list (pair int string)))
+    "delivered on the next Deliver"
+    [ (1000, Fmt.str "%a@dc?" U.Types.tid_pp (tid 1)) ]
+    bus.delivered
+
 let suite =
   [
     Alcotest.test_case "leader certifies, members accept" `Quick
@@ -247,4 +276,6 @@ let suite =
     Alcotest.test_case "leader recovery preserves decisions" `Quick
       test_leader_recovery_preserves_decisions;
     Alcotest.test_case "decided-set pruning" `Quick test_prune_decided;
+    Alcotest.test_case "rejoiner keeps a decision learned while recovering"
+      `Quick test_rejoiner_keeps_decision_learned_while_recovering;
   ]

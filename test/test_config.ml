@@ -112,27 +112,6 @@ let test_reclaim_debounce_derivation () =
   check_topo "three DCs" (Net.Topology.three_dcs ());
   check_topo "five DCs" (Net.Topology.five_dcs ())
 
-(* The sync-round drop backoff is derived, not the former fixed 4x
-   multiplier: a dropped peer stays barred for the Ω detection window
-   (rounded up to whole pull rounds) plus two rounds of slack, which at
-   the defaults (500 ms detection, 300 ms deadline) reproduces the
-   seed's 1.2 s exactly and scales with both knobs. *)
-let test_sync_drop_backoff_derivation () =
-  let cfg = U.Config.default () in
-  Alcotest.(check int) "defaults reproduce the former 4x (1.2 s)" 1_200_000
-    (U.Config.sync_drop_backoff_us cfg);
-  Alcotest.(check int) "defaults = 4 rounds"
-    (4 * cfg.U.Config.sync_pull_deadline_us)
-    (U.Config.sync_drop_backoff_us cfg);
-  let tight = U.Config.default ~detection_delay_us:200_000 () in
-  Alcotest.(check int) "tighter detector shrinks the bar"
-    ((1 + 2) * 300_000)
-    (U.Config.sync_drop_backoff_us tight);
-  let slow = U.Config.default ~sync_pull_deadline_us:500_000 () in
-  Alcotest.(check int) "longer rounds stretch it"
-    ((1 + 2) * 500_000)
-    (U.Config.sync_drop_backoff_us slow)
-
 (* The admission-shed retry backoff is likewise derived: two broadcast
    periods of queue drain, to which the client adds uniform jitter of
    the same magnitude — the 10-20 ms retry window at the default 5 ms
@@ -163,8 +142,6 @@ let suite =
     Alcotest.test_case "derived RTO cap" `Quick test_rto_cap_derivation;
     Alcotest.test_case "derived reclaim debounce" `Quick
       test_reclaim_debounce_derivation;
-    Alcotest.test_case "derived sync-drop backoff" `Quick
-      test_sync_drop_backoff_derivation;
     Alcotest.test_case "derived overload retry backoff" `Quick
       test_overload_backoff_derivation;
   ]

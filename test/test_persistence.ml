@@ -250,7 +250,7 @@ let test_torn_tail_restart () =
     "torn-tail recovery replays deterministically under the seed" a b
 
 (* A scrubbed disk (unrecoverable local state) falls back to the
-   whole-DC WAN rejoin: snapshot transfer plus pull rounds. *)
+   whole-DC WAN rejoin: snapshot transfer plus gap repair. *)
 let test_scrubbed_disk_falls_back () =
   let sys = persistent_system ~seed:31 () in
   let keys = [| 100; 101 |] in

@@ -1,5 +1,5 @@
 (* DC crash-recovery end to end: a crashed data center rejoins through
-   the snapshot + causal-log catch-up protocol and converges with the
+   a snapshot transfer plus gap repair and converges with the
    survivors; clients fail over to live DCs carrying their causal past;
    in-flight strong transactions are re-submitted idempotently; and the
    GC floors hold the catch-up logs for exactly the grace period. *)
@@ -65,8 +65,7 @@ let test_crash_recover_convergence () =
     (commits.(0) > 10 && commits.(1) > 10 && !strong_commits > 5);
   (* read everything back at the recovered DC itself: every commit —
      including those from the outage, delivered through the snapshot,
-     the pull rounds or the replayed deferred stream — applied there
-     exactly once *)
+     the gap repairs or the live stream — applied there exactly once *)
   let final = Array.make 2 (-1) and final_strong = ref (-1) in
   ignore
     (U.System.spawn_client sys ~dc:2 (fun c ->
@@ -91,8 +90,71 @@ let test_crash_recover_convergence () =
   | _ -> Alcotest.fail "dc_catchup_us histogram missing");
   Alcotest.(check bool) "snapshot bytes accounted" true
     (counter_total reg "sync_snapshot_bytes_total" > 0);
-  Alcotest.(check bool) "log catch-up bytes accounted" true
-    (counter_total reg "sync_log_bytes_total" > 0)
+  Alcotest.(check bool) "repair catch-up bytes accounted" true
+    (counter_total reg "repair_log_bytes_total" > 0)
+
+(* A rejoiner's own pre-crash commits that its snapshot source lacks.
+   dc2's last writes before its crash reach dc1 only (dc0 <-> dc2 is cut
+   from 1 s), and dc0 <-> dc1 is cut through the outage, so forwarding
+   cannot bring them to dc0 either. dc2's first snapshot request goes
+   to dc1, but the retry tick fires before any chunk arrives and
+   rotates the request to dc0, whose cut misses those writes (checked
+   below, so a schedule drift cannot hollow the test out). Nobody else
+   sends a DC its own stream, and no stream message from dc2 itself can
+   reveal the gap: the rejoiner must learn it from dc1's gossip and
+   repair its own stream, and every DC must end up holding every acked
+   write. *)
+let test_rejoiner_recovers_own_commits () =
+  let sys =
+    Util.make_system ~partitions:1 ~seed:19 ~trace_enabled:true ()
+  in
+  let key = 300 in
+  U.System.preload sys key (Crdt.Ctr_add 0);
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = 1_000_000; ev = U.Nemesis.Partition (0, 2) };
+      { at_us = 2_000_000; ev = Crash_dc 2 };
+      { at_us = 2_000_000; ev = Partition (0, 1) };
+      { at_us = 2_000_000; ev = Heal (0, 2) };
+      { at_us = 3_000_000; ev = Recover_dc 2 };
+      { at_us = 5_000_000; ev = Heal (0, 1) };
+    ];
+  let commits = ref 0 in
+  ignore
+    (U.System.spawn_client sys ~dc:2 (fun c ->
+         while U.System.now sys < 1_800_000 do
+           Client.start c;
+           Client.update c key (Crdt.Ctr_add 1);
+           (match Client.commit c with
+           | `Committed _ -> incr commits
+           | `Aborted -> ());
+           Fiber.sleep 50_000
+         done));
+  Util.run sys ~until:8_000_000;
+  let snapshot_sources =
+    List.map
+      (fun (e : Sim.Trace.event) -> e.ev_detail)
+      (Sim.Trace.events ~source:"replica 2.0" ~kind:"sync-request"
+         (U.System.trace sys))
+  in
+  Alcotest.(check string) "the snapshot came from dc0" "snapshot from dc0"
+    (String.sub (List.hd (List.rev snapshot_sources)) 0 17);
+  Alcotest.(check bool) "dc2 finished catching up" false
+    (U.System.dc_syncing sys 2);
+  Util.assert_por sys;
+  Util.assert_convergence sys;
+  for dc = 0 to 2 do
+    let v = ref (-1) in
+    ignore
+      (U.System.spawn_client sys ~dc (fun c ->
+           Client.start c;
+           v := Client.read_int c key;
+           ignore (Client.commit c)));
+    Util.run sys ~until:(U.System.now sys + 500_000);
+    Alcotest.(check int)
+      (Printf.sprintf "dc2's increments visible exactly once at dc%d" dc)
+      !commits !v
+  done
 
 (* A client attached to the DC that crashes: its next transaction times
    out, the session migrates to a live DC blocking until the causal past
@@ -259,16 +321,15 @@ let test_random_schedule_recovery () =
 
 (* {1 Replication continuity after node restart} *)
 
-(* Provisional tail adoption: a node that restarts while its partition's
-   origin DC is unreachable must adopt the surviving tails' claim for
-   that origin only provisionally — the claim can lag strictly below a
-   write the origin already acked (the claimant missed batches behind
-   the same partition), and trusting it outright would let the origin's
-   next direct batch jump clean over the window, silently dropping the
-   acked write. With the provisional floor, the first post-restart
-   continuity check detects the jump and repairs the window first-hand:
-   every acked increment reads back exactly once everywhere. *)
-let test_provisional_adoption_repairs_lagging_claim () =
+(* A node that restarts while its partition's origin DC is unreachable:
+   every sibling it can reach holds a view of that origin that may lag
+   strictly below a write the origin already acked (the siblings missed
+   batches behind the same partition). Nothing from such a lagging view
+   may let the origin's next direct batch jump the restarted node's
+   frontier over the window: the continuity check detects the jump and
+   repairs the window first-hand, and every acked increment reads back
+   exactly once everywhere. *)
+let test_restart_behind_partition_keeps_acked_writes () =
   let sys =
     Util.make_system ~partitions:1 ~seed:17 ~persistence:true
       ~disk_fsync_us:500 ~snapshot_interval_us:1_500_000
@@ -280,8 +341,7 @@ let test_provisional_adoption_repairs_lagging_claim () =
   U.Nemesis.inject sys
     [
       (* cut dc1 off from dc0, then crash dc0's node: when it restarts,
-         dc1 is exempt from its pull round and its frontier for dc1 is a
-         third-party claim via dc2's tail *)
+         dc1 is unreachable and only dc2 may hold dc1's latest writes *)
       { U.Nemesis.at_us = 2_000_000; ev = U.Nemesis.Partition (1, 0) };
       { at_us = 2_000_000; ev = Crash_node { dc = 0; part = 0 } };
       { at_us = 3_000_000; ev = Restart_node { dc = 0; part = 0 } };
@@ -311,21 +371,17 @@ let test_provisional_adoption_repairs_lagging_claim () =
     (U.System.node_down sys ~dc:0 ~part:0);
   Util.assert_por sys;
   Util.assert_convergence sys;
-  (* nothing may rest on an unverified claim once quiescent *)
+  (* no repair is left running once quiescent *)
   for dc = 0 to 2 do
     let r = U.System.replica sys ~dc ~part:0 in
     for origin = 0 to 2 do
-      Alcotest.(check int)
-        (Printf.sprintf "no provisional residue at dc%d for dc%d" dc origin)
-        (-1)
-        (U.Replica.provisional_floor r ~origin);
       Alcotest.(check bool)
         (Printf.sprintf "no repair in flight at dc%d for dc%d" dc origin)
         false
         (U.Replica.repair_active r ~origin)
     done
   done;
-  (* acked increments survive the adoption window and apply exactly
+  (* acked increments survive the partition window and apply exactly
      once; an interrupted commit may legitimately have landed too *)
   for dc = 0 to 2 do
     let final = Array.make 3 (-1) in
@@ -421,11 +477,12 @@ let suite =
       `Slow test_strong_resubmission_exactly_once;
     Alcotest.test_case "GC floors hold for the grace period, then release"
       `Slow test_gc_grace_floors;
+    Alcotest.test_case "rejoiner gets back own commits its snapshot lacked"
+      `Slow test_rejoiner_recovers_own_commits;
     Alcotest.test_case "seeded schedules pair recoveries with crashes"
       `Quick test_random_schedule_recovery;
-    Alcotest.test_case
-      "provisional adoption repairs a claim lagging an acked write" `Slow
-      test_provisional_adoption_repairs_lagging_claim;
+    Alcotest.test_case "restart behind a partition keeps acked writes"
+      `Slow test_restart_behind_partition_keeps_acked_writes;
     Alcotest.test_case "lossy-link x node-restart durability sweep" `Slow
       test_lossy_restart_durability_sweep;
   ]
