@@ -62,17 +62,20 @@ type 'm node = {
      up. Distinct from the DC crash so one process can restart with its
      disk intact while siblings keep serving. *)
   mutable down : bool;
-  (* bumped on every node-level restart; pre-crash in-flight traffic
-     addressed to the node is discarded by the epoch check *)
-  mutable incarnation : int;
+  (* bumped whenever the node comes back from a crash — its own restart
+     ([recover_node]) or its DC's recovery ([recover_dc]); in-flight
+     traffic stamped with an older epoch is discarded on arrival. Client
+     nodes never lose state, so their epoch never moves. *)
+  mutable epoch : int;
 }
 
 (* Sender half of a reliable channel. [unacked] holds sent-but-unacked
-   messages in ascending sequence order; the retransmission timer walks it
-   with exponential backoff until a cumulative ack clears it. *)
+   messages in ascending sequence order (a send appends, a cumulative ack
+   pops from the head); the retransmission timer walks it with
+   exponential backoff until an ack clears it. *)
 type 'm tx_flow = {
   mutable next_seq : int;
-  mutable unacked : (int * 'm) list;
+  unacked : (int * 'm) Queue.t;
   base_rto_us : int;
   mutable rto_us : int;
   mutable timer_armed : bool;
@@ -121,7 +124,6 @@ type 'm t = {
   mutable node_count : int;
   mutable failed : bool array;
   failed_at : int array;  (* crash time per DC, -1 when never/not failed *)
-  epochs : int array;  (* per-DC incarnation, bumped on recovery *)
   fifo : (int * int, int) Hashtbl.t;  (* (src, dst) -> last arrival time *)
   mutable faults : Faults.t option;
   tx_flows : (int * int, 'm tx_flow) Hashtbl.t;
@@ -162,7 +164,6 @@ let create eng topo =
     node_count = 0;
     failed = Array.make (Topology.dcs topo) false;
     failed_at = Array.make (Topology.dcs topo) (-1);
-    epochs = Array.make (Topology.dcs topo) 0;
     fifo = Hashtbl.create 1024;
     faults = None;
     tx_flows = Hashtbl.create 256;
@@ -364,7 +365,7 @@ let register t ?(client = false) ?name ~dc ~cost handler =
       processed = 0;
       busy_us = 0;
       down = false;
-      incarnation = 0;
+      epoch = 0;
     }
   in
   if t.node_count = Array.length t.nodes then begin
@@ -389,13 +390,6 @@ let dc_failed t dc = t.failed.(dc)
    and outlive the crash. *)
 let node_failed t n = n.down || (t.failed.(n.dc) && not n.client)
 
-(* Incarnation used for in-flight staleness checks: the DC-crash epoch
-   paired with the node's own restart incarnation. Client nodes never
-   lose state, so their incarnation is constant: a message between a
-   client and a live peer must survive the colocated DC's recovery
-   (which bumps the DC epoch to invalidate pre-crash traffic). *)
-let epoch_of t n = if n.client then (0, 0) else (t.epochs.(n.dc), n.incarnation)
-
 let fail_dc t dc =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.fail_dc: no such data center";
@@ -409,13 +403,6 @@ let dc_failed_at t dc =
     invalid_arg "Network.dc_failed_at: no such data center";
   if t.failed.(dc) then Some t.failed_at.(dc) else None
 
-(* Revive a crashed data center. Its nodes come back with no in-flight
-   state: every FIFO channel and reliable-layer flow touching the DC is
-   discarded on both sides, so post-recovery traffic starts fresh
-   sequence spaces in both directions (resetting only the tx side would
-   leave the peer's rx [expected] suppressing the fresh seq-0 sends as
-   duplicates). Messages buffered for the DC while it was down died with
-   the crash — the protocol layer's rejoin sync recovers the content. *)
 (* Discard every FIFO channel and reliable-layer flow touching a node
    matched by [matches], on both sides, so post-recovery traffic starts
    fresh sequence spaces in both directions (resetting only the tx side
@@ -433,35 +420,43 @@ let reset_channels t ~matches =
     (fun ((src, dst) as key) ->
       (match Hashtbl.find_opt t.tx_flows key with
       | Some fl ->
-          if fl.unacked <> [] then
-            meter_backlog_add t ~src_dc:t.nodes.(src).dc
-              ~dst_dc:t.nodes.(dst).dc
-              (-List.length fl.unacked);
+          meter_backlog_add t ~src_dc:t.nodes.(src).dc
+            ~dst_dc:t.nodes.(dst).dc
+            (-Queue.length fl.unacked);
           (* an armed retransmission timer still references this
              record; emptying it makes the orphaned fire a no-op
              instead of replaying stale sequence numbers into the
              fresh flow's sequence space *)
-          fl.unacked <- []
+          Queue.clear fl.unacked
       | None -> ());
       Hashtbl.remove t.tx_flows key)
     (stale t.tx_flows);
   List.iter (Hashtbl.remove t.rx_flows) (stale t.rx_flows)
 
+(* Revive a crashed data center. Its nodes come back with no in-flight
+   state: every channel touching the DC is reset and pre-crash traffic
+   dies on the epoch check. Messages buffered for the DC while it was
+   down died with the crash — the protocol layer's rejoin recovers the
+   content. *)
 let recover_dc t dc =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.recover_dc: no such data center";
   if t.failed.(dc) then begin
     t.failed.(dc) <- false;
     t.failed_at.(dc) <- -1;
-    (* new incarnation: anything still in flight from before the crash
-       (stale data packets, cumulative acks) is discarded on arrival *)
-    t.epochs.(dc) <- t.epochs.(dc) + 1;
-    (* client nodes kept their state through the crash: their channels
-       to live DCs are intact and must not be reset *)
-    reset_channels t ~matches:(fun addr ->
-        addr >= 0 && addr < t.node_count
-        && t.nodes.(addr).dc = dc
-        && not t.nodes.(addr).client)
+    (* client nodes kept their state through the crash: their epochs and
+       their channels to live DCs are intact and must not be reset *)
+    let member addr =
+      addr >= 0 && addr < t.node_count
+      && t.nodes.(addr).dc = dc
+      && not t.nodes.(addr).client
+    in
+    (* new epoch: anything still in flight from before the crash (stale
+       data packets, cumulative acks) is discarded on arrival *)
+    for addr = 0 to t.node_count - 1 do
+      if member addr then t.nodes.(addr).epoch <- t.nodes.(addr).epoch + 1
+    done;
+    reset_channels t ~matches:member
   end
 
 (* Node-level failure domain: one machine dies while its DC stays up.
@@ -475,13 +470,13 @@ let fail_node t addr =
 let node_down t addr = (node t addr).down
 
 (* Restart a crashed machine: like [recover_dc] but scoped to one
-   address — fresh incarnation (in-flight pre-crash traffic dies on the
-   epoch check), both-sided channel reset, and an idle CPU. *)
+   address — fresh epoch (in-flight pre-crash traffic dies on the epoch
+   check), both-sided channel reset, and an idle CPU. *)
 let recover_node t addr =
   let n = node t addr in
   if n.down then begin
     n.down <- false;
-    n.incarnation <- n.incarnation + 1;
+    n.epoch <- n.epoch + 1;
     n.busy_until <- 0;
     reset_channels t ~matches:(fun a -> a = addr)
   end
@@ -504,7 +499,7 @@ let process t dst_node msg =
   let finish = start + cost in
   dst_node.busy_until <- finish;
   dst_node.busy_us <- dst_node.busy_us + cost;
-  let ep = epoch_of t dst_node in
+  let ep = dst_node.epoch in
   (* handler events carry the node's own identity plus the message kind
      (when a meter names kinds), so replica work is attributed to
      "dcN/replica/handle:Replicate" rather than to whoever sent it *)
@@ -515,7 +510,7 @@ let process t dst_node msg =
     else Sim.Prof.none
   in
   Sim.Engine.schedule_at t.eng ~label ~time:finish (fun () ->
-      if (not (node_failed t dst_node)) && ep = epoch_of t dst_node then begin
+      if (not (node_failed t dst_node)) && ep = dst_node.epoch then begin
         dst_node.processed <- dst_node.processed + 1;
         (match t.meter with
         | None -> ()
@@ -537,9 +532,9 @@ let direct_send t ~src_node ~dst_node msg =
     | _ -> arrival
   in
   Hashtbl.replace t.fifo key arrival;
-  let ep = (epoch_of t src_node, epoch_of t dst_node) in
+  let sep = src_node.epoch and dep = dst_node.epoch in
   Sim.Engine.schedule_at t.eng ~label:(lab_deliver t) ~time:arrival (fun () ->
-      if ep <> (epoch_of t src_node, epoch_of t dst_node) then ()
+      if sep <> src_node.epoch || dep <> dst_node.epoch then ()
       else if node_failed t dst_node then
         count_drop t Crash ~src_dc:src_node.dc ~dst_dc:dst_node.dc
       else process t dst_node msg)
@@ -561,7 +556,7 @@ let tx_flow t ~src ~dst =
       let fl =
         {
           next_seq = 0;
-          unacked = [];
+          unacked = Queue.create ();
           base_rto_us = base_rto;
           rto_us = base_rto;
           timer_armed = false;
@@ -599,28 +594,36 @@ let rec send_ack t ~src ~dst ~upto =
           let delay =
             transit_us t ~src_dc:dst_node.dc ~dst_dc:src_node.dc + extra_us
           in
-          let ep = (epoch_of t src_node, epoch_of t dst_node) in
+          let sep = src_node.epoch and dep = dst_node.epoch in
           Sim.Engine.schedule t.eng ~label:(lab_ack t) ~delay (fun () ->
               if
-                ep = (epoch_of t src_node, epoch_of t dst_node)
+                sep = src_node.epoch && dep = dst_node.epoch
                 && not (node_failed t src_node)
               then
                 match Hashtbl.find_opt t.tx_flows (src, dst) with
                 | None -> ()
                 | Some fl ->
-                    let before = List.length fl.unacked in
-                    fl.unacked <-
-                      List.filter (fun (s, _) -> s > upto) fl.unacked;
-                    let after = List.length fl.unacked in
-                    if after <> before then begin
+                    (* [unacked] is in ascending sequence order, so the
+                       acked prefix is exactly the head run <= upto *)
+                    let acked = ref 0 in
+                    while
+                      (not (Queue.is_empty fl.unacked))
+                      && fst (Queue.peek fl.unacked) <= upto
+                    do
+                      ignore (Queue.take fl.unacked);
+                      incr acked
+                    done;
+                    if !acked > 0 then begin
                       (* progress resets the backoff and ends recovery *)
                       meter_backlog_add t ~src_dc:src_node.dc
-                        ~dst_dc:dst_node.dc (after - before);
+                        ~dst_dc:dst_node.dc (- !acked);
                       fl.rto_us <- fl.base_rto_us;
                       fl.dup_acks <- 0;
                       fl.in_recovery <- false
                     end
-                    else if fl.unacked <> [] && not fl.in_recovery then begin
+                    else if
+                      (not (Queue.is_empty fl.unacked)) && not fl.in_recovery
+                    then begin
                       (* duplicate cumulative ack: the receiver sees
                          packets beyond a sequence gap — a lost message,
                          or fresh sends landing right after a partition
@@ -641,16 +644,14 @@ let rec send_ack t ~src ~dst ~upto =
                         fl.dup_acks <- 0;
                         fl.in_recovery <- true;
                         fl.rto_us <- fl.base_rto_us;
-                        match fl.unacked with
-                        | (s, m) :: _ ->
-                            t.retransmissions <- t.retransmissions + 1;
-                            (match t.meter with
-                            | None -> ()
-                            | Some mt ->
-                                Sim.Metrics.incr mt.m_retransmit;
-                                Sim.Metrics.incr mt.m_fast_retransmit);
-                            transmit t f ~src ~dst s m
-                        | [] -> ()
+                        let s, m = Queue.peek fl.unacked in
+                        t.retransmissions <- t.retransmissions + 1;
+                        (match t.meter with
+                        | None -> ()
+                        | Some mt ->
+                            Sim.Metrics.incr mt.m_retransmit;
+                            Sim.Metrics.incr mt.m_fast_retransmit);
+                        transmit t f ~src ~dst s m
                       end
                     end))
 
@@ -694,38 +695,38 @@ and transmit t f ~src ~dst seq msg =
   | Faults.Cut -> count_drop t Partition ~src_dc ~dst_dc
   | Faults.Lost -> count_drop t Loss ~src_dc ~dst_dc
   | Faults.Deliver { extra_us; duplicate } ->
-      let ep = (epoch_of t src_node, epoch_of t dst_node) in
+      let sep = src_node.epoch and dep = dst_node.epoch in
       let deliver_after delay =
         Sim.Engine.schedule t.eng ~label:(lab_deliver t) ~delay (fun () ->
-            if ep = (epoch_of t src_node, epoch_of t dst_node) then
+            if sep = src_node.epoch && dep = dst_node.epoch then
               deliver_data t ~src ~dst seq msg)
       in
       deliver_after (transit_us t ~src_dc ~dst_dc + extra_us);
       if duplicate then deliver_after (transit_us t ~src_dc ~dst_dc + extra_us)
 
 let rec arm_timer t f ~src ~dst fl =
-  if (not fl.timer_armed) && fl.unacked <> [] then begin
+  if (not fl.timer_armed) && not (Queue.is_empty fl.unacked) then begin
     fl.timer_armed <- true;
     Sim.Engine.schedule t.eng ~label:(lab_retransmit t) ~delay:fl.rto_us
       (fun () ->
         fl.timer_armed <- false;
-        if fl.unacked <> [] then begin
+        if not (Queue.is_empty fl.unacked) then begin
           let src_node = node t src and dst_node = node t dst in
           let src_dc = src_node.dc and dst_dc = dst_node.dc in
           if node_failed t src_node then begin
-            meter_backlog_add t ~src_dc ~dst_dc (-List.length fl.unacked);
-            fl.unacked <- []
+            meter_backlog_add t ~src_dc ~dst_dc (-Queue.length fl.unacked);
+            Queue.clear fl.unacked
           end
           else if node_failed t dst_node then begin
             (* the peer crashed: everything buffered is lost with it *)
-            List.iter
+            Queue.iter
               (fun _ -> count_drop t Crash ~src_dc ~dst_dc)
               fl.unacked;
-            meter_backlog_add t ~src_dc ~dst_dc (-List.length fl.unacked);
-            fl.unacked <- []
+            meter_backlog_add t ~src_dc ~dst_dc (-Queue.length fl.unacked);
+            Queue.clear fl.unacked
           end
           else begin
-            List.iter
+            Queue.iter
               (fun (seq, msg) ->
                 t.retransmissions <- t.retransmissions + 1;
                 (match t.meter with
@@ -743,7 +744,7 @@ let reliable_send t f ~src ~dst msg =
   let fl = tx_flow t ~src ~dst in
   let seq = fl.next_seq in
   fl.next_seq <- seq + 1;
-  fl.unacked <- fl.unacked @ [ (seq, msg) ];
+  Queue.add (seq, msg) fl.unacked;
   meter_backlog_add t ~src_dc:(node t src).dc ~dst_dc:(node t dst).dc 1;
   transmit t f ~src ~dst seq msg;
   arm_timer t f ~src ~dst fl
@@ -795,7 +796,7 @@ let duplicates_suppressed t = t.dups_suppressed
 (* In-flight reliable-layer backlog: messages sent but not yet
    acknowledged across all channels (0 once the network is quiescent). *)
 let unacked_backlog t =
-  Hashtbl.fold (fun _ fl acc -> acc + List.length fl.unacked) t.tx_flows 0
+  Hashtbl.fold (fun _ fl acc -> acc + Queue.length fl.unacked) t.tx_flows 0
 
 let unacked_matching t ~f =
   match t.meter with
@@ -803,9 +804,9 @@ let unacked_matching t ~f =
   | Some m ->
       Hashtbl.fold
         (fun _ fl acc ->
-          acc
-          + List.length
-              (List.filter (fun (_, msg) -> f (m.kind_of msg)) fl.unacked))
+          Queue.fold
+            (fun acc (_, msg) -> if f (m.kind_of msg) then acc + 1 else acc)
+            acc fl.unacked)
         t.tx_flows 0
 
 let dump_flows t =
@@ -816,13 +817,13 @@ let dump_flows t =
   let tx =
     Hashtbl.fold
       (fun (src, dst) fl acc ->
-        if fl.unacked = [] then acc
+        if Queue.is_empty fl.unacked then acc
         else
-          let seqs = List.map fst fl.unacked in
+          (* ascending sequence order: the head is the minimum *)
+          let lo = fst (Queue.peek fl.unacked) in
+          let hi = Queue.fold (fun _ (s, _) -> s) lo fl.unacked in
           Printf.sprintf "tx %s -> %s: unacked %d (min %d max %d) next %d rto %d armed %b rec %b"
-            (name src) (name dst) (List.length seqs)
-            (List.fold_left min max_int seqs)
-            (List.fold_left max min_int seqs)
+            (name src) (name dst) (Queue.length fl.unacked) lo hi
             fl.next_seq fl.rto_us fl.timer_armed fl.in_recovery
           :: acc)
       t.tx_flows []

@@ -81,7 +81,7 @@ val recover_dc : 'm t -> int -> unit
     ([Invalid_argument]). Idempotent. *)
 val fail_node : 'm t -> addr -> unit
 
-(** Restart a crashed node with a fresh incarnation: in-flight pre-crash
+(** Restart a crashed node with a fresh epoch: in-flight pre-crash
     traffic to or from it is dropped on arrival, every channel touching
     it is reset on both sides (fresh sequence spaces), and its CPU comes
     back idle. No-op if the node is up. *)

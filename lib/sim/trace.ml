@@ -3,7 +3,7 @@
    A trace is an in-memory ring of typed events with simulated
    timestamps. Components emit events through a [t]; the harness decides
    whether tracing is enabled (disabled tracing costs one branch per
-   emit). Traces can be filtered, counted, and rendered as a text
+   emit: [emitf] then formats nothing). Traces can be filtered, counted, and rendered as a text
    timeline — the debugging workflow the examples and tests rely on when
    a run misbehaves.
 
@@ -84,7 +84,12 @@ let emit_span t ~source ~kind ~start detail =
         ev_detail = detail;
       }
 
-let emitf t ~source ~kind fmt = Fmt.kstr (emit t ~source ~kind) fmt
+(* Disabled tracing skips the formatting too: the arguments are consumed
+   without running any printer, so a dropped detail string is never
+   built. *)
+let emitf t ~source ~kind fmt =
+  if t.enabled then Fmt.kstr (emit t ~source ~kind) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let length t = t.len
 let dropped t = t.dropped

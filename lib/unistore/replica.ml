@@ -1346,16 +1346,20 @@ let holds_floor t i =
    ([reset_peer_view]). *)
 let prune_committed t =
   for j = 0 to dcs t - 1 do
-    let covered ts =
-      let ok = ref true in
-      for i = 0 to dcs t - 1 do
-        if i <> t.dc && holds_floor t i then
-          if Vc.get t.global_matrix.(i) j < ts then ok := false
-      done;
-      !ok
-    in
+    (* an entry is covered iff its timestamp is at or below every
+       floor-holder's claim about origin [j] *)
+    let floor = ref max_int in
+    for i = 0 to dcs t - 1 do
+      if i <> t.dc && holds_floor t i then
+        floor := min !floor (Vc.get t.global_matrix.(i) j)
+    done;
+    let floor = !floor in
+    let covered tx = Vc.get tx.Types.tx_vec j <= floor in
     let q = if j = t.dc then t.propagated_log else t.committed_causal.(j) in
-    q := List.filter (fun tx -> not (covered (Vc.get tx.Types.tx_vec j))) !q
+    (* runs every broadcast tick: rebuild the list only when something
+       is actually dropped *)
+    if List.exists covered !q then
+      q := List.filter (fun tx -> not (covered tx)) !q
   done
 
 (* ------------------------------------------------------------------ *)

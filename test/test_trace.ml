@@ -33,6 +33,21 @@ let test_disabled_is_noop () =
   Alcotest.(check int) "nothing recorded" 0 (Sim.Trace.length tr);
   Alcotest.(check bool) "disabled" false (Sim.Trace.enabled tr)
 
+(* A disabled trace formats nothing: no printer of an [emitf] argument
+   runs, so a call site pays for its detail string only when tracing. *)
+let test_disabled_emitf_formats_nothing () =
+  Sim.Trace.emitf Sim.Trace.disabled ~source:"a" ~kind:"x" "%a"
+    (fun _ () -> failwith "formatted")
+    ();
+  Alcotest.(check int) "nothing recorded" 0
+    (Sim.Trace.length Sim.Trace.disabled);
+  (* an enabled trace still formats *)
+  let tr = mk (fun () -> 0) in
+  Sim.Trace.emitf tr ~source:"a" ~kind:"x" "%d-%s" 7 "y";
+  match Sim.Trace.events tr with
+  | [ e ] -> Alcotest.(check string) "detail" "7-y" e.Sim.Trace.ev_detail
+  | es -> Alcotest.failf "expected one event, got %d" (List.length es)
+
 let test_capacity_drops () =
   let tr = mk ~capacity:3 (fun () -> 0) in
   for i = 1 to 5 do
@@ -156,6 +171,8 @@ let suite =
     Alcotest.test_case "source/kind filters" `Quick test_filters;
     Alcotest.test_case "disabled trace is a no-op" `Quick
       test_disabled_is_noop;
+    Alcotest.test_case "disabled emitf formats nothing" `Quick
+      test_disabled_emitf_formats_nothing;
     Alcotest.test_case "capacity bounds the log" `Quick test_capacity_drops;
     Alcotest.test_case "time-interval filter" `Quick test_between;
     Alcotest.test_case "growth through the doubling boundary" `Quick
