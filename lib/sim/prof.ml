@@ -14,30 +14,22 @@
    accrues per label:
 
    - exact event counts;
-   - exact allocation deltas ([Gc.counters] around the handler), the
+   - exact minor-heap allocation ([Gc.minor_words ()] around the
+     handler: unboxed, allocation-free, exact to the word), the
      deterministic hot-path metric: words/event is identical across
      reruns under a fixed seed, so it can be gated hard in CI;
    - sampled wall-clock time: every [sample_every]-th event is timed
      with the (injectable) wall clock and the measurement scaled by the
      sampling period, bounding profiling's syscall overhead.
 
-   Measured allocation includes a small constant profiler overhead per
-   event (the boxed floats of the two [Gc.counters] reads, ~26 words).
-   It is identical for baseline and candidate artifacts, so budget
-   comparisons cancel it out.
-
-   The OCaml 5.1 runtime occasionally misaccounts [Gc.counters] at a
-   minor-collection boundary: a spurious jump of a fixed fraction of
-   the minor heap (hundreds of thousands of words) lands on whichever
-   event triggered the collection, and where it lands depends on the
-   whole process's GC history, not on the simulated run. A handler in
-   this codebase allocates a few hundred words; an event delta of
-   [noise_threshold_words] (64 Ki words, 512 KiB) or more is therefore
-   physically implausible and is discarded as GC noise — counted under
-   [noise_events]/[noise_words] rather than the label, so per-label
-   words/event stays reproducible and safe to gate CI on. One-off
-   capacity doublings of large internal arrays land in the same bucket,
-   which is the right call for a per-event hot-path metric.
+   Blocks too large for the minor heap go straight to the major heap
+   and are not counted; [e_major_words] stays in the entry and the
+   artifact schema and is always 0. A handler on the hot path allocates
+   tens to hundreds of words; an event allocating
+   [noise_threshold_words] (64 Ki words, 512 KiB) or more is rare bulk
+   work (a snapshot install, a capacity doubling) and is set aside
+   under [noise_events]/[noise_words] rather than the label, so one-off
+   work does not swamp a label's per-event figure.
 
    Disabled profiling costs one branch per event in the engine loop and
    nothing else: [label] interns nothing and returns [none], and no Gc
@@ -56,16 +48,15 @@ type t = {
   mutable n : int;  (* interned labels, 0 until first enable *)
   mutable counts : int array;
   mutable minor : float array;  (* minor words allocated under the label *)
-  mutable major : float array;  (* major (incl. promoted) words *)
   mutable wall_s : float array;  (* raw (unscaled) sampled seconds *)
   mutable samples : int array;
   mutable total : int;  (* events accounted while enabled *)
-  mutable noise_events : int;  (* events whose Gc delta was discarded *)
-  mutable noise_words : float;  (* total discarded words *)
+  mutable noise_events : int;  (* events set aside as bulk work *)
+  mutable noise_words : float;  (* their total words *)
 }
 
-(* Per-event allocation deltas at or above this are runtime GC-boundary
-   misaccounting (or one-off capacity doublings), not handler cost. *)
+(* Per-event allocation at or above this is one-off bulk work, not
+   hot-path handler cost. *)
 let noise_threshold_words = 65536.0
 
 let create () =
@@ -78,7 +69,6 @@ let create () =
     n = 0;
     counts = [||];
     minor = [||];
-    major = [||];
     wall_s = [||];
     samples = [||];
     total = 0;
@@ -105,7 +95,6 @@ let grow t =
   t.names <- copy t.names "";
   t.counts <- copy t.counts 0;
   t.minor <- copy t.minor 0.0;
-  t.major <- copy t.major 0.0;
   t.wall_s <- copy t.wall_s 0.0;
   t.samples <- copy t.samples 0
 
@@ -141,18 +130,14 @@ let account t lab f =
   t.counts.(lab) <- t.counts.(lab) + 1;
   let sampled = t.total mod t.sample_every = 0 in
   let t0 = if sampled then t.clock () else 0.0 in
-  let minor0, _, major0 = Gc.counters () in
+  let w0 = Gc.minor_words () in
   f ();
-  let minor1, _, major1 = Gc.counters () in
-  let dm = minor1 -. minor0 and dj = major1 -. major0 in
-  if dm +. dj >= noise_threshold_words then begin
+  let dw = Gc.minor_words () -. w0 in
+  if dw >= noise_threshold_words then begin
     t.noise_events <- t.noise_events + 1;
-    t.noise_words <- t.noise_words +. dm +. dj
+    t.noise_words <- t.noise_words +. dw
   end
-  else begin
-    t.minor.(lab) <- t.minor.(lab) +. dm;
-    t.major.(lab) <- t.major.(lab) +. dj
-  end;
+  else t.minor.(lab) <- t.minor.(lab) +. dw;
   if sampled then begin
     t.samples.(lab) <- t.samples.(lab) + 1;
     t.wall_s.(lab) <- t.wall_s.(lab) +. (t.clock () -. t0)
@@ -186,7 +171,7 @@ let entries t =
           e_label = t.names.(id);
           e_events = t.counts.(id);
           e_minor_words = t.minor.(id);
-          e_major_words = t.major.(id);
+          e_major_words = 0.0;
           e_wall_samples = t.samples.(id);
           e_wall_s = t.wall_s.(id);
         }

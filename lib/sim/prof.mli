@@ -3,10 +3,11 @@
     Every engine event carries a hierarchical attribution label (e.g.
     ["dc1/replica/handle:Replicate"], ["wal/fsync"]); events scheduled
     without one inherit the scheduling event's label. When enabled, the
-    engine accrues per label: exact event counts, exact allocation
-    deltas ([Gc.counters] around each handler — deterministic under a
-    fixed seed, so words/event can be gated hard in CI), and sampled
-    wall-clock time (every [sample_every]-th event, bounding overhead).
+    engine accrues per label: exact event counts, exact minor-heap
+    allocation ([Gc.minor_words ()] around each handler — deterministic
+    under a fixed seed, so words/event can be gated hard in CI), and
+    sampled wall-clock time (every [sample_every]-th event, bounding
+    overhead).
 
     Disabled profiling costs one branch per event: {!label} interns
     nothing and returns {!none}, and no Gc or clock calls are made. *)
@@ -53,16 +54,13 @@ val account : t -> label -> (unit -> unit) -> unit
 (** Events accounted while enabled. *)
 val total_events : t -> int
 
-(** Events whose allocation delta was discarded as GC noise: the OCaml
-    5.1 runtime occasionally misaccounts [Gc.counters] at a
-    minor-collection boundary by a fixed fraction of the minor heap,
-    landing on whichever event triggered the collection. Deltas of 64 Ki
-    words or more per event are physically implausible for this
-    codebase's handlers and are counted here instead of under the label,
-    keeping per-label words/event reproducible and safe to gate. *)
+(** Events that allocated 64 Ki words or more — one-off bulk work such
+    as a snapshot install, not hot-path handler cost. They are counted
+    here instead of under their label, so a label's words/event stays a
+    per-event figure. *)
 val noise_events : t -> int
 
-(** Total words discarded as GC noise. *)
+(** Total words allocated by the {!noise_events}. *)
 val noise_words : t -> float
 
 (** Events carrying a label other than ["other"]. *)
@@ -75,14 +73,14 @@ type entry = {
   e_label : string;
   e_events : int;
   e_minor_words : float;
-  e_major_words : float;
+  e_major_words : float;  (** always 0: only minor words are probed *)
   e_wall_samples : int;
   e_wall_s : float;
       (** raw sampled seconds; multiply by [sample_every] for the
           wall-clock estimate *)
 }
 
-(** Allocated words (minor + major) per event under this label. *)
+(** Allocated words per event under this label. *)
 val words_per_event : entry -> float
 
 (** Labels with at least one event, busiest first (deterministic). *)
@@ -94,7 +92,7 @@ val merge : entry list list -> entry list
 val entry_json : sample_every:int -> entry -> Json.t
 
 (** The profile document gated by [bin/perfcheck.exe]: sampling period,
-    totals, coverage, GC-noise counters, and the per-label table. *)
+    totals, coverage, bulk-event counters, and the per-label table. *)
 val entries_to_json :
   ?noise_events:int ->
   ?noise_words:float ->
