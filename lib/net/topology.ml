@@ -41,8 +41,6 @@ type t = {
   one_way_us : int array array;  (* one-way latency between DCs, microseconds *)
   intra_dc_us : int;  (* one-way latency between machines of the same DC *)
   jitter_us : int;  (* max uniform jitter added per message *)
-  disk_fsync_us : int;  (* per-node disk: fsync latency *)
-  disk_mb_per_s : int;  (* per-node disk: sequential write bandwidth *)
 }
 
 let dcs t = Array.length t.regions
@@ -54,8 +52,6 @@ let one_way t ~src ~dst =
   if src = dst then t.intra_dc_us else t.one_way_us.(src).(dst)
 
 let jitter_us t = t.jitter_us
-let disk_fsync_us t = t.disk_fsync_us
-let disk_mb_per_s t = t.disk_mb_per_s
 
 (* Worst-case round-trip time across the deployment, jitter included:
    the largest one-way latency of any ordered DC pair, doubled, plus the
@@ -72,11 +68,7 @@ let max_rtt_us t =
   done;
   (2 * !worst) + (2 * t.jitter_us)
 
-(* Disk defaults model a datacenter SSD: ~0.5 ms fsync (NVMe flush),
-   ~200 MB/s sustained sequential writes. Deployments override them to
-   model slower media; the gray-disk nemesis degrades them at runtime. *)
-let create ?(intra_dc_us = 100) ?(jitter_us = 50) ?(disk_fsync_us = 500)
-    ?(disk_mb_per_s = 200) regions =
+let create ?(intra_dc_us = 100) ?(jitter_us = 50) regions =
   let n = Array.length regions in
   if n = 0 then invalid_arg "Topology.create: no data centers";
   let one_way_us =
@@ -86,14 +78,7 @@ let create ?(intra_dc_us = 100) ?(jitter_us = 50) ?(disk_fsync_us = 500)
             and rj = region_index regions.(j) in
             int_of_float (rtt_ms_matrix.(ri).(rj) /. 2.0 *. 1000.0)))
   in
-  {
-    regions = Array.copy regions;
-    one_way_us;
-    intra_dc_us;
-    jitter_us;
-    disk_fsync_us;
-    disk_mb_per_s;
-  }
+  { regions = Array.copy regions; one_way_us; intra_dc_us; jitter_us }
 
 (* Deployments used by the paper's experiments. *)
 let three_dcs () = create [| Virginia; California; Frankfurt |]

@@ -11,17 +11,8 @@ type t
 
 (** [create regions] builds a deployment with one data center per listed
     region. [intra_dc_us] is the one-way latency between machines of the
-    same data center; [jitter_us] bounds the uniform per-message jitter;
-    [disk_fsync_us]/[disk_mb_per_s] describe each node's local disk
-    (fsync latency, sequential write bandwidth — defaults model a
-    datacenter SSD). *)
-val create :
-  ?intra_dc_us:int ->
-  ?jitter_us:int ->
-  ?disk_fsync_us:int ->
-  ?disk_mb_per_s:int ->
-  region array ->
-  t
+    same data center; [jitter_us] bounds the uniform per-message jitter. *)
+val create : ?intra_dc_us:int -> ?jitter_us:int -> region array -> t
 
 val dcs : t -> int
 val region : t -> int -> region
@@ -32,11 +23,6 @@ val region_of_dc : t -> int -> string
 val one_way : t -> src:int -> dst:int -> int
 
 val jitter_us : t -> int
-
-(** Per-node disk characteristics (see [create]). *)
-val disk_fsync_us : t -> int
-
-val disk_mb_per_s : t -> int
 
 (** Worst-case round trip across the deployment: twice the largest
     one-way latency of any DC pair plus twice the jitter bound. The

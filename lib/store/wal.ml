@@ -10,10 +10,14 @@ type 'a record = {
 
 type 's snap = { snap_seq : int; state : 's }
 
+(* The disk models a datacenter SSD: ~0.5 ms fsync (NVMe flush), ~200 MB/s
+   sustained sequential writes. The gray-disk nemesis degrades both at
+   runtime ([set_slow]). *)
+let fsync_us = 500
+let mb_per_s = 200  (* 1 MB/s = 1 byte/us, so this is also bytes/us *)
+
 type ('a, 's) t = {
   eng : Sim.Engine.t;
-  fsync_us : int;
-  mb_per_s : int;  (* 1 MB/s = 1 byte/us, so this is also bytes/us *)
   size : 'a -> int;
   snap_size : 's -> int;
   mutable slow : int;  (* gray-disk multiplier, 1 = healthy *)
@@ -45,14 +49,12 @@ let crc_of ~seq payload = Hashtbl.hash (seq, payload)
    self-test enables it to prove the durability oracle catches it. *)
 let unsafe_ack = ref false
 
-let create ~eng ?metrics ~fsync_us ~mb_per_s ~size ~snap_size () =
+let create ~eng ?metrics ~size ~snap_size () =
   let m f =
     Option.map (fun (m, labels) -> f m ~labels) metrics
   in
   {
     eng;
-    fsync_us;
-    mb_per_s = max 1 mb_per_s;
     size;
     snap_size;
     slow = 1;
@@ -97,7 +99,7 @@ let lab_snapshot t =
 (* Write-time charge for [bytes]: one fsync plus the bandwidth cost,
    both inflated by the gray-disk factor. *)
 let write_delay t bytes =
-  t.slow * (t.fsync_us + (bytes / t.mb_per_s)) |> max 1
+  t.slow * (fsync_us + (bytes / mb_per_s)) |> max 1
 
 let durable_seq t =
   match t.durable with [] -> 0 | r :: _ -> r.seq

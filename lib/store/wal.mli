@@ -3,7 +3,8 @@
 
     The disk is a timing model, not an I/O layer: appends buffer in
     memory and a group-commit fsync loop makes them durable after a
-    configurable fsync latency plus a write-bandwidth charge, all on the
+    fixed fsync latency plus a write-bandwidth charge (a datacenter SSD:
+    500 us fsync, 200 MB/s sequential writes), all on the
     simulation engine (so persistence is deterministic under the run
     seed). A record is {e durable} — and its [~k] continuation runs —
     only once its fsync completes; a crash before that loses it.
@@ -33,14 +34,12 @@ type ('a, 's) t
 val create :
   eng:Sim.Engine.t ->
   ?metrics:Sim.Metrics.t * Sim.Metrics.labels ->
-  fsync_us:int ->
-  mb_per_s:int ->
   size:('a -> int) ->
   snap_size:('s -> int) ->
   unit ->
   ('a, 's) t
 (** [size]/[snap_size] give payload sizes in bytes, charged against the
-    [mb_per_s] write bandwidth. When [metrics] is given, the disk
+    disk's write bandwidth. When [metrics] is given, the disk
     interns [wal_fsync_us], [wal_appended_bytes_total] and
     [wal_torn_truncations_total] under the given labels. *)
 

@@ -129,14 +129,11 @@ let leader_of_ballot ~dcs b = b mod dcs
 (* Leadership-reclaim bids are level-triggered (PREPARE_STRONG retries
    every couple of seconds, STATE_REQUEST every retry tick keep landing
    on the same non-leader), so they are debounced to at most one
-   election per interval — long enough for an in-flight round to
-   settle. The deployment derives the interval from its failure-detector
-   period plus the worst-case RTT ([Config.reclaim_debounce_us]); this
-   conservative constant is only the default for contexts created
-   without one. *)
-let default_bid_interval_us = 1_000_000
-
-let create ?(bid_interval_us = default_bid_interval_us) ctx ~leader_dc =
+   election per [bid_interval_us] — long enough for an in-flight round
+   to settle. The deployment derives the interval from its
+   failure-detector period plus the worst-case RTT
+   ([Config.reclaim_debounce_us]). *)
+let create ~bid_interval_us ctx ~leader_dc =
   {
     ctx;
     status = (if ctx.x_dc = leader_dc then Leader else Follower);
@@ -375,7 +372,7 @@ let handle_deliver t ~b ~ts =
 (* ------------------------------------------------------------------ *)
 (* PREPARE_STRONG and ACCEPT (Algorithm A9 lines 1–17).                  *)
 
-let handle_accept_local t ~b ~tid ~coord ~rid ~origin ~wbuff ~ops ~snap ~vote ~ts
+let handle_accept t ~b ~tid ~coord ~rid ~origin ~wbuff ~ops ~snap ~vote ~ts
     ~lc =
   if
     t.ballot = b
@@ -484,7 +481,7 @@ let handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
                        transaction and also vote commit — a Conflict
                        Ordering violation. Record locally now; the other
                        members learn by message. *)
-                    handle_accept_local t ~b:t.ballot ~tid ~coord ~rid
+                    handle_accept t ~b:t.ballot ~tid ~coord ~rid
                       ~origin ~wbuff ~ops ~snap ~vote ~ts ~lc;
                     for dc = 0 to t.ctx.x_dcs - 1 do
                       if dc <> t.ctx.x_dc then
@@ -507,8 +504,6 @@ let handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
                   end)
             end)
   end
-
-let handle_accept = handle_accept_local
 
 (* ------------------------------------------------------------------ *)
 (* DECISION and LEARN_DECISION (Algorithm A9 lines 18–25).               *)
@@ -667,16 +662,21 @@ let handle_new_leader t ~b ~from ~from_dc =
   end
   else t.ctx.x_send from (Msg.Nack { b = t.ballot; from = t.ctx.x_self () })
 
-(* Replace this member's certification state (recovery), then decide the
-   installed prepared entries whose decision was learned meanwhile. *)
-let install_state t ~prepared ~decided =
+(* Forget the whole certification log: prepared and decided entries and
+   the delivery queue. *)
+let clear_log t =
   Hashtbl.reset t.prepared;
   Hashtbl.reset t.prepared_at;
   Hashtbl.reset t.decided;
   Hashtbl.reset t.decided_by_key;
   t.decided_join <- None;
   t.decided_max_lc <- 0;
-  t.undelivered <- [];
+  t.undelivered <- []
+
+(* Replace this member's certification state (recovery), then decide the
+   installed prepared entries whose decision was learned meanwhile. *)
+let install_state t ~prepared ~decided =
+  clear_log t;
   List.iter (add_decided t) decided;
   List.iter
     (fun (p : Msg.prepared_strong) ->
@@ -781,50 +781,25 @@ let start_restoring t =
                 restoring_done t))
       to_certify
 
-(* DC rejoin: re-enter the group after a crash. The member comes back in
-   [Recovering] with its delivery frontier seeded from the snapshot it
-   received ([delivered] = the cut vector's strong entry): [install_state]
-   will then queue only transactions above the snapshot for delivery, so
-   nothing in the snapshot is applied twice. The ballot is left alone —
-   the group's current ballot is at least the pre-crash one, so the
-   leader's [New_state {b}] passes the [b >= ballot] check. Until the
-   state arrives the member neither votes nor acks, which is exactly the
-   "catch up the decided log before voting" the rejoin needs. *)
-let begin_rejoin t ~delivered =
-  t.status <- Recovering;
-  t.last_delivered <- delivered;
-  t.last_sent <- delivered;
-  t.last_activity <- t.ctx.x_now ();
-  t.pruned_below <- max t.pruned_below delivered;
-  t.undelivered <- [];
-  t.do_not_wait <- [];
-  t.recovery_acks <- [];
-  t.state_acks <- [];
-  Hashtbl.reset t.learned;
-  (* the crash destroyed this member's log state; pretending otherwise
-     would let a pre-crash entry leak into a recovery ack. What the group
-     decided comes back wholesale with [New_state]. *)
-  Hashtbl.reset t.prepared;
-  Hashtbl.reset t.prepared_at;
-  Hashtbl.reset t.decided;
-  Hashtbl.reset t.decided_by_key;
-  t.decided_join <- None;
-  t.decided_max_lc <- 0
-
 (* What a node snapshot must capture of its cert member: the durable
    promises (ballots) and the accepted-but-undecided log. Everything
    else is group-recoverable. *)
 let persistent_state t = (t.ballot, t.cballot, prepared_list t)
 
-(* Node-level restart from the member's own disk: like [begin_rejoin],
-   but the ballots and the accepted log survived (snapshot + WAL
-   replay), so the promises behind every pre-crash NEW_LEADER_ACK and
-   ACCEPT_ACK still hold — the member can answer a later leader
-   recovery without violating quorum-intersection arguments.
-   [delivered] is re-derived by the replica from its own replayed
-   delivered-strong records. Decided state still comes back wholesale
-   with NEW_STATE (the member stays [Recovering], neither voting nor
-   acking, until it lands). *)
+(* Re-enter the group after a crash. The member comes back in
+   [Recovering] with its delivery frontier seeded at [delivered]:
+   [install_state] will then queue only transactions above it for
+   delivery, so nothing below is applied twice. Until the group state
+   arrives ([New_state]) the member neither votes nor acks, which is
+   exactly the "catch up the decided log before voting" a restart needs;
+   what the group decided comes back wholesale with that state.
+
+   Node-level restart from the member's own disk: the ballots and the
+   accepted log survived (snapshot + WAL replay), so the promises behind
+   every pre-crash NEW_LEADER_ACK and ACCEPT_ACK still hold — the member
+   can answer a later leader recovery without violating
+   quorum-intersection arguments. [delivered] is re-derived by the
+   replica from its own replayed delivered-strong records. *)
 let restart t ~ballot ~cballot ~prepared ~delivered =
   t.status <- Recovering;
   t.ballot <- max t.ballot ballot;
@@ -833,22 +808,25 @@ let restart t ~ballot ~cballot ~prepared ~delivered =
   t.last_sent <- delivered;
   t.last_activity <- t.ctx.x_now ();
   t.pruned_below <- max t.pruned_below delivered;
-  t.undelivered <- [];
   t.do_not_wait <- [];
   t.recovery_acks <- [];
   t.state_acks <- [];
   Hashtbl.reset t.learned;
-  Hashtbl.reset t.prepared;
-  Hashtbl.reset t.prepared_at;
-  Hashtbl.reset t.decided;
-  Hashtbl.reset t.decided_by_key;
-  t.decided_join <- None;
-  t.decided_max_lc <- 0;
+  clear_log t;
   List.iter
     (fun (p : Msg.prepared_strong) ->
       Hashtbl.replace t.prepared p.Msg.ps_tid p;
       Hashtbl.replace t.prepared_at p.Msg.ps_tid (t.ctx.x_now ()))
     prepared
+
+(* DC rejoin: the crash destroyed this member's disk, so it restarts
+   with no accepted log — pretending otherwise would let a pre-crash
+   entry leak into a recovery ack. [delivered] is the strong entry of the
+   snapshot cut it received. The ballot is left alone: the group's
+   current ballot is at least the pre-crash one, so the leader's
+   [New_state {b}] passes the [b >= ballot] check. *)
+let begin_rejoin t ~delivered =
+  restart t ~ballot:t.ballot ~cballot:t.cballot ~prepared:[] ~delivered
 
 (* A rejoining member asks for the group state; only the leader answers
    (with a targeted [New_state] under its current ballot — the same

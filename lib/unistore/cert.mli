@@ -69,8 +69,8 @@ type t
 
 (** [bid_interval_us] debounces {!reclaim} leadership bids (at most one
     election per interval). Deployments pass the derived
-    [Config.reclaim_debounce_us]; the default is a conservative 1 s. *)
-val create : ?bid_interval_us:int -> ctx -> leader_dc:int -> t
+    [Config.reclaim_debounce_us]. *)
+val create : bid_interval_us:int -> ctx -> leader_dc:int -> t
 val is_leader : t -> bool
 val status : t -> status
 
@@ -108,13 +108,13 @@ val retry_suspected : t -> dc:int -> unit
     that every live snapshot already contains. *)
 val prune_decided : t -> keep_after:int -> unit
 
-(** DC rejoin after a crash: re-enter the group in [Recovering] with the
-    delivery frontier seeded at [delivered] (the strong entry of the
-    snapshot cut the rejoiner installed). The member then requests the
-    group state ({!Msg.State_request}); the leader's [New_state] reply
-    installs the decided/prepared log — queuing for delivery only
-    transactions above the snapshot — and moves the member to
-    [Follower], after which it votes again. *)
+(** DC rejoin after a crash: {!restart} with the member's own ballots
+    and no accepted log (the disk was lost with the DC). [delivered] is
+    the strong entry of the snapshot cut the rejoiner installed. The
+    member then requests the group state ({!Msg.State_request}); the
+    leader's [New_state] reply installs the decided/prepared log —
+    queuing for delivery only transactions above the snapshot — and
+    moves the member to [Follower], after which it votes again. *)
 val begin_rejoin : t -> delivered:int -> unit
 
 (** {1 Node-level persistence} *)
@@ -130,12 +130,13 @@ val set_log : t -> (event -> k:(unit -> unit) -> unit) -> unit
     accepted-but-undecided log. Everything else is group-recoverable. *)
 val persistent_state : t -> int * int * Msg.prepared_strong list
 
-(** Node-level restart from the member's own disk: like {!begin_rejoin},
-    but the ballots and accepted log survived (snapshot + WAL replay),
-    so every pre-crash ACCEPT_ACK / NEW_LEADER_ACK promise still holds.
-    [delivered] is the strong frontier the replica re-derived from its
-    replayed delivered-strong records. The member stays [Recovering]
-    until NEW_STATE restores the decided log. *)
+(** Node-level restart from the member's own disk: the ballots (each
+    raised to at least the given one) and the accepted log [prepared]
+    survived (snapshot + WAL replay), so every pre-crash ACCEPT_ACK /
+    NEW_LEADER_ACK promise still holds. The decided log is dropped and
+    the delivery frontier seeded at [delivered], the strong frontier the
+    replica re-derived from its replayed delivered-strong records. The
+    member stays [Recovering] until NEW_STATE restores the decided log. *)
 val restart :
   t ->
   ballot:int ->

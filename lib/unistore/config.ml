@@ -119,18 +119,12 @@ type t = {
   mode : mode;
   conflict : conflict_spec;
   leader_dc : int;  (* initial Paxos leader DC (Virginia in §8) *)
-  propagate_period_us : int;  (* PROPAGATE_LOCAL_TXS period (5 ms in §8) *)
   broadcast_period_us : int;  (* BROADCAST_VECS period (5 ms in §8) *)
-  strong_heartbeat_us : int;  (* dummy strong transaction period *)
   clock_skew_us : int;  (* max absolute per-replica clock skew *)
   detection_delay_us : int;  (* Ω suspicion timeout: silence before suspect *)
   fd_period_us : int;  (* Ω heartbeat broadcast / check period *)
   link_faults : Net.Faults.spec option;  (* lossy inter-DC links (nemesis) *)
-  metrics_probe_us : int;  (* period of the uniformity-lag / queue probes *)
   gc_grace_us : int;  (* how long a crashed DC holds GC floors (rejoin) *)
-  sync_chunk : int;  (* max entries per snapshot / repair message *)
-  sync_pull_deadline_us : int;  (* gap-repair round deadline: a silent
-                                   source is rotated away from *)
   client_failover_us : int;  (* client request timeout before DC failover;
                                 0 disables failover (calls block forever) *)
   admission_max_pending : int;  (* per-DC bound on in-flight strong
@@ -139,16 +133,13 @@ type t = {
                                    0 disables admission control *)
   persistence : bool;  (* per-node WAL + snapshot disks: replicas fsync
                           before acking and survive node-level crashes;
-                          off = the memory-only model of PRs 1-5 *)
-  disk_fsync_us : int;  (* simulated disk fsync latency per node *)
-  disk_mb_per_s : int;  (* simulated disk sequential write bandwidth *)
+                          off = the memory-only model *)
   snapshot_interval_us : int;  (* period of the snapshot+truncate
                                   compaction bounding WAL replay *)
   costs : costs;
   seed : int;
   use_hlc : bool;  (* hybrid logical clocks instead of physical waits (§9) *)
   trace_enabled : bool;  (* record a structured event trace (Sim.Trace) *)
-  trace_capacity : int;  (* span-buffer bound; older spans drop past it *)
   record_history : bool;  (* keep full transaction records (checker) *)
   measure_visibility : bool;  (* record remote-visibility delays (Fig 6) *)
   profile : bool;  (* enable the engine's self-profiler (Sim.Prof) *)
@@ -157,22 +148,17 @@ type t = {
 
 let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     ?(mode = Unistore) ?(conflict = Serializable) ?(leader_dc = 0)
-    ?(propagate_period_us = 5_000) ?(broadcast_period_us = 5_000)
-    ?(strong_heartbeat_us = 10_000) ?(clock_skew_us = 1_000)
+    ?(broadcast_period_us = 5_000) ?(clock_skew_us = 1_000)
     ?(detection_delay_us = 500_000) ?(fd_period_us = 100_000)
-    ?link_faults ?(metrics_probe_us = 10_000) ?(gc_grace_us = 10_000_000)
-    ?(sync_chunk = 256) ?(sync_pull_deadline_us = 300_000)
+    ?link_faults ?(gc_grace_us = 10_000_000)
     ?(client_failover_us = 0) ?(admission_max_pending = 0)
-    ?(persistence = false) ?disk_fsync_us ?disk_mb_per_s
-    ?(snapshot_interval_us = 2_000_000)
+    ?(persistence = false) ?(snapshot_interval_us = 2_000_000)
     ?(costs = default_costs)
     ?(seed = 42)
-    ?(use_hlc = false) ?(trace_enabled = false) ?(trace_capacity = 100_000)
+    ?(use_hlc = false) ?(trace_enabled = false)
     ?(record_history = false) ?(measure_visibility = false)
     ?(profile = false) ?(profile_sample_every = 64) () =
   let dcs = Net.Topology.dcs topo in
-  if 2 * f + 1 > dcs && not (f + 1 <= dcs && f > 0) then
-    invalid_arg "Config.default: need at least f+1 data centers";
   if f < 0 || f >= dcs then invalid_arg "Config.default: bad f";
   (* Certification quorums are f+1 members. Two quorums intersect only
      when dcs <= 2f+1; without intersection, a false suspicion can
@@ -188,32 +174,12 @@ let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     invalid_arg "Config.default: bad leader";
   if partitions <= 0 then invalid_arg "Config.default: bad partitions";
   if gc_grace_us < 0 then invalid_arg "Config.default: bad gc_grace_us";
-  if sync_chunk <= 0 then invalid_arg "Config.default: bad sync_chunk";
-  if sync_pull_deadline_us <= 0 then
-    invalid_arg "Config.default: bad sync_pull_deadline_us";
   if client_failover_us < 0 then
     invalid_arg "Config.default: bad client_failover_us";
   if admission_max_pending < 0 then
     invalid_arg "Config.default: bad admission_max_pending";
-  (* Disk characteristics default from the topology so one deployment
-     description carries both network and storage; per-run overrides
-     remain possible for disk-speed sweeps. *)
-  let disk_fsync_us =
-    match disk_fsync_us with
-    | Some v -> v
-    | None -> Net.Topology.disk_fsync_us topo
-  in
-  let disk_mb_per_s =
-    match disk_mb_per_s with
-    | Some v -> v
-    | None -> Net.Topology.disk_mb_per_s topo
-  in
-  if disk_fsync_us < 0 then invalid_arg "Config.default: bad disk_fsync_us";
-  if disk_mb_per_s <= 0 then invalid_arg "Config.default: bad disk_mb_per_s";
   if snapshot_interval_us <= 0 then
     invalid_arg "Config.default: bad snapshot_interval_us";
-  if trace_capacity <= 0 then
-    invalid_arg "Config.default: bad trace_capacity";
   if profile_sample_every <= 0 then
     invalid_arg "Config.default: bad profile_sample_every";
   {
@@ -223,33 +189,36 @@ let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     mode;
     conflict;
     leader_dc;
-    propagate_period_us;
     broadcast_period_us;
-    strong_heartbeat_us;
     clock_skew_us;
     detection_delay_us;
     fd_period_us;
     link_faults;
-    metrics_probe_us;
     gc_grace_us;
-    sync_chunk;
-    sync_pull_deadline_us;
     client_failover_us;
     admission_max_pending;
     persistence;
-    disk_fsync_us;
-    disk_mb_per_s;
     snapshot_interval_us;
     costs;
     seed;
     use_hlc;
     trace_enabled;
-    trace_capacity;
     record_history;
     measure_visibility;
     profile;
     profile_sample_every;
   }
+
+(* Period of PROPAGATE_LOCAL_TXS (5 ms in §8). *)
+let propagate_period_us = 5_000
+
+(* Period of the leader's dummy strong transaction, which keeps the
+   strong vector advancing when no client commits a strong transaction. *)
+let strong_heartbeat_us = 10_000
+
+(* Period of the metrics probes: uniformity lag and pending-certification
+   queue depth. *)
+let metrics_probe_us = 10_000
 
 let dcs t = Net.Topology.dcs t.topo
 let quorum t = t.f + 1
@@ -281,11 +250,6 @@ let reclaim_debounce_us t = t.fd_period_us + Net.Topology.max_rtt_us t.topo
    magnitude to desynchronize retry storms, giving the 10-20 ms window
    of PR 5 at the default 5 ms broadcast period. *)
 let overload_backoff_us t = 2 * t.broadcast_period_us
-
-(* Deadline of one origin-scoped repair pull round (gap repair after a
-   detected replication-continuity break, which is also how a rejoining
-   or restarted replica catches up) before rotating to another source. *)
-let repair_deadline_us t = t.sync_pull_deadline_us
 
 (* Does this mode track uniformity (exchange STABLEVEC between siblings
    and expose remote transactions only when uniform)? *)

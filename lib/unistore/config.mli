@@ -66,9 +66,7 @@ type t = {
   mode : mode;
   conflict : conflict_spec;
   leader_dc : int;  (** initial Paxos leader DC (Virginia in §8) *)
-  propagate_period_us : int;  (** PROPAGATE_LOCAL_TXS period (5 ms in §8) *)
   broadcast_period_us : int;  (** BROADCAST_VECS period (5 ms in §8) *)
-  strong_heartbeat_us : int;  (** dummy strong transaction period *)
   clock_skew_us : int;  (** max absolute per-replica clock skew *)
   detection_delay_us : int;
       (** Ω suspicion timeout: a DC silent for this long is suspected *)
@@ -76,21 +74,10 @@ type t = {
   link_faults : Net.Faults.spec option;
       (** install lossy inter-DC links with these rates (nemesis runs);
           [None] keeps the network perfectly reliable *)
-  metrics_probe_us : int;
-      (** period of the periodic metrics probes (uniformity lag,
-          pending-certification queue depth); [0] disables them *)
   gc_grace_us : int;
       (** how long a crashed DC keeps holding the causal-log and
           decided-log GC floors, so it can rejoin by log catch-up; after
           expiry the floors advance and a rejoiner needs a full snapshot *)
-  sync_chunk : int;
-      (** maximum entries per snapshot-transfer or repair-reply message
-          (bounds message size during a rejoin's catch-up) *)
-  sync_pull_deadline_us : int;
-      (** deadline of one gap-repair round ({!repair_deadline_us}): a
-          source that has not answered within it is rotated away from,
-          so a partitioned or gray-degraded peer cannot stall a repair —
-          or the catch-up of a rejoining or restarted replica *)
   client_failover_us : int;
       (** client-side request timeout before the session fails over to
           another live DC; [0] disables failover (calls block forever on
@@ -106,8 +93,6 @@ type t = {
           {!Store.Wal}): acks wait for fsync, nodes survive node-level
           crash/restart by local replay; [false] keeps the memory-only
           model where any crash is total state loss *)
-  disk_fsync_us : int;  (** per-node disk fsync latency *)
-  disk_mb_per_s : int;  (** per-node disk sequential write bandwidth *)
   snapshot_interval_us : int;
       (** period of each node's snapshot+truncate compaction; bounds WAL
           replay after a restart by the snapshot interval's worth of
@@ -122,9 +107,6 @@ type t = {
   trace_enabled : bool;
       (** record a structured event trace ({!Sim.Trace}) of commits,
           replication, deliveries and leadership changes *)
-  trace_capacity : int;
-      (** bound on the trace's in-memory span buffer; once full, the
-          oldest spans are dropped and counted ({!Sim.Trace.dropped}) *)
   record_history : bool;  (** keep full transaction records (checker) *)
   measure_visibility : bool;  (** record remote-visibility delays (Fig 6) *)
   profile : bool;
@@ -147,34 +129,36 @@ val default :
   ?mode:mode ->
   ?conflict:conflict_spec ->
   ?leader_dc:int ->
-  ?propagate_period_us:int ->
   ?broadcast_period_us:int ->
-  ?strong_heartbeat_us:int ->
   ?clock_skew_us:int ->
   ?detection_delay_us:int ->
   ?fd_period_us:int ->
   ?link_faults:Net.Faults.spec ->
-  ?metrics_probe_us:int ->
   ?gc_grace_us:int ->
-  ?sync_chunk:int ->
-  ?sync_pull_deadline_us:int ->
   ?client_failover_us:int ->
   ?admission_max_pending:int ->
   ?persistence:bool ->
-  ?disk_fsync_us:int ->
-  ?disk_mb_per_s:int ->
   ?snapshot_interval_us:int ->
   ?costs:costs ->
   ?seed:int ->
   ?use_hlc:bool ->
   ?trace_enabled:bool ->
-  ?trace_capacity:int ->
   ?record_history:bool ->
   ?measure_visibility:bool ->
   ?profile:bool ->
   ?profile_sample_every:int ->
   unit ->
   t
+
+(** PROPAGATE_LOCAL_TXS period: 5 ms, as in §8. *)
+val propagate_period_us : int
+
+(** Period of the leader's dummy strong transaction: 10 ms. *)
+val strong_heartbeat_us : int
+
+(** Period of the metrics probes (uniformity lag, pending-certification
+    queue depth): 10 ms. *)
+val metrics_probe_us : int
 
 val dcs : t -> int
 
@@ -200,11 +184,6 @@ val reclaim_debounce_us : t -> int
     (the client adds equal-magnitude uniform jitter, giving the 10–20 ms
     window at the default 5 ms period). *)
 val overload_backoff_us : t -> int
-
-(** Deadline of one origin-scoped repair pull round (replication-gap
-    repair, [Replica.handle_replicate]) before the requester rotates to
-    another source: [sync_pull_deadline_us]. *)
-val repair_deadline_us : t -> int
 
 (** Whether the mode exchanges STABLEVEC between siblings and exposes
     remote transactions only when uniform (all modes except [Cure_ft]). *)

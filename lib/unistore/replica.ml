@@ -169,11 +169,21 @@ type pending_cert = {
 
 type waiter = { w_pred : unit -> bool; w_action : unit -> unit }
 
+(* Deadline of one repair round: a source that has not answered within
+   it is rotated away from, so a partitioned or gray-degraded peer
+   cannot stall a repair, nor the catch-up of a rejoining or restarted
+   replica. *)
+let repair_round_us = 300_000
+
+(* Maximum entries per snapshot-transfer or repair-reply message: bounds
+   message size during catch-up. *)
+let catchup_chunk = 256
+
 (* Per-origin repair pull (gap repair of the causal replication stream).
    A detected continuity break records the claimed frontier in [r_upto]
    and drives rounds of [Repair_request]s — origin first, then rotating
    over live siblings — each armed with a deadline
-   ([Config.repair_deadline_us]). [r_sq] tags the
+   ([repair_round_us]). [r_sq] tags the
    current round so replies from an abandoned target are discarded;
    [r_stalled] counts consecutive fruitless rounds, after which the
    repair parks ([r_active = false], [r_upto] retained) until the next
@@ -926,7 +936,7 @@ let rec start_repair_round t origin =
         (Msg.Repair_request
            { from = t.addr; origin; vec_from; upto = r.r_upto; sq = r.r_sq });
       let sq = r.r_sq in
-      Engine.schedule t.eng ~delay:(Config.repair_deadline_us t.cfg)
+      Engine.schedule t.eng ~delay:repair_round_us
         (fun () ->
           (* round still open at the deadline: the target is lossy,
              partitioned or gone — count a stall and rotate, or park
@@ -1223,7 +1233,7 @@ let handle_repair_request t ~from ~origin ~vec_from ~upto ~sq =
             (Msg.Repair_log
                { origin; txs = []; from_ts; covered; last = true; sq })
       | txs ->
-          let batch, rest = split t.cfg.Config.sync_chunk [] txs in
+          let batch, rest = split catchup_chunk [] txs in
           let batch_last =
             List.fold_left
               (fun acc tx -> max acc (Vc.get tx.Types.tx_vec origin))
@@ -1913,8 +1923,7 @@ let enable_persistence t =
       ~metrics:
         ( t.metrics,
           [ ("dc", string_of_int t.dc); ("part", string_of_int t.part) ] )
-      ~fsync_us:t.cfg.Config.disk_fsync_us
-      ~mb_per_s:t.cfg.Config.disk_mb_per_s ~size:wal_record_bytes
+      ~size:wal_record_bytes
       ~snap_size:node_snapshot_bytes ()
   in
   t.disk <- Some w;
@@ -2025,7 +2034,7 @@ let start_timers t ~phase =
   in
   Engine.every t.eng
     ~label:(lab "propagate")
-    ~period:cfg.Config.propagate_period_us ~phase (fun () ->
+    ~period:Config.propagate_period_us ~phase (fun () ->
       if live () then begin
         propagate_local_txs t;
         run_forwarding t;
@@ -2044,14 +2053,14 @@ let start_timers t ~phase =
   if Config.has_strong cfg && not (Config.centralized_cert cfg) then begin
     Engine.every t.eng
       ~label:(lab "strong_heartbeat")
-      ~period:cfg.Config.strong_heartbeat_us
+      ~period:Config.strong_heartbeat_us
       ~phase:(phase + 2) (fun () ->
         if live () then begin
           (match t.cert with
           | Some c ->
               if
                 Cert.is_leader c
-                && now t - Cert.idle_since c >= cfg.Config.strong_heartbeat_us
+                && now t - Cert.idle_since c >= Config.strong_heartbeat_us
               then strong_heartbeat t
           | None -> ());
           true
@@ -2357,7 +2366,7 @@ let handle_sync_request t ~from ~part ~sq =
             if not (unpropagated e.vec) then begin
               chunk := (key, e.op, e.vec, e.tag) :: !chunk;
               incr n;
-              if !n >= t.cfg.Config.sync_chunk then flush ~last:false
+              if !n >= catchup_chunk then flush ~last:false
             end)
           (Store.Oplog.entries t.oplog key))
       (Store.Oplog.keys t.oplog);

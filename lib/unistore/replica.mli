@@ -43,6 +43,11 @@ val make_cert : t -> unit
 
 val cert : t -> Cert.t option
 
+(** Does DC [i] still hold the garbage-collection floors? Live DCs
+    always do; a crashed DC holds them for [Config.gc_grace_us] after
+    its crash, so it can rejoin by log catch-up. *)
+val holds_floor : t -> int -> bool
+
 (** Start the periodic protocol tasks: PROPAGATE_LOCAL_TXS,
     BROADCAST_VECS, strong heartbeats and certification housekeeping.
     [phase] staggers replicas. *)

@@ -284,7 +284,7 @@ let pp_uniformity_lag ppf sys =
       Fmt.pf ppf
         "  uniformity lag (knownVec - uniformVec, probed every %d us): mean \
          %a ms, p90 %a ms, max %a ms@."
-        (System.cfg sys).Config.metrics_probe_us pp_opt_ms (Metrics.h_mean h)
+        Config.metrics_probe_us pp_opt_ms (Metrics.h_mean h)
         pp_opt_ms
         (Metrics.h_percentile h 90.0)
         pp_opt_ms

@@ -155,7 +155,7 @@ let create cfg =
   let history = History.create ~record_full:cfg.Config.record_history () in
   History.set_clock history (fun () -> Engine.now eng);
   let trace =
-    Sim.Trace.create ~capacity:cfg.Config.trace_capacity
+    Sim.Trace.create
       ~clock:(fun () -> Engine.now eng)
       ~enabled:cfg.Config.trace_enabled ()
   in
@@ -244,17 +244,15 @@ let create cfg =
   Array.iter
     (Array.iter (fun r ->
          Replica.start_timers r
-           ~phase:(Rng.int rng cfg.Config.propagate_period_us)))
+           ~phase:(Rng.int rng Config.propagate_period_us)))
     replicas;
   (* the REDBLUE leader needs dummy strong heartbeats too: partition 0's
      replica of the leader DC submits them *)
   if Config.centralized_cert cfg then
     Engine.every eng
       ~label:(prof_label "rbcert/heartbeat")
-      ~period:cfg.Config.strong_heartbeat_us
-      ~phase:(Rng.int rng cfg.Config.strong_heartbeat_us) (fun () ->
-        let lead, _ = rb_certs.(0) in
-        ignore lead;
+      ~period:Config.strong_heartbeat_us
+      ~phase:(Rng.int rng Config.strong_heartbeat_us) (fun () ->
         let live_leader =
           let rec find dc =
             if dc >= dcs then None
@@ -277,7 +275,7 @@ let create cfg =
             let c, _ = rb_certs.(dc) in
             if
               Engine.now eng - Cert.idle_since c
-              >= cfg.Config.strong_heartbeat_us
+              >= Config.strong_heartbeat_us
             then Replica.strong_heartbeat replicas.(dc).(0)
         | None -> ());
         true);
@@ -290,20 +288,17 @@ let create cfg =
             if not (Network.dc_failed net dc) then begin
               if Cert.is_leader c then
                 Cert.retry_stale c ~older_than_us:2_400_000;
-              (* as in Replica: no service may prune a decision some
-                 live (possibly partitioned) peer has yet to deliver; a
-                 crashed DC holds the floor at its pre-crash delivery
-                 point for [gc_grace_us], then releases it (recovery is
-                 unsupported under REDBLUE, so the release is final) *)
-              let holds_floor dc' =
-                match Network.dc_failed_at net dc' with
-                | None -> true
-                | Some at -> Engine.now eng - at < cfg.Config.gc_grace_us
-              in
+              (* no service may prune a decision some live (possibly
+                 partitioned) peer has yet to deliver; a crashed DC holds
+                 the floor at its pre-crash delivery point for the
+                 replicas' grace period ([Replica.holds_floor]), then
+                 releases it (recovery is unsupported under REDBLUE, so
+                 the release is final) *)
               let floor = ref (Cert.last_delivered c) in
               Array.iteri
                 (fun dc' (c', _) ->
-                  if dc' <> dc && holds_floor dc' then
+                  if dc' <> dc && Replica.holds_floor replicas.(dc).(0) dc'
+                  then
                     floor := min !floor (Cert.last_delivered c'))
                 rb_certs;
               Cert.prune_decided c ~keep_after:(!floor - 1_500_000)
@@ -343,45 +338,43 @@ let create cfg =
      (knownVec minus uniformVec — how far behind the durable frontier
      this replica's knowledge runs) and the depth of the
      pending-certification queue per DC *)
-  if cfg.Config.metrics_probe_us > 0 then begin
-    let lbl_dc dc = ("dc", string_of_int dc) in
-    let lag_gauges =
-      Array.init dcs (fun dc ->
-          Array.init partitions (fun part ->
-              Sim.Metrics.gauge metrics
-                ~labels:[ lbl_dc dc; ("part", string_of_int part) ]
-                "uniformity_lag_us"))
-    in
-    let h_lag = Sim.Metrics.histogram metrics "uniformity_lag_probe_us" in
-    let pend_gauges =
-      Array.init dcs (fun dc ->
-          Sim.Metrics.gauge metrics ~labels:[ lbl_dc dc ]
-            "pending_certifications")
-    in
-    let period = cfg.Config.metrics_probe_us in
-    Engine.every eng
-      ~label:(prof_label "sim/probe")
-      ~period ~phase:(period / 2) (fun () ->
-        for dc = 0 to dcs - 1 do
-          if not (Network.dc_failed net dc) then begin
-            let pending = ref 0 in
-            for part = 0 to partitions - 1 do
-              let r = replicas.(dc).(part) in
-              let known = Replica.known_vec r
-              and uniform = Replica.uniform_vec r in
-              let lag = ref 0 in
-              for j = 0 to dcs - 1 do
-                lag := max !lag (Vc.get known j - Vc.get uniform j)
-              done;
-              Sim.Metrics.set lag_gauges.(dc).(part) (float_of_int !lag);
-              Sim.Metrics.observe h_lag !lag;
-              pending := !pending + Replica.pending_strong r
+  let lbl_dc dc = ("dc", string_of_int dc) in
+  let lag_gauges =
+    Array.init dcs (fun dc ->
+        Array.init partitions (fun part ->
+            Sim.Metrics.gauge metrics
+              ~labels:[ lbl_dc dc; ("part", string_of_int part) ]
+              "uniformity_lag_us"))
+  in
+  let h_lag = Sim.Metrics.histogram metrics "uniformity_lag_probe_us" in
+  let pend_gauges =
+    Array.init dcs (fun dc ->
+        Sim.Metrics.gauge metrics ~labels:[ lbl_dc dc ]
+          "pending_certifications")
+  in
+  let period = Config.metrics_probe_us in
+  Engine.every eng
+    ~label:(prof_label "sim/probe")
+    ~period ~phase:(period / 2) (fun () ->
+      for dc = 0 to dcs - 1 do
+        if not (Network.dc_failed net dc) then begin
+          let pending = ref 0 in
+          for part = 0 to partitions - 1 do
+            let r = replicas.(dc).(part) in
+            let known = Replica.known_vec r
+            and uniform = Replica.uniform_vec r in
+            let lag = ref 0 in
+            for j = 0 to dcs - 1 do
+              lag := max !lag (Vc.get known j - Vc.get uniform j)
             done;
-            Sim.Metrics.set pend_gauges.(dc) (float_of_int !pending)
-          end
-        done;
-        true)
-  end;
+            Sim.Metrics.set lag_gauges.(dc).(part) (float_of_int !lag);
+            Sim.Metrics.observe h_lag !lag;
+            pending := !pending + Replica.pending_strong r
+          done;
+          Sim.Metrics.set pend_gauges.(dc) (float_of_int !pending)
+        end
+      done;
+      true);
   {
     cfg;
     eng;

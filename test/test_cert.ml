@@ -71,7 +71,7 @@ let make_member bus dc =
       x_alive = (fun () -> true);
     }
   in
-  U.Cert.create ctx ~leader_dc:0
+  U.Cert.create ~bid_interval_us:1_000_000 ctx ~leader_dc:0
 
 let setup () =
   let bus = make_bus () in
@@ -261,6 +261,45 @@ let test_rejoiner_keeps_decision_learned_while_recovering () =
     [ (1000, Fmt.str "%a@dc?" U.Types.tid_pp (tid 1)) ]
     bus.delivered
 
+(* The two crash re-entries share one reset. Both park the member in
+   [Recovering] with its delivery frontier seeded at [delivered] and its
+   decided log gone (NEW_STATE brings it back). A node restart keeps the
+   accepted log it replayed from its own disk and never lowers a ballot
+   it promised; a DC rejoin lost its disk and keeps no accepted entry. *)
+let test_restart_and_rejoin_reset () =
+  let bus, m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  prepare bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
+  decide bus ~n:1 ~ts:1000 ~dec:true;
+  let ballot, cballot, prepared = U.Cert.persistent_state (m 1) in
+  Alcotest.(check int) "one entry still accepted" 1 (List.length prepared);
+  Alcotest.(check bool) "something decided" true
+    (U.Cert.decided_count (m 1) > 0);
+  let check_parked name c ~delivered =
+    Alcotest.(check string) (name ^ " recovering") "recovering"
+      (U.Cert.status_name (U.Cert.status c));
+    Alcotest.(check int) (name ^ " seeded") delivered
+      (U.Cert.last_delivered c);
+    Alcotest.(check int) (name ^ " decided log dropped") 0
+      (U.Cert.decided_count c)
+  in
+  U.Cert.restart (m 1) ~ballot:(ballot + 3) ~cballot:(cballot + 3) ~prepared
+    ~delivered:700;
+  check_parked "restart" (m 1) ~delivered:700;
+  Alcotest.(check int) "restart keeps the replayed entry" 1
+    (U.Cert.prepared_count (m 1));
+  (* replaying older ballots cannot lower the promises *)
+  U.Cert.restart (m 1) ~ballot ~cballot ~prepared ~delivered:700;
+  let b', cb', _ = U.Cert.persistent_state (m 1) in
+  Alcotest.(check (pair int int)) "max of the ballots"
+    (ballot + 3, cballot + 3) (b', cb');
+  let ballot2 = U.Cert.ballot (m 2) in
+  U.Cert.begin_rejoin (m 2) ~delivered:800;
+  check_parked "rejoin" (m 2) ~delivered:800;
+  Alcotest.(check int) "rejoin drops the accepted log" 0
+    (U.Cert.prepared_count (m 2));
+  Alcotest.(check int) "rejoin keeps its ballot" ballot2 (U.Cert.ballot (m 2))
+
 let suite =
   [
     Alcotest.test_case "leader certifies, members accept" `Quick
@@ -278,4 +317,6 @@ let suite =
     Alcotest.test_case "decided-set pruning" `Quick test_prune_decided;
     Alcotest.test_case "rejoiner keeps a decision learned while recovering"
       `Quick test_rejoiner_keeps_decision_learned_while_recovering;
+    Alcotest.test_case "restart and rejoin share one reset" `Quick
+      test_restart_and_rejoin_reset;
   ]

@@ -65,7 +65,20 @@ let test_validation () =
     (try
        ignore (U.Config.default ~leader_dc:7 ());
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* f ranges over 0 .. dcs - 1: the three-DC default topology *)
+  Alcotest.(check bool) "f = dcs rejected" true
+    (try
+       ignore (U.Config.default ~f:3 ());
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "f = -1 rejected" true
+    (try
+       ignore (U.Config.default ~f:(-1) ());
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "f = dcs - 1 accepted" 3
+    (U.Config.quorum (U.Config.default ~f:2 ()))
 
 let test_quorum () =
   let cfg = U.Config.default ~f:1 () in

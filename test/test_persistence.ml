@@ -19,8 +19,7 @@ let counter_total reg name =
 (* {1 WAL unit and property tests} *)
 
 let make_wal eng =
-  Wal.create ~eng ~fsync_us:500 ~mb_per_s:200 ~size:(fun _ -> 64)
-    ~snap_size:(fun _ -> 256) ()
+  Wal.create ~eng ~size:(fun _ -> 64) ~snap_size:(fun _ -> 256) ()
 
 (* Acked records survive a crash and read back in order; the ~k
    continuation is exactly the durability barrier. *)

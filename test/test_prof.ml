@@ -351,26 +351,6 @@ let test_perfgate_baseline_floor () =
   Alcotest.(check (list string)) "only busy labels budgeted" [ "busy" ]
     budgets
 
-(* [Config.trace_capacity] reaches the system's trace ring. *)
-let test_trace_capacity_wired () =
-  let module U = Unistore in
-  let cfg =
-    U.Config.default ~partitions:2 ~seed:3 ~trace_enabled:true
-      ~trace_capacity:50 ()
-  in
-  let sys = U.System.create cfg in
-  ignore
-    (U.System.spawn_client sys ~dc:0 (fun c ->
-         for i = 1 to 40 do
-           U.Client.start c;
-           U.Client.update c i (Crdt.Reg_write i);
-           ignore (U.Client.commit c)
-         done));
-  U.System.run sys ~until:2_000_000;
-  let tr = U.System.trace sys in
-  Alcotest.(check int) "buffer bounded" 50 (Sim.Trace.length tr);
-  Alcotest.(check bool) "overflow counted" true (Sim.Trace.dropped tr > 0)
-
 let suite =
   [
     Alcotest.test_case "disabled profiling is zero-cost" `Quick
@@ -405,6 +385,4 @@ let suite =
       test_perfgate_no_profile_section;
     Alcotest.test_case "perfcheck: tiny labels are not budgeted" `Quick
       test_perfgate_baseline_floor;
-    Alcotest.test_case "trace capacity is wired through config" `Quick
-      test_trace_capacity_wired;
   ]

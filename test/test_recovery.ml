@@ -332,7 +332,7 @@ let test_random_schedule_recovery () =
 let test_restart_behind_partition_keeps_acked_writes () =
   let sys =
     Util.make_system ~partitions:1 ~seed:17 ~persistence:true
-      ~disk_fsync_us:500 ~snapshot_interval_us:1_500_000
+      ~snapshot_interval_us:1_500_000
       ~client_failover_us:300_000
       ~link_faults:Net.Faults.default_spec ()
   in
@@ -411,7 +411,7 @@ let test_lossy_restart_durability_sweep () =
     (fun seed ->
       let sys =
         Util.make_system ~partitions:2 ~seed ~persistence:true
-          ~disk_fsync_us:500 ~snapshot_interval_us:1_500_000
+          ~snapshot_interval_us:1_500_000
           ~client_failover_us:300_000
           ~link_faults:Net.Faults.default_spec ()
       in
