@@ -883,6 +883,15 @@ let handle_new_state_ack t ~b ~from_dc =
 (* RETRY (Algorithm A9 line 37): the leader re-certifies prepared
    transactions whose coordinator went silent.                          *)
 
+(* Re-run the 2PC of prepared transaction [tid] from here, restarting
+   its silence clock. *)
+let recertify t tid (p : Msg.prepared_strong) =
+  Hashtbl.replace t.prepared_at tid (t.ctx.x_now ());
+  t.ctx.x_certify ~caller:Msg.Normal ~tid ~origin:p.Msg.ps_origin
+    ~wbuff:p.Msg.ps_wbuff ~ops:p.Msg.ps_ops ~snap:p.Msg.ps_snap
+    ~lc:p.Msg.ps_lc
+    ~k:(fun _ -> ())
+
 let retry_stale t ~older_than_us =
   if t.status = Leader then begin
     let now = t.ctx.x_now () in
@@ -893,13 +902,7 @@ let retry_stale t ~older_than_us =
           | Some since -> now - since
           | None -> max_int
         in
-        if age >= older_than_us then begin
-          Hashtbl.replace t.prepared_at tid now;
-          t.ctx.x_certify ~caller:Msg.Normal ~tid ~origin:p.Msg.ps_origin
-            ~wbuff:p.Msg.ps_wbuff ~ops:p.Msg.ps_ops ~snap:p.Msg.ps_snap
-            ~lc:p.Msg.ps_lc
-            ~k:(fun _ -> ())
-        end)
+        if age >= older_than_us then recertify t tid p)
       t.prepared
   end
 
@@ -915,13 +918,7 @@ let retry_suspected t ~dc =
   if t.status = Leader then
     Hashtbl.iter
       (fun tid (p : Msg.prepared_strong) ->
-        if p.Msg.ps_origin = dc then begin
-          Hashtbl.replace t.prepared_at tid (t.ctx.x_now ());
-          t.ctx.x_certify ~caller:Msg.Normal ~tid ~origin:p.Msg.ps_origin
-            ~wbuff:p.Msg.ps_wbuff ~ops:p.Msg.ps_ops ~snap:p.Msg.ps_snap
-            ~lc:p.Msg.ps_lc
-            ~k:(fun _ -> ())
-        end)
+        if p.Msg.ps_origin = dc then recertify t tid p)
       t.prepared
 
 (* Garbage-collect committed transactions whose strong timestamp is so
@@ -953,7 +950,7 @@ let prune_decided t ~keep_after =
       stale
   end
 
-(* Dispatch group-member messages; returns [true] when handled. *)
+(* Dispatch group-member messages; others are ignored. *)
 let handle t msg =
   match msg with
   | Msg.Prepare_strong { rid; caller; coord; tid; origin; wbuff; ops; snap; lc }
@@ -963,42 +960,28 @@ let handle t msg =
          request into a permanent coordinator-retry loop. *)
       reclaim t;
       handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
-        ~snap ~lc;
-      true
+        ~snap ~lc
   | Msg.Accept { b; tid; coord; rid; origin; wbuff; ops; snap; vote; ts; lc }
     ->
       handle_accept t ~b ~tid ~coord ~rid ~origin ~wbuff ~ops ~snap ~vote ~ts
-        ~lc;
-      true
+        ~lc
   | Msg.Decision { b; tid; dec; vec; lc } ->
-      handle_decision t ~b ~tid ~dec ~vec ~lc;
-      true
+      handle_decision t ~b ~tid ~dec ~vec ~lc
   | Msg.Learn_decision { b; tid; dec; vec; lc } ->
-      handle_learn_decision t ~b ~tid ~dec ~vec ~lc;
-      true
-  | Msg.Deliver { b; ts } ->
-      handle_deliver t ~b ~ts;
-      true
+      handle_learn_decision t ~b ~tid ~dec ~vec ~lc
+  | Msg.Deliver { b; ts } -> handle_deliver t ~b ~ts
   | Msg.Unknown_tx { b; rid; tid; coord } ->
-      handle_unknown_tx t ~b ~rid ~tid ~coord;
-      true
-  | Msg.Nack { b; _ } ->
-      handle_nack t ~b;
-      true
+      handle_unknown_tx t ~b ~rid ~tid ~coord
+  | Msg.Nack { b; _ } -> handle_nack t ~b
   | Msg.New_leader { b; from } ->
-      handle_new_leader t ~b ~from ~from_dc:(t.ctx.x_dc_of from);
-      true
+      handle_new_leader t ~b ~from ~from_dc:(t.ctx.x_dc_of from)
   | Msg.New_leader_ack { b; cballot; prepared; decided; from } ->
       handle_new_leader_ack t ~b ~cballot ~prepared ~decided
-        ~from_dc:(t.ctx.x_dc_of from);
-      true
+        ~from_dc:(t.ctx.x_dc_of from)
   | Msg.New_state { b; prepared; decided; from } ->
-      handle_new_state t ~b ~prepared ~decided ~from;
-      true
+      handle_new_state t ~b ~prepared ~decided ~from
   | Msg.New_state_ack { b; from } ->
-      handle_new_state_ack t ~b ~from_dc:(t.ctx.x_dc_of from);
-      true
+      handle_new_state_ack t ~b ~from_dc:(t.ctx.x_dc_of from)
   | Msg.State_request { from; ballot } ->
-      handle_state_request t ~from ~ballot;
-      true
-  | _ -> false
+      handle_state_request t ~from ~ballot
+  | _ -> ()

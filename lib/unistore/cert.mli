@@ -145,6 +145,6 @@ val restart :
   delivered:int ->
   unit
 
-(** Dispatch a group message; [false] if the message is not for the
-    certification service. *)
-val handle : t -> Msg.t -> bool
+(** Dispatch a group message; messages not for the certification
+    service are ignored. *)
+val handle : t -> Msg.t -> unit

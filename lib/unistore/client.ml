@@ -171,10 +171,11 @@ let sleep t us =
 
 (* DC failover: the session DC stopped answering, so presume it crashed
    and migrate to a live DC that carries the causal past. The new
-   coordinator blocks the R_ok until its knownVec covers [pastVec]
-   (the CL_ATTACH wait), so causality holds across the switch. Caveat:
-   if the past references transactions the crashed DC never replicated,
-   that wait never completes — the sacrifice whole-DC crashes force. *)
+   coordinator blocks the R_ok until its uniformVec covers [pastVec]'s
+   remote entries (the CL_ATTACH wait), so causality holds across the
+   switch. Caveat: if the past references transactions the crashed DC
+   never replicated, that wait never completes — the sacrifice whole-DC
+   crashes force. *)
 let rec failover t =
   let dcs = Config.dcs t.cfg in
   let rec pick k =
@@ -191,8 +192,9 @@ let rec failover t =
   | Some dc ->
       Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"failover"
         "dc%d -> dc%d" t.dc dc;
-      (* interned on first failover only, keeping crash-free runs'
-         metric snapshots (and golden artifacts) unchanged *)
+      (* counted here only, once per failover; interned on the first
+         one, keeping crash-free runs' metric snapshots (and golden
+         artifacts) unchanged *)
       Sim.Metrics.incr
         (Sim.Metrics.counter t.metrics "client_failovers_total");
       t.dc <- dc;

@@ -43,23 +43,6 @@ type t = {
   m_restorations : Sim.Metrics.counter;
 }
 
-let suspected t ~observer ~dc = t.views.(observer).suspected.(dc)
-
-(* The leader this observer's Ω outputs: first non-suspected DC starting
-   from the configured home leader (same rule as [Replica.preferred_leader],
-   evaluated on the detector's view). *)
-let preferred t ~observer =
-  let n = Config.dcs t.cfg in
-  let home = t.cfg.Config.leader_dc in
-  let v = t.views.(observer) in
-  let rec go k =
-    if k >= n then home
-    else
-      let dc = (home + k) mod n in
-      if v.suspected.(dc) then go (k + 1) else dc
-  in
-  go 0
-
 let suspicions t = t.suspicions
 let false_suspicions t = t.false_suspicions
 let restorations t = t.restorations

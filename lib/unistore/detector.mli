@@ -30,13 +30,6 @@ val crash : t -> dc:int -> unit
     on their own once its pings resume. *)
 val revive : t -> dc:int -> unit
 
-(** Does [observer]'s Ω currently suspect [dc]? *)
-val suspected : t -> observer:int -> dc:int -> bool
-
-(** The leader [observer]'s Ω outputs: first non-suspected DC starting
-    from the configured home leader. *)
-val preferred : t -> observer:int -> int
-
 (** Total suspicion transitions (including re-suspicions). *)
 val suspicions : t -> int
 

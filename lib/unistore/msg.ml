@@ -99,7 +99,7 @@ type t =
      message carries every transaction of [origin]'s stream with
      timestamp in (from_ts, last]. A receiver whose frontier for
      [origin] is below [from_ts] has a gap and must not jump — it
-     repairs instead (see Replica.handle_replicate). Overstating
+     repairs instead (see Replication.handle_replicate). Overstating
      [from_ts] is safe (spurious repair); understating it would hide a
      gap, so senders derive it from what they actually shipped/retained,
      never from a belief about the receiver. *)
@@ -108,7 +108,7 @@ type t =
   (* Origin-scoped repair pull: backfill exactly the window
      (vec_from, upto] of [origin]'s stream from whoever holds it (the
      origin itself or any sibling — GC floors guarantee retention, see
-     Replica.prune_committed). [sq] tags the attempt so replies from an
+     Replication.prune_committed). [sq] tags the attempt so replies from an
      abandoned target are discarded after deadline failover. *)
   | Repair_request of {
       from : addr;

@@ -1,0 +1,529 @@
+(* Recovery: the replica's write-ahead log and snapshots (node-level
+   persistence, DESIGN.md §4g), the catch-up after a DC rejoin over the
+   WAN (§4e), and the restart of one node from its own disk. Both
+   catch-ups end the same way: the ordinary replication stream plus gap
+   repair, until [sync_complete].                                       *)
+
+open Replica_state
+
+(* On-disk record sizes (the disk's bandwidth charge), with the same
+   per-element weights as the wire estimator in [Msg]. *)
+let wal_record_bytes = function
+  | W_genesis -> 8
+  | W_prepare p -> 24 + Msg.writes_bytes p.pc_writes
+  | W_commit tx -> 8 + Msg.tx_bytes tx
+  | W_replicate (_, txs, _) ->
+      List.fold_left (fun acc tx -> acc + Msg.tx_bytes tx) 24 txs
+  | W_strong (txs, _) ->
+      List.fold_left (fun acc tx -> acc + Msg.tx_bytes tx) 16 txs
+  | W_decide (_, vec, _, _) -> 32 + Msg.vc_bytes vec
+  | W_cert (Cert.E_ballot _) -> 24
+  | W_cert (Cert.E_accept p) -> 8 + Msg.prepared_bytes p
+
+let node_snapshot_bytes ns =
+  let txs_bytes l = List.fold_left (fun acc tx -> acc + Msg.tx_bytes tx) 8 l in
+  List.fold_left
+    (fun acc (_, es) ->
+      List.fold_left
+        (fun acc (e : Store.Oplog.entry) -> acc + 24 + Msg.vc_bytes e.vec)
+        (acc + 8) es)
+    8 ns.ns_oplog
+  + Msg.vc_bytes ns.ns_known
+  + List.fold_left
+      (fun acc p -> acc + 32 + Msg.writes_bytes p.pc_writes)
+      8 ns.ns_prepared
+  + Array.fold_left (fun acc l -> acc + txs_bytes l) 8 ns.ns_committed
+  + txs_bytes ns.ns_propagated
+  + Array.fold_left
+      (fun acc l -> acc + 8 + (16 * List.length l))
+      8 ns.ns_frontier_tids
+  + (8 * Array.length ns.ns_frontier_ts)
+  + 8
+  + List.fold_left
+      (fun acc (_, (vec, _, _)) -> acc + 32 + Msg.vc_bytes vec)
+      8 ns.ns_decisions
+  + (match ns.ns_cert with
+    | None -> 8
+    | Some (_, _, ps) ->
+        List.fold_left (fun acc p -> acc + Msg.prepared_bytes p) 24 ps)
+
+(* Attach the simulated disk and route certification's durable events
+   ([Cert.set_log]) into it. [System] calls this — after [make_cert] —
+   when [Config.persistence] is set. *)
+let enable_persistence t =
+  let w =
+    Store.Wal.create ~eng:t.eng
+      ~metrics:
+        ( t.metrics,
+          [ ("dc", string_of_int t.dc); ("part", string_of_int t.part) ] )
+      ~size:wal_record_bytes
+      ~snap_size:node_snapshot_bytes ()
+  in
+  t.disk <- Some w;
+  (* the node boots with empty state, so a from-scratch log is complete *)
+  ignore (Store.Wal.append w W_genesis);
+  match t.cert with
+  | Some c ->
+      Cert.set_log c (fun ev ~k -> ignore (Store.Wal.append w ~k (W_cert ev)))
+  | None -> ()
+
+(* Copy-out of everything a restart needs. Shared immutable structure
+   (tx records, oplog entries and their commit vectors) is retained by
+   reference — in particular a transaction's oplog entries keep sharing
+   its record's vector array, which [handle_sync_request] relies on to
+   recognise unpropagated commits physically. *)
+let snapshot_of t =
+  {
+    ns_oplog =
+      List.map
+        (fun key -> (key, Store.Oplog.entries t.oplog key))
+        (Store.Oplog.keys t.oplog);
+    ns_known = Vc.copy t.known_vec;
+    ns_prepared = t.prepared_causal;
+    ns_committed = Array.map (fun q -> !q) t.committed_causal;
+    ns_propagated = !(t.propagated_log);
+    ns_last_prep = t.last_prep_ts;
+    ns_frontier_tids = Array.copy t.frontier_tids;
+    ns_frontier_ts = Array.copy t.frontier_ts;
+    ns_decisions =
+      Hashtbl.fold
+        (fun tid (_, vec, lc, origin) acc -> (tid, (vec, lc, origin)) :: acc)
+        t.coord_decisions [];
+    ns_cert =
+      (match t.cert with Some c -> Some (Cert.persistent_state c) | None -> None);
+  }
+
+(* Snapshot the state as of every append issued so far: memory runs
+   ahead of the disk, so the image covers all records below the current
+   sequence — the WAL truncates there once the write lands. *)
+let take_snapshot t =
+  match t.disk with
+  | None -> ()
+  | Some w -> Store.Wal.snapshot w ~seq:(Store.Wal.next_seq w - 1) (snapshot_of t)
+
+(* ------------------------------------------------------------------ *)
+(* Catch-up after a DC rejoin or a node restart: the snapshot transfer,
+   then the ordinary replication stream and gap repair (tentpole of the
+   crash-recovery subsystem; see DESIGN.md §4e).                        *)
+
+let zero_vec t v =
+  for i = 0 to dcs t - 1 do
+    Vc.set v i 0
+  done;
+  Vc.set_strong v 0
+
+(* A peer DC rejoined with empty state: forget everything its pre-crash
+   gossip claimed it stored, so the causal buffers and decided logs are
+   retained for it until its fresh vectors arrive. *)
+let reset_peer_view t ~dc =
+  if dc <> t.dc then begin
+    zero_vec t t.global_matrix.(dc);
+    zero_vec t t.stable_matrix.(dc)
+  end
+
+(* Everything a crash destroys. The clocks, rid/heartbeat counters and
+   the lifetime metrics survive (restarted processes keep their
+   identity); everything else restarts empty and is rebuilt by the
+   catch-up. Ω's suspicions are reset once per recovery by the callers,
+   not on every snapshot attempt. *)
+let wipe_state t =
+  Store.Oplog.clear t.oplog;
+  List.iter (zero_vec t)
+    [ t.known_vec; t.durable_known; t.stable_vec; t.uniform_vec ];
+  Array.iter (zero_vec t) t.local_agg;
+  Array.iter (zero_vec t) t.stable_matrix;
+  Array.iter (zero_vec t) t.global_matrix;
+  t.prepared_causal <- [];
+  t.propagated_log := [];
+  t.last_prep_ts <- 0;
+  t.propagated_upto <- 0;
+  for i = 0 to dcs t - 1 do
+    t.committed_causal.(i) := [];
+    t.frontier_tids.(i) <- [];
+    t.frontier_ts.(i) <- -1;
+    t.pending_vis.(i) := [];
+    (let r = t.repair.(i) in
+     r.r_active <- false;
+     r.r_upto <- 0;
+     r.r_attempt <- 0;
+     r.r_stalled <- 0;
+     r.r_mark <- 0)
+  done;
+  Hashtbl.reset t.txns;
+  Hashtbl.reset t.pending_cert;
+  Sim.Heap.clear t.wait_known_local;
+  Sim.Heap.clear t.wait_known_strong;
+  Sim.Heap.clear t.wait_uniform_local;
+  t.waiters <- []
+
+(* Ask an eligible sibling for the snapshot, rotating the peer across
+   attempts. Any partially applied chunks from an abandoned attempt are
+   discarded by re-wiping; stale chunks still in flight are dropped by
+   the [sq] check. *)
+let request_snapshot t s =
+  s.s_sq <- s.s_sq + 1;
+  s.s_progress <- false;
+  wipe_state t;
+  match Replication.eligible_peers t with
+  | [] -> ()  (* nobody to sync from; the retry tick keeps looking *)
+  | peers ->
+      let peer = List.nth peers (s.s_sq mod List.length peers) in
+      Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-request"
+        "snapshot from dc%d (attempt %d)" peer s.s_sq;
+      send t (sibling t peer)
+        (Msg.Sync_request { from = t.addr; part = t.part; sq = s.s_sq })
+
+let request_cert_state t =
+  match t.cert with
+  | None -> ()
+  | Some c ->
+      (* broadcast: only the group leader answers, and a stale trust view
+         cannot say who that is right now. Carry our durable ballot so a
+         leader still working below it (we crashed mid-election and our
+         WAL kept the higher promise) knows to re-elect above it rather
+         than answer with a [New_state] we are bound to refuse. *)
+      let ballot = Cert.ballot c in
+      List.iter
+        (fun i ->
+          send t (sibling t i) (Msg.State_request { from = t.addr; ballot }))
+        (Replication.live_peers t)
+
+(* Tell every live sibling how far we hold each stream. Besides pinning
+   their GC floors, this is our answer to a sibling that is catching up
+   itself (see [sync_complete]): our periodic gossip is down until we
+   finish, so the retry tick re-sends it. *)
+let gossip_known t =
+  List.iter
+    (fun i ->
+      send t (sibling t i)
+        (Msg.Knownvec_global { dc = t.dc; vec = Stabilisation.gc_claim t }))
+    (Replication.live_peers t)
+
+let cert_caught_up t =
+  match t.cert with
+  | None -> true
+  | Some c -> (
+      match Cert.status c with
+      | Cert.Leader | Cert.Follower -> true
+      | Cert.Recovering | Cert.Restoring -> false)
+
+(* Caught up once the snapshot is installed, the certification member
+   re-entered its group, and every live sibling has told us how far it
+   holds our own stream — and we hold that much again
+   ([handle_knownvec_global] repairs the difference). A sibling that Ω
+   suspects before it told us is not waited for: a partitioned sibling
+   must not stall the rejoin. One that told us is waited for even when
+   suspected, since it holds commits of ours: finishing without them
+   would restart our stream below them, and our first heartbeat would
+   tell every sibling lacking them that the window was empty. Nothing
+   else is waited for: the other origins' windows above the frontier
+   are filled by gap repair as soon as their stream shows them, and
+   waiting for a third party's view of some origin livelocks against
+   frontiers that heartbeats keep advancing. The claims about our own
+   stream stand still while we are out of service, so they cannot run
+   away. *)
+let sync_complete t s =
+  let own = Vc.get t.known_vec t.dc in
+  (not s.s_snapshot)
+  && cert_caught_up t
+  && List.for_all
+       (fun i ->
+         if List.mem i s.s_heard then Vc.get t.global_matrix.(i) t.dc <= own
+         else List.mem i t.suspected)
+       (Replication.live_peers t)
+
+(* Leave the catch-up; [s_done] then resumes normal operation. *)
+let finish_sync t s =
+  t.sync <- None;
+  let took = now t - s.s_started in
+  Sim.Metrics.observe (Sim.Metrics.histogram t.metrics "dc_catchup_us") took;
+  Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-done"
+    "caught up in %d us" took;
+  (* re-seed the disk: a full snapshot makes the log replayable again
+     (after a WAN rejoin the installed base never hit the WAL), and
+     marks everything recovered as durable *)
+  if persistent t then begin
+    take_snapshot t;
+    Vc.merge_into t.durable_known t.known_vec
+  end;
+  (* Re-seed the outgoing stream position at the recovered frontier:
+     everything at or below it is held first-hand (snapshot, WAL replay
+     or repaired into [propagated_log]), and every commit above it is
+     still queued, so the first post-recovery batch honestly covers
+     (frontier, batch-last]. Receivers ahead of the boundary dedup;
+     receivers behind it trip the gap check and repair from us. *)
+  t.propagated_upto <- Vc.get t.known_vec t.dc;
+  s.s_done ()
+
+(* Serve a snapshot to a rejoining sibling: every oplog entry except the
+   writes of our own not-yet-propagated commits, which sit above the cut
+   (our knownVec) and reach the rejoiner through ordinary replication.
+   Those entries are recognised physically: a pending transaction's oplog
+   entries share its record's commit-vector array. *)
+let handle_sync_request t ~from ~part ~sq =
+  if part = t.part && not (is_syncing t) then begin
+    let cut = Vc.copy t.known_vec in
+    let pending = !(t.committed_causal.(t.dc)) in
+    let unpropagated vec =
+      List.exists (fun tx -> tx.Types.tx_vec == vec) pending
+    in
+    let chunk = ref [] and n = ref 0 in
+    let flush ~last =
+      send t from
+        (Msg.Sync_store
+           { sq; entries = List.rev !chunk; last; cut = Vc.copy cut });
+      chunk := [];
+      n := 0
+    in
+    List.iter
+      (fun key ->
+        List.iter
+          (fun (e : Store.Oplog.entry) ->
+            if not (unpropagated e.vec) then begin
+              chunk := (key, e.op, e.vec, e.tag) :: !chunk;
+              incr n;
+              if !n >= catchup_chunk then flush ~last:false
+            end)
+          (Store.Oplog.entries t.oplog key))
+      (Store.Oplog.keys t.oplog);
+    flush ~last:true
+  end
+
+let handle_sync_store t ~sq ~entries ~last ~cut =
+  match t.sync with
+  | Some s when s.s_snapshot && s.s_sq = sq ->
+      s.s_progress <- true;
+      List.iter
+        (fun (key, op, vec, tag) -> Store.Oplog.append t.oplog key ~op ~vec ~tag)
+        entries;
+      if last then begin
+        (* install the cut: the store now materialises everything below
+           it, so it becomes the replication frontier, the floor for new
+           prepare timestamps and the delivery frontier of the
+           certification member *)
+        Vc.merge_into t.known_vec cut;
+        t.last_prep_ts <- Vc.get cut t.dc;
+        observe_clock t (Vc.get cut t.dc);
+        observe_clock t (Vc.strong cut);
+        (match t.cert with
+        | Some c -> Cert.begin_rejoin c ~delivered:(Vc.strong cut)
+        | None -> ());
+        s.s_snapshot <- false;
+        Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-snapshot"
+          "installed cut %a" Vc.pp cut;
+        request_cert_state t;
+        gossip_known t
+      end
+  | _ -> ()  (* stale chunk from an abandoned attempt *)
+
+(* What a replica admits while catching up. The snapshot phase admits
+   snapshot chunks only. The replication stream is dropped there, not
+   buffered: the cut covers everything the stream carried up to it, and
+   the first message whose window starts above the cut trips the
+   continuity check and is repaired. After the snapshot everything
+   needed to converge is admitted — the stream, repair replies, gossip,
+   certification — but no client requests (the client's failover
+   handles those) and no intra-DC transaction traffic. *)
+let sync_admits s msg =
+  match msg with
+  | Msg.Sync_store _ -> true
+  | _ when s.s_snapshot -> false
+  | Msg.C_start _ | Msg.C_read _ | Msg.C_update _ | Msg.C_commit_causal _
+  | Msg.C_commit_strong _ | Msg.C_uniform_barrier _ | Msg.C_attach _
+  | Msg.C_failover _ | Msg.C_resubmit_strong _ | Msg.Get_version _
+  | Msg.Version _ | Msg.Prepare _ | Msg.Prepare_ack _ | Msg.Commit _ ->
+      false
+  | _ -> true
+
+let make_sync t ~wan ~resume =
+  let s =
+    {
+      s_wan = wan;
+      s_snapshot = wan;
+      s_sq = 0;
+      s_progress = false;
+      s_heard = [];
+      s_started = now t;
+      s_done = resume;
+    }
+  in
+  t.sync <- Some s;
+  s
+
+(* The retry tick driving the catch-up until it completes: rotate a
+   snapshot source that sent nothing since the last tick, re-ask for the
+   certification state, re-send our claims to siblings that are
+   catching up too. *)
+let arm_sync_retry t s =
+  let period = 500_000 in
+  Engine.every t.eng ~label:(task_label t "sync") ~period ~phase:(t.uid * 13 mod period) (fun () ->
+      match t.sync with
+      | Some s' when s' == s && alive t -> (
+          (if s.s_snapshot then begin
+             (* no chunk since the last tick: the peer died, refused, or
+                sits behind a partition; rotate to the next one *)
+             if s.s_progress then s.s_progress <- false
+             else request_snapshot t s
+           end
+           else if sync_complete t s then finish_sync t s
+           else begin
+             if not (cert_caught_up t) then request_cert_state t;
+             gossip_known t
+           end);
+          match t.sync with Some s' when s' == s -> true | _ -> false)
+      | _ -> false)
+
+(* Re-enter the system after the DC recovered: wipe what the crash
+   destroyed, park the certification member in Recovering, and fetch a
+   snapshot off the retry tick. The periodic tasks stay down until
+   [resume] re-arms them. *)
+let begin_rejoin t ~resume =
+  t.timer_gen <- t.timer_gen + 1;
+  t.suspected <- [];
+  let s = make_sync t ~wan:true ~resume in
+  (match t.cert with
+  | Some c -> Cert.begin_rejoin c ~delivered:0
+  | None -> ());
+  request_snapshot t s;
+  arm_sync_retry t s
+
+(* ------------------------------------------------------------------ *)
+(* Node-level crash/restart: recover from the replica's own disk, then
+   catch up like a rejoiner past its snapshot (tentpole of the
+   persistence subsystem; DESIGN.md §4g). Distinct from the whole-DC
+   path above: the disk survives, so no WAN snapshot transfer is
+   needed.                                                              *)
+
+(* The process dies: timers retire, a running catch-up is abandoned, and
+   un-fsynced WAL appends are lost (the in-flight head may tear). The
+   network side ([Network.fail_node]) is driven by [System].            *)
+let crash_node t =
+  t.timer_gen <- t.timer_gen + 1;
+  t.sync <- None;
+  Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"node-crash" "process down";
+  match t.disk with Some w -> Store.Wal.crash w | None -> ()
+
+let install_snapshot t ns =
+  List.iter
+    (fun (key, es) ->
+      (* [Oplog.entries] lists newest first; re-append oldest first *)
+      List.iter
+        (fun (e : Store.Oplog.entry) ->
+          Store.Oplog.append t.oplog key ~op:e.op ~vec:e.vec ~tag:e.tag)
+        (List.rev es))
+    ns.ns_oplog;
+  Vc.merge_into t.known_vec ns.ns_known;
+  t.prepared_causal <-
+    List.map (fun p -> { p with pc_at = now t }) ns.ns_prepared;
+  Array.iteri (fun i l -> t.committed_causal.(i) := l) ns.ns_committed;
+  t.propagated_log := ns.ns_propagated;
+  t.last_prep_ts <- ns.ns_last_prep;
+  Array.iteri (fun i l -> t.frontier_tids.(i) <- l) ns.ns_frontier_tids;
+  Array.iteri (fun i v -> t.frontier_ts.(i) <- v) ns.ns_frontier_ts;
+  List.iter
+    (fun (tid, (vec, lc, origin)) ->
+      Hashtbl.replace t.coord_decisions tid (now t, vec, lc, origin))
+    ns.ns_decisions
+
+(* Replay one WAL record on top of the snapshot. Applied-state records
+   re-run the ordinary apply paths (their dedup makes replay idempotent
+   against the snapshot); certification events fold into [cert_acc] for
+   a single [Cert.restart] at the end. History is not re-recorded — the
+   checker's log survives the process. *)
+let replay_record t cert_acc = function
+  | W_genesis -> ()
+  | W_prepare p ->
+      t.prepared_causal <- { p with pc_at = now t } :: t.prepared_causal;
+      t.last_prep_ts <- max t.last_prep_ts p.pc_ts;
+      observe_clock t p.pc_ts
+  | W_commit tx -> Causal_txn.apply_commit t tx
+  | W_replicate (origin, txs, from_ts) ->
+      Replication.handle_replicate t ~origin ~txs ~from_ts
+  | W_strong (txs, strong_ts) -> Strong_coord.deliver_strong t txs ~strong_ts
+  | W_decide (tid, vec, lc, origin) ->
+      Hashtbl.replace t.coord_decisions tid (now t, vec, lc, origin)
+  | W_cert (Cert.E_ballot { b; cb }) ->
+      let bal, cbal, prepared = !cert_acc in
+      cert_acc := (max bal b, max cbal cb, prepared)
+  | W_cert (Cert.E_accept p) ->
+      let bal, cbal, prepared = !cert_acc in
+      let prepared =
+        p
+        :: List.filter
+             (fun (q : Msg.prepared_strong) ->
+               not (Types.tid_equal q.Msg.ps_tid p.Msg.ps_tid))
+             prepared
+      in
+      cert_acc := (bal, cbal, prepared)
+
+(* Restart from the node's own disk: replay snapshot + WAL tail, hand
+   certification its durable promises back, then catch up what was
+   missed while down exactly as a rejoiner does past its snapshot — a
+   clean node restart ships zero WAN snapshot bytes. Falls back to the
+   WAN rejoin when the disk holds nothing (first boot after a scrub).
+   Like a rejoiner, the restarted process starts with no suspicions. *)
+let restart_from_disk t ~resume =
+  Sim.Metrics.incr (Sim.Metrics.counter t.metrics "node_restarts_total");
+  t.suspected <- [];
+  match t.disk with
+  | None -> begin_rejoin t ~resume
+  | Some w -> (
+      match Store.Wal.recover w with
+      | None, [] ->
+          Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"node-restart"
+            "disk empty; falling back to WAN rejoin";
+          begin_rejoin t ~resume
+      | None, tail when not (List.mem W_genesis tail) ->
+          (* a base-less log: the re-seeding snapshot after a scrub or
+             WAN rejoin never installed, so the tail alone cannot
+             rebuild the state *)
+          Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"node-restart"
+            "disk has no recoverable base; falling back to WAN rejoin";
+          Store.Wal.scrub w;
+          begin_rejoin t ~resume
+      | snap, tail ->
+          t.timer_gen <- t.timer_gen + 1;
+          wipe_state t;
+          Hashtbl.reset t.coord_decisions;
+          t.replaying <- true;
+          let local_bytes = ref 0 in
+          (match snap with
+          | Some ns ->
+              local_bytes := node_snapshot_bytes ns;
+              install_snapshot t ns
+          | None -> ());
+          let cert_acc =
+            ref
+              (match snap with
+              | Some { ns_cert = Some st; _ } -> st
+              | _ -> (0, 0, []))
+          in
+          List.iter
+            (fun r ->
+              local_bytes := !local_bytes + wal_record_bytes r;
+              replay_record t cert_acc r)
+            tail;
+          t.replaying <- false;
+          (* everything recovered is on disk by definition *)
+          Vc.merge_into t.durable_known t.known_vec;
+          Sim.Metrics.incr
+            ~by:(List.length tail)
+            (Sim.Metrics.counter t.metrics "replay_entries_total");
+          Sim.Metrics.incr ~by:!local_bytes
+            (Sim.Metrics.counter t.metrics "local_catchup_bytes_total");
+          observe_clock t (Vc.get t.known_vec t.dc);
+          observe_clock t (Vc.strong t.known_vec);
+          Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"node-restart"
+            "replayed %d entries on top of %s; catching up"
+            (List.length tail)
+            (match snap with Some _ -> "a snapshot" | None -> "an empty disk");
+          (match t.cert with
+          | Some c ->
+              let ballot, cballot, prepared = !cert_acc in
+              Cert.restart c ~ballot ~cballot ~prepared
+                ~delivered:(Vc.strong t.known_vec)
+          | None -> ());
+          let s = make_sync t ~wan:false ~resume in
+          request_cert_state t;
+          gossip_known t;
+          arm_sync_retry t s)

@@ -1,0 +1,19 @@
+(** Write-ahead log and snapshots, WAN rejoin of a recovered DC, and
+    node restart from disk. [resume] restarts normal service once the
+    catch-up completes. *)
+
+open Replica_state
+
+val enable_persistence : t -> unit
+val take_snapshot : t -> unit
+val reset_peer_view : t -> dc:int -> unit
+val sync_complete : t -> sync_state -> bool
+val finish_sync : t -> sync_state -> unit
+val handle_sync_request : t -> from:Msg.addr -> part:int -> sq:int -> unit
+val handle_sync_store :
+  t -> sq:int -> entries:(Store.Keyspace.key * Crdt.op * Vc.t * Crdt.tag) list ->
+  last:bool -> cut:Vc.t -> unit
+val sync_admits : sync_state -> Msg.t -> bool
+val begin_rejoin : t -> resume:(unit -> unit) -> unit
+val crash_node : t -> unit
+val restart_from_disk : t -> resume:(unit -> unit) -> unit

@@ -3,6 +3,8 @@
     (A4), the stableVec/uniformVec metadata protocol (A5), uniform
     barriers and attach (§5.6), and the coordinator side of strong
     certification (A6–A7). Group-member certification lives in {!Cert}.
+    Each algorithm lives in a private module of this library; this
+    interface is the replica's only entry point.
 
     Replicas are built and wired by {!System}; tests and benches reach
     the accessors. *)
@@ -32,10 +34,8 @@ val create :
   t
 
 val dc_of : t -> int
-val part_of : t -> int
 val set_addr : t -> Msg.addr -> unit
 val set_env : t -> env -> unit
-val addr : t -> Msg.addr
 
 (** Instantiate this replica's per-partition certification group
     membership (not used under REDBLUE). *)
@@ -119,10 +119,6 @@ val committed_backlog : t -> origin:int -> int
     flight. *)
 val repair_active : t -> origin:int -> bool
 
-(** The continuity boundary ([from_ts]) the next outgoing replication
-    batch or heartbeat will carry. *)
-val propagated_upto : t -> int
-
 (** {2 Node-level persistence ([Config.persistence])}
 
     Each replica process owns a simulated disk ({!Store.Wal}): a
@@ -159,10 +155,6 @@ val set_disk_slow : t -> factor:int -> unit
 (** Arm a deterministic torn tail for the next crash (tests/benches). *)
 val tear_disk_next : t -> unit
 
-(** Force a snapshot + WAL truncate now (tests; normally periodic on
-    [Config.snapshot_interval_us]). *)
-val take_snapshot : t -> unit
-
 (** {2 State accessors (tests, benches, convergence checks)} *)
 
 val oplog : t -> Store.Oplog.t
@@ -172,9 +164,4 @@ val oplog : t -> Store.Oplog.t
 val pending_strong : t -> int
 
 val known_vec : t -> Vclock.Vc.t
-val stable_vec : t -> Vclock.Vc.t
 val uniform_vec : t -> Vclock.Vc.t
-val stable_matrix_dbg : t -> Vclock.Vc.t array
-
-(** The replica's local clock (physical + skew, or hybrid). *)
-val clock : t -> int

@@ -1,0 +1,459 @@
+(* Replication, heartbeats, forwarding (Algorithm A4), and the
+   stream-continuity machinery that makes them gap-detecting: every
+   frontier-advancing message carries [from_ts], the boundary its sender
+   vouches contiguity from, and a receiver whose frontier sits below
+   the boundary refuses the jump and pulls the missing window
+   through [Repair_request]/[Repair_log] instead.                       *)
+
+open Replica_state
+
+(* Deadline of one repair round: a source that has not answered within
+   it is rotated away from, so a partitioned or gray-degraded peer
+   cannot stall a repair, nor the catch-up of a rejoining or restarted
+   replica. *)
+let repair_round_us = 300_000
+
+(* A batch of [origin]'s stream in stream order. *)
+let sort_by_origin origin txs =
+  List.sort
+    (fun a b ->
+      compare (Vc.get a.Types.tx_vec origin) (Vc.get b.Types.tx_vec origin))
+    txs
+
+let live_peers t =
+  List.init (dcs t) Fun.id
+  |> List.filter (fun i -> i <> t.dc && not (Network.dc_failed t.net i))
+
+(* Live siblings not suspected by Ω — all live ones when Ω suspects
+   every sibling (a total partition of this replica): the deadline that
+   rotates the choice keeps probing, and whichever peer heals first
+   answers. *)
+let eligible_peers t =
+  let live = live_peers t in
+  match List.filter (fun i -> not (List.mem i t.suspected)) live with
+  | [] -> live
+  | l -> l
+
+(* Start (or rotate) a repair pull round for [origin]'s stream: ask the
+   origin itself first — it always holds its own history — then rotate
+   over live siblings (GC floors pin retention above our own gossiped
+   claim, so any sibling holds the window it vouches for). *)
+let rec start_repair_round t origin =
+  let r = t.repair.(origin) in
+  let eligible = eligible_peers t in
+  let candidates =
+    if List.mem origin eligible then
+      origin :: List.filter (fun i -> i <> origin) eligible
+    else eligible
+  in
+  match candidates with
+  | [] -> r.r_active <- false  (* nobody to ask; re-armed on the next gap *)
+  | cs ->
+      r.r_active <- true;
+      t.repair_ctr <- t.repair_ctr + 1;
+      r.r_sq <- t.repair_ctr;
+      r.r_attempt <- r.r_attempt + 1;
+      r.r_mark <- Vc.get t.known_vec origin;
+      Sim.Metrics.incr
+        (Sim.Metrics.counter t.metrics "repair_pull_rounds_total");
+      let target = List.nth cs ((r.r_attempt - 1) mod List.length cs) in
+      let vec_from = Vc.get t.known_vec origin in
+      Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"repair-round"
+        "pull dc%d's stream (%d, %d] from dc%d (round %d)" origin vec_from
+        r.r_upto target r.r_sq;
+      send t (sibling t target)
+        (Msg.Repair_request
+           { from = t.addr; origin; vec_from; upto = r.r_upto; sq = r.r_sq });
+      let sq = r.r_sq in
+      Engine.schedule t.eng ~delay:repair_round_us
+        (fun () ->
+          (* round still open at the deadline: the target is lossy,
+             partitioned or gone — count a stall and rotate, or park
+             after every candidate had a fair shot *)
+          if alive t && r.r_active && r.r_sq = sq then begin
+            r.r_stalled <- r.r_stalled + 1;
+            if r.r_stalled > 2 * max 1 (List.length (live_peers t)) then begin
+              r.r_active <- false;
+              Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"repair-park"
+                "repair of dc%d's stream parked at %d (upto %d): no source \
+                 can serve the window"
+                origin
+                (Vc.get t.known_vec origin)
+                r.r_upto
+            end
+            else start_repair_round t origin
+          end)
+
+(* A continuity break in [origin]'s stream: refuse the jump, account it,
+   remember the claimed frontier and (outside WAL replay) start the
+   repair. Detections while a repair is already in flight only raise the
+   target. *)
+let note_gap t ~origin ~floor ~from_ts ~claimed =
+  Sim.Metrics.incr
+    (Sim.Metrics.counter t.metrics "replicate_gap_detected_total");
+  Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"replicate-gap"
+    "dc%d's stream jumps (%d, %d] but our floor is %d: repairing instead \
+     of trusting"
+    origin from_ts claimed floor;
+  let r = t.repair.(origin) in
+  if claimed > r.r_upto then r.r_upto <- claimed;
+  if (not r.r_active) && (not t.replaying) && alive t then begin
+    r.r_attempt <- 0;
+    r.r_stalled <- 0;
+    start_repair_round t origin
+  end
+
+let propagate_local_txs t =
+  (* the batch below carries exactly our stream window
+     (propagated_upto, new]: every queued commit's timestamp exceeds the
+     position shipped last tick (prepare timestamps exceed the frontier
+     at prepare time and earlier propagations shipped everything at or
+     below it), so [propagated_upto] is an honest continuity boundary
+     for every destination — and it is also exactly the frontier a
+     receiver of the previous message holds (last batch timestamp after
+     a [Replicate], claimed frontier after a [Heartbeat]), so a
+     contiguous stream never trips the gap check *)
+  let prev = t.propagated_upto in
+  (match t.prepared_causal with
+  | [] -> Vc.bump t.known_vec t.dc (clock t)
+  | ps ->
+      let min_ts =
+        List.fold_left (fun acc p -> min acc p.pc_ts) max_int ps
+      in
+      Vc.bump t.known_vec t.dc (min_ts - 1));
+  let q = t.committed_causal.(t.dc) in
+  let ready, keep =
+    List.partition
+      (fun tx -> Vc.get tx.Types.tx_vec t.dc <= Vc.get t.known_vec t.dc)
+      !q
+  in
+  q := keep;
+  let ready = sort_by_origin t.dc ready in
+  for i = 0 to dcs t - 1 do
+    if i <> t.dc then
+      if ready <> [] then
+        send t (sibling t i)
+          (Msg.Replicate { origin = t.dc; txs = ready; from_ts = prev })
+      else
+        send t (sibling t i)
+          (Msg.Heartbeat
+             { origin = t.dc; ts = Vc.get t.known_vec t.dc; from_ts = prev })
+  done;
+  (* advance the stream position to what receivers will now hold — and
+     never move it back: WAL replay re-queues every tail commit, even
+     ones the previous incarnation already propagated (peers prune fully
+     covered entries from their relay buffers, so the rejoin pull cannot
+     redeliver and dequeue them), and re-shipping such a batch must not
+     regress the boundary below commits the receivers provably hold, or
+     the next heartbeat claims their window empty and receivers jump
+     clean over them *)
+  t.propagated_upto <-
+    max t.propagated_upto
+      (match List.rev ready with
+      | last :: _ -> Vc.get last.Types.tx_vec t.dc
+      | [] -> Vc.get t.known_vec t.dc);
+  (* retain what was just shipped: rejoiners catch up on our history
+     from this log (nobody else may hold our full frontier) *)
+  if ready <> [] then
+    t.propagated_log := List.rev_append ready !(t.propagated_log);
+  flush_wait t.wait_known_local ~frontier:(Vc.get t.known_vec t.dc)
+
+(* Apply a contiguous batch of [origin]'s stream, in stream order:
+   dedup against the frontier, materialize the writes, queue for
+   forwarding (or re-retain own history), advance the frontier, log the
+   batch. Shared by the direct stream ([handle_replicate]) and the
+   repair path ([handle_repair_log]) — idempotence comes from the
+   tid-at-frontier dedup, so overlapping deliveries are safe. *)
+let apply_batch t ~origin ~from_ts txs =
+  let txs = sort_by_origin origin txs in
+  List.iter
+    (fun tx ->
+      let ts = Vc.get tx.Types.tx_vec origin in
+      (* An own-origin transaction still sitting in the pending
+         propagation queue was restored there by WAL replay
+         ([W_commit]) — already applied to the store, but below nothing
+         the frontier records, because replay cannot know how far the
+         previous incarnation propagated. A repair of our own stream
+         redelivering it proves a peer holds it: move it to the
+         propagated log (it must be servable to repair pulls) instead of
+         applying it twice. *)
+      let restored_own =
+        origin = t.dc
+        &&
+        let q = t.committed_causal.(t.dc) in
+        match
+          List.partition
+            (fun r -> Types.tid_equal r.Types.tx_tid tx.Types.tx_tid)
+            !q
+        with
+        | [], _ -> false
+        | _, rest ->
+            q := rest;
+            true
+      in
+      (* below the frontier = duplicate; equal-timestamp siblings of the
+         last applied transaction dedup by tid *)
+      let fresh =
+        restored_own
+        || ts > Vc.get t.known_vec origin
+        || (ts = t.frontier_ts.(origin)
+           && not
+                (List.exists
+                   (Types.tid_equal tx.Types.tx_tid)
+                   t.frontier_tids.(origin)))
+      in
+      if fresh then begin
+        (* [frontier_ts]/[frontier_tids] track the highest applied
+           timestamp; backfill below it must not clobber the tracking *)
+        if ts > t.frontier_ts.(origin) then begin
+          t.frontier_ts.(origin) <- ts;
+          t.frontier_tids.(origin) <- []
+        end;
+        if ts >= t.frontier_ts.(origin) then
+          t.frontier_tids.(origin) <-
+            tx.Types.tx_tid :: t.frontier_tids.(origin);
+        if not restored_own then begin
+          let tag = Types.tx_tag tx in
+          List.iter
+            (fun w ->
+              Store.Oplog.append t.oplog w.Types.wkey ~op:w.Types.wop
+                ~vec:tx.Types.tx_vec ~tag)
+            tx.Types.tx_writes
+        end;
+        (* own-origin transactions only arrive here through a repair of
+           our own stream after a crash: they are our pre-crash history,
+           already propagated by our previous incarnation — retain them
+           without re-propagating, keep new prepare timestamps above them
+           (Property 1), and settle a replayed prepare whose commit
+           record the crash lost (the coordinator's answer to the orphan
+           query must not apply it a second time) *)
+        if origin = t.dc then begin
+          drop_prepared t tx.Types.tx_tid;
+          t.propagated_log := tx :: !(t.propagated_log);
+          t.last_prep_ts <- max t.last_prep_ts ts;
+          observe_clock t ts
+        end
+        else begin
+          let q = t.committed_causal.(origin) in
+          q := tx :: !q
+        end;
+        (* backfill below the frontier must not regress it *)
+        if ts > Vc.get t.known_vec origin then Vc.set t.known_vec origin ts;
+        if
+          t.cfg.Config.measure_visibility && t.part = 0 && origin <> t.dc
+          && (not t.replaying) && not (is_syncing t)
+        then begin
+          let pv = t.pending_vis.(origin) in
+          pv := (ts, now t) :: !pv
+        end
+      end)
+    txs;
+  if txs <> [] then log_async t (W_replicate (origin, txs, from_ts))
+
+let handle_replicate t ~origin ~txs ~from_ts =
+  Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"replicate"
+    "from dc%d: %d txs" origin (List.length txs);
+  let last =
+    List.fold_left
+      (fun acc tx -> max acc (Vc.get tx.Types.tx_vec origin))
+      from_ts txs
+  in
+  let floor = Vc.get t.known_vec origin in
+  if from_ts > floor && not t.replaying then
+    (* the batch starts above what we trust: applying it would jump the
+       frontier over entries we never saw (or never verified). Refuse it
+       wholesale — the repair pull re-fetches the whole window including
+       this batch, and applying without advancing would double-apply on
+       the overlap. WAL replay is exempt: every record was gap-checked when
+       it was accepted live, and heartbeat frontier jumps between
+       records are deliberately not logged, so the replayed frontier
+       legitimately trails the logged [from_ts] chain across windows
+       that were verified empty at acceptance time. *)
+    note_gap t ~origin ~floor ~from_ts ~claimed:last
+  else apply_batch t ~origin ~from_ts txs
+
+let handle_heartbeat t ~origin ~ts ~from_ts =
+  let floor = Vc.get t.known_vec origin in
+  if from_ts > floor then
+    (* heartbeats jump frontiers exactly like batches do (claiming the
+       window (from_ts, ts] holds no transactions): the same continuity
+       check applies, or a heartbeat racing ahead of a lost batch would
+       paper over the gap *)
+    note_gap t ~origin ~floor ~from_ts ~claimed:ts
+  else if ts > Vc.get t.known_vec origin then Vc.set t.known_vec origin ts
+
+(* Serve an origin-scoped repair pull: the retained transactions of
+   [origin]'s stream in (vec_from, upto], chunked with chained [from_ts]
+   boundaries, then a final chunk whose [covered] says how far our own
+   first-hand frontier vouches the window (the requester may jump there
+   even if the window held no transactions). GC floors guarantee
+   completeness: nothing above the requester's own gossiped claim — and
+   [vec_from] never exceeds it — is ever pruned. A replica that is
+   itself catching up must not serve (its log is still partial); the
+   requester's deadline rotates past us. *)
+let handle_repair_request t ~from ~origin ~vec_from ~sq =
+  if not (is_syncing t) then begin
+    let source =
+      if origin = t.dc then !(t.propagated_log) else !(t.committed_causal.(origin))
+    in
+    let vouch = Vc.get t.known_vec origin in
+    (* Serve everything we can vouch for above [vec_from] — deliberately
+       NOT capped at the requester's [upto]. The claim behind [upto] is
+       stale by at least the request's flight time, and while the origin
+       keeps producing, a repair capped there lands [covered] behind the
+       [from_ts] of the next in-FIFO stream message: the requester
+       refuses it, detects a fresh gap and pulls again — a perpetual
+       chase one round-trip behind the live edge. Serving to our current
+       frontier instead puts [covered] at or ahead of every
+       stream boundary the origin stamped before we served (its
+       [propagated_upto] never exceeds its frontier), so the next stream
+       message behind the reply on the same FIFO channel chains cleanly
+       and the stream re-links. [upto] still matters to the requester
+       (its done-check target); here it is unused. *)
+    let txs =
+      List.filter
+        (fun tx ->
+          let ts = Vc.get tx.Types.tx_vec origin in
+          ts > vec_from && ts <= vouch)
+        source
+    in
+    let txs = sort_by_origin origin txs in
+    let covered = if vouch >= vec_from then vouch else vec_from in
+    let rec split n acc = function
+      | rest when n = 0 -> (List.rev acc, rest)
+      | [] -> (List.rev acc, [])
+      | tx :: rest -> split (n - 1) (tx :: acc) rest
+    in
+    let rec ship from_ts txs =
+      let batch, rest = split catchup_chunk [] txs in
+      let batch_last =
+        List.fold_left
+          (fun acc tx -> max acc (Vc.get tx.Types.tx_vec origin))
+          from_ts batch
+      in
+      let last = rest = [] in
+      send t from
+        (Msg.Repair_log
+           {
+             origin;
+             txs = batch;
+             from_ts;
+             covered = (if last then covered else batch_last);
+             last;
+             sq;
+           });
+      if not last then ship batch_last rest
+    in
+    ship vec_from txs
+  end
+
+(* Apply a repair reply chunk. This is the below-frontier entry point
+   [handle_replicate] deliberately refuses to be: a chunk chaining from
+   at or below our frontier covers its window contiguously, so applying
+   it can only fill, never jump — and the tid-at-frontier dedup makes
+   re-delivered overlap idempotent. The final chunk's [covered] is a
+   first-hand assertion by the server, so the frontier may jump there.
+   That holds for a chunk of an abandoned round too: a slow source's late
+   answer still fills the window (on a lossy link it may never beat the
+   round deadline), and only the round bookkeeping is tied to [sq]. *)
+let handle_repair_log t ~origin ~txs ~from_ts ~covered ~last ~sq =
+  let r = t.repair.(origin) in
+  if from_ts <= Vc.get t.known_vec origin then begin
+    apply_batch t ~origin ~from_ts txs;
+    (* the covered jump stays volatile (not WAL-logged): recovering
+       with a lower frontier is always safe — the stream or a fresh
+       repair re-covers it *)
+    if last && covered > Vc.get t.known_vec origin then
+      Vc.set t.known_vec origin covered
+  end;
+  let after = Vc.get t.known_vec origin in
+  if r.r_active && after >= r.r_upto then begin
+    r.r_active <- false;
+    r.r_attempt <- 0;
+    r.r_stalled <- 0;
+    Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"repair-done"
+      "dc%d's stream repaired to %d" origin after
+  end
+  else if r.r_active && last && r.r_sq = sq && after > r.r_mark then begin
+    (* progress but not done (the server's own frontier stopped short of
+       the claim): next round immediately — rotation finds a source that
+       can go further. Without progress the armed deadline rotates or
+       parks, so a useless source is not re-polled in a hot loop. *)
+    r.r_stalled <- 0;
+    start_repair_round t origin
+  end
+
+(* FORWARD_REMOTE_TXS(i, j): forward transactions that originated at the
+   (suspected) DC j to DC i, skipping what i already stores according to
+   globalMatrix (Algorithm A4 lines 22–27). *)
+let forward_remote_txs t ~dst ~origin =
+  (* include transactions at the threshold itself: distinct transactions
+     may share the frontier timestamp and the receiver dedups by tid.
+     [threshold] is an honest continuity boundary: it is [dst]'s own
+     gossiped claim (never above its frontier, so no false gap there)
+     and the GC floor pins our retention above it (so we hold — and ship
+     — everything in between) *)
+  let threshold = Vc.get t.global_matrix.(dst) origin in
+  let vouch = Vc.get t.known_vec origin in
+  let txs =
+    List.filter
+      (fun tx ->
+        let ts = Vc.get tx.Types.tx_vec origin in
+        ts >= threshold && ts <= vouch)
+      !(t.committed_causal.(origin))
+  in
+  if txs <> [] then
+    send t (sibling t dst) (Msg.Replicate { origin; txs; from_ts = threshold })
+  else if vouch > threshold then
+    send t (sibling t dst)
+      (Msg.Heartbeat { origin; ts = vouch; from_ts = threshold })
+
+let run_forwarding t =
+  List.iter
+    (fun j ->
+      if j <> t.dc then
+        for i = 0 to dcs t - 1 do
+          if i <> t.dc && i <> j && not (Network.dc_failed t.net i) then
+            forward_remote_txs t ~dst:i ~origin:j
+        done)
+    t.suspected
+
+(* Does DC [i] still hold the garbage-collection floors? Live DCs always
+   do. A crashed DC keeps holding them — frozen at its last gossiped
+   coverage — for [gc_grace_us], so that it can rejoin and catch up from
+   the retained logs; past the grace period the floors advance and a late
+   rejoiner relies on the full snapshot transfer instead. *)
+let holds_floor t i =
+  match Network.dc_failed_at t.net i with
+  | None -> true
+  | Some at -> now t - at < t.cfg.Config.gc_grace_us
+
+(* The minimum of [init] and [claim] of every floor-holding sibling's
+   globalMatrix row: how far every DC that may still need a log has
+   told us it stores. *)
+let holders_floor t ~init claim =
+  let floor = ref init in
+  for i = 0 to dcs t - 1 do
+    if i <> t.dc && holds_floor t i then
+      floor := min !floor (claim t.global_matrix.(i))
+  done;
+  !floor
+
+(* Drop forwarded buffers — and our own propagated log — once every live
+   DC and every crashed DC still within its rejoin grace period stores
+   them (§5.5). The origin's own claim counts too: a DC that lost its
+   history in a crash gets it back only from these buffers, and until
+   its fresh claim arrives its row is pinned at zero
+   ([reset_peer_view]). *)
+let prune_committed t =
+  for j = 0 to dcs t - 1 do
+    (* an entry is covered iff its timestamp is at or below every
+       floor-holder's claim about origin [j] *)
+    let floor = holders_floor t ~init:max_int (fun v -> Vc.get v j) in
+    let covered tx = Vc.get tx.Types.tx_vec j <= floor in
+    let q = if j = t.dc then t.propagated_log else t.committed_causal.(j) in
+    (* runs every broadcast tick: rebuild the list only when something
+       is actually dropped *)
+    if List.exists covered !q then
+      q := List.filter (fun tx -> not (covered tx)) !q
+  done

@@ -1,0 +1,20 @@
+(** Replication, heartbeats, forwarding and gap repair (Algorithm A4). *)
+
+open Replica_state
+
+val live_peers : t -> int list
+val eligible_peers : t -> int list
+val note_gap : t -> origin:int -> floor:int -> from_ts:int -> claimed:int -> unit
+val propagate_local_txs : t -> unit
+val handle_replicate :
+  t -> origin:int -> txs:Types.tx_rec list -> from_ts:int -> unit
+val handle_heartbeat : t -> origin:int -> ts:int -> from_ts:int -> unit
+val handle_repair_request :
+  t -> from:Msg.addr -> origin:int -> vec_from:int -> sq:int -> unit
+val handle_repair_log :
+  t -> origin:int -> txs:Types.tx_rec list -> from_ts:int -> covered:int ->
+  last:bool -> sq:int -> unit
+val run_forwarding : t -> unit
+val holds_floor : t -> int -> bool
+val holders_floor : t -> init:int -> (Vc.t -> int) -> int
+val prune_committed : t -> unit

@@ -1,0 +1,181 @@
+(* Metadata exchange (Algorithm A5): stableVec and uniformVec, computed
+   over an in-DC dissemination tree (§5.4) and a cross-DC sibling
+   exchange; and the waits built on them, the uniform barrier and
+   client attachment (§5.6).                                            *)
+
+open Replica_state
+
+(* Visibility of a remote transaction for clients of this DC depends on
+   the mode: uniformity (UniStore) or stability (Cure). *)
+let remote_snapshot_vec t =
+  if Config.tracks_uniformity t.cfg then t.uniform_vec else t.stable_vec
+
+(* Record Fig. 6 samples: remote transactions become visible when the
+   mode's snapshot vector covers them. *)
+let flush_visibility t =
+  if t.cfg.Config.measure_visibility && t.part = 0 then begin
+    let vis = remote_snapshot_vec t in
+    for origin = 0 to dcs t - 1 do
+      if origin <> t.dc then begin
+        let pending = t.pending_vis.(origin) in
+        let visible, waiting =
+          List.partition (fun (ts, _) -> ts <= Vc.get vis origin) !pending
+        in
+        pending := waiting;
+        List.iter
+          (fun (_, arrival) ->
+            let delay_us = now t - arrival in
+            Sim.Metrics.observe t.h_visibility delay_us;
+            History.visibility_delay t.history ~observer:t.dc ~origin
+              ~delay_us)
+          visible
+      end
+    done
+  end
+
+(* uniformVec[j] := max over groups of f+1 DCs containing d of the
+   minimum stableVec[j] within the group (Algorithm A5 lines 10–15).
+   The best group keeps d and the f other DCs with the largest values. *)
+let recompute_uniform t =
+  let d = dcs t and f = t.cfg.Config.f in
+  for j = 0 to d - 1 do
+    let own = Vc.get t.stable_matrix.(t.dc) j in
+    let cand =
+      if f = 0 then own
+      else begin
+        let others = ref [] in
+        for h = 0 to d - 1 do
+          if h <> t.dc then others := Vc.get t.stable_matrix.(h) j :: !others
+        done;
+        let sorted = List.sort (fun a b -> compare b a) !others in
+        let fth = List.nth sorted (f - 1) in
+        min own fth
+      end
+    in
+    Vc.bump t.uniform_vec j cand
+  done;
+  flush_visibility t;
+  flush_uniform t
+
+(* Raise [v]'s remote entries to [vec]'s. *)
+let bump_remote t v vec =
+  for i = 0 to dcs t - 1 do
+    if i <> t.dc then Vc.bump v i (Vc.get vec i)
+  done;
+  flush_visibility t;
+  flush_uniform t
+
+let bump_uniform_remote t vec = bump_remote t t.uniform_vec vec
+
+(* In Cure mode client pasts reference stable rather than uniform remote
+   transactions; the analogous bump keeps snapshots monotone. *)
+let bump_snapshot_source t vec = bump_remote t (remote_snapshot_vec t) vec
+
+(* ------------------------------------------------------------------ *)
+(* The in-DC dissemination tree and the sibling exchange.               *)
+
+let tree_parent part = (part - 1) / 2
+let tree_children t part =
+  let c1 = (2 * part) + 1 and c2 = (2 * part) + 2 in
+  List.filter (fun c -> c < partitions t) [ c1; c2 ]
+
+let subtree_agg t =
+  List.fold_left
+    (fun agg c -> Vc.meet agg t.local_agg.(c))
+    (Vc.copy t.known_vec) (tree_children t t.part)
+
+let update_stable t vec =
+  Vc.merge_into t.stable_vec vec;
+  Vc.merge_into t.stable_matrix.(t.dc) t.stable_vec;
+  recompute_uniform t
+
+(* The knownVec claim gossiped to siblings, who prune their catch-up
+   logs below it: in persistence mode it only vouches for what a
+   node-level crash cannot lose. A fresh copy — messages must carry
+   value snapshots, not live references: the simulation is shared-memory
+   and a receiver processes a message later, when the sender's vector
+   has already advanced. *)
+let gc_claim t =
+  if persistent t then Vc.meet t.known_vec t.durable_known
+  else Vc.copy t.known_vec
+
+let broadcast_vecs t =
+  let agg = subtree_agg t in
+  if t.part = 0 then begin
+    (* root of the dissemination tree: agg is the DC-wide minimum; the
+       result is pushed directly to every partition (aggregation is a
+       tree, dissemination one hop, keeping stabilisation latency low) *)
+    update_stable t agg;
+    for p = 1 to partitions t - 1 do
+      send t (local_replica t p)
+        (Msg.Stable_down { vec = Vc.copy t.stable_vec })
+    done
+  end
+  else
+    send t
+      (local_replica t (tree_parent t.part))
+      (Msg.Kv_up { part = t.part; vec = agg });
+  (* sibling exchange across DCs *)
+  for i = 0 to dcs t - 1 do
+    if i <> t.dc then begin
+      if Config.tracks_uniformity t.cfg && dcs t > 1 then
+        send t (sibling t i)
+          (Msg.Stablevec { dc = t.dc; vec = Vc.copy t.stable_vec });
+      send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; vec = gc_claim t })
+    end
+  done;
+  Replication.prune_committed t
+
+let handle_kv_up t ~part ~vec =
+  (* partial minima only grow; keep the freshest report per child *)
+  Vc.merge_into t.local_agg.(part) vec
+
+let handle_stablevec t ~dc ~vec =
+  Vc.merge_into t.stable_matrix.(dc) vec;
+  recompute_uniform t
+
+(* While catching up, the gossip is also how the replica learns which of
+   its own pre-crash transactions a sibling holds: nobody else ever sends
+   a DC its own stream back, so a claim above our own frontier is a gap
+   in our own history, repaired from the siblings' forwarding buffers
+   (the GC floors retain it for us, see [prune_committed]). *)
+let handle_knownvec_global t ~dc ~vec =
+  Vc.merge_into t.global_matrix.(dc) vec;
+  match t.sync with
+  | None -> ()
+  | Some s ->
+      if not (List.mem dc s.s_heard) then s.s_heard <- dc :: s.s_heard;
+      let own = Vc.get t.known_vec t.dc and claimed = Vc.get vec t.dc in
+      let r = t.repair.(t.dc) in
+      if claimed > own && (claimed > r.r_upto || not r.r_active) then
+        Replication.note_gap t ~origin:t.dc ~floor:own ~from_ts:own ~claimed
+
+(* ------------------------------------------------------------------ *)
+(* Uniform barrier and attach (§5.6).                                   *)
+
+let handle_uniform_barrier t ~client ~req ~past =
+  wait_uniform_local t ~threshold:(Vc.get past t.dc) (fun () ->
+      send t client (Msg.R_ok { req }))
+
+(* The reply waits until uniformVec covers [past] on every remote
+   entry. *)
+let handle_attach t ~client ~req ~past =
+  let covered () =
+    let ok = ref true in
+    for i = 0 to dcs t - 1 do
+      if i <> t.dc && Vc.get t.uniform_vec i < Vc.get past i then ok := false
+    done;
+    !ok
+  in
+  let reply () = send t client (Msg.R_ok { req }) in
+  if covered () then reply () else t.waiters <- (covered, reply) :: t.waiters
+
+(* A client whose session DC crashed migrates here carrying its causal
+   past; like ATTACH, the reply is held until this DC's uniformVec covers
+   the past's remote entries, so the first snapshot started afterwards
+   includes everything the client has observed. The client counts the
+   failover. *)
+let handle_failover t ~client ~req ~past =
+  Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"failover"
+    "client %d attached after failover" client;
+  handle_attach t ~client ~req ~past

@@ -63,11 +63,7 @@ let make_rb_certs cfg eng net ~addrs ~rng ~certify_of_dc =
       let s = cfg.Config.clock_skew_us in
       if s = 0 then 0 else Rng.int rng (2 * s) - s
     in
-    let handler msg =
-      match cert_refs.(dc) with
-      | Some c -> ignore (Cert.handle c msg)
-      | None -> ()
-    in
+    let handler msg = Option.iter (fun c -> Cert.handle c msg) cert_refs.(dc) in
     let addr =
       Network.register net ~dc
         ~name:(Fmt.str "dc%d/rbcert" dc)

@@ -186,6 +186,46 @@ let test_client_migration () =
   Alcotest.(check int) "session reads its own past" 123 !after_migration;
   Util.assert_por sys
 
+(* §5.6's attach wait. The client lives in dc1, commits at dc0 and
+   migrates to dc2 while the dc0 -> dc2 link is a second slow: its
+   attach reaches dc2 over the healthy dc1 -> dc2 link long before
+   dc0's stream does, so dc2 must hold the reply until its uniformVec
+   covers the client's past. One partition, so the single dc2 replica
+   is the one that answered. *)
+let test_migration_waits_for_uniformity () =
+  let sys = Util.make_system ~partitions:1 () in
+  let extra_us = 1_000_000 in
+  U.Nemesis.inject sys
+    [
+      {
+        U.Nemesis.at_us = 0;
+        ev = U.Nemesis.Degrade { src = 0; dst = 2; extra_us };
+      };
+    ];
+  let elapsed = ref (-1) and uncovered = ref [ -1 ] in
+  ignore
+    (U.System.spawn_client sys ~dc:1 (fun c ->
+         Client.attach c ~dc:0;
+         Client.start c;
+         Client.update c 50 (Crdt.Reg_write 1);
+         ignore (Client.commit c);
+         let before = U.System.now sys in
+         Client.migrate c ~dc:2;
+         elapsed := U.System.now sys - before;
+         let past = Client.past c in
+         let uniform =
+           U.Replica.uniform_vec (U.System.replica sys ~dc:2 ~part:0)
+         in
+         uncovered :=
+           List.filter
+             (fun i -> Vclock.Vc.get uniform i < Vclock.Vc.get past i)
+             [ 0; 1 ]));
+  Util.run sys ~until:4_000_000;
+  Alcotest.(check bool) "migrate blocked until dc0's stream reached dc2" true
+    (!elapsed >= extra_us);
+  Alcotest.(check (list int)) "dc2's uniformVec covers the remote past" []
+    !uncovered
+
 let test_counter_concurrent_merge () =
   (* §3: two concurrent causal deposits of 100 and 200 converge to 300 at
      every replica thanks to the counter CRDT *)
@@ -292,6 +332,8 @@ let suite =
       test_uniform_barrier_durability;
     Alcotest.test_case "client migration keeps the session" `Quick
       test_client_migration;
+    Alcotest.test_case "migration waits until the past is uniform" `Quick
+      test_migration_waits_for_uniformity;
     Alcotest.test_case "concurrent counter updates merge (§3)" `Quick
       test_counter_concurrent_merge;
     Alcotest.test_case "remote transactions visible when uniform" `Quick
