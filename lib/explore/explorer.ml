@@ -235,8 +235,7 @@ let run_with p ~seed ~sched =
      processing. A system still unquiet after the bounded budget is
      what the liveness oracle is for. *)
   let background_kind = function
-    | "fd_ping" | "heartbeat" | "stablevec" | "knownvec_global" | "kv_up"
-    | "stable_down"
+    | "fd_ping" | "heartbeat" | "knownvec_global" | "kv_up" | "stable_down"
     (* strong-heartbeat certification churn *)
     | "accept" | "accept_ack" | "deliver" | "learn_decision" | "decision"
     | "already_decided" | "prepare_strong" | "nack" ->

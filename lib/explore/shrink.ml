@@ -156,9 +156,14 @@ let minimize ~fails sched =
     let atoms = ddmin ~fails_atoms atoms in
     let atoms = sweep ~fails_atoms atoms in
     let atoms = shorten_windows ~fails_atoms atoms in
-    let sched = rebuild fixed atoms in
-    List.fold_left
-      (fun s grid -> snap_times ~fails grid s)
-      sched
-      [ 1_000_000; 100_000; 10_000 ]
+    let sched =
+      List.fold_left
+        (fun s grid -> snap_times ~fails grid s)
+        (rebuild fixed atoms)
+        [ 1_000_000; 100_000; 10_000 ]
+    in
+    (* a window shortened or snapped shut can leave its atom redundant:
+       sweep once more so the result keeps the 1-minimality *)
+    let fixed, atoms = atomize sched in
+    rebuild fixed (sweep ~fails_atoms:(fun a -> fails (rebuild fixed a)) atoms)
   end

@@ -18,6 +18,9 @@
       window toward its opening time (at most 8 halvings per pair).
     + {b Time snapping}: round each step down to a coarse-to-fine grid
       (1 s, 100 ms, 10 ms) when the failure survives.
+    + {b Final sweep}: shortening and snapping can leave an atom
+      redundant (a window snapped shut), so the singleton sweep runs
+      once more on the re-atomized result.
 
     [fails] must treat schedules rejected by
     {!Unistore.Nemesis.validate} as not failing

@@ -710,8 +710,16 @@ let handle_new_leader_ack t ~b ~cballot ~prepared ~decided ~from_dc =
       let max_cb =
         List.fold_left (fun acc (cb, _, _) -> max acc cb) (-1) acks
       in
+      (* Accepted values come from the highest cballot only (Paxos), but
+         a decision is a chosen value whoever reports it. A member at a
+         lower cballot — typically the old leader, which learns decisions
+         first — may be the only one in the quorum that holds the
+         decision of an entry the others still have prepared (a
+         LEARN_DECISION reaching a Recovering member is only stashed).
+         Dropping it would put that entry back in [prepared], where it
+         blocks delivery until a RETRY decides it again. *)
       let from_max = List.filter (fun (cb, _, _) -> cb = max_cb) acks in
-      let decided = List.concat_map (fun (_, _, d) -> d) from_max in
+      let decided = List.concat_map (fun (_, _, d) -> d) acks in
       let prepared = List.concat_map (fun (_, p, _) -> p) from_max in
       install_state t ~prepared ~decided;
       let max_prep =
@@ -920,6 +928,21 @@ let retry_suspected t ~dc =
       (fun tid (p : Msg.prepared_strong) ->
         if p.Msg.ps_origin = dc then recertify t tid p)
       t.prepared
+
+(* The node at [coord] restarted: the certifications it was coordinating
+   died with its memory, and so did any DECISION still unacknowledged on
+   its outgoing links. Re-certify every prepared transaction it
+   coordinated, as [retry_suspected] does for a suspected DC — the
+   data-center failure detector does not see a single node restart, and
+   without this an undecided entry that voted commit blocks delivery
+   until the staleness timer of [retry_stale]. Any member can run the
+   RETRY: it only re-drives the 2PC, whose decision is unique per
+   transaction. *)
+let retry_coordinated t ~coord =
+  Hashtbl.iter
+    (fun tid (p : Msg.prepared_strong) ->
+      if p.Msg.ps_coord = coord then recertify t tid p)
+    t.prepared
 
 (* Garbage-collect committed transactions whose strong timestamp is so
    far below the delivery frontier that every live snapshot contains

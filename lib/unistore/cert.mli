@@ -104,6 +104,12 @@ val retry_stale : t -> older_than_us:int -> unit
     suspicion (decisions are unique per transaction). *)
 val retry_suspected : t -> dc:int -> unit
 
+(** RETRY on a coordinator restart: re-certify every prepared
+    transaction that the node at [coord] coordinated, since its pending
+    certifications and unacknowledged DECISIONs died with it. Runs at
+    any member, not only the leader. *)
+val retry_coordinated : t -> coord:Msg.addr -> unit
+
 (** Garbage-collect decided transactions below the delivery frontier
     that every live snapshot already contains. *)
 val prune_decided : t -> keep_after:int -> unit

@@ -79,7 +79,8 @@ type costs = {
   c_commit : int;  (* 2PC commit record *)
   c_replicate_tx : int;  (* per transaction in a REPLICATE batch *)
   c_vec : int;  (* metadata broadcast handling *)
-  c_stablevec : int;  (* sibling STABLEVEC: uniformVec recomputation *)
+  c_stablevec : int;  (* stableVec in the sibling gossip: uniformVec
+                         recomputation, on top of c_vec *)
   c_cert : int;  (* leader certification check (update transactions) *)
   c_cert_ro : int;  (* certifying a read-only transaction: no write
                        propagation, read-set check only *)
@@ -251,7 +252,7 @@ let reclaim_debounce_us t = t.fd_period_us + Net.Topology.max_rtt_us t.topo
    of PR 5 at the default 5 ms broadcast period. *)
 let overload_backoff_us t = 2 * t.broadcast_period_us
 
-(* Does this mode track uniformity (exchange STABLEVEC between siblings
+(* Does this mode track uniformity (send stableVec in the sibling gossip
    and expose remote transactions only when uniform)? *)
 let tracks_uniformity t =
   match t.mode with

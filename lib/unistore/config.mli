@@ -185,7 +185,7 @@ val reclaim_debounce_us : t -> int
     window at the default 5 ms period). *)
 val overload_backoff_us : t -> int
 
-(** Whether the mode exchanges STABLEVEC between siblings and exposes
+(** Whether the mode sends stableVec in the sibling gossip and exposes
     remote transactions only when uniform (all modes except [Cure_ft]). *)
 val tracks_uniformity : t -> bool
 

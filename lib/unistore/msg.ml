@@ -134,8 +134,10 @@ type t =
      0, the computed stableVec flows back down. *)
   | Kv_up of { part : int; vec : Vc.t }
   | Stable_down of { vec : Vc.t }
-  | Stablevec of { dc : int; vec : Vc.t }
-  | Knownvec_global of { dc : int; vec : Vc.t }
+  (* Sibling exchange, one message per sibling per tick: the knownVec GC
+     claim, plus the sender's stableVec when the mode tracks uniformity
+     and the sender is in service. *)
+  | Knownvec_global of { dc : int; vec : Vc.t; stable : Vc.t option }
   (* ---- certification service (Algorithms A7–A10) ------------------- *)
   | Prepare_strong of {
       rid : int;
@@ -243,8 +245,8 @@ let cost (c : Config.costs) = function
   | Heartbeat _ -> c.c_vec
   | Repair_request _ -> c.c_base
   | Repair_log { txs; _ } -> c.c_base + (c.c_replicate_tx * List.length txs)
-  | Kv_up _ | Stable_down _ | Knownvec_global _ -> c.c_vec
-  | Stablevec _ -> c.c_stablevec
+  | Kv_up _ | Stable_down _ | Knownvec_global { stable = None; _ } -> c.c_vec
+  | Knownvec_global { stable = Some _; _ } -> c.c_stablevec + c.c_vec
   | Prepare_strong { wbuff; _ } ->
       if List.for_all (fun (_, ws) -> ws = []) wbuff then c.c_cert_ro
       else c.c_cert
@@ -327,8 +329,10 @@ let size_bytes = function
   | Repair_request _ -> header_bytes + 40
   | Repair_log { txs; _ } ->
       List.fold_left (fun acc tx -> acc + tx_bytes tx) (header_bytes + 40) txs
-  | Kv_up { vec; _ } | Stablevec { vec; _ } | Knownvec_global { vec; _ } ->
+  | Kv_up { vec; _ } | Knownvec_global { vec; stable = None; _ } ->
       header_bytes + 8 + vc_bytes vec
+  | Knownvec_global { vec; stable = Some s; _ } ->
+      header_bytes + 8 + vc_bytes vec + vc_bytes s
   | Stable_down { vec } -> header_bytes + vc_bytes vec
   | Prepare_strong { wbuff; ops; snap; _ } ->
       header_bytes + 40 + wbuff_bytes wbuff + opsmap_bytes ops + vc_bytes snap
@@ -391,7 +395,6 @@ let kind = function
   | Repair_log _ -> "repair_log"
   | Kv_up _ -> "kv_up"
   | Stable_down _ -> "stable_down"
-  | Stablevec _ -> "stablevec"
   | Knownvec_global _ -> "knownvec_global"
   | Prepare_strong _ -> "prepare_strong"
   | Already_decided _ -> "already_decided"

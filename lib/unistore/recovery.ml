@@ -191,12 +191,14 @@ let request_cert_state t =
 (* Tell every live sibling how far we hold each stream. Besides pinning
    their GC floors, this is our answer to a sibling that is catching up
    itself (see [sync_complete]): our periodic gossip is down until we
-   finish, so the retry tick re-sends it. *)
+   finish, so the retry tick re-sends it. It carries no stableVec: a
+   replica still catching up does not vouch for stability. *)
 let gossip_known t =
   List.iter
     (fun i ->
       send t (sibling t i)
-        (Msg.Knownvec_global { dc = t.dc; vec = Stabilisation.gc_claim t }))
+        (Msg.Knownvec_global
+           { dc = t.dc; vec = Stabilisation.gc_claim t; stable = None }))
     (Replication.live_peers t)
 
 let cert_caught_up t =

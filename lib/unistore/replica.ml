@@ -349,9 +349,8 @@ let dispatch t msg =
       Replication.handle_repair_log t ~origin ~txs ~from_ts ~covered ~last ~sq
   | Msg.Kv_up { part; vec } -> Stabilisation.handle_kv_up t ~part ~vec
   | Msg.Stable_down { vec } -> Stabilisation.update_stable t vec
-  | Msg.Stablevec { dc; vec } -> Stabilisation.handle_stablevec t ~dc ~vec
-  | Msg.Knownvec_global { dc; vec } ->
-      Stabilisation.handle_knownvec_global t ~dc ~vec
+  | Msg.Knownvec_global { dc; vec; stable } ->
+      Stabilisation.handle_knownvec_global t ~dc ~vec ~stable
   | Msg.Accept_ack { part; b; rid; tid; vote; ts; lc; from_dc } ->
       Strong_coord.handle_accept_ack t ~part ~b ~rid ~tid ~vote ~ts ~lc
         ~from_dc

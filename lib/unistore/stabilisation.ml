@@ -1,7 +1,8 @@
 (* Metadata exchange (Algorithm A5): stableVec and uniformVec, computed
    over an in-DC dissemination tree (§5.4) and a cross-DC sibling
-   exchange; and the waits built on them, the uniform barrier and
-   client attachment (§5.6).                                            *)
+   exchange — one KNOWNVEC_GLOBAL per sibling per tick, carrying the
+   knownVec GC claim and the stableVec; and the waits built on them, the
+   uniform barrier and client attachment (§5.6).                        *)
 
 open Replica_state
 
@@ -115,14 +116,17 @@ let broadcast_vecs t =
     send t
       (local_replica t (tree_parent t.part))
       (Msg.Kv_up { part = t.part; vec = agg });
-  (* sibling exchange across DCs *)
+  (* sibling exchange across DCs: one message per sibling carries both
+     the GC claim and, when the mode tracks uniformity, our stableVec.
+     Receivers only read the vectors, so the siblings share one copy. *)
+  let vec = gc_claim t
+  and stable =
+    if Config.tracks_uniformity t.cfg then Some (Vc.copy t.stable_vec)
+    else None
+  in
   for i = 0 to dcs t - 1 do
-    if i <> t.dc then begin
-      if Config.tracks_uniformity t.cfg && dcs t > 1 then
-        send t (sibling t i)
-          (Msg.Stablevec { dc = t.dc; vec = Vc.copy t.stable_vec });
-      send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; vec = gc_claim t })
-    end
+    if i <> t.dc then
+      send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; vec; stable })
   done;
   Replication.prune_committed t
 
@@ -130,16 +134,19 @@ let handle_kv_up t ~part ~vec =
   (* partial minima only grow; keep the freshest report per child *)
   Vc.merge_into t.local_agg.(part) vec
 
-let handle_stablevec t ~dc ~vec =
-  Vc.merge_into t.stable_matrix.(dc) vec;
-  recompute_uniform t
-
-(* While catching up, the gossip is also how the replica learns which of
-   its own pre-crash transactions a sibling holds: nobody else ever sends
-   a DC its own stream back, so a claim above our own frontier is a gap
-   in our own history, repaired from the siblings' forwarding buffers
-   (the GC floors retain it for us, see [prune_committed]). *)
-let handle_knownvec_global t ~dc ~vec =
+(* A sibling's stableVec, if it sent one, feeds uniformVec first; then
+   its knownVec claim pins our GC floors. While catching up, the claim
+   is also how the replica learns which of its own pre-crash
+   transactions a sibling holds: nobody else ever sends a DC its own
+   stream back, so a claim above our own frontier is a gap in our own
+   history, repaired from the siblings' forwarding buffers (the GC
+   floors retain it for us, see [prune_committed]). *)
+let handle_knownvec_global t ~dc ~vec ~stable =
+  Option.iter
+    (fun s ->
+      Vc.merge_into t.stable_matrix.(dc) s;
+      recompute_uniform t)
+    stable;
   Vc.merge_into t.global_matrix.(dc) vec;
   match t.sync with
   | None -> ()

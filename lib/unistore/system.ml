@@ -519,7 +519,22 @@ let restart_node t ~dc ~part =
       "node %d.%d restarting from its disk" dc part;
     Replica.restart_from_disk t.replicas.(dc).(part) ~on_done:(fun () ->
         Sim.Trace.emitf t.trace ~source:"system" ~kind:"node-recover"
-          "node %d.%d caught up" dc part)
+          "node %d.%d caught up" dc part);
+    (* The DC sees its node come back, as Ω sees a DC: the live
+       certification members of the DC, the node's own included, finish
+       the strong 2PCs it was coordinating. Every group has a member
+       here, so between them they hold every entry the node left
+       undecided. Ω cannot help — the DC never went silent. *)
+    let coord = t.addrs.(dc).(part) in
+    Array.iteri
+      (fun p r ->
+        match Replica.cert r with
+        | Some c when not (Network.node_down t.net t.addrs.(dc).(p)) ->
+            Cert.retry_coordinated c ~coord
+        | _ -> ())
+      t.replicas.(dc);
+    if Config.centralized_cert t.cfg then
+      Cert.retry_coordinated (fst t.rb_certs.(dc)) ~coord
   end
 
 let set_disk_slow t ~dc ~part ~factor =

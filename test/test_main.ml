@@ -35,5 +35,6 @@ let () =
       ("adversity", Test_adversity.suite);
       ("report", Test_report.suite);
       ("explore", Test_explore.suite);
+      ("gossip", Test_gossip.suite);
       ("properties", Test_properties.suite);
     ]
