@@ -809,38 +809,6 @@ let unacked_matching t ~f =
             acc fl.unacked)
         t.tx_flows 0
 
-let dump_flows t =
-  let name a =
-    let n = t.nodes.(a) in
-    Printf.sprintf "dc%d/%s#%d" n.dc (if n.client then "cli" else "node") a
-  in
-  let tx =
-    Hashtbl.fold
-      (fun (src, dst) fl acc ->
-        if Queue.is_empty fl.unacked then acc
-        else
-          (* ascending sequence order: the head is the minimum *)
-          let lo = fst (Queue.peek fl.unacked) in
-          let hi = Queue.fold (fun _ (s, _) -> s) lo fl.unacked in
-          Printf.sprintf "tx %s -> %s: unacked %d (min %d max %d) next %d rto %d armed %b rec %b"
-            (name src) (name dst) (Queue.length fl.unacked) lo hi
-            fl.next_seq fl.rto_us fl.timer_armed fl.in_recovery
-          :: acc)
-      t.tx_flows []
-  in
-  let rx =
-    Hashtbl.fold
-      (fun (src, dst) rx acc ->
-        if Hashtbl.length rx.ooo = 0 && not (Hashtbl.mem t.tx_flows (src, dst))
-        then acc
-        else
-          Printf.sprintf "rx %s -> %s: expected %d ooo %d" (name src)
-            (name dst) rx.expected (Hashtbl.length rx.ooo)
-          :: acc)
-      t.rx_flows []
-  in
-  List.sort compare (tx @ rx)
-
 let node_processed t addr = (node t addr).processed
 let node_busy_us t addr = (node t addr).busy_us
 

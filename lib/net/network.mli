@@ -171,8 +171,3 @@ val node_busy_us : 'm t -> addr -> int
 
 (** Fraction of elapsed simulated time the node's CPU was busy. *)
 val node_utilization : 'm t -> addr -> float
-
-(** One line per non-quiescent reliable-layer flow — sender flows with
-    unacked messages and receiver flows holding out-of-order buffers —
-    for post-mortem debugging of stuck channels. *)
-val dump_flows : 'm t -> string list

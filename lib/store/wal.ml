@@ -236,6 +236,5 @@ let scrub t =
 
 let set_slow t ~factor = t.slow <- max 1 factor
 let durable_count t = List.length t.durable
-let snapshot_seq t = Option.map (fun s -> s.snap_seq) t.snapshot
 let next_seq t = t.next
 let quiescent t = (not t.busy) && t.buffered = [] && not t.snap_writing

@@ -79,9 +79,6 @@ val set_slow : ('a, 's) t -> factor:int -> unit
 val durable_count : ('a, 's) t -> int
 (** Number of durable (replayable) records currently on disk. *)
 
-val snapshot_seq : ('a, 's) t -> int option
-(** Boundary of the installed snapshot, if any. *)
-
 val next_seq : ('a, 's) t -> int
 (** The sequence number the next append will get. *)
 

@@ -60,6 +60,19 @@ type ctx = {
 
 type status = Leader | Follower | Recovering | Restoring
 
+(* The delivery queue's order: ascending strong timestamp, and among
+   equal timestamps the entry queued last first. Keys are (strong ts,
+   minus a per-member queueing counter), so queueing and delivery cost
+   a logarithm of the queue's length, not the length: the queue grows
+   long exactly when delivery stalls, e.g. behind an orphaned prepared
+   entry during a partition. *)
+module Delivery_queue = Map.Make (struct
+  type t = int * int
+
+  let compare (ts1, q1) (ts2, q2) =
+    match Int.compare ts1 ts2 with 0 -> Int.compare q1 q2 | c -> c
+end)
+
 (* Durable certification events (the Raft persistent-state contract:
    currentTerm/votedFor ≙ ballot/cballot, log entries ≙ accepted
    transactions). Each is appended to the node's WAL *before* the
@@ -95,8 +108,9 @@ type t = {
   (* running join over committed vectors (all-conflict fast path) *)
   mutable decided_join : Vc.t option;
   mutable decided_max_lc : int;
-  (* committed but not yet delivered, sorted by ascending strong ts *)
-  mutable undelivered : Msg.decided_strong list;
+  (* committed but not yet delivered, in delivery order *)
+  mutable undelivered : Msg.decided_strong Delivery_queue.t;
+  mutable queued : int;  (* entries ever queued: the tie-break key *)
   (* strong timestamp up to which decided transactions may have been
      garbage-collected: snapshots below it can no longer be certified
      soundly *)
@@ -146,7 +160,8 @@ let create ~bid_interval_us ctx ~leader_dc =
     decided_by_key = Hashtbl.create 256;
     decided_join = None;
     decided_max_lc = 0;
-    undelivered = [];
+    undelivered = Delivery_queue.empty;
+    queued = 0;
     pruned_below = 0;
     last_delivered = 0;
     last_sent = 0;
@@ -208,14 +223,11 @@ let add_decided t (d : Msg.decided_strong) =
         | Some j -> Vc.merge_into j d.Msg.ds_vec);
         t.decided_max_lc <- max t.decided_max_lc d.Msg.ds_lc
       end;
-      (* delivery queue, ascending strong timestamp *)
       let ts = Vc.strong d.Msg.ds_vec in
-      let rec insert = function
-        | [] -> [ d ]
-        | d0 :: _ as rest when Vc.strong d0.Msg.ds_vec >= ts -> d :: rest
-        | d0 :: rest -> d0 :: insert rest
-      in
-      if ts > t.last_delivered then t.undelivered <- insert t.undelivered
+      if ts > t.last_delivered then begin
+        t.queued <- t.queued + 1;
+        t.undelivered <- Delivery_queue.add (ts, - t.queued) d t.undelivered
+      end
     end
   end
 
@@ -292,16 +304,13 @@ let rec try_deliver t =
     (* entries at or below last_sent have a DELIVER in flight (the queue
        is popped when the leader's own DELIVER loops back); look at the
        first entry beyond them *)
-    let rec first_unsent = function
-      | [] -> None
-      | d :: rest when Vc.strong d.Msg.ds_vec <= t.last_sent ->
-          first_unsent rest
-      | d :: _ -> Some d
-    in
-    match first_unsent t.undelivered with
+    match
+      Delivery_queue.find_first_opt
+        (fun (ts, _) -> ts > t.last_sent)
+        t.undelivered
+    with
     | None -> ()
-    | Some d ->
-        let next_ts = Vc.strong d.Msg.ds_vec in
+    | Some ((next_ts, _), _) ->
         let blocked =
           Hashtbl.fold
             (fun _ (p : Msg.prepared_strong) acc ->
@@ -349,21 +358,23 @@ let handle_deliver t ~b ~ts =
   then begin
     t.last_delivered <- ts;
     t.last_activity <- t.ctx.x_now ();
-    let deliverable, rest =
-      List.partition (fun d -> Vc.strong d.Msg.ds_vec <= ts) t.undelivered
+    let deliverable, _, rest =
+      Delivery_queue.split (ts, max_int) t.undelivered
     in
     t.undelivered <- rest;
     let txs =
-      List.map
-        (fun (d : Msg.decided_strong) ->
+      Delivery_queue.fold
+        (fun _ (d : Msg.decided_strong) acc ->
           {
             Types.tx_tid = d.Msg.ds_tid;
             tx_writes = List.concat_map snd d.Msg.ds_wbuff;
             tx_vec = d.Msg.ds_vec;
             tx_lc = d.Msg.ds_lc;
             tx_origin = d.Msg.ds_origin;
-          })
-        deliverable
+          }
+          :: acc)
+        deliverable []
+      |> List.rev
     in
     t.ctx.x_deliver txs ~strong_ts:ts;
     if t.status = Leader then try_deliver t
@@ -565,6 +576,16 @@ let handle_learn_decision t ~b ~tid ~dec ~vec ~lc =
     | None -> ()  (* already decided or never accepted here *)
     | Some p ->
         decide_prepared t p ~dec ~vec ~lc;
+        (* A leader learning a decision from an older ballot's leader
+           relays it under its own ballot before any DELIVER above it.
+           The other members get that DELIVER right behind the relay on
+           the same FIFO link; one the older leader's LEARN_DECISION
+           has not reached yet would otherwise deliver past the entry
+           while it is still prepared there, and the decision arriving
+           afterwards lands below its frontier, where [add_decided]
+           queues nothing. *)
+        if b < t.ballot && (t.status = Leader || t.status = Restoring) then
+          broadcast t (Msg.Learn_decision { b = t.ballot; tid; dec; vec; lc });
         restoring_done t;
         try_deliver t
   end
@@ -671,7 +692,7 @@ let clear_log t =
   Hashtbl.reset t.decided_by_key;
   t.decided_join <- None;
   t.decided_max_lc <- 0;
-  t.undelivered <- []
+  t.undelivered <- Delivery_queue.empty
 
 (* Replace this member's certification state (recovery), then decide the
    installed prepared entries whose decision was learned meanwhile. *)

@@ -269,7 +269,6 @@ let read ?(cls = Types.cls_default) t key =
   | m -> invalid_arg ("Client.read: unexpected reply " ^ Msg.kind m)
 
 let read_int ?cls t key = Crdt.int_value (read ?cls t key)
-let read_set ?cls t key = Crdt.set_value (read ?cls t key)
 
 (* UPDATE (Algorithm A1 lines 10–12). *)
 let update ?(cls = Types.cls_default) t key op =
@@ -431,9 +430,6 @@ let commit t =
         `Committed vec
     | m -> invalid_arg ("Client.commit: unexpected reply " ^ Msg.kind m)
   end
-
-(* Commit, raising [Aborted] on a strong-transaction abort. *)
-let commit_exn t = match commit t with `Committed vec -> vec | `Aborted -> raise Aborted
 
 (* CL_UNIFORM_BARRIER (§5.6): returns once everything the client has
    observed is durable. *)

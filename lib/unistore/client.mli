@@ -9,17 +9,17 @@
 
 type t
 
-(** Raised by {!commit_exn} and {!run_txn} when a strong transaction
-    aborts during certification. Also raised by any session call after
-    a DC failover ([Config.client_failover_us] > 0, the session DC
-    stopped answering): the session has already migrated to a live DC
+(** Raised by {!run_txn} when a strong transaction aborts during
+    certification. Also raised by any session call after a DC failover
+    ([Config.client_failover_us] > 0, the session DC stopped
+    answering): the session has already migrated to a live DC
     carrying its causal past, and the interrupted transaction must be
     re-executed there ({!run_txn} does so automatically). In-flight
     strong commits are not aborted but re-submitted under the same
     transaction id, which certification dedups — exactly-once. *)
 exception Aborted
 
-(** Raised by {!commit} (and hence {!commit_exn}) when the coordinator
+(** Raised by {!commit} when the coordinator
     shed the strong commit under admission control
     ([Config.admission_max_pending]): the transaction took no effect and
     is retryable. {!run_txn} retries it after a short randomized
@@ -75,9 +75,6 @@ val read : ?cls:int -> t -> Store.Keyspace.key -> Crdt.value
     as 0). *)
 val read_int : ?cls:int -> t -> Store.Keyspace.key -> int
 
-(** {!read} projected to a set. *)
-val read_set : ?cls:int -> t -> Store.Keyspace.key -> int list
-
 (** Buffer an update within the current transaction. *)
 val update : ?cls:int -> t -> Store.Keyspace.key -> Crdt.op -> unit
 
@@ -86,9 +83,6 @@ val update : ?cls:int -> t -> Store.Keyspace.key -> Crdt.op -> unit
     client's causal past advances to the commit vector. Raises
     {!Overloaded} when admission control shed a strong commit. *)
 val commit : t -> [ `Committed of Vclock.Vc.t | `Aborted ]
-
-(** {!commit}, raising {!Aborted} instead of returning [`Aborted]. *)
-val commit_exn : t -> Vclock.Vc.t
 
 (** On-demand durability (§5.6): returns once every transaction this
     session has observed is uniform, hence durable under up to [f]

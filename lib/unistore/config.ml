@@ -120,7 +120,11 @@ type t = {
   mode : mode;
   conflict : conflict_spec;
   leader_dc : int;  (* initial Paxos leader DC (Virginia in §8) *)
-  broadcast_period_us : int;  (* BROADCAST_VECS period (5 ms in §8) *)
+  (* BROADCAST_VECS period (5 ms in §8): the in-DC stableVec tree step.
+     A sibling's stableVec rides its next stream message after the step
+     advances it, so sibling exchange runs at this period, capped below
+     by [propagate_period_us]. *)
+  broadcast_period_us : int;
   clock_skew_us : int;  (* max absolute per-replica clock skew *)
   detection_delay_us : int;  (* Ω suspicion timeout: silence before suspect *)
   fd_period_us : int;  (* Ω heartbeat broadcast / check period *)

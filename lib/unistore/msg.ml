@@ -34,6 +34,12 @@ type decided_strong = {
 
 type cert_caller = Normal | Restoring
 
+(* Sibling gossip carried by an own-stream message (Algorithm A5): the
+   sender's knownVec GC claim and, when it advanced since the last one
+   the sender attached and the mode tracks uniformity, its stableVec.
+   Receivers only read the vectors, so the siblings share one copy. *)
+type claim = { vec : Vc.t; stable : Vc.t option }
+
 type t =
   (* ---- client -> coordinator -------------------------------------- *)
   | C_start of {
@@ -102,9 +108,16 @@ type t =
      repairs instead (see Replication.handle_replicate). Overstating
      [from_ts] is safe (spurious repair); understating it would hide a
      gap, so senders derive it from what they actually shipped/retained,
-     never from a belief about the receiver. *)
-  | Replicate of { origin : int; txs : Types.tx_rec list; from_ts : int }
-  | Heartbeat of { origin : int; ts : int; from_ts : int }
+     never from a belief about the receiver. [claim] is the sender's
+     sibling gossip, riding its own stream once per propagate tick;
+     forwarded messages (sender <> origin) carry none. *)
+  | Replicate of {
+      origin : int;
+      txs : Types.tx_rec list;
+      from_ts : int;
+      claim : claim option;
+    }
+  | Heartbeat of { origin : int; ts : int; from_ts : int; claim : claim option }
   (* Origin-scoped repair pull: backfill exactly the window
      (vec_from, upto] of [origin]'s stream from whoever holds it (the
      origin itself or any sibling — GC floors guarantee retention, see
@@ -134,9 +147,11 @@ type t =
      0, the computed stableVec flows back down. *)
   | Kv_up of { part : int; vec : Vc.t }
   | Stable_down of { vec : Vc.t }
-  (* Sibling exchange, one message per sibling per tick: the knownVec GC
-     claim, plus the sender's stableVec when the mode tracks uniformity
-     and the sender is in service. *)
+  (* A sibling claim sent outside the propagate tick: the catch-up
+     gossip of a rejoining or restarted replica, and the immediate claim
+     on resuming service that unpins the siblings' GC floors. The
+     periodic exchange rides the stream ([claim] of [Replicate] and
+     [Heartbeat]). *)
   | Knownvec_global of { dc : int; vec : Vc.t; stable : Vc.t option }
   (* ---- certification service (Algorithms A7–A10) ------------------- *)
   | Prepare_strong of {
@@ -225,6 +240,15 @@ type t =
   (* ---- Ω failure detector ------------------------------------------- *)
   | Fd_ping of { from_dc : int }
 
+(* A sibling claim costs the vector merge, plus the uniformVec
+   recomputation when it carries a stableVec. *)
+let gossip_cost (c : Config.costs) stable =
+  if Option.is_some stable then c.c_stablevec + c.c_vec else c.c_vec
+
+let claim_cost c = function
+  | None -> 0
+  | Some { stable; _ } -> gossip_cost c stable
+
 (* Service cost of a message (CPU microseconds at the processing node). *)
 let cost (c : Config.costs) = function
   | C_start _ | C_read _ | C_update _ | C_commit_causal _ | C_commit_strong _
@@ -241,12 +265,13 @@ let cost (c : Config.costs) = function
   | Commit _ -> c.c_commit
   | Commit_query _ -> c.c_base
   | Commit_abort _ -> c.c_commit
-  | Replicate { txs; _ } -> c.c_base + (c.c_replicate_tx * List.length txs)
-  | Heartbeat _ -> c.c_vec
+  | Replicate { txs; claim; _ } ->
+      c.c_base + (c.c_replicate_tx * List.length txs) + claim_cost c claim
+  | Heartbeat { claim; _ } -> c.c_vec + claim_cost c claim
   | Repair_request _ -> c.c_base
   | Repair_log { txs; _ } -> c.c_base + (c.c_replicate_tx * List.length txs)
-  | Kv_up _ | Stable_down _ | Knownvec_global { stable = None; _ } -> c.c_vec
-  | Knownvec_global { stable = Some _; _ } -> c.c_stablevec + c.c_vec
+  | Kv_up _ | Stable_down _ -> c.c_vec
+  | Knownvec_global { stable; _ } -> gossip_cost c stable
   | Prepare_strong { wbuff; _ } ->
       if List.for_all (fun (_, ws) -> ws = []) wbuff then c.c_cert_ro
       else c.c_cert
@@ -299,6 +324,13 @@ let prepared_bytes (p : prepared_strong) =
 let decided_bytes (d : decided_strong) =
   40 + wbuff_bytes d.ds_wbuff + opsmap_bytes d.ds_ops + vc_bytes d.ds_vec
 
+let gossip_bytes vec stable =
+  vc_bytes vec + Option.fold ~none:0 ~some:vc_bytes stable
+
+let claim_bytes = function
+  | None -> 0
+  | Some { vec; stable } -> gossip_bytes vec stable
+
 let size_bytes = function
   | C_start { past; _ } -> header_bytes + 24 + vc_bytes past
   | C_read _ -> header_bytes + 32
@@ -323,16 +355,18 @@ let size_bytes = function
   | Commit { vec; _ } -> header_bytes + 24 + vc_bytes vec
   | Commit_query _ -> header_bytes + 24
   | Commit_abort _ -> header_bytes + 8
-  | Replicate { txs; _ } ->
-      List.fold_left (fun acc tx -> acc + tx_bytes tx) (header_bytes + 16) txs
-  | Heartbeat _ -> header_bytes + 24
+  | Replicate { txs; claim; _ } ->
+      List.fold_left
+        (fun acc tx -> acc + tx_bytes tx)
+        (header_bytes + 16 + claim_bytes claim)
+        txs
+  | Heartbeat { claim; _ } -> header_bytes + 24 + claim_bytes claim
   | Repair_request _ -> header_bytes + 40
   | Repair_log { txs; _ } ->
       List.fold_left (fun acc tx -> acc + tx_bytes tx) (header_bytes + 40) txs
-  | Kv_up { vec; _ } | Knownvec_global { vec; stable = None; _ } ->
-      header_bytes + 8 + vc_bytes vec
-  | Knownvec_global { vec; stable = Some s; _ } ->
-      header_bytes + 8 + vc_bytes vec + vc_bytes s
+  | Kv_up { vec; _ } -> header_bytes + 8 + vc_bytes vec
+  | Knownvec_global { vec; stable; _ } ->
+      header_bytes + 8 + gossip_bytes vec stable
   | Stable_down { vec } -> header_bytes + vc_bytes vec
   | Prepare_strong { wbuff; ops; snap; _ } ->
       header_bytes + 40 + wbuff_bytes wbuff + opsmap_bytes ops + vc_bytes snap

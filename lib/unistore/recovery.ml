@@ -130,6 +130,7 @@ let wipe_state t =
   Store.Oplog.clear t.oplog;
   List.iter (zero_vec t)
     [ t.known_vec; t.durable_known; t.stable_vec; t.uniform_vec ];
+  t.stable_sent <- Vc.create ~dcs:(dcs t);
   Array.iter (zero_vec t) t.local_agg;
   Array.iter (zero_vec t) t.stable_matrix;
   Array.iter (zero_vec t) t.global_matrix;
@@ -188,18 +189,20 @@ let request_cert_state t =
           send t (sibling t i) (Msg.State_request { from = t.addr; ballot }))
         (Replication.live_peers t)
 
-(* Tell every live sibling how far we hold each stream. Besides pinning
-   their GC floors, this is our answer to a sibling that is catching up
-   itself (see [sync_complete]): our periodic gossip is down until we
-   finish, so the retry tick re-sends it. It carries no stableVec: a
-   replica still catching up does not vouch for stability. *)
-let gossip_known t =
+(* Send [claim] to every live sibling outside the propagate tick, whose
+   stream messages carry it otherwise. *)
+let gossip t ({ vec; stable } : Msg.claim) =
   List.iter
     (fun i ->
-      send t (sibling t i)
-        (Msg.Knownvec_global
-           { dc = t.dc; vec = Stabilisation.gc_claim t; stable = None }))
+      send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; vec; stable }))
     (Replication.live_peers t)
+
+(* Tell every live sibling how far we hold each stream. Besides pinning
+   their GC floors, this is our answer to a sibling that is catching up
+   itself (see [sync_complete]): our stream is down until we finish, so
+   the retry tick re-sends it. It carries no stableVec: a replica still
+   catching up does not vouch for stability. *)
+let gossip_known t = gossip t { vec = gc_claim t; stable = None }
 
 let cert_caught_up t =
   match t.cert with

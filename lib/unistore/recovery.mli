@@ -7,6 +7,7 @@ open Replica_state
 val enable_persistence : t -> unit
 val take_snapshot : t -> unit
 val reset_peer_view : t -> dc:int -> unit
+val gossip : t -> Msg.claim -> unit
 val sync_complete : t -> sync_state -> bool
 val finish_sync : t -> sync_state -> unit
 val handle_sync_request : t -> from:Msg.addr -> part:int -> sq:int -> unit

@@ -70,6 +70,7 @@ let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
     known_vec = Vc.create ~dcs:d;
     durable_known = Vc.create ~dcs:d;
     stable_vec = Vc.create ~dcs:d;
+    stable_sent = Vc.create ~dcs:d;
     uniform_vec = Vc.create ~dcs:d;
     local_agg = Array.init cfg.Config.partitions (fun _ -> Vc.create ~dcs:d);
     stable_matrix = Array.init d (fun _ -> Vc.create ~dcs:d);
@@ -195,21 +196,23 @@ let start_timers t ~phase =
   let gen = t.timer_gen in
   let live () = t.timer_gen = gen && alive t in
   let lab = task_label t in
+  (* the in-DC tree step runs just before the stream send of the same
+     period, so the stableVec it computes rides that send at once *)
   Engine.every t.eng
-    ~label:(lab "propagate")
-    ~period:Config.propagate_period_us ~phase (fun () ->
+    ~label:(lab "broadcast")
+    ~period:cfg.Config.broadcast_period_us ~phase (fun () ->
       if live () then begin
-        Replication.propagate_local_txs t;
-        Replication.run_forwarding t;
+        Stabilisation.broadcast_vecs t;
         true
       end
       else false);
   Engine.every t.eng
-    ~label:(lab "broadcast")
-    ~period:cfg.Config.broadcast_period_us
+    ~label:(lab "propagate")
+    ~period:Config.propagate_period_us
     ~phase:(phase + 1) (fun () ->
       if live () then begin
-        Stabilisation.broadcast_vecs t;
+        Replication.propagate_local_txs t;
+        Replication.run_forwarding t;
         true
       end
       else false);
@@ -281,13 +284,14 @@ let start_timers t ~phase =
         else false)
   end
 
-(* Once a catch-up completes: fresh periodic tasks, an immediate
-   metadata broadcast so siblings unpin the GC floors, and trust
+(* Once a catch-up completes: fresh periodic tasks, an immediate tree
+   step and sibling claim so siblings unpin the GC floors, and trust
    recomputed from the suspicions recorded while catching up (possibly
    reclaiming leadership through the ordinary recovery protocol). *)
 let resume t ~on_done () =
   start_timers t ~phase:(t.uid * 7 mod 1_000);
   Stabilisation.broadcast_vecs t;
+  Recovery.gossip t (Replication.sibling_claim t);
   Strong_coord.retarget_trust t;
   on_done ()
 
@@ -296,6 +300,13 @@ let begin_rejoin t ~on_done =
 
 let restart_from_disk t ~on_done =
   Recovery.restart_from_disk t ~resume:(resume t ~on_done)
+
+(* The sibling gossip riding an own-stream message: handled after the
+   stream part, exactly as a standalone KNOWNVEC_GLOBAL from [origin]. *)
+let handle_claim t ~origin = function
+  | None -> ()
+  | Some { Msg.vec; stable } ->
+      Stabilisation.handle_knownvec_global t ~dc:origin ~vec ~stable
 
 let dispatch t msg =
   match msg with
@@ -336,10 +347,12 @@ let dispatch t msg =
   | Msg.Commit_query { from; tid; part = _ } ->
       Causal_txn.handle_commit_query t ~from ~tid
   | Msg.Commit_abort { tid } -> Causal_txn.handle_commit_abort t ~tid
-  | Msg.Replicate { origin; txs; from_ts } ->
-      Replication.handle_replicate t ~origin ~txs ~from_ts
-  | Msg.Heartbeat { origin; ts; from_ts } ->
-      Replication.handle_heartbeat t ~origin ~ts ~from_ts
+  | Msg.Replicate { origin; txs; from_ts; claim } ->
+      Replication.handle_replicate t ~origin ~txs ~from_ts;
+      handle_claim t ~origin claim
+  | Msg.Heartbeat { origin; ts; from_ts; claim } ->
+      Replication.handle_heartbeat t ~origin ~ts ~from_ts;
+      handle_claim t ~origin claim
   | Msg.Repair_request { from; origin; vec_from; upto = _; sq } ->
       Replication.handle_repair_request t ~from ~origin ~vec_from ~sq
   | Msg.Repair_log { origin; txs; from_ts; covered; last; sq } as m ->

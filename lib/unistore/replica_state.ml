@@ -194,6 +194,10 @@ type t = {
      (memory runs ahead of disk; promises to others must not). *)
   durable_known : Vc.t;
   stable_vec : Vc.t;
+  (* the last stableVec attached to our stream's sibling claim (a sent
+     copy: replaced, never mutated); the next claim carries one only if
+     [stable_vec] advanced past it *)
+  mutable stable_sent : Vc.t;
   uniform_vec : Vc.t;
   local_agg : Vc.t array;  (* dissemination tree: child partition aggregates *)
   stable_matrix : Vc.t array;  (* per DC *)
@@ -345,6 +349,16 @@ let log_async t r =
            ~k:(fun () -> Vc.merge_into t.durable_known at_append)
            r)
   | _ -> ()
+
+(* The knownVec claim gossiped to siblings, who prune their catch-up
+   logs below it: in persistence mode it only vouches for what a
+   node-level crash cannot lose. A fresh copy — messages must carry
+   value snapshots, not live references: the simulation is shared-memory
+   and a receiver processes a message later, when the sender's vector
+   has already advanced. *)
+let gc_claim t =
+  if persistent t then Vc.meet t.known_vec t.durable_known
+  else Vc.copy t.known_vec
 
 (* ------------------------------------------------------------------ *)
 (* Waits. A "wait until" on one vector entry goes into a heap keyed by

@@ -103,6 +103,25 @@ let note_gap t ~origin ~floor ~from_ts ~claimed =
     start_repair_round t origin
   end
 
+(* The sibling gossip of Algorithm A5, riding our stream: the GC claim,
+   taken after the tick raised our own entry, and our stableVec when the
+   mode tracks uniformity and it advanced since the last one we
+   attached. At the default periods the in-DC tree step just before
+   advances it every tick; with a longer broadcast period it rides once
+   per tree step, so the period still sets the cost of stableVec
+   exchange (§8.3). *)
+let sibling_claim t =
+  let stable =
+    if Config.tracks_uniformity t.cfg && not (Vc.leq t.stable_vec t.stable_sent)
+    then begin
+      let s = Vc.copy t.stable_vec in
+      t.stable_sent <- s;
+      Some s
+    end
+    else None
+  in
+  { Msg.vec = gc_claim t; stable }
+
 let propagate_local_txs t =
   (* the batch below carries exactly our stream window
      (propagated_upto, new]: every queued commit's timestamp exceeds the
@@ -129,15 +148,21 @@ let propagate_local_txs t =
   in
   q := keep;
   let ready = sort_by_origin t.dc ready in
+  let claim = Some (sibling_claim t) in
   for i = 0 to dcs t - 1 do
     if i <> t.dc then
       if ready <> [] then
         send t (sibling t i)
-          (Msg.Replicate { origin = t.dc; txs = ready; from_ts = prev })
+          (Msg.Replicate { origin = t.dc; txs = ready; from_ts = prev; claim })
       else
         send t (sibling t i)
           (Msg.Heartbeat
-             { origin = t.dc; ts = Vc.get t.known_vec t.dc; from_ts = prev })
+             {
+               origin = t.dc;
+               ts = Vc.get t.known_vec t.dc;
+               from_ts = prev;
+               claim;
+             })
   done;
   (* advance the stream position to what receivers will now hold — and
      never move it back: WAL replay re-queues every tail commit, even
@@ -403,10 +428,11 @@ let forward_remote_txs t ~dst ~origin =
       !(t.committed_causal.(origin))
   in
   if txs <> [] then
-    send t (sibling t dst) (Msg.Replicate { origin; txs; from_ts = threshold })
+    send t (sibling t dst)
+      (Msg.Replicate { origin; txs; from_ts = threshold; claim = None })
   else if vouch > threshold then
     send t (sibling t dst)
-      (Msg.Heartbeat { origin; ts = vouch; from_ts = threshold })
+      (Msg.Heartbeat { origin; ts = vouch; from_ts = threshold; claim = None })
 
 let run_forwarding t =
   List.iter

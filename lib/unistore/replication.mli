@@ -5,6 +5,7 @@ open Replica_state
 val live_peers : t -> int list
 val eligible_peers : t -> int list
 val note_gap : t -> origin:int -> floor:int -> from_ts:int -> claimed:int -> unit
+val sibling_claim : t -> Msg.claim
 val propagate_local_txs : t -> unit
 val handle_replicate :
   t -> origin:int -> txs:Types.tx_rec list -> from_ts:int -> unit

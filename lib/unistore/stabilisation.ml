@@ -1,7 +1,8 @@
 (* Metadata exchange (Algorithm A5): stableVec and uniformVec, computed
    over an in-DC dissemination tree (§5.4) and a cross-DC sibling
-   exchange — one KNOWNVEC_GLOBAL per sibling per tick, carrying the
-   knownVec GC claim and the stableVec; and the waits built on them, the
+   exchange — the knownVec GC claim and the stableVec, riding each
+   partition's replication stream once per propagate tick
+   ([Replication.propagate_local_txs]); and the waits built on them, the
    uniform barrier and client attachment (§5.6).                        *)
 
 open Replica_state
@@ -73,7 +74,9 @@ let bump_uniform_remote t vec = bump_remote t t.uniform_vec vec
 let bump_snapshot_source t vec = bump_remote t (remote_snapshot_vec t) vec
 
 (* ------------------------------------------------------------------ *)
-(* The in-DC dissemination tree and the sibling exchange.               *)
+(* The in-DC dissemination tree and the sibling exchange. The tree step
+   runs once per broadcast period; the siblings' claims arrive on their
+   streams (Msg.claim) or, outside the tick, as KNOWNVEC_GLOBAL.        *)
 
 let tree_parent part = (part - 1) / 2
 let tree_children t part =
@@ -89,16 +92,6 @@ let update_stable t vec =
   Vc.merge_into t.stable_vec vec;
   Vc.merge_into t.stable_matrix.(t.dc) t.stable_vec;
   recompute_uniform t
-
-(* The knownVec claim gossiped to siblings, who prune their catch-up
-   logs below it: in persistence mode it only vouches for what a
-   node-level crash cannot lose. A fresh copy — messages must carry
-   value snapshots, not live references: the simulation is shared-memory
-   and a receiver processes a message later, when the sender's vector
-   has already advanced. *)
-let gc_claim t =
-  if persistent t then Vc.meet t.known_vec t.durable_known
-  else Vc.copy t.known_vec
 
 let broadcast_vecs t =
   let agg = subtree_agg t in
@@ -116,18 +109,6 @@ let broadcast_vecs t =
     send t
       (local_replica t (tree_parent t.part))
       (Msg.Kv_up { part = t.part; vec = agg });
-  (* sibling exchange across DCs: one message per sibling carries both
-     the GC claim and, when the mode tracks uniformity, our stableVec.
-     Receivers only read the vectors, so the siblings share one copy. *)
-  let vec = gc_claim t
-  and stable =
-    if Config.tracks_uniformity t.cfg then Some (Vc.copy t.stable_vec)
-    else None
-  in
-  for i = 0 to dcs t - 1 do
-    if i <> t.dc then
-      send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; vec; stable })
-  done;
   Replication.prune_committed t
 
 let handle_kv_up t ~part ~vec =

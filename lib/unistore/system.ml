@@ -411,6 +411,25 @@ let preload t key op =
    not fail over to a syncing DC (it refuses their requests). *)
 let dc_syncing t dc = Array.exists Replica.is_syncing t.replicas.(dc)
 
+(* The nodes at [coords] lost their memory: the certification
+   2PCs they were coordinating, and any DECISION still unacknowledged
+   on their outgoing links, died with it. The live certification members
+   of the DCs in [at] re-certify every prepared entry those nodes
+   coordinated (see [Cert.retry_coordinated]). *)
+let retry_coordinated t ~at ~coords =
+  List.iter
+    (fun dc ->
+      Array.iteri
+        (fun p r ->
+          match Replica.cert r with
+          | Some c
+            when (not (Network.dc_failed t.net dc))
+                 && not (Network.node_down t.net t.addrs.(dc).(p)) ->
+              List.iter (fun coord -> Cert.retry_coordinated c ~coord) coords
+          | _ -> ())
+        t.replicas.(dc))
+    at
+
 let rec recover_dc t dc =
   if Config.centralized_cert t.cfg then
     invalid_arg
@@ -444,6 +463,14 @@ and really_recover_dc t dc =
   Detector.revive t.detector ~dc;
   Sim.Trace.emitf t.trace ~source:"system" ~kind:"recover"
     "dc%d restarting with empty state" dc;
+  (* The rejoiner's own members restart with no accepted log, so the
+     other DCs' members finish the strong 2PCs its nodes were
+     coordinating when it crashed, as they do for a restarted node. Ω
+     does not necessarily help: a DC that crashes and recovers within
+     the detection delay is never suspected. *)
+  retry_coordinated t
+    ~at:(List.filter (fun d -> d <> dc) (List.init (Config.dcs t.cfg) Fun.id))
+    ~coords:(Array.to_list t.addrs.(dc));
   let g = Sim.Metrics.gauge t.metrics "dcs_syncing" in
   Sim.Metrics.gauge_add g 1.0;
   let remaining = ref t.cfg.Config.partitions in
@@ -526,13 +553,7 @@ let restart_node t ~dc ~part =
        here, so between them they hold every entry the node left
        undecided. Ω cannot help — the DC never went silent. *)
     let coord = t.addrs.(dc).(part) in
-    Array.iteri
-      (fun p r ->
-        match Replica.cert r with
-        | Some c when not (Network.node_down t.net t.addrs.(dc).(p)) ->
-            Cert.retry_coordinated c ~coord
-        | _ -> ())
-      t.replicas.(dc);
+    retry_coordinated t ~at:[ dc ] ~coords:[ coord ];
     if Config.centralized_cert t.cfg then
       Cert.retry_coordinated (fst t.rb_certs.(dc)) ~coord
   end

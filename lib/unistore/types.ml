@@ -9,11 +9,6 @@ let tid_equal a b = a.cl = b.cl && a.sq = b.sq
 let tid_compare a b =
   match compare a.cl b.cl with 0 -> compare a.sq b.sq | c -> c
 
-(* No transaction: used by dummy strong heartbeats (Algorithm A6 line 11,
-   CERTIFY with tid = ⊥). *)
-let tid_none = { cl = -1; sq = -1 }
-let tid_is_none t = t.cl = -1
-
 (* Description of one operation for the conflict relation ⋈ (§3): the key
    it touches, an application-assigned operation class, and whether it is
    an update. The read set rset of Algorithm A2 is a list of these. *)

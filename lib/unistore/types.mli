@@ -8,11 +8,6 @@ val tid_pp : tid Fmt.t
 val tid_equal : tid -> tid -> bool
 val tid_compare : tid -> tid -> int
 
-(** ⊥: used by dummy strong heartbeats (Algorithm A6 line 11). *)
-val tid_none : tid
-
-val tid_is_none : tid -> bool
-
 (** One operation as seen by the conflict relation ⋈ (§3): key,
     application-assigned class, update flag. The read set of Algorithm A2
     is a list of these. *)

@@ -1,77 +1,107 @@
-(* The cross-DC sibling gossip of Algorithm A5: every broadcast tick each
-   partition sends each sibling one KNOWNVEC_GLOBAL, carrying its
-   knownVec GC claim and, when the mode tracks uniformity, its stableVec.
-   A replica still catching up after a rejoin gossips its claim alone:
-   it does not vouch for stability. *)
+(* The cross-DC sibling gossip of Algorithm A5. Each propagate tick, a
+   partition's own replication stream message to a sibling (REPLICATE,
+   or HEARTBEAT when idle) carries its claim: the knownVec GC claim and,
+   when the mode tracks uniformity and it advanced since the last one
+   attached, its stableVec. Forwarded stream messages carry no claim.
+   A standalone KNOWNVEC_GLOBAL is sent only outside the tick: by a
+   replica catching up, without a stableVec (it does not vouch for
+   stability), and once by a replica resuming service. *)
 
 module U = Unistore
 module Vc = Vclock.Vc
 
-let kind = "knownvec_global"
+(* Classify every message the network sends into a private registry:
+   stream messages by who sent them (a crashed origin sends nothing, so
+   a stream message of a crashed origin is forwarded) and by what claim
+   they carry; everything else by its kind. *)
+let meter sys =
+  let net = U.System.network sys and reg = Sim.Metrics.create () in
+  let stream origin (claim : U.Msg.claim option) =
+    (if Net.Network.dc_failed net origin then "fwd/" else "own/")
+    ^
+    match claim with
+    | None -> "none"
+    | Some { stable = None; _ } -> "claim"
+    | Some { stable = Some _; _ } -> "claim+stable"
+  in
+  let kind_of = function
+    | U.Msg.Replicate { origin; claim; _ }
+    | U.Msg.Heartbeat { origin; claim; _ } ->
+        stream origin claim
+    | U.Msg.Knownvec_global { stable = Some _; _ } -> "knownvec_global+stable"
+    | m -> U.Msg.kind m
+  in
+  Net.Network.set_meter net reg ~kind_of ~size_of:U.Msg.size_bytes;
+  fun k ->
+    List.fold_left
+      (fun acc (labels, c) ->
+        if List.assoc_opt "kind" labels = Some k then
+          acc + Sim.Metrics.counter_value c
+        else acc)
+      0
+      (Sim.Metrics.counters_matching reg "net_sent_total")
 
-let by_kind reg name k =
-  List.fold_left
-    (fun acc (labels, c) ->
-      if List.assoc_opt "kind" labels = Some k then
-        acc + Sim.Metrics.counter_value c
-      else acc)
-    0
-    (Sim.Metrics.counters_matching reg name)
-
-let kinds_sent reg =
-  List.filter_map
-    (fun (labels, c) ->
-      if Sim.Metrics.counter_value c > 0 then List.assoc_opt "kind" labels
-      else None)
-    (Sim.Metrics.counters_matching reg "net_sent_total")
-
-(* Wire size of one gossip message with and without a stableVec. *)
-let gossip_bytes ~dcs ~stable =
-  let v = Vc.create ~dcs in
-  U.Msg.size_bytes
-    (U.Msg.Knownvec_global
-       { dc = 0; vec = v; stable = (if stable then Some v else None) })
-
-(* How many of the gossip messages sent so far carried no stableVec:
-   sizes depend only on the vector width, so the byte count splits the
-   message count exactly. *)
-let sent_without_stable sys =
-  let reg = U.System.metrics sys and dcs = U.Config.dcs (U.System.cfg sys) in
-  let n = by_kind reg "net_sent_total" kind
-  and bytes = by_kind reg "net_sent_bytes" kind in
-  let with_s = gossip_bytes ~dcs ~stable:true
-  and without = gossip_bytes ~dcs ~stable:false in
-  ((n * with_s) - bytes) / (with_s - without)
+let own_stream sent =
+  sent "own/none" + sent "own/claim" + sent "own/claim+stable"
 
 let test_cost_model () =
   let c = U.Config.default_costs and v = Vc.create ~dcs:3 in
+  let claim stable = Some { U.Msg.vec = v; stable } in
   let gossip stable = U.Msg.Knownvec_global { dc = 0; vec = v; stable } in
+  let heartbeat claim =
+    U.Msg.Heartbeat { origin = 0; ts = 1; from_ts = 0; claim }
+  in
+  let replicate claim =
+    U.Msg.Replicate { origin = 0; txs = []; from_ts = 0; claim }
+  in
+  let cost = U.Msg.cost c in
   Alcotest.(check int) "a gossip with a stableVec costs the uniformVec \
                         recomputation on top of the vector merge"
     (c.U.Config.c_stablevec + c.U.Config.c_vec)
-    (U.Msg.cost c (gossip (Some v)));
+    (cost (gossip (Some v)));
   Alcotest.(check int) "a gossip without one costs the merge alone"
     c.U.Config.c_vec
-    (U.Msg.cost c (gossip None))
+    (cost (gossip None));
+  Alcotest.(check int) "a heartbeat without a claim costs its own merge"
+    c.U.Config.c_vec
+    (cost (heartbeat None));
+  Alcotest.(check int) "a claim adds exactly the gossip's charge to a \
+                        heartbeat: the per-tick CPU charge is unchanged"
+    (cost (heartbeat None) + cost (gossip (Some v)))
+    (cost (heartbeat (claim (Some v))));
+  Alcotest.(check int) "so does a claim without a stableVec"
+    (cost (heartbeat None) + cost (gossip None))
+    (cost (heartbeat (claim None)));
+  Alcotest.(check int) "and a claim on a replicate batch"
+    (cost (replicate None) + cost (gossip (Some v)))
+    (cost (replicate (claim (Some v))))
 
 let test_one_message_per_sibling_per_tick () =
   let partitions = 4 in
   let sys = Util.make_system ~partitions () in
-  let cfg = U.System.cfg sys and reg = U.System.metrics sys in
-  let dcs = U.Config.dcs cfg and period = cfg.U.Config.broadcast_period_us in
-  let uniform dc = Vc.copy (U.Replica.uniform_vec (U.System.replica sys ~dc ~part:0)) in
+  let sent = meter sys in
+  let cfg = U.System.cfg sys in
+  let dcs = U.Config.dcs cfg and period = U.Config.propagate_period_us in
+  let uniform dc =
+    Vc.copy (U.Replica.uniform_vec (U.System.replica sys ~dc ~part:0))
+  in
   Util.run sys ~until:1_000_000;
-  let before = by_kind reg "net_sent_total" kind in
+  let own_before = own_stream sent
+  and stable_before = sent "own/claim+stable"
+  and gossip_before = sent "knownvec_global" in
   let uniform_before = Array.init dcs uniform in
   let ticks = 20 in
   Util.run sys ~until:(1_000_000 + (ticks * period));
-  Alcotest.(check int) "partitions x DCs x (DCs - 1) gossip messages per tick"
+  Alcotest.(check int)
+    "partitions x DCs x (DCs - 1) sibling stream messages per tick"
     (ticks * partitions * dcs * (dcs - 1))
-    (by_kind reg "net_sent_total" kind - before);
-  Alcotest.(check bool) "no separate stableVec message is ever sent" false
-    (List.mem "stablevec" (kinds_sent reg));
-  Alcotest.(check int) "every gossip carries the stableVec" 0
-    (sent_without_stable sys);
+    (own_stream sent - own_before);
+  Alcotest.(check int) "every one carries a claim with a stableVec"
+    (own_stream sent - own_before)
+    (sent "own/claim+stable" - stable_before);
+  Alcotest.(check int) "no standalone knownvec_global is sent" 0
+    (sent "knownvec_global" - gossip_before);
+  Alcotest.(check int) "no stableVec message kind exists" 0 (sent "stablevec");
   for dc = 0 to dcs - 1 do
     let now = uniform dc in
     for j = 0 to dcs - 1 do
@@ -83,16 +113,45 @@ let test_one_message_per_sibling_per_tick () =
     done
   done
 
-let test_cure_gossips_no_stablevec () =
-  let sys = Util.make_system ~partitions:2 ~mode:U.Config.Cure_ft () in
+(* With a broadcast period four times the propagate period, the tree
+   step advances stableVec once per four stream sends: the claim carries
+   it on about one stream message in four, so the period still sets the
+   stableVec exchange cost that §8.3 sweeps. *)
+let test_slow_broadcast_attaches_stable_per_tree_step () =
+  let cfg =
+    U.Config.default ~topo:(Util.default_topo ()) ~partitions:2
+      ~broadcast_period_us:20_000 ()
+  in
+  let sys = U.System.create cfg in
+  let sent = meter sys in
   Util.run sys ~until:500_000;
-  let n = by_kind (U.System.metrics sys) "net_sent_total" kind in
-  Alcotest.(check bool) "Cure gossips knownVec" true (n > 0);
-  Alcotest.(check int) "no Cure gossip carries a stableVec" n
-    (sent_without_stable sys)
+  let own_before = own_stream sent
+  and stable_before = sent "own/claim+stable" in
+  Util.run sys ~until:1_500_000;
+  let own = own_stream sent - own_before
+  and stable = sent "own/claim+stable" - stable_before in
+  Alcotest.(check int) "every own stream message still carries a claim" 0
+    (sent "own/none");
+  let share = float_of_int stable /. float_of_int own in
+  Alcotest.(check bool)
+    (Fmt.str "about one in four carries a stableVec (%d of %d)" stable own)
+    true
+    (share > 0.2 && share < 0.3)
+
+let test_cure_claims_carry_no_stablevec () =
+  let sys = Util.make_system ~partitions:2 ~mode:U.Config.Cure_ft () in
+  let sent = meter sys in
+  Util.run sys ~until:500_000;
+  Alcotest.(check bool) "Cure's stream carries knownVec claims" true
+    (sent "own/claim" > 0);
+  Alcotest.(check int) "none carries a stableVec" 0 (sent "own/claim+stable");
+  Alcotest.(check int) "and every own stream message carries a claim" 0
+    (sent "own/none")
 
 let test_rejoiner_gossips_no_stablevec () =
-  let sys = Util.make_system ~partitions:2 () in
+  let partitions = 2 in
+  let sys = Util.make_system ~partitions () in
+  let sent = meter sys in
   U.Nemesis.inject sys
     [
       { U.Nemesis.at_us = 500_000; ev = U.Nemesis.Crash_dc 2 };
@@ -103,7 +162,32 @@ let test_rejoiner_gossips_no_stablevec () =
     (U.System.dc_syncing sys 2);
   Alcotest.(check bool) "the rejoiner's catch-up gossip carried no stableVec"
     true
-    (sent_without_stable sys > 0)
+    (sent "knownvec_global" > 0);
+  (* a replica resuming service sends one claim per live sibling, with
+     its stableVec if that advanced since the crash wiped it *)
+  Alcotest.(check bool)
+    "only a resuming replica's one claim per live sibling may carry one"
+    true
+    (sent "knownvec_global+stable"
+    <= partitions * (U.Config.dcs (U.System.cfg sys) - 1))
+
+(* dc1 loses dc2's stream to a partition, then dc2 crashes: dc0, which
+   holds dc2's stream further, forwards it to dc1 once Ω suspects dc2.
+   Those forwarded messages speak for dc2's stream, not for the
+   forwarder, so they carry no claim. *)
+let test_forwarded_stream_carries_no_claim () =
+  let sys = Util.make_system ~partitions:2 () in
+  let sent = meter sys in
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = 500_000; ev = U.Nemesis.Partition (1, 2) };
+      { at_us = 1_000_000; ev = U.Nemesis.Crash_dc 2 };
+    ];
+  Util.run sys ~until:3_000_000;
+  Alcotest.(check bool) "dc2's stream was forwarded" true
+    (sent "fwd/none" > 0);
+  Alcotest.(check int) "no forwarded message carried a claim" 0
+    (sent "fwd/claim" + sent "fwd/claim+stable")
 
 let suite =
   [
@@ -112,7 +196,11 @@ let suite =
     Alcotest.test_case "one gossip message per sibling per tick" `Quick
       test_one_message_per_sibling_per_tick;
     Alcotest.test_case "Cure gossips no stableVec" `Quick
-      test_cure_gossips_no_stablevec;
+      test_cure_claims_carry_no_stablevec;
     Alcotest.test_case "a rejoiner gossips no stableVec" `Quick
       test_rejoiner_gossips_no_stablevec;
+    Alcotest.test_case "forwarded stream messages carry no claim" `Quick
+      test_forwarded_stream_carries_no_claim;
+    Alcotest.test_case "a slow tree step attaches stableVec 1 in 4" `Quick
+      test_slow_broadcast_attaches_stable_per_tree_step;
   ]

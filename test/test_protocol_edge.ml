@@ -270,10 +270,13 @@ let test_heartbeat_continuity () =
   let reg = U.System.metrics sys in
   let origin = 1 in
   let frontier () = Vclock.Vc.get (U.Replica.known_vec r) origin in
-  U.Replica.handle r (U.Msg.Heartbeat { origin; ts = 500; from_ts = 0 });
+  let heartbeat ~ts ~from_ts =
+    U.Replica.handle r (U.Msg.Heartbeat { origin; ts; from_ts; claim = None })
+  in
+  heartbeat ~ts:500 ~from_ts:0;
   Alcotest.(check int) "contiguous heartbeat adopts the frontier" 500
     (frontier ());
-  U.Replica.handle r (U.Msg.Heartbeat { origin; ts = 2_000; from_ts = 1_000 });
+  heartbeat ~ts:2_000 ~from_ts:1_000;
   Alcotest.(check int) "gapped heartbeat does not jump the frontier" 500
     (frontier ());
   Alcotest.(check int) "the gap is detected and counted" 1
@@ -282,7 +285,7 @@ let test_heartbeat_continuity () =
     (U.Replica.repair_active r ~origin);
   (* further gapped claims while the repair runs raise its target but do
      not stack rounds *)
-  U.Replica.handle r (U.Msg.Heartbeat { origin; ts = 2_500; from_ts = 2_000 });
+  heartbeat ~ts:2_500 ~from_ts:2_000;
   Alcotest.(check int) "the repeat offender is counted" 2
     (counter_total reg "replicate_gap_detected_total");
   Alcotest.(check int) "but starts no second round" 1
@@ -303,7 +306,12 @@ let test_gap_repair_frontier_order () =
   let replicate ~ts ~v ~from_ts =
     U.Replica.handle r
       (U.Msg.Replicate
-         { origin; txs = [ stream_tx ~origin ~ts ~key ~v ]; from_ts })
+         {
+           origin;
+           txs = [ stream_tx ~origin ~ts ~key ~v ];
+           from_ts;
+           claim = None;
+         })
   in
   replicate ~ts:100 ~v:1 ~from_ts:0;
   Alcotest.(check int) "contiguous batch applies" 100 (frontier ());
