@@ -4,10 +4,14 @@
    exercises (§8):
 
    - WAN latency from the deployment topology, plus bounded uniform jitter;
-   - per-node CPU: a node processes one message at a time; each message
-     has a service cost (microseconds) charged to the node, so nodes
-     saturate and queueing delay emerges, which is what shapes the
-     throughput/latency curves of §8;
+   - per-node CPU: a node processes one message at a time, in arrival
+     order; each message has a service cost (microseconds) charged to the
+     node, so nodes saturate and queueing delay emerges, which is what
+     shapes the throughput/latency curves of §8. A direct-path message
+     costs one engine event when the CPU is idle on arrival and two when
+     it is busy: the send schedules the handler at [arrival + cost], and
+     the per-node arrival inbox settles the FIFO queue lazily (see
+     [settle]);
    - whole-data-center crash failures: a failed DC neither sends nor
      receives from the moment of the crash (§2 considers only whole-DC
      failures).
@@ -67,7 +71,29 @@ type 'm node = {
      traffic stamped with an older epoch is discarded on arrival. Client
      nodes never lose state, so their epoch never moves. *)
   mutable epoch : int;
+  (* direct-path arrivals not yet given a CPU slot: a binary min-heap on
+     (arrival time, send seq) in [inbox.(0 .. inbox_len - 1)] — the order
+     in which the messages reach the node *)
+  mutable inbox : 'm arrival array;
+  mutable inbox_len : int;
 }
+
+(* A message on the direct path, from send until its CPU slot is fixed.
+   [a_finish] is [unsettled] until [settle] serves it in arrival order,
+   then its handler's finish time, or [dropped]. *)
+and 'm arrival = {
+  a_src : 'm node;
+  a_msg : 'm;
+  a_cost : int;  (* the destination's service cost for [a_msg] *)
+  a_sep : int;  (* source epoch at send *)
+  a_dep : int;  (* destination epoch at send *)
+  a_at : int;  (* arrival time *)
+  a_seq : int;  (* send order: breaks ties on [a_at] *)
+  mutable a_finish : int;
+}
+
+let unsettled = -1
+let dropped = -2
 
 (* Sender half of a reliable channel. [unacked] holds sent-but-unacked
    messages in ascending sequence order (a send appends, a cumulative ack
@@ -137,6 +163,7 @@ type 'm t = {
   mutable lab_ack : Sim.Prof.label;
   mutable lab_retransmit : Sim.Prof.label;
   mutable rto_cap_us : int;  (* retransmission-backoff ceiling *)
+  mutable send_seq : int;  (* direct sends so far: the inbox tie-break *)
   mutable sent : int;
   mutable dropped_crash : int;
   mutable dropped_loss : int;
@@ -175,6 +202,7 @@ let create eng topo =
     lab_ack = Sim.Prof.none;
     lab_retransmit = Sim.Prof.none;
     rto_cap_us = default_rto_cap_us;
+    send_seq = 0;
     sent = 0;
     dropped_crash = 0;
     dropped_loss = 0;
@@ -189,7 +217,8 @@ let engine t = t.eng
 
 (* Transport-level attribution labels, interned lazily: [Prof.label]
    returns [none] while the profiler is off, so the memo only sticks
-   once it is on. *)
+   once it is on. [net/deliver] labels only the lossy path's arrival
+   events; direct-path deliveries run under their handler's label. *)
 let lab_deliver t =
   if t.lab_deliver <> Sim.Prof.none then t.lab_deliver
   else begin
@@ -366,6 +395,8 @@ let register t ?(client = false) ?name ~dc ~cost handler =
       busy_us = 0;
       down = false;
       epoch = 0;
+      inbox = [||];
+      inbox_len = 0;
     }
   in
   if t.node_count = Array.length t.nodes then begin
@@ -390,10 +421,95 @@ let dc_failed t dc = t.failed.(dc)
    and outlive the crash. *)
 let node_failed t n = n.down || (t.failed.(n.dc) && not n.client)
 
+(* ------------------------------------------------------------------ *)
+(* Per-node arrival inbox.                                              *)
+
+let arrives_before a b =
+  a.a_at < b.a_at || (a.a_at = b.a_at && a.a_seq < b.a_seq)
+
+let inbox_push n r =
+  if n.inbox_len = Array.length n.inbox then begin
+    let data = Array.make (max 16 (2 * n.inbox_len)) r in
+    Array.blit n.inbox 0 data 0 n.inbox_len;
+    n.inbox <- data
+  end;
+  let h = n.inbox in
+  let i = ref n.inbox_len in
+  n.inbox_len <- n.inbox_len + 1;
+  while !i > 0 && arrives_before r h.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    h.(!i) <- h.(parent);
+    i := parent
+  done;
+  h.(!i) <- r
+
+(* Remove the earliest arrival. The vacated slot keeps a reference to a
+   record still in the heap (or, once empty, to the popped one), so no
+   filler value is needed. *)
+let inbox_pop n =
+  let h = n.inbox in
+  let top = h.(0) in
+  let len = n.inbox_len - 1 in
+  n.inbox_len <- len;
+  if len > 0 then begin
+    let last = h.(len) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= len then sifting := false
+      else begin
+        let c =
+          if l + 1 < len && arrives_before h.(l + 1) h.(l) then l + 1 else l
+        in
+        if arrives_before h.(c) last then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    h.(!i) <- last
+  end;
+  top
+
+(* Serve every inbox arrival at or before [upto], in arrival order, as
+   the node's FIFO CPU would have on arrival: [start = max arrival
+   busy_until], [finish = start + cost]. The arrival-time checks run
+   here: an epoch that moved since the send is a silent drop, a dead
+   destination a counted [Crash] drop. Exact as long as the node's state
+   and epochs have not changed since the arrivals being served — which
+   the failure operations guarantee by settling every inbox first
+   ([settle_all]). *)
+let settle t n ~upto =
+  while n.inbox_len > 0 && n.inbox.(0).a_at <= upto do
+    let r = inbox_pop n in
+    let src = r.a_src in
+    if r.a_sep <> src.epoch || r.a_dep <> n.epoch then r.a_finish <- dropped
+    else if node_failed t n then begin
+      r.a_finish <- dropped;
+      count_drop t Crash ~src_dc:src.dc ~dst_dc:n.dc
+    end
+    else begin
+      let finish = max r.a_at n.busy_until + r.a_cost in
+      n.busy_until <- finish;
+      n.busy_us <- n.busy_us + r.a_cost;
+      r.a_finish <- finish
+    end
+  done
+
+(* Before a node or DC changes state, serve every arrival strictly
+   before now under the state in force when it arrived. *)
+let settle_all t =
+  let upto = Sim.Engine.now t.eng - 1 in
+  for addr = 0 to t.node_count - 1 do
+    settle t t.nodes.(addr) ~upto
+  done
+
 let fail_dc t dc =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.fail_dc: no such data center";
   if not t.failed.(dc) then begin
+    settle_all t;
     t.failed.(dc) <- true;
     t.failed_at.(dc) <- Sim.Engine.now t.eng
   end
@@ -442,6 +558,7 @@ let recover_dc t dc =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.recover_dc: no such data center";
   if t.failed.(dc) then begin
+    settle_all t;
     t.failed.(dc) <- false;
     t.failed_at.(dc) <- -1;
     (* client nodes kept their state through the crash: their epochs and
@@ -465,7 +582,10 @@ let recover_dc t dc =
 let fail_node t addr =
   let n = node t addr in
   if n.client then invalid_arg "Network.fail_node: client nodes cannot crash";
-  n.down <- true
+  if not n.down then begin
+    settle_all t;
+    n.down <- true
+  end
 
 let node_down t addr = (node t addr).down
 
@@ -475,6 +595,7 @@ let node_down t addr = (node t addr).down
 let recover_node t addr =
   let n = node t addr in
   if n.down then begin
+    settle_all t;
     n.down <- false;
     n.epoch <- n.epoch + 1;
     n.busy_until <- 0;
@@ -490,36 +611,57 @@ let transit_us t ~src_dc ~dst_dc =
   in
   base + jitter
 
-(* Process a message at its destination node: serialize on the node's CPU
-   and run the handler once the service time has been paid. *)
+(* Handler-time check: the node may have crashed, or restarted, while
+   the message waited for (or used) the CPU. *)
+let run_handler t n msg ep =
+  if (not (node_failed t n)) && ep = n.epoch then begin
+    n.processed <- n.processed + 1;
+    (match t.meter with
+    | None -> ()
+    | Some m -> Sim.Metrics.incr (meter_kind_recv m (m.kind_of msg)));
+    n.handler msg
+  end
+
+(* handler events carry the node's own identity plus the message kind
+   (when a meter names kinds), so replica work is attributed to
+   "dcN/replica/handle:Replicate" rather than to whoever sent it *)
+let label_for t n msg =
+  if Sim.Prof.is_on t.prof then
+    handler_label t n
+      (match t.meter with Some m -> m.kind_of msg | None -> "msg")
+  else Sim.Prof.none
+
+(* A message reaching its node now, off the inbox (self-sends and the
+   lossy path's in-order deliveries): serve the inbox's earlier arrivals
+   first, then take the next CPU slot and run the handler once the
+   service time has been paid. *)
 let process t dst_node msg =
   let now = Sim.Engine.now t.eng in
+  settle t dst_node ~upto:now;
   let start = max now dst_node.busy_until in
   let cost = dst_node.cost msg in
   let finish = start + cost in
   dst_node.busy_until <- finish;
   dst_node.busy_us <- dst_node.busy_us + cost;
   let ep = dst_node.epoch in
-  (* handler events carry the node's own identity plus the message kind
-     (when a meter names kinds), so replica work is attributed to
-     "dcN/replica/handle:Replicate" rather than to whoever sent it *)
-  let label =
-    if Sim.Prof.is_on t.prof then
-      handler_label t dst_node
-        (match t.meter with Some m -> m.kind_of msg | None -> "msg")
-    else Sim.Prof.none
-  in
-  Sim.Engine.schedule_at t.eng ~label ~time:finish (fun () ->
-      if (not (node_failed t dst_node)) && ep = dst_node.epoch then begin
-        dst_node.processed <- dst_node.processed + 1;
-        (match t.meter with
-        | None -> ()
-        | Some m -> Sim.Metrics.incr (meter_kind_recv m (m.kind_of msg)));
-        dst_node.handler msg
-      end)
+  Sim.Engine.schedule_at t.eng ~label:(label_for t dst_node msg) ~time:finish
+    (fun () -> run_handler t dst_node msg ep)
 
 (* ------------------------------------------------------------------ *)
 (* Reliable (default) path: FIFO channels, no loss between live DCs.    *)
+
+(* The one event of a direct-path message, scheduled at [arrival + cost]
+   — its finish time if the CPU is idle on arrival. Settling the inbox
+   through the arrival is exact: anything arriving earlier was sent
+   earlier, so it is already queued. A busy CPU pushed the finish later;
+   the event then moves there once (a second event, same label). *)
+let on_arrival t n r () =
+  if r.a_finish = unsettled then settle t n ~upto:r.a_at;
+  let finish = r.a_finish in
+  if finish = Sim.Engine.now t.eng then run_handler t n r.a_msg r.a_dep
+  else if finish <> dropped then
+    Sim.Engine.schedule_at t.eng ~time:finish (fun () ->
+        run_handler t n r.a_msg r.a_dep)
 
 let direct_send t ~src_node ~dst_node msg =
   let now = Sim.Engine.now t.eng in
@@ -532,12 +674,23 @@ let direct_send t ~src_node ~dst_node msg =
     | _ -> arrival
   in
   Hashtbl.replace t.fifo key arrival;
-  let sep = src_node.epoch and dep = dst_node.epoch in
-  Sim.Engine.schedule_at t.eng ~label:(lab_deliver t) ~time:arrival (fun () ->
-      if sep <> src_node.epoch || dep <> dst_node.epoch then ()
-      else if node_failed t dst_node then
-        count_drop t Crash ~src_dc:src_node.dc ~dst_dc:dst_node.dc
-      else process t dst_node msg)
+  t.send_seq <- t.send_seq + 1;
+  let cost = dst_node.cost msg in
+  let r =
+    {
+      a_src = src_node;
+      a_msg = msg;
+      a_cost = cost;
+      a_sep = src_node.epoch;
+      a_dep = dst_node.epoch;
+      a_at = arrival;
+      a_seq = t.send_seq;
+      a_finish = unsettled;
+    }
+  in
+  inbox_push dst_node r;
+  Sim.Engine.schedule_at t.eng ~label:(label_for t dst_node msg)
+    ~time:(arrival + cost) (on_arrival t dst_node r)
 
 (* ------------------------------------------------------------------ *)
 (* Lossy path: ack/retransmission layer over faulty inter-DC links.     *)

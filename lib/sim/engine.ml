@@ -7,8 +7,9 @@
    Self-profiling ([Sim.Prof]): every event carries an attribution
    label. An event scheduled without an explicit label inherits the
    label of the event currently executing, so labelling the roots
-   (periodic timers, network deliveries, fiber spawns, disk
-   completions) attributes the whole downstream cascade. With the
+   (periodic timers, message handlers, the lossy transport's arrivals,
+   fiber spawns, disk completions) attributes the whole downstream
+   cascade. With the
    profiler disabled — the default — the cost is one integer compare
    per schedule and one branch per executed event, and labels are all
    [Prof.none]; event ordering is identical either way, so enabling

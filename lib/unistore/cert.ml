@@ -78,14 +78,22 @@ end)
    transactions). Each is appended to the node's WAL *before* the
    message that promises it leaves the member: an [E_ballot] before a
    NEW_LEADER_ACK / NEW_STATE_ACK under that ballot, an [E_accept]
-   before the ACCEPT_ACK for that transaction. Decisions and the
-   delivery frontier are deliberately not logged — decided state is
-   group-recoverable through NEW_STATE, and the frontier is re-derived
-   from the replica's own delivered-strong WAL records, so the cert
-   member and its store cannot disagree after a replay. *)
+   before the ACCEPT_ACK for that transaction. The delivery frontier is
+   not logged: it is re-derived from the replica's own delivered-strong
+   WAL records, so the cert member and its store cannot disagree after
+   a replay.
+
+   Decisions must survive a restart too, or a replayed accept comes back
+   as undecided: once the group has pruned its decision, re-certifying
+   it yields Unknown, and one that voted commit blocks delivery for
+   good. A commit needs no record of its own — its delivered-strong
+   record names it — so only aborts are logged ([E_abort], appended
+   asynchronously when the member learns the decision; a crash that
+   loses it comes back while the group still holds the decision). *)
 type event =
   | E_ballot of { b : int; cb : int }
   | E_accept of Msg.prepared_strong
+  | E_abort of { tid : Types.tid; vec : Vc.t; lc : int }
 
 let status_name = function
   | Leader -> "leader"
@@ -199,7 +207,8 @@ let broadcast t msg =
     t.ctx.x_send (t.ctx.x_member dc) msg
   done
 
-(* Register a newly decided transaction in all indexes. *)
+(* Register a newly decided transaction in all indexes; log an abort
+   (see [event]). *)
 let add_decided t (d : Msg.decided_strong) =
   if not (Hashtbl.mem t.decided d.Msg.ds_tid) then begin
     Hashtbl.replace t.decided d.Msg.ds_tid d;
@@ -229,6 +238,10 @@ let add_decided t (d : Msg.decided_strong) =
         t.undelivered <- Delivery_queue.add (ts, - t.queued) d t.undelivered
       end
     end
+    else
+      log_durably t
+        (E_abort { tid = d.Msg.ds_tid; vec = d.Msg.ds_vec; lc = d.Msg.ds_lc })
+        ignore
   end
 
 (* ------------------------------------------------------------------ *)
@@ -551,19 +564,21 @@ let restoring_done t =
     try_deliver t
   end
 
+let decided_of (p : Msg.prepared_strong) ~dec ~vec ~lc =
+  {
+    Msg.ds_tid = p.Msg.ps_tid;
+    ds_origin = p.Msg.ps_origin;
+    ds_wbuff = p.Msg.ps_wbuff;
+    ds_ops = p.Msg.ps_ops;
+    ds_dec = dec;
+    ds_vec = vec;
+    ds_lc = lc;
+  }
+
 (* Move an accepted transaction to the decided log. *)
 let decide_prepared t (p : Msg.prepared_strong) ~dec ~vec ~lc =
   remove_prepared t p.Msg.ps_tid;
-  add_decided t
-    {
-      Msg.ds_tid = p.Msg.ps_tid;
-      ds_origin = p.Msg.ps_origin;
-      ds_wbuff = p.Msg.ps_wbuff;
-      ds_ops = p.Msg.ps_ops;
-      ds_dec = dec;
-      ds_vec = vec;
-      ds_lc = lc;
-    }
+  add_decided t (decided_of p ~dec ~vec ~lc)
 
 let handle_learn_decision t ~b ~tid ~dec ~vec ~lc =
   chase_ballot t b;
@@ -828,8 +843,13 @@ let persistent_state t = (t.ballot, t.cballot, prepared_list t)
    every pre-crash NEW_LEADER_ACK and ACCEPT_ACK still hold — the member
    can answer a later leader recovery without violating
    quorum-intersection arguments. [delivered] is re-derived by the
-   replica from its own replayed delivered-strong records. *)
-let restart t ~ballot ~cballot ~prepared ~delivered =
+   replica from its own replayed delivered-strong records. [decision]
+   answers for the replayed accepts whose decision the disk also names
+   (see [event]): those return decided, below the frontier, so a
+   re-election this member leads hands the group their decisions
+   instead of undecided entries. *)
+let restart ?(decision = fun _ -> None) t ~ballot ~cballot ~prepared
+    ~delivered =
   t.status <- Recovering;
   t.ballot <- max t.ballot ballot;
   t.cballot <- max t.cballot cballot;
@@ -844,8 +864,11 @@ let restart t ~ballot ~cballot ~prepared ~delivered =
   clear_log t;
   List.iter
     (fun (p : Msg.prepared_strong) ->
-      Hashtbl.replace t.prepared p.Msg.ps_tid p;
-      Hashtbl.replace t.prepared_at p.Msg.ps_tid (t.ctx.x_now ()))
+      match decision p.Msg.ps_tid with
+      | Some (dec, vec, lc) -> add_decided t (decided_of p ~dec ~vec ~lc)
+      | None ->
+          Hashtbl.replace t.prepared p.Msg.ps_tid p;
+          Hashtbl.replace t.prepared_at p.Msg.ps_tid (t.ctx.x_now ()))
     prepared
 
 (* DC rejoin: the crash destroyed this member's disk, so it restarts
@@ -936,7 +959,7 @@ let retry_stale t ~older_than_us =
   end
 
 (* Ω told us [dc] is down: immediately re-certify every prepared
-   transaction originating there, instead of waiting for the RETRY
+   transaction coordinated there, instead of waiting for the RETRY
    timer. An accepted-but-undecided transaction whose coordinator
    crashed blocks DELIVER for every later strong timestamp in its
    group, which freezes the data center-wide stable vector and with it
@@ -947,7 +970,7 @@ let retry_suspected t ~dc =
   if t.status = Leader then
     Hashtbl.iter
       (fun tid (p : Msg.prepared_strong) ->
-        if p.Msg.ps_origin = dc then recertify t tid p)
+        if t.ctx.x_dc_of p.Msg.ps_coord = dc then recertify t tid p)
       t.prepared
 
 (* The node at [coord] restarted: the certifications it was coordinating

@@ -55,13 +55,17 @@ type status = Leader | Follower | Recovering | Restoring
 (** Durable certification events (the Raft persistent-state contract):
     an [E_ballot] is appended to the node's WAL before any ack promising
     that ballot leaves the member, an [E_accept] before the ACCEPT_ACK
-    for that transaction. Decisions and the delivery frontier are not
-    logged — decided state is group-recoverable via NEW_STATE, and the
-    frontier is re-derived from the replica's own delivered-strong
-    records at replay. *)
+    for that transaction. The delivery frontier is not logged: it is
+    re-derived from the replica's own delivered-strong records at
+    replay. *)
 type event =
   | E_ballot of { b : int; cb : int }
   | E_accept of Msg.prepared_strong
+  | E_abort of { tid : Types.tid; vec : Vclock.Vc.t; lc : int }
+      (** an abort decision this member learned: appended without
+          waiting, so a replayed accept of an aborted transaction does
+          not come back undecided (a commit is named by the replica's
+          delivered-strong record instead) *)
 
 val status_name : status -> string
 
@@ -99,8 +103,8 @@ val set_trusted : t -> int -> unit
 val retry_stale : t -> older_than_us:int -> unit
 
 (** Eager RETRY on Ω suspicion: re-certify every prepared transaction
-    originating at the suspected DC, so an orphaned 2PC cannot block
-    delivery until the staleness timer fires. Safe under false
+    whose coordinator is in the suspected DC, so an orphaned 2PC cannot
+    block delivery until the staleness timer fires. Safe under false
     suspicion (decisions are unique per transaction). *)
 val retry_suspected : t -> dc:int -> unit
 
@@ -141,9 +145,13 @@ val persistent_state : t -> int * int * Msg.prepared_strong list
     survived (snapshot + WAL replay), so every pre-crash ACCEPT_ACK /
     NEW_LEADER_ACK promise still holds. The decided log is dropped and
     the delivery frontier seeded at [delivered], the strong frontier the
-    replica re-derived from its replayed delivered-strong records. The
-    member stays [Recovering] until NEW_STATE restores the decided log. *)
+    replica re-derived from its replayed delivered-strong records. An
+    accepted entry for which [decision] returns [Some (dec, vec, lc)]
+    (the disk names its fate: delivered here, or a logged {!E_abort})
+    comes back decided rather than prepared. The member stays
+    [Recovering] until NEW_STATE restores the decided log. *)
 val restart :
+  ?decision:(Types.tid -> (bool * Vclock.Vc.t * int) option) ->
   t ->
   ballot:int ->
   cballot:int ->

@@ -19,6 +19,7 @@ let wal_record_bytes = function
   | W_decide (_, vec, _, _) -> 32 + Msg.vc_bytes vec
   | W_cert (Cert.E_ballot _) -> 24
   | W_cert (Cert.E_accept p) -> 8 + Msg.prepared_bytes p
+  | W_cert (Cert.E_abort { vec; _ }) -> 24 + Msg.vc_bytes vec
 
 let node_snapshot_bytes ns =
   let txs_bytes l = List.fold_left (fun acc tx -> acc + Msg.tx_bytes tx) 8 l in
@@ -433,9 +434,11 @@ let install_snapshot t ns =
 (* Replay one WAL record on top of the snapshot. Applied-state records
    re-run the ordinary apply paths (their dedup makes replay idempotent
    against the snapshot); certification events fold into [cert_acc] for
-   a single [Cert.restart] at the end. History is not re-recorded — the
-   checker's log survives the process. *)
-let replay_record t cert_acc = function
+   a single [Cert.restart] at the end, and [fates] collects the
+   decisions the log names — every delivered strong transaction
+   committed, every logged abort aborted. History is not re-recorded —
+   the checker's log survives the process. *)
+let replay_record t cert_acc fates = function
   | W_genesis -> ()
   | W_prepare p ->
       t.prepared_causal <- { p with pc_at = now t } :: t.prepared_causal;
@@ -444,7 +447,12 @@ let replay_record t cert_acc = function
   | W_commit tx -> Causal_txn.apply_commit t tx
   | W_replicate (origin, txs, from_ts) ->
       Replication.handle_replicate t ~origin ~txs ~from_ts
-  | W_strong (txs, strong_ts) -> Strong_coord.deliver_strong t txs ~strong_ts
+  | W_strong (txs, strong_ts) ->
+      List.iter
+        (fun (tx : Types.tx_rec) ->
+          Hashtbl.replace fates tx.tx_tid (true, tx.tx_vec, tx.tx_lc))
+        txs;
+      Strong_coord.deliver_strong t txs ~strong_ts
   | W_decide (tid, vec, lc, origin) ->
       Hashtbl.replace t.coord_decisions tid (now t, vec, lc, origin)
   | W_cert (Cert.E_ballot { b; cb }) ->
@@ -460,6 +468,8 @@ let replay_record t cert_acc = function
              prepared
       in
       cert_acc := (bal, cbal, prepared)
+  | W_cert (Cert.E_abort { tid; vec; lc }) ->
+      Hashtbl.replace fates tid (false, vec, lc)
 
 (* Restart from the node's own disk: replay snapshot + WAL tail, hand
    certification its durable promises back, then catch up what was
@@ -503,10 +513,11 @@ let restart_from_disk t ~resume =
               | Some { ns_cert = Some st; _ } -> st
               | _ -> (0, 0, []))
           in
+          let fates = Hashtbl.create 64 in
           List.iter
             (fun r ->
               local_bytes := !local_bytes + wal_record_bytes r;
-              replay_record t cert_acc r)
+              replay_record t cert_acc fates r)
             tail;
           t.replaying <- false;
           (* everything recovered is on disk by definition *)
@@ -526,6 +537,7 @@ let restart_from_disk t ~resume =
           | Some c ->
               let ballot, cballot, prepared = !cert_acc in
               Cert.restart c ~ballot ~cballot ~prepared
+                ~decision:(Hashtbl.find_opt fates)
                 ~delivered:(Vc.strong t.known_vec)
           | None -> ());
           let s = make_sync t ~wan:false ~resume in

@@ -91,7 +91,7 @@ let ops_of key : U.Types.opsmap =
 
 let snap0 = Vc.create ~dcs:3
 
-let prepare bus ~coord ~n ~key ~snap =
+let prepare ?(origin = 9) bus ~coord ~n ~key ~snap =
   bus.queue <-
     bus.queue
     @ [
@@ -102,7 +102,7 @@ let prepare bus ~coord ~n ~key ~snap =
               caller = U.Msg.Normal;
               coord;
               tid = tid n;
-              origin = 9;
+              origin;
               wbuff = wbuff_of key;
               ops = ops_of key;
               snap;
@@ -300,6 +300,68 @@ let test_restart_and_rejoin_reset () =
     (U.Cert.prepared_count (m 2));
   Alcotest.(check int) "rejoin keeps its ballot" ballot2 (U.Cert.ballot (m 2))
 
+(* Ω's eager RETRY targets the entries whose coordinator sits in the
+   suspected DC. [ps_origin] is the issuing client's id, which says
+   nothing about where the 2PC is driven from: an entry coordinated in
+   dc1 by client 5 is re-certified at once, one coordinated in dc2 by
+   client 1 is left to its live coordinator. *)
+let test_retry_suspected_matches_coordinator_dc () =
+  let bus, m = setup () in
+  prepare bus ~origin:5 ~coord:1 ~n:1 ~key:5 ~snap:snap0;
+  prepare bus ~origin:1 ~coord:2 ~n:2 ~key:6 ~snap:snap0;
+  Alcotest.(check int) "both prepared at the leader" 2
+    (U.Cert.prepared_count (m 0));
+  bus.certify_calls <- [];
+  U.Cert.retry_suspected (m 0) ~dc:1;
+  Alcotest.(check (list string)) "only dc1's coordination is retried"
+    [ Fmt.str "%a" U.Types.tid_pp (tid 1) ]
+    (List.map (Fmt.str "%a" U.Types.tid_pp) bus.certify_calls)
+
+(* Decisions survive a node restart. An abort the member learns is
+   logged; a commit is named by the replica's delivered-strong record.
+   A replayed accept whose fate the disk names comes back decided, not
+   prepared, so a re-election it leads cannot hand the group an entry
+   whose decision everyone else has pruned. *)
+let test_restart_decides_what_the_disk_names () =
+  let bus, m = setup () in
+  let logged = ref [] in
+  U.Cert.set_log (m 1) (fun ev ~k ->
+      logged := ev :: !logged;
+      k ());
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  prepare bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
+  let accepted =
+    List.filter_map
+      (function U.Cert.E_accept p -> Some p | _ -> None)
+      !logged
+  in
+  Alcotest.(check int) "both accepts logged" 2 (List.length accepted);
+  decide bus ~n:1 ~ts:1000 ~dec:true;
+  decide bus ~n:2 ~ts:1100 ~dec:false;
+  let aborts =
+    List.filter_map
+      (function U.Cert.E_abort { tid; _ } -> Some tid | _ -> None)
+      !logged
+  in
+  Alcotest.(check bool) "the abort is logged, the commit is not" true
+    (List.length aborts = 1 && U.Types.tid_equal (List.hd aborts) (tid 2));
+  let ballot, cballot, _ = U.Cert.persistent_state (m 1) in
+  let vec = Vc.create ~dcs:3 in
+  Vc.set_strong vec 1000;
+  let decision id =
+    if U.Types.tid_equal id (tid 1) then Some (true, vec, 1)
+    else if U.Types.tid_equal id (tid 2) then Some (false, snap0, 1)
+    else None
+  in
+  U.Cert.restart (m 1) ~decision ~ballot ~cballot ~prepared:accepted
+    ~delivered:1000;
+  Alcotest.(check int) "nothing comes back prepared" 0
+    (U.Cert.prepared_count (m 1));
+  Alcotest.(check int) "both come back decided" 2 (U.Cert.decided_count (m 1));
+  U.Cert.restart (m 1) ~ballot ~cballot ~prepared:accepted ~delivered:1000;
+  Alcotest.(check int) "without a named fate an accept stays prepared" 2
+    (U.Cert.prepared_count (m 1))
+
 let suite =
   [
     Alcotest.test_case "leader certifies, members accept" `Quick
@@ -319,4 +381,8 @@ let suite =
       `Quick test_rejoiner_keeps_decision_learned_while_recovering;
     Alcotest.test_case "restart and rejoin share one reset" `Quick
       test_restart_and_rejoin_reset;
+    Alcotest.test_case "eager retry matches the coordinator's DC" `Quick
+      test_retry_suspected_matches_coordinator_dc;
+    Alcotest.test_case "restart decides what the disk names" `Quick
+      test_restart_decides_what_the_disk_names;
   ]

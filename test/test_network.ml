@@ -265,6 +265,151 @@ let test_topology_growth_order () =
   Alcotest.(check string) "fifth DC is Brazil" "brazil"
     (Net.Topology.region_of_dc t5 4)
 
+(* --- one engine event per message ------------------------------------ *)
+
+(* The CPU serves messages in arrival order: [start = max arrival
+   busy_until], [finish = start + cost]. A direct-path message's one
+   event sits at [arrival + cost]; when the CPU was busy on arrival it
+   moves once, to the finish time. The expected times below are the
+   FIFO-by-arrival model's, worked by hand. Messages are (name, cost). *)
+let fifo_node ?(dc = 0) eng net log =
+  Net.Network.register net ~dc
+    ~cost:(fun (_, c) -> c)
+    (fun (name, _) -> log := (name, Sim.Engine.now eng) :: !log)
+
+let served log = List.rev !log
+let served_t = Alcotest.(list (pair string int))
+
+let test_wan_overtaken_by_intra_dc () =
+  let eng, net = mk () in
+  let log = ref [] in
+  let b = fifo_node eng net log in
+  let local = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) ignore in
+  let wan = Net.Network.register net ~dc:1 ~cost:(fun _ -> 0) ignore in
+  (* sent first, arrives at 30,500 *)
+  Net.Network.send net ~src:wan ~dst:b ("wan", 1_000);
+  (* sent later, arrives first, at 30,100 *)
+  Sim.Engine.schedule eng ~delay:30_000 (fun () ->
+      Net.Network.send net ~src:local ~dst:b ("local", 1_000));
+  Sim.Engine.run eng;
+  Alcotest.check served_t "the earlier arrival is served first"
+    [ ("local", 31_100); ("wan", 32_100) ]
+    (served log);
+  (* the overtaking message is the expensive one: the cheap WAN
+     message's event (at 30,600) finds the CPU already promised to it *)
+  let eng, net = mk () in
+  let log = ref [] in
+  let b = fifo_node eng net log in
+  let local = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) ignore in
+  let wan = Net.Network.register net ~dc:1 ~cost:(fun _ -> 0) ignore in
+  Net.Network.send net ~src:wan ~dst:b ("wan", 100);
+  Sim.Engine.schedule eng ~delay:30_000 (fun () ->
+      Net.Network.send net ~src:local ~dst:b ("local", 5_000));
+  Sim.Engine.run eng;
+  Alcotest.check served_t "served in arrival order, not event order"
+    [ ("local", 35_100); ("wan", 35_200) ]
+    (served log);
+  Alcotest.(check int) "busy time" 5_100 (Net.Network.node_busy_us net b)
+
+(* A lossy-path delivery takes its CPU slot at arrival, behind the
+   direct-path messages that arrived before it and ahead of those that
+   arrive after. *)
+let test_lossy_and_direct_share_the_cpu () =
+  let eng, net = mk () in
+  ignore (Net.Network.enable_faults net);
+  let log = ref [] in
+  let b = fifo_node eng net log in
+  let local = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) ignore in
+  let wan = Net.Network.register net ~dc:1 ~cost:(fun _ -> 0) ignore in
+  (* lossy link, arrives at 30,500 *)
+  Net.Network.send net ~src:wan ~dst:b ("lossy", 1_000);
+  (* direct, arrive at 30,100 and 30,550 *)
+  Sim.Engine.schedule eng ~delay:30_000 (fun () ->
+      Net.Network.send net ~src:local ~dst:b ("before", 1_000));
+  Sim.Engine.schedule eng ~delay:30_450 (fun () ->
+      Net.Network.send net ~src:local ~dst:b ("after", 1_000));
+  Sim.Engine.run eng;
+  Alcotest.check served_t "one FIFO CPU for both paths"
+    [ ("before", 31_100); ("lossy", 32_100); ("after", 33_100) ]
+    (served log)
+
+let test_crash_in_flight_and_queued () =
+  (* in flight: arrives at 100, after the crash at 50 — a counted drop *)
+  let eng, net = mk () in
+  let log = ref [] in
+  let b = fifo_node eng net log in
+  let a = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) ignore in
+  Net.Network.send net ~src:a ~dst:b ("m", 1_000);
+  Sim.Engine.schedule eng ~delay:50 (fun () -> Net.Network.fail_node net b);
+  Sim.Engine.run eng;
+  Alcotest.check served_t "in flight: not served" [] (served log);
+  Alcotest.(check int) "in flight: a crash drop" 1
+    (Net.Network.dropped_crash net);
+  (* queued: m1 uses the CPU 100–1,100, m2 (arrived at 101) waits for
+     it; the crash at 1,050 lands before either finishes. Both arrived
+     while the node was up, so neither is a drop: the handler-time check
+     discards them. *)
+  let eng, net = mk () in
+  let log = ref [] in
+  let b = fifo_node eng net log in
+  let a = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) ignore in
+  Net.Network.send net ~src:a ~dst:b ("m1", 1_000);
+  Net.Network.send net ~src:a ~dst:b ("m2", 1_000);
+  Sim.Engine.schedule eng ~delay:1_050 (fun () -> Net.Network.fail_node net b);
+  Sim.Engine.run eng;
+  Alcotest.check served_t "queued: not served" [] (served log);
+  Alcotest.(check int) "queued: no drop counted" 0
+    (Net.Network.dropped_crash net);
+  Alcotest.(check int) "queued: both took the CPU" 2_000
+    (Net.Network.node_busy_us net b)
+
+(* A restart during transit: the message is sent to the node's previous
+   life and never served. If the node is back up before the arrival,
+   the epoch check drops it silently; if the arrival finds the node
+   still down, it is a counted crash drop — even when the restart comes
+   before the message's event. *)
+let test_restart_during_transit () =
+  let run ~down ~up =
+    let eng, net = mk () in
+    let log = ref [] in
+    let b = fifo_node eng net log in
+    let wan = Net.Network.register net ~dc:1 ~cost:(fun _ -> 0) ignore in
+    (* arrives at 30,500; its event is at 31,500 *)
+    Net.Network.send net ~src:wan ~dst:b ("m", 1_000);
+    Sim.Engine.schedule eng ~delay:down (fun () ->
+        Net.Network.fail_node net b);
+    Sim.Engine.schedule eng ~delay:up (fun () ->
+        Net.Network.recover_node net b);
+    Sim.Engine.run eng;
+    (served log, Net.Network.dropped_crash net)
+  in
+  let log, drops = run ~down:1_000 ~up:2_000 in
+  Alcotest.check served_t "back before arrival: not served" [] log;
+  Alcotest.(check int) "back before arrival: silent" 0 drops;
+  let log, drops = run ~down:1_000 ~up:31_000 in
+  Alcotest.check served_t "back after arrival: not served" [] log;
+  Alcotest.(check int) "back after arrival: a crash drop" 1 drops
+
+let test_events_per_delivery () =
+  let eng, net = mk () in
+  let log = ref [] in
+  let b = fifo_node eng net log in
+  let a = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) ignore in
+  let delta f =
+    let e0 = Sim.Engine.executed_events eng in
+    f ();
+    Sim.Engine.run eng;
+    Sim.Engine.executed_events eng - e0
+  in
+  Alcotest.(check int) "an idle CPU: one event" 1
+    (delta (fun () -> Net.Network.send net ~src:a ~dst:b ("m", 1_000)));
+  Alcotest.(check int) "three at once: 1 + 2 + 2 events" 5
+    (delta (fun () ->
+         for i = 1 to 3 do
+           Net.Network.send net ~src:a ~dst:b (string_of_int i, 1_000)
+         done));
+  Alcotest.(check int) "all four served" 4 (List.length !log)
+
 let suite =
   [
     Alcotest.test_case "WAN latency from the topology" `Quick test_latency;
@@ -290,4 +435,14 @@ let suite =
       test_topology_paper_rtts;
     Alcotest.test_case "deployment growth order (§8.3)" `Quick
       test_topology_growth_order;
+    Alcotest.test_case "a later intra-DC arrival overtakes a WAN message"
+      `Quick test_wan_overtaken_by_intra_dc;
+    Alcotest.test_case "lossy and direct arrivals share one FIFO CPU" `Quick
+      test_lossy_and_direct_share_the_cpu;
+    Alcotest.test_case "crash with a message in flight or queued" `Quick
+      test_crash_in_flight_and_queued;
+    Alcotest.test_case "restart during transit drops by arrival state"
+      `Quick test_restart_during_transit;
+    Alcotest.test_case "one event per idle delivery, two per busy one"
+      `Quick test_events_per_delivery;
   ]

@@ -102,11 +102,11 @@ let test_sampled_wall_and_run_window () =
 (* A profiled protocol run under a fixed seed is fully deterministic:
    identical per-label event counts and allocation deltas across
    reruns. This is the property the CI hard gate rests on. *)
-let run_profiled_system () =
+let run_profiled_system ?link_faults () =
   let module U = Unistore in
   let cfg =
     U.Config.default ~partitions:2 ~seed:11 ~profile:true
-      ~profile_sample_every:16 ()
+      ~profile_sample_every:16 ?link_faults ()
   in
   let sys = U.System.create cfg in
   ignore
@@ -167,7 +167,10 @@ let test_gc_noise_clamped () =
   | es -> Alcotest.failf "expected one entry, got %d" (List.length es)
 
 (* The protocol stack attributes ~everything: handlers, timers, fibers,
-   network internals all carry labels, and nothing is dropped. *)
+   network internals all carry labels, and nothing is dropped. On
+   reliable links a delivery is one event under its handler's label
+   ("dcN/replica/handle:<kind>"); only the lossy transport's arrivals
+   run as "net/deliver". *)
 let test_stack_coverage () =
   let _, entries = run_profiled_system () in
   let labels = List.map (fun e -> e.Prof.e_label) entries in
@@ -178,10 +181,21 @@ let test_stack_coverage () =
         && String.sub l 0 (String.length prefix) = prefix)
       labels
   in
-  Alcotest.(check bool) "replica handlers" true (has "dc0/replica/handle:");
+  for dc = 0 to 2 do
+    Alcotest.(check bool)
+      (Fmt.str "dc%d replica handlers" dc)
+      true
+      (has (Fmt.str "dc%d/replica/handle:" dc))
+  done;
   Alcotest.(check bool) "replica timers" true (has "dc0/replica/propagate");
-  Alcotest.(check bool) "network deliver" true (has "net/deliver");
+  Alcotest.(check bool) "no arrival event on reliable links" false
+    (has "net/deliver");
   Alcotest.(check bool) "client fiber" true (has "fiber/client");
+  let _, lossy =
+    run_profiled_system ~link_faults:Net.Faults.clean_spec ()
+  in
+  Alcotest.(check bool) "lossy-link deliveries" true
+    (List.exists (fun e -> e.Prof.e_label = "net/deliver") lossy);
   let total = List.fold_left (fun a e -> a + e.Prof.e_events) 0 entries in
   let other =
     match List.find_opt (fun e -> e.Prof.e_label = "other") entries with
