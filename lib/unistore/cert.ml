@@ -124,7 +124,6 @@ type t = {
      soundly *)
   mutable pruned_below : int;
   mutable last_delivered : int;
-  mutable last_sent : int;  (* leader: highest DELIVER timestamp issued *)
   mutable last_ts : int;  (* leader: last proposed strong timestamp *)
   mutable do_not_wait : Types.tid list;
   (* Decisions learned while [Recovering]: chosen values, kept until
@@ -172,7 +171,6 @@ let create ~bid_interval_us ctx ~leader_dc =
     queued = 0;
     pruned_below = 0;
     last_delivered = 0;
-    last_sent = 0;
     last_ts = 0;
     do_not_wait = [];
     learned = Hashtbl.create 8;
@@ -205,6 +203,13 @@ let remove_prepared t tid =
 let broadcast t msg =
   for dc = 0 to t.ctx.x_dcs - 1 do
     t.ctx.x_send (t.ctx.x_member dc) msg
+  done
+
+(* Every member but this one: what the leader learns it applies in
+   place, without a message to itself. *)
+let send_others t msg =
+  for dc = 0 to t.ctx.x_dcs - 1 do
+    if dc <> t.ctx.x_dc then t.ctx.x_send (t.ctx.x_member dc) msg
   done
 
 (* Register a newly decided transaction in all indexes; log an abort
@@ -279,8 +284,9 @@ let certification_check t ~tid ~ops ~snap ~lc =
           (vote, lc)
   end
   else begin
+    (* an entry conflicting on several keys is folded in once per key:
+       both updates are idempotent *)
     let vote = ref true and lc' = ref lc in
-    let seen = Hashtbl.create 8 in
     List.iter
       (fun (o : Types.opdesc) ->
         match Hashtbl.find_opt t.decided_by_key o.key with
@@ -288,19 +294,14 @@ let certification_check t ~tid ~ops ~snap ~lc =
         | Some cell ->
             List.iter
               (fun (d : Msg.decided_strong) ->
-                if not (Hashtbl.mem seen d.Msg.ds_tid) then begin
-                  let d_ops =
-                    List.filter
-                      (fun (o' : Types.opdesc) -> o'.key = o.key)
-                      (t.ctx.x_ops_slice d.Msg.ds_ops)
-                  in
-                  if
-                    List.exists (fun o' -> t.ctx.x_conflict_ops o o') d_ops
-                  then begin
-                    Hashtbl.replace seen d.Msg.ds_tid ();
-                    if not (Vc.leq d.Msg.ds_vec snap) then vote := false;
-                    if !lc' <= d.Msg.ds_lc then lc' := d.Msg.ds_lc + 1
-                  end
+                if
+                  List.exists
+                    (fun (o' : Types.opdesc) ->
+                      o'.key = o.key && t.ctx.x_conflict_ops o o')
+                    (t.ctx.x_ops_slice d.Msg.ds_ops)
+                then begin
+                  if not (Vc.leq d.Msg.ds_vec snap) then vote := false;
+                  if !lc' <= d.Msg.ds_lc then lc' := d.Msg.ds_lc + 1
                 end)
               !cell)
       my_ops;
@@ -308,34 +309,54 @@ let certification_check t ~tid ~ops ~snap ~lc =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Delivery (Algorithm A9, upon-clause at line 26): the leader issues
-   DELIVER for the next committed strong timestamp once nothing earlier
-   can still commit.                                                     *)
+(* Delivery (Algorithm A9, upon-clause at line 26): committed entries are
+   delivered in strong-timestamp order, with no gaps, once nothing
+   earlier can still commit. The leader frees a frontier in place when a
+   decision lifts the gate, and hands it to the other members inside the
+   LEARN_DECISION that carries the decision: on every link a decision
+   arrives before any frontier above it.                                 *)
 
-let rec try_deliver t =
-  if t.status = Leader then begin
-    (* entries at or below last_sent have a DELIVER in flight (the queue
-       is popped when the leader's own DELIVER loops back); look at the
-       first entry beyond them *)
+(* Deliver every queued entry at or below [ts], as one batch. *)
+let deliver_upto t ts =
+  t.last_delivered <- ts;
+  t.last_activity <- t.ctx.x_now ();
+  let deliverable, _, rest = Delivery_queue.split (ts, max_int) t.undelivered in
+  t.undelivered <- rest;
+  let txs =
+    Delivery_queue.fold
+      (fun _ (d : Msg.decided_strong) acc ->
+        {
+          Types.tx_tid = d.Msg.ds_tid;
+          tx_writes = List.concat_map snd d.Msg.ds_wbuff;
+          tx_vec = d.Msg.ds_vec;
+          tx_lc = d.Msg.ds_lc;
+          tx_origin = d.Msg.ds_origin;
+        }
+        :: acc)
+      deliverable []
+    |> List.rev
+  in
+  t.ctx.x_deliver txs ~strong_ts:ts
+
+(* Leader: deliver every committed entry below the lowest timestamp a
+   prepared entry voting commit holds (it may still commit there), and
+   return the new frontier — 0 when nothing was freed. *)
+let deliver_ready t =
+  if t.status <> Leader then 0
+  else
+    let gate =
+      Hashtbl.fold
+        (fun _ (p : Msg.prepared_strong) acc ->
+          if p.Msg.ps_vote then min acc p.Msg.ps_ts else acc)
+        t.prepared max_int
+    in
     match
-      Delivery_queue.find_first_opt
-        (fun (ts, _) -> ts > t.last_sent)
-        t.undelivered
+      Delivery_queue.find_last_opt (fun (ts, _) -> ts < gate) t.undelivered
     with
-    | None -> ()
-    | Some ((next_ts, _), _) ->
-        let blocked =
-          Hashtbl.fold
-            (fun _ (p : Msg.prepared_strong) acc ->
-              acc || (p.Msg.ps_vote && p.Msg.ps_ts <= next_ts))
-            t.prepared false
-        in
-        if not blocked then begin
-          t.last_sent <- next_ts;
-          broadcast t (Msg.Deliver { b = t.ballot; ts = next_ts });
-          try_deliver t
-        end
-  end
+    | None -> 0
+    | Some ((ts, _), _) ->
+        deliver_upto t ts;
+        ts
 
 (* A member that sees a group message at a ballot ABOVE its own missed
    an election — e.g. it was Recovering after a restart while the
@@ -363,35 +384,13 @@ let chase_ballot t b =
       (Msg.State_request { from = t.ctx.x_self (); ballot = t.ballot })
   end
 
-let handle_deliver t ~b ~ts =
-  chase_ballot t b;
+(* A frontier the leader of ballot [b] freed: only a member at exactly
+   that ballot may follow it (its decided log is that leader's). *)
+let follow_frontier t ~b ~ts =
   if
     (t.status = Leader || t.status = Follower)
     && t.ballot = b && t.last_delivered < ts
-  then begin
-    t.last_delivered <- ts;
-    t.last_activity <- t.ctx.x_now ();
-    let deliverable, _, rest =
-      Delivery_queue.split (ts, max_int) t.undelivered
-    in
-    t.undelivered <- rest;
-    let txs =
-      Delivery_queue.fold
-        (fun _ (d : Msg.decided_strong) acc ->
-          {
-            Types.tx_tid = d.Msg.ds_tid;
-            tx_writes = List.concat_map snd d.Msg.ds_wbuff;
-            tx_vec = d.Msg.ds_vec;
-            tx_lc = d.Msg.ds_lc;
-            tx_origin = d.Msg.ds_origin;
-          }
-          :: acc)
-        deliverable []
-      |> List.rev
-    in
-    t.ctx.x_deliver txs ~strong_ts:ts;
-    if t.status = Leader then try_deliver t
-  end
+  then deliver_upto t ts
 
 (* ------------------------------------------------------------------ *)
 (* PREPARE_STRONG and ACCEPT (Algorithm A9 lines 1–17).                  *)
@@ -507,62 +506,27 @@ let handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
                        members learn by message. *)
                     handle_accept t ~b:t.ballot ~tid ~coord ~rid
                       ~origin ~wbuff ~ops ~snap ~vote ~ts ~lc;
-                    for dc = 0 to t.ctx.x_dcs - 1 do
-                      if dc <> t.ctx.x_dc then
-                        t.ctx.x_send (t.ctx.x_member dc)
-                          (Msg.Accept
-                             {
-                               b = t.ballot;
-                               tid;
-                               coord;
-                               rid;
-                               origin;
-                               wbuff;
-                               ops;
-                               snap;
-                               vote;
-                               ts;
-                               lc;
-                             })
-                    done
+                    send_others t
+                      (Msg.Accept
+                         {
+                           b = t.ballot;
+                           tid;
+                           coord;
+                           rid;
+                           origin;
+                           wbuff;
+                           ops;
+                           snap;
+                           vote;
+                           ts;
+                           lc;
+                         })
                   end)
             end)
   end
 
 (* ------------------------------------------------------------------ *)
 (* DECISION and LEARN_DECISION (Algorithm A9 lines 18–25).               *)
-
-(* A DECISION is a learned value: a quorum accepted it, so it is chosen
-   and immutable regardless of ballots that came after. Accepting
-   [b <= ballot] (and re-broadcasting under the current ballot) matters
-   after a leader restart: coordinators that latched a group quorum
-   before the crash keep sending the old ballot — their group is done,
-   so the PREPARE_STRONG retry never refreshes it — and an exact-match
-   guard would drop those decisions forever, leaving the restored
-   leader's prepared table stuck and [restoring_done] unreachable. *)
-let handle_decision t ~b ~tid ~dec ~vec ~lc =
-  if (t.status = Leader || t.status = Restoring) && b <= t.ballot then
-    t.ctx.x_at_clock (Vc.strong vec) (fun () ->
-        if
-          b <= t.ballot
-          && (t.status = Leader || t.status = Restoring)
-          && t.ctx.x_alive ()
-        then
-          broadcast t (Msg.Learn_decision { b = t.ballot; tid; dec; vec; lc }))
-
-let restoring_done t =
-  if
-    t.status = Restoring
-    && Hashtbl.fold
-         (fun tid _ acc ->
-           acc && List.exists (Types.tid_equal tid) t.do_not_wait)
-         t.prepared true
-  then begin
-    t.status <- Leader;
-    t.do_not_wait <- [];
-    t.last_sent <- t.last_delivered;
-    try_deliver t
-  end
 
 let decided_of (p : Msg.prepared_strong) ~dec ~vec ~lc =
   {
@@ -580,29 +544,102 @@ let decide_prepared t (p : Msg.prepared_strong) ~dec ~vec ~lc =
   remove_prepared t p.Msg.ps_tid;
   add_decided t (decided_of p ~dec ~vec ~lc)
 
-let handle_learn_decision t ~b ~tid ~dec ~vec ~lc =
+(* Re-run the 2PC of prepared transaction [tid] from here, restarting
+   its silence clock. *)
+let recertify t tid (p : Msg.prepared_strong) =
+  Hashtbl.replace t.prepared_at tid (t.ctx.x_now ());
+  t.ctx.x_certify ~caller:Msg.Normal ~tid ~origin:p.Msg.ps_origin
+    ~wbuff:p.Msg.ps_wbuff ~ops:p.Msg.ps_ops ~snap:p.Msg.ps_snap
+    ~lc:p.Msg.ps_lc
+    ~k:(fun _ -> ())
+
+(* A restored leader serves once every prepared entry is decided or
+   known to be unknown to the group (Algorithm A10). An unknown entry
+   stays prepared and, if it voted commit, gates delivery until it is
+   decided. Its RESTORING certification made this node its coordinator
+   (so the RETRY paths keyed on the original coordinator no longer find
+   it), and that coordinator may be gone: certify it afresh now, as
+   RETRY would, instead of leaving the gate to the staleness timer. *)
+let end_restoring t =
+  if
+    t.status = Restoring
+    && Hashtbl.fold
+         (fun tid _ acc ->
+           acc && List.exists (Types.tid_equal tid) t.do_not_wait)
+         t.prepared true
+  then begin
+    t.status <- Leader;
+    let unknown = t.do_not_wait in
+    t.do_not_wait <- [];
+    List.iter
+      (fun tid ->
+        match Hashtbl.find_opt t.prepared tid with
+        | Some p -> recertify t tid p
+        | None -> ())
+      unknown
+  end
+
+(* The leader's side of a decision: apply it in place, deliver what it
+   frees, and tell the other members both in one LEARN_DECISION. The
+   frontier is taken after [end_restoring], so a decision that ends
+   Restoring carries the entries the flip frees. *)
+let lead_decision t ~tid ~dec ~vec ~lc =
+  (match Hashtbl.find_opt t.prepared tid with
+  | Some p -> decide_prepared t p ~dec ~vec ~lc
+  | None -> ());
+  end_restoring t;
+  let upto = deliver_ready t in
+  send_others t (Msg.Learn_decision { b = t.ballot; tid; dec; vec; lc; upto })
+
+(* Restoring ending outside a decision (the re-certifications of
+   [start_restoring] concluded, or came back Unknown): no LEARN_DECISION
+   carries the frontier this frees, so a bare DELIVER does. *)
+let restoring_done t =
+  if t.status = Restoring then begin
+    end_restoring t;
+    let upto = deliver_ready t in
+    if upto > 0 then send_others t (Msg.Deliver { b = t.ballot; ts = upto })
+  end
+
+(* A DECISION is a learned value: a quorum accepted it, so it is chosen
+   and immutable regardless of ballots that came after. Accepting
+   [b <= ballot] (and relaying under the current ballot) matters after a
+   leader restart: coordinators that latched a group quorum before the
+   crash keep sending the old ballot — their group is done, so the
+   PREPARE_STRONG retry never refreshes it — and an exact-match guard
+   would drop those decisions forever, leaving the restored leader's
+   prepared table stuck and [restoring_done] unreachable. *)
+let handle_decision t ~b ~tid ~dec ~vec ~lc =
+  if (t.status = Leader || t.status = Restoring) && b <= t.ballot then
+    t.ctx.x_at_clock (Vc.strong vec) (fun () ->
+        if
+          b <= t.ballot
+          && (t.status = Leader || t.status = Restoring)
+          && t.ctx.x_alive ()
+        then lead_decision t ~tid ~dec ~vec ~lc)
+
+(* The decision applies under [b <= ballot] (chosen values survive
+   ballot changes), the frontier [upto] under the exact-ballot rule —
+   also when this member never accepted the transaction. *)
+let handle_learn_decision t ~b ~tid ~dec ~vec ~lc ~upto =
   chase_ballot t b;
   if t.status = Recovering then Hashtbl.replace t.learned tid (dec, vec, lc)
   else if
     (t.status = Leader || t.status = Follower || t.status = Restoring)
-    && b <= t.ballot  (* chosen values survive ballot changes *)
+    && b <= t.ballot
   then begin
-    match Hashtbl.find_opt t.prepared tid with
+    (match Hashtbl.find_opt t.prepared tid with
     | None -> ()  (* already decided or never accepted here *)
-    | Some p ->
-        decide_prepared t p ~dec ~vec ~lc;
+    | Some p when t.status = Follower -> decide_prepared t p ~dec ~vec ~lc
+    | Some _ ->
         (* A leader learning a decision from an older ballot's leader
-           relays it under its own ballot before any DELIVER above it.
-           The other members get that DELIVER right behind the relay on
-           the same FIFO link; one the older leader's LEARN_DECISION
-           has not reached yet would otherwise deliver past the entry
-           while it is still prepared there, and the decision arriving
-           afterwards lands below its frontier, where [add_decided]
-           queues nothing. *)
-        if b < t.ballot && (t.status = Leader || t.status = Restoring) then
-          broadcast t (Msg.Learn_decision { b = t.ballot; tid; dec; vec; lc });
-        restoring_done t;
-        try_deliver t
+           relays it under its own ballot, ahead of any frontier above
+           it. A member the older leader's message has not reached yet
+           would otherwise deliver past the entry while it is still
+           prepared there, and the decision arriving afterwards lands
+           below its frontier, where [add_decided] queues nothing. *)
+        lead_decision t ~tid ~dec ~vec ~lc);
+    follow_frontier t ~b ~ts:upto
   end
 
 let handle_unknown_tx t ~b ~rid ~tid ~coord =
@@ -785,10 +822,7 @@ let handle_new_leader_ack t ~b ~cballot ~prepared ~decided ~from_dc =
                 }
             in
             log_durably t (E_ballot { b; cb = b }) (fun () ->
-                for dc = 0 to t.ctx.x_dcs - 1 do
-                  if dc <> t.ctx.x_dc then
-                    t.ctx.x_send (t.ctx.x_member dc) state
-                done)
+                send_others t state)
           end)
     end
   end
@@ -820,8 +854,8 @@ let start_restoring t =
                 then t.do_not_wait <- tid :: t.do_not_wait;
                 restoring_done t
             | Decided _ ->
-                (* the DECISION flows through LEARN_DECISION, which
-                   removes the transaction from [prepared] *)
+                (* the DECISION reaches this leader, which removes the
+                   transaction from [prepared] ([lead_decision]) *)
                 restoring_done t))
       to_certify
 
@@ -854,7 +888,6 @@ let restart ?(decision = fun _ -> None) t ~ballot ~cballot ~prepared
   t.ballot <- max t.ballot ballot;
   t.cballot <- max t.cballot cballot;
   t.last_delivered <- delivered;
-  t.last_sent <- delivered;
   t.last_activity <- t.ctx.x_now ();
   t.pruned_below <- max t.pruned_below delivered;
   t.do_not_wait <- [];
@@ -935,15 +968,6 @@ let handle_new_state_ack t ~b ~from_dc =
 (* RETRY (Algorithm A9 line 37): the leader re-certifies prepared
    transactions whose coordinator went silent.                          *)
 
-(* Re-run the 2PC of prepared transaction [tid] from here, restarting
-   its silence clock. *)
-let recertify t tid (p : Msg.prepared_strong) =
-  Hashtbl.replace t.prepared_at tid (t.ctx.x_now ());
-  t.ctx.x_certify ~caller:Msg.Normal ~tid ~origin:p.Msg.ps_origin
-    ~wbuff:p.Msg.ps_wbuff ~ops:p.Msg.ps_ops ~snap:p.Msg.ps_snap
-    ~lc:p.Msg.ps_lc
-    ~k:(fun _ -> ())
-
 let retry_stale t ~older_than_us =
   if t.status = Leader then begin
     let now = t.ctx.x_now () in
@@ -992,14 +1016,18 @@ let retry_coordinated t ~coord =
    far below the delivery frontier that every live snapshot contains
    them (they can no longer cause an abort or a Lamport bump; snapshots
    lag the frontier by at most the WAN round trip plus a few broadcast
-   periods, which [keep_after] must dominate). *)
-let prune_decided t ~keep_after =
+   periods, which [keep_after] must dominate). The strong entry alone
+   does not say so: under a partition a snapshot's strong entry keeps
+   advancing while an entry of a cut-off DC stays behind the decided
+   vector. [covered] checks the whole vector. *)
+let prune_decided ?(covered = fun _ -> true) t ~keep_after =
   if keep_after > 0 then begin
     if keep_after > t.pruned_below then t.pruned_below <- keep_after;
     let stale =
       Hashtbl.fold
         (fun tid (d : Msg.decided_strong) acc ->
-          if Vc.strong d.Msg.ds_vec <= keep_after then (tid, d) :: acc
+          if Vc.strong d.Msg.ds_vec <= keep_after && covered d.Msg.ds_vec then
+            (tid, d) :: acc
           else acc)
         t.decided []
     in
@@ -1034,9 +1062,11 @@ let handle t msg =
         ~lc
   | Msg.Decision { b; tid; dec; vec; lc } ->
       handle_decision t ~b ~tid ~dec ~vec ~lc
-  | Msg.Learn_decision { b; tid; dec; vec; lc } ->
-      handle_learn_decision t ~b ~tid ~dec ~vec ~lc
-  | Msg.Deliver { b; ts } -> handle_deliver t ~b ~ts
+  | Msg.Learn_decision { b; tid; dec; vec; lc; upto } ->
+      handle_learn_decision t ~b ~tid ~dec ~vec ~lc ~upto
+  | Msg.Deliver { b; ts } ->
+      chase_ballot t b;
+      follow_frontier t ~b ~ts
   | Msg.Unknown_tx { b; rid; tid; coord } ->
       handle_unknown_tx t ~b ~rid ~tid ~coord
   | Msg.Nack { b; _ } -> handle_nack t ~b

@@ -115,8 +115,11 @@ val retry_suspected : t -> dc:int -> unit
 val retry_coordinated : t -> coord:Msg.addr -> unit
 
 (** Garbage-collect decided transactions below the delivery frontier
-    that every live snapshot already contains. *)
-val prune_decided : t -> keep_after:int -> unit
+    that every live snapshot already contains: strong timestamp at or
+    below [keep_after] and, when given, commit vector [covered] (default:
+    every vector is). *)
+val prune_decided :
+  ?covered:(Vclock.Vc.t -> bool) -> t -> keep_after:int -> unit
 
 (** DC rejoin after a crash: {!restart} with the member's own ballots
     and no accepted log (the disk was lost with the DC). [delivered] is

@@ -192,7 +192,18 @@ type t =
   | Unknown_tx of { b : int; rid : int; tid : Types.tid; coord : addr }
   | Unknown_tx_ack of { part : int; rid : int; tid : Types.tid; from_dc : int }
   | Decision of { b : int; tid : Types.tid; dec : bool; vec : Vc.t; lc : int }
-  | Learn_decision of { b : int; tid : Types.tid; dec : bool; vec : Vc.t; lc : int }
+  (* The leader's one message per decision: the decision, and the
+     delivery frontier [upto] it frees (0 when it frees none), so the
+     decision always reaches a member before any frontier above it.
+     A bare [Deliver] carries a frontier freed by leader recovery. *)
+  | Learn_decision of {
+      b : int;
+      tid : Types.tid;
+      dec : bool;
+      vec : Vc.t;
+      lc : int;
+      upto : int;
+    }
   | Deliver of { b : int; ts : int }
   (* Centralized certification (REDBLUE) pushes decided updates from the
      per-DC certification replica to the data partitions of its DC. *)
@@ -376,8 +387,8 @@ let size_bytes = function
   | Accept_ack _ -> header_bytes + 56
   | Unknown_tx _ -> header_bytes + 32
   | Unknown_tx_ack _ -> header_bytes + 32
-  | Decision { vec; _ } | Learn_decision { vec; _ } ->
-      header_bytes + 32 + vc_bytes vec
+  | Decision { vec; _ } -> header_bytes + 32 + vc_bytes vec
+  | Learn_decision { vec; _ } -> header_bytes + 40 + vc_bytes vec
   | Deliver _ -> header_bytes + 16
   | Push_updates { txs; _ } ->
       List.fold_left (fun acc tx -> acc + tx_bytes tx) (header_bytes + 16) txs

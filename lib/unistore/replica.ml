@@ -252,12 +252,17 @@ let start_timers t ~phase =
                  at its pre-crash frontier until it recovers, then pinned
                  at zero by [reset_peer_view] until its member has caught
                  up — and releases it only once the grace period expires
-                 without a rejoin. *)
+                 without a rejoin. An entry must also be stable at every
+                 floor holder, whole vector: a snapshot whose strong
+                 entry passed the floor may still miss it through the
+                 entry of a DC cut off by a partition. *)
               let floor =
                 Replication.holders_floor t ~init:(Cert.last_delivered c)
                   Vc.strong
               in
-              Cert.prune_decided c ~keep_after:(floor - 1_500_000)
+              Cert.prune_decided c
+                ~covered:(Replication.stable_at_holders t)
+                ~keep_after:(floor - 1_500_000)
           | None -> ());
           true
         end

@@ -465,6 +465,17 @@ let holders_floor t ~init claim =
   done;
   !floor
 
+(* Is [vec] at or below the stableVec of every floor-holding DC, ours
+   included (the last one each sibling reported)? Then every snapshot
+   those DCs serve from now on contains it. *)
+let stable_at_holders t vec =
+  let rec go i =
+    i >= dcs t
+    || ((not (holds_floor t i)) || Vc.leq vec t.stable_matrix.(i))
+       && go (i + 1)
+  in
+  go 0
+
 (* Drop forwarded buffers — and our own propagated log — once every live
    DC and every crashed DC still within its rejoin grace period stores
    them (§5.5). The origin's own claim counts too: a DC that lost its

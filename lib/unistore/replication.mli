@@ -18,4 +18,5 @@ val handle_repair_log :
 val run_forwarding : t -> unit
 val holds_floor : t -> int -> bool
 val holders_floor : t -> init:int -> (Vc.t -> int) -> int
+val stable_at_holders : t -> Vc.t -> bool
 val prune_committed : t -> unit

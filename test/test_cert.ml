@@ -11,8 +11,14 @@ type bus = {
   mutable members : U.Cert.t option array;
   mutable queue : (int * U.Msg.t) list;  (* (dst, msg) in FIFO order *)
   mutable delivered : (int * string) list;  (* deliveries observed *)
+  (* every [x_deliver] call, newest first: (member, strong ts, tids) *)
+  mutable deliver_calls : (int * int * string list) list;
+  (* every send, newest first: (sender, destination, message) *)
+  mutable sent : (int * int * U.Msg.t) list;
   mutable clock : int;
   mutable certify_calls : U.Types.tid list;
+  (* the continuation of every [x_certify] call, newest first *)
+  mutable certify_ks : (U.Cert.cert_result -> unit) list;
 }
 
 let dcs = 3
@@ -22,8 +28,11 @@ let make_bus () =
     members = Array.make dcs None;
     queue = [];
     delivered = [];
+    deliver_calls = [];
+    sent = [];
     clock = 100;
     certify_calls = [];
+    certify_ks = [];
   }
 
 let rec pump bus =
@@ -51,12 +60,22 @@ let make_member bus dc =
       x_ops_slice = (fun ops -> List.concat_map snd ops);
       x_clock = (fun () -> bus.clock);
       x_now = (fun () -> bus.clock);
-      x_send = (fun dst msg -> bus.queue <- bus.queue @ [ (dst, msg) ]);
+      x_send =
+        (fun dst msg ->
+          bus.sent <- (dc, dst, msg) :: bus.sent;
+          bus.queue <- bus.queue @ [ (dst, msg) ]);
       x_self = (fun () -> dc);
       x_member = (fun i -> i);
       x_dc_of = (fun a -> a);
       x_deliver =
         (fun txs ~strong_ts ->
+          bus.deliver_calls <-
+            ( dc,
+              strong_ts,
+              List.map
+                (fun tx -> Fmt.str "%a" U.Types.tid_pp tx.U.Types.tx_tid)
+                txs )
+            :: bus.deliver_calls;
           List.iter
             (fun tx ->
               bus.delivered <-
@@ -66,8 +85,9 @@ let make_member bus dc =
           if txs = [] then bus.delivered <- (strong_ts, "dummy") :: bus.delivered);
       x_at_clock = (fun ts k -> bus.clock <- max bus.clock ts; k ());
       x_certify =
-        (fun ~caller:_ ~tid ~origin:_ ~wbuff:_ ~ops:_ ~snap:_ ~lc:_ ~k:_ ->
-          bus.certify_calls <- tid :: bus.certify_calls);
+        (fun ~caller:_ ~tid ~origin:_ ~wbuff:_ ~ops:_ ~snap:_ ~lc:_ ~k ->
+          bus.certify_calls <- tid :: bus.certify_calls;
+          bus.certify_ks <- k :: bus.certify_ks);
       x_alive = (fun () -> true);
     }
   in
@@ -83,19 +103,26 @@ let setup () =
 
 let tid n = { U.Types.cl = 9; sq = n }
 
-let wbuff_of key : U.Types.wbuff =
-  [ (0, [ { U.Types.wkey = key; wop = Crdt.Reg_write 1; wcls = 0 } ]) ]
+let wbuff_of keys : U.Types.wbuff =
+  [
+    ( 0,
+      List.map
+        (fun key -> { U.Types.wkey = key; wop = Crdt.Reg_write 1; wcls = 0 })
+        keys );
+  ]
 
-let ops_of key : U.Types.opsmap =
-  [ (0, [ { U.Types.key; cls = 0; write = true } ]) ]
+let ops_of keys : U.Types.opsmap =
+  [ (0, List.map (fun key -> { U.Types.key; cls = 0; write = true }) keys) ]
 
 let snap0 = Vc.create ~dcs:3
 
-let prepare ?(origin = 9) bus ~coord ~n ~key ~snap =
+(* [keys] adds keys beyond [key]; [leader] is the member addressed. *)
+let prepare ?(origin = 9) ?(leader = 0) ?(keys = []) bus ~coord ~n ~key ~snap
+    =
   bus.queue <-
     bus.queue
     @ [
-        ( 0,
+        ( leader,
           U.Msg.Prepare_strong
             {
               rid = n;
@@ -103,8 +130,8 @@ let prepare ?(origin = 9) bus ~coord ~n ~key ~snap =
               coord;
               tid = tid n;
               origin;
-              wbuff = wbuff_of key;
-              ops = ops_of key;
+              wbuff = wbuff_of (key :: keys);
+              ops = ops_of (key :: keys);
               snap;
               lc = 0;
             } );
@@ -137,11 +164,18 @@ let test_conflicting_second_prepare_votes_abort () =
   Alcotest.(check int) "both prepared at leader" 2
     (U.Cert.prepared_count (m 0))
 
-let decide bus ~n ~ts ~dec =
+let strong_vec ts =
   let vec = Vc.create ~dcs:3 in
   Vc.set_strong vec ts;
+  vec
+
+let decide ?(leader = 0) ?(b = 0) bus ~n ~ts ~dec =
   bus.queue <-
-    bus.queue @ [ (0, U.Msg.Decision { b = 0; tid = tid n; dec; vec; lc = 1 }) ];
+    bus.queue
+    @ [
+        ( leader,
+          U.Msg.Decision { b; tid = tid n; dec; vec = strong_vec ts; lc = 1 } );
+      ];
   pump bus
 
 let test_delivery_in_timestamp_order_with_gating () =
@@ -233,33 +267,193 @@ let test_prune_decided () =
   Alcotest.(check int) "old pruned" 0 (U.Cert.decided_count (m 0))
 
 (* A decision learned while rejoining survives until the group state
-   lands. The leader answers the rejoiner's [State_request] after
-   broadcasting [Learn_decision] but before its own loopback copy settled
-   the entry, so its [New_state] still lists the transaction as prepared;
-   the earlier [Learn_decision] reached the rejoiner while it was
-   [Recovering]. The member must keep that chosen value and apply it to
-   the installed entry, or the transaction stays prepared forever and the
-   rejoiner never applies the acked write. *)
+   lands. The [Learn_decision] reached the rejoiner while it was
+   [Recovering], and the [New_state] it then installs was captured
+   before the decision reached its sender (a leader that has yet to
+   learn what an older ballot's leader decided), so it still lists the
+   transaction as prepared. The member must keep that chosen value and
+   apply it to the installed entry, or the transaction stays prepared
+   forever and the rejoiner never applies the acked write. *)
 let test_rejoiner_keeps_decision_learned_while_recovering () =
   let bus, m = setup () in
   prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
   let _, _, prepared = U.Cert.persistent_state (m 0) in
   U.Cert.begin_rejoin (m 2) ~delivered:0;
-  let vec = Vc.create ~dcs:3 in
-  Vc.set_strong vec 1000;
+  let vec = strong_vec 1000 in
   let handle2 msg = ignore (U.Cert.handle (m 2) msg) in
-  handle2 (U.Msg.Learn_decision { b = 0; tid = tid 1; dec = true; vec; lc = 1 });
+  handle2
+    (U.Msg.Learn_decision
+       { b = 0; tid = tid 1; dec = true; vec; lc = 1; upto = 1000 });
   handle2 (U.Msg.New_state { b = 0; prepared; decided = []; from = 0 });
   Alcotest.(check string) "rejoiner follows again" "follower"
     (U.Cert.status_name (U.Cert.status (m 2)));
   Alcotest.(check int) "nothing left prepared" 0 (U.Cert.prepared_count (m 2));
   Alcotest.(check int) "decided" 1 (U.Cert.decided_count (m 2));
-  bus.delivered <- [];
+  Alcotest.(check (list (pair int string)))
+    "a frontier stashed while recovering is not followed" [] bus.delivered;
   handle2 (U.Msg.Deliver { b = 0; ts = 1000 });
   Alcotest.(check (list (pair int string)))
     "delivered on the next Deliver"
     [ (1000, Fmt.str "%a@dc?" U.Types.tid_pp (tid 1)) ]
     bus.delivered
+
+let tid_s n = Fmt.str "%a" U.Types.tid_pp (tid n)
+
+let calls_at bus dc =
+  List.rev bus.deliver_calls
+  |> List.filter_map (fun (d, ts, tids) ->
+         if d = dc then Some (ts, tids) else None)
+
+let ballot_of (msg : U.Msg.t) =
+  match msg with
+  | Learn_decision { b; _ } | Deliver { b; _ } -> b
+  | _ -> -1
+
+(* A decision costs the leader one message per other member: the
+   LEARN_DECISION carries the frontier it frees. The leader applies it
+   in place — no message to itself, no separate DELIVER. *)
+let test_decision_is_one_message_per_other_member () =
+  let bus, _m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  bus.sent <- [];
+  decide bus ~n:1 ~ts:1000 ~dec:true;
+  Alcotest.(check int) "dcs - 1 sends, from the leader only" (dcs - 1)
+    (List.length bus.sent);
+  List.iter
+    (fun (src, dst, (msg : U.Msg.t)) ->
+      Alcotest.(check bool) "sent by the leader to another member" true
+        (src = 0 && dst <> 0);
+      match msg with
+      | Learn_decision { tid = t; upto; _ } ->
+          Alcotest.(check string) "the decided tid" (tid_s 1)
+            (Fmt.str "%a" U.Types.tid_pp t);
+          Alcotest.(check int) "carrying the freed frontier" 1000 upto
+      | m -> Alcotest.failf "unexpected %s" (U.Msg.kind m))
+    bus.sent;
+  for dc = 0 to dcs - 1 do
+    Alcotest.(check (list (pair int (list string))))
+      (Fmt.str "dc%d delivered it" dc)
+      [ (1000, [ tid_s 1 ]) ]
+      (calls_at bus dc)
+  done
+
+(* One decision that unblocks queued entries delivers them as one batch,
+   in timestamp order, at the leader and at every follower. *)
+let test_unblocked_entries_deliver_as_one_batch () =
+  let bus, _m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  prepare bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
+  prepare bus ~coord:99 ~n:3 ~key:7 ~snap:snap0;
+  decide bus ~n:3 ~ts:3000 ~dec:true;
+  decide bus ~n:2 ~ts:2000 ~dec:true;
+  Alcotest.(check int) "gated behind the first" 0
+    (List.length bus.deliver_calls);
+  decide bus ~n:1 ~ts:1000 ~dec:true;
+  for dc = 0 to dcs - 1 do
+    Alcotest.(check (list (pair int (list string))))
+      (Fmt.str "dc%d: one call, in order" dc)
+      [ (3000, [ tid_s 1; tid_s 2; tid_s 3 ]) ]
+      (calls_at bus dc)
+  done
+
+(* The frontier of a LEARN_DECISION is followed even when the member
+   never accepted the transaction it decides. *)
+let test_frontier_followed_without_the_prepared_entry () =
+  let bus, m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  let handle2 msg = ignore (U.Cert.handle (m 2) msg) in
+  handle2
+    (U.Msg.Learn_decision
+       { b = 0; tid = tid 1; dec = true; vec = strong_vec 1000; lc = 1; upto = 0 });
+  Alcotest.(check int) "decided, no frontier yet" 0
+    (List.length (calls_at bus 2));
+  handle2
+    (U.Msg.Learn_decision
+       { b = 0; tid = tid 7; dec = true; vec = strong_vec 1500; lc = 1; upto = 1000 });
+  Alcotest.(check int) "advanced to upto" 1000 (U.Cert.last_delivered (m 2));
+  Alcotest.(check (list (pair int (list string))))
+    "delivering what it had queued"
+    [ (1000, [ tid_s 1 ]) ]
+    (calls_at bus 2)
+
+(* A new leader that learns a decision from the old ballot's leader
+   relays it under its own ballot before any frontier above it. dc2
+   never hears from the old leader: without the relay the next
+   decision's frontier would carry it past the entry, still prepared
+   there, and its writes would be skipped for good. *)
+let test_old_ballot_decision_relayed_before_frontier () =
+  let bus, m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  bus.members.(0) <- None;
+  U.Cert.set_trusted (m 1) 1;
+  U.Cert.set_trusted (m 2) 1;
+  pump bus;
+  Alcotest.(check string) "dc1 restoring" "restoring"
+    (U.Cert.status_name (U.Cert.status (m 1)));
+  bus.sent <- [];
+  ignore
+    (U.Cert.handle (m 1)
+       (U.Msg.Learn_decision
+          { b = 0; tid = tid 1; dec = true; vec = strong_vec 1000; lc = 1; upto = 1000 }));
+  pump bus;
+  Alcotest.(check string) "dc1 leads" "leader"
+    (U.Cert.status_name (U.Cert.status (m 1)));
+  Alcotest.(check (list int)) "relayed under the new ballot" [ 1; 1 ]
+    (List.map (fun (_, _, msg) -> ballot_of msg) bus.sent);
+  prepare ~leader:1 bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
+  decide ~leader:1 ~b:1 bus ~n:2 ~ts:2000 ~dec:true;
+  Alcotest.(check (list (pair int (list string))))
+    "dc2 delivers both, in order"
+    [ (1000, [ tid_s 1 ]); (2000, [ tid_s 2 ]) ]
+    (calls_at bus 2)
+
+(* A restored leader whose re-certification of a prepared entry comes
+   back Unknown (some group never accepted it) serves without waiting
+   for it, but the entry still gates delivery. Its original coordinator
+   may be gone, and the RESTORING certification made this node its
+   coordinator, so the leader certifies it afresh at once instead of
+   leaving it to the staleness timer. *)
+let test_unknown_entry_recertified_when_restoring_ends () =
+  let bus, m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  bus.members.(0) <- None;
+  U.Cert.set_trusted (m 1) 1;
+  U.Cert.set_trusted (m 2) 1;
+  pump bus;
+  Alcotest.(check string) "dc1 restoring" "restoring"
+    (U.Cert.status_name (U.Cert.status (m 1)));
+  let ks = bus.certify_ks in
+  bus.certify_calls <- [];
+  List.iter (fun k -> k U.Cert.Unknown) ks;
+  Alcotest.(check string) "dc1 leads" "leader"
+    (U.Cert.status_name (U.Cert.status (m 1)));
+  Alcotest.(check int) "still prepared" 1 (U.Cert.prepared_count (m 1));
+  Alcotest.(check (list string)) "certified afresh" [ tid_s 1 ]
+    (List.map (Fmt.str "%a" U.Types.tid_pp) bus.certify_calls)
+
+(* A decided entry that conflicts with a transaction on two keys is
+   folded in once per key; the vote and the Lamport bump are those of a
+   single fold. *)
+let test_two_key_conflict () =
+  let bus, m = setup () in
+  prepare bus ~keys:[ 6 ] ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  decide bus ~n:1 ~ts:1000 ~dec:true;
+  prepare bus ~keys:[ 6 ] ~coord:99 ~n:2 ~key:5 ~snap:snap0;
+  prepare bus ~keys:[ 6 ] ~coord:99 ~n:3 ~key:5 ~snap:(strong_vec 1000);
+  let _, _, prepared = U.Cert.persistent_state (m 0) in
+  let vote_lc n =
+    let p =
+      List.find
+        (fun (p : U.Msg.prepared_strong) ->
+          U.Types.tid_equal p.U.Msg.ps_tid (tid n))
+        prepared
+    in
+    (p.U.Msg.ps_vote, p.U.Msg.ps_lc)
+  in
+  Alcotest.(check (pair bool int)) "stale snapshot: abort, lc = d.lc + 1"
+    (false, 2) (vote_lc 2);
+  Alcotest.(check (pair bool int)) "covering snapshot: commit, lc = d.lc + 1"
+    (true, 2) (vote_lc 3)
 
 (* The two crash re-entries share one reset. Both park the member in
    [Recovering] with its delivery frontier seeded at [delivered] and its
@@ -385,4 +579,16 @@ let suite =
       test_retry_suspected_matches_coordinator_dc;
     Alcotest.test_case "restart decides what the disk names" `Quick
       test_restart_decides_what_the_disk_names;
+    Alcotest.test_case "a decision is one message per other member" `Quick
+      test_decision_is_one_message_per_other_member;
+    Alcotest.test_case "unblocked entries deliver as one batch" `Quick
+      test_unblocked_entries_deliver_as_one_batch;
+    Alcotest.test_case "frontier followed without the prepared entry"
+      `Quick test_frontier_followed_without_the_prepared_entry;
+    Alcotest.test_case "old-ballot decision relayed before the frontier"
+      `Quick test_old_ballot_decision_relayed_before_frontier;
+    Alcotest.test_case "two-key conflict folds like one" `Quick
+      test_two_key_conflict;
+    Alcotest.test_case "unknown entry re-certified when restoring ends"
+      `Quick test_unknown_entry_recertified_when_restoring_ends;
   ]
