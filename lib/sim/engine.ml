@@ -4,6 +4,12 @@
    event and executes its thunk; thunks schedule further events. Ties on
    time break on scheduling order, so runs are fully deterministic.
 
+   Same-event continuations ([defer]): a thunk may queue work to run
+   right after it returns, at the same instant and before the next
+   queued event, as part of the same event — counted once, accounted
+   under the event's label. Fiber wakeups use it, so resuming the fiber
+   a reply handler just filled costs no engine event of its own.
+
    Self-profiling ([Sim.Prof]): every event carries an attribution
    label. An event scheduled without an explicit label inherits the
    label of the event currently executing, so labelling the roots
@@ -30,7 +36,15 @@ type t = {
   prof : Prof.t;
   mutable cur_label : Prof.label;  (* label of the executing event *)
   mutable run_wall : float;  (* wall seconds spent inside [run] *)
+  deferred : (unit -> unit) Queue.t;  (* the executing event's [defer]s *)
+  mutable in_event : bool;
 }
+
+(* The defers run in FIFO order, each possibly queueing more. *)
+let drain t =
+  while not (Queue.is_empty t.deferred) do
+    (Queue.pop t.deferred) ()
+  done
 
 let create ?(seed = 42) () =
   {
@@ -43,6 +57,8 @@ let create ?(seed = 42) () =
     prof = Prof.create ();
     cur_label = Prof.none;
     run_wall = 0.0;
+    deferred = Queue.create ();
+    in_event = false;
   }
 
 let now t = t.now
@@ -62,6 +78,9 @@ let schedule_at t ?(label = Prof.none) ~time f =
 let schedule t ?(label = Prof.none) ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~label ~time:(t.now + delay) f
+
+let defer t f =
+  if t.in_event then Queue.push f t.deferred else schedule t ~delay:0 f
 
 let stop t = t.stopped <- true
 
@@ -85,17 +104,28 @@ let run ?until t =
           in
           t.now <- time;
           t.executed <- t.executed + 1;
+          t.in_event <- true;
           if Prof.is_on t.prof then begin
             t.cur_label <- tag;
-            Prof.account t.prof tag f;
+            Prof.account t.prof tag (fun () ->
+                f ();
+                drain t);
             t.cur_label <- Prof.none
           end
-          else f ();
+          else begin
+            f ();
+            drain t
+          end;
+          t.in_event <- false;
           loop ()
   in
   let t0 = Prof.wall t.prof in
   Fun.protect
-    ~finally:(fun () -> t.run_wall <- t.run_wall +. (Prof.wall t.prof -. t0))
+    ~finally:(fun () ->
+      (* an event that raised leaves its defers behind: drop them *)
+      Queue.clear t.deferred;
+      t.in_event <- false;
+      t.run_wall <- t.run_wall +. (Prof.wall t.prof -. t0))
     loop
 
 (* Periodic task: reschedules itself every [period] while [f] returns

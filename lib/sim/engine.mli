@@ -1,7 +1,8 @@
 (** Deterministic discrete-event simulation engine.
 
     Simulated time is [int] microseconds starting at 0. Events scheduled
-    for the same instant fire in scheduling order.
+    for the same instant fire in scheduling order. Work queued with
+    {!defer} runs at the end of the executing event, as part of it.
 
     Every event carries a {!Prof.label} for self-profiling; an event
     scheduled without one inherits the label of the event currently
@@ -42,7 +43,17 @@ val schedule : t -> ?label:Prof.label -> delay:int -> (unit -> unit) -> unit
 val schedule_at :
   t -> ?label:Prof.label -> time:int -> (unit -> unit) -> unit
 
-(** Stop the run loop after the current event. *)
+(** [defer t f] runs [f] right after the executing event's thunk
+    returns: at the same instant, before the next queued event, as part
+    of that event — it adds nothing to {!executed_events}, and the
+    profiler accounts its work under the event's label (events [f]
+    schedules inherit that label). Defers run in FIFO order, including
+    ones queued by a running defer. Outside the run loop, [f] is
+    scheduled as a fresh event at the current instant. Fiber wakeups
+    use it so resuming a fiber costs no event of its own. *)
+val defer : t -> (unit -> unit) -> unit
+
+(** Stop the run loop after the current event (and its defers). *)
 val stop : t -> unit
 
 (** Execute events until the queue drains, [stop] is called, or the next

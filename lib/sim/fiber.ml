@@ -5,15 +5,19 @@
    written as fibers, which keeps workload code direct-style while all
    protocol handlers remain plain event handlers.
 
+   Wakeups: an ivar's waiters resume through [Engine.defer], at the end
+   of the event that filled it — the same instant, no engine event of
+   their own, and never re-entrantly inside the filler's handler. A
+   reply handler's fill thus resumes the client fiber inside the
+   handler's own event.
+
    Profiling: a fiber resolves its attribution label once at spawn
-   (explicit [?label], else inherited from the spawner) and pins every
-   wakeup — sleep expiries and ivar resumptions — to it. The pinning
-   matters for ivar wakeups: the fill happens inside some other
-   handler's event, and without an explicit label the resumption would
-   inherit the *filler's* label instead of the fiber's. *)
+   (explicit [?label], else inherited from the spawner) and pins its
+   start and its sleep expiries to it. Ivar resumptions run inside the
+   filling event and are accounted under the filler's label. *)
 
 module Ivar = struct
-  type 'a state = Empty of (Prof.label * ('a -> unit)) list | Full of 'a
+  type 'a state = Empty of ('a -> unit) list | Full of 'a
   type 'a t = { mutable state : 'a state }
 
   let create () = { state = Empty [] }
@@ -23,21 +27,17 @@ module Ivar = struct
     | Full _ -> invalid_arg "Ivar.fill: already filled"
     | Empty waiters ->
         iv.state <- Full v;
-        (* Run waiters as fresh events at the current instant so a fill
-           inside a handler cannot reentrantly grow the handler's stack.
-           Each waiter carries the label it registered under. *)
         List.iter
-          (fun (label, k) ->
-            Engine.schedule eng ~label ~delay:0 (fun () -> k v))
+          (fun k -> Engine.defer eng (fun () -> k v))
           (List.rev waiters)
 
   let is_filled iv = match iv.state with Full _ -> true | Empty _ -> false
   let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
 
-  let upon ?(label = Prof.none) eng iv k =
+  let upon eng iv k =
     match iv.state with
-    | Full v -> Engine.schedule eng ~label ~delay:0 (fun () -> k v)
-    | Empty waiters -> iv.state <- Empty ((label, k) :: waiters)
+    | Full v -> Engine.defer eng (fun () -> k v)
+    | Empty waiters -> iv.state <- Empty (k :: waiters)
 end
 
 type _ Effect.t +=
@@ -49,8 +49,8 @@ let sleep delay = Effect.perform (Sleep delay)
 
 let spawn eng ?(label = Prof.none) f =
   let open Effect.Deep in
-  (* Resolve inheritance now: wakeups fire from other contexts later,
-     where the scheduler's current label is not this fiber's. *)
+  (* Resolve inheritance now: sleep expiries are scheduled from inside
+     the fiber, which may be running under a filler's label. *)
   let label =
     if label <> Prof.none then label else Engine.current_label eng
   in
@@ -64,7 +64,7 @@ let spawn eng ?(label = Prof.none) f =
           | Await iv ->
               Some
                 (fun (k : (b, unit) continuation) ->
-                  Ivar.upon ~label eng iv (fun v -> continue k v))
+                  Ivar.upon eng iv (fun v -> continue k v))
           | Sleep delay ->
               Some
                 (fun (k : (b, unit) continuation) ->

@@ -11,17 +11,22 @@ module Ivar : sig
 
   val create : unit -> 'a t
 
-  (** Fill the cell and wake all waiters (as fresh engine events at the
-      current simulated instant). Raises if already filled. *)
+  (** Fill the cell and wake all waiters, in registration order. The
+      waiters run after the filling event, not as fresh events: at the
+      same simulated instant, once the filler's handler has returned
+      (never re-entrantly inside it) and before any other event queued
+      for that instant, and they add no {!Engine.executed_events}. See
+      {!Engine.defer}. Raises if already filled. *)
   val fill : Engine.t -> 'a t -> 'a -> unit
 
   val is_filled : 'a t -> bool
   val peek : 'a t -> 'a option
 
-  (** [upon eng iv k] runs [k v] once [iv] holds [v] (immediately, as an
-      event, if already filled). [label] attributes the wakeup event for
-      profiling; the default inherits the *filler*'s label. *)
-  val upon : ?label:Prof.label -> Engine.t -> 'a t -> ('a -> unit) -> unit
+  (** [upon eng iv k] runs [k v] once [iv] holds [v]: after the filling
+      event, as {!fill} describes, or — if [iv] is already filled — after
+      the current event. The profiler accounts [k]'s work under the
+      label of the event it runs in. *)
+  val upon : Engine.t -> 'a t -> ('a -> unit) -> unit
 end
 
 (** Block the current fiber until the ivar is filled. Must be called from
@@ -32,8 +37,9 @@ val await : 'a Ivar.t -> 'a
 val sleep : int -> unit
 
 (** Start a fiber. The body may use {!await} and {!sleep}. [label]
-    attributes the fiber's start and every later wakeup for profiling
-    (default: inherited from the spawning event, resolved at spawn). *)
+    attributes the fiber's start and its sleep expiries for profiling
+    (default: inherited from the spawning event, resolved at spawn);
+    ivar resumptions run under the filling event's label. *)
 val spawn : Engine.t -> ?label:Prof.label -> (unit -> unit) -> unit
 
 (** Await every ivar in the list, returning values in list order. *)

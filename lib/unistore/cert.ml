@@ -123,6 +123,9 @@ type t = {
      garbage-collected: snapshots below it can no longer be certified
      soundly *)
   mutable pruned_below : int;
+  (* join of the garbage-collected transactions' commit vectors: a
+     snapshot that does not cover it may miss one of them *)
+  pruned_join : Vc.t;
   mutable last_delivered : int;
   mutable last_ts : int;  (* leader: last proposed strong timestamp *)
   mutable do_not_wait : Types.tid list;
@@ -170,6 +173,7 @@ let create ~bid_interval_us ctx ~leader_dc =
     undelivered = Delivery_queue.empty;
     queued = 0;
     pruned_below = 0;
+    pruned_join = Vc.create ~dcs:ctx.x_dcs;
     last_delivered = 0;
     last_ts = 0;
     do_not_wait = [];
@@ -486,16 +490,19 @@ let handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
                       certification_check t ~tid ~ops ~snap ~lc
                     in
                     (* a snapshot whose strong entry is below the prune
-                       floor may miss conflicting committed transactions
-                       that were already garbage-collected: refuse it
-                       (the coordinator retries with a fresher
-                       snapshot). A transaction with no operations at
-                       this group (a dummy heartbeat) conflicts with
-                       nothing, so any snapshot certifies it. *)
+                       floor, or that misses an entry of a pruned
+                       transaction's commit vector, may miss conflicting
+                       committed transactions that were already
+                       garbage-collected: refuse it (the coordinator
+                       retries with a fresher snapshot). A transaction
+                       with no operations at this group (a dummy
+                       heartbeat) conflicts with nothing, so any
+                       snapshot certifies it. *)
                     let vote =
                       vote
                       && (t.ctx.x_ops_slice ops = []
-                         || Vc.strong snap >= t.pruned_below)
+                         || Vc.strong snap >= t.pruned_below
+                            && Vc.leq t.pruned_join snap)
                     in
                     (* The check and the leader's own accept must be one
                        atomic step: a self-addressed ACCEPT is delivered
@@ -1019,7 +1026,9 @@ let retry_coordinated t ~coord =
    periods, which [keep_after] must dominate). The strong entry alone
    does not say so: under a partition a snapshot's strong entry keeps
    advancing while an entry of a cut-off DC stays behind the decided
-   vector. [covered] checks the whole vector. *)
+   vector. [covered] checks the whole vector against the snapshots
+   served from now on; [pruned_join] guards the ones served before,
+   which a re-submission after a failover certifies late. *)
 let prune_decided ?(covered = fun _ -> true) t ~keep_after =
   if keep_after > 0 then begin
     if keep_after > t.pruned_below then t.pruned_below <- keep_after;
@@ -1034,6 +1043,7 @@ let prune_decided ?(covered = fun _ -> true) t ~keep_after =
     List.iter
       (fun (tid, (d : Msg.decided_strong)) ->
         Hashtbl.remove t.decided tid;
+        Vc.merge_into t.pruned_join d.Msg.ds_vec;
         List.iter
           (fun (o : Types.opdesc) ->
             match Hashtbl.find_opt t.decided_by_key o.key with

@@ -41,6 +41,10 @@ type t = {
   (* a pending entry resolves to [Some reply], or [None] when failover
      is enabled and the request timed out (its DC presumed crashed) *)
   pending : (int, Msg.t option Ivar.t) Hashtbl.t;
+  (* failover watchdog (see [watchdog]): (req, deadline) per call sent
+     with a timeout, oldest first; its timer is armed iff it is
+     non-empty *)
+  watch : (int * int) Queue.t;
   (* current transaction *)
   mutable cur : cur option;
 }
@@ -100,6 +104,7 @@ let create ~id ~eng ~net ~cfg ~history ~trace ~metrics ~dc ~replicas_of_dc =
       sq = 0;
       dc_live = (fun _ -> true);
       pending = Hashtbl.create 8;
+      watch = Queue.create ();
       cur = None;
     }
   in
@@ -145,6 +150,39 @@ let pick_coordinator t =
   let replicas = t.replicas_of_dc t.dc in
   replicas.(Sim.Rng.int t.rng (Array.length replicas))
 
+(* Failover watchdog: one engine timer per session, not one per call.
+   Every call sent with a timeout appends (req, send + timeout) to a
+   FIFO; the timeout is constant, so deadlines are monotone and the
+   head's is the earliest. The timer fires at the head's deadline,
+   drops the calls already answered, times out the expired ones and
+   re-arms at the next unanswered call's deadline — each call still
+   times out at exactly its send time plus [client_failover_us]. An
+   idle session leaves the timer disarmed. *)
+let rec watchdog t () =
+  let now = Engine.now t.eng in
+  let rec sweep () =
+    match Queue.peek_opt t.watch with
+    | None -> ()
+    | Some (req, deadline) -> (
+        match Hashtbl.find_opt t.pending req with
+        | Some _ when deadline > now -> ()
+        | pending ->
+            ignore (Queue.pop t.watch);
+            Option.iter
+              (fun iv ->
+                Hashtbl.remove t.pending req;
+                Ivar.fill t.eng iv None)
+              pending;
+            sweep ())
+  in
+  sweep ();
+  Option.iter (fun (_, deadline) -> arm t deadline) (Queue.peek_opt t.watch)
+
+and arm t deadline =
+  Engine.schedule_at t.eng
+    ~label:(Sim.Prof.label (Engine.prof t.eng) "client/watchdog")
+    ~time:deadline (watchdog t)
+
 (* One round trip, without failover: blocks the calling fiber until the
    reply, or — when failover is enabled ([client_failover_us] > 0) —
    until the timeout, returning [None] (the request or its reply died
@@ -156,17 +194,11 @@ let call_raw t dst msg_of_req =
   Hashtbl.replace t.pending req iv;
   Network.send t.net ~src:t.addr ~dst (msg_of_req req);
   let timeout = t.cfg.Config.client_failover_us in
-  if timeout > 0 then
-    Engine.schedule t.eng ~delay:timeout (fun () ->
-        if Hashtbl.mem t.pending req then begin
-          Hashtbl.remove t.pending req;
-          Ivar.fill t.eng iv None
-        end);
-  Fiber.await iv
-
-let sleep t us =
-  let iv = Ivar.create () in
-  Engine.schedule t.eng ~delay:us (fun () -> Ivar.fill t.eng iv ());
+  if timeout > 0 then begin
+    let deadline = Engine.now t.eng + timeout in
+    if Queue.is_empty t.watch then arm t deadline;
+    Queue.push (req, deadline) t.watch
+  end;
   Fiber.await iv
 
 (* DC failover: the session DC stopped answering, so presume it crashed
@@ -187,7 +219,7 @@ let rec failover t =
   match pick 1 with
   | None ->
       (* every other DC is down or still catching up: wait and retry *)
-      sleep t t.cfg.Config.client_failover_us;
+      Fiber.sleep t.cfg.Config.client_failover_us;
       failover t
   | Some dc ->
       Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"failover"
@@ -482,7 +514,7 @@ let run_txn ?label ?(strong = false) ?(max_retries = max_int) t body =
           None
       | Overloaded ->
           let backoff = Config.overload_backoff_us t.cfg in
-          sleep t (backoff + Sim.Rng.int t.rng backoff);
+          Fiber.sleep (backoff + Sim.Rng.int t.rng backoff);
           None
     in
     match outcome with

@@ -141,6 +141,77 @@ let test_spawn_inside_fiber () =
     [ "outer"; "inner"; "outer-done" ]
     (List.rev !log)
 
+(* A filled ivar's waiter resumes at the filler's instant, after the
+   filling event has returned and before an event already queued for
+   that instant. *)
+let test_wakeup_after_filling_event () =
+  let eng = Sim.Engine.create () in
+  let iv = Ivar.create () in
+  let log = ref [] in
+  let note s = log := Printf.sprintf "%s@%d" s (Sim.Engine.now eng) :: !log in
+  Fiber.spawn eng (fun () -> note ("woke " ^ string_of_int (Fiber.await iv)));
+  Sim.Engine.schedule eng ~delay:10 (fun () ->
+      Ivar.fill eng iv 1;
+      note "filler returns");
+  Sim.Engine.schedule eng ~delay:10 (fun () -> note "queued event");
+  Sim.Engine.run eng;
+  Alcotest.(check (list string))
+    "resumed inside the filling event, after its handler"
+    [ "filler returns@10"; "woke 1@10"; "queued event@10" ]
+    (List.rev !log)
+
+(* Resuming a fiber costs no engine event: a fiber awaiting three ivars
+   filled by three events runs in four events (its start and the three
+   fillers), the same as the fillers alone plus the spawn. *)
+let test_wakeup_adds_no_event () =
+  let eng = Sim.Engine.create () in
+  let ivs = List.init 3 (fun _ -> Ivar.create ()) in
+  let got = ref [] in
+  Fiber.spawn eng (fun () -> got := Fiber.await_all ivs);
+  List.iteri
+    (fun i iv ->
+      Sim.Engine.schedule eng ~delay:(10 * (i + 1)) (fun () ->
+          Ivar.fill eng iv i))
+    ivs;
+  Sim.Engine.run eng;
+  Alcotest.(check (list int)) "all values received" [ 0; 1; 2 ] !got;
+  Alcotest.(check int) "spawn plus the three fillers" 4
+    (Sim.Engine.executed_events eng)
+
+(* [Engine.defer] runs after the current thunk, in FIFO order, draining
+   defers queued by running defers before the next event. *)
+let test_defer_nested_fifo () =
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  Sim.Engine.schedule eng ~delay:5 (fun () ->
+      Sim.Engine.defer eng (fun () ->
+          note "a";
+          Sim.Engine.defer eng (fun () -> note "c"));
+      Sim.Engine.defer eng (fun () ->
+          note "b";
+          Sim.Engine.defer eng (fun () -> note "d"));
+      note "event");
+  Sim.Engine.schedule eng ~delay:5 (fun () -> note "next");
+  Sim.Engine.run eng;
+  Alcotest.(check (list string))
+    "event, then its defers breadth-first, then the next event"
+    [ "event"; "a"; "b"; "c"; "d"; "next" ]
+    (List.rev !log);
+  Alcotest.(check int) "defers are not events" 2
+    (Sim.Engine.executed_events eng)
+
+(* Outside the run loop there is no event to join: a defer becomes an
+   event of its own at the current instant. *)
+let test_defer_outside_run () =
+  let eng = Sim.Engine.create () in
+  let ran = ref false in
+  Sim.Engine.defer eng (fun () -> ran := true);
+  Alcotest.(check bool) "not run inline" false !ran;
+  Sim.Engine.run eng;
+  Alcotest.(check bool) "ran as an event" true !ran;
+  Alcotest.(check int) "one event" 1 (Sim.Engine.executed_events eng)
+
 let suite =
   [
     Alcotest.test_case "sleep wakes at the right time" `Quick test_sleep;
@@ -157,4 +228,12 @@ let suite =
     Alcotest.test_case "exceptions propagate out of fibers" `Quick
       test_exception_propagates;
     Alcotest.test_case "fibers can spawn fibers" `Quick test_spawn_inside_fiber;
+    Alcotest.test_case "a waiter resumes after the filling event" `Quick
+      test_wakeup_after_filling_event;
+    Alcotest.test_case "resuming a fiber adds no engine event" `Quick
+      test_wakeup_adds_no_event;
+    Alcotest.test_case "defers drain nested, in FIFO order" `Quick
+      test_defer_nested_fifo;
+    Alcotest.test_case "a defer outside the run loop is an event" `Quick
+      test_defer_outside_run;
   ]

@@ -466,6 +466,73 @@ let test_lossy_restart_durability_sweep () =
         keys)
     [ 1; 2; 3 ]
 
+(* The failover watchdog times an unanswered call out at exactly its
+   send time plus [client_failover_us]: the session's DC is crashed, so
+   the START sent at 1.2 s never gets a reply, and the session fails
+   over at 1.5 s. *)
+let test_watchdog_exact_timeout () =
+  let timeout = 300_000 in
+  let sys =
+    Util.make_system ~partitions:2 ~seed:5 ~client_failover_us:timeout
+      ~trace_enabled:true ()
+  in
+  U.Nemesis.inject sys
+    [ { U.Nemesis.at_us = 1_000_000; ev = U.Nemesis.Crash_dc 2 } ];
+  let sent = ref (-1) and src = ref "" in
+  ignore
+    (U.System.spawn_client sys ~dc:2 (fun c ->
+         src := Printf.sprintf "client %d" (Client.id c);
+         (* answered calls before the crash leave entries in the ring *)
+         for _ = 1 to 5 do
+           Client.run_txn c (fun c -> ignore (Client.read_int c 1))
+         done;
+         Fiber.sleep (1_200_000 - U.System.now sys);
+         sent := U.System.now sys;
+         Client.run_txn c (fun c -> ignore (Client.read_int c 1))));
+  Util.run sys ~until:3_000_000;
+  match Sim.Trace.events ~source:!src ~kind:"failover" (U.System.trace sys) with
+  | ev :: _ ->
+      Alcotest.(check int) "timed out at send + client_failover_us"
+        (!sent + timeout) ev.Sim.Trace.ev_time
+  | [] -> Alcotest.fail "the session never failed over"
+
+(* One watchdog timer per session, not one per call: a session making
+   many answered calls leaves at most one more pending engine event
+   than the same run with failover off (the timeout draws no randomness,
+   so both runs are otherwise identical). *)
+let test_watchdog_one_timer () =
+  let build failover =
+    let sys =
+      Util.make_system ~partitions:2 ~seed:3 ~client_failover_us:failover ()
+    in
+    let calls = ref 0 in
+    ignore
+      (U.System.spawn_client sys ~dc:0 (fun c ->
+           while true do
+             Client.run_txn c (fun c ->
+                 ignore (Client.read_int c 1);
+                 Client.update c 2 (Crdt.Ctr_add 1));
+             calls := !calls + 4
+           done));
+    (sys, calls)
+  in
+  let on, calls_on = build 300_000 and off, calls_off = build 0 in
+  for step = 1 to 10 do
+    let until = step * 100_000 in
+    Util.run on ~until;
+    Util.run off ~until;
+    Alcotest.(check int) "same progress" !calls_off !calls_on;
+    let extra =
+      Sim.Engine.pending_events (U.System.engine on)
+      - Sim.Engine.pending_events (U.System.engine off)
+    in
+    if extra < 0 || extra > 1 then
+      Alcotest.failf "%d extra pending events at %d us after %d calls" extra
+        until !calls_on
+  done;
+  Alcotest.(check bool) "many calls inside one timeout window" true
+    (!calls_on > 100)
+
 let suite =
   [
     Alcotest.test_case
@@ -485,4 +552,8 @@ let suite =
       `Slow test_restart_behind_partition_keeps_acked_writes;
     Alcotest.test_case "lossy-link x node-restart durability sweep" `Slow
       test_lossy_restart_durability_sweep;
+    Alcotest.test_case "an unanswered call times out at send + timeout"
+      `Quick test_watchdog_exact_timeout;
+    Alcotest.test_case "one failover watchdog timer per session" `Quick
+      test_watchdog_one_timer;
   ]
