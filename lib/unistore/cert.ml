@@ -28,10 +28,9 @@ type ctx = {
   x_group : int;  (* partition id, or the REDBLUE pseudo-group id *)
   x_dcs : int;
   x_quorum : int;
-  (* conflict between two operation descriptors on the same key *)
-  x_conflict_ops : Types.opdesc -> Types.opdesc -> bool;
-  (* REDBLUE: every pair of (non-empty) strong transactions conflicts *)
-  x_all_conflict : bool;
+  (* the deployment's conflict relation; [All_strong] (REDBLUE) takes
+     the running-join fast path *)
+  x_conflict : Config.conflict_spec;
   (* a transaction's operations relevant to this group *)
   x_ops_slice : Types.opsmap -> Types.opdesc list;
   x_clock : unit -> int;  (* local physical clock *)
@@ -47,11 +46,7 @@ type ctx = {
      logic itself sends the DECISION messages on completion *)
   x_certify :
     caller:Msg.cert_caller ->
-    tid:Types.tid ->
-    origin:int ->
-    wbuff:Types.wbuff ->
-    ops:Types.opsmap ->
-    snap:Vc.t ->
+    Msg.strong_tx ->
     lc:int ->
     k:(cert_result -> unit) ->
     unit;
@@ -101,14 +96,17 @@ let status_name = function
   | Recovering -> "recovering"
   | Restoring -> "restoring"
 
+(* An accepted-but-undecided entry and its RETRY clock: when it was
+   accepted here or last re-certified. *)
+type accepted = { p : Msg.prepared_strong; mutable since : int }
+
 type t = {
   ctx : ctx;
   mutable status : status;
   mutable ballot : int;
   mutable cballot : int;
   mutable trusted : int;  (* Ω: the data center currently trusted *)
-  prepared : (Types.tid, Msg.prepared_strong) Hashtbl.t;
-  prepared_at : (Types.tid, int) Hashtbl.t;  (* for RETRY *)
+  prepared : (Types.tid, accepted) Hashtbl.t;
   decided : (Types.tid, Msg.decided_strong) Hashtbl.t;
   (* committed transactions indexed by the keys they touched at this
      group, for the per-key conflict check *)
@@ -165,7 +163,6 @@ let create ~bid_interval_us ctx ~leader_dc =
     cballot = leader_dc;
     trusted = leader_dc;
     prepared = Hashtbl.create 32;
-    prepared_at = Hashtbl.create 32;
     decided = Hashtbl.create 256;
     decided_by_key = Hashtbl.create 256;
     decided_join = None;
@@ -200,9 +197,8 @@ let decided_count t = Hashtbl.length t.decided
 let last_delivered t = t.last_delivered
 let idle_since t = t.last_activity
 
-let remove_prepared t tid =
-  Hashtbl.remove t.prepared tid;
-  Hashtbl.remove t.prepared_at tid
+let add_prepared t (p : Msg.prepared_strong) =
+  Hashtbl.replace t.prepared p.ps_tx.st_tid { p; since = t.ctx.x_now () }
 
 let broadcast t msg =
   for dc = 0 to t.ctx.x_dcs - 1 do
@@ -219,9 +215,10 @@ let send_others t msg =
 (* Register a newly decided transaction in all indexes; log an abort
    (see [event]). *)
 let add_decided t (d : Msg.decided_strong) =
-  if not (Hashtbl.mem t.decided d.Msg.ds_tid) then begin
-    Hashtbl.replace t.decided d.Msg.ds_tid d;
-    if d.Msg.ds_dec then begin
+  let tid = d.ds_tx.st_tid in
+  if not (Hashtbl.mem t.decided tid) then begin
+    Hashtbl.replace t.decided tid d;
+    if d.ds_dec then begin
       (* conflict indexes *)
       List.iter
         (fun (o : Types.opdesc) ->
@@ -234,23 +231,21 @@ let add_decided t (d : Msg.decided_strong) =
                 cell
           in
           if not (List.memq d !cell) then cell := d :: !cell)
-        (t.ctx.x_ops_slice d.Msg.ds_ops);
-      if t.ctx.x_ops_slice d.Msg.ds_ops <> [] then begin
+        (t.ctx.x_ops_slice d.ds_tx.st_ops);
+      if t.ctx.x_ops_slice d.ds_tx.st_ops <> [] then begin
         (match t.decided_join with
-        | None -> t.decided_join <- Some (Vc.copy d.Msg.ds_vec)
-        | Some j -> Vc.merge_into j d.Msg.ds_vec);
-        t.decided_max_lc <- max t.decided_max_lc d.Msg.ds_lc
+        | None -> t.decided_join <- Some (Vc.copy d.ds_vec)
+        | Some j -> Vc.merge_into j d.ds_vec);
+        t.decided_max_lc <- max t.decided_max_lc d.ds_lc
       end;
-      let ts = Vc.strong d.Msg.ds_vec in
+      let ts = Vc.strong d.ds_vec in
       if ts > t.last_delivered then begin
         t.queued <- t.queued + 1;
         t.undelivered <- Delivery_queue.add (ts, - t.queued) d t.undelivered
       end
     end
     else
-      log_durably t
-        (E_abort { tid = d.Msg.ds_tid; vec = d.Msg.ds_vec; lc = d.Msg.ds_lc })
-        ignore
+      log_durably t (E_abort { tid; vec = d.ds_vec; lc = d.ds_lc }) ignore
   end
 
 (* ------------------------------------------------------------------ *)
@@ -258,26 +253,20 @@ let add_decided t (d : Msg.decided_strong) =
    snapshot includes every conflicting committed transaction, and no
    conflicting transaction is concurrently prepared to commit.           *)
 
-let ops_lists_conflict t ops1 ops2 =
-  if t.ctx.x_all_conflict then ops1 <> [] && ops2 <> []
-  else
-    List.exists
-      (fun o1 -> List.exists (fun o2 -> t.ctx.x_conflict_ops o1 o2) ops2)
-      ops1
-
-let certification_check t ~tid ~ops ~snap ~lc =
-  let my_ops = t.ctx.x_ops_slice ops in
+let certification_check t (tx : Msg.strong_tx) ~lc =
+  let spec = t.ctx.x_conflict and snap = tx.st_snap in
+  let my_ops = t.ctx.x_ops_slice tx.st_ops in
   let conflicts_prepared =
     Hashtbl.fold
-      (fun ptid (p : Msg.prepared_strong) acc ->
+      (fun ptid { p; _ } acc ->
         acc
-        || p.Msg.ps_vote
-           && (not (Types.tid_equal ptid tid))
-           && ops_lists_conflict t my_ops (t.ctx.x_ops_slice p.Msg.ps_ops))
+        || p.ps_vote
+           && (not (Types.tid_equal ptid tx.st_tid))
+           && Config.txs_conflict spec my_ops (t.ctx.x_ops_slice p.ps_tx.st_ops))
       t.prepared false
   in
   if conflicts_prepared then (false, lc)
-  else if t.ctx.x_all_conflict then begin
+  else if spec = Config.All_strong then begin
     if my_ops = [] then (true, lc)
     else
       match t.decided_join with
@@ -301,11 +290,11 @@ let certification_check t ~tid ~ops ~snap ~lc =
                 if
                   List.exists
                     (fun (o' : Types.opdesc) ->
-                      o'.key = o.key && t.ctx.x_conflict_ops o o')
-                    (t.ctx.x_ops_slice d.Msg.ds_ops)
+                      o'.key = o.key && Config.ops_conflict spec o o')
+                    (t.ctx.x_ops_slice d.ds_tx.st_ops)
                 then begin
-                  if not (Vc.leq d.Msg.ds_vec snap) then vote := false;
-                  if !lc' <= d.Msg.ds_lc then lc' := d.Msg.ds_lc + 1
+                  if not (Vc.leq d.ds_vec snap) then vote := false;
+                  if !lc' <= d.ds_lc then lc' := d.ds_lc + 1
                 end)
               !cell)
       my_ops;
@@ -330,11 +319,11 @@ let deliver_upto t ts =
     Delivery_queue.fold
       (fun _ (d : Msg.decided_strong) acc ->
         {
-          Types.tx_tid = d.Msg.ds_tid;
-          tx_writes = List.concat_map snd d.Msg.ds_wbuff;
-          tx_vec = d.Msg.ds_vec;
-          tx_lc = d.Msg.ds_lc;
-          tx_origin = d.Msg.ds_origin;
+          Types.tx_tid = d.ds_tx.st_tid;
+          tx_writes = List.concat_map snd d.ds_tx.st_wbuff;
+          tx_vec = d.ds_vec;
+          tx_lc = d.ds_lc;
+          tx_origin = d.ds_tx.st_origin;
         }
         :: acc)
       deliverable []
@@ -350,8 +339,7 @@ let deliver_ready t =
   else
     let gate =
       Hashtbl.fold
-        (fun _ (p : Msg.prepared_strong) acc ->
-          if p.Msg.ps_vote then min acc p.Msg.ps_ts else acc)
+        (fun _ { p; _ } acc -> if p.ps_vote then min acc p.ps_ts else acc)
         t.prepared max_int
     in
     match
@@ -399,80 +387,47 @@ let follow_frontier t ~b ~ts =
 (* ------------------------------------------------------------------ *)
 (* PREPARE_STRONG and ACCEPT (Algorithm A9 lines 1–17).                  *)
 
-let handle_accept t ~b ~tid ~coord ~rid ~origin ~wbuff ~ops ~snap ~vote ~ts
-    ~lc =
+(* An ACCEPT stores the record it carries: the leader built it once,
+   and every member holds that same value. *)
+let handle_accept t ~b ~rid (p : Msg.prepared_strong) =
   if
     t.ballot = b
     && (t.status = Leader || t.status = Follower || t.status = Restoring)
   then begin
-    let p =
-      {
-        Msg.ps_tid = tid;
-        ps_coord = coord;
-        ps_origin = origin;
-        ps_wbuff = wbuff;
-        ps_ops = ops;
-        ps_snap = snap;
-        ps_vote = vote;
-        ps_ts = ts;
-        ps_lc = lc;
-      }
-    in
-    if not (Hashtbl.mem t.decided tid) then begin
-      Hashtbl.replace t.prepared tid p;
-      Hashtbl.replace t.prepared_at tid (t.ctx.x_now ())
-    end;
+    let tid = p.ps_tx.st_tid in
+    if not (Hashtbl.mem t.decided tid) then add_prepared t p;
     (* the ACCEPT_ACK is a promise that this accept survives a crash of
        this member: make it durable first (memory state may run ahead of
        the disk — a crash rebuilds it from the disk, so nothing acked is
        ever lost) *)
     log_durably t (E_accept p) (fun () ->
-        t.ctx.x_send coord
+        t.ctx.x_send p.ps_coord
           (Msg.Accept_ack
              {
                part = t.ctx.x_group;
                b;
                rid;
                tid;
-               vote;
-               ts;
-               lc;
+               vote = p.ps_vote;
+               ts = p.ps_ts;
+               lc = p.ps_lc;
                from_dc = t.ctx.x_dc;
              }))
   end
 
-let handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
-    ~snap ~lc =
+let handle_prepare_strong t ~rid ~caller ~coord (tx : Msg.strong_tx) ~lc =
   if t.status = Leader || t.status = Restoring then begin
+    let tid = tx.st_tid in
     match Hashtbl.find_opt t.decided tid with
     | Some d ->
         t.ctx.x_send coord
           (Msg.Already_decided
-             {
-               rid;
-               tid;
-               dec = d.Msg.ds_dec;
-               vec = d.Msg.ds_vec;
-               lc = d.Msg.ds_lc;
-             })
+             { rid; tid; dec = d.ds_dec; vec = d.ds_vec; lc = d.ds_lc })
     | None -> (
         match Hashtbl.find_opt t.prepared tid with
-        | Some p ->
+        | Some { p; _ } ->
             broadcast t
-              (Msg.Accept
-                 {
-                   b = t.ballot;
-                   tid;
-                   coord;
-                   rid;
-                   origin;
-                   wbuff = p.Msg.ps_wbuff;
-                   ops = p.Msg.ps_ops;
-                   snap = p.Msg.ps_snap;
-                   vote = p.Msg.ps_vote;
-                   ts = p.Msg.ps_ts;
-                   lc = p.Msg.ps_lc;
-                 })
+              (Msg.Accept { b = t.ballot; rid; p = { p with ps_coord = coord } })
         | None ->
             if caller = Msg.Restoring then
               broadcast t (Msg.Unknown_tx { b = t.ballot; rid; tid; coord })
@@ -480,15 +435,13 @@ let handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
               (* wait until clock > snap[strong], then certify *)
               let b0 = t.ballot in
               t.ctx.x_at_clock
-                (Vc.strong snap + 1)
+                (Vc.strong tx.st_snap + 1)
                 (fun () ->
                   if t.status = Leader && t.ballot = b0 && t.ctx.x_alive ()
                   then begin
                     let ts = max (t.ctx.x_clock ()) (t.last_ts + 1) in
                     t.last_ts <- ts;
-                    let vote, lc =
-                      certification_check t ~tid ~ops ~snap ~lc
-                    in
+                    let vote, lc = certification_check t tx ~lc in
                     (* a snapshot whose strong entry is below the prune
                        floor, or that misses an entry of a pruned
                        transaction's commit vector, may miss conflicting
@@ -500,9 +453,18 @@ let handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
                        snapshot certifies it. *)
                     let vote =
                       vote
-                      && (t.ctx.x_ops_slice ops = []
-                         || Vc.strong snap >= t.pruned_below
-                            && Vc.leq t.pruned_join snap)
+                      && (t.ctx.x_ops_slice tx.st_ops = []
+                         || Vc.strong tx.st_snap >= t.pruned_below
+                            && Vc.leq t.pruned_join tx.st_snap)
+                    in
+                    let p =
+                      {
+                        Msg.ps_tx = tx;
+                        ps_coord = coord;
+                        ps_vote = vote;
+                        ps_ts = ts;
+                        ps_lc = lc;
+                      }
                     in
                     (* The check and the leader's own accept must be one
                        atomic step: a self-addressed ACCEPT is delivered
@@ -511,23 +473,8 @@ let handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
                        transaction and also vote commit — a Conflict
                        Ordering violation. Record locally now; the other
                        members learn by message. *)
-                    handle_accept t ~b:t.ballot ~tid ~coord ~rid
-                      ~origin ~wbuff ~ops ~snap ~vote ~ts ~lc;
-                    send_others t
-                      (Msg.Accept
-                         {
-                           b = t.ballot;
-                           tid;
-                           coord;
-                           rid;
-                           origin;
-                           wbuff;
-                           ops;
-                           snap;
-                           vote;
-                           ts;
-                           lc;
-                         })
+                    handle_accept t ~b:t.ballot ~rid p;
+                    send_others t (Msg.Accept { b = t.ballot; rid; p })
                   end)
             end)
   end
@@ -536,29 +483,18 @@ let handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
 (* DECISION and LEARN_DECISION (Algorithm A9 lines 18–25).               *)
 
 let decided_of (p : Msg.prepared_strong) ~dec ~vec ~lc =
-  {
-    Msg.ds_tid = p.Msg.ps_tid;
-    ds_origin = p.Msg.ps_origin;
-    ds_wbuff = p.Msg.ps_wbuff;
-    ds_ops = p.Msg.ps_ops;
-    ds_dec = dec;
-    ds_vec = vec;
-    ds_lc = lc;
-  }
+  { Msg.ds_tx = p.ps_tx; ds_dec = dec; ds_vec = vec; ds_lc = lc }
 
 (* Move an accepted transaction to the decided log. *)
 let decide_prepared t (p : Msg.prepared_strong) ~dec ~vec ~lc =
-  remove_prepared t p.Msg.ps_tid;
+  Hashtbl.remove t.prepared p.ps_tx.st_tid;
   add_decided t (decided_of p ~dec ~vec ~lc)
 
-(* Re-run the 2PC of prepared transaction [tid] from here, restarting
-   its silence clock. *)
-let recertify t tid (p : Msg.prepared_strong) =
-  Hashtbl.replace t.prepared_at tid (t.ctx.x_now ());
-  t.ctx.x_certify ~caller:Msg.Normal ~tid ~origin:p.Msg.ps_origin
-    ~wbuff:p.Msg.ps_wbuff ~ops:p.Msg.ps_ops ~snap:p.Msg.ps_snap
-    ~lc:p.Msg.ps_lc
-    ~k:(fun _ -> ())
+(* Re-run the 2PC of a prepared entry from here, restarting its RETRY
+   clock. The clock is bumped in place: callers iterate [prepared]. *)
+let recertify t e =
+  e.since <- t.ctx.x_now ();
+  t.ctx.x_certify ~caller:Msg.Normal e.p.ps_tx ~lc:e.p.ps_lc ~k:ignore
 
 (* A restored leader serves once every prepared entry is decided or
    known to be unknown to the group (Algorithm A10). An unknown entry
@@ -581,7 +517,7 @@ let end_restoring t =
     List.iter
       (fun tid ->
         match Hashtbl.find_opt t.prepared tid with
-        | Some p -> recertify t tid p
+        | Some e -> recertify t e
         | None -> ())
       unknown
   end
@@ -592,7 +528,7 @@ let end_restoring t =
    Restoring carries the entries the flip frees. *)
 let lead_decision t ~tid ~dec ~vec ~lc =
   (match Hashtbl.find_opt t.prepared tid with
-  | Some p -> decide_prepared t p ~dec ~vec ~lc
+  | Some { p; _ } -> decide_prepared t p ~dec ~vec ~lc
   | None -> ());
   end_restoring t;
   let upto = deliver_ready t in
@@ -637,7 +573,8 @@ let handle_learn_decision t ~b ~tid ~dec ~vec ~lc ~upto =
   then begin
     (match Hashtbl.find_opt t.prepared tid with
     | None -> ()  (* already decided or never accepted here *)
-    | Some p when t.status = Follower -> decide_prepared t p ~dec ~vec ~lc
+    | Some { p; _ } when t.status = Follower ->
+        decide_prepared t p ~dec ~vec ~lc
     | Some _ ->
         (* A leader learning a decision from an older ballot's leader
            relays it under its own ballot, ahead of any frontier above
@@ -661,7 +598,7 @@ let handle_unknown_tx t ~b ~rid ~tid ~coord =
 (* ------------------------------------------------------------------ *)
 (* Leader recovery (Algorithm A10).                                      *)
 
-let prepared_list t = Hashtbl.fold (fun _ p acc -> p :: acc) t.prepared []
+let prepared_list t = Hashtbl.fold (fun _ { p; _ } acc -> p :: acc) t.prepared []
 let decided_list t = Hashtbl.fold (fun _ d acc -> d :: acc) t.decided []
 
 let recover t =
@@ -746,7 +683,6 @@ let handle_new_leader t ~b ~from ~from_dc =
    the delivery queue. *)
 let clear_log t =
   Hashtbl.reset t.prepared;
-  Hashtbl.reset t.prepared_at;
   Hashtbl.reset t.decided;
   Hashtbl.reset t.decided_by_key;
   t.decided_join <- None;
@@ -760,16 +696,13 @@ let install_state t ~prepared ~decided =
   List.iter (add_decided t) decided;
   List.iter
     (fun (p : Msg.prepared_strong) ->
-      if not (Hashtbl.mem t.decided p.Msg.ps_tid) then begin
-        Hashtbl.replace t.prepared p.Msg.ps_tid p;
-        Hashtbl.replace t.prepared_at p.Msg.ps_tid (t.ctx.x_now ())
-      end)
+      if not (Hashtbl.mem t.decided p.ps_tx.st_tid) then add_prepared t p)
     prepared;
   Hashtbl.iter
     (fun tid (dec, vec, lc) ->
       match Hashtbl.find_opt t.prepared tid with
       | None -> ()
-      | Some p -> decide_prepared t p ~dec ~vec ~lc)
+      | Some { p; _ } -> decide_prepared t p ~dec ~vec ~lc)
     t.learned;
   Hashtbl.reset t.learned
 
@@ -803,12 +736,12 @@ let handle_new_leader_ack t ~b ~cballot ~prepared ~decided ~from_dc =
       let prepared = List.concat_map (fun (_, p, _) -> p) from_max in
       install_state t ~prepared ~decided;
       let max_prep =
-        Hashtbl.fold (fun _ p acc -> max acc p.Msg.ps_ts) t.prepared 0
+        Hashtbl.fold (fun _ { p; _ } acc -> max acc p.ps_ts) t.prepared 0
       in
       let max_dec =
         Hashtbl.fold
           (fun _ (d : Msg.decided_strong) acc ->
-            if d.Msg.ds_dec then max acc (Vc.strong d.Msg.ds_vec) else acc)
+            if d.ds_dec then max acc (Vc.strong d.ds_vec) else acc)
           t.decided 0
       in
       t.ctx.x_at_clock
@@ -851,10 +784,9 @@ let start_restoring t =
   else
     List.iter
       (fun (p : Msg.prepared_strong) ->
-        let tid = p.Msg.ps_tid in
-        t.ctx.x_certify ~caller:Msg.Restoring ~tid ~origin:p.Msg.ps_origin
-          ~wbuff:p.Msg.ps_wbuff ~ops:p.Msg.ps_ops ~snap:p.Msg.ps_snap
-          ~lc:p.Msg.ps_lc ~k:(fun result ->
+        let tid = p.ps_tx.st_tid in
+        t.ctx.x_certify ~caller:Msg.Restoring p.ps_tx ~lc:p.ps_lc
+          ~k:(fun result ->
             match result with
             | Unknown ->
                 if not (List.exists (Types.tid_equal tid) t.do_not_wait)
@@ -904,11 +836,9 @@ let restart ?(decision = fun _ -> None) t ~ballot ~cballot ~prepared
   clear_log t;
   List.iter
     (fun (p : Msg.prepared_strong) ->
-      match decision p.Msg.ps_tid with
+      match decision p.ps_tx.st_tid with
       | Some (dec, vec, lc) -> add_decided t (decided_of p ~dec ~vec ~lc)
-      | None ->
-          Hashtbl.replace t.prepared p.Msg.ps_tid p;
-          Hashtbl.replace t.prepared_at p.Msg.ps_tid (t.ctx.x_now ()))
+      | None -> add_prepared t p)
     prepared
 
 (* DC rejoin: the crash destroyed this member's disk, so it restarts
@@ -979,13 +909,7 @@ let retry_stale t ~older_than_us =
   if t.status = Leader then begin
     let now = t.ctx.x_now () in
     Hashtbl.iter
-      (fun tid (p : Msg.prepared_strong) ->
-        let age =
-          match Hashtbl.find_opt t.prepared_at tid with
-          | Some since -> now - since
-          | None -> max_int
-        in
-        if age >= older_than_us then recertify t tid p)
+      (fun _ e -> if now - e.since >= older_than_us then recertify t e)
       t.prepared
   end
 
@@ -1000,8 +924,7 @@ let retry_stale t ~older_than_us =
 let retry_suspected t ~dc =
   if t.status = Leader then
     Hashtbl.iter
-      (fun tid (p : Msg.prepared_strong) ->
-        if t.ctx.x_dc_of p.Msg.ps_coord = dc then recertify t tid p)
+      (fun _ e -> if t.ctx.x_dc_of e.p.ps_coord = dc then recertify t e)
       t.prepared
 
 (* The node at [coord] restarted: the certifications it was coordinating
@@ -1015,8 +938,7 @@ let retry_suspected t ~dc =
    transaction. *)
 let retry_coordinated t ~coord =
   Hashtbl.iter
-    (fun tid (p : Msg.prepared_strong) ->
-      if p.Msg.ps_coord = coord then recertify t tid p)
+    (fun _ e -> if e.p.ps_coord = coord then recertify t e)
     t.prepared
 
 (* Garbage-collect committed transactions whose strong timestamp is so
@@ -1035,7 +957,7 @@ let prune_decided ?(covered = fun _ -> true) t ~keep_after =
     let stale =
       Hashtbl.fold
         (fun tid (d : Msg.decided_strong) acc ->
-          if Vc.strong d.Msg.ds_vec <= keep_after && covered d.Msg.ds_vec then
+          if Vc.strong d.ds_vec <= keep_after && covered d.ds_vec then
             (tid, d) :: acc
           else acc)
         t.decided []
@@ -1043,7 +965,7 @@ let prune_decided ?(covered = fun _ -> true) t ~keep_after =
     List.iter
       (fun (tid, (d : Msg.decided_strong)) ->
         Hashtbl.remove t.decided tid;
-        Vc.merge_into t.pruned_join d.Msg.ds_vec;
+        Vc.merge_into t.pruned_join d.ds_vec;
         List.iter
           (fun (o : Types.opdesc) ->
             match Hashtbl.find_opt t.decided_by_key o.key with
@@ -1051,25 +973,20 @@ let prune_decided ?(covered = fun _ -> true) t ~keep_after =
             | Some cell ->
                 cell := List.filter (fun d' -> not (d' == d)) !cell;
                 if !cell = [] then Hashtbl.remove t.decided_by_key o.key)
-          (t.ctx.x_ops_slice d.Msg.ds_ops))
+          (t.ctx.x_ops_slice d.ds_tx.st_ops))
       stale
   end
 
 (* Dispatch group-member messages; others are ignored. *)
 let handle t msg =
   match msg with
-  | Msg.Prepare_strong { rid; caller; coord; tid; origin; wbuff; ops; snap; lc }
-    ->
+  | Msg.Prepare_strong { rid; caller; coord; tx; lc } ->
       (* Leader-bound traffic landing on a non-leader that trusts its own
          DC: reclaim leadership (see [reclaim]) instead of dropping the
          request into a permanent coordinator-retry loop. *)
       reclaim t;
-      handle_prepare_strong t ~rid ~caller ~coord ~tid ~origin ~wbuff ~ops
-        ~snap ~lc
-  | Msg.Accept { b; tid; coord; rid; origin; wbuff; ops; snap; vote; ts; lc }
-    ->
-      handle_accept t ~b ~tid ~coord ~rid ~origin ~wbuff ~ops ~snap ~vote ~ts
-        ~lc
+      handle_prepare_strong t ~rid ~caller ~coord tx ~lc
+  | Msg.Accept { b; rid; p } -> handle_accept t ~b ~rid p
   | Msg.Decision { b; tid; dec; vec; lc } ->
       handle_decision t ~b ~tid ~dec ~vec ~lc
   | Msg.Learn_decision { b; tid; dec; vec; lc; upto } ->

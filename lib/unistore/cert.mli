@@ -23,8 +23,10 @@ type ctx = {
   x_group : int;  (** partition id, or the REDBLUE pseudo-group id *)
   x_dcs : int;
   x_quorum : int;
-  x_conflict_ops : Types.opdesc -> Types.opdesc -> bool;
-  x_all_conflict : bool;  (** every non-empty pair conflicts (REDBLUE) *)
+  x_conflict : Config.conflict_spec;
+      (** the deployment's conflict relation ([Config.txs_conflict]);
+          [All_strong] (REDBLUE) certifies against a running join of
+          commit vectors instead of the per-key index *)
   x_ops_slice : Types.opsmap -> Types.opdesc list;
       (** a transaction's operations relevant to this group *)
   x_clock : unit -> int;
@@ -38,15 +40,13 @@ type ctx = {
   x_at_clock : int -> (unit -> unit) -> unit;
   x_certify :
     caller:Msg.cert_caller ->
-    tid:Types.tid ->
-    origin:int ->
-    wbuff:Types.wbuff ->
-    ops:Types.opsmap ->
-    snap:Vclock.Vc.t ->
+    Msg.strong_tx ->
     lc:int ->
     k:(cert_result -> unit) ->
     unit;
-      (** re-run coordinator certification (RETRY / recovery) *)
+      (** re-run coordinator certification (RETRY / recovery) of a
+          prepared entry's transaction, at its proposed Lamport clock;
+          the coordinator sends the DECISIONs, then calls [k] *)
   x_alive : unit -> bool;
 }
 

@@ -392,12 +392,15 @@ let rec resubmit_strong t c =
         Msg.C_resubmit_strong
           {
             client = t.addr;
-            client_id = t.id;
             req;
-            tid = c.c_tid;
-            wbuff;
-            ops;
-            snap = c.c_snap;
+            tx =
+              {
+                st_tid = c.c_tid;
+                st_origin = t.id;
+                st_wbuff = wbuff;
+                st_ops = ops;
+                st_snap = c.c_snap;
+              };
             lc = t.lc;
           })
   with

@@ -6,16 +6,27 @@ module Vc = Vclock.Vc
 
 type addr = int (* Network.addr *)
 
-(* Prepared strong transaction at a partition replica (preparedStrong).
-   Carries the full write buffer and operation map so leader recovery can
-   re-certify the transaction across all its partitions. *)
+(* A strong transaction as certification sees it (Algorithms A6–A10):
+   its write buffer, operation map and snapshot, built once by the
+   coordinator (or the re-submitting client) and passed by reference
+   through CERTIFY, PREPARE_STRONG, ACCEPT and into the members'
+   prepared and decided logs. The whole map travels so leader recovery
+   can re-certify the transaction across all its partitions. The
+   Lamport clock is not part of it: it changes at each stage — the
+   client's request clock, the group's proposal, the decision — so each
+   message and log record carries its own. *)
+type strong_tx = {
+  st_tid : Types.tid;
+  st_origin : int;  (* issuing client; -1 for a dummy heartbeat *)
+  st_wbuff : Types.wbuff;
+  st_ops : Types.opsmap;
+  st_snap : Vc.t;
+}
+
+(* Prepared strong transaction at a partition replica (preparedStrong). *)
 type prepared_strong = {
-  ps_tid : Types.tid;
+  ps_tx : strong_tx;
   ps_coord : addr;
-  ps_origin : int;  (* issuing client *)
-  ps_wbuff : Types.wbuff;
-  ps_ops : Types.opsmap;
-  ps_snap : Vc.t;
   ps_vote : bool;  (* leader's certification vote: commit? *)
   ps_ts : int;  (* proposed strong timestamp *)
   ps_lc : int;
@@ -23,10 +34,7 @@ type prepared_strong = {
 
 (* Decided strong transaction (decidedStrong). *)
 type decided_strong = {
-  ds_tid : Types.tid;
-  ds_origin : int;
-  ds_wbuff : Types.wbuff;
-  ds_ops : Types.opsmap;
+  ds_tx : strong_tx;
   ds_dec : bool;  (* committed? *)
   ds_vec : Vc.t;  (* commit vector (meaningful when committed) *)
   ds_lc : int;
@@ -69,12 +77,8 @@ type t =
      at the new DC: same tid, so certification deduplicates. *)
   | C_resubmit_strong of {
       client : addr;
-      client_id : int;
       req : int;
-      tid : Types.tid;
-      wbuff : Types.wbuff;
-      ops : Types.opsmap;
-      snap : Vc.t;
+      tx : strong_tx;
       lc : int;
     }
   (* ---- coordinator -> client -------------------------------------- *)
@@ -158,27 +162,11 @@ type t =
       rid : int;
       caller : cert_caller;
       coord : addr;
-      tid : Types.tid;
-      origin : int;
-      wbuff : Types.wbuff;
-      ops : Types.opsmap;
-      snap : Vc.t;
+      tx : strong_tx;
       lc : int;
     }
   | Already_decided of { rid : int; tid : Types.tid; dec : bool; vec : Vc.t; lc : int }
-  | Accept of {
-      b : int;
-      tid : Types.tid;
-      coord : addr;
-      rid : int;
-      origin : int;
-      wbuff : Types.wbuff;
-      ops : Types.opsmap;
-      snap : Vc.t;
-      vote : bool;
-      ts : int;
-      lc : int;
-    }
+  | Accept of { b : int; rid : int; p : prepared_strong }
   | Accept_ack of {
       part : int;
       b : int;
@@ -283,8 +271,8 @@ let cost (c : Config.costs) = function
   | Repair_log { txs; _ } -> c.c_base + (c.c_replicate_tx * List.length txs)
   | Kv_up _ | Stable_down _ -> c.c_vec
   | Knownvec_global { stable; _ } -> gossip_cost c stable
-  | Prepare_strong { wbuff; _ } ->
-      if List.for_all (fun (_, ws) -> ws = []) wbuff then c.c_cert_ro
+  | Prepare_strong { tx; _ } ->
+      if List.for_all (fun (_, ws) -> ws = []) tx.st_wbuff then c.c_cert_ro
       else c.c_cert
   | Already_decided _ -> c.c_base
   | Accept _ -> c.c_accept
@@ -329,11 +317,15 @@ let opsmap_bytes (o : Types.opsmap) =
 let tx_bytes (tx : Types.tx_rec) =
   16 + writes_bytes tx.tx_writes + vc_bytes tx.tx_vec + 16
 
-let prepared_bytes (p : prepared_strong) =
-  48 + wbuff_bytes p.ps_wbuff + opsmap_bytes p.ps_ops + vc_bytes p.ps_snap
+let strong_tx_bytes tx =
+  wbuff_bytes tx.st_wbuff + opsmap_bytes tx.st_ops + vc_bytes tx.st_snap
 
-let decided_bytes (d : decided_strong) =
-  40 + wbuff_bytes d.ds_wbuff + opsmap_bytes d.ds_ops + vc_bytes d.ds_vec
+let prepared_bytes p = 48 + strong_tx_bytes p.ps_tx
+
+(* A decided entry is never certified again, so it ships no snapshot. *)
+let decided_bytes d =
+  40 + wbuff_bytes d.ds_tx.st_wbuff + opsmap_bytes d.ds_tx.st_ops
+  + vc_bytes d.ds_vec
 
 let gossip_bytes vec stable =
   vc_bytes vec + Option.fold ~none:0 ~some:vc_bytes stable
@@ -350,8 +342,7 @@ let size_bytes = function
   | C_uniform_barrier { past; _ } | C_attach { past; _ }
   | C_failover { past; _ } ->
       header_bytes + 16 + vc_bytes past
-  | C_resubmit_strong { wbuff; ops; snap; _ } ->
-      header_bytes + 40 + wbuff_bytes wbuff + opsmap_bytes ops + vc_bytes snap
+  | C_resubmit_strong { tx; _ } -> header_bytes + 40 + strong_tx_bytes tx
   | R_started { snap; _ } -> header_bytes + 24 + vc_bytes snap
   | R_value _ -> header_bytes + 24
   | R_committed { vec; _ } -> header_bytes + 8 + vc_bytes vec
@@ -379,11 +370,9 @@ let size_bytes = function
   | Knownvec_global { vec; stable; _ } ->
       header_bytes + 8 + gossip_bytes vec stable
   | Stable_down { vec } -> header_bytes + vc_bytes vec
-  | Prepare_strong { wbuff; ops; snap; _ } ->
-      header_bytes + 40 + wbuff_bytes wbuff + opsmap_bytes ops + vc_bytes snap
+  | Prepare_strong { tx; _ } -> header_bytes + 40 + strong_tx_bytes tx
   | Already_decided { vec; _ } -> header_bytes + 32 + vc_bytes vec
-  | Accept { wbuff; ops; snap; _ } ->
-      header_bytes + 56 + wbuff_bytes wbuff + opsmap_bytes ops + vc_bytes snap
+  | Accept { p; _ } -> header_bytes + 56 + strong_tx_bytes p.ps_tx
   | Accept_ack _ -> header_bytes + 56
   | Unknown_tx _ -> header_bytes + 32
   | Unknown_tx_ack _ -> header_bytes + 32

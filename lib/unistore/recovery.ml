@@ -464,7 +464,7 @@ let replay_record t cert_acc fates = function
         p
         :: List.filter
              (fun (q : Msg.prepared_strong) ->
-               not (Types.tid_equal q.Msg.ps_tid p.Msg.ps_tid))
+               not (Types.tid_equal q.ps_tx.st_tid p.ps_tx.st_tid))
              prepared
       in
       cert_acc := (bal, cbal, prepared)

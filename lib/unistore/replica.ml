@@ -135,7 +135,8 @@ let crash_node = Recovery.crash_node
    dummy strong heartbeats (origin = -1) excluded. *)
 let pending_strong t =
   Hashtbl.fold
-    (fun _ pc acc -> if pc.p_done || pc.p_origin = -1 then acc else acc + 1)
+    (fun _ pc acc ->
+      if pc.p_done || pc.p_tx.st_origin = -1 then acc else acc + 1)
     t.pending_cert 0
 
 (* Causal-log backlog retained for [origin] (GC grace-window tests):
@@ -161,8 +162,7 @@ let make_cert t =
       x_group = t.part;
       x_dcs = dcs t;
       x_quorum = Config.quorum t.cfg;
-      x_conflict_ops = Config.ops_conflict t.cfg.Config.conflict;
-      x_all_conflict = (t.cfg.Config.conflict = Config.All_strong);
+      x_conflict = t.cfg.Config.conflict;
       x_ops_slice = (fun ops -> Types.opsmap_find ops t.part);
       x_clock = (fun () -> clock t);
       x_now = (fun () -> now t);
@@ -173,9 +173,7 @@ let make_cert t =
       x_deliver =
         (fun txs ~strong_ts -> Strong_coord.deliver_strong t txs ~strong_ts);
       x_at_clock = (fun ts k -> at_clock t ts k);
-      x_certify =
-        (fun ~caller ~tid ~origin ~wbuff ~ops ~snap ~lc ~k ->
-          Strong_coord.certify t ~caller ~tid ~origin ~wbuff ~ops ~snap ~lc ~k);
+      x_certify = Strong_coord.certify t;
       x_alive = (fun () -> alive t);
     }
   in
@@ -331,10 +329,8 @@ let dispatch t msg =
       Stabilisation.handle_attach t ~client ~req ~past
   | Msg.C_failover { client; req; past } ->
       Stabilisation.handle_failover t ~client ~req ~past
-  | Msg.C_resubmit_strong { client; client_id; req; tid; wbuff; ops; snap; lc }
-    ->
-      Strong_coord.handle_resubmit_strong t ~client ~client_id ~req ~tid
-        ~wbuff ~ops ~snap ~lc
+  | Msg.C_resubmit_strong { client; req; tx; lc } ->
+      Strong_coord.handle_resubmit_strong t ~client ~req tx ~lc
   | Msg.Sync_request { from; part; sq } ->
       Recovery.handle_sync_request t ~from ~part ~sq
   | Msg.Sync_store { sq; entries; last; cut } ->

@@ -75,11 +75,7 @@ val preferred_leader : t -> int
 val certify :
   t ->
   caller:Msg.cert_caller ->
-  tid:Types.tid ->
-  origin:int ->
-  wbuff:Types.wbuff ->
-  ops:Types.opsmap ->
-  snap:Vclock.Vc.t ->
+  Msg.strong_tx ->
   lc:int ->
   k:(Cert.cert_result -> unit) ->
   unit

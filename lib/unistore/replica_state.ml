@@ -97,11 +97,7 @@ type cert_group = {
 type pending_cert = {
   p_rid : int;
   p_caller : Msg.cert_caller;
-  p_tid : Types.tid;
-  p_origin : int;
-  p_wbuff : Types.wbuff;
-  p_ops : Types.opsmap;
-  p_snap : Vc.t;
+  p_tx : Msg.strong_tx;
   p_lc : int;
   p_groups : (int * cert_group) list;
   p_k : Cert.cert_result -> unit;

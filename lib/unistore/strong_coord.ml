@@ -12,11 +12,11 @@ let group_leader_addr t g =
     | None -> invalid_arg "Replica: REDBLUE group without service nodes"
   else t.env.e_lookup t.trusted g
 
-let groups_of t ~wbuff ~ops =
+let groups_of t (tx : Msg.strong_tx) =
   if Config.centralized_cert t.cfg then [ rb_group t ]
   else
     List.sort_uniq compare
-      (Types.wbuff_partitions wbuff @ Types.opsmap_partitions ops)
+      (Types.wbuff_partitions tx.st_wbuff @ Types.opsmap_partitions tx.st_ops)
 
 (* Re-send PREPARE_STRONG if certification has not concluded: covers
    leader failures. Far above worst-case queueing delays so an overloaded
@@ -32,11 +32,7 @@ let send_prepare_strong t pc =
              rid = pc.p_rid;
              caller = pc.p_caller;
              coord = t.addr;
-             tid = pc.p_tid;
-             origin = pc.p_origin;
-             wbuff = pc.p_wbuff;
-             ops = pc.p_ops;
-             snap = pc.p_snap;
+             tx = pc.p_tx;
              lc = pc.p_lc;
            }))
     (List.filter (fun (_, g) -> not g.g_done) pc.p_groups)
@@ -51,10 +47,10 @@ let rec schedule_cert_retry t pc =
 
 (* CERTIFY (Algorithm A7): submit to every involved group's leader and
    collect quorums of ACCEPT_ACKs. *)
-let rec certify t ~caller ~tid ~origin ~wbuff ~ops ~snap ~lc ~k =
+let rec certify t ~caller tx ~lc ~k =
   t.rid_ctr <- t.rid_ctr + 1;
   let rid = (t.uid * 1_000_000) + t.rid_ctr in
-  let groups = groups_of t ~wbuff ~ops in
+  let groups = groups_of t tx in
   let groups =
     List.map
       (fun g ->
@@ -74,11 +70,7 @@ let rec certify t ~caller ~tid ~origin ~wbuff ~ops ~snap ~lc ~k =
     {
       p_rid = rid;
       p_caller = caller;
-      p_tid = tid;
-      p_origin = origin;
-      p_wbuff = wbuff;
-      p_ops = ops;
-      p_snap = snap;
+      p_tx = tx;
       p_lc = lc;
       p_groups = groups;
       p_k = k;
@@ -105,7 +97,7 @@ and finish_cert t pc result =
        behind the pending_certifications gauge); interned on the first
        strong decision so runs without strong transactions keep their
        metric snapshots unchanged *)
-    if pc.p_origin <> -1 then
+    if pc.p_tx.st_origin <> -1 then
       Sim.Metrics.observe
         (Sim.Metrics.histogram t.metrics "cert_queue_delay_us")
         (now t - pc.p_submitted);
@@ -115,23 +107,24 @@ and finish_cert t pc result =
 and complete_cert_if_ready t pc =
   if (not pc.p_done) && List.for_all (fun (_, g) -> g.g_done) pc.p_groups
   then begin
+    let tx = pc.p_tx in
     let dec = List.for_all (fun (_, g) -> g.g_vote) pc.p_groups in
-    let vec = Vc.copy pc.p_snap in
+    let vec = Vc.copy tx.st_snap in
     (* seeded at the snapshot's strong entry so a group-less (empty
        footprint) decision cannot move the commit vector backwards *)
     let ts =
       List.fold_left
         (fun acc (_, g) -> max acc g.g_ts)
-        (Vc.strong pc.p_snap) pc.p_groups
+        (Vc.strong tx.st_snap) pc.p_groups
     in
     Vc.set_strong vec ts;
     let lc =
       List.fold_left (fun acc (_, g) -> max acc g.g_lc) pc.p_lc pc.p_groups
     in
     if dec then
-      History.system_commit t.history ~tid:pc.p_tid
-        ~writes:(List.concat_map snd pc.p_wbuff)
-        ~vec ~lc ~origin:pc.p_origin ~accumulate:false;
+      History.system_commit t.history ~tid:tx.st_tid
+        ~writes:(List.concat_map snd tx.st_wbuff)
+        ~vec ~lc ~origin:tx.st_origin ~accumulate:false;
     decide t pc ~ballot:(fun gs -> gs.g_ballot) ~dec ~vec ~lc
   end
 
@@ -140,7 +133,7 @@ and decide t pc ~ballot ~dec ~vec ~lc =
   List.iter
     (fun (g, gs) ->
       send t (group_leader_addr t g)
-        (Msg.Decision { b = ballot gs; tid = pc.p_tid; dec; vec; lc }))
+        (Msg.Decision { b = ballot gs; tid = pc.p_tx.st_tid; dec; vec; lc }))
     pc.p_groups;
   finish_cert t pc (Cert.Decided (dec, vec, lc))
 
@@ -148,7 +141,7 @@ and decide t pc ~ballot ~dec ~vec ~lc =
    still pending. *)
 let find_group t ~rid ~tid ~part =
   match Hashtbl.find_opt t.pending_cert rid with
-  | Some pc when Types.tid_equal pc.p_tid tid -> (
+  | Some pc when Types.tid_equal pc.p_tx.st_tid tid -> (
       match List.assoc_opt part pc.p_groups with
       | Some g -> Some (pc, g)
       | None -> None)
@@ -176,7 +169,7 @@ let handle_accept_ack t ~part ~b ~rid ~tid ~vote ~ts ~lc ~from_dc =
 
 let handle_already_decided t ~rid ~tid ~dec ~vec ~lc =
   match Hashtbl.find_opt t.pending_cert rid with
-  | Some pc when Types.tid_equal pc.p_tid tid ->
+  | Some pc when Types.tid_equal pc.p_tx.st_tid tid ->
       (* Propagate the decision to every involved group — including
          those that never acked us (ballot still unknown): a Restoring
          leader re-certifying its prepared table depends on this reply
@@ -225,17 +218,17 @@ let shed_commit t ~client ~req ~tid =
    (Algorithm A6 lines 1–4). Phase instrumentation: uniformity wait
    (arrival of the commit request until the local snapshot is uniform),
    then certification (submission until the decision lands back here). *)
-let certify_when_uniform t ~client ~req ~tid ~origin ~wbuff ~ops ~snap ~lc =
+let certify_when_uniform t ~client ~req (tx : Msg.strong_tx) ~lc =
   let arrived_us = now t in
-  wait_uniform_local t ~threshold:(Vc.get snap t.dc) (fun () ->
+  let tid = tx.st_tid in
+  wait_uniform_local t ~threshold:(Vc.get tx.st_snap t.dc) (fun () ->
       let uniform_us = now t in
       Sim.Metrics.observe t.h_phase_uniform (uniform_us - arrived_us);
       if Sim.Trace.enabled t.trace then
         Sim.Trace.emit_span t.trace ~source:t.trace_src ~kind:"uniform-wait"
           ~start:arrived_us
           (Fmt.str "%a" Types.tid_pp tid);
-      certify t ~caller:Msg.Normal ~tid ~origin ~wbuff ~ops ~snap ~lc
-        ~k:(fun result ->
+      certify t ~caller:Msg.Normal tx ~lc ~k:(fun result ->
           Sim.Metrics.observe t.h_phase_certify (now t - uniform_us);
           if Sim.Trace.enabled t.trace then
             Sim.Trace.emit_span t.trace ~source:t.trace_src ~kind:"certify"
@@ -249,7 +242,8 @@ let certify_when_uniform t ~client ~req ~tid ~origin ~wbuff ~ops ~snap ~lc =
           | Cert.Unknown ->
               (* cannot happen for NORMAL callers; fail the commit *)
               Sim.Metrics.incr t.c_strong_abort;
-              send t client (Msg.R_strong { req; dec = false; vec = snap; lc })))
+              send t client
+                (Msg.R_strong { req; dec = false; vec = tx.st_snap; lc })))
 
 (* COMMIT_STRONG (Algorithm A6). *)
 let handle_commit_strong t ~client ~req ~tid ~lc =
@@ -277,8 +271,15 @@ let handle_commit_strong t ~client ~req ~tid ~lc =
         ct.ct_ops;
       let ops = Hashtbl.fold (fun l os acc -> (l, os) :: acc) ops_by_part [] in
       Hashtbl.remove t.txns tid;
-      certify_when_uniform t ~client ~req ~tid ~origin:ct.ct_client_id ~wbuff
-        ~ops ~snap:ct.ct_snap ~lc
+      certify_when_uniform t ~client ~req
+        {
+          Msg.st_tid = tid;
+          st_origin = ct.ct_client_id;
+          st_wbuff = wbuff;
+          st_ops = ops;
+          st_snap = ct.ct_snap;
+        }
+        ~lc
 
 (* Idempotent re-submission of a strong transaction whose coordinator
    crashed before replying. The client re-sends the same tid with the
@@ -287,15 +288,13 @@ let handle_commit_strong t ~client ~req ~tid ~lc =
    via ALREADY_DECIDED; a prepared one re-accepts at its recorded
    timestamp), so the transaction takes effect exactly once no matter
    where the old coordinator stopped. *)
-let handle_resubmit_strong t ~client ~client_id ~req ~tid ~wbuff ~ops ~snap
-    ~lc =
+let handle_resubmit_strong t ~client ~req (tx : Msg.strong_tx) ~lc =
   (* the snapshot was computed at the old session DC, so its "local"
      entry references that DC: bump the remote uniform entries from the
      client's evidence as START_TX does, then apply the usual
      COMMIT_STRONG precondition against our own local entry *)
-  Stabilisation.bump_snapshot_source t snap;
-  certify_when_uniform t ~client ~req ~tid ~origin:client_id ~wbuff ~ops ~snap
-    ~lc
+  Stabilisation.bump_snapshot_source t tx.st_snap;
+  certify_when_uniform t ~client ~req tx ~lc
 
 (* DELIVER_UPDATES (Algorithm A6 lines 5–9): apply this partition's slice
    of each committed strong transaction, in strong-timestamp order. Also
@@ -332,11 +331,15 @@ let strong_heartbeat t =
   t.hb_ctr <- t.hb_ctr + 1;
   let tid = { Types.cl = -(t.uid + 2); sq = t.hb_ctr } in
   let g = if Config.centralized_cert t.cfg then rb_group t else t.part in
-  certify t ~caller:Msg.Normal ~tid ~origin:(-1) ~wbuff:[ (g, []) ]
-    ~ops:[ (g, []) ]
-    ~snap:(Vc.create ~dcs:(dcs t))
-    ~lc:0
-    ~k:(fun _ -> ())
+  certify t ~caller:Msg.Normal
+    {
+      Msg.st_tid = tid;
+      st_origin = -1;
+      st_wbuff = [ (g, []) ];
+      st_ops = [ (g, []) ];
+      st_snap = Vc.create ~dcs:(dcs t);
+    }
+    ~lc:0 ~k:ignore
 
 (* ------------------------------------------------------------------ *)
 (* Failure handling: Ω updates and forwarding activation.               *)

@@ -5,8 +5,8 @@ open Replica_state
 
 val cert_retry_us : int
 val certify :
-  t -> caller:Msg.cert_caller -> tid:Types.tid -> origin:int -> wbuff:Types.wbuff ->
-  ops:Types.opsmap -> snap:Vc.t -> lc:int -> k:(Cert.cert_result -> unit) -> unit
+  t -> caller:Msg.cert_caller -> Msg.strong_tx -> lc:int ->
+  k:(Cert.cert_result -> unit) -> unit
 val handle_accept_ack :
   t -> part:int -> b:int -> rid:int -> tid:Types.tid -> vote:bool -> ts:int -> lc:int ->
   from_dc:int -> unit
@@ -17,8 +17,7 @@ val handle_unknown_tx_ack :
 val handle_commit_strong :
   t -> client:Msg.addr -> req:int -> tid:Types.tid -> lc:int -> unit
 val handle_resubmit_strong :
-  t -> client:Msg.addr -> client_id:int -> req:int -> tid:Types.tid ->
-  wbuff:Types.wbuff -> ops:Types.opsmap -> snap:Vc.t -> lc:int -> unit
+  t -> client:Msg.addr -> req:int -> Msg.strong_tx -> lc:int -> unit
 val deliver_strong : t -> Types.tx_rec list -> strong_ts:int -> unit
 val strong_heartbeat : t -> unit
 val preferred_leader : t -> int

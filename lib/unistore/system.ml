@@ -9,17 +9,6 @@ module Network = Net.Network
 module Engine = Sim.Engine
 module Rng = Sim.Rng
 
-type certify_fn =
-  caller:Msg.cert_caller ->
-  tid:Types.tid ->
-  origin:int ->
-  wbuff:Types.wbuff ->
-  ops:Types.opsmap ->
-  snap:Vc.t ->
-  lc:int ->
-  k:(Cert.cert_result -> unit) ->
-  unit
-
 type t = {
   cfg : Config.t;
   eng : Engine.t;
@@ -52,8 +41,8 @@ let clients_in_flight t =
 (* Build the REDBLUE certification service: one node per DC forming a
    single Paxos group whose committed updates are pushed to the DC's data
    partitions. RETRY/recovery re-certification is delegated to partition
-   0's replica of the DC (patched in once replicas exist). *)
-let make_rb_certs cfg eng net ~addrs ~rng ~certify_of_dc =
+   0's replica of the DC. *)
+let make_rb_certs cfg eng net ~replicas ~addrs ~rng =
   let dcs = Config.dcs cfg in
   let partitions = cfg.Config.partitions in
   let rb_addrs = Array.make dcs (-1) in
@@ -98,8 +87,7 @@ let make_rb_certs cfg eng net ~addrs ~rng ~certify_of_dc =
         x_group = partitions;
         x_dcs = dcs;
         x_quorum = Config.quorum cfg;
-        x_conflict_ops = Config.ops_conflict cfg.Config.conflict;
-        x_all_conflict = (cfg.Config.conflict = Config.All_strong);
+        x_conflict = cfg.Config.conflict;
         x_ops_slice = (fun ops -> List.concat_map snd ops);
         x_clock = (fun () -> Engine.now eng + skew);
         x_now = (fun () -> Engine.now eng);
@@ -117,9 +105,7 @@ let make_rb_certs cfg eng net ~addrs ~rng ~certify_of_dc =
             else
               Engine.schedule_at eng ~time:(ts - skew) (fun () ->
                   if not (Network.dc_failed net dc) then k ()));
-        x_certify =
-          (fun ~caller ~tid ~origin ~wbuff ~ops ~snap ~lc ~k ->
-            (certify_of_dc dc) ~caller ~tid ~origin ~wbuff ~ops ~snap ~lc ~k);
+        x_certify = Replica.certify replicas.(dc).(0);
         x_alive = (fun () -> not (Network.dc_failed net dc));
       }
     in
@@ -203,11 +189,7 @@ let create cfg =
     replicas;
   let rb_certs =
     if Config.centralized_cert cfg then
-      let certify_of_dc dc ~caller ~tid ~origin ~wbuff ~ops ~snap ~lc ~k =
-        Replica.certify replicas.(dc).(0) ~caller ~tid ~origin ~wbuff ~ops
-          ~snap ~lc ~k
-      in
-      make_rb_certs cfg eng net ~addrs ~rng ~certify_of_dc
+      make_rb_certs cfg eng net ~replicas ~addrs ~rng
     else [||]
   in
   let env =

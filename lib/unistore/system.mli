@@ -6,19 +6,6 @@
 
 type t
 
-(** The coordinator-side certification entry point, re-exported for the
-    REDBLUE service plumbing. *)
-type certify_fn =
-  caller:Msg.cert_caller ->
-  tid:Types.tid ->
-  origin:int ->
-  wbuff:Types.wbuff ->
-  ops:Types.opsmap ->
-  snap:Vclock.Vc.t ->
-  lc:int ->
-  k:(Cert.cert_result -> unit) ->
-  unit
-
 (** Build a deployment. Nothing runs until {!run}. *)
 val create : Config.t -> t
 

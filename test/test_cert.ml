@@ -48,15 +48,14 @@ let rec pump bus =
          | None -> ());
       pump bus
 
-let make_member bus dc =
+let make_member ?(conflict = U.Config.Serializable) bus dc =
   let ctx =
     {
       U.Cert.x_dc = dc;
       x_group = 0;
       x_dcs = dcs;
       x_quorum = 2;
-      x_conflict_ops = U.Config.ops_conflict U.Config.Serializable;
-      x_all_conflict = false;
+      x_conflict = conflict;
       x_ops_slice = (fun ops -> List.concat_map snd ops);
       x_clock = (fun () -> bus.clock);
       x_now = (fun () -> bus.clock);
@@ -85,18 +84,18 @@ let make_member bus dc =
           if txs = [] then bus.delivered <- (strong_ts, "dummy") :: bus.delivered);
       x_at_clock = (fun ts k -> bus.clock <- max bus.clock ts; k ());
       x_certify =
-        (fun ~caller:_ ~tid ~origin:_ ~wbuff:_ ~ops:_ ~snap:_ ~lc:_ ~k ->
-          bus.certify_calls <- tid :: bus.certify_calls;
+        (fun ~caller:_ tx ~lc:_ ~k ->
+          bus.certify_calls <- tx.U.Msg.st_tid :: bus.certify_calls;
           bus.certify_ks <- k :: bus.certify_ks);
       x_alive = (fun () -> true);
     }
   in
   U.Cert.create ~bid_interval_us:1_000_000 ctx ~leader_dc:0
 
-let setup () =
+let setup ?conflict () =
   let bus = make_bus () in
   for dc = 0 to dcs - 1 do
-    bus.members.(dc) <- Some (make_member bus dc)
+    bus.members.(dc) <- Some (make_member ?conflict bus dc)
   done;
   let m dc = Option.get bus.members.(dc) in
   (bus, m)
@@ -116,27 +115,39 @@ let ops_of keys : U.Types.opsmap =
 
 let snap0 = Vc.create ~dcs:3
 
-(* [keys] adds keys beyond [key]; [leader] is the member addressed. *)
-let prepare ?(origin = 9) ?(leader = 0) ?(keys = []) bus ~coord ~n ~key ~snap
-    =
+let tx_of ?(origin = 9) ~n keys ~snap =
+  {
+    U.Msg.st_tid = tid n;
+    st_origin = origin;
+    st_wbuff = wbuff_of keys;
+    st_ops = ops_of keys;
+    st_snap = snap;
+  }
+
+let prepare_tx ?(leader = 0) bus ~coord ~n tx =
   bus.queue <-
     bus.queue
     @ [
         ( leader,
           U.Msg.Prepare_strong
-            {
-              rid = n;
-              caller = U.Msg.Normal;
-              coord;
-              tid = tid n;
-              origin;
-              wbuff = wbuff_of (key :: keys);
-              ops = ops_of (key :: keys);
-              snap;
-              lc = 0;
-            } );
+            { rid = n; caller = U.Msg.Normal; coord; tx; lc = 0 } );
       ];
   pump bus
+
+(* [keys] adds keys beyond [key]; [leader] is the member addressed. *)
+let prepare ?origin ?leader ?(keys = []) bus ~coord ~n ~key ~snap =
+  prepare_tx ?leader bus ~coord ~n (tx_of ?origin ~n (key :: keys) ~snap)
+
+(* The vote and Lamport clock the leader [c] proposed for [tid n]. *)
+let vote_lc c n =
+  let _, _, prepared = U.Cert.persistent_state c in
+  let p =
+    List.find
+      (fun (p : U.Msg.prepared_strong) ->
+        U.Types.tid_equal p.ps_tx.st_tid (tid n))
+      prepared
+  in
+  (p.ps_vote, p.ps_lc)
 
 let test_leader_certifies_and_members_ack () =
   let bus, m = setup () in
@@ -440,20 +451,10 @@ let test_two_key_conflict () =
   decide bus ~n:1 ~ts:1000 ~dec:true;
   prepare bus ~keys:[ 6 ] ~coord:99 ~n:2 ~key:5 ~snap:snap0;
   prepare bus ~keys:[ 6 ] ~coord:99 ~n:3 ~key:5 ~snap:(strong_vec 1000);
-  let _, _, prepared = U.Cert.persistent_state (m 0) in
-  let vote_lc n =
-    let p =
-      List.find
-        (fun (p : U.Msg.prepared_strong) ->
-          U.Types.tid_equal p.U.Msg.ps_tid (tid n))
-        prepared
-    in
-    (p.U.Msg.ps_vote, p.U.Msg.ps_lc)
-  in
   Alcotest.(check (pair bool int)) "stale snapshot: abort, lc = d.lc + 1"
-    (false, 2) (vote_lc 2);
+    (false, 2) (vote_lc (m 0) 2);
   Alcotest.(check (pair bool int)) "covering snapshot: commit, lc = d.lc + 1"
-    (true, 2) (vote_lc 3)
+    (true, 2) (vote_lc (m 0) 3)
 
 (* The two crash re-entries share one reset. Both park the member in
    [Recovering] with its delivery frontier seeded at [delivered] and its
@@ -556,6 +557,91 @@ let test_restart_decides_what_the_disk_names () =
   Alcotest.(check int) "without a named fate an accept stays prepared" 2
     (U.Cert.prepared_count (m 1))
 
+(* The size and cost model of the certification messages, pinned on one
+   strong transaction: 2 partitions, 3 writes, 4 operations and a 3-DC
+   snapshot. These numbers fix the WAN bytes per transaction, the CPU
+   model and, through [prepared_bytes], the WAL size of an [E_accept].
+   A decided entry ships no snapshot: it is never certified again. *)
+let test_size_and_cost_model () =
+  let w key = { U.Types.wkey = key; wop = Crdt.Reg_write 1; wcls = 0 } in
+  let o key write = { U.Types.key; cls = 0; write } in
+  let tx =
+    {
+      U.Msg.st_tid = { U.Types.cl = 7; sq = 1 };
+      st_origin = 7;
+      st_wbuff = [ (0, [ w 2; w 4 ]); (1, [ w 3 ]) ];
+      st_ops = [ (0, [ o 2 true; o 4 true ]); (1, [ o 3 true; o 5 false ]) ];
+      st_snap = Vc.create ~dcs:3;
+    }
+  in
+  let p =
+    { U.Msg.ps_tx = tx; ps_coord = 4; ps_vote = true; ps_ts = 1000; ps_lc = 3 }
+  in
+  let d =
+    { U.Msg.ds_tx = tx; ds_dec = true; ds_vec = Vc.create ~dcs:3; ds_lc = 3 }
+  in
+  Alcotest.(check (pair int int)) "prepared and decided entry bytes"
+    (296, 288)
+    (U.Msg.prepared_bytes p, U.Msg.decided_bytes d);
+  let c = U.Config.default_costs in
+  List.iter
+    (fun (msg, expected) ->
+      Alcotest.(check (triple int int int))
+        (U.Msg.kind msg ^ ": size, cost, centralized cost")
+        expected
+        (U.Msg.size_bytes msg, U.Msg.cost c msg, U.Msg.cost_centralized c msg))
+    [
+      ( U.Msg.Prepare_strong
+          { rid = 1; caller = U.Msg.Normal; coord = 4; tx; lc = 2 },
+        (304, 150, 100) );
+      (U.Msg.Accept { b = 0; rid = 1; p }, (320, 30, 30));
+      (U.Msg.C_resubmit_strong { client = 9; req = 1; tx; lc = 2 }, (304, 20, 20));
+      ( U.Msg.New_state { b = 0; prepared = [ p ]; decided = [ d ]; from = 0 },
+        (624, 10, 10) );
+    ]
+
+(* RETRY re-certifies only the entries silent for [older_than_us], and a
+   re-certification restarts the entry's clock. *)
+let test_retry_stale_clock () =
+  let bus, m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  bus.clock <- bus.clock + 1_000;
+  prepare bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
+  let retried ~at =
+    bus.clock <- at;
+    bus.certify_calls <- [];
+    U.Cert.retry_stale (m 0) ~older_than_us:1_000;
+    List.map (Fmt.str "%a" U.Types.tid_pp) bus.certify_calls
+  in
+  Alcotest.(check (list string)) "only the silent entry" [ tid_s 1 ]
+    (retried ~at:1_600);
+  Alcotest.(check (list string)) "its clock restarted" [] (retried ~at:1_600);
+  Alcotest.(check (list string)) "each on its own clock" [ tid_s 2 ]
+    (retried ~at:2_100)
+
+(* The all-conflict relation of REDBLUE: every pair of non-empty strong
+   transactions conflicts, whatever keys they touch, and committed ones
+   are checked through the running join of their commit vectors. *)
+let test_all_conflict () =
+  let bus, m = setup ~conflict:U.Config.All_strong () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  prepare bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
+  Alcotest.(check (pair bool int)) "disjoint keys conflict while prepared"
+    (false, 0) (vote_lc (m 0) 2);
+  decide bus ~n:1 ~ts:1000 ~dec:true;
+  prepare bus ~coord:99 ~n:3 ~key:7 ~snap:snap0;
+  Alcotest.(check (pair bool int)) "a snapshot missing the commit aborts"
+    (false, 2) (vote_lc (m 0) 3);
+  prepare bus ~coord:99 ~n:4 ~key:8 ~snap:(strong_vec 1000);
+  Alcotest.(check (pair bool int)) "a covering snapshot commits, lc bumped"
+    (true, 2) (vote_lc (m 0) 4);
+  let dummy =
+    { (tx_of ~n:5 [] ~snap:snap0) with st_wbuff = [ (0, []) ]; st_ops = [ (0, []) ] }
+  in
+  prepare_tx bus ~coord:99 ~n:5 dummy;
+  Alcotest.(check (pair bool int)) "an empty slice certifies against any snapshot"
+    (true, 0) (vote_lc (m 0) 5)
+
 let suite =
   [
     Alcotest.test_case "leader certifies, members accept" `Quick
@@ -591,4 +677,10 @@ let suite =
       test_two_key_conflict;
     Alcotest.test_case "unknown entry re-certified when restoring ends"
       `Quick test_unknown_entry_recertified_when_restoring_ends;
+    Alcotest.test_case "size and cost model of certification messages"
+      `Quick test_size_and_cost_model;
+    Alcotest.test_case "retry clock: only silent entries, restarted"
+      `Quick test_retry_stale_clock;
+    Alcotest.test_case "all-conflict relation (REDBLUE)" `Quick
+      test_all_conflict;
   ]
