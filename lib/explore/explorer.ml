@@ -219,49 +219,9 @@ let run_with p ~seed ~sched =
                Workload.Micro.client_body spec ~stop c))
       done);
   U.System.run sys ~until:p.p_horizon_us;
-  (* Drain to quiescence before judging: the periodic tasks never
-     stop, so the engine never runs empty — instead run extra settle
-     slices until no certification is pending, no client call is in
-     flight, no DC is syncing, and the reliable layer holds no
-     unacknowledged data-plane messages (on lossy profiles the tail of
-     causal replication can sit in retransmission for several RTOs
-     after the protocol counters reach zero — judging durability or
-     convergence before it lands reports phantom losses). Background
-     kinds are exempt: failure-detector pings and stability gossip are
-     always momentarily in flight, and so is the strong-certification
-     family — idle groups keep certifying dummy heartbeat transactions
-     to advance the strong frontier, so accept/deliver traffic never
-     ceases. Then one grace slice so delivered messages finish
-     processing. A system still unquiet after the bounded budget is
-     what the liveness oracle is for. *)
-  let background_kind = function
-    | "fd_ping" | "heartbeat" | "knownvec_global" | "kv_up" | "stable_down"
-    (* strong-heartbeat certification churn *)
-    | "accept" | "accept_ack" | "deliver" | "learn_decision" | "decision"
-    | "already_decided" | "prepare_strong" | "nack" ->
-        true
-    | _ -> false
-  in
-  let quiet () =
-    U.System.pending_strong sys = 0
-    && U.System.clients_in_flight sys = 0
-    && Network.unacked_matching
-         (U.System.network sys)
-         ~f:(fun k -> not (background_kind k))
-       = 0
-    && not
-         (List.exists
-            (fun d ->
-              (not (Network.dc_failed (U.System.network sys) d))
-              && U.System.dc_syncing sys d)
-            (List.init p.p_dcs Fun.id))
-  in
-  let tries = ref 16 in
-  while (not (quiet ())) && !tries > 0 do
-    decr tries;
-    U.System.run sys ~until:(U.System.now sys + 500_000)
-  done;
-  U.System.run sys ~until:(U.System.now sys + 200_000);
+  (* A system still unquiet after the drain budget is what the liveness
+     oracle is for. *)
+  ignore (U.System.drain sys);
   (Oracle.all sys ~schedule:sched, sys)
 
 (* Fingerprints: which mechanisms did the trial exercise? Only

@@ -4,17 +4,12 @@
    Each logical partition has one certification group formed by its
    sibling replicas across data centers; one member is the Paxos leader.
    REDBLUE instead runs a single group of per-DC service nodes. Members
-   hold [prepared] (accepted but undecided) and [decided] transactions;
-   the leader certifies new transactions against both, the coordinator
-   (replica.ml) collects quorums of ACCEPT_ACKs, and committed updates
-   are delivered to replicas in strong-timestamp order with no gaps.
-
-   Certification state is indexed so that the check of Algorithm A8 runs
-   in time proportional to the transaction's own footprint, not to the
-   history: conflicts against committed transactions go through a per-key
-   index (or, for the all-conflict relation of REDBLUE, through a running
-   join of commit vectors), and the set of prepared transactions is
-   small — it only holds in-flight certifications.
+   hold [prepared] (accepted but undecided) transactions and a
+   [Decided_log]; the leader certifies new transactions against both,
+   the coordinator ([Strong_coord]) collects quorums of ACCEPT_ACKs, and
+   committed updates are delivered to replicas in strong-timestamp order
+   with no gaps. The set of prepared transactions is small — it only
+   holds in-flight certifications.
 
    The module is written against a [ctx] of closures so it stays free of
    a dependency on the replica module that embeds it. *)
@@ -25,13 +20,10 @@ type cert_result = Decided of bool * Vc.t * int | Unknown
 
 type ctx = {
   x_dc : int;
-  x_group : int;  (* partition id, or the REDBLUE pseudo-group id *)
+  x_group : int;
   x_dcs : int;
   x_quorum : int;
-  (* the deployment's conflict relation; [All_strong] (REDBLUE) takes
-     the running-join fast path *)
   x_conflict : Config.conflict_spec;
-  (* a transaction's operations relevant to this group *)
   x_ops_slice : Types.opsmap -> Types.opdesc list;
   x_clock : unit -> int;  (* local physical clock *)
   x_now : unit -> int;  (* simulated wall time *)
@@ -39,11 +31,8 @@ type ctx = {
   x_self : unit -> Msg.addr;
   x_member : int -> Msg.addr;  (* dc -> address of this group's member *)
   x_dc_of : Msg.addr -> int;
-  (* upcall: committed transactions with this strong timestamp, in order *)
   x_deliver : Types.tx_rec list -> strong_ts:int -> unit;
   x_at_clock : int -> (unit -> unit) -> unit;  (* run when clock >= ts *)
-  (* re-run coordinator certification (RETRY / recovery); the coordinator
-     logic itself sends the DECISION messages on completion *)
   x_certify :
     caller:Msg.cert_caller ->
     Msg.strong_tx ->
@@ -55,36 +44,17 @@ type ctx = {
 
 type status = Leader | Follower | Recovering | Restoring
 
-(* The delivery queue's order: ascending strong timestamp, and among
-   equal timestamps the entry queued last first. Keys are (strong ts,
-   minus a per-member queueing counter), so queueing and delivery cost
-   a logarithm of the queue's length, not the length: the queue grows
-   long exactly when delivery stalls, e.g. behind an orphaned prepared
-   entry during a partition. *)
-module Delivery_queue = Map.Make (struct
-  type t = int * int
-
-  let compare (ts1, q1) (ts2, q2) =
-    match Int.compare ts1 ts2 with 0 -> Int.compare q1 q2 | c -> c
-end)
-
-(* Durable certification events (the Raft persistent-state contract:
-   currentTerm/votedFor ≙ ballot/cballot, log entries ≙ accepted
-   transactions). Each is appended to the node's WAL *before* the
-   message that promises it leaves the member: an [E_ballot] before a
-   NEW_LEADER_ACK / NEW_STATE_ACK under that ballot, an [E_accept]
-   before the ACCEPT_ACK for that transaction. The delivery frontier is
-   not logged: it is re-derived from the replica's own delivered-strong
-   WAL records, so the cert member and its store cannot disagree after
-   a replay.
+(* Durable certification events (see the interface; currentTerm/votedFor
+   ≙ ballot/cballot, log entries ≙ accepted transactions). The delivery
+   frontier is re-derived from the replica's own delivered-strong WAL
+   records, so the cert member and its store cannot disagree after a
+   replay.
 
    Decisions must survive a restart too, or a replayed accept comes back
    as undecided: once the group has pruned its decision, re-certifying
    it yields Unknown, and one that voted commit blocks delivery for
-   good. A commit needs no record of its own — its delivered-strong
-   record names it — so only aborts are logged ([E_abort], appended
-   asynchronously when the member learns the decision; a crash that
-   loses it comes back while the group still holds the decision). *)
+   good. An [E_abort] is appended asynchronously: a crash that loses it
+   comes back while the group still holds the decision. *)
 type event =
   | E_ballot of { b : int; cb : int }
   | E_accept of Msg.prepared_strong
@@ -107,24 +77,7 @@ type t = {
   mutable cballot : int;
   mutable trusted : int;  (* Ω: the data center currently trusted *)
   prepared : (Types.tid, accepted) Hashtbl.t;
-  decided : (Types.tid, Msg.decided_strong) Hashtbl.t;
-  (* committed transactions indexed by the keys they touched at this
-     group, for the per-key conflict check *)
-  decided_by_key : (Store.Keyspace.key, Msg.decided_strong list ref) Hashtbl.t;
-  (* running join over committed vectors (all-conflict fast path) *)
-  mutable decided_join : Vc.t option;
-  mutable decided_max_lc : int;
-  (* committed but not yet delivered, in delivery order *)
-  mutable undelivered : Msg.decided_strong Delivery_queue.t;
-  mutable queued : int;  (* entries ever queued: the tie-break key *)
-  (* strong timestamp up to which decided transactions may have been
-     garbage-collected: snapshots below it can no longer be certified
-     soundly *)
-  mutable pruned_below : int;
-  (* join of the garbage-collected transactions' commit vectors: a
-     snapshot that does not cover it may miss one of them *)
-  pruned_join : Vc.t;
-  mutable last_delivered : int;
+  decided : Decided_log.t;
   mutable last_ts : int;  (* leader: last proposed strong timestamp *)
   mutable do_not_wait : Types.tid list;
   (* Decisions learned while [Recovering]: chosen values, kept until
@@ -138,23 +91,15 @@ type t = {
   mutable last_activity : int;  (* time of last delivery (heartbeating) *)
   mutable last_bid : int;  (* time of the last leadership bid (debounce) *)
   bid_interval_us : int;  (* reclaim debounce (derived from the config) *)
-  (* durable-append hook (persistence mode): [log ev ~k] must append
-     [ev] to stable storage and call [k] once it is fsynced — or never,
-     if the node crashes first. [None] = memory-only: [k] runs inline. *)
   mutable log : (event -> k:(unit -> unit) -> unit) option;
 }
-
-(* Ballot [b] is led by data center [b mod dcs]; the initial ballot makes
-   the configured leader DC lead every group. *)
-let leader_of_ballot ~dcs b = b mod dcs
 
 (* Leadership-reclaim bids are level-triggered (PREPARE_STRONG retries
    every couple of seconds, STATE_REQUEST every retry tick keep landing
    on the same non-leader), so they are debounced to at most one
    election per [bid_interval_us] — long enough for an in-flight round
-   to settle. The deployment derives the interval from its
-   failure-detector period plus the worst-case RTT
-   ([Config.reclaim_debounce_us]). *)
+   to settle. Ballot [b] is led by data center [b mod dcs]: the initial
+   ballot makes the configured leader DC lead every group. *)
 let create ~bid_interval_us ctx ~leader_dc =
   {
     ctx;
@@ -163,15 +108,9 @@ let create ~bid_interval_us ctx ~leader_dc =
     cballot = leader_dc;
     trusted = leader_dc;
     prepared = Hashtbl.create 32;
-    decided = Hashtbl.create 256;
-    decided_by_key = Hashtbl.create 256;
-    decided_join = None;
-    decided_max_lc = 0;
-    undelivered = Delivery_queue.empty;
-    queued = 0;
-    pruned_below = 0;
-    pruned_join = Vc.create ~dcs:ctx.x_dcs;
-    last_delivered = 0;
+    decided =
+      Decided_log.create ~conflict:ctx.x_conflict ~ops_slice:ctx.x_ops_slice
+        ~dcs:ctx.x_dcs;
     last_ts = 0;
     do_not_wait = [];
     learned = Hashtbl.create 8;
@@ -193,9 +132,12 @@ let status t = t.status
 let trusted t = t.trusted
 let ballot t = t.ballot
 let prepared_count t = Hashtbl.length t.prepared
-let decided_count t = Hashtbl.length t.decided
-let last_delivered t = t.last_delivered
+let decided_count t = Decided_log.count t.decided
+let last_delivered t = Decided_log.last_delivered t.decided
 let idle_since t = t.last_activity
+
+let prune_decided ?covered t ~floor =
+  Decided_log.prune ?covered t.decided ~floor
 
 let add_prepared t (p : Msg.prepared_strong) =
   Hashtbl.replace t.prepared p.ps_tx.st_tid { p; since = t.ctx.x_now () }
@@ -212,94 +154,32 @@ let send_others t msg =
     if dc <> t.ctx.x_dc then t.ctx.x_send (t.ctx.x_member dc) msg
   done
 
-(* Register a newly decided transaction in all indexes; log an abort
-   (see [event]). *)
+(* Record a decision; log a fresh abort (see [event]). *)
 let add_decided t (d : Msg.decided_strong) =
-  let tid = d.ds_tx.st_tid in
-  if not (Hashtbl.mem t.decided tid) then begin
-    Hashtbl.replace t.decided tid d;
-    if d.ds_dec then begin
-      (* conflict indexes *)
-      List.iter
-        (fun (o : Types.opdesc) ->
-          let cell =
-            match Hashtbl.find_opt t.decided_by_key o.key with
-            | Some cell -> cell
-            | None ->
-                let cell = ref [] in
-                Hashtbl.replace t.decided_by_key o.key cell;
-                cell
-          in
-          if not (List.memq d !cell) then cell := d :: !cell)
-        (t.ctx.x_ops_slice d.ds_tx.st_ops);
-      if t.ctx.x_ops_slice d.ds_tx.st_ops <> [] then begin
-        (match t.decided_join with
-        | None -> t.decided_join <- Some (Vc.copy d.ds_vec)
-        | Some j -> Vc.merge_into j d.ds_vec);
-        t.decided_max_lc <- max t.decided_max_lc d.ds_lc
-      end;
-      let ts = Vc.strong d.ds_vec in
-      if ts > t.last_delivered then begin
-        t.queued <- t.queued + 1;
-        t.undelivered <- Delivery_queue.add (ts, - t.queued) d t.undelivered
-      end
-    end
-    else
-      log_durably t (E_abort { tid; vec = d.ds_vec; lc = d.ds_lc }) ignore
-  end
+  if Decided_log.add t.decided d && not d.ds_dec then
+    log_durably t
+      (E_abort { tid = d.ds_tx.st_tid; vec = d.ds_vec; lc = d.ds_lc })
+      ignore
 
 (* ------------------------------------------------------------------ *)
 (* Certification check (Algorithm A8): a transaction commits only if its
-   snapshot includes every conflicting committed transaction, and no
-   conflicting transaction is concurrently prepared to commit.           *)
+   snapshot includes every conflicting committed transaction
+   ([Decided_log.check]), and no conflicting transaction is concurrently
+   prepared to commit.                                                   *)
 
 let certification_check t (tx : Msg.strong_tx) ~lc =
-  let spec = t.ctx.x_conflict and snap = tx.st_snap in
-  let my_ops = t.ctx.x_ops_slice tx.st_ops in
-  let conflicts_prepared =
+  let ops = t.ctx.x_ops_slice tx.st_ops in
+  if
     Hashtbl.fold
       (fun ptid { p; _ } acc ->
         acc
         || p.ps_vote
            && (not (Types.tid_equal ptid tx.st_tid))
-           && Config.txs_conflict spec my_ops (t.ctx.x_ops_slice p.ps_tx.st_ops))
+           && Config.txs_conflict t.ctx.x_conflict ops
+                (t.ctx.x_ops_slice p.ps_tx.st_ops))
       t.prepared false
-  in
-  if conflicts_prepared then (false, lc)
-  else if spec = Config.All_strong then begin
-    if my_ops = [] then (true, lc)
-    else
-      match t.decided_join with
-      | None -> (true, lc)
-      | Some j ->
-          let vote = Vc.leq j snap in
-          let lc = if lc <= t.decided_max_lc then t.decided_max_lc + 1 else lc in
-          (vote, lc)
-  end
-  else begin
-    (* an entry conflicting on several keys is folded in once per key:
-       both updates are idempotent *)
-    let vote = ref true and lc' = ref lc in
-    List.iter
-      (fun (o : Types.opdesc) ->
-        match Hashtbl.find_opt t.decided_by_key o.key with
-        | None -> ()
-        | Some cell ->
-            List.iter
-              (fun (d : Msg.decided_strong) ->
-                if
-                  List.exists
-                    (fun (o' : Types.opdesc) ->
-                      o'.key = o.key && Config.ops_conflict spec o o')
-                    (t.ctx.x_ops_slice d.ds_tx.st_ops)
-                then begin
-                  if not (Vc.leq d.ds_vec snap) then vote := false;
-                  if !lc' <= d.ds_lc then lc' := d.ds_lc + 1
-                end)
-              !cell)
-      my_ops;
-    (!vote, !lc')
-  end
+  then (false, lc)
+  else Decided_log.check t.decided ~ops ~snap:tx.st_snap ~lc
 
 (* ------------------------------------------------------------------ *)
 (* Delivery (Algorithm A9, upon-clause at line 26): committed entries are
@@ -309,27 +189,9 @@ let certification_check t (tx : Msg.strong_tx) ~lc =
    LEARN_DECISION that carries the decision: on every link a decision
    arrives before any frontier above it.                                 *)
 
-(* Deliver every queued entry at or below [ts], as one batch. *)
 let deliver_upto t ts =
-  t.last_delivered <- ts;
   t.last_activity <- t.ctx.x_now ();
-  let deliverable, _, rest = Delivery_queue.split (ts, max_int) t.undelivered in
-  t.undelivered <- rest;
-  let txs =
-    Delivery_queue.fold
-      (fun _ (d : Msg.decided_strong) acc ->
-        {
-          Types.tx_tid = d.ds_tx.st_tid;
-          tx_writes = List.concat_map snd d.ds_tx.st_wbuff;
-          tx_vec = d.ds_vec;
-          tx_lc = d.ds_lc;
-          tx_origin = d.ds_tx.st_origin;
-        }
-        :: acc)
-      deliverable []
-    |> List.rev
-  in
-  t.ctx.x_deliver txs ~strong_ts:ts
+  t.ctx.x_deliver (Decided_log.deliver_upto t.decided ts) ~strong_ts:ts
 
 (* Leader: deliver every committed entry below the lowest timestamp a
    prepared entry voting commit holds (it may still commit there), and
@@ -342,11 +204,9 @@ let deliver_ready t =
         (fun _ { p; _ } acc -> if p.ps_vote then min acc p.ps_ts else acc)
         t.prepared max_int
     in
-    match
-      Delivery_queue.find_last_opt (fun (ts, _) -> ts < gate) t.undelivered
-    with
+    match Decided_log.frontier_below t.decided ~gate with
     | None -> 0
-    | Some ((ts, _), _) ->
+    | Some ts ->
         deliver_upto t ts;
         ts
 
@@ -366,8 +226,7 @@ let deliver_ready t =
    first request is lost. *)
 let chase_ballot t b =
   if
-    b > t.ballot
-    && (t.status = Leader || t.status = Follower || t.status = Recovering)
+    b > t.ballot && t.status <> Restoring
     && t.ctx.x_now () - t.last_bid >= t.bid_interval_us
   then begin
     t.last_bid <- t.ctx.x_now ();
@@ -381,7 +240,7 @@ let chase_ballot t b =
 let follow_frontier t ~b ~ts =
   if
     (t.status = Leader || t.status = Follower)
-    && t.ballot = b && t.last_delivered < ts
+    && t.ballot = b && last_delivered t < ts
   then deliver_upto t ts
 
 (* ------------------------------------------------------------------ *)
@@ -390,12 +249,9 @@ let follow_frontier t ~b ~ts =
 (* An ACCEPT stores the record it carries: the leader built it once,
    and every member holds that same value. *)
 let handle_accept t ~b ~rid (p : Msg.prepared_strong) =
-  if
-    t.ballot = b
-    && (t.status = Leader || t.status = Follower || t.status = Restoring)
-  then begin
+  if t.ballot = b && t.status <> Recovering then begin
     let tid = p.ps_tx.st_tid in
-    if not (Hashtbl.mem t.decided tid) then add_prepared t p;
+    if not (Decided_log.mem t.decided tid) then add_prepared t p;
     (* the ACCEPT_ACK is a promise that this accept survives a crash of
        this member: make it durable first (memory state may run ahead of
        the disk — a crash rebuilds it from the disk, so nothing acked is
@@ -418,7 +274,7 @@ let handle_accept t ~b ~rid (p : Msg.prepared_strong) =
 let handle_prepare_strong t ~rid ~caller ~coord (tx : Msg.strong_tx) ~lc =
   if t.status = Leader || t.status = Restoring then begin
     let tid = tx.st_tid in
-    match Hashtbl.find_opt t.decided tid with
+    match Decided_log.find t.decided tid with
     | Some d ->
         t.ctx.x_send coord
           (Msg.Already_decided
@@ -442,21 +298,6 @@ let handle_prepare_strong t ~rid ~caller ~coord (tx : Msg.strong_tx) ~lc =
                     let ts = max (t.ctx.x_clock ()) (t.last_ts + 1) in
                     t.last_ts <- ts;
                     let vote, lc = certification_check t tx ~lc in
-                    (* a snapshot whose strong entry is below the prune
-                       floor, or that misses an entry of a pruned
-                       transaction's commit vector, may miss conflicting
-                       committed transactions that were already
-                       garbage-collected: refuse it (the coordinator
-                       retries with a fresher snapshot). A transaction
-                       with no operations at this group (a dummy
-                       heartbeat) conflicts with nothing, so any
-                       snapshot certifies it. *)
-                    let vote =
-                      vote
-                      && (t.ctx.x_ops_slice tx.st_ops = []
-                         || Vc.strong tx.st_snap >= t.pruned_below
-                            && Vc.leq t.pruned_join tx.st_snap)
-                    in
                     let p =
                       {
                         Msg.ps_tx = tx;
@@ -567,10 +408,7 @@ let handle_decision t ~b ~tid ~dec ~vec ~lc =
 let handle_learn_decision t ~b ~tid ~dec ~vec ~lc ~upto =
   chase_ballot t b;
   if t.status = Recovering then Hashtbl.replace t.learned tid (dec, vec, lc)
-  else if
-    (t.status = Leader || t.status = Follower || t.status = Restoring)
-    && b <= t.ballot
-  then begin
+  else if b <= t.ballot then begin
     (match Hashtbl.find_opt t.prepared tid with
     | None -> ()  (* already decided or never accepted here *)
     | Some { p; _ } when t.status = Follower ->
@@ -587,10 +425,7 @@ let handle_learn_decision t ~b ~tid ~dec ~vec ~lc ~upto =
   end
 
 let handle_unknown_tx t ~b ~rid ~tid ~coord =
-  if
-    (t.status = Leader || t.status = Follower || t.status = Restoring)
-    && t.ballot = b
-  then
+  if t.status <> Recovering && t.ballot = b then
     t.ctx.x_send coord
       (Msg.Unknown_tx_ack
          { part = t.ctx.x_group; rid; tid; from_dc = t.ctx.x_dc })
@@ -599,13 +434,21 @@ let handle_unknown_tx t ~b ~rid ~tid ~coord =
 (* Leader recovery (Algorithm A10).                                      *)
 
 let prepared_list t = Hashtbl.fold (fun _ { p; _ } acc -> p :: acc) t.prepared []
-let decided_list t = Hashtbl.fold (fun _ d acc -> d :: acc) t.decided []
 
-let recover t =
-  let dcs = t.ctx.x_dcs in
-  let rec next b =
-    if leader_of_ballot ~dcs b = t.ctx.x_dc then b else next (b + 1)
-  in
+(* This member's whole log, as a NEW_LEADER_ACK (given [cballot]) or a
+   NEW_STATE. *)
+let state_msg ?cballot t ~b =
+  let prepared = prepared_list t and decided = Decided_log.to_list t.decided in
+  let from = t.ctx.x_self () in
+  match cballot with
+  | Some cballot -> Msg.New_leader_ack { b; cballot; prepared; decided; from }
+  | None -> Msg.New_state { b; prepared; decided; from }
+
+(* Bid for leadership: NEW_LEADER at this member's next ballot, which
+   restarts the reclaim debounce. *)
+let bid t =
+  t.last_bid <- t.ctx.x_now ();
+  let rec next b = if b mod t.ctx.x_dcs = t.ctx.x_dc then b else next (b + 1) in
   let b = next (t.ballot + 1) in
   t.recovery_acks <- [];
   t.state_acks <- [];
@@ -624,19 +467,13 @@ let reclaim t =
     t.trusted = t.ctx.x_dc
     && (t.status = Follower || t.status = Recovering)
     && t.ctx.x_now () - t.last_bid >= t.bid_interval_us
-  then begin
-    t.last_bid <- t.ctx.x_now ();
-    recover t
-  end
+  then bid t
 
 (* Ω notification: the failure detector now trusts [dc] for this group. *)
 let set_trusted t dc =
   if t.trusted <> dc then begin
     t.trusted <- dc;
-    if dc = t.ctx.x_dc then begin
-      t.last_bid <- t.ctx.x_now ();
-      recover t
-    end
+    if dc = t.ctx.x_dc then bid t
     else
       t.ctx.x_send (t.ctx.x_member dc)
         (Msg.Nack { b = t.ballot; from = t.ctx.x_self () })
@@ -645,8 +482,7 @@ let set_trusted t dc =
 let handle_nack t ~b =
   if t.trusted = t.ctx.x_dc && b > t.ballot then begin
     t.ballot <- b;
-    t.last_bid <- t.ctx.x_now ();
-    recover t
+    bid t
   end
   else if b >= t.ballot then
     (* An equal-ballot NACK cannot raise our bid but still signals that
@@ -662,16 +498,7 @@ let handle_new_leader t ~b ~from ~from_dc =
     t.status <- Recovering;
     t.ballot <- b;
     t.do_not_wait <- [];
-    let ack =
-      Msg.New_leader_ack
-        {
-          b;
-          cballot = t.cballot;
-          prepared = prepared_list t;
-          decided = decided_list t;
-          from = t.ctx.x_self ();
-        }
-    in
+    let ack = state_msg t ~b ~cballot:t.cballot in
     (* the ack promises never to accept under a smaller ballot again:
        persist the promise before it leaves (Raft's currentTerm) *)
     log_durably t (E_ballot { b; cb = t.cballot }) (fun () ->
@@ -679,24 +506,15 @@ let handle_new_leader t ~b ~from ~from_dc =
   end
   else t.ctx.x_send from (Msg.Nack { b = t.ballot; from = t.ctx.x_self () })
 
-(* Forget the whole certification log: prepared and decided entries and
-   the delivery queue. *)
-let clear_log t =
-  Hashtbl.reset t.prepared;
-  Hashtbl.reset t.decided;
-  Hashtbl.reset t.decided_by_key;
-  t.decided_join <- None;
-  t.decided_max_lc <- 0;
-  t.undelivered <- Delivery_queue.empty
-
 (* Replace this member's certification state (recovery), then decide the
    installed prepared entries whose decision was learned meanwhile. *)
-let install_state t ~prepared ~decided =
-  clear_log t;
+let install_state ?delivered t ~prepared ~decided =
+  Hashtbl.reset t.prepared;
+  Decided_log.reset ?delivered t.decided;
   List.iter (add_decided t) decided;
   List.iter
     (fun (p : Msg.prepared_strong) ->
-      if not (Hashtbl.mem t.decided p.ps_tx.st_tid) then add_prepared t p)
+      if not (Decided_log.mem t.decided p.ps_tx.st_tid) then add_prepared t p)
     prepared;
   Hashtbl.iter
     (fun tid (dec, vec, lc) ->
@@ -738,29 +556,14 @@ let handle_new_leader_ack t ~b ~cballot ~prepared ~decided ~from_dc =
       let max_prep =
         Hashtbl.fold (fun _ { p; _ } acc -> max acc p.ps_ts) t.prepared 0
       in
-      let max_dec =
-        Hashtbl.fold
-          (fun _ (d : Msg.decided_strong) acc ->
-            if d.ds_dec then max acc (Vc.strong d.ds_vec) else acc)
-          t.decided 0
-      in
-      t.ctx.x_at_clock
-        (max max_prep max_dec)
-        (fun () ->
+      let max_ts = max max_prep (Decided_log.max_commit_ts t.decided) in
+      t.ctx.x_at_clock max_ts (fun () ->
           if t.status = Recovering && t.ballot = b && t.ctx.x_alive () then begin
             t.last_bid <- t.ctx.x_now ();
             t.cballot <- b;
-            t.last_ts <- max t.last_ts (max max_prep max_dec);
+            t.last_ts <- max t.last_ts max_ts;
             t.state_acks <- [ t.ctx.x_dc ];
-            let state =
-              Msg.New_state
-                {
-                  b;
-                  prepared = prepared_list t;
-                  decided = decided_list t;
-                  from = t.ctx.x_self ();
-                }
-            in
+            let state = state_msg t ~b in
             log_durably t (E_ballot { b; cb = b }) (fun () ->
                 send_others t state)
           end)
@@ -803,48 +606,33 @@ let start_restoring t =
    else is group-recoverable. *)
 let persistent_state t = (t.ballot, t.cballot, prepared_list t)
 
-(* Re-enter the group after a crash. The member comes back in
-   [Recovering] with its delivery frontier seeded at [delivered]:
-   [install_state] will then queue only transactions above it for
-   delivery, so nothing below is applied twice. Until the group state
-   arrives ([New_state]) the member neither votes nor acks, which is
-   exactly the "catch up the decided log before voting" a restart needs;
-   what the group decided comes back wholesale with that state.
-
-   Node-level restart from the member's own disk: the ballots and the
-   accepted log survived (snapshot + WAL replay), so the promises behind
-   every pre-crash NEW_LEADER_ACK and ACCEPT_ACK still hold — the member
-   can answer a later leader recovery without violating
-   quorum-intersection arguments. [delivered] is re-derived by the
-   replica from its own replayed delivered-strong records. [decision]
-   answers for the replayed accepts whose decision the disk also names
-   (see [event]): those return decided, below the frontier, so a
-   re-election this member leads hands the group their decisions
-   instead of undecided entries. *)
+(* Until the group state arrives ([New_state]) the member neither votes
+   nor acks: the "catch up the decided log before voting" a restart
+   needs. The accepts whose fate the disk names come back decided, below
+   the frontier, so a re-election this member leads hands the group
+   their decisions, not undecided entries. *)
 let restart ?(decision = fun _ -> None) t ~ballot ~cballot ~prepared
     ~delivered =
   t.status <- Recovering;
   t.ballot <- max t.ballot ballot;
   t.cballot <- max t.cballot cballot;
-  t.last_delivered <- delivered;
   t.last_activity <- t.ctx.x_now ();
-  t.pruned_below <- max t.pruned_below delivered;
   t.do_not_wait <- [];
   t.recovery_acks <- [];
   t.state_acks <- [];
   Hashtbl.reset t.learned;
-  clear_log t;
-  List.iter
-    (fun (p : Msg.prepared_strong) ->
-      match decision p.ps_tx.st_tid with
-      | Some (dec, vec, lc) -> add_decided t (decided_of p ~dec ~vec ~lc)
-      | None -> add_prepared t p)
-    prepared
+  let decided, prepared =
+    List.partition_map
+      (fun (p : Msg.prepared_strong) ->
+        match decision p.ps_tx.st_tid with
+        | Some (dec, vec, lc) -> Either.Left (decided_of p ~dec ~vec ~lc)
+        | None -> Either.Right p)
+      prepared
+  in
+  install_state ~delivered t ~prepared ~decided
 
-(* DC rejoin: the crash destroyed this member's disk, so it restarts
-   with no accepted log — pretending otherwise would let a pre-crash
-   entry leak into a recovery ack. [delivered] is the strong entry of the
-   snapshot cut it received. The ballot is left alone: the group's
+(* No accepted log: pretending otherwise would let a pre-crash entry
+   leak into a recovery ack. The ballot is left alone: the group's
    current ballot is at least the pre-crash one, so the leader's
    [New_state {b}] passes the [b >= ballot] check. *)
 let begin_rejoin t ~delivered =
@@ -866,24 +654,15 @@ let begin_rejoin t ~delivered =
    wedge. Lowering the requester's ballot would break its promise, so
    the leader instead re-establishes itself above the requester's
    ballot through the ordinary recovery protocol (the [handle_nack]
-   adopt-and-recover move), after which its [New_state] broadcast
+   adopt-and-bid move), after which its [New_state] broadcast
    reaches the requester at an acceptable ballot. *)
 let handle_state_request t ~from ~ballot =
   if t.status = Leader then begin
     if ballot > t.ballot then begin
       t.ballot <- ballot;
-      t.last_bid <- t.ctx.x_now ();
-      recover t
+      bid t
     end
-    else
-      t.ctx.x_send from
-        (Msg.New_state
-           {
-             b = t.ballot;
-             prepared = prepared_list t;
-             decided = decided_list t;
-             from = t.ctx.x_self ();
-           })
+    else t.ctx.x_send from (state_msg t ~b:t.ballot)
   end
   else begin
     reclaim t;
@@ -902,80 +681,30 @@ let handle_new_state_ack t ~b ~from_dc =
   end
 
 (* ------------------------------------------------------------------ *)
-(* RETRY (Algorithm A9 line 37): the leader re-certifies prepared
-   transactions whose coordinator went silent.                          *)
+(* RETRY (Algorithm A9 line 37): re-run the 2PC, from here, of every
+   prepared entry [pick] selects. The leader runs it; [any_member] lets
+   a follower run it too — it only re-drives the 2PC, whose decision is
+   unique per transaction.                                              *)
+
+let retry ?(any_member = false) t pick =
+  if any_member || t.status = Leader then
+    Hashtbl.iter (fun _ e -> if pick e then recertify t e) t.prepared
 
 let retry_stale t ~older_than_us =
-  if t.status = Leader then begin
-    let now = t.ctx.x_now () in
-    Hashtbl.iter
-      (fun _ e -> if now - e.since >= older_than_us then recertify t e)
-      t.prepared
-  end
+  let now = t.ctx.x_now () in
+  retry t (fun e -> now - e.since >= older_than_us)
 
-(* Ω told us [dc] is down: immediately re-certify every prepared
-   transaction coordinated there, instead of waiting for the RETRY
-   timer. An accepted-but-undecided transaction whose coordinator
-   crashed blocks DELIVER for every later strong timestamp in its
-   group, which freezes the data center-wide stable vector and with it
-   every new snapshot — re-running the 2PC from here decides it either
-   way. Safe under false suspicion: decisions are unique per
-   transaction, so a duplicate certification is absorbed. *)
+(* An orphaned entry blocks DELIVER for every later strong timestamp in
+   its group, which freezes the data center-wide stable vector and with
+   it every new snapshot. *)
 let retry_suspected t ~dc =
-  if t.status = Leader then
-    Hashtbl.iter
-      (fun _ e -> if t.ctx.x_dc_of e.p.ps_coord = dc then recertify t e)
-      t.prepared
+  retry t (fun e -> t.ctx.x_dc_of e.p.ps_coord = dc)
 
-(* The node at [coord] restarted: the certifications it was coordinating
-   died with its memory, and so did any DECISION still unacknowledged on
-   its outgoing links. Re-certify every prepared transaction it
-   coordinated, as [retry_suspected] does for a suspected DC — the
-   data-center failure detector does not see a single node restart, and
+(* The data-center failure detector does not see a single node restart:
    without this an undecided entry that voted commit blocks delivery
-   until the staleness timer of [retry_stale]. Any member can run the
-   RETRY: it only re-drives the 2PC, whose decision is unique per
-   transaction. *)
+   until the staleness timer of [retry_stale]. *)
 let retry_coordinated t ~coord =
-  Hashtbl.iter
-    (fun _ e -> if e.p.ps_coord = coord then recertify t e)
-    t.prepared
-
-(* Garbage-collect committed transactions whose strong timestamp is so
-   far below the delivery frontier that every live snapshot contains
-   them (they can no longer cause an abort or a Lamport bump; snapshots
-   lag the frontier by at most the WAN round trip plus a few broadcast
-   periods, which [keep_after] must dominate). The strong entry alone
-   does not say so: under a partition a snapshot's strong entry keeps
-   advancing while an entry of a cut-off DC stays behind the decided
-   vector. [covered] checks the whole vector against the snapshots
-   served from now on; [pruned_join] guards the ones served before,
-   which a re-submission after a failover certifies late. *)
-let prune_decided ?(covered = fun _ -> true) t ~keep_after =
-  if keep_after > 0 then begin
-    if keep_after > t.pruned_below then t.pruned_below <- keep_after;
-    let stale =
-      Hashtbl.fold
-        (fun tid (d : Msg.decided_strong) acc ->
-          if Vc.strong d.ds_vec <= keep_after && covered d.ds_vec then
-            (tid, d) :: acc
-          else acc)
-        t.decided []
-    in
-    List.iter
-      (fun (tid, (d : Msg.decided_strong)) ->
-        Hashtbl.remove t.decided tid;
-        Vc.merge_into t.pruned_join d.ds_vec;
-        List.iter
-          (fun (o : Types.opdesc) ->
-            match Hashtbl.find_opt t.decided_by_key o.key with
-            | None -> ()
-            | Some cell ->
-                cell := List.filter (fun d' -> not (d' == d)) !cell;
-                if !cell = [] then Hashtbl.remove t.decided_by_key o.key)
-          (t.ctx.x_ops_slice d.ds_tx.st_ops))
-      stale
-  end
+  retry ~any_member:true t (fun e -> e.p.ps_coord = coord)
 
 (* Dispatch group-member messages; others are ignored. *)
 let handle t msg =

@@ -5,13 +5,14 @@
     Each partition's certification group is formed by its sibling
     replicas across data centers (REDBLUE instead runs one group of
     per-DC service nodes). One member leads; the leader certifies
-    transactions against prepared and decided state, members accept under
-    a ballot, committed updates are delivered in strong-timestamp order
-    with no gaps, and leadership recovers across data-center failures.
+    transactions against prepared state and its {!Decided_log}, members
+    accept under a ballot, committed updates are delivered in
+    strong-timestamp order with no gaps, and leadership recovers across
+    data-center failures.
 
     The module is parameterised by a [ctx] of closures so it has no
     dependency on the replica that embeds it. The coordinator side of
-    certification (CERTIFY, Algorithm A7) lives in [Replica]. *)
+    certification (CERTIFY, Algorithm A7) lives in [Strong_coord]. *)
 
 type cert_result =
   | Decided of bool * Vclock.Vc.t * int
@@ -114,12 +115,10 @@ val retry_suspected : t -> dc:int -> unit
     any member, not only the leader. *)
 val retry_coordinated : t -> coord:Msg.addr -> unit
 
-(** Garbage-collect decided transactions below the delivery frontier
-    that every live snapshot already contains: strong timestamp at or
-    below [keep_after] and, when given, commit vector [covered] (default:
-    every vector is). *)
-val prune_decided :
-  ?covered:(Vclock.Vc.t -> bool) -> t -> keep_after:int -> unit
+(** {!Decided_log.prune} on this member's decided log: [floor] is the
+    lowest delivery frontier among the members that may still need a
+    decision. *)
+val prune_decided : ?covered:(Vclock.Vc.t -> bool) -> t -> floor:int -> unit
 
 (** DC rejoin after a crash: {!restart} with the member's own ballots
     and no accepted log (the disk was lost with the DC). [delivered] is

@@ -1,0 +1,214 @@
+(* The decided log is indexed so that the check of Algorithm A8 runs in
+   time proportional to the transaction's own footprint, not to the
+   history: a per-key index or, for the all-conflict relation of
+   REDBLUE, a running join of commit vectors. *)
+
+module Vc = Vclock.Vc
+
+(* The delivery queue's order: ascending strong timestamp, and among
+   equal timestamps the entry queued last first. Keys are (strong ts,
+   minus a per-member queueing counter), so queueing and delivery cost
+   a logarithm of the queue's length, not the length: the queue grows
+   long exactly when delivery stalls, e.g. behind an orphaned prepared
+   entry during a partition. *)
+module Delivery_queue = Map.Make (struct
+  type t = int * int
+
+  let compare (ts1, q1) (ts2, q2) =
+    match Int.compare ts1 ts2 with 0 -> Int.compare q1 q2 | c -> c
+end)
+
+type t = {
+  conflict : Config.conflict_spec;
+  ops_slice : Types.opsmap -> Types.opdesc list;
+  decided : (Types.tid, Msg.decided_strong) Hashtbl.t;
+  (* committed transactions indexed by the keys they touched at this
+     group, for the per-key conflict check *)
+  decided_by_key : (Store.Keyspace.key, Msg.decided_strong list ref) Hashtbl.t;
+  (* running join over committed vectors (all-conflict fast path) *)
+  mutable decided_join : Vc.t option;
+  mutable decided_max_lc : int;
+  (* committed but not yet delivered, in delivery order *)
+  mutable undelivered : Msg.decided_strong Delivery_queue.t;
+  mutable queued : int;  (* entries ever queued: the tie-break key *)
+  (* strong timestamp up to which decided transactions may have been
+     garbage-collected: snapshots below it can no longer be certified
+     soundly *)
+  mutable pruned_below : int;
+  (* join of the garbage-collected transactions' commit vectors: a
+     snapshot that does not cover it may miss one of them *)
+  pruned_join : Vc.t;
+  mutable last_delivered : int;
+}
+
+let create ~conflict ~ops_slice ~dcs =
+  {
+    conflict;
+    ops_slice;
+    decided = Hashtbl.create 256;
+    decided_by_key = Hashtbl.create 256;
+    decided_join = None;
+    decided_max_lc = 0;
+    undelivered = Delivery_queue.empty;
+    queued = 0;
+    pruned_below = 0;
+    pruned_join = Vc.create ~dcs;
+    last_delivered = 0;
+  }
+
+let find t tid = Hashtbl.find_opt t.decided tid
+let mem t tid = Hashtbl.mem t.decided tid
+let count t = Hashtbl.length t.decided
+let to_list t = Hashtbl.fold (fun _ d acc -> d :: acc) t.decided []
+let last_delivered t = t.last_delivered
+
+let max_commit_ts t =
+  Hashtbl.fold
+    (fun _ (d : Msg.decided_strong) acc ->
+      if d.ds_dec then max acc (Vc.strong d.ds_vec) else acc)
+    t.decided 0
+
+let add t (d : Msg.decided_strong) =
+  let fresh = not (Hashtbl.mem t.decided d.ds_tx.st_tid) in
+  if fresh then begin
+    Hashtbl.replace t.decided d.ds_tx.st_tid d;
+    if d.ds_dec then begin
+      let ops = t.ops_slice d.ds_tx.st_ops in
+      List.iter
+        (fun (o : Types.opdesc) ->
+          let cell =
+            match Hashtbl.find_opt t.decided_by_key o.key with
+            | Some cell -> cell
+            | None ->
+                let cell = ref [] in
+                Hashtbl.replace t.decided_by_key o.key cell;
+                cell
+          in
+          if not (List.memq d !cell) then cell := d :: !cell)
+        ops;
+      if ops <> [] then begin
+        (match t.decided_join with
+        | None -> t.decided_join <- Some (Vc.copy d.ds_vec)
+        | Some j -> Vc.merge_into j d.ds_vec);
+        t.decided_max_lc <- max t.decided_max_lc d.ds_lc
+      end;
+      let ts = Vc.strong d.ds_vec in
+      if ts > t.last_delivered then begin
+        t.queued <- t.queued + 1;
+        t.undelivered <- Delivery_queue.add (ts, - t.queued) d t.undelivered
+      end
+    end
+  end;
+  fresh
+
+(* A snapshot whose strong entry is below the prune floor, or that
+   misses an entry of a pruned transaction's commit vector, may miss
+   conflicting committed transactions that were already garbage-collected:
+   it is refused (the coordinator retries with a fresher snapshot). A
+   transaction with no operations at this group (a dummy heartbeat)
+   conflicts with nothing, so any snapshot certifies it. *)
+let check t ~ops ~snap ~lc =
+  if ops = [] then (true, lc)
+  else
+    let vote, lc =
+      if t.conflict = Config.All_strong then
+        match t.decided_join with
+        | None -> (true, lc)
+        | Some j ->
+            ( Vc.leq j snap,
+              if lc <= t.decided_max_lc then t.decided_max_lc + 1 else lc )
+      else begin
+        (* an entry conflicting on several keys is folded in once per
+           key: both updates are idempotent *)
+        let vote = ref true and lc' = ref lc in
+        List.iter
+          (fun (o : Types.opdesc) ->
+            match Hashtbl.find_opt t.decided_by_key o.key with
+            | None -> ()
+            | Some cell ->
+                List.iter
+                  (fun (d : Msg.decided_strong) ->
+                    if
+                      List.exists
+                        (fun (o' : Types.opdesc) ->
+                          o'.key = o.key && Config.ops_conflict t.conflict o o')
+                        (t.ops_slice d.ds_tx.st_ops)
+                    then begin
+                      if not (Vc.leq d.ds_vec snap) then vote := false;
+                      if !lc' <= d.ds_lc then lc' := d.ds_lc + 1
+                    end)
+                  !cell)
+          ops;
+        (!vote, !lc')
+      end
+    in
+    ( vote && Vc.strong snap >= t.pruned_below && Vc.leq t.pruned_join snap,
+      lc )
+
+let frontier_below t ~gate =
+  Option.map
+    (fun ((ts, _), _) -> ts)
+    (Delivery_queue.find_last_opt (fun (ts, _) -> ts < gate) t.undelivered)
+
+let deliver_upto t ts =
+  t.last_delivered <- ts;
+  let deliverable, _, rest = Delivery_queue.split (ts, max_int) t.undelivered in
+  t.undelivered <- rest;
+  Delivery_queue.fold
+    (fun _ (d : Msg.decided_strong) acc ->
+      {
+        Types.tx_tid = d.ds_tx.st_tid;
+        tx_writes = List.concat_map snd d.ds_tx.st_wbuff;
+        tx_vec = d.ds_vec;
+        tx_lc = d.ds_lc;
+        tx_origin = d.ds_tx.st_origin;
+      }
+      :: acc)
+    deliverable []
+  |> List.rev
+
+(* Snapshots lag the delivery frontier by at most the WAN round trip
+   plus a few broadcast periods, which this margin dominates: a
+   committed transaction this far below every member's frontier can no
+   longer cause an abort or a Lamport bump. *)
+let prune_margin_us = 1_500_000
+
+(* The strong entry alone does not say a snapshot contains a pruned
+   entry: under a partition it keeps advancing while an entry of a
+   cut-off DC stays behind the decided vector. [covered] checks the
+   whole vector against the snapshots served from now on; [pruned_join]
+   guards the ones served before, which a re-submission after a
+   failover certifies late. *)
+let prune ?(covered = fun _ -> true) t ~floor =
+  let keep_after = floor - prune_margin_us in
+  if keep_after > 0 then begin
+    if keep_after > t.pruned_below then t.pruned_below <- keep_after;
+    Hashtbl.filter_map_inplace
+      (fun _ (d : Msg.decided_strong) ->
+        if Vc.strong d.ds_vec <= keep_after && covered d.ds_vec then begin
+          Vc.merge_into t.pruned_join d.ds_vec;
+          List.iter
+            (fun (o : Types.opdesc) ->
+              match Hashtbl.find_opt t.decided_by_key o.key with
+              | None -> ()
+              | Some cell ->
+                  cell := List.filter (fun d' -> not (d' == d)) !cell;
+                  if !cell = [] then Hashtbl.remove t.decided_by_key o.key)
+            (t.ops_slice d.ds_tx.st_ops);
+          None
+        end
+        else Some d)
+      t.decided
+  end
+
+let reset ?delivered t =
+  Hashtbl.reset t.decided;
+  Hashtbl.reset t.decided_by_key;
+  t.decided_join <- None;
+  t.decided_max_lc <- 0;
+  t.undelivered <- Delivery_queue.empty;
+  Option.iter
+    (fun d ->
+      t.last_delivered <- d;
+      t.pruned_below <- max t.pruned_below d)
+    delivered

@@ -260,7 +260,7 @@ let start_timers t ~phase =
               in
               Cert.prune_decided c
                 ~covered:(Replication.stable_at_holders t)
-                ~keep_after:(floor - 1_500_000)
+                ~floor
           | None -> ());
           true
         end

@@ -388,7 +388,7 @@ let suspect t failed_dc =
        orphaned accepted-but-undecided transaction blocks delivery of
        every later strong timestamp in its group *)
     match t.cert with
-    | Some c when Cert.is_leader c && not (is_syncing t) ->
+    | Some c when not (is_syncing t) ->
         Cert.retry_suspected c ~dc:failed_dc
     | _ -> ()
   end

@@ -264,8 +264,7 @@ let create cfg =
         Array.iteri
           (fun dc (c, _) ->
             if not (Network.dc_failed net dc) then begin
-              if Cert.is_leader c then
-                Cert.retry_stale c ~older_than_us:2_400_000;
+              Cert.retry_stale c ~older_than_us:2_400_000;
               (* no service may prune a decision some live (possibly
                  partitioned) peer has yet to deliver; a crashed DC holds
                  the floor at its pre-crash delivery point for the
@@ -279,7 +278,7 @@ let create cfg =
                   then
                     floor := min !floor (Cert.last_delivered c'))
                 rb_certs;
-              Cert.prune_decided c ~keep_after:(!floor - 1_500_000)
+              Cert.prune_decided c ~floor:!floor
             end)
           rb_certs;
         true);
@@ -297,10 +296,8 @@ let create cfg =
     if not (Network.dc_failed net observer) then begin
       Array.iter (fun r -> Replica.suspect r dc) replicas.(observer);
       retarget_rb observer;
-      if Config.centralized_cert cfg then begin
-        let c, _ = rb_certs.(observer) in
-        if Cert.is_leader c then Cert.retry_suspected c ~dc
-      end
+      if Config.centralized_cert cfg then
+        Cert.retry_suspected (fst rb_certs.(observer)) ~dc
     end
   in
   let on_restore ~observer ~dc =
@@ -563,6 +560,44 @@ let pending_strong t =
 (* Running and measurement.                                             *)
 
 let run t ~until = Engine.run t.eng ~until
+
+(* Message kinds that are always momentarily in flight: failure-detector
+   pings and stability gossip, and the strong-certification family —
+   idle groups keep certifying dummy heartbeat transactions to advance
+   the strong frontier, so accept/deliver traffic never ceases. *)
+let background_kind = function
+  | "fd_ping" | "heartbeat" | "knownvec_global" | "kv_up" | "stable_down"
+  | "accept" | "accept_ack" | "deliver" | "learn_decision" | "decision"
+  | "already_decided" | "prepare_strong" | "nack" ->
+      true
+  | _ -> false
+
+(* Unacknowledged data-plane messages count: on lossy links the tail of
+   causal replication can sit in retransmission for several RTOs after
+   the protocol counters reach zero. *)
+let quiet t =
+  let live dc = not (Network.dc_failed t.net dc) in
+  pending_strong t = 0
+  && (not
+        (List.exists
+           (fun c -> Client.in_flight c && live (Client.dc c))
+           t.clients))
+  && Network.unacked_matching t.net ~f:(fun k -> not (background_kind k)) = 0
+  && not
+       (List.exists
+          (fun dc -> live dc && dc_syncing t dc)
+          (List.init (Config.dcs t.cfg) Fun.id))
+
+(* The periodic tasks never stop, so the engine never runs empty. *)
+let drain t =
+  let tries = ref 16 in
+  while (not (quiet t)) && !tries > 0 do
+    decr tries;
+    run t ~until:(now t + 500_000)
+  done;
+  let quiet = quiet t in
+  run t ~until:(now t + 200_000);
+  quiet
 
 let set_window t ~start ~stop = History.set_window t.history ~start ~stop
 

@@ -32,9 +32,8 @@ val now : t -> int
 val replica : t -> dc:int -> part:int -> Replica.t
 val clients : t -> Client.t list
 
-(** Number of client sessions with a call still outstanding — 0 at
-    quiescence. The exploration harness's liveness oracle asserts this
-    together with {!pending_strong} and {!dc_syncing}. *)
+(** Number of client sessions with a call still outstanding. {!drain}
+    counts only the sessions homed at a live DC. *)
 val clients_in_flight : t -> int
 
 (** Install an initial version of a key at every data center, below
@@ -110,6 +109,12 @@ val pending_strong : t -> int
 
 (** Execute the simulation up to the given simulated time. *)
 val run : t -> until:int -> unit
+
+(** Run 500 ms slices, at most 16, until quiet — no strong
+    certification pending, no call in flight from a session homed at a
+    live DC, no live DC syncing, no unacknowledged data-plane message —
+    then one 200 ms grace slice. Returns whether quiet was reached. *)
+val drain : t -> bool
 
 (** Restrict measurement (throughput window, latency samples) to
     [start, stop) of simulated time. *)

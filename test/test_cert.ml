@@ -272,9 +272,10 @@ let test_prune_decided () =
   prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
   decide bus ~n:1 ~ts:1000 ~dec:true;
   Alcotest.(check int) "one decided" 1 (U.Cert.decided_count (m 0));
-  U.Cert.prune_decided (m 0) ~keep_after:500;
+  let floor ts = ts + U.Decided_log.prune_margin_us in
+  U.Cert.prune_decided (m 0) ~floor:(floor 500);
   Alcotest.(check int) "recent kept" 1 (U.Cert.decided_count (m 0));
-  U.Cert.prune_decided (m 0) ~keep_after:1500;
+  U.Cert.prune_decided (m 0) ~floor:(floor 1500);
   Alcotest.(check int) "old pruned" 0 (U.Cert.decided_count (m 0))
 
 (* A decision learned while rejoining survives until the group state
@@ -642,6 +643,226 @@ let test_all_conflict () =
   Alcotest.(check (pair bool int)) "an empty slice certifies against any snapshot"
     (true, 0) (vote_lc (m 0) 5)
 
+(* ------------------------------------------------------------------ *)
+(* Decided_log against a brute-force reference: random decided
+   histories under each conflict relation, a prune at a random floor,
+   then one certification check; and random interleavings of decisions
+   and deliveries.                                                       *)
+
+module D = U.Decided_log
+
+let gen_vec =
+  QCheck.Gen.(
+    map (fun (a, b, c, s) -> Vc.of_array [| a; b; c; s |])
+      (quad (int_bound 20) (int_bound 20) (int_bound 20) (int_range 1 40)))
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_bound 3)
+      (map
+         (fun (key, cls, write) -> { U.Types.key; cls; write })
+         (triple (int_bound 5) (int_range 1 2) bool)))
+
+let decision ~n ~dec ~ops ~vec ~lc =
+  {
+    U.Msg.ds_tx =
+      { (tx_of ~n [] ~snap:snap0) with st_wbuff = []; st_ops = [ (0, ops) ] };
+    ds_dec = dec;
+    ds_vec = vec;
+    ds_lc = lc;
+  }
+
+let slice ops = List.concat_map snd ops
+let new_log conflict = D.create ~conflict ~ops_slice:slice ~dcs
+
+let gen_check_case =
+  QCheck.Gen.(
+    let gen_decision =
+      map
+        (fun ((n, dec), (ops, vec, lc)) ->
+          decision ~n ~dec:(dec < 3) ~ops ~vec ~lc)
+        (pair
+           (pair (int_bound 30) (int_bound 3))
+           (triple gen_ops gen_vec (int_bound 10)))
+    in
+    quad
+      (oneofl
+         [
+           U.Config.Serializable;
+           U.Config.Write_write;
+           U.Config.Classes [ (1, 1); (1, 2) ];
+           U.Config.All_strong;
+         ])
+      (list_size (int_bound 25) gen_decision)
+      (opt (pair (int_bound 40) (int_bound 20)))
+      (triple gen_ops gen_vec (int_bound 10)))
+
+let print_check_case (spec, ds, prune, (ops, snap, lc)) =
+  let op (o : U.Types.opdesc) =
+    Fmt.str "%d/%d%s" o.key o.cls (if o.write then "w" else "r")
+  in
+  let ops_s ops = String.concat "," (List.map op ops) in
+  Fmt.str "%s; %s; prune %s; check [%s] snap %s lc %d"
+    (match spec with
+    | U.Config.Serializable -> "serializable"
+    | Write_write -> "write-write"
+    | Classes _ -> "classes"
+    | All_strong -> "all-strong")
+    (String.concat "; "
+       (List.map
+          (fun (d : U.Msg.decided_strong) ->
+            Fmt.str "%s %s [%s] %s lc %d" (tid_s d.ds_tx.st_tid.sq)
+              (if d.ds_dec then "commit" else "abort")
+              (ops_s (slice d.ds_tx.st_ops)) (Vc.to_string d.ds_vec) d.ds_lc)
+          ds))
+    (match prune with
+    | None -> "none"
+    | Some (k, c) -> Fmt.str "<= %d covering dc0 <= %d" k c)
+    (ops_s ops) (Vc.to_string snap) lc
+
+(* The check's (vote, lc) equals a fold over every unpruned commit that
+   conflicts, plus the prune-floor rule: the snapshot's strong entry is
+   at least the floor and it covers every pruned decision. Under
+   [All_strong] the running maximum of Lamport clocks is never pruned,
+   so the bump counts pruned commits too. *)
+let check_matches_reference (spec, ds, prune, (ops, snap, lc)) =
+  let log = new_log spec in
+  let fresh =
+    List.filter
+      (fun (d : U.Msg.decided_strong) -> D.add log d)
+      ds
+  in
+  let is_pruned (d : U.Msg.decided_strong) =
+    match prune with
+    | Some (keep_after, cov) ->
+        keep_after > 0
+        && Vc.strong d.ds_vec <= keep_after
+        && Vc.get d.ds_vec 0 <= cov
+    | None -> false
+  in
+  Option.iter
+    (fun (keep_after, cov) ->
+      D.prune log
+        ~covered:(fun v -> Vc.get v 0 <= cov)
+        ~floor:(keep_after + D.prune_margin_us))
+    prune;
+  let pruned_below =
+    match prune with Some (k, _) when k > 0 -> k | _ -> 0
+  in
+  let pruned_vecs = Vc.create ~dcs in
+  List.iter
+    (fun (d : U.Msg.decided_strong) ->
+      if is_pruned d then Vc.merge_into pruned_vecs d.ds_vec)
+    fresh;
+  let commits =
+    List.filter
+      (fun (d : U.Msg.decided_strong) ->
+        d.ds_dec && slice d.ds_tx.st_ops <> [])
+      fresh
+  in
+  let conflicts (d : U.Msg.decided_strong) =
+    spec = U.Config.All_strong
+    || List.exists
+         (fun (o : U.Types.opdesc) ->
+           List.exists
+             (fun (o' : U.Types.opdesc) ->
+               o.key = o'.key && U.Config.ops_conflict spec o o')
+             (slice d.ds_tx.st_ops))
+         ops
+  in
+  let live =
+    List.filter (fun d -> conflicts d && not (is_pruned d)) commits
+  in
+  let bumped =
+    if spec = U.Config.All_strong then commits else live
+  in
+  let expected =
+    if ops = [] then (true, lc)
+    else
+      ( List.for_all
+          (fun (d : U.Msg.decided_strong) -> Vc.leq d.ds_vec snap)
+          live
+        && Vc.strong snap >= pruned_below
+        && Vc.leq pruned_vecs snap,
+        List.fold_left
+          (fun acc (d : U.Msg.decided_strong) -> max acc (d.ds_lc + 1))
+          lc bumped )
+  in
+  D.check log ~ops ~snap ~lc = expected
+  && D.count log
+     = List.length (List.filter (fun d -> not (is_pruned d)) fresh)
+
+type delivery_step = Add of int * bool * int | Deliver of int | Gate of int
+
+(* Deliveries come out in (strong ts, later-queued-first) order: a
+   model queue of the commits decided above the frontier. *)
+let deliveries_match_model steps =
+  let log = new_log U.Config.Serializable in
+  let queue = ref [] and seq = ref 0 and frontier = ref 0 and seen = ref [] in
+  List.for_all
+    (function
+      | Add (n, dec, ts) ->
+          let fresh = D.add log (decision ~n ~dec ~ops:[] ~vec:(strong_vec ts) ~lc:0) in
+          let expected = not (List.mem n !seen) in
+          if expected then begin
+            seen := n :: !seen;
+            if dec && ts > !frontier then begin
+              incr seq;
+              queue := (ts, - !seq, n) :: !queue
+            end
+          end;
+          fresh = expected
+      | Deliver ts ->
+          let due, rest = List.partition (fun (t, _, _) -> t <= ts) !queue in
+          queue := rest;
+          frontier := ts;
+          List.map (fun tx -> tx.U.Types.tx_tid.sq) (D.deliver_upto log ts)
+          = List.map (fun (_, _, n) -> n) (List.sort compare due)
+          && D.last_delivered log = ts
+      | Gate gate ->
+          D.frontier_below log ~gate
+          = List.fold_left
+              (fun acc (t, _, _) ->
+                if t < gate then Some (max t (Option.value acc ~default:t))
+                else acc)
+              None !queue)
+    steps
+
+let gen_delivery_steps =
+  QCheck.Gen.(
+    list_size (int_bound 40)
+      (frequency
+         [
+           ( 4,
+             map
+               (fun (n, dec, ts) -> Add (n, dec, ts))
+               (triple (int_bound 20) bool (int_range 1 30)) );
+           (1, map (fun ts -> Deliver ts) (int_range 1 30));
+           (1, map (fun g -> Gate g) (int_range 1 32));
+         ]))
+
+let print_delivery_steps steps =
+  String.concat "; "
+    (List.map
+       (function
+         | Add (n, dec, ts) -> Fmt.str "add %d %b @%d" n dec ts
+         | Deliver ts -> Fmt.str "deliver %d" ts
+         | Gate g -> Fmt.str "gate %d" g)
+       steps)
+
+let decided_log_properties =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~count:2000
+        ~name:"decided log: check equals a brute-force fold"
+        (QCheck.make ~print:print_check_case gen_check_case)
+        check_matches_reference;
+      QCheck.Test.make ~count:1000
+        ~name:"decided log: deliveries in (ts, later-queued-first) order"
+        (QCheck.make ~print:print_delivery_steps gen_delivery_steps)
+        deliveries_match_model;
+    ]
+
 let suite =
   [
     Alcotest.test_case "leader certifies, members accept" `Quick
@@ -683,4 +904,5 @@ let suite =
       `Quick test_retry_stale_clock;
     Alcotest.test_case "all-conflict relation (REDBLUE)" `Quick
       test_all_conflict;
-  ]
+    ]
+  @ decided_log_properties

@@ -45,6 +45,35 @@ let gen_scenario =
 
 let arb_scenario = QCheck.make ~print:pp_scenario gen_scenario
 
+(* Spawn [sc_clients] sessions, homed round-robin, each running [body i]. *)
+let spawn_clients sys sc body =
+  let running = Array.make sc.sc_clients true in
+  for i = 0 to sc.sc_clients - 1 do
+    ignore
+      (U.System.spawn_client sys ~dc:(i mod sc.sc_dcs) (fun c ->
+           body i c;
+           running.(i) <- false))
+  done;
+  running
+
+(* Run until every session homed at a live DC has finished its body
+   (within the [budget_us] of simulated time), then drain to quiescence.
+   A scenario that does neither fails its case. *)
+let settle sys sc running ~budget_us =
+  let net = U.System.network sys in
+  let finished () =
+    Array.for_all Fun.id
+      (Array.mapi
+         (fun i r -> (not r) || Net.Network.dc_failed net (i mod sc.sc_dcs))
+         running)
+  in
+  while (not (finished ())) && U.System.now sys < budget_us do
+    U.System.run sys ~until:(U.System.now sys + 500_000)
+  done;
+  if not (finished () && U.System.drain sys) then
+    QCheck.Test.fail_reportf "not quiet at %d us: %s" (U.System.now sys)
+      (pp_scenario sc)
+
 (* Run one random workload; returns the system after quiescence. *)
 let run_scenario sc =
   let topo = Net.Topology.n_dcs sc.sc_dcs in
@@ -56,35 +85,30 @@ let run_scenario sc =
   for k = 0 to sc.sc_keys - 1 do
     U.System.preload sys k (Crdt.Reg_write 0)
   done;
-  for i = 0 to sc.sc_clients - 1 do
-    let dc = i mod sc.sc_dcs in
-    ignore
-      (U.System.spawn_client sys ~dc (fun c ->
-           let rng = Sim.Rng.create ((sc.sc_seed * 131) + i) in
-           for _ = 1 to sc.sc_txns do
-             let strong = Sim.Rng.int rng 100 < sc.sc_strong_pct in
-             let rec attempt n =
-               Client.start c ~strong;
-               let ops = 1 + Sim.Rng.int rng 3 in
-               for _ = 1 to ops do
-                 let key = Sim.Rng.int rng sc.sc_keys in
-                 let cls = 1 + Sim.Rng.int rng 2 in
-                 if Sim.Rng.bool rng then
-                   ignore (Client.read ~cls c key)
-                 else
-                   Client.update ~cls c key
-                     (Crdt.Reg_write (Sim.Rng.int rng 1_000))
-               done;
-               match Client.commit c with
-               | `Committed _ -> ()
-               | `Aborted -> if n < 10 then attempt (n + 1)
-             in
-             attempt 0;
-             Sim.Fiber.sleep (Sim.Rng.int rng 50_000)
-           done))
-  done;
-  (* generous quiescence horizon: everything replicates and stabilises *)
-  U.System.run sys ~until:30_000_000;
+  let running =
+    spawn_clients sys sc (fun i c ->
+        let rng = Sim.Rng.create ((sc.sc_seed * 131) + i) in
+        for _ = 1 to sc.sc_txns do
+          let strong = Sim.Rng.int rng 100 < sc.sc_strong_pct in
+          let rec attempt n =
+            Client.start c ~strong;
+            let ops = 1 + Sim.Rng.int rng 3 in
+            for _ = 1 to ops do
+              let key = Sim.Rng.int rng sc.sc_keys in
+              let cls = 1 + Sim.Rng.int rng 2 in
+              if Sim.Rng.bool rng then ignore (Client.read ~cls c key)
+              else
+                Client.update ~cls c key (Crdt.Reg_write (Sim.Rng.int rng 1_000))
+            done;
+            match Client.commit c with
+            | `Committed _ -> ()
+            | `Aborted -> if n < 10 then attempt (n + 1)
+          in
+          attempt 0;
+          Sim.Fiber.sleep (Sim.Rng.int rng 50_000)
+        done)
+  in
+  settle sys sc running ~budget_us:30_000_000;
   sys
 
 let por_holds sc =
@@ -157,34 +181,31 @@ let crash_tolerant sc =
   let crash_at = 50_000 + (sc.sc_seed mod 400_000) in
   Sim.Engine.schedule (U.System.engine sys) ~delay:crash_at (fun () ->
       U.System.fail_dc sys crash_dc);
-  for i = 0 to sc.sc_clients - 1 do
-    let dc = i mod sc.sc_dcs in
-    ignore
-      (U.System.spawn_client sys ~dc (fun c ->
-           let rng = Sim.Rng.create ((sc.sc_seed * 31) + i) in
-           for _ = 1 to sc.sc_txns do
-             let strong = Sim.Rng.int rng 100 < sc.sc_strong_pct in
-             let rec attempt n =
-               Client.start c ~strong;
-               for _ = 1 to 1 + Sim.Rng.int rng 2 do
-                 let key = Sim.Rng.int rng sc.sc_keys in
-                 if Sim.Rng.bool rng then ignore (Client.read c key)
-                 else
-                   Client.update c key (Crdt.Reg_write (Sim.Rng.int rng 1_000))
-               done;
-               match Client.commit c with
-               | `Committed _ -> ()
-               | `Aborted ->
-                   if n < 10 then begin
-                     Sim.Fiber.sleep 100_000;
-                     attempt (n + 1)
-                   end
-             in
-             attempt 0;
-             Sim.Fiber.sleep (Sim.Rng.int rng 50_000)
-           done))
-  done;
-  U.System.run sys ~until:40_000_000;
+  let running =
+    spawn_clients sys sc (fun i c ->
+        let rng = Sim.Rng.create ((sc.sc_seed * 31) + i) in
+        for _ = 1 to sc.sc_txns do
+          let strong = Sim.Rng.int rng 100 < sc.sc_strong_pct in
+          let rec attempt n =
+            Client.start c ~strong;
+            for _ = 1 to 1 + Sim.Rng.int rng 2 do
+              let key = Sim.Rng.int rng sc.sc_keys in
+              if Sim.Rng.bool rng then ignore (Client.read c key)
+              else Client.update c key (Crdt.Reg_write (Sim.Rng.int rng 1_000))
+            done;
+            match Client.commit c with
+            | `Committed _ -> ()
+            | `Aborted ->
+                if n < 10 then begin
+                  Sim.Fiber.sleep 100_000;
+                  attempt (n + 1)
+                end
+          in
+          attempt 0;
+          Sim.Fiber.sleep (Sim.Rng.int rng 50_000)
+        done)
+  in
+  settle sys sc running ~budget_us:40_000_000;
   let h = U.System.history sys in
   let result =
     U.Checker.check ~preloads:(U.History.preloads h)
