@@ -410,6 +410,237 @@ let test_events_per_delivery () =
          done));
   Alcotest.(check int) "all four served" 4 (List.length !log)
 
+(* --- the reliable layer ------------------------------------------------ *)
+
+(* A lossy transport (all rates zero, no jitter) with a meter installed,
+   and a reader for its reliable-layer counters. Virginia -> California
+   is 30.5 ms one way, so a data packet's ack lands 61 ms after the send
+   and the base retransmission timeout is 71 ms. *)
+let metered () =
+  let eng, net = mk () in
+  let f = Net.Network.enable_faults net in
+  let reg = Sim.Metrics.create () in
+  Net.Network.set_meter net reg ~kind_of:(fun _ -> "m") ~size_of:(fun _ -> 8);
+  let count name = Sim.Metrics.counter_value (Sim.Metrics.counter reg name) in
+  (eng, net, f, count)
+
+let lossy_pair eng net =
+  let log = ref [] in
+  let a = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) ignore in
+  let b =
+    Net.Network.register net ~dc:1 ~cost:(fun _ -> 0) (fun (m : int) ->
+        log := (m, Sim.Engine.now eng) :: !log)
+  in
+  (a, b, fun () -> List.rev_map fst !log)
+
+(* Seq 0 dies on a cut; seqs 1-7 arrive behind the gap and draw seven
+   duplicate acks, all landing at 61 ms, before the timeout. The third
+   fast-retransmits the head; the [in_recovery] latch keeps the other
+   four from counting, so the head is resent once, not twice. *)
+let test_fast_retransmit_once () =
+  let eng, net, f, count = metered () in
+  let a, b, delivered = lossy_pair eng net in
+  Net.Faults.partition f 0 1;
+  Net.Network.send net ~src:a ~dst:b 0;
+  Net.Faults.heal f 0 1;
+  for i = 1 to 7 do
+    Net.Network.send net ~src:a ~dst:b i
+  done;
+  Sim.Engine.run eng ~until:70_000;
+  Alcotest.(check int) "duplicate acks counted up to the latch" 3
+    (count "net_dup_acks_total");
+  Alcotest.(check int) "one fast retransmit" 1
+    (count "net_fast_retransmits_total");
+  Sim.Engine.run eng;
+  Alcotest.(check int) "still one fast retransmit" 1
+    (count "net_fast_retransmits_total");
+  Alcotest.(check (list int)) "exactly once, in order" (List.init 8 Fun.id)
+    (delivered ());
+  Alcotest.(check int) "backlog drained" 0 (Net.Network.unacked_backlog net)
+
+(* m0's ack leaves at 30.5 ms on a link with a pinned 50 ms gray delay
+   and lands at 111 ms. The delay is lifted before m1's ack leaves at
+   31.5 ms; that ack lands first, at 62 ms, and acks both. When the
+   overtaken ack lands, m2 is unacked: the stale ack is a duplicate. *)
+let test_overtaken_ack_is_duplicate () =
+  let eng, net, f, count = metered () in
+  let a, b, delivered = lossy_pair eng net in
+  Net.Faults.degrade_link f ~src:1 ~dst:0 ~extra_us:50_000;
+  Net.Network.send net ~src:a ~dst:b 0;
+  Sim.Engine.schedule eng ~delay:1_000 (fun () ->
+      Net.Network.send net ~src:a ~dst:b 1);
+  Sim.Engine.schedule eng ~delay:31_000 (fun () ->
+      Net.Faults.clear_degrade f ~src:1 ~dst:0);
+  Sim.Engine.schedule eng ~delay:100_000 (fun () ->
+      Net.Network.send net ~src:a ~dst:b 2);
+  Sim.Engine.run eng ~until:120_000;
+  Alcotest.(check int) "the overtaken ack counts as a duplicate" 1
+    (count "net_dup_acks_total");
+  Alcotest.(check int) "the later ack stopped the timeout" 0
+    (Net.Network.retransmissions net);
+  Sim.Engine.run eng;
+  Alcotest.(check (list int)) "exactly once, in order" [ 0; 1; 2 ]
+    (delivered ());
+  Alcotest.(check int) "backlog drained" 0 (Net.Network.unacked_backlog net)
+
+(* Acks for m0-m2 land at 61, 62 and 63 ms, each advancing the window by
+   one, while m3 (sent at 50 ms) is still unacked: none is a duplicate.
+   The 71 ms timeout still resends m3, whose duplicate arrival draws an
+   ack after m3's own ack emptied the window. *)
+let test_acks_apply_in_arrival_order () =
+  let eng, net, _, count = metered () in
+  let a, b, delivered = lossy_pair eng net in
+  List.iter
+    (fun (at, m) ->
+      Sim.Engine.schedule eng ~delay:at (fun () ->
+          Net.Network.send net ~src:a ~dst:b m))
+    [ (0, 0); (1_000, 1); (2_000, 2); (50_000, 3) ];
+  Sim.Engine.run eng;
+  Alcotest.(check int) "no duplicate acks" 0 (count "net_dup_acks_total");
+  Alcotest.(check int) "the timeout resent m3" 1
+    (Net.Network.retransmissions net);
+  Alcotest.(check (list int)) "exactly once, in order" [ 0; 1; 2; 3 ]
+    (delivered ());
+  Alcotest.(check int) "backlog drained" 0 (Net.Network.unacked_backlog net)
+
+(* Random lossy runs: four nodes (two share DC 0, so direct and lossy
+   traffic share a CPU), random drop, duplication and gray delay, 5 ms
+   jitter, random per-message costs, one partition that heals and one
+   node restart. Each message carries its channel's epoch pair at send
+   and its index within that pair. Within an epoch pair a channel's
+   handler log must be 0, 1, 2, ... (exactly once, FIFO); it must be
+   complete unless the restart ended the pair; and the reliable layer's
+   backlog must drain. *)
+type lossy_case = {
+  drop : float;
+  dup : float;
+  degrade : float;
+  sends : (int * int * int * int) list;  (* at ms, src, dst, cost us *)
+  cut : int * int * int * int;  (* dc a, dc b, at ms, for ms *)
+  restart : int * int * int;  (* node, at ms, down for ms *)
+}
+
+let lossy_nodes = 4
+let lossy_dc = [| 0; 0; 1; 2 |]
+
+let gen_lossy_case =
+  QCheck.Gen.(
+    let gen_send =
+      map
+        (fun (at, src, d, cost) ->
+          (at, src, (src + 1 + d) mod lossy_nodes, cost))
+        (quad (int_bound 1500) (int_bound 3) (int_bound 2) (int_bound 2000))
+    in
+    map
+      (fun ((drop, dup, degrade), sends, (a, d, at, len), (x, x_at, x_len)) ->
+        {
+          drop;
+          dup;
+          degrade;
+          sends;
+          cut = (a, (a + 1 + d) mod 3, at, len);
+          restart = (x, x_at, 1 + x_len);
+        })
+      (quad
+         (triple (float_bound_inclusive 0.3) (float_bound_inclusive 0.3)
+            (float_bound_inclusive 0.3))
+         (list_size (int_range 1 150) gen_send)
+         (quad (int_bound 2) (int_bound 1) (int_bound 1500) (int_bound 1000))
+         (triple (int_bound 3) (int_bound 1500) (int_bound 500))))
+
+let print_lossy_case c =
+  let a, b, at, len = c.cut and x, x_at, x_len = c.restart in
+  Fmt.str "drop %.2f dup %.2f degrade %.2f; cut dc%d-dc%d @%d ms for %d; \
+           restart n%d @%d ms for %d; sends %s"
+    c.drop c.dup c.degrade a b at len x x_at x_len
+    (String.concat " "
+       (List.map
+          (fun (at, s, d, cost) -> Fmt.str "%d:%d->%d/%d" at s d cost)
+          c.sends))
+
+let lossy_channels_exactly_once_fifo c =
+  let eng, net = mk ~jitter:5_000 () in
+  let f =
+    Net.Faults.of_spec ~dcs:3
+      {
+        Net.Faults.drop_p = c.drop;
+        dup_p = c.dup;
+        degrade_p = c.degrade;
+        degrade_extra_us = 20_000;
+      }
+  in
+  Net.Network.set_faults net f;
+  (* a message is (src, src epoch, dst epoch, index, cost) *)
+  let log = ref [] in
+  let nodes =
+    Array.init lossy_nodes (fun i ->
+        Net.Network.register net ~dc:lossy_dc.(i)
+          ~cost:(fun (_, _, _, _, cost) -> cost)
+          (fun (src, sep, dep, k, _) -> log := ((src, i, sep, dep), k) :: !log))
+  in
+  let epoch = Array.make lossy_nodes 0 in
+  let sent = Hashtbl.create 16 in
+  let at_ms ms fn = Sim.Engine.schedule eng ~delay:(ms * 1_000) fn in
+  List.iter
+    (fun (at, src, dst, cost) ->
+      at_ms at (fun () ->
+          if
+            not
+              (Net.Network.node_down net nodes.(src)
+              || Net.Network.node_down net nodes.(dst))
+          then begin
+            let key = (src, dst, epoch.(src), epoch.(dst)) in
+            let k = Option.value (Hashtbl.find_opt sent key) ~default:0 in
+            Hashtbl.replace sent key (k + 1);
+            Net.Network.send net ~src:nodes.(src) ~dst:nodes.(dst)
+              (src, epoch.(src), epoch.(dst), k, cost)
+          end))
+    c.sends;
+  let a, b, cut_at, cut_len = c.cut in
+  at_ms cut_at (fun () -> Net.Faults.partition f a b);
+  at_ms (cut_at + cut_len) (fun () -> Net.Faults.heal f a b);
+  let x, x_at, x_len = c.restart in
+  at_ms x_at (fun () -> Net.Network.fail_node net nodes.(x));
+  at_ms (x_at + x_len) (fun () ->
+      Net.Network.recover_node net nodes.(x);
+      epoch.(x) <- epoch.(x) + 1);
+  Sim.Engine.run eng;
+  (* newest first in [log], so consing rebuilds each channel's order *)
+  let got = Hashtbl.create 16 in
+  List.iter
+    (fun (key, k) ->
+      Hashtbl.replace got key
+        (k :: Option.value (Hashtbl.find_opt got key) ~default:[]))
+    !log;
+  let backlog = Net.Network.unacked_backlog net in
+  if backlog <> 0 then QCheck.Test.fail_reportf "backlog %d left" backlog;
+  Hashtbl.iter
+    (fun ((src, dst, sep, dep) as key) n ->
+      let ks = Option.value (Hashtbl.find_opt got key) ~default:[] in
+      let m = List.length ks in
+      let live = sep = epoch.(src) && dep = epoch.(dst) in
+      if ks <> List.init m Fun.id || m > n || (live && m <> n) then
+        QCheck.Test.fail_reportf "n%d -> n%d, epochs (%d, %d): sent %d, got [%s]"
+          src dst sep dep n
+          (String.concat "; " (List.map string_of_int ks)))
+    sent;
+  Hashtbl.iter
+    (fun (src, dst, sep, dep) _ ->
+      if not (Hashtbl.mem sent (src, dst, sep, dep)) then
+        QCheck.Test.fail_reportf "n%d -> n%d, epochs (%d, %d): never sent" src
+          dst sep dep)
+    got;
+  true
+
+let lossy_properties =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~count:150
+        ~name:"lossy channels: exactly once, FIFO per epoch pair, backlog drains"
+        (QCheck.make ~print:print_lossy_case gen_lossy_case)
+        lossy_channels_exactly_once_fifo;
+    ]
+
 let suite =
   [
     Alcotest.test_case "WAN latency from the topology" `Quick test_latency;
@@ -445,4 +676,11 @@ let suite =
       `Quick test_restart_during_transit;
     Alcotest.test_case "one event per idle delivery, two per busy one"
       `Quick test_events_per_delivery;
+    Alcotest.test_case "three duplicate acks fast-retransmit the head once"
+      `Quick test_fast_retransmit_once;
+    Alcotest.test_case "an overtaken ack counts as a duplicate" `Quick
+      test_overtaken_ack_is_duplicate;
+    Alcotest.test_case "cumulative acks apply in arrival order" `Quick
+      test_acks_apply_in_arrival_order;
   ]
+  @ lossy_properties
