@@ -98,8 +98,20 @@ let dropped = -2
 (* Sender half of a reliable channel. [unacked] holds sent-but-unacked
    messages in ascending sequence order (a send appends, a cumulative ack
    pops from the head); the retransmission timer walks it with
-   exponential backoff until an ack clears it. *)
+   exponential backoff until an ack clears it.
+
+   Acks in flight that will advance the window when they land are held
+   here rather than scheduled: in arrival order, a ring of [held_len]
+   entries from [held_head], each an arrival time ([held_at]), the
+   engine ticket its event would have had ([held_tk]) and the ack's
+   [upto] ([held_upto]). Landing pops the acked prefix and resets the
+   backoff — no send — so it can wait until something reads the flow,
+   which first lands every held ack whose turn has passed
+   ([apply_held]). The held acks share the flow's epochs: an epoch bump
+   resets the flow. *)
 type 'm tx_flow = {
+  tx_src : 'm node;
+  tx_dst : 'm node;
   mutable next_seq : int;
   unacked : (int * 'm) Queue.t;
   base_rto_us : int;
@@ -107,14 +119,21 @@ type 'm tx_flow = {
   mutable timer_armed : bool;
   mutable dup_acks : int;
   mutable in_recovery : bool;
+  mutable held_at : int array;
+  mutable held_tk : int array;
+  mutable held_upto : int array;
+  mutable held_head : int;
+  mutable held_len : int;
 }
 
 (* Receiver half: next in-order sequence number plus an out-of-order
    buffer. Anything below [expected] (or already buffered) is a duplicate
-   and is suppressed. *)
+   and is suppressed. [acked] is the highest [upto] of the acks sent
+   that are not lost: an ack above it advances the sender's window. *)
 type 'm rx_flow = {
   mutable expected : int;
   ooo : (int, 'm) Hashtbl.t;
+  mutable acked : int;
 }
 
 (* Optional instrumentation sink. When installed, the transport feeds a
@@ -497,111 +516,6 @@ let settle t n ~upto =
     end
   done
 
-(* Before a node or DC changes state, serve every arrival strictly
-   before now under the state in force when it arrived. *)
-let settle_all t =
-  let upto = Sim.Engine.now t.eng - 1 in
-  for addr = 0 to t.node_count - 1 do
-    settle t t.nodes.(addr) ~upto
-  done
-
-let fail_dc t dc =
-  if dc < 0 || dc >= Topology.dcs t.topo then
-    invalid_arg "Network.fail_dc: no such data center";
-  if not t.failed.(dc) then begin
-    settle_all t;
-    t.failed.(dc) <- true;
-    t.failed_at.(dc) <- Sim.Engine.now t.eng
-  end
-
-let dc_failed_at t dc =
-  if dc < 0 || dc >= Topology.dcs t.topo then
-    invalid_arg "Network.dc_failed_at: no such data center";
-  if t.failed.(dc) then Some t.failed_at.(dc) else None
-
-(* Discard every FIFO channel and reliable-layer flow touching a node
-   matched by [matches], on both sides, so post-recovery traffic starts
-   fresh sequence spaces in both directions (resetting only the tx side
-   would leave the peer's rx [expected] suppressing the fresh seq-0
-   sends as duplicates). *)
-let reset_channels t ~matches =
-  let stale tbl =
-    Hashtbl.fold
-      (fun ((src, dst) as key) _ acc ->
-        if matches src || matches dst then key :: acc else acc)
-      tbl []
-  in
-  List.iter (Hashtbl.remove t.fifo) (stale t.fifo);
-  List.iter
-    (fun ((src, dst) as key) ->
-      (match Hashtbl.find_opt t.tx_flows key with
-      | Some fl ->
-          meter_backlog_add t ~src_dc:t.nodes.(src).dc
-            ~dst_dc:t.nodes.(dst).dc
-            (-Queue.length fl.unacked);
-          (* an armed retransmission timer still references this
-             record; emptying it makes the orphaned fire a no-op
-             instead of replaying stale sequence numbers into the
-             fresh flow's sequence space *)
-          Queue.clear fl.unacked
-      | None -> ());
-      Hashtbl.remove t.tx_flows key)
-    (stale t.tx_flows);
-  List.iter (Hashtbl.remove t.rx_flows) (stale t.rx_flows)
-
-(* Revive a crashed data center. Its nodes come back with no in-flight
-   state: every channel touching the DC is reset and pre-crash traffic
-   dies on the epoch check. Messages buffered for the DC while it was
-   down died with the crash — the protocol layer's rejoin recovers the
-   content. *)
-let recover_dc t dc =
-  if dc < 0 || dc >= Topology.dcs t.topo then
-    invalid_arg "Network.recover_dc: no such data center";
-  if t.failed.(dc) then begin
-    settle_all t;
-    t.failed.(dc) <- false;
-    t.failed_at.(dc) <- -1;
-    (* client nodes kept their state through the crash: their epochs and
-       their channels to live DCs are intact and must not be reset *)
-    let member addr =
-      addr >= 0 && addr < t.node_count
-      && t.nodes.(addr).dc = dc
-      && not t.nodes.(addr).client
-    in
-    (* new epoch: anything still in flight from before the crash (stale
-       data packets, cumulative acks) is discarded on arrival *)
-    for addr = 0 to t.node_count - 1 do
-      if member addr then t.nodes.(addr).epoch <- t.nodes.(addr).epoch + 1
-    done;
-    reset_channels t ~matches:member
-  end
-
-(* Node-level failure domain: one machine dies while its DC stays up.
-   Client sessions are not machines of the deployment, so they cannot
-   node-crash. *)
-let fail_node t addr =
-  let n = node t addr in
-  if n.client then invalid_arg "Network.fail_node: client nodes cannot crash";
-  if not n.down then begin
-    settle_all t;
-    n.down <- true
-  end
-
-let node_down t addr = (node t addr).down
-
-(* Restart a crashed machine: like [recover_dc] but scoped to one
-   address — fresh epoch (in-flight pre-crash traffic dies on the epoch
-   check), both-sided channel reset, and an idle CPU. *)
-let recover_node t addr =
-  let n = node t addr in
-  if n.down then begin
-    settle_all t;
-    n.down <- false;
-    n.epoch <- n.epoch + 1;
-    n.busy_until <- 0;
-    reset_channels t ~matches:(fun a -> a = addr)
-  end
-
 (* Base one-way transit time of a physical transmission, jitter included. *)
 let transit_us t ~src_dc ~dst_dc =
   let base = Topology.one_way t.topo ~src:src_dc ~dst:dst_dc in
@@ -708,6 +622,8 @@ let tx_flow t ~src ~dst =
       in
       let fl =
         {
+          tx_src = node t src;
+          tx_dst = node t dst;
           next_seq = 0;
           unacked = Queue.create ();
           base_rto_us = base_rto;
@@ -715,6 +631,11 @@ let tx_flow t ~src ~dst =
           timer_armed = false;
           dup_acks = 0;
           in_recovery = false;
+          held_at = [||];
+          held_tk = [||];
+          held_upto = [||];
+          held_head = 0;
+          held_len = 0;
         }
       in
       Hashtbl.replace t.tx_flows (src, dst) fl;
@@ -724,93 +645,151 @@ let rx_flow t ~src ~dst =
   match Hashtbl.find_opt t.rx_flows (src, dst) with
   | Some rx -> rx
   | None ->
-      let rx = { expected = 0; ooo = Hashtbl.create 8 } in
+      let rx = { expected = 0; ooo = Hashtbl.create 8; acked = -1 } in
       Hashtbl.replace t.rx_flows (src, dst) rx;
       rx
 
+(* The held-ack ring: push at the back, pop from either end. Its
+   capacity is a power of two. *)
+let held_push fl ~at ~tk ~upto =
+  let cap = Array.length fl.held_at in
+  if fl.held_len = cap then begin
+    let cap' = max 4 (2 * cap) in
+    let copy a =
+      Array.init cap' (fun i ->
+          if i < fl.held_len then a.((fl.held_head + i) land (cap - 1)) else 0)
+    in
+    fl.held_at <- copy fl.held_at;
+    fl.held_tk <- copy fl.held_tk;
+    fl.held_upto <- copy fl.held_upto;
+    fl.held_head <- 0
+  end;
+  let i = (fl.held_head + fl.held_len) land (Array.length fl.held_at - 1) in
+  fl.held_at.(i) <- at;
+  fl.held_tk.(i) <- tk;
+  fl.held_upto.(i) <- upto;
+  fl.held_len <- fl.held_len + 1
+
+let held_last fl =
+  (fl.held_head + fl.held_len - 1) land (Array.length fl.held_at - 1)
+
+(* A cumulative ack for [fl] lands at its sender. [unacked] is in
+   ascending sequence order, so the acked prefix is exactly the head run
+   <= upto. *)
+let rec ack_lands t f fl ~upto =
+  let acked = ref 0 in
+  while (not (Queue.is_empty fl.unacked)) && fst (Queue.peek fl.unacked) <= upto do
+    ignore (Queue.take fl.unacked);
+    incr acked
+  done;
+  if !acked > 0 then begin
+    (* progress resets the backoff and ends recovery *)
+    meter_backlog_add t ~src_dc:fl.tx_src.dc ~dst_dc:fl.tx_dst.dc (- !acked);
+    fl.rto_us <- fl.base_rto_us;
+    fl.dup_acks <- 0;
+    fl.in_recovery <- false
+  end
+  else if (not (Queue.is_empty fl.unacked)) && not fl.in_recovery then begin
+    (* duplicate cumulative ack: the receiver sees packets beyond a
+       sequence gap — a lost message, or fresh sends landing right after
+       a partition heals. After three duplicates, retransmit the missing
+       head immediately rather than waiting out the backed-off timeout
+       (TCP fast retransmit); the reset timer resends the rest of the
+       window if the gap is wider than one. The [in_recovery] latch
+       allows one fast retransmit per stall: resends arrive as a burst of
+       further duplicate acks, which must not trigger resends of their
+       own. *)
+    fl.dup_acks <- fl.dup_acks + 1;
+    (match t.meter with None -> () | Some m -> Sim.Metrics.incr m.m_dup_ack);
+    if fl.dup_acks >= 3 then begin
+      fl.dup_acks <- 0;
+      fl.in_recovery <- true;
+      fl.rto_us <- fl.base_rto_us;
+      let s, m = Queue.peek fl.unacked in
+      t.retransmissions <- t.retransmissions + 1;
+      (match t.meter with
+      | None -> ()
+      | Some mt ->
+          Sim.Metrics.incr mt.m_retransmit;
+          Sim.Metrics.incr mt.m_fast_retransmit);
+      transmit t f ~src:fl.tx_src.addr ~dst:fl.tx_dst.addr s m
+    end
+  end
+
+(* Land, in arrival order, every held ack whose event would have run by
+   now. Each one advances the window (see [send_ack]), so none sends.
+   Every change of a node's failure state first lands the acks whose
+   turn came before it ([settle_all]), so the sender's state now is its
+   state at each arrival. *)
+and apply_held t f fl =
+  while
+    fl.held_len > 0
+    && Sim.Engine.passed t.eng ~time:fl.held_at.(fl.held_head)
+         ~ticket:fl.held_tk.(fl.held_head)
+  do
+    let u = fl.held_upto.(fl.held_head) in
+    fl.held_head <- (fl.held_head + 1) land (Array.length fl.held_at - 1);
+    fl.held_len <- fl.held_len - 1;
+    if not (node_failed t fl.tx_src) then ack_lands t f fl ~upto:u
+  done
+
+(* An ack with an event of its own, at its arrival, in the place in the
+   event order of ticket [tk]. *)
+and ack_event t f ~src ~dst ~at ~tk ~upto =
+  let src_node = node t src and dst_node = node t dst in
+  let sep = src_node.epoch and dep = dst_node.epoch in
+  Sim.Engine.schedule_ticket t.eng ~label:(lab_ack t) ~time:at ~ticket:tk
+    (fun () ->
+      if
+        sep = src_node.epoch && dep = dst_node.epoch
+        && not (node_failed t src_node)
+      then
+        match Hashtbl.find_opt t.tx_flows (src, dst) with
+        | None -> ()
+        | Some fl ->
+            apply_held t f fl;
+            ack_lands t f fl ~upto)
+
 (* Cumulative ack for channel (src, dst): everything up to [upto] has
    been received in order. Acks traverse the same faulty links but cost
-   no CPU at the sender (pure transport bookkeeping). *)
-let rec send_ack t ~src ~dst ~upto =
+   no CPU at the sender (pure transport bookkeeping). An ack that
+   advances the window — [upto] above every earlier ack not lost — is
+   held by the sender's flow and costs no event; any other ack gets its
+   own event, so duplicate-ack counting and fast retransmit run at its
+   arrival. A held ack that this one overtakes will no longer advance
+   the window when it lands, so it moves to an event of its own. *)
+and send_ack t f rx ~src ~dst ~upto =
   let src_node = node t src and dst_node = node t dst in
   (* the ack travels dst -> src *)
-  match t.faults with
-  | None -> ()
-  | Some f -> (
-      match Faults.judge f t.rng ~src:dst_node.dc ~dst:src_node.dc with
-      | Faults.Cut | Faults.Lost -> ()  (* lost acks just delay the sender *)
-      | Faults.Deliver { extra_us; _ } ->
-          t.acks_sent <- t.acks_sent + 1;
-          (match t.meter with
-          | None -> ()
-          | Some m -> Sim.Metrics.incr m.m_ack);
-          let delay =
-            transit_us t ~src_dc:dst_node.dc ~dst_dc:src_node.dc + extra_us
-          in
-          let sep = src_node.epoch and dep = dst_node.epoch in
-          Sim.Engine.schedule t.eng ~label:(lab_ack t) ~delay (fun () ->
-              if
-                sep = src_node.epoch && dep = dst_node.epoch
-                && not (node_failed t src_node)
-              then
-                match Hashtbl.find_opt t.tx_flows (src, dst) with
-                | None -> ()
-                | Some fl ->
-                    (* [unacked] is in ascending sequence order, so the
-                       acked prefix is exactly the head run <= upto *)
-                    let acked = ref 0 in
-                    while
-                      (not (Queue.is_empty fl.unacked))
-                      && fst (Queue.peek fl.unacked) <= upto
-                    do
-                      ignore (Queue.take fl.unacked);
-                      incr acked
-                    done;
-                    if !acked > 0 then begin
-                      (* progress resets the backoff and ends recovery *)
-                      meter_backlog_add t ~src_dc:src_node.dc
-                        ~dst_dc:dst_node.dc (- !acked);
-                      fl.rto_us <- fl.base_rto_us;
-                      fl.dup_acks <- 0;
-                      fl.in_recovery <- false
-                    end
-                    else if
-                      (not (Queue.is_empty fl.unacked)) && not fl.in_recovery
-                    then begin
-                      (* duplicate cumulative ack: the receiver sees
-                         packets beyond a sequence gap — a lost message,
-                         or fresh sends landing right after a partition
-                         heals. After three duplicates, retransmit the
-                         missing head immediately rather than waiting
-                         out the backed-off timeout (TCP fast
-                         retransmit); the reset timer resends the rest
-                         of the window if the gap is wider than one.
-                         The [in_recovery] latch allows one fast
-                         retransmit per stall: resends arrive as a burst
-                         of further duplicate acks, which must not
-                         trigger resends of their own. *)
-                      fl.dup_acks <- fl.dup_acks + 1;
-                      (match t.meter with
-                      | None -> ()
-                      | Some m -> Sim.Metrics.incr m.m_dup_ack);
-                      if fl.dup_acks >= 3 then begin
-                        fl.dup_acks <- 0;
-                        fl.in_recovery <- true;
-                        fl.rto_us <- fl.base_rto_us;
-                        let s, m = Queue.peek fl.unacked in
-                        t.retransmissions <- t.retransmissions + 1;
-                        (match t.meter with
-                        | None -> ()
-                        | Some mt ->
-                            Sim.Metrics.incr mt.m_retransmit;
-                            Sim.Metrics.incr mt.m_fast_retransmit);
-                        transmit t f ~src ~dst s m
-                      end
-                    end))
+  match Faults.judge f t.rng ~src:dst_node.dc ~dst:src_node.dc with
+  | Faults.Cut | Faults.Lost -> ()  (* lost acks just delay the sender *)
+  | Faults.Deliver { extra_us; _ } -> (
+      t.acks_sent <- t.acks_sent + 1;
+      (match t.meter with None -> () | Some m -> Sim.Metrics.incr m.m_ack);
+      let at =
+        Sim.Engine.now t.eng
+        + transit_us t ~src_dc:dst_node.dc ~dst_dc:src_node.dc
+        + extra_us
+      in
+      let tk = Sim.Engine.ticket t.eng in
+      match Hashtbl.find_opt t.tx_flows (src, dst) with
+      | None -> ()
+      | Some fl ->
+          while fl.held_len > 0 && fl.held_at.(held_last fl) > at do
+            let i = held_last fl in
+            fl.held_len <- fl.held_len - 1;
+            ack_event t f ~src ~dst ~at:fl.held_at.(i) ~tk:fl.held_tk.(i)
+              ~upto:fl.held_upto.(i)
+          done;
+          if upto > rx.acked then begin
+            rx.acked <- upto;
+            held_push fl ~at ~tk ~upto
+          end
+          else ack_event t f ~src ~dst ~at ~tk ~upto)
 
 (* A data packet reached the destination: deduplicate, deliver in order,
    flush the out-of-order buffer, and ack cumulatively. *)
-and deliver_data t ~src ~dst seq msg =
+and deliver_data t f ~src ~dst seq msg =
   let src_node = node t src and dst_node = node t dst in
   if node_failed t dst_node then
     count_drop t Crash ~src_dc:src_node.dc ~dst_dc:dst_node.dc
@@ -836,7 +815,7 @@ and deliver_data t ~src ~dst seq msg =
       done
     end
     else Hashtbl.replace rx.ooo seq msg;
-    send_ack t ~src ~dst ~upto:(rx.expected - 1)
+    send_ack t f rx ~src ~dst ~upto:(rx.expected - 1)
   end
 
 (* One physical transmission attempt of (seq, msg) on channel (src, dst):
@@ -852,7 +831,7 @@ and transmit t f ~src ~dst seq msg =
       let deliver_after delay =
         Sim.Engine.schedule t.eng ~label:(lab_deliver t) ~delay (fun () ->
             if sep = src_node.epoch && dep = dst_node.epoch then
-              deliver_data t ~src ~dst seq msg)
+              deliver_data t f ~src ~dst seq msg)
       in
       deliver_after (transit_us t ~src_dc ~dst_dc + extra_us);
       if duplicate then deliver_after (transit_us t ~src_dc ~dst_dc + extra_us)
@@ -863,6 +842,7 @@ let rec arm_timer t f ~src ~dst fl =
     Sim.Engine.schedule t.eng ~label:(lab_retransmit t) ~delay:fl.rto_us
       (fun () ->
         fl.timer_armed <- false;
+        apply_held t f fl;
         if not (Queue.is_empty fl.unacked) then begin
           let src_node = node t src and dst_node = node t dst in
           let src_dc = src_node.dc and dst_dc = dst_node.dc in
@@ -895,12 +875,131 @@ let rec arm_timer t f ~src ~dst fl =
 
 let reliable_send t f ~src ~dst msg =
   let fl = tx_flow t ~src ~dst in
+  apply_held t f fl;
   let seq = fl.next_seq in
   fl.next_seq <- seq + 1;
   Queue.add (seq, msg) fl.unacked;
   meter_backlog_add t ~src_dc:(node t src).dc ~dst_dc:(node t dst).dc 1;
   transmit t f ~src ~dst seq msg;
   arm_timer t f ~src ~dst fl
+
+(* ------------------------------------------------------------------ *)
+(* Failures.                                                            *)
+
+(* [apply_held] on every flow. Flows exist only once faults are
+   installed. *)
+let apply_all_held t =
+  match t.faults with
+  | None -> ()
+  | Some f -> Hashtbl.iter (fun _ fl -> apply_held t f fl) t.tx_flows
+
+(* Before a node or DC changes state, serve every arrival strictly
+   before now under the state in force when it arrived: inbox arrivals
+   and held acks. *)
+let settle_all t =
+  let upto = Sim.Engine.now t.eng - 1 in
+  for addr = 0 to t.node_count - 1 do
+    settle t t.nodes.(addr) ~upto
+  done;
+  apply_all_held t
+
+let fail_dc t dc =
+  if dc < 0 || dc >= Topology.dcs t.topo then
+    invalid_arg "Network.fail_dc: no such data center";
+  if not t.failed.(dc) then begin
+    settle_all t;
+    t.failed.(dc) <- true;
+    t.failed_at.(dc) <- Sim.Engine.now t.eng
+  end
+
+let dc_failed_at t dc =
+  if dc < 0 || dc >= Topology.dcs t.topo then
+    invalid_arg "Network.dc_failed_at: no such data center";
+  if t.failed.(dc) then Some t.failed_at.(dc) else None
+
+(* Discard every FIFO channel and reliable-layer flow touching a node
+   matched by [matches], on both sides, so post-recovery traffic starts
+   fresh sequence spaces in both directions (resetting only the tx side
+   would leave the peer's rx [expected] suppressing the fresh seq-0
+   sends as duplicates). *)
+let reset_channels t ~matches =
+  let stale tbl =
+    Hashtbl.fold
+      (fun ((src, dst) as key) _ acc ->
+        if matches src || matches dst then key :: acc else acc)
+      tbl []
+  in
+  List.iter (Hashtbl.remove t.fifo) (stale t.fifo);
+  List.iter
+    (fun ((src, dst) as key) ->
+      (match Hashtbl.find_opt t.tx_flows key with
+      | Some fl ->
+          meter_backlog_add t ~src_dc:t.nodes.(src).dc
+            ~dst_dc:t.nodes.(dst).dc
+            (-Queue.length fl.unacked);
+          (* an armed retransmission timer still references this
+             record; emptying it makes the orphaned fire a no-op
+             instead of replaying stale sequence numbers into the
+             fresh flow's sequence space *)
+          Queue.clear fl.unacked;
+          fl.held_len <- 0
+      | None -> ());
+      Hashtbl.remove t.tx_flows key)
+    (stale t.tx_flows);
+  List.iter (Hashtbl.remove t.rx_flows) (stale t.rx_flows)
+
+(* Revive a crashed data center. Its nodes come back with no in-flight
+   state: every channel touching the DC is reset and pre-crash traffic
+   dies on the epoch check. Messages buffered for the DC while it was
+   down died with the crash — the protocol layer's rejoin recovers the
+   content. *)
+let recover_dc t dc =
+  if dc < 0 || dc >= Topology.dcs t.topo then
+    invalid_arg "Network.recover_dc: no such data center";
+  if t.failed.(dc) then begin
+    settle_all t;
+    t.failed.(dc) <- false;
+    t.failed_at.(dc) <- -1;
+    (* client nodes kept their state through the crash: their epochs and
+       their channels to live DCs are intact and must not be reset *)
+    let member addr =
+      addr >= 0 && addr < t.node_count
+      && t.nodes.(addr).dc = dc
+      && not t.nodes.(addr).client
+    in
+    (* new epoch: anything still in flight from before the crash (stale
+       data packets, cumulative acks) is discarded on arrival *)
+    for addr = 0 to t.node_count - 1 do
+      if member addr then t.nodes.(addr).epoch <- t.nodes.(addr).epoch + 1
+    done;
+    reset_channels t ~matches:member
+  end
+
+(* Node-level failure domain: one machine dies while its DC stays up.
+   Client sessions are not machines of the deployment, so they cannot
+   node-crash. *)
+let fail_node t addr =
+  let n = node t addr in
+  if n.client then invalid_arg "Network.fail_node: client nodes cannot crash";
+  if not n.down then begin
+    settle_all t;
+    n.down <- true
+  end
+
+let node_down t addr = (node t addr).down
+
+(* Restart a crashed machine: like [recover_dc] but scoped to one
+   address — fresh epoch (in-flight pre-crash traffic dies on the epoch
+   check), both-sided channel reset, and an idle CPU. *)
+let recover_node t addr =
+  let n = node t addr in
+  if n.down then begin
+    settle_all t;
+    n.down <- false;
+    n.epoch <- n.epoch + 1;
+    n.busy_until <- 0;
+    reset_channels t ~matches:(fun a -> a = addr)
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -949,12 +1048,14 @@ let duplicates_suppressed t = t.dups_suppressed
 (* In-flight reliable-layer backlog: messages sent but not yet
    acknowledged across all channels (0 once the network is quiescent). *)
 let unacked_backlog t =
+  apply_all_held t;
   Hashtbl.fold (fun _ fl acc -> acc + Queue.length fl.unacked) t.tx_flows 0
 
 let unacked_matching t ~f =
   match t.meter with
   | None -> unacked_backlog t
   | Some m ->
+      apply_all_held t;
       Hashtbl.fold
         (fun _ fl acc ->
           Queue.fold

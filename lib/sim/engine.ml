@@ -30,6 +30,7 @@ type t = {
   queue : (unit -> unit) Heap.t;
   mutable now : int;
   mutable seq : int;
+  mutable cur_seq : int;  (* sequence number of the executing event *)
   mutable stopped : bool;
   rng : Rng.t;
   mutable executed : int;
@@ -51,6 +52,7 @@ let create ?(seed = 42) () =
     queue = Heap.create (fun () -> ());
     now = 0;
     seq = 0;
+    cur_seq = 0;
     stopped = false;
     rng = Rng.create seed;
     executed = 0;
@@ -69,11 +71,30 @@ let prof t = t.prof
 let current_label t = t.cur_label
 let run_wall_seconds t = t.run_wall
 
-let schedule_at t ?(label = Prof.none) ~time f =
-  let time = if time < t.now then t.now else time in
+let ticket t =
   t.seq <- t.seq + 1;
+  t.seq
+
+let schedule_ticket t ?(label = Prof.none) ~time ~ticket f =
+  let time = if time < t.now then t.now else time in
   let tag = if label <> Prof.none then label else t.cur_label in
-  Heap.push t.queue ~time ~seq:t.seq ~tag f
+  Heap.push t.queue ~time ~seq:ticket ~tag f
+
+let schedule_at t ?label ~time f =
+  schedule_ticket t ?label ~time ~ticket:(ticket t) f
+
+(* Inside an event, the keys below the executing event's have had their
+   turn; outside the loop, those at or before now that precede every
+   queued event. *)
+let passed t ~time ~ticket =
+  if t.in_event then time < t.now || (time = t.now && ticket < t.cur_seq)
+  else
+    time < t.now
+    || time = t.now
+       &&
+       match Heap.peek t.queue with
+       | Some e when e.time = t.now -> ticket < e.seq
+       | _ -> true
 
 let schedule t ?(label = Prof.none) ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
@@ -99,10 +120,11 @@ let run ?until t =
              timers) for the rest of the simulation. *)
           t.now <- max t.now limit
       | Some _ ->
-          let { Heap.time; value = f; tag; _ } =
+          let { Heap.time; seq; value = f; tag } =
             Option.get (Heap.pop t.queue)
           in
           t.now <- time;
+          t.cur_seq <- seq;
           t.executed <- t.executed + 1;
           t.in_event <- true;
           if Prof.is_on t.prof then begin

@@ -43,6 +43,25 @@ val schedule : t -> ?label:Prof.label -> delay:int -> (unit -> unit) -> unit
 val schedule_at :
   t -> ?label:Prof.label -> time:int -> (unit -> unit) -> unit
 
+(** {2 Held events}
+
+    A component may keep work that would be an event in a structure of
+    its own and apply it lazily, when something next reads the state it
+    changes, provided it applies it where the event would have run.
+    [ticket t] takes that place: the sequence number {!schedule_at}
+    would draw now, which breaks ties on time. [schedule_ticket] queues
+    an event at a taken place (for held work that turns out to need an
+    event after all), and [passed t ~time ~ticket] tells whether an
+    event at that place would already have run — inside an event, iff
+    it orders before the executing one. *)
+
+val ticket : t -> int
+
+val schedule_ticket :
+  t -> ?label:Prof.label -> time:int -> ticket:int -> (unit -> unit) -> unit
+
+val passed : t -> time:int -> ticket:int -> bool
+
 (** [defer t f] runs [f] right after the executing event's thunk
     returns: at the same instant, before the next queued event, as part
     of that event — it adds nothing to {!executed_events}, and the

@@ -144,6 +144,42 @@ let test_schedule_at_past_clamps () =
   Sim.Engine.run eng;
   Alcotest.(check int) "clamped to now" 100 !fired
 
+(* A ticket takes a place in the event order without queueing anything:
+   [passed] tells whether an event there would have run, inside the loop
+   (before the executing event) and outside it (before every queued
+   event, at or before now); [schedule_ticket] queues an event there. *)
+let test_tickets () =
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  let held = ref [] in
+  Sim.Engine.schedule eng ~delay:10 (fun () ->
+      (* places at 20: before and after the event queued next *)
+      let before = Sim.Engine.ticket eng in
+      Sim.Engine.schedule eng ~delay:10 (fun () ->
+          log := "queued" :: !log;
+          held :=
+            [
+              Sim.Engine.passed eng ~time:20 ~ticket:before;
+              Sim.Engine.passed eng ~time:20 ~ticket:(before + 2);
+            ]);
+      let after = Sim.Engine.ticket eng in
+      Sim.Engine.schedule_ticket eng ~time:20 ~ticket:before (fun () ->
+          log := "first" :: !log);
+      Alcotest.(check bool) "not yet inside the loop" false
+        (Sim.Engine.passed eng ~time:20 ~ticket:after));
+  Sim.Engine.run eng ~until:15;
+  Alcotest.(check bool) "outside the loop: at or before now" true
+    (Sim.Engine.passed eng ~time:15 ~ticket:max_int);
+  Alcotest.(check bool) "outside the loop: not after now" false
+    (Sim.Engine.passed eng ~time:16 ~ticket:0);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "a ticket keeps its place" [ "first"; "queued" ]
+    (List.rev !log);
+  Alcotest.(check (list bool)) "inside: before the executing event only"
+    [ true; false ] !held;
+  Alcotest.(check bool) "outside, drained: everything at now" true
+    (Sim.Engine.passed eng ~time:20 ~ticket:max_int)
+
 let suite =
   [
     Alcotest.test_case "events fire in time order" `Quick test_time_ordering;
@@ -160,6 +196,8 @@ let suite =
       test_negative_delay_rejected;
     Alcotest.test_case "runs are deterministic" `Quick test_determinism;
     Alcotest.test_case "event counters" `Quick test_counters;
+    Alcotest.test_case "tickets hold a place in the event order" `Quick
+      test_tickets;
     Alcotest.test_case "past schedule_at clamps to now" `Quick
       test_schedule_at_past_clamps;
   ]
