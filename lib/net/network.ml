@@ -76,6 +76,10 @@ type 'm node = {
      in which the messages reach the node *)
   mutable inbox : 'm arrival array;
   mutable inbox_len : int;
+  (* what the slots above [inbox_len] hold, so served records and their
+     messages are not kept alive: a dead copy of the node's first
+     arrival, made by its first push *)
+  mutable inbox_hole : 'm arrival option;
 }
 
 (* A message on the direct path, from send until its CPU slot is fixed.
@@ -416,6 +420,7 @@ let register t ?(client = false) ?name ~dc ~cost handler =
       epoch = 0;
       inbox = [||];
       inbox_len = 0;
+      inbox_hole = None;
     }
   in
   if t.node_count = Array.length t.nodes then begin
@@ -448,7 +453,15 @@ let arrives_before a b =
 
 let inbox_push n r =
   if n.inbox_len = Array.length n.inbox then begin
-    let data = Array.make (max 16 (2 * n.inbox_len)) r in
+    let hole =
+      match n.inbox_hole with
+      | Some h -> h
+      | None ->
+          let h = { r with a_finish = dropped } in
+          n.inbox_hole <- Some h;
+          h
+    in
+    let data = Array.make (max 16 (2 * n.inbox_len)) hole in
     Array.blit n.inbox 0 data 0 n.inbox_len;
     n.inbox <- data
   end;
@@ -462,9 +475,7 @@ let inbox_push n r =
   done;
   h.(!i) <- r
 
-(* Remove the earliest arrival. The vacated slot keeps a reference to a
-   record still in the heap (or, once empty, to the popped one), so no
-   filler value is needed. *)
+(* Remove the earliest arrival. The vacated slot gets the node's hole. *)
 let inbox_pop n =
   let h = n.inbox in
   let top = h.(0) in
@@ -489,6 +500,7 @@ let inbox_pop n =
     done;
     h.(!i) <- last
   end;
+  (match n.inbox_hole with Some hole -> h.(len) <- hole | None -> ());
   top
 
 (* Serve every inbox arrival at or before [upto], in arrival order, as
