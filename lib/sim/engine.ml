@@ -75,13 +75,19 @@ let ticket t =
   t.seq <- t.seq + 1;
   t.seq
 
-let schedule_ticket t ?(label = Prof.none) ~time ~ticket f =
+let push t ~label ~time ~ticket f =
   let time = if time < t.now then t.now else time in
   let tag = if label <> Prof.none then label else t.cur_label in
   Heap.push t.queue ~time ~seq:ticket ~tag f
 
-let schedule_at t ?label ~time f =
-  schedule_ticket t ?label ~time ~ticket:(ticket t) f
+(* Both keep their own default for [label]: a defaulted optional
+   argument compiles to an inlined wrapper, so callers passing [~label]
+   allocate no option. *)
+let schedule_ticket t ?(label = Prof.none) ~time ~ticket f =
+  push t ~label ~time ~ticket f
+
+let schedule_at t ?(label = Prof.none) ~time f =
+  push t ~label ~time ~ticket:(ticket t) f
 
 (* Inside an event, the keys below the executing event's have had their
    turn; outside the loop, those at or before now that precede every
