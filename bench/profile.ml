@@ -171,7 +171,9 @@ let run () =
     if total = 0 then 100.0
     else 100.0 *. float_of_int attributed /. float_of_int total
   in
-  let required_labels = [ "net/deliver"; "wal/fsync" ] in
+  (* the churn leg's lossy links and disks: every lossy send arms a
+     retransmission timer *)
+  let required_labels = [ "net/retransmit"; "wal/fsync" ] in
   let labels_present =
     List.for_all
       (fun l -> List.exists (fun e -> e.Prof.e_label = l) merged)

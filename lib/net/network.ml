@@ -7,11 +7,11 @@
    - per-node CPU: a node processes one message at a time, in arrival
      order; each message has a service cost (microseconds) charged to the
      node, so nodes saturate and queueing delay emerges, which is what
-     shapes the throughput/latency curves of §8. A direct-path message
-     costs one engine event when the CPU is idle on arrival and two when
-     it is busy: the send schedules the handler at [arrival + cost], and
-     the per-node arrival inbox settles the FIFO queue lazily (see
-     [settle]);
+     shapes the throughput/latency curves of §8. A message — direct, or
+     one physical copy on a lossy link — costs one engine event when the
+     CPU is idle on arrival and two when it is busy: the send schedules
+     the handler at [arrival + cost], and the per-node arrival inbox
+     settles the FIFO queue lazily (see [settle]);
    - whole-data-center crash failures: a failed DC neither sends nor
      receives from the moment of the crash (§2 considers only whole-DC
      failures).
@@ -29,7 +29,17 @@
      per (src, dst) channel — cumulative acks, timeout with exponential
      backoff, receiver-side reordering and dedup — restoring exactly-once
      FIFO *eventual* delivery, which is all the paper's model promises.
-     Intra-DC links stay reliable (the WAN is the adversary).
+     Intra-DC links stay reliable (the WAN is the adversary). Lossy
+     arrivals join the same inbox; the receiver logic (dedup, reorder,
+     cumulative ack) runs when the inbox serves them. An ack that
+     advances the sender's window costs no event: the sender's flow
+     holds it and lands it when the flow is next read (see [send_ack]).
+     Because an arrival is served up to one service cost after it
+     happens, its ack's fault verdict and jitter are drawn then, not at
+     the arrival: the network RNG stream is consumed in that order, and
+     a partition cut or healed inside that window (rare: it is a few
+     hundred microseconds wide) applies to an ack that left just
+     before.
 
    Dropped messages are counted by cause (DC crash, random loss,
    partition) and optionally reported to a [Sim.Trace.t].
@@ -71,24 +81,22 @@ type 'm node = {
      traffic stamped with an older epoch is discarded on arrival. Client
      nodes never lose state, so their epoch never moves. *)
   mutable epoch : int;
-  (* direct-path arrivals not yet given a CPU slot: a binary min-heap on
-     (arrival time, send seq) in [inbox.(0 .. inbox_len - 1)] — the order
-     in which the messages reach the node *)
+  (* arrivals not yet given a CPU slot, from both paths: a binary
+     min-heap on (arrival time, send seq) in [inbox.(0 .. inbox_len - 1)]
+     — the order in which the messages reach the node *)
   mutable inbox : 'm arrival array;
   mutable inbox_len : int;
-  (* what the slots above [inbox_len] hold, so served records and their
-     messages are not kept alive: a dead copy of the node's first
-     arrival, made by its first push *)
-  mutable inbox_hole : 'm arrival option;
 }
 
-(* A message on the direct path, from send until its CPU slot is fixed.
-   [a_finish] is [unsettled] until [settle] serves it in arrival order,
-   then its handler's finish time, or [dropped]. *)
+(* A message in flight to its node (one physical copy on a lossy link),
+   from send until its CPU slot is fixed. [a_finish] is [unsettled]
+   until [settle] serves it in arrival order, then its handler's finish
+   time, or [dropped]. The service cost is not kept: [cost] is pure, so
+   [settle] recomputes it. *)
 and 'm arrival = {
   a_src : 'm node;
   a_msg : 'm;
-  a_cost : int;  (* the destination's service cost for [a_msg] *)
+  a_rseq : int;  (* reliable-layer sequence number; -1 on the direct path *)
   a_sep : int;  (* source epoch at send *)
   a_dep : int;  (* destination epoch at send *)
   a_at : int;  (* arrival time *)
@@ -182,11 +190,13 @@ type 'm t = {
   (* transport-level profiling labels, interned on first use so the
      profiler can be enabled either before or after [create] *)
   prof : Sim.Prof.t;
-  mutable lab_deliver : Sim.Prof.label;
   mutable lab_ack : Sim.Prof.label;
   mutable lab_retransmit : Sim.Prof.label;
   mutable rto_cap_us : int;  (* retransmission-backoff ceiling *)
-  mutable send_seq : int;  (* direct sends so far: the inbox tie-break *)
+  mutable send_seq : int;  (* arrivals queued so far: the inbox tie-break *)
+  (* what inbox slots above [inbox_len] hold, so served records and their
+     messages are not kept alive: a dead copy of the first arrival *)
+  mutable hole : 'm arrival option;
   mutable sent : int;
   mutable dropped_crash : int;
   mutable dropped_loss : int;
@@ -221,11 +231,11 @@ let create eng topo =
     trace = Sim.Trace.disabled;
     meter = None;
     prof = Sim.Engine.prof eng;
-    lab_deliver = Sim.Prof.none;
     lab_ack = Sim.Prof.none;
     lab_retransmit = Sim.Prof.none;
     rto_cap_us = default_rto_cap_us;
     send_seq = 0;
+    hole = None;
     sent = 0;
     dropped_crash = 0;
     dropped_loss = 0;
@@ -240,16 +250,8 @@ let engine t = t.eng
 
 (* Transport-level attribution labels, interned lazily: [Prof.label]
    returns [none] while the profiler is off, so the memo only sticks
-   once it is on. [net/deliver] labels only the lossy path's arrival
-   events; direct-path deliveries run under their handler's label. *)
-let lab_deliver t =
-  if t.lab_deliver <> Sim.Prof.none then t.lab_deliver
-  else begin
-    let l = Sim.Prof.label t.prof "net/deliver" in
-    t.lab_deliver <- l;
-    l
-  end
-
+   once it is on. Deliveries on either path run under their handler's
+   label, not a transport one. *)
 let lab_ack t =
   if t.lab_ack <> Sim.Prof.none then t.lab_ack
   else begin
@@ -420,7 +422,6 @@ let register t ?(client = false) ?name ~dc ~cost handler =
       epoch = 0;
       inbox = [||];
       inbox_len = 0;
-      inbox_hole = None;
     }
   in
   if t.node_count = Array.length t.nodes then begin
@@ -451,14 +452,14 @@ let node_failed t n = n.down || (t.failed.(n.dc) && not n.client)
 let arrives_before a b =
   a.a_at < b.a_at || (a.a_at = b.a_at && a.a_seq < b.a_seq)
 
-let inbox_push n r =
+let inbox_push t n r =
   if n.inbox_len = Array.length n.inbox then begin
     let hole =
-      match n.inbox_hole with
+      match t.hole with
       | Some h -> h
       | None ->
           let h = { r with a_finish = dropped } in
-          n.inbox_hole <- Some h;
+          t.hole <- Some h;
           h
     in
     let data = Array.make (max 16 (2 * n.inbox_len)) hole in
@@ -475,8 +476,11 @@ let inbox_push n r =
   done;
   h.(!i) <- r
 
-(* Remove the earliest arrival. The vacated slot gets the node's hole. *)
-let inbox_pop n =
+(* Remove the earliest arrival. The vacated slot gets the hole.
+   An array more than four times the inbox is halved, so a burst (a
+   healed partition's resent window) does not keep its high-water array
+   live for the rest of the run. *)
+let inbox_pop t n =
   let h = n.inbox in
   let top = h.(0) in
   let len = n.inbox_len - 1 in
@@ -500,33 +504,17 @@ let inbox_pop n =
     done;
     h.(!i) <- last
   end;
-  (match n.inbox_hole with Some hole -> h.(len) <- hole | None -> ());
+  (match t.hole with
+  | None -> ()
+  | Some hole ->
+      let cap = Array.length h in
+      if cap > 16 && len <= cap / 4 then begin
+        let data = Array.make (cap / 2) hole in
+        Array.blit h 0 data 0 len;
+        n.inbox <- data
+      end
+      else h.(len) <- hole);
   top
-
-(* Serve every inbox arrival at or before [upto], in arrival order, as
-   the node's FIFO CPU would have on arrival: [start = max arrival
-   busy_until], [finish = start + cost]. The arrival-time checks run
-   here: an epoch that moved since the send is a silent drop, a dead
-   destination a counted [Crash] drop. Exact as long as the node's state
-   and epochs have not changed since the arrivals being served — which
-   the failure operations guarantee by settling every inbox first
-   ([settle_all]). *)
-let settle t n ~upto =
-  while n.inbox_len > 0 && n.inbox.(0).a_at <= upto do
-    let r = inbox_pop n in
-    let src = r.a_src in
-    if r.a_sep <> src.epoch || r.a_dep <> n.epoch then r.a_finish <- dropped
-    else if node_failed t n then begin
-      r.a_finish <- dropped;
-      count_drop t Crash ~src_dc:src.dc ~dst_dc:n.dc
-    end
-    else begin
-      let finish = max r.a_at n.busy_until + r.a_cost in
-      n.busy_until <- finish;
-      n.busy_us <- n.busy_us + r.a_cost;
-      r.a_finish <- finish
-    end
-  done
 
 (* Base one-way transit time of a physical transmission, jitter included. *)
 let transit_us t ~src_dc ~dst_dc =
@@ -557,69 +545,24 @@ let label_for t n msg =
       (match t.meter with Some m -> m.kind_of msg | None -> "msg")
   else Sim.Prof.none
 
-(* A message reaching its node now, off the inbox (self-sends and the
-   lossy path's in-order deliveries): serve the inbox's earlier arrivals
-   first, then take the next CPU slot and run the handler once the
-   service time has been paid. *)
-let process t dst_node msg =
-  let now = Sim.Engine.now t.eng in
-  settle t dst_node ~upto:now;
-  let start = max now dst_node.busy_until in
-  let cost = dst_node.cost msg in
-  let finish = start + cost in
-  dst_node.busy_until <- finish;
-  dst_node.busy_us <- dst_node.busy_us + cost;
-  let ep = dst_node.epoch in
-  Sim.Engine.schedule_at t.eng ~label:(label_for t dst_node msg) ~time:finish
-    (fun () -> run_handler t dst_node msg ep)
+(* Take the node's next FIFO CPU slot for [msg], arrived at [at]:
+   [start = max at busy_until], [finish = start + cost]. Returns the
+   finish time. *)
+let take_cpu n ~at msg =
+  let cost = n.cost msg in
+  let finish = max at n.busy_until + cost in
+  n.busy_until <- finish;
+  n.busy_us <- n.busy_us + cost;
+  finish
+
+(* Run [msg]'s handler once its CPU slot ends at [finish]. *)
+let handle_at t n msg ~finish =
+  let ep = n.epoch in
+  Sim.Engine.schedule_at t.eng ~label:(label_for t n msg) ~time:finish
+    (fun () -> run_handler t n msg ep)
 
 (* ------------------------------------------------------------------ *)
-(* Reliable (default) path: FIFO channels, no loss between live DCs.    *)
-
-(* The one event of a direct-path message, scheduled at [arrival + cost]
-   — its finish time if the CPU is idle on arrival. Settling the inbox
-   through the arrival is exact: anything arriving earlier was sent
-   earlier, so it is already queued. A busy CPU pushed the finish later;
-   the event then moves there once (a second event, same label). *)
-let on_arrival t n r () =
-  if r.a_finish = unsettled then settle t n ~upto:r.a_at;
-  let finish = r.a_finish in
-  if finish = Sim.Engine.now t.eng then run_handler t n r.a_msg r.a_dep
-  else if finish <> dropped then
-    Sim.Engine.schedule_at t.eng ~time:finish (fun () ->
-        run_handler t n r.a_msg r.a_dep)
-
-let direct_send t ~src_node ~dst_node msg =
-  let now = Sim.Engine.now t.eng in
-  let arrival = now + transit_us t ~src_dc:src_node.dc ~dst_dc:dst_node.dc in
-  (* FIFO per channel: never deliver before an earlier send's arrival. *)
-  let key = (src_node.addr, dst_node.addr) in
-  let arrival =
-    match Hashtbl.find_opt t.fifo key with
-    | Some last when arrival <= last -> last + 1
-    | _ -> arrival
-  in
-  Hashtbl.replace t.fifo key arrival;
-  t.send_seq <- t.send_seq + 1;
-  let cost = dst_node.cost msg in
-  let r =
-    {
-      a_src = src_node;
-      a_msg = msg;
-      a_cost = cost;
-      a_sep = src_node.epoch;
-      a_dep = dst_node.epoch;
-      a_at = arrival;
-      a_seq = t.send_seq;
-      a_finish = unsettled;
-    }
-  in
-  inbox_push dst_node r;
-  Sim.Engine.schedule_at t.eng ~label:(label_for t dst_node msg)
-    ~time:(arrival + cost) (on_arrival t dst_node r)
-
-(* ------------------------------------------------------------------ *)
-(* Lossy path: ack/retransmission layer over faulty inter-DC links.     *)
+(* Reliable layer: acks and retransmission over lossy inter-DC links.  *)
 
 let tx_flow t ~src ~dst =
   match Hashtbl.find_opt t.tx_flows (src, dst) with
@@ -685,10 +628,120 @@ let held_push fl ~at ~tk ~upto =
 let held_last fl =
   (fl.held_head + fl.held_len - 1) land (Array.length fl.held_at - 1)
 
+(* ------------------------------------------------------------------ *)
+(* Arrivals. Both paths queue a message in its node's inbox with one
+   event, at [arrival + cost] — its finish time if the CPU is idle on
+   arrival; [settle] serves the inbox in arrival order.                 *)
+
+(* Queue [msg], reaching [dst_node] at [at]. [rseq] is its reliable-layer
+   sequence number on a lossy link, -1 on the direct path. *)
+let rec push_arrival t ~src_node ~dst_node ~rseq ~at msg =
+  t.send_seq <- t.send_seq + 1;
+  let r =
+    {
+      a_src = src_node;
+      a_msg = msg;
+      a_rseq = rseq;
+      a_sep = src_node.epoch;
+      a_dep = dst_node.epoch;
+      a_at = at;
+      a_seq = t.send_seq;
+      a_finish = unsettled;
+    }
+  in
+  inbox_push t dst_node r;
+  Sim.Engine.schedule_at t.eng ~label:(label_for t dst_node msg)
+    ~time:(at + dst_node.cost msg) (on_arrival t dst_node r)
+
+(* The arrival's one event. Settling the inbox through the arrival is
+   exact: anything arriving earlier was queued before this event, which
+   is at or after its arrival. A busy CPU pushed the finish later; the
+   event then moves there once (a second event, same label). A dropped
+   arrival — stale epoch, dead node, lossy duplicate or packet beyond a
+   gap — makes this event a no-op. *)
+and on_arrival t n r () =
+  if r.a_finish = unsettled then settle t n ~upto:r.a_at;
+  let finish = r.a_finish in
+  if finish = Sim.Engine.now t.eng then run_handler t n r.a_msg r.a_dep
+  else if finish <> dropped then
+    Sim.Engine.schedule_at t.eng ~time:finish (fun () ->
+        run_handler t n r.a_msg r.a_dep)
+
+(* Serve every inbox arrival at or before [upto], in arrival order, as
+   the node's FIFO CPU would have on arrival. The arrival-time checks run
+   here: an epoch that moved since the send is a silent drop, a dead
+   destination a counted [Crash] drop. Exact as long as the node's state
+   and epochs have not changed since the arrivals being served — which
+   the failure operations guarantee by settling every inbox first
+   ([settle_all]). *)
+and settle t n ~upto =
+  while n.inbox_len > 0 && n.inbox.(0).a_at <= upto do
+    let r = inbox_pop t n in
+    let src = r.a_src in
+    if r.a_sep <> src.epoch || r.a_dep <> n.epoch then r.a_finish <- dropped
+    else if node_failed t n then begin
+      r.a_finish <- dropped;
+      count_drop t Crash ~src_dc:src.dc ~dst_dc:n.dc
+    end
+    else if r.a_rseq < 0 then r.a_finish <- take_cpu n ~at:r.a_at r.a_msg
+    else receive t n r
+  done
+
+(* A lossy-link packet's turn at its node. A duplicate is suppressed; the
+   next packet in sequence takes the CPU and releases what the
+   out-of-order buffer holds behind it, each with a handler event of its
+   own at its finish (never in the past: the packet's own event, at or
+   after now, is no later than its finish); a packet beyond a gap waits
+   in the buffer. Then the cumulative ack leaves, as of the arrival. *)
+and receive t n r =
+  let src = r.a_src.addr and seq = r.a_rseq in
+  let rx = rx_flow t ~src ~dst:n.addr in
+  if seq < rx.expected || Hashtbl.mem rx.ooo seq then begin
+    r.a_finish <- dropped;
+    t.dups_suppressed <- t.dups_suppressed + 1;
+    match t.meter with
+    | None -> ()
+    | Some m -> Sim.Metrics.incr m.m_dup_suppressed
+  end
+  else if seq = rx.expected then begin
+    r.a_finish <- take_cpu n ~at:r.a_at r.a_msg;
+    rx.expected <- seq + 1;
+    let released = ref true in
+    while !released do
+      match Hashtbl.find_opt rx.ooo rx.expected with
+      | Some m ->
+          Hashtbl.remove rx.ooo rx.expected;
+          rx.expected <- rx.expected + 1;
+          handle_at t n m ~finish:(take_cpu n ~at:r.a_at m)
+      | None -> released := false
+    done
+  end
+  else begin
+    r.a_finish <- dropped;
+    Hashtbl.replace rx.ooo seq r.a_msg
+  end;
+  send_ack t rx ~src ~dst:n.addr ~at:r.a_at ~upto:(rx.expected - 1)
+
+(* One physical transmission attempt of (seq, msg) on [fl]'s channel:
+   the fault model decides loss, partition, gray delay and
+   duplication. *)
+and transmit t f fl seq msg =
+  let src_dc = fl.tx_src.dc and dst_dc = fl.tx_dst.dc in
+  match Faults.judge f t.rng ~src:src_dc ~dst:dst_dc with
+  | Faults.Cut -> count_drop t Partition ~src_dc ~dst_dc
+  | Faults.Lost -> count_drop t Loss ~src_dc ~dst_dc
+  | Faults.Deliver { extra_us; duplicate } ->
+      let arrive () =
+        let at = Sim.Engine.now t.eng + transit_us t ~src_dc ~dst_dc + extra_us in
+        push_arrival t ~src_node:fl.tx_src ~dst_node:fl.tx_dst ~rseq:seq ~at msg
+      in
+      arrive ();
+      if duplicate then arrive ()
+
 (* A cumulative ack for [fl] lands at its sender. [unacked] is in
    ascending sequence order, so the acked prefix is exactly the head run
    <= upto. *)
-let rec ack_lands t f fl ~upto =
+and ack_lands t f fl ~upto =
   let acked = ref 0 in
   while (not (Queue.is_empty fl.unacked)) && fst (Queue.peek fl.unacked) <= upto do
     ignore (Queue.take fl.unacked);
@@ -724,7 +777,7 @@ let rec ack_lands t f fl ~upto =
       | Some mt ->
           Sim.Metrics.incr mt.m_retransmit;
           Sim.Metrics.incr mt.m_fast_retransmit);
-      transmit t f ~src:fl.tx_src.addr ~dst:fl.tx_dst.addr s m
+      transmit t f fl s m
     end
   end
 
@@ -770,85 +823,58 @@ and ack_event t f ~src ~dst ~at ~tk ~upto =
    own event, so duplicate-ack counting and fast retransmit run at its
    arrival. A held ack that this one overtakes will no longer advance
    the window when it lands, so it moves to an event of its own. *)
-and send_ack t f rx ~src ~dst ~upto =
+and send_ack t rx ~src ~dst ~at ~upto =
   let src_node = node t src and dst_node = node t dst in
-  (* the ack travels dst -> src *)
-  match Faults.judge f t.rng ~src:dst_node.dc ~dst:src_node.dc with
-  | Faults.Cut | Faults.Lost -> ()  (* lost acks just delay the sender *)
-  | Faults.Deliver { extra_us; _ } -> (
-      t.acks_sent <- t.acks_sent + 1;
-      (match t.meter with None -> () | Some m -> Sim.Metrics.incr m.m_ack);
-      let at =
-        Sim.Engine.now t.eng
-        + transit_us t ~src_dc:dst_node.dc ~dst_dc:src_node.dc
-        + extra_us
-      in
-      let tk = Sim.Engine.ticket t.eng in
-      match Hashtbl.find_opt t.tx_flows (src, dst) with
-      | None -> ()
-      | Some fl ->
-          while fl.held_len > 0 && fl.held_at.(held_last fl) > at do
-            let i = held_last fl in
-            fl.held_len <- fl.held_len - 1;
-            ack_event t f ~src ~dst ~at:fl.held_at.(i) ~tk:fl.held_tk.(i)
-              ~upto:fl.held_upto.(i)
-          done;
-          if upto > rx.acked then begin
-            rx.acked <- upto;
-            held_push fl ~at ~tk ~upto
-          end
-          else ack_event t f ~src ~dst ~at ~tk ~upto)
+  match t.faults with
+  | None -> ()
+  | Some f -> (
+      (* the ack travels dst -> src *)
+      match Faults.judge f t.rng ~src:dst_node.dc ~dst:src_node.dc with
+      | Faults.Cut | Faults.Lost -> ()  (* lost acks just delay the sender *)
+      | Faults.Deliver { extra_us; _ } -> (
+          t.acks_sent <- t.acks_sent + 1;
+          (match t.meter with None -> () | Some m -> Sim.Metrics.incr m.m_ack);
+          (* [at] is at most one service cost ago, well inside any WAN
+             transit; the clamp only guards a zero-latency topology *)
+          let at =
+            max (Sim.Engine.now t.eng)
+              (at
+              + transit_us t ~src_dc:dst_node.dc ~dst_dc:src_node.dc
+              + extra_us)
+          in
+          let tk = Sim.Engine.ticket t.eng in
+          match Hashtbl.find_opt t.tx_flows (src, dst) with
+          | None -> ()
+          | Some fl ->
+              while fl.held_len > 0 && fl.held_at.(held_last fl) > at do
+                let i = held_last fl in
+                fl.held_len <- fl.held_len - 1;
+                ack_event t f ~src ~dst ~at:fl.held_at.(i) ~tk:fl.held_tk.(i)
+                  ~upto:fl.held_upto.(i)
+              done;
+              if upto > rx.acked then begin
+                rx.acked <- upto;
+                held_push fl ~at ~tk ~upto
+              end
+              else ack_event t f ~src ~dst ~at ~tk ~upto))
 
-(* A data packet reached the destination: deduplicate, deliver in order,
-   flush the out-of-order buffer, and ack cumulatively. *)
-and deliver_data t f ~src ~dst seq msg =
-  let src_node = node t src and dst_node = node t dst in
-  if node_failed t dst_node then
-    count_drop t Crash ~src_dc:src_node.dc ~dst_dc:dst_node.dc
-  else begin
-    let rx = rx_flow t ~src ~dst in
-    if seq < rx.expected || Hashtbl.mem rx.ooo seq then begin
-      t.dups_suppressed <- t.dups_suppressed + 1;
-      match t.meter with
-      | None -> ()
-      | Some m -> Sim.Metrics.incr m.m_dup_suppressed
-    end
-    else if seq = rx.expected then begin
-      process t dst_node msg;
-      rx.expected <- rx.expected + 1;
-      let continue = ref true in
-      while !continue do
-        match Hashtbl.find_opt rx.ooo rx.expected with
-        | Some m ->
-            Hashtbl.remove rx.ooo rx.expected;
-            process t dst_node m;
-            rx.expected <- rx.expected + 1
-        | None -> continue := false
-      done
-    end
-    else Hashtbl.replace rx.ooo seq msg;
-    send_ack t f rx ~src ~dst ~upto:(rx.expected - 1)
-  end
+(* ------------------------------------------------------------------ *)
+(* Sending.                                                             *)
 
-(* One physical transmission attempt of (seq, msg) on channel (src, dst):
-   the fault model decides loss, partition, gray delay and duplication. *)
-and transmit t f ~src ~dst seq msg =
-  let src_node = node t src and dst_node = node t dst in
-  let src_dc = src_node.dc and dst_dc = dst_node.dc in
-  match Faults.judge f t.rng ~src:src_dc ~dst:dst_dc with
-  | Faults.Cut -> count_drop t Partition ~src_dc ~dst_dc
-  | Faults.Lost -> count_drop t Loss ~src_dc ~dst_dc
-  | Faults.Deliver { extra_us; duplicate } ->
-      let sep = src_node.epoch and dep = dst_node.epoch in
-      let deliver_after delay =
-        Sim.Engine.schedule t.eng ~label:(lab_deliver t) ~delay (fun () ->
-            if sep = src_node.epoch && dep = dst_node.epoch then
-              deliver_data t f ~src ~dst seq msg)
-      in
-      deliver_after (transit_us t ~src_dc ~dst_dc + extra_us);
-      if duplicate then deliver_after (transit_us t ~src_dc ~dst_dc + extra_us)
+let direct_send t ~src_node ~dst_node msg =
+  let now = Sim.Engine.now t.eng in
+  let arrival = now + transit_us t ~src_dc:src_node.dc ~dst_dc:dst_node.dc in
+  (* FIFO per channel: never deliver before an earlier send's arrival. *)
+  let key = (src_node.addr, dst_node.addr) in
+  let arrival =
+    match Hashtbl.find_opt t.fifo key with
+    | Some last when arrival <= last -> last + 1
+    | _ -> arrival
+  in
+  Hashtbl.replace t.fifo key arrival;
+  push_arrival t ~src_node ~dst_node ~rseq:(-1) ~at:arrival msg
 
-let rec arm_timer t f ~src ~dst fl =
+let rec arm_timer t f fl =
   if (not fl.timer_armed) && not (Queue.is_empty fl.unacked) then begin
     fl.timer_armed <- true;
     Sim.Engine.schedule t.eng ~label:(lab_retransmit t) ~delay:fl.rto_us
@@ -856,13 +882,12 @@ let rec arm_timer t f ~src ~dst fl =
         fl.timer_armed <- false;
         apply_held t f fl;
         if not (Queue.is_empty fl.unacked) then begin
-          let src_node = node t src and dst_node = node t dst in
-          let src_dc = src_node.dc and dst_dc = dst_node.dc in
-          if node_failed t src_node then begin
+          let src_dc = fl.tx_src.dc and dst_dc = fl.tx_dst.dc in
+          if node_failed t fl.tx_src then begin
             meter_backlog_add t ~src_dc ~dst_dc (-Queue.length fl.unacked);
             Queue.clear fl.unacked
           end
-          else if node_failed t dst_node then begin
+          else if node_failed t fl.tx_dst then begin
             (* the peer crashed: everything buffered is lost with it *)
             Queue.iter
               (fun _ -> count_drop t Crash ~src_dc ~dst_dc)
@@ -877,10 +902,10 @@ let rec arm_timer t f ~src ~dst fl =
                 (match t.meter with
                 | None -> ()
                 | Some m -> Sim.Metrics.incr m.m_retransmit);
-                transmit t f ~src ~dst seq msg)
+                transmit t f fl seq msg)
               fl.unacked;
             fl.rto_us <- min (2 * fl.rto_us) t.rto_cap_us;
-            arm_timer t f ~src ~dst fl
+            arm_timer t f fl
           end
         end)
   end
@@ -891,9 +916,9 @@ let reliable_send t f ~src ~dst msg =
   let seq = fl.next_seq in
   fl.next_seq <- seq + 1;
   Queue.add (seq, msg) fl.unacked;
-  meter_backlog_add t ~src_dc:(node t src).dc ~dst_dc:(node t dst).dc 1;
-  transmit t f ~src ~dst seq msg;
-  arm_timer t f ~src ~dst fl
+  meter_backlog_add t ~src_dc:fl.tx_src.dc ~dst_dc:fl.tx_dst.dc 1;
+  transmit t f fl seq msg;
+  arm_timer t f fl
 
 (* ------------------------------------------------------------------ *)
 (* Failures.                                                            *)
@@ -1043,7 +1068,11 @@ let send t ~src ~dst msg =
    service cost is still charged (the CPU does the work). *)
 let send_self t ~node:addr msg =
   let n = node t addr in
-  if not (node_failed t n) then process t n msg
+  if not (node_failed t n) then begin
+    let now = Sim.Engine.now t.eng in
+    settle t n ~upto:now;
+    handle_at t n msg ~finish:(take_cpu n ~at:now msg)
+  end
 
 let messages_sent t = t.sent
 

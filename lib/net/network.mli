@@ -8,7 +8,9 @@
     those links to a sequence-numbered ack/retransmission layer that
     restores exactly-once FIFO {e eventual} delivery — the guarantee the
     paper's eventual-delivery links actually provide. Intra-DC traffic
-    stays reliable and direct.
+    stays reliable and direct. A lossy-link packet costs the same engine
+    events as a direct message; an ack that advances the sender's window
+    costs none.
 
     Parametric in the message type. *)
 
@@ -40,7 +42,10 @@ val engine : 'm t -> Sim.Engine.t
     [~name] is the node's profiling identity: handler-execution events
     are attributed to ["<name>/handle:<kind>"] (kind from the installed
     meter's [kind_of], or ["msg"] without one). Defaults to
-    ["node<addr>"]. *)
+    ["node<addr>"]. Every delivery, on reliable and lossy links alike,
+    runs as one such event when the CPU is idle on arrival.
+
+    [cost] must be pure: it is evaluated more than once per message. *)
 val register :
   'm t ->
   ?client:bool ->

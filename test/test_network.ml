@@ -503,10 +503,12 @@ let test_acks_apply_in_arrival_order () =
     (delivered ());
   Alcotest.(check int) "backlog drained" 0 (Net.Network.unacked_backlog net)
 
-(* Engine events of the reliable layer. The ack that advances the window
-   is held by the sender's flow and costs no event; a duplicate's ack
-   does not advance it and runs as its own event. With [dup_p] = 1 every
-   data packet arrives twice, at 30.5 ms; the acks land at 61 ms, before
+(* Engine events of the reliable layer. A lossy packet to an idle CPU is
+   one event, under its handler's label, as on the direct path. The ack
+   that advances the window is held by the sender's flow and costs no
+   event; a duplicate's ack does not advance it and runs as its own
+   event. With [dup_p] = 1 every data packet arrives twice, at 30.5 ms
+   (the second copy's event is a no-op); the acks land at 61 ms, before
    the 71 ms timeout. *)
 let test_events_per_ack () =
   let eng, net, f, count = metered () in
@@ -517,14 +519,16 @@ let test_events_per_ack () =
     Sim.Engine.executed_events eng - e0
   in
   Net.Network.send net ~src:a ~dst:b 0;
-  ignore (delta 35_000);
+  Alcotest.(check int) "a lossy message to an idle CPU: one event" 1
+    (delta 35_000);
   Alcotest.(check int) "an advancing ack: no event" 0 (delta 70_000);
   Alcotest.(check int) "the window is empty" 0 (Net.Network.unacked_backlog net);
   Sim.Engine.run eng;
   Net.Faults.set_dup f 1.0;
   let t0 = Sim.Engine.now eng in
   Net.Network.send net ~src:a ~dst:b 1;
-  ignore (delta (t0 + 35_000));
+  Alcotest.(check int) "a packet and its duplicate: one event each" 2
+    (delta (t0 + 35_000));
   Alcotest.(check int) "a duplicate's ack: one event" 1 (delta (t0 + 70_000));
   Sim.Engine.run eng;
   Alcotest.(check int) "one duplicate suppressed" 1
@@ -710,7 +714,7 @@ let suite =
       test_overtaken_ack_is_duplicate;
     Alcotest.test_case "cumulative acks apply in arrival order" `Quick
       test_acks_apply_in_arrival_order;
-    Alcotest.test_case "an advancing ack costs no event, a duplicate one"
+    Alcotest.test_case "lossy events: one per packet, none per advancing ack"
       `Quick test_events_per_ack;
   ]
   @ lossy_properties

@@ -168,9 +168,9 @@ let test_gc_noise_clamped () =
 
 (* The protocol stack attributes ~everything: handlers, timers, fibers,
    network internals all carry labels, and nothing is dropped. On
-   reliable links a delivery is one event under its handler's label
-   ("dcN/replica/handle:<kind>"); only the lossy transport's arrivals
-   run as "net/deliver". *)
+   reliable and lossy links alike a delivery is one event under its
+   handler's label ("dcN/replica/handle:<kind>"); no transport arrival
+   event ("net/deliver") exists. *)
 let test_stack_coverage () =
   let _, entries = run_profiled_system () in
   let labels = List.map (fun e -> e.Prof.e_label) entries in
@@ -194,8 +194,18 @@ let test_stack_coverage () =
   let _, lossy =
     run_profiled_system ~link_faults:Net.Faults.clean_spec ()
   in
-  Alcotest.(check bool) "lossy-link deliveries" true
-    (List.exists (fun e -> e.Prof.e_label = "net/deliver") lossy);
+  let lossy_has label =
+    List.exists (fun e -> e.Prof.e_label = label) lossy
+  in
+  Alcotest.(check bool) "lossy-link deliveries: no arrival event" false
+    (lossy_has "net/deliver");
+  (* replication from dc0 crosses the lossy WAN links only *)
+  for dc = 1 to 2 do
+    Alcotest.(check bool)
+      (Fmt.str "lossy-link deliveries run as dc%d replica handlers" dc)
+      true
+      (lossy_has (Fmt.str "dc%d/replica/handle:replicate" dc))
+  done;
   let total = List.fold_left (fun a e -> a + e.Prof.e_events) 0 entries in
   let other =
     match List.find_opt (fun e -> e.Prof.e_label = "other") entries with
