@@ -69,6 +69,7 @@ type 'm node = {
   lab_cache : (string, Sim.Prof.label) Hashtbl.t;
   cost : 'm -> int;
   handler : 'm -> unit;
+  (* the last CPU slot's finish time; [idle] when there is none *)
   mutable busy_until : int;
   mutable processed : int;
   mutable busy_us : int;
@@ -106,6 +107,7 @@ and 'm arrival = {
 
 let unsettled = -1
 let dropped = -2
+let idle = -1
 
 (* Sender half of a reliable channel. [unacked] holds sent-but-unacked
    messages in ascending sequence order (a send appends, a cumulative ack
@@ -415,7 +417,7 @@ let register t ?(client = false) ?name ~dc ~cost handler =
       lab_cache = Hashtbl.create 8;
       cost;
       handler;
-      busy_until = 0;
+      busy_until = idle;
       processed = 0;
       busy_us = 0;
       down = false;
@@ -547,10 +549,13 @@ let label_for t n msg =
 
 (* Take the node's next FIFO CPU slot for [msg], arrived at [at]:
    [start = max at busy_until], [finish = start + cost]. Returns the
-   finish time. *)
+   finish time. A zero-cost message queued behind another finishes 1 µs
+   after it: one node's handler events never share an instant, so time
+   order alone runs them in slot order, whichever order their events
+   were scheduled in. Positive costs never need the bump. *)
 let take_cpu n ~at msg =
   let cost = n.cost msg in
-  let finish = max at n.busy_until + cost in
+  let finish = max (max at n.busy_until + cost) (n.busy_until + 1) in
   n.busy_until <- finish;
   n.busy_us <- n.busy_us + cost;
   finish
@@ -694,8 +699,8 @@ and settle t n ~upto =
    after now, is no later than its finish); a packet beyond a gap waits
    in the buffer. Then the cumulative ack leaves, as of the arrival. *)
 and receive t n r =
-  let src = r.a_src.addr and seq = r.a_rseq in
-  let rx = rx_flow t ~src ~dst:n.addr in
+  let seq = r.a_rseq in
+  let rx = rx_flow t ~src:r.a_src.addr ~dst:n.addr in
   if seq < rx.expected || Hashtbl.mem rx.ooo seq then begin
     r.a_finish <- dropped;
     t.dups_suppressed <- t.dups_suppressed + 1;
@@ -720,7 +725,8 @@ and receive t n r =
     r.a_finish <- dropped;
     Hashtbl.replace rx.ooo seq r.a_msg
   end;
-  send_ack t rx ~src ~dst:n.addr ~at:r.a_at ~upto:(rx.expected - 1)
+  send_ack t rx ~src_node:r.a_src ~dst_node:n ~at:r.a_at
+    ~upto:(rx.expected - 1)
 
 (* One physical transmission attempt of (seq, msg) on [fl]'s channel:
    the fault model decides loss, partition, gray delay and
@@ -732,7 +738,9 @@ and transmit t f fl seq msg =
   | Faults.Lost -> count_drop t Loss ~src_dc ~dst_dc
   | Faults.Deliver { extra_us; duplicate } ->
       let arrive () =
-        let at = Sim.Engine.now t.eng + transit_us t ~src_dc ~dst_dc + extra_us in
+        let at =
+          Sim.Engine.now t.eng + transit_us t ~src_dc ~dst_dc + extra_us
+        in
         push_arrival t ~src_node:fl.tx_src ~dst_node:fl.tx_dst ~rseq:seq ~at msg
       in
       arrive ();
@@ -743,7 +751,9 @@ and transmit t f fl seq msg =
    <= upto. *)
 and ack_lands t f fl ~upto =
   let acked = ref 0 in
-  while (not (Queue.is_empty fl.unacked)) && fst (Queue.peek fl.unacked) <= upto do
+  while
+    (not (Queue.is_empty fl.unacked)) && fst (Queue.peek fl.unacked) <= upto
+  do
     ignore (Queue.take fl.unacked);
     incr acked
   done;
@@ -798,33 +808,32 @@ and apply_held t f fl =
     if not (node_failed t fl.tx_src) then ack_lands t f fl ~upto:u
   done
 
-(* An ack with an event of its own, at its arrival, in the place in the
-   event order of ticket [tk]. *)
-and ack_event t f ~src ~dst ~at ~tk ~upto =
-  let src_node = node t src and dst_node = node t dst in
-  let sep = src_node.epoch and dep = dst_node.epoch in
+(* An ack for [fl] with an event of its own, at its arrival, in the
+   place in the event order of ticket [tk]. The flow is reset exactly
+   when an end's epoch moves, so unchanged epochs mean [fl] is still
+   the channel's flow. *)
+and ack_event t f fl ~at ~tk ~upto =
+  let sep = fl.tx_src.epoch and dep = fl.tx_dst.epoch in
   Sim.Engine.schedule_ticket t.eng ~label:(lab_ack t) ~time:at ~ticket:tk
     (fun () ->
       if
-        sep = src_node.epoch && dep = dst_node.epoch
-        && not (node_failed t src_node)
-      then
-        match Hashtbl.find_opt t.tx_flows (src, dst) with
-        | None -> ()
-        | Some fl ->
-            apply_held t f fl;
-            ack_lands t f fl ~upto)
+        sep = fl.tx_src.epoch && dep = fl.tx_dst.epoch
+        && not (node_failed t fl.tx_src)
+      then begin
+        apply_held t f fl;
+        ack_lands t f fl ~upto
+      end)
 
-(* Cumulative ack for channel (src, dst): everything up to [upto] has
-   been received in order. Acks traverse the same faulty links but cost
-   no CPU at the sender (pure transport bookkeeping). An ack that
+(* Cumulative ack for channel (src_node, dst_node), leaving [dst_node] as
+   of [at]: everything up to [upto] has been received in order. Acks
+   traverse the same faulty links but cost no CPU at the sender (pure
+   transport bookkeeping). An ack that
    advances the window — [upto] above every earlier ack not lost — is
    held by the sender's flow and costs no event; any other ack gets its
    own event, so duplicate-ack counting and fast retransmit run at its
    arrival. A held ack that this one overtakes will no longer advance
    the window when it lands, so it moves to an event of its own. *)
-and send_ack t rx ~src ~dst ~at ~upto =
-  let src_node = node t src and dst_node = node t dst in
+and send_ack t rx ~src_node ~dst_node ~at ~upto =
   match t.faults with
   | None -> ()
   | Some f -> (
@@ -843,20 +852,20 @@ and send_ack t rx ~src ~dst ~at ~upto =
               + extra_us)
           in
           let tk = Sim.Engine.ticket t.eng in
-          match Hashtbl.find_opt t.tx_flows (src, dst) with
+          match Hashtbl.find_opt t.tx_flows (src_node.addr, dst_node.addr) with
           | None -> ()
           | Some fl ->
               while fl.held_len > 0 && fl.held_at.(held_last fl) > at do
                 let i = held_last fl in
                 fl.held_len <- fl.held_len - 1;
-                ack_event t f ~src ~dst ~at:fl.held_at.(i) ~tk:fl.held_tk.(i)
+                ack_event t f fl ~at:fl.held_at.(i) ~tk:fl.held_tk.(i)
                   ~upto:fl.held_upto.(i)
               done;
               if upto > rx.acked then begin
                 rx.acked <- upto;
                 held_push fl ~at ~tk ~upto
               end
-              else ack_event t f ~src ~dst ~at ~tk ~upto))
+              else ack_event t f fl ~at ~tk ~upto))
 
 (* ------------------------------------------------------------------ *)
 (* Sending.                                                             *)
@@ -1034,7 +1043,7 @@ let recover_node t addr =
     settle_all t;
     n.down <- false;
     n.epoch <- n.epoch + 1;
-    n.busy_until <- 0;
+    n.busy_until <- idle;
     reset_channels t ~matches:(fun a -> a = addr)
   end
 

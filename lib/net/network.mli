@@ -45,7 +45,9 @@ val engine : 'm t -> Sim.Engine.t
     ["node<addr>"]. Every delivery, on reliable and lossy links alike,
     runs as one such event when the CPU is idle on arrival.
 
-    [cost] must be pure: it is evaluated more than once per message. *)
+    [cost] must be pure: it is evaluated more than once per message.
+    Handlers run in arrival order; a zero-cost message that queues
+    behind another finishes 1 µs after it. *)
 val register :
   'm t ->
   ?client:bool ->

@@ -13,13 +13,17 @@
    Self-profiling ([Sim.Prof]): every event carries an attribution
    label. An event scheduled without an explicit label inherits the
    label of the event currently executing, so labelling the roots
-   (periodic timers, message handlers, the lossy transport's arrivals,
-   fiber spawns, disk completions) attributes the whole downstream
-   cascade. With the
-   profiler disabled — the default — the cost is one integer compare
-   per schedule and one branch per executed event, and labels are all
-   [Prof.none]; event ordering is identical either way, so enabling
-   profiling never changes a run's simulated behaviour.
+   (periodic timers, message handlers, fiber spawns, disk completions)
+   attributes the whole downstream cascade. With the profiler disabled
+   — the default — the cost is one integer compare per schedule and one
+   branch per executed event, and labels are all [Prof.none]; event
+   ordering is identical either way, so enabling profiling never changes
+   a run's simulated behaviour.
+
+   Held events ([ticket], [schedule_ticket], [passed]): a component may
+   keep work that would be an event and apply it lazily, at the place
+   in the (time, seq) order a ticket reserved for it — the network's
+   acks that advance a reliable window are held this way.
 
    [run] also accrues the wall-clock time spent inside the event loop
    ([run_wall_seconds]); the bench harness divides executed events by

@@ -173,7 +173,8 @@ let test_tickets () =
   Alcotest.(check bool) "outside the loop: not after now" false
     (Sim.Engine.passed eng ~time:16 ~ticket:0);
   Sim.Engine.run eng;
-  Alcotest.(check (list string)) "a ticket keeps its place" [ "first"; "queued" ]
+  Alcotest.(check (list string))
+    "a ticket keeps its place" [ "first"; "queued" ]
     (List.rev !log);
   Alcotest.(check (list bool)) "inside: before the executing event only"
     [ true; false ] !held;

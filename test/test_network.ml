@@ -410,6 +410,27 @@ let test_events_per_delivery () =
          done));
   Alcotest.(check int) "all four served" 4 (List.length !log)
 
+(* Handlers of one node run in arrival order even when a zero-cost
+   message queues behind another. m1 arrives at 100 behind [big] (CPU
+   busy until 200) and finishes at 205; its event, due at 105, moves
+   there. m2, sent at 105 (before that move was scheduled), arrives at
+   205 and costs nothing: it finishes 1 µs after m1 rather than at the
+   same instant, where its older event would run it first. *)
+let test_zero_cost_keeps_fifo () =
+  let eng, net = mk () in
+  let log = ref [] in
+  let b = fifo_node eng net log in
+  let a = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) ignore in
+  let x = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) ignore in
+  Sim.Engine.schedule eng ~delay:105 (fun () ->
+      Net.Network.send net ~src:a ~dst:b ("m2", 0));
+  Net.Network.send net ~src:x ~dst:b ("big", 100);
+  Net.Network.send net ~src:a ~dst:b ("m1", 5);
+  Sim.Engine.run eng;
+  Alcotest.check served_t "served in arrival order"
+    [ ("big", 200); ("m1", 205); ("m2", 206) ]
+    (served log)
+
 (* --- the reliable layer ------------------------------------------------ *)
 
 (* A lossy transport (all rates zero, no jitter) with a meter installed,
@@ -522,7 +543,8 @@ let test_events_per_ack () =
   Alcotest.(check int) "a lossy message to an idle CPU: one event" 1
     (delta 35_000);
   Alcotest.(check int) "an advancing ack: no event" 0 (delta 70_000);
-  Alcotest.(check int) "the window is empty" 0 (Net.Network.unacked_backlog net);
+  Alcotest.(check int) "the window is empty" 0
+    (Net.Network.unacked_backlog net);
   Sim.Engine.run eng;
   Net.Faults.set_dup f 1.0;
   let t0 = Sim.Engine.now eng in
@@ -652,8 +674,8 @@ let lossy_channels_exactly_once_fifo c =
       let m = List.length ks in
       let live = sep = epoch.(src) && dep = epoch.(dst) in
       if ks <> List.init m Fun.id || m > n || (live && m <> n) then
-        QCheck.Test.fail_reportf "n%d -> n%d, epochs (%d, %d): sent %d, got [%s]"
-          src dst sep dep n
+        QCheck.Test.fail_reportf
+          "n%d -> n%d, epochs (%d, %d): sent %d, got [%s]" src dst sep dep n
           (String.concat "; " (List.map string_of_int ks)))
     sent;
   Hashtbl.iter
@@ -668,7 +690,8 @@ let lossy_properties =
   List.map QCheck_alcotest.to_alcotest
     [
       QCheck.Test.make ~count:150
-        ~name:"lossy channels: exactly once, FIFO per epoch pair, backlog drains"
+        ~name:
+          "lossy channels: exactly once, FIFO per epoch pair, backlog drains"
         (QCheck.make ~print:print_lossy_case gen_lossy_case)
         lossy_channels_exactly_once_fifo;
     ]
@@ -708,6 +731,8 @@ let suite =
       `Quick test_restart_during_transit;
     Alcotest.test_case "one event per idle delivery, two per busy one"
       `Quick test_events_per_delivery;
+    Alcotest.test_case "zero-cost messages keep FIFO handler order" `Quick
+      test_zero_cost_keeps_fifo;
     Alcotest.test_case "three duplicate acks fast-retransmit the head once"
       `Quick test_fast_retransmit_once;
     Alcotest.test_case "an overtaken ack counts as a duplicate" `Quick
