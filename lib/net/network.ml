@@ -573,17 +573,17 @@ let tx_flow t ~src ~dst =
   match Hashtbl.find_opt t.tx_flows (src, dst) with
   | Some fl -> fl
   | None ->
-      let src_dc = (node t src).dc and dst_dc = (node t dst).dc in
+      let src_node = node t src and dst_node = node t dst in
       (* initial timeout: a full round trip plus jitter and slack *)
       let base_rto =
-        (2 * Topology.one_way t.topo ~src:src_dc ~dst:dst_dc)
+        (2 * Topology.one_way t.topo ~src:src_node.dc ~dst:dst_node.dc)
         + (2 * Topology.jitter_us t.topo)
         + 10_000
       in
       let fl =
         {
-          tx_src = node t src;
-          tx_dst = node t dst;
+          tx_src = src_node;
+          tx_dst = dst_node;
           next_seq = 0;
           unacked = Queue.create ();
           base_rto_us = base_rto;
