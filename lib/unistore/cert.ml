@@ -8,8 +8,10 @@
    [Decided_log]; the leader certifies new transactions against both,
    the coordinator ([Strong_coord]) collects quorums of ACCEPT_ACKs, and
    committed updates are delivered to replicas in strong-timestamp order
-   with no gaps. The set of prepared transactions is small — it only
-   holds in-flight certifications.
+   with no gaps. A saturated group holds a hundred prepared entries, so
+   the ones voting commit are indexed by the keys they touch here, as
+   [Decided_log] indexes decided ones: the leader's check costs time in
+   the transaction's footprint, not in the prepared set.
 
    The module is written against a [ctx] of closures so it stays free of
    a dependency on the replica module that embeds it. *)
@@ -66,9 +68,14 @@ let status_name = function
   | Recovering -> "recovering"
   | Restoring -> "restoring"
 
-(* An accepted-but-undecided entry and its RETRY clock: when it was
-   accepted here or last re-certified. *)
-type accepted = { p : Msg.prepared_strong; mutable since : int }
+(* An accepted-but-undecided entry, its operations at this group (sliced
+   once) and its RETRY clock: when it was accepted here or last
+   re-certified. *)
+type accepted = {
+  p : Msg.prepared_strong;
+  ops : Types.opdesc list;
+  mutable since : int;
+}
 
 type t = {
   ctx : ctx;
@@ -77,6 +84,10 @@ type t = {
   mutable cballot : int;
   mutable trusted : int;  (* Ω: the data center currently trusted *)
   prepared : (Types.tid, accepted) Hashtbl.t;
+  (* the prepared entries voting commit with operations here, by the
+     keys they touch; under [All_strong] only their number *)
+  voting_by_key : (Store.Keyspace.key, accepted list) Hashtbl.t;
+  mutable voting : int;
   decided : Decided_log.t;
   mutable last_ts : int;  (* leader: last proposed strong timestamp *)
   mutable do_not_wait : Types.tid list;
@@ -108,6 +119,8 @@ let create ~bid_interval_us ctx ~leader_dc =
     cballot = leader_dc;
     trusted = leader_dc;
     prepared = Hashtbl.create 32;
+    voting_by_key = Hashtbl.create 16;
+    voting = 0;
     decided =
       Decided_log.create ~conflict:ctx.x_conflict ~ops_slice:ctx.x_ops_slice
         ~dcs:ctx.x_dcs;
@@ -139,8 +152,41 @@ let idle_since t = t.last_activity
 let prune_decided ?covered t ~floor =
   Decided_log.prune ?covered t.decided ~floor
 
+(* The index follows [prepared] at its three mutation points:
+   [add_prepared], [decide_prepared] and [install_state]. An entry with
+   two operations on one key is listed twice and dropped twice. *)
+let rec drop e = function
+  | [] -> []
+  | e' :: rest -> if e' == e then rest else e' :: drop e rest
+
+let rec index_ops t e ~add = function
+  | [] -> ()
+  | (o : Types.opdesc) :: ops ->
+      let es =
+        Option.value ~default:[] (Hashtbl.find_opt t.voting_by_key o.key)
+      in
+      (match if add then e :: es else drop e es with
+      | [] -> Hashtbl.remove t.voting_by_key o.key
+      | es -> Hashtbl.replace t.voting_by_key o.key es);
+      index_ops t e ~add ops
+
+let index t e ~add =
+  if e.p.ps_vote && e.ops <> [] then
+    if t.ctx.x_conflict = Config.All_strong then
+      t.voting <- (t.voting + if add then 1 else -1)
+    else index_ops t e ~add e.ops
+
+(* A re-ACCEPT replaces the entry: the old record leaves the index. *)
 let add_prepared t (p : Msg.prepared_strong) =
-  Hashtbl.replace t.prepared p.ps_tx.st_tid { p; since = t.ctx.x_now () }
+  let tid = p.ps_tx.st_tid in
+  (match Hashtbl.find_opt t.prepared tid with
+  | Some old -> index t old ~add:false
+  | None -> ());
+  let e =
+    { p; ops = t.ctx.x_ops_slice p.ps_tx.st_ops; since = t.ctx.x_now () }
+  in
+  Hashtbl.replace t.prepared tid e;
+  index t e ~add:true
 
 let broadcast t msg =
   for dc = 0 to t.ctx.x_dcs - 1 do
@@ -165,20 +211,35 @@ let add_decided t (d : Msg.decided_strong) =
 (* Certification check (Algorithm A8): a transaction commits only if its
    snapshot includes every conflicting committed transaction
    ([Decided_log.check]), and no conflicting transaction is concurrently
-   prepared to commit.                                                   *)
+   prepared to commit. Every relation but [All_strong] relates
+   operations on one key only, so the prepared side looks up only the
+   transaction's own keys in the index.                                  *)
 
 let certification_check t (tx : Msg.strong_tx) ~lc =
   let ops = t.ctx.x_ops_slice tx.st_ops in
-  if
-    Hashtbl.fold
-      (fun ptid { p; _ } acc ->
-        acc
-        || p.ps_vote
-           && (not (Types.tid_equal ptid tx.st_tid))
-           && Config.txs_conflict t.ctx.x_conflict ops
-                (t.ctx.x_ops_slice p.ps_tx.st_ops))
-      t.prepared false
-  then (false, lc)
+  let prepared_conflict () =
+    if t.ctx.x_conflict = Config.All_strong then
+      let own =
+        match Hashtbl.find_opt t.prepared tx.st_tid with
+        | Some e when e.p.ps_vote && e.ops <> [] -> 1
+        | _ -> 0
+      in
+      t.voting > own
+    else
+      List.exists
+        (fun (o : Types.opdesc) ->
+          match Hashtbl.find_opt t.voting_by_key o.key with
+          | None -> false
+          | Some es ->
+              List.exists
+                (fun e ->
+                  (not (Types.tid_equal e.p.ps_tx.st_tid tx.st_tid))
+                  && List.exists (Config.ops_conflict t.ctx.x_conflict o) e.ops)
+                es)
+        ops
+  in
+  if ops = [] then (true, lc)
+  else if prepared_conflict () then (false, lc)
   else Decided_log.check t.decided ~ops ~snap:tx.st_snap ~lc
 
 (* ------------------------------------------------------------------ *)
@@ -327,9 +388,10 @@ let decided_of (p : Msg.prepared_strong) ~dec ~vec ~lc =
   { Msg.ds_tx = p.ps_tx; ds_dec = dec; ds_vec = vec; ds_lc = lc }
 
 (* Move an accepted transaction to the decided log. *)
-let decide_prepared t (p : Msg.prepared_strong) ~dec ~vec ~lc =
-  Hashtbl.remove t.prepared p.ps_tx.st_tid;
-  add_decided t (decided_of p ~dec ~vec ~lc)
+let decide_prepared t e ~dec ~vec ~lc =
+  index t e ~add:false;
+  Hashtbl.remove t.prepared e.p.ps_tx.st_tid;
+  add_decided t (decided_of e.p ~dec ~vec ~lc)
 
 (* Re-run the 2PC of a prepared entry from here, restarting its RETRY
    clock. The clock is bumped in place: callers iterate [prepared]. *)
@@ -369,7 +431,7 @@ let end_restoring t =
    Restoring carries the entries the flip frees. *)
 let lead_decision t ~tid ~dec ~vec ~lc =
   (match Hashtbl.find_opt t.prepared tid with
-  | Some { p; _ } -> decide_prepared t p ~dec ~vec ~lc
+  | Some e -> decide_prepared t e ~dec ~vec ~lc
   | None -> ());
   end_restoring t;
   let upto = deliver_ready t in
@@ -411,8 +473,7 @@ let handle_learn_decision t ~b ~tid ~dec ~vec ~lc ~upto =
   else if b <= t.ballot then begin
     (match Hashtbl.find_opt t.prepared tid with
     | None -> ()  (* already decided or never accepted here *)
-    | Some { p; _ } when t.status = Follower ->
-        decide_prepared t p ~dec ~vec ~lc
+    | Some e when t.status = Follower -> decide_prepared t e ~dec ~vec ~lc
     | Some _ ->
         (* A leader learning a decision from an older ballot's leader
            relays it under its own ballot, ahead of any frontier above
@@ -510,6 +571,8 @@ let handle_new_leader t ~b ~from ~from_dc =
    installed prepared entries whose decision was learned meanwhile. *)
 let install_state ?delivered t ~prepared ~decided =
   Hashtbl.reset t.prepared;
+  Hashtbl.reset t.voting_by_key;
+  t.voting <- 0;
   Decided_log.reset ?delivered t.decided;
   List.iter (add_decided t) decided;
   List.iter
@@ -520,7 +583,7 @@ let install_state ?delivered t ~prepared ~decided =
     (fun tid (dec, vec, lc) ->
       match Hashtbl.find_opt t.prepared tid with
       | None -> ()
-      | Some { p; _ } -> decide_prepared t p ~dec ~vec ~lc)
+      | Some e -> decide_prepared t e ~dec ~vec ~lc)
     t.learned;
   Hashtbl.reset t.learned
 

@@ -19,6 +19,9 @@ type bus = {
   mutable certify_calls : U.Types.tid list;
   (* the continuation of every [x_certify] call, newest first *)
   mutable certify_ks : (U.Cert.cert_result -> unit) list;
+  (* while [park] is set, [x_at_clock] waits here instead of running *)
+  mutable park : bool;
+  mutable parked : (unit -> unit) list;
 }
 
 let dcs = 3
@@ -33,6 +36,8 @@ let make_bus () =
     clock = 100;
     certify_calls = [];
     certify_ks = [];
+    park = false;
+    parked = [];
   }
 
 let rec pump bus =
@@ -82,7 +87,13 @@ let make_member ?(conflict = U.Config.Serializable) bus dc =
                 :: bus.delivered)
             txs;
           if txs = [] then bus.delivered <- (strong_ts, "dummy") :: bus.delivered);
-      x_at_clock = (fun ts k -> bus.clock <- max bus.clock ts; k ());
+      x_at_clock =
+        (fun ts k ->
+          let run () =
+            bus.clock <- max bus.clock ts;
+            k ()
+          in
+          if bus.park then bus.parked <- run :: bus.parked else run ());
       x_certify =
         (fun ~caller:_ tx ~lc:_ ~k ->
           bus.certify_calls <- tx.U.Msg.st_tid :: bus.certify_calls;
@@ -863,6 +874,288 @@ let decided_log_properties =
         deliveries_match_model;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The prepared side of the leader's check against a brute-force
+   reference. Random ACCEPTs, re-ACCEPTs with a flipped vote or a new
+   coordinator, decisions and re-elections through a restart run under
+   each conflict relation; at every check the leader's vote equals a
+   [Config.txs_conflict] fold over the entries it holds prepared. The
+   check's snapshot covers every decision, so the decided side always
+   votes commit.                                                        *)
+
+type model_step =
+  | M_accept of U.Types.opdesc list * bool  (* a fresh transaction, vote *)
+  | M_reaccept of int * bool  (* pick; flip the vote, else new coordinator *)
+  | M_decide of int * bool  (* pick, decision *)
+  | M_check of U.Types.opdesc list * bool option
+      (* a fresh transaction; [Some vote]: its own ACCEPT lands while the
+         leader waits to certify it *)
+  | M_reelect of reelect
+
+(* A node restart, then an election this member wins. [disk] names the
+   fate of replayed accepts, [learned] decisions reach it while it
+   recovers, and one peer acks with [peer_cb] added to this member's
+   cballot and its own prepared and decided entries. *)
+and reelect = {
+  disk : (int * bool) list;
+  learned : (int * bool) list;
+  peer_cb : int;
+  peer_prepared : (int * bool) list;
+  peer_decided : (int * bool) list;
+}
+
+let snap_all = Vc.of_array [| 1_000_000; 1_000_000; 1_000_000; 1_000_000 |]
+
+let model_tx n ops ~snap =
+  { (tx_of ~n [] ~snap) with st_wbuff = []; st_ops = [ (0, ops) ] }
+
+let prepared_of (tx : U.Msg.strong_tx) ~vote ~coord =
+  { U.Msg.ps_tx = tx; ps_coord = coord; ps_vote = vote; ps_ts = 50; ps_lc = 0 }
+
+let decided_of_tx (tx : U.Msg.strong_tx) ~dec =
+  { U.Msg.ds_tx = tx; ds_dec = dec; ds_vec = strong_vec 60; ds_lc = 1 }
+
+let reference_vote spec m (tx : U.Msg.strong_tx) =
+  let _, _, prepared = U.Cert.persistent_state m in
+  not
+    (List.exists
+       (fun (p : U.Msg.prepared_strong) ->
+         p.ps_vote
+         && (not (U.Types.tid_equal p.ps_tx.st_tid tx.st_tid))
+         && U.Config.txs_conflict spec (slice tx.st_ops)
+              (slice p.ps_tx.st_ops))
+       prepared)
+
+let find_prepared m n =
+  let _, _, prepared = U.Cert.persistent_state m in
+  List.find_opt
+    (fun (p : U.Msg.prepared_strong) ->
+      U.Types.tid_equal p.ps_tx.st_tid (tid n))
+    prepared
+
+let run_model (spec, steps) =
+  let bus = make_bus () in
+  let m = make_member ~conflict:spec bus 0 in
+  bus.members.(0) <- Some m;
+  let handle msg =
+    U.Cert.handle m msg;
+    pump bus
+  in
+  let known = ref [||] in
+  let fresh ops ~snap =
+    let tx = model_tx (Array.length !known + 1) ops ~snap in
+    known := Array.append !known [| tx |];
+    tx
+  in
+  (* a step's pick names one of the transactions seen so far *)
+  let pick i =
+    let k = Array.length !known in
+    if k = 0 then None else Some !known.(i mod k)
+  in
+  let picks l f =
+    List.filter_map (fun (i, v) -> Option.map (fun tx -> f tx v) (pick i)) l
+  in
+  let reelect r =
+    let ballot, cballot, prepared = U.Cert.persistent_state m in
+    let disk = picks r.disk (fun tx dec -> (tx.U.Msg.st_tid, dec)) in
+    let decision tid =
+      Option.map
+        (fun dec -> (dec, strong_vec 60, 1))
+        (List.assoc_opt tid disk)
+    in
+    U.Cert.restart m ~decision ~ballot ~cballot ~prepared ~delivered:0;
+    List.iter handle
+      (picks r.learned (fun tx dec ->
+           U.Msg.Learn_decision
+             {
+               b = ballot;
+               tid = tx.st_tid;
+               dec;
+               vec = strong_vec 60;
+               lc = 1;
+               upto = 0;
+             }));
+    U.Cert.set_trusted m 1;
+    U.Cert.set_trusted m 0;
+    pump bus;
+    let b = U.Cert.ballot m in
+    handle
+      (U.Msg.New_leader_ack
+         {
+           b;
+           cballot = cballot + r.peer_cb;
+           prepared =
+             picks r.peer_prepared (fun tx vote ->
+                 prepared_of tx ~vote ~coord:98);
+           decided =
+             picks r.peer_decided (fun tx dec -> decided_of_tx tx ~dec);
+           from = 1;
+         });
+    handle (U.Msg.New_state_ack { b; from = 1 });
+    let ks = bus.certify_ks in
+    bus.certify_ks <- [];
+    List.iter (fun k -> k U.Cert.Unknown) ks;
+    pump bus
+  in
+  let accept tx ~vote =
+    handle
+      (U.Msg.Accept
+         { b = U.Cert.ballot m; rid = 0; p = prepared_of tx ~vote ~coord:98 })
+  in
+  let check ops own =
+    let tx = fresh ops ~snap:snap_all in
+    let prepare =
+      U.Msg.Prepare_strong
+        { rid = 0; caller = U.Msg.Normal; coord = 98; tx; lc = 0 }
+    in
+    Option.iter
+      (fun vote ->
+        bus.park <- true;
+        handle prepare;
+        bus.park <- false;
+        accept tx ~vote)
+      own;
+    let expected = reference_vote spec m tx in
+    if own = None then handle prepare
+    else begin
+      let parked = bus.parked in
+      bus.parked <- [];
+      List.iter (fun run -> run ()) parked;
+      pump bus
+    end;
+    match find_prepared m tx.st_tid.sq with
+    | Some p -> p.ps_vote = expected
+    | None -> false
+  in
+  List.for_all
+    (fun step ->
+      let b = U.Cert.ballot m in
+      match step with
+      | M_accept (ops, vote) ->
+          accept (fresh ops ~snap:snap0) ~vote;
+          true
+      | M_reaccept (i, flip) ->
+          Option.iter
+            (fun (tx : U.Msg.strong_tx) ->
+              let p =
+                match find_prepared m tx.st_tid.sq with
+                | Some p when flip -> { p with ps_vote = not p.ps_vote }
+                | Some p -> { p with ps_coord = p.ps_coord + 1 }
+                | None -> prepared_of tx ~vote:true ~coord:98
+              in
+              handle (U.Msg.Accept { b; rid = 0; p }))
+            (pick i);
+          true
+      | M_decide (i, dec) ->
+          Option.iter
+            (fun (tx : U.Msg.strong_tx) ->
+              handle
+                (U.Msg.Decision
+                   { b; tid = tx.st_tid; dec; vec = strong_vec 60; lc = 1 }))
+            (pick i);
+          true
+      | M_check (ops, own) -> check ops own
+      | M_reelect r ->
+          reelect r;
+          U.Cert.is_leader m)
+    steps
+
+let gen_model_case =
+  QCheck.Gen.(
+    let pick_v = pair (int_bound 40) bool in
+    let few g = list_size (int_bound 3) g in
+    let gen_reelect =
+      map
+        (fun ((disk, learned), (peer_cb, peer_prepared, peer_decided)) ->
+          M_reelect { disk; learned; peer_cb; peer_prepared; peer_decided })
+        (pair (pair (few pick_v) (few pick_v))
+           (triple (int_range (-1) 1) (few pick_v) (few pick_v)))
+    in
+    pair
+      (oneofl
+         [
+           U.Config.Serializable;
+           U.Config.Write_write;
+           U.Config.Classes [ (1, 1); (1, 2) ];
+           U.Config.All_strong;
+         ])
+      (list_size (int_bound 30)
+         (frequency
+            [
+              (5, map2 (fun ops v -> M_accept (ops, v)) gen_ops bool);
+              (2, map2 (fun i f -> M_reaccept (i, f)) (int_bound 40) bool);
+              (4, map2 (fun i dec -> M_decide (i, dec)) (int_bound 40) bool);
+              (4, map2 (fun ops own -> M_check (ops, own)) gen_ops (opt bool));
+              (1, gen_reelect);
+            ])))
+
+let print_model_case (spec, steps) =
+  let op (o : U.Types.opdesc) =
+    Fmt.str "%d/%d%s" o.key o.cls (if o.write then "w" else "r")
+  in
+  let ops_s ops = "[" ^ String.concat "," (List.map op ops) ^ "]" in
+  let pv l =
+    String.concat "," (List.map (fun (i, v) -> Fmt.str "%d:%b" i v) l)
+  in
+  Fmt.str "%s; %s"
+    (match spec with
+    | U.Config.Serializable -> "serializable"
+    | Write_write -> "write-write"
+    | Classes _ -> "classes"
+    | All_strong -> "all-strong")
+    (String.concat "; "
+       (List.map
+          (function
+            | M_accept (ops, v) -> Fmt.str "accept %s %b" (ops_s ops) v
+            | M_reaccept (i, flip) ->
+                Fmt.str "reaccept #%d %s" i (if flip then "flip" else "coord")
+            | M_decide (i, dec) -> Fmt.str "decide #%d %b" i dec
+            | M_check (ops, own) ->
+                Fmt.str "check %s%s" (ops_s ops)
+                  (match own with
+                  | None -> ""
+                  | Some v -> Fmt.str " own-accept %b" v)
+            | M_reelect r ->
+                Fmt.str "reelect disk %s learned %s peer cb%+d prep %s dec %s"
+                  (pv r.disk) (pv r.learned) r.peer_cb (pv r.peer_prepared)
+                  (pv r.peer_decided))
+          steps))
+
+(* The leader's check costs time in the transaction's footprint, not in
+   the prepared set: certifying one transaction allocates the same
+   words beside 1 commit-voting prepared entry as beside 200 on
+   unrelated keys. *)
+let test_check_cost_independent_of_prepared () =
+  let words ~prepared =
+    let bus, m = setup () in
+    for n = 1 to prepared do
+      prepare bus ~coord:99 ~n ~key:(100 + n) ~snap:snap0
+    done;
+    let tx = tx_of ~n:0 [ 5 ] ~snap:snap0 in
+    let msg =
+      U.Msg.Prepare_strong
+        { rid = 0; caller = U.Msg.Normal; coord = 99; tx; lc = 0 }
+    in
+    let w0 = Gc.minor_words () in
+    U.Cert.handle (m 0) msg;
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check (pair bool int)) "commits" (true, 0) (vote_lc (m 0) 0);
+    Alcotest.(check int) "beside the others" (prepared + 1)
+      (U.Cert.prepared_count (m 0));
+    w
+  in
+  Alcotest.(check (float 0.)) "same words" (words ~prepared:1)
+    (words ~prepared:200)
+
+let cert_model_properties =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~count:1000
+        ~name:"cert: the leader's vote equals a fold over prepared entries"
+        (QCheck.make ~print:print_model_case gen_model_case)
+        run_model;
+    ]
+
 let suite =
   [
     Alcotest.test_case "leader certifies, members accept" `Quick
@@ -904,5 +1197,7 @@ let suite =
       `Quick test_retry_stale_clock;
     Alcotest.test_case "all-conflict relation (REDBLUE)" `Quick
       test_all_conflict;
+    Alcotest.test_case "check cost independent of the prepared set" `Quick
+      test_check_cost_independent_of_prepared;
     ]
-  @ decided_log_properties
+  @ decided_log_properties @ cert_model_properties
