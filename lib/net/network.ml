@@ -32,14 +32,20 @@
      Intra-DC links stay reliable (the WAN is the adversary). Lossy
      arrivals join the same inbox; the receiver logic (dedup, reorder,
      cumulative ack) runs when the inbox serves them. An ack that
-     advances the sender's window costs no event: the sender's flow
-     holds it and lands it when the flow is next read (see [send_ack]).
+     advances the sender's window costs no event: the channel holds it
+     and lands it when the channel is next read (see [send_ack]).
      Because an arrival is served up to one service cost after it
      happens, its ack's fault verdict and jitter are drawn then, not at
      the arrival: the network RNG stream is consumed in that order, and
      a partition cut or healed inside that window (rare: it is a few
      hundred microseconds wide) applies to an ack that left just
      before.
+
+   Each ordered node pair has one channel record ([chan]) holding both
+   paths' state: the direct path's FIFO floor, and the reliable layer's
+   sender and receiver halves. Arrivals, retransmission timers and ack
+   events carry their channel, so only a send looks one up. Each node's
+   inbox is a [Sim.Heap] on (arrival time, send seq).
 
    Dropped messages are counted by cause (DC crash, random loss,
    partition) and optionally reported to a [Sim.Trace.t].
@@ -49,6 +55,12 @@
 
 type addr = int
 
+(* Out-of-order buffers, by sequence number. Empty costs nothing, and
+   most channels never need one. *)
+module Seqs = Map.Make (Int)
+
+(* Why a message was dropped: destination (or source) DC crashed, random
+   link loss, or a network partition. *)
 type drop_cause = Crash | Loss | Partition
 
 let drop_cause_name = function
@@ -82,11 +94,9 @@ type 'm node = {
      traffic stamped with an older epoch is discarded on arrival. Client
      nodes never lose state, so their epoch never moves. *)
   mutable epoch : int;
-  (* arrivals not yet given a CPU slot, from both paths: a binary
-     min-heap on (arrival time, send seq) in [inbox.(0 .. inbox_len - 1)]
-     — the order in which the messages reach the node *)
-  mutable inbox : 'm arrival array;
-  mutable inbox_len : int;
+  (* arrivals not yet given a CPU slot, from both paths, in the order
+     they reach the node: (arrival time, send seq) *)
+  inbox : 'm arrival Sim.Heap.t;
 }
 
 (* A message in flight to its node (one physical copy on a lossy link),
@@ -95,7 +105,7 @@ type 'm node = {
    time, or [dropped]. The service cost is not kept: [cost] is pure, so
    [settle] recomputes it. *)
 and 'm arrival = {
-  a_src : 'm node;
+  a_chan : 'm chan;
   a_msg : 'm;
   a_rseq : int;  (* reliable-layer sequence number; -1 on the direct path *)
   a_sep : int;  (* source epoch at send *)
@@ -105,50 +115,57 @@ and 'm arrival = {
   mutable a_finish : int;
 }
 
-let unsettled = -1
-let dropped = -2
-let idle = -1
+(* The channel from [src] to [dst], created by its first send.
 
-(* Sender half of a reliable channel. [unacked] holds sent-but-unacked
-   messages in ascending sequence order (a send appends, a cumulative ack
-   pops from the head); the retransmission timer walks it with
-   exponential backoff until an ack clears it.
+   Direct path: [last_at] is the latest arrival time sent so far (-1
+   before any); a later send never arrives before it.
 
-   Acks in flight that will advance the window when they land are held
-   here rather than scheduled: in arrival order, a ring of [held_len]
-   entries from [held_head], each an arrival time ([held_at]), the
-   engine ticket its event would have had ([held_tk]) and the ack's
-   [upto] ([held_upto]). Landing pops the acked prefix and resets the
-   backoff — no send — so it can wait until something reads the flow,
-   which first lands every held ack whose turn has passed
-   ([apply_held]). The held acks share the flow's epochs: an epoch bump
-   resets the flow. *)
-type 'm tx_flow = {
-  tx_src : 'm node;
-  tx_dst : 'm node;
+   Reliable sender: [unacked] holds sent-but-unacked messages in
+   ascending sequence order (a send appends, a cumulative ack pops from
+   the head); the retransmission timer walks it with exponential backoff
+   until an ack clears it. Most channels never take the reliable path,
+   so [unacked] is the network's shared, always-empty [no_unacked] until
+   the channel's first reliable send. Acks in flight that will advance
+   the window when they land are held here rather than scheduled: in
+   arrival order, a ring of [held_len] entries in [held] (see
+   [held_slot]), each an arrival time, the engine ticket its event would
+   have had and the ack's [upto]. Landing pops the acked prefix and
+   resets the backoff — no send — so it can wait until something reads
+   the channel, which first lands every held ack whose turn has passed
+   ([apply_held]).
+
+   Reliable receiver: next in-order sequence number plus an out-of-order
+   buffer. Anything below [expected] (or already buffered) is a
+   duplicate and is suppressed. [acked] is the highest [upto] of the
+   acks sent that are not lost: an ack above it advances the sender's
+   window.
+
+   A channel is reset — emptied and dropped from the table — exactly
+   when one of its ends takes a new epoch ([reset_channels]). So an
+   arrival, timer or ack event whose epochs still match holds the
+   channel's current record; [settle] drops an arrival from before a
+   reset before it reaches [receive]. *)
+and 'm chan = {
+  src : 'm node;
+  dst : 'm node;
+  mutable last_at : int;
   mutable next_seq : int;
-  unacked : (int * 'm) Queue.t;
-  base_rto_us : int;
+  mutable unacked : (int * 'm) Queue.t;
   mutable rto_us : int;
   mutable timer_armed : bool;
   mutable dup_acks : int;
   mutable in_recovery : bool;
-  mutable held_at : int array;
-  mutable held_tk : int array;
-  mutable held_upto : int array;
+  mutable held : int array;
   mutable held_head : int;
   mutable held_len : int;
-}
-
-(* Receiver half: next in-order sequence number plus an out-of-order
-   buffer. Anything below [expected] (or already buffered) is a duplicate
-   and is suppressed. [acked] is the highest [upto] of the acks sent
-   that are not lost: an ack above it advances the sender's window. *)
-type 'm rx_flow = {
   mutable expected : int;
-  ooo : (int, 'm) Hashtbl.t;
+  mutable ooo : 'm Seqs.t;
   mutable acked : int;
 }
+
+let unsettled = -1
+let dropped = -2
+let idle = -1
 
 (* Optional instrumentation sink. When installed, the transport feeds a
    metrics registry: per-message-kind and per-DC-link traffic counters
@@ -183,10 +200,9 @@ type 'm t = {
   mutable node_count : int;
   mutable failed : bool array;
   failed_at : int array;  (* crash time per DC, -1 when never/not failed *)
-  fifo : (int * int, int) Hashtbl.t;  (* (src, dst) -> last arrival time *)
+  chans : (int, 'm chan) Hashtbl.t;  (* see [chan] *)
+  no_unacked : (int * 'm) Queue.t;  (* never added to: see ['m chan] *)
   mutable faults : Faults.t option;
-  tx_flows : (int * int, 'm tx_flow) Hashtbl.t;
-  rx_flows : (int * int, 'm rx_flow) Hashtbl.t;
   mutable trace : Sim.Trace.t;
   mutable meter : 'm meter option;
   (* transport-level profiling labels, interned on first use so the
@@ -196,15 +212,10 @@ type 'm t = {
   mutable lab_retransmit : Sim.Prof.label;
   mutable rto_cap_us : int;  (* retransmission-backoff ceiling *)
   mutable send_seq : int;  (* arrivals queued so far: the inbox tie-break *)
-  (* what inbox slots above [inbox_len] hold, so served records and their
-     messages are not kept alive: a dead copy of the first arrival *)
-  mutable hole : 'm arrival option;
-  mutable sent : int;
   mutable dropped_crash : int;
   mutable dropped_loss : int;
   mutable dropped_partition : int;
   mutable retransmissions : int;
-  mutable acks_sent : int;
   mutable dups_suppressed : int;
 }
 
@@ -226,10 +237,9 @@ let create eng topo =
     node_count = 0;
     failed = Array.make (Topology.dcs topo) false;
     failed_at = Array.make (Topology.dcs topo) (-1);
-    fifo = Hashtbl.create 1024;
+    chans = Hashtbl.create 256;
+    no_unacked = Queue.create ();
     faults = None;
-    tx_flows = Hashtbl.create 256;
-    rx_flows = Hashtbl.create 256;
     trace = Sim.Trace.disabled;
     meter = None;
     prof = Sim.Engine.prof eng;
@@ -237,18 +247,14 @@ let create eng topo =
     lab_retransmit = Sim.Prof.none;
     rto_cap_us = default_rto_cap_us;
     send_seq = 0;
-    hole = None;
-    sent = 0;
     dropped_crash = 0;
     dropped_loss = 0;
     dropped_partition = 0;
     retransmissions = 0;
-    acks_sent = 0;
     dups_suppressed = 0;
   }
 
 let topology t = t.topo
-let engine t = t.eng
 
 (* Transport-level attribution labels, interned lazily: [Prof.label]
    returns [none] while the profiler is off, so the memo only sticks
@@ -401,6 +407,9 @@ let count_drop t cause ~src_dc ~dst_dc =
     Sim.Trace.emitf t.trace ~source:"net" ~kind:"drop" "%s dc%d->dc%d"
       (drop_cause_name cause) src_dc dst_dc
 
+let arrives_before a b =
+  a.a_at < b.a_at || (a.a_at = b.a_at && a.a_seq < b.a_seq)
+
 let register t ?(client = false) ?name ~dc ~cost handler =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.register: no such data center";
@@ -422,8 +431,7 @@ let register t ?(client = false) ?name ~dc ~cost handler =
       busy_us = 0;
       down = false;
       epoch = 0;
-      inbox = [||];
-      inbox_len = 0;
+      inbox = Sim.Heap.create ~less:arrives_before;
     }
   in
   if t.node_count = Array.length t.nodes then begin
@@ -447,76 +455,6 @@ let dc_failed t dc = t.failed.(dc)
    and it belongs to the DC's failure domain — client nodes are external
    and outlive the crash. *)
 let node_failed t n = n.down || (t.failed.(n.dc) && not n.client)
-
-(* ------------------------------------------------------------------ *)
-(* Per-node arrival inbox.                                              *)
-
-let arrives_before a b =
-  a.a_at < b.a_at || (a.a_at = b.a_at && a.a_seq < b.a_seq)
-
-let inbox_push t n r =
-  if n.inbox_len = Array.length n.inbox then begin
-    let hole =
-      match t.hole with
-      | Some h -> h
-      | None ->
-          let h = { r with a_finish = dropped } in
-          t.hole <- Some h;
-          h
-    in
-    let data = Array.make (max 16 (2 * n.inbox_len)) hole in
-    Array.blit n.inbox 0 data 0 n.inbox_len;
-    n.inbox <- data
-  end;
-  let h = n.inbox in
-  let i = ref n.inbox_len in
-  n.inbox_len <- n.inbox_len + 1;
-  while !i > 0 && arrives_before r h.((!i - 1) / 2) do
-    let parent = (!i - 1) / 2 in
-    h.(!i) <- h.(parent);
-    i := parent
-  done;
-  h.(!i) <- r
-
-(* Remove the earliest arrival. The vacated slot gets the hole.
-   An array more than four times the inbox is halved, so a burst (a
-   healed partition's resent window) does not keep its high-water array
-   live for the rest of the run. *)
-let inbox_pop t n =
-  let h = n.inbox in
-  let top = h.(0) in
-  let len = n.inbox_len - 1 in
-  n.inbox_len <- len;
-  if len > 0 then begin
-    let last = h.(len) in
-    let i = ref 0 and sifting = ref true in
-    while !sifting do
-      let l = (2 * !i) + 1 in
-      if l >= len then sifting := false
-      else begin
-        let c =
-          if l + 1 < len && arrives_before h.(l + 1) h.(l) then l + 1 else l
-        in
-        if arrives_before h.(c) last then begin
-          h.(!i) <- h.(c);
-          i := c
-        end
-        else sifting := false
-      end
-    done;
-    h.(!i) <- last
-  end;
-  (match t.hole with
-  | None -> ()
-  | Some hole ->
-      let cap = Array.length h in
-      if cap > 16 && len <= cap / 4 then begin
-        let data = Array.make (cap / 2) hole in
-        Array.blit h 0 data 0 len;
-        n.inbox <- data
-      end
-      else h.(len) <- hole);
-  top
 
 (* Base one-way transit time of a physical transmission, jitter included. *)
 let transit_us t ~src_dc ~dst_dc =
@@ -566,97 +504,95 @@ let handle_at t n msg ~finish =
   Sim.Engine.schedule_at t.eng ~label:(label_for t n msg) ~time:finish
     (fun () -> run_handler t n msg ep)
 
-(* ------------------------------------------------------------------ *)
-(* Reliable layer: acks and retransmission over lossy inter-DC links.  *)
+(* Initial retransmission timeout: a full round trip plus jitter and
+   slack. *)
+let base_rto t ~src_dc ~dst_dc =
+  (2 * Topology.one_way t.topo ~src:src_dc ~dst:dst_dc)
+  + (2 * Topology.jitter_us t.topo)
+  + 10_000
 
-let tx_flow t ~src ~dst =
-  match Hashtbl.find_opt t.tx_flows (src, dst) with
-  | Some fl -> fl
+(* The (src, dst) channel, created on first use. Its key packs both
+   addresses into one int (addresses are node-array indices, far below
+   2^31), so neither the table nor a lookup allocates a pair. *)
+let chan t ~src_node ~dst_node =
+  let key = (src_node.addr lsl 31) lor dst_node.addr in
+  match Hashtbl.find_opt t.chans key with
+  | Some ch -> ch
   | None ->
-      let src_node = node t src and dst_node = node t dst in
-      (* initial timeout: a full round trip plus jitter and slack *)
-      let base_rto =
-        (2 * Topology.one_way t.topo ~src:src_node.dc ~dst:dst_node.dc)
-        + (2 * Topology.jitter_us t.topo)
-        + 10_000
-      in
-      let fl =
+      let ch =
         {
-          tx_src = src_node;
-          tx_dst = dst_node;
+          src = src_node;
+          dst = dst_node;
+          last_at = -1;
           next_seq = 0;
-          unacked = Queue.create ();
-          base_rto_us = base_rto;
-          rto_us = base_rto;
+          unacked = t.no_unacked;
+          rto_us = base_rto t ~src_dc:src_node.dc ~dst_dc:dst_node.dc;
           timer_armed = false;
           dup_acks = 0;
           in_recovery = false;
-          held_at = [||];
-          held_tk = [||];
-          held_upto = [||];
+          held = [||];
           held_head = 0;
           held_len = 0;
+          expected = 0;
+          ooo = Seqs.empty;
+          acked = -1;
         }
       in
-      Hashtbl.replace t.tx_flows (src, dst) fl;
-      fl
+      Hashtbl.replace t.chans key ch;
+      ch
 
-let rx_flow t ~src ~dst =
-  match Hashtbl.find_opt t.rx_flows (src, dst) with
-  | Some rx -> rx
-  | None ->
-      let rx = { expected = 0; ooo = Hashtbl.create 8; acked = -1 } in
-      Hashtbl.replace t.rx_flows (src, dst) rx;
-      rx
+(* ------------------------------------------------------------------ *)
+(* Reliable layer: acks and retransmission over lossy inter-DC links.  *)
 
-(* The held-ack ring: push at the back, pop from either end. Its
-   capacity is a power of two. *)
-let held_push fl ~at ~tk ~upto =
-  let cap = Array.length fl.held_at in
-  if fl.held_len = cap then begin
-    let cap' = max 4 (2 * cap) in
-    let copy a =
-      Array.init cap' (fun i ->
-          if i < fl.held_len then a.((fl.held_head + i) land (cap - 1)) else 0)
-    in
-    fl.held_at <- copy fl.held_at;
-    fl.held_tk <- copy fl.held_tk;
-    fl.held_upto <- copy fl.held_upto;
-    fl.held_head <- 0
+(* The held-ack ring: push at the back, pop from either end. Entry [k]
+   from the head fills slots [i], [i + 1] and [i + 2] of [held], where
+   [i = held_slot ch k]: its arrival time, engine ticket and [upto]. The
+   capacity in entries is a power of two. *)
+let held_slot ch k =
+  3 * ((ch.held_head + k) land ((Array.length ch.held / 3) - 1))
+
+let held_push ch ~at ~tk ~upto =
+  let cap = Array.length ch.held / 3 in
+  if ch.held_len = cap then begin
+    let a = Array.make (3 * max 4 (2 * cap)) 0 in
+    for k = 0 to cap - 1 do
+      Array.blit ch.held (held_slot ch k) a (3 * k) 3
+    done;
+    ch.held <- a;
+    ch.held_head <- 0
   end;
-  let i = (fl.held_head + fl.held_len) land (Array.length fl.held_at - 1) in
-  fl.held_at.(i) <- at;
-  fl.held_tk.(i) <- tk;
-  fl.held_upto.(i) <- upto;
-  fl.held_len <- fl.held_len + 1
-
-let held_last fl =
-  (fl.held_head + fl.held_len - 1) land (Array.length fl.held_at - 1)
+  let i = held_slot ch ch.held_len in
+  ch.held.(i) <- at;
+  ch.held.(i + 1) <- tk;
+  ch.held.(i + 2) <- upto;
+  ch.held_len <- ch.held_len + 1
 
 (* ------------------------------------------------------------------ *)
 (* Arrivals. Both paths queue a message in its node's inbox with one
    event, at [arrival + cost] — its finish time if the CPU is idle on
    arrival; [settle] serves the inbox in arrival order.                 *)
 
-(* Queue [msg], reaching [dst_node] at [at]. [rseq] is its reliable-layer
-   sequence number on a lossy link, -1 on the direct path. *)
-let rec push_arrival t ~src_node ~dst_node ~rseq ~at msg =
+(* Queue [msg] on [ch], reaching its destination at [at]. [rseq] is its
+   reliable-layer sequence number on a lossy link, -1 on the direct
+   path. *)
+let rec push_arrival t ch ~rseq ~at msg =
   t.send_seq <- t.send_seq + 1;
+  let n = ch.dst in
   let r =
     {
-      a_src = src_node;
+      a_chan = ch;
       a_msg = msg;
       a_rseq = rseq;
-      a_sep = src_node.epoch;
-      a_dep = dst_node.epoch;
+      a_sep = ch.src.epoch;
+      a_dep = n.epoch;
       a_at = at;
       a_seq = t.send_seq;
       a_finish = unsettled;
     }
   in
-  inbox_push t dst_node r;
-  Sim.Engine.schedule_at t.eng ~label:(label_for t dst_node msg)
-    ~time:(at + dst_node.cost msg) (on_arrival t dst_node r)
+  Sim.Heap.push n.inbox r;
+  Sim.Engine.schedule_at t.eng ~label:(label_for t n msg)
+    ~time:(at + n.cost msg) (on_arrival t r)
 
 (* The arrival's one event. Settling the inbox through the arrival is
    exact: anything arriving earlier was queued before this event, which
@@ -664,7 +600,8 @@ let rec push_arrival t ~src_node ~dst_node ~rseq ~at msg =
    event then moves there once (a second event, same label). A dropped
    arrival — stale epoch, dead node, lossy duplicate or packet beyond a
    gap — makes this event a no-op. *)
-and on_arrival t n r () =
+and on_arrival t r () =
+  let n = r.a_chan.dst in
   if r.a_finish = unsettled then settle t n ~upto:r.a_at;
   let finish = r.a_finish in
   if finish = Sim.Engine.now t.eng then run_handler t n r.a_msg r.a_dep
@@ -680,9 +617,11 @@ and on_arrival t n r () =
    the failure operations guarantee by settling every inbox first
    ([settle_all]). *)
 and settle t n ~upto =
-  while n.inbox_len > 0 && n.inbox.(0).a_at <= upto do
-    let r = inbox_pop t n in
-    let src = r.a_src in
+  while
+    (not (Sim.Heap.is_empty n.inbox)) && (Sim.Heap.top n.inbox).a_at <= upto
+  do
+    let r = Sim.Heap.pop n.inbox in
+    let src = r.a_chan.src in
     if r.a_sep <> src.epoch || r.a_dep <> n.epoch then r.a_finish <- dropped
     else if node_failed t n then begin
       r.a_finish <- dropped;
@@ -699,40 +638,38 @@ and settle t n ~upto =
    after now, is no later than its finish); a packet beyond a gap waits
    in the buffer. Then the cumulative ack leaves, as of the arrival. *)
 and receive t n r =
-  let seq = r.a_rseq in
-  let rx = rx_flow t ~src:r.a_src.addr ~dst:n.addr in
-  if seq < rx.expected || Hashtbl.mem rx.ooo seq then begin
+  let seq = r.a_rseq and ch = r.a_chan in
+  if seq < ch.expected || Seqs.mem seq ch.ooo then begin
     r.a_finish <- dropped;
     t.dups_suppressed <- t.dups_suppressed + 1;
     match t.meter with
     | None -> ()
     | Some m -> Sim.Metrics.incr m.m_dup_suppressed
   end
-  else if seq = rx.expected then begin
+  else if seq = ch.expected then begin
     r.a_finish <- take_cpu n ~at:r.a_at r.a_msg;
-    rx.expected <- seq + 1;
+    ch.expected <- seq + 1;
     let released = ref true in
     while !released do
-      match Hashtbl.find_opt rx.ooo rx.expected with
+      match Seqs.find_opt ch.expected ch.ooo with
       | Some m ->
-          Hashtbl.remove rx.ooo rx.expected;
-          rx.expected <- rx.expected + 1;
+          ch.ooo <- Seqs.remove ch.expected ch.ooo;
+          ch.expected <- ch.expected + 1;
           handle_at t n m ~finish:(take_cpu n ~at:r.a_at m)
       | None -> released := false
     done
   end
   else begin
     r.a_finish <- dropped;
-    Hashtbl.replace rx.ooo seq r.a_msg
+    ch.ooo <- Seqs.add seq r.a_msg ch.ooo
   end;
-  send_ack t rx ~src_node:r.a_src ~dst_node:n ~at:r.a_at
-    ~upto:(rx.expected - 1)
+  send_ack t ch ~at:r.a_at ~upto:(ch.expected - 1)
 
-(* One physical transmission attempt of (seq, msg) on [fl]'s channel:
+(* One physical transmission attempt of (seq, msg) on [ch]'s channel:
    the fault model decides loss, partition, gray delay and
    duplication. *)
-and transmit t f fl seq msg =
-  let src_dc = fl.tx_src.dc and dst_dc = fl.tx_dst.dc in
+and transmit t f ch seq msg =
+  let src_dc = ch.src.dc and dst_dc = ch.dst.dc in
   match Faults.judge f t.rng ~src:src_dc ~dst:dst_dc with
   | Faults.Cut -> count_drop t Partition ~src_dc ~dst_dc
   | Faults.Lost -> count_drop t Loss ~src_dc ~dst_dc
@@ -741,30 +678,30 @@ and transmit t f fl seq msg =
         let at =
           Sim.Engine.now t.eng + transit_us t ~src_dc ~dst_dc + extra_us
         in
-        push_arrival t ~src_node:fl.tx_src ~dst_node:fl.tx_dst ~rseq:seq ~at msg
+        push_arrival t ch ~rseq:seq ~at msg
       in
       arrive ();
       if duplicate then arrive ()
 
-(* A cumulative ack for [fl] lands at its sender. [unacked] is in
+(* A cumulative ack for [ch] lands at its sender. [unacked] is in
    ascending sequence order, so the acked prefix is exactly the head run
    <= upto. *)
-and ack_lands t f fl ~upto =
+and ack_lands t f ch ~upto =
   let acked = ref 0 in
   while
-    (not (Queue.is_empty fl.unacked)) && fst (Queue.peek fl.unacked) <= upto
+    (not (Queue.is_empty ch.unacked)) && fst (Queue.peek ch.unacked) <= upto
   do
-    ignore (Queue.take fl.unacked);
+    ignore (Queue.take ch.unacked);
     incr acked
   done;
   if !acked > 0 then begin
     (* progress resets the backoff and ends recovery *)
-    meter_backlog_add t ~src_dc:fl.tx_src.dc ~dst_dc:fl.tx_dst.dc (- !acked);
-    fl.rto_us <- fl.base_rto_us;
-    fl.dup_acks <- 0;
-    fl.in_recovery <- false
+    meter_backlog_add t ~src_dc:ch.src.dc ~dst_dc:ch.dst.dc (- !acked);
+    ch.rto_us <- base_rto t ~src_dc:ch.src.dc ~dst_dc:ch.dst.dc;
+    ch.dup_acks <- 0;
+    ch.in_recovery <- false
   end
-  else if (not (Queue.is_empty fl.unacked)) && not fl.in_recovery then begin
+  else if (not (Queue.is_empty ch.unacked)) && not ch.in_recovery then begin
     (* duplicate cumulative ack: the receiver sees packets beyond a
        sequence gap — a lost message, or fresh sends landing right after
        a partition heals. After three duplicates, retransmit the missing
@@ -774,20 +711,20 @@ and ack_lands t f fl ~upto =
        allows one fast retransmit per stall: resends arrive as a burst of
        further duplicate acks, which must not trigger resends of their
        own. *)
-    fl.dup_acks <- fl.dup_acks + 1;
+    ch.dup_acks <- ch.dup_acks + 1;
     (match t.meter with None -> () | Some m -> Sim.Metrics.incr m.m_dup_ack);
-    if fl.dup_acks >= 3 then begin
-      fl.dup_acks <- 0;
-      fl.in_recovery <- true;
-      fl.rto_us <- fl.base_rto_us;
-      let s, m = Queue.peek fl.unacked in
+    if ch.dup_acks >= 3 then begin
+      ch.dup_acks <- 0;
+      ch.in_recovery <- true;
+      ch.rto_us <- base_rto t ~src_dc:ch.src.dc ~dst_dc:ch.dst.dc;
+      let s, m = Queue.peek ch.unacked in
       t.retransmissions <- t.retransmissions + 1;
       (match t.meter with
       | None -> ()
       | Some mt ->
           Sim.Metrics.incr mt.m_retransmit;
           Sim.Metrics.incr mt.m_fast_retransmit);
-      transmit t f fl s m
+      transmit t f ch s m
     end
   end
 
@@ -796,113 +733,105 @@ and ack_lands t f fl ~upto =
    Every change of a node's failure state first lands the acks whose
    turn came before it ([settle_all]), so the sender's state now is its
    state at each arrival. *)
-and apply_held t f fl =
+and apply_held t f ch =
   while
-    fl.held_len > 0
-    && Sim.Engine.passed t.eng ~time:fl.held_at.(fl.held_head)
-         ~ticket:fl.held_tk.(fl.held_head)
+    ch.held_len > 0
+    &&
+    let i = held_slot ch 0 in
+    Sim.Engine.passed t.eng ~time:ch.held.(i) ~ticket:ch.held.(i + 1)
   do
-    let u = fl.held_upto.(fl.held_head) in
-    fl.held_head <- (fl.held_head + 1) land (Array.length fl.held_at - 1);
-    fl.held_len <- fl.held_len - 1;
-    if not (node_failed t fl.tx_src) then ack_lands t f fl ~upto:u
+    let u = ch.held.(held_slot ch 0 + 2) in
+    ch.held_head <- (ch.held_head + 1) land ((Array.length ch.held / 3) - 1);
+    ch.held_len <- ch.held_len - 1;
+    if not (node_failed t ch.src) then ack_lands t f ch ~upto:u
   done
 
-(* An ack for [fl] with an event of its own, at its arrival, in the
-   place in the event order of ticket [tk]. The flow is reset exactly
-   when an end's epoch moves, so unchanged epochs mean [fl] is still
-   the channel's flow. *)
-and ack_event t f fl ~at ~tk ~upto =
-  let sep = fl.tx_src.epoch and dep = fl.tx_dst.epoch in
+(* An ack for [ch] with an event of its own, at its arrival, in the
+   place in the event order of ticket [tk]. Unchanged epochs mean [ch]
+   has not been reset since. *)
+and ack_event t f ch ~at ~tk ~upto =
+  let sep = ch.src.epoch and dep = ch.dst.epoch in
   Sim.Engine.schedule_ticket t.eng ~label:(lab_ack t) ~time:at ~ticket:tk
     (fun () ->
       if
-        sep = fl.tx_src.epoch && dep = fl.tx_dst.epoch
-        && not (node_failed t fl.tx_src)
+        sep = ch.src.epoch && dep = ch.dst.epoch
+        && not (node_failed t ch.src)
       then begin
-        apply_held t f fl;
-        ack_lands t f fl ~upto
+        apply_held t f ch;
+        ack_lands t f ch ~upto
       end)
 
-(* Cumulative ack for channel (src_node, dst_node), leaving [dst_node] as
-   of [at]: everything up to [upto] has been received in order. Acks
-   traverse the same faulty links but cost no CPU at the sender (pure
-   transport bookkeeping). An ack that
-   advances the window — [upto] above every earlier ack not lost — is
-   held by the sender's flow and costs no event; any other ack gets its
-   own event, so duplicate-ack counting and fast retransmit run at its
-   arrival. A held ack that this one overtakes will no longer advance
-   the window when it lands, so it moves to an event of its own. *)
-and send_ack t rx ~src_node ~dst_node ~at ~upto =
+(* Cumulative ack for [ch], leaving its destination as of [at]:
+   everything up to [upto] has been received in order. Acks traverse
+   the same faulty links but cost no CPU at the sender (pure transport
+   bookkeeping). An ack that advances the window — [upto] above every
+   earlier ack not lost — is held by the channel and costs no event;
+   any other ack gets its own event, so duplicate-ack counting and fast
+   retransmit run at its arrival. A held ack that this one overtakes
+   will no longer advance the window when it lands, so it moves to an
+   event of its own. *)
+and send_ack t ch ~at ~upto =
   match t.faults with
   | None -> ()
   | Some f -> (
       (* the ack travels dst -> src *)
-      match Faults.judge f t.rng ~src:dst_node.dc ~dst:src_node.dc with
+      let src_dc = ch.dst.dc and dst_dc = ch.src.dc in
+      match Faults.judge f t.rng ~src:src_dc ~dst:dst_dc with
       | Faults.Cut | Faults.Lost -> ()  (* lost acks just delay the sender *)
-      | Faults.Deliver { extra_us; _ } -> (
-          t.acks_sent <- t.acks_sent + 1;
+      | Faults.Deliver { extra_us; _ } ->
           (match t.meter with None -> () | Some m -> Sim.Metrics.incr m.m_ack);
           (* [at] is at most one service cost ago, well inside any WAN
              transit; the clamp only guards a zero-latency topology *)
           let at =
             max (Sim.Engine.now t.eng)
-              (at
-              + transit_us t ~src_dc:dst_node.dc ~dst_dc:src_node.dc
-              + extra_us)
+              (at + transit_us t ~src_dc ~dst_dc + extra_us)
           in
           let tk = Sim.Engine.ticket t.eng in
-          match Hashtbl.find_opt t.tx_flows (src_node.addr, dst_node.addr) with
-          | None -> ()
-          | Some fl ->
-              while fl.held_len > 0 && fl.held_at.(held_last fl) > at do
-                let i = held_last fl in
-                fl.held_len <- fl.held_len - 1;
-                ack_event t f fl ~at:fl.held_at.(i) ~tk:fl.held_tk.(i)
-                  ~upto:fl.held_upto.(i)
-              done;
-              if upto > rx.acked then begin
-                rx.acked <- upto;
-                held_push fl ~at ~tk ~upto
-              end
-              else ack_event t f fl ~at ~tk ~upto))
+          while
+            ch.held_len > 0 && ch.held.(held_slot ch (ch.held_len - 1)) > at
+          do
+            let i = held_slot ch (ch.held_len - 1) in
+            ch.held_len <- ch.held_len - 1;
+            ack_event t f ch ~at:ch.held.(i) ~tk:ch.held.(i + 1)
+              ~upto:ch.held.(i + 2)
+          done;
+          if upto > ch.acked then begin
+            ch.acked <- upto;
+            held_push ch ~at ~tk ~upto
+          end
+          else ack_event t f ch ~at ~tk ~upto)
 
 (* ------------------------------------------------------------------ *)
 (* Sending.                                                             *)
 
-let direct_send t ~src_node ~dst_node msg =
+let direct_send t ch msg =
   let now = Sim.Engine.now t.eng in
-  let arrival = now + transit_us t ~src_dc:src_node.dc ~dst_dc:dst_node.dc in
+  let arrival = now + transit_us t ~src_dc:ch.src.dc ~dst_dc:ch.dst.dc in
   (* FIFO per channel: never deliver before an earlier send's arrival. *)
-  let key = (src_node.addr, dst_node.addr) in
-  let arrival =
-    match Hashtbl.find_opt t.fifo key with
-    | Some last when arrival <= last -> last + 1
-    | _ -> arrival
-  in
-  Hashtbl.replace t.fifo key arrival;
-  push_arrival t ~src_node ~dst_node ~rseq:(-1) ~at:arrival msg
+  let arrival = if arrival <= ch.last_at then ch.last_at + 1 else arrival in
+  ch.last_at <- arrival;
+  push_arrival t ch ~rseq:(-1) ~at:arrival msg
 
-let rec arm_timer t f fl =
-  if (not fl.timer_armed) && not (Queue.is_empty fl.unacked) then begin
-    fl.timer_armed <- true;
-    Sim.Engine.schedule t.eng ~label:(lab_retransmit t) ~delay:fl.rto_us
+let rec arm_timer t f ch =
+  if (not ch.timer_armed) && not (Queue.is_empty ch.unacked) then begin
+    ch.timer_armed <- true;
+    Sim.Engine.schedule t.eng ~label:(lab_retransmit t) ~delay:ch.rto_us
       (fun () ->
-        fl.timer_armed <- false;
-        apply_held t f fl;
-        if not (Queue.is_empty fl.unacked) then begin
-          let src_dc = fl.tx_src.dc and dst_dc = fl.tx_dst.dc in
-          if node_failed t fl.tx_src then begin
-            meter_backlog_add t ~src_dc ~dst_dc (-Queue.length fl.unacked);
-            Queue.clear fl.unacked
+        ch.timer_armed <- false;
+        apply_held t f ch;
+        if not (Queue.is_empty ch.unacked) then begin
+          let src_dc = ch.src.dc and dst_dc = ch.dst.dc in
+          if node_failed t ch.src then begin
+            meter_backlog_add t ~src_dc ~dst_dc (-Queue.length ch.unacked);
+            Queue.clear ch.unacked
           end
-          else if node_failed t fl.tx_dst then begin
+          else if node_failed t ch.dst then begin
             (* the peer crashed: everything buffered is lost with it *)
             Queue.iter
               (fun _ -> count_drop t Crash ~src_dc ~dst_dc)
-              fl.unacked;
-            meter_backlog_add t ~src_dc ~dst_dc (-Queue.length fl.unacked);
-            Queue.clear fl.unacked
+              ch.unacked;
+            meter_backlog_add t ~src_dc ~dst_dc (-Queue.length ch.unacked);
+            Queue.clear ch.unacked
           end
           else begin
             Queue.iter
@@ -911,33 +840,33 @@ let rec arm_timer t f fl =
                 (match t.meter with
                 | None -> ()
                 | Some m -> Sim.Metrics.incr m.m_retransmit);
-                transmit t f fl seq msg)
-              fl.unacked;
-            fl.rto_us <- min (2 * fl.rto_us) t.rto_cap_us;
-            arm_timer t f fl
+                transmit t f ch seq msg)
+              ch.unacked;
+            ch.rto_us <- min (2 * ch.rto_us) t.rto_cap_us;
+            arm_timer t f ch
           end
         end)
   end
 
-let reliable_send t f ~src ~dst msg =
-  let fl = tx_flow t ~src ~dst in
-  apply_held t f fl;
-  let seq = fl.next_seq in
-  fl.next_seq <- seq + 1;
-  Queue.add (seq, msg) fl.unacked;
-  meter_backlog_add t ~src_dc:fl.tx_src.dc ~dst_dc:fl.tx_dst.dc 1;
-  transmit t f fl seq msg;
-  arm_timer t f fl
+let reliable_send t f ch msg =
+  if ch.unacked == t.no_unacked then ch.unacked <- Queue.create ();
+  apply_held t f ch;
+  let seq = ch.next_seq in
+  ch.next_seq <- seq + 1;
+  Queue.add (seq, msg) ch.unacked;
+  meter_backlog_add t ~src_dc:ch.src.dc ~dst_dc:ch.dst.dc 1;
+  transmit t f ch seq msg;
+  arm_timer t f ch
 
 (* ------------------------------------------------------------------ *)
 (* Failures.                                                            *)
 
-(* [apply_held] on every flow. Flows exist only once faults are
+(* [apply_held] on every channel. Acks are held only once faults are
    installed. *)
 let apply_all_held t =
   match t.faults with
   | None -> ()
-  | Some f -> Hashtbl.iter (fun _ fl -> apply_held t f fl) t.tx_flows
+  | Some f -> Hashtbl.iter (fun _ ch -> apply_held t f ch) t.chans
 
 (* Before a node or DC changes state, serve every arrival strictly
    before now under the state in force when it arrived: inbox arrivals
@@ -963,36 +892,27 @@ let dc_failed_at t dc =
     invalid_arg "Network.dc_failed_at: no such data center";
   if t.failed.(dc) then Some t.failed_at.(dc) else None
 
-(* Discard every FIFO channel and reliable-layer flow touching a node
-   matched by [matches], on both sides, so post-recovery traffic starts
-   fresh sequence spaces in both directions (resetting only the tx side
-   would leave the peer's rx [expected] suppressing the fresh seq-0
-   sends as duplicates). *)
+(* Discard every channel touching a node matched by [matches], so
+   post-recovery traffic starts with no FIFO floor and fresh sequence
+   spaces in both directions (resetting only the sender would leave the
+   peer's [expected] suppressing the fresh seq-0 sends as
+   duplicates). *)
 let reset_channels t ~matches =
-  let stale tbl =
-    Hashtbl.fold
-      (fun ((src, dst) as key) _ acc ->
-        if matches src || matches dst then key :: acc else acc)
-      tbl []
-  in
-  List.iter (Hashtbl.remove t.fifo) (stale t.fifo);
-  List.iter
-    (fun ((src, dst) as key) ->
-      (match Hashtbl.find_opt t.tx_flows key with
-      | Some fl ->
-          meter_backlog_add t ~src_dc:t.nodes.(src).dc
-            ~dst_dc:t.nodes.(dst).dc
-            (-Queue.length fl.unacked);
-          (* an armed retransmission timer still references this
-             record; emptying it makes the orphaned fire a no-op
-             instead of replaying stale sequence numbers into the
-             fresh flow's sequence space *)
-          Queue.clear fl.unacked;
-          fl.held_len <- 0
-      | None -> ());
-      Hashtbl.remove t.tx_flows key)
-    (stale t.tx_flows);
-  List.iter (Hashtbl.remove t.rx_flows) (stale t.rx_flows)
+  Hashtbl.filter_map_inplace
+    (fun _ ch ->
+      if matches ch.src.addr || matches ch.dst.addr then begin
+        meter_backlog_add t ~src_dc:ch.src.dc ~dst_dc:ch.dst.dc
+          (-Queue.length ch.unacked);
+        (* an armed retransmission timer still references this record;
+           emptying it makes the orphaned fire a no-op instead of
+           replaying stale sequence numbers into the fresh channel's
+           sequence space *)
+        Queue.clear ch.unacked;
+        ch.held_len <- 0;
+        None
+      end
+      else Some ch)
+    t.chans
 
 (* Revive a crashed data center. Its nodes come back with no in-flight
    state: every channel touching the DC is reset and pre-crash traffic
@@ -1054,7 +974,6 @@ let send t ~src ~dst msg =
   if node_failed t src_node || node_failed t dst_node then
     count_drop t Crash ~src_dc:src_node.dc ~dst_dc:dst_node.dc
   else begin
-    t.sent <- t.sent + 1;
     (match t.meter with
     | None -> ()
     | Some m ->
@@ -1067,10 +986,10 @@ let send t ~src ~dst msg =
         in
         Sim.Metrics.incr link_msgs;
         Sim.Metrics.incr ~by:bytes link_bytes);
+    let ch = chan t ~src_node ~dst_node in
     match t.faults with
-    | Some f when src_node.dc <> dst_node.dc ->
-        reliable_send t f ~src ~dst msg
-    | _ -> direct_send t ~src_node ~dst_node msg
+    | Some f when src_node.dc <> dst_node.dc -> reliable_send t f ch msg
+    | _ -> direct_send t ch msg
   end
 
 (* Deliver a message a node sends to itself: no network hop, but the
@@ -1083,8 +1002,6 @@ let send_self t ~node:addr msg =
     handle_at t n msg ~finish:(take_cpu n ~at:now msg)
   end
 
-let messages_sent t = t.sent
-
 let messages_dropped t =
   t.dropped_crash + t.dropped_loss + t.dropped_partition
 
@@ -1092,14 +1009,13 @@ let dropped_crash t = t.dropped_crash
 let dropped_loss t = t.dropped_loss
 let dropped_partition t = t.dropped_partition
 let retransmissions t = t.retransmissions
-let acks_sent t = t.acks_sent
 let duplicates_suppressed t = t.dups_suppressed
 
 (* In-flight reliable-layer backlog: messages sent but not yet
    acknowledged across all channels (0 once the network is quiescent). *)
 let unacked_backlog t =
   apply_all_held t;
-  Hashtbl.fold (fun _ fl acc -> acc + Queue.length fl.unacked) t.tx_flows 0
+  Hashtbl.fold (fun _ ch acc -> acc + Queue.length ch.unacked) t.chans 0
 
 let unacked_matching t ~f =
   match t.meter with
@@ -1107,17 +1023,11 @@ let unacked_matching t ~f =
   | Some m ->
       apply_all_held t;
       Hashtbl.fold
-        (fun _ fl acc ->
+        (fun _ ch acc ->
           Queue.fold
             (fun acc (_, msg) -> if f (m.kind_of msg) then acc + 1 else acc)
-            acc fl.unacked)
-        t.tx_flows 0
+            acc ch.unacked)
+        t.chans 0
 
 let node_processed t addr = (node t addr).processed
 let node_busy_us t addr = (node t addr).busy_us
-
-(* Fraction of the interval [0, now] the node's CPU spent processing. *)
-let node_utilization t addr =
-  let now = Sim.Engine.now t.eng in
-  if now = 0 then 0.0
-  else float_of_int (node t addr).busy_us /. float_of_int now

@@ -16,17 +16,10 @@
 
 type addr = int
 
-(** Why a message was dropped: destination (or source) DC crashed, random
-    link loss, or a network partition. *)
-type drop_cause = Crash | Loss | Partition
-
-val drop_cause_name : drop_cause -> string
-
 type 'm t
 
 val create : Sim.Engine.t -> Topology.t -> 'm t
 val topology : 'm t -> Topology.t
-val engine : 'm t -> Sim.Engine.t
 
 (** [register t ~dc ~cost handler] adds a node in data center [dc].
     [cost msg] is the CPU microseconds charged to the node per message;
@@ -67,13 +60,12 @@ val fail_dc : 'm t -> int -> unit
 (** Simulated time at which the DC crashed; [None] if it is live. *)
 val dc_failed_at : 'm t -> int -> int option
 
-(** Revive a crashed data center with empty in-flight state: every FIFO
-    channel and reliable-layer flow touching the DC is discarded on both
-    sides (fresh sequence spaces in both directions), and anything still
-    in flight from before the crash is dropped on arrival. Messages the
-    DC missed while down are {e not} replayed — recovering the content is
-    the protocol layer's job (snapshot + log catch-up). No-op if the DC
-    is live. *)
+(** Revive a crashed data center with empty in-flight state: every
+    channel touching the DC is discarded, in both directions (no FIFO
+    floor, fresh sequence spaces), and anything still in flight from
+    before the crash is dropped on arrival. Messages the DC missed while
+    down are {e not} replayed — recovering the content is the protocol
+    layer's job (snapshot + log catch-up). No-op if the DC is live. *)
 val recover_dc : 'm t -> int -> unit
 
 (** {1 Node-level failures}
@@ -145,8 +137,6 @@ val set_meter :
 
 (** {1 Statistics} *)
 
-val messages_sent : 'm t -> int
-
 (** Total drops, all causes (= crash + loss + partition). *)
 val messages_dropped : 'm t -> int
 
@@ -156,8 +146,6 @@ val dropped_partition : 'm t -> int
 
 (** Physical re-sends performed by the reliable layer. *)
 val retransmissions : 'm t -> int
-
-val acks_sent : 'm t -> int
 
 (** Receiver-side duplicates discarded (retransmit races and [dup_p]). *)
 val duplicates_suppressed : 'm t -> int
@@ -175,6 +163,3 @@ val unacked_matching : 'm t -> f:(string -> bool) -> int
 
 val node_processed : 'm t -> addr -> int
 val node_busy_us : 'm t -> addr -> int
-
-(** Fraction of elapsed simulated time the node's CPU was busy. *)
-val node_utilization : 'm t -> addr -> float

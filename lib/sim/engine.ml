@@ -30,8 +30,11 @@
    it for the [sim_events_per_sec] artifact line, excluding setup and
    artifact-writing time from the denominator. *)
 
+(* A queued event; [tag] is its attribution label. *)
+type event = { time : int; seq : int; tag : Prof.label; f : unit -> unit }
+
 type t = {
-  queue : (unit -> unit) Heap.t;
+  queue : event Heap.t;
   mutable now : int;
   mutable seq : int;
   mutable cur_seq : int;  (* sequence number of the executing event *)
@@ -53,7 +56,9 @@ let drain t =
 
 let create ?(seed = 42) () =
   {
-    queue = Heap.create (fun () -> ());
+    queue =
+      Heap.create ~less:(fun a b ->
+          a.time < b.time || (a.time = b.time && a.seq < b.seq));
     now = 0;
     seq = 0;
     cur_seq = 0;
@@ -82,7 +87,7 @@ let ticket t =
 let push t ~label ~time ~ticket f =
   let time = if time < t.now then t.now else time in
   let tag = if label <> Prof.none then label else t.cur_label in
-  Heap.push t.queue ~time ~seq:ticket ~tag f
+  Heap.push t.queue { time; seq = ticket; tag; f }
 
 (* Both keep their own default for [label]: a defaulted optional
    argument compiles to an inlined wrapper, so callers passing [~label]
@@ -101,10 +106,10 @@ let passed t ~time ~ticket =
   else
     time < t.now
     || time = t.now
-       &&
-       match Heap.peek t.queue with
-       | Some e when e.time = t.now -> ticket < e.seq
-       | _ -> true
+       && (Heap.is_empty t.queue
+          ||
+          let e = Heap.top t.queue in
+          e.time <> t.now || ticket < e.seq)
 
 let schedule t ?(label = Prof.none) ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
@@ -119,37 +124,33 @@ let run ?until t =
   t.stopped <- false;
   let limit = match until with None -> max_int | Some u -> u in
   let rec loop () =
-    if t.stopped then ()
-    else
-      match Heap.peek t.queue with
-      | None -> ()
-      | Some { time; _ } when time > limit ->
-          (* Leave the clock at the limit and the event in the queue: a
-             later [run] slice must see it — dropping it here kills
-             self-rescheduling loops (periodic tasks, retransmission
-             timers) for the rest of the simulation. *)
-          t.now <- max t.now limit
-      | Some _ ->
-          let { Heap.time; seq; value = f; tag } =
-            Option.get (Heap.pop t.queue)
-          in
-          t.now <- time;
-          t.cur_seq <- seq;
-          t.executed <- t.executed + 1;
-          t.in_event <- true;
-          if Prof.is_on t.prof then begin
-            t.cur_label <- tag;
-            Prof.account t.prof tag (fun () ->
-                f ();
-                drain t);
-            t.cur_label <- Prof.none
-          end
-          else begin
+    if t.stopped || Heap.is_empty t.queue then ()
+    else if (Heap.top t.queue).time > limit then
+      (* Leave the clock at the limit and the event in the queue: a
+         later [run] slice must see it — dropping it here kills
+         self-rescheduling loops (periodic tasks, retransmission
+         timers) for the rest of the simulation. *)
+      t.now <- max t.now limit
+    else begin
+      let { time; seq; tag; f } = Heap.pop t.queue in
+      t.now <- time;
+      t.cur_seq <- seq;
+      t.executed <- t.executed + 1;
+      t.in_event <- true;
+      if Prof.is_on t.prof then begin
+        t.cur_label <- tag;
+        Prof.account t.prof tag (fun () ->
             f ();
-            drain t
-          end;
-          t.in_event <- false;
-          loop ()
+            drain t);
+        t.cur_label <- Prof.none
+      end
+      else begin
+        f ();
+        drain t
+      end;
+      t.in_event <- false;
+      loop ()
+    end
   in
   let t0 = Prof.wall t.prof in
   Fun.protect

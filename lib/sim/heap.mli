@@ -1,28 +1,29 @@
-(** Binary min-heap keyed by [(time, seq)].
+(** Binary min-heap under an ordering given at {!create}.
 
-    Used as the simulator event queue. Ties on [time] break on [seq]
-    (insertion order), which makes runs deterministic. *)
+    Used for the simulator's event queue, each node's network inbox and
+    the replicas' threshold waits. Each keys its elements by a unique
+    [(time, seq)] pair — ties on time break on insertion order — so the
+    pop order is fully determined and runs are deterministic.
 
-type 'a entry = { time : int; seq : int; tag : int; value : 'a }
+    {!top} and {!pop} allocate nothing. The backing array is halved
+    when the heap shrinks to a quarter of it. *)
 
 type 'a t
 
-(** [create dummy] makes an empty heap. [dummy] is only used to fill unused
-    array slots and is never returned. *)
-val create : 'a -> 'a t
+(** [create ~less] makes an empty heap ordered by [less], a strict
+    order: the smallest element is the one no other is [less] than. *)
+val create : less:('a -> 'a -> bool) -> 'a t
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
+val push : 'a t -> 'a -> unit
 
-(** [push h ~time ~seq ?tag v] inserts [v] with key [(time, seq)].
-    [tag] (default 0) is an opaque annotation returned with the entry;
-    the engine stores the event's attribution label there. *)
-val push : 'a t -> time:int -> seq:int -> ?tag:int -> 'a -> unit
+(** Smallest element, without removing it. [Invalid_argument] if the
+    heap is empty. *)
+val top : 'a t -> 'a
 
-(** Smallest entry, without removing it. *)
-val peek : 'a t -> 'a entry option
-
-(** Remove and return the smallest entry. *)
-val pop : 'a t -> 'a entry option
+(** Remove and return the smallest element. [Invalid_argument] if the
+    heap is empty. *)
+val pop : 'a t -> 'a
 
 val clear : 'a t -> unit

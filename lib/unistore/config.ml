@@ -127,7 +127,6 @@ type t = {
   broadcast_period_us : int;
   clock_skew_us : int;  (* max absolute per-replica clock skew *)
   detection_delay_us : int;  (* Ω suspicion timeout: silence before suspect *)
-  fd_period_us : int;  (* Ω heartbeat broadcast / check period *)
   link_faults : Net.Faults.spec option;  (* lossy inter-DC links (nemesis) *)
   gc_grace_us : int;  (* how long a crashed DC holds GC floors (rejoin) *)
   client_failover_us : int;  (* client request timeout before DC failover;
@@ -154,8 +153,7 @@ type t = {
 let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     ?(mode = Unistore) ?(conflict = Serializable) ?(leader_dc = 0)
     ?(broadcast_period_us = 5_000) ?(clock_skew_us = 1_000)
-    ?(detection_delay_us = 500_000) ?(fd_period_us = 100_000)
-    ?link_faults ?(gc_grace_us = 10_000_000)
+    ?(detection_delay_us = 500_000) ?link_faults ?(gc_grace_us = 10_000_000)
     ?(client_failover_us = 0) ?(admission_max_pending = 0)
     ?(persistence = false) ?(snapshot_interval_us = 2_000_000)
     ?(costs = default_costs)
@@ -197,7 +195,6 @@ let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     broadcast_period_us;
     clock_skew_us;
     detection_delay_us;
-    fd_period_us;
     link_faults;
     gc_grace_us;
     client_failover_us;
@@ -216,6 +213,9 @@ let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
 
 (* Period of PROPAGATE_LOCAL_TXS (5 ms in §8). *)
 let propagate_period_us = 5_000
+
+(* Ω heartbeat broadcast / check period. *)
+let fd_period_us = 100_000
 
 (* Period of the leader's dummy strong transaction, which keeps the
    strong vector advancing when no client commits a strong transaction. *)
@@ -244,7 +244,7 @@ let rto_cap_us t = t.detection_delay_us + Net.Topology.max_rtt_us t.topo
    worst-case RTT for an in-flight election round to finish. Derived so
    the worst-case strong-commit stall after a leader-home rejoin scales
    with the deployment rather than a fixed 1 s. *)
-let reclaim_debounce_us t = t.fd_period_us + Net.Topology.max_rtt_us t.topo
+let reclaim_debounce_us t = fd_period_us + Net.Topology.max_rtt_us t.topo
 
 (* Base of the randomized backoff a client sleeps after an R_overloaded
    shed before resubmitting. The shed means the DC's

@@ -74,7 +74,6 @@ type t = {
   clock_skew_us : int;  (** max absolute per-replica clock skew *)
   detection_delay_us : int;
       (** Ω suspicion timeout: a DC silent for this long is suspected *)
-  fd_period_us : int;  (** Ω heartbeat broadcast / check period *)
   link_faults : Net.Faults.spec option;
       (** install lossy inter-DC links with these rates (nemesis runs);
           [None] keeps the network perfectly reliable *)
@@ -136,7 +135,6 @@ val default :
   ?broadcast_period_us:int ->
   ?clock_skew_us:int ->
   ?detection_delay_us:int ->
-  ?fd_period_us:int ->
   ?link_faults:Net.Faults.spec ->
   ?gc_grace_us:int ->
   ?client_failover_us:int ->
@@ -156,6 +154,9 @@ val default :
 
 (** PROPAGATE_LOCAL_TXS period: 5 ms, as in §8. *)
 val propagate_period_us : int
+
+(** Ω heartbeat broadcast / check period: 100 ms. *)
+val fd_period_us : int
 
 (** Period of the leader's dummy strong transaction: 10 ms. *)
 val strong_heartbeat_us : int
@@ -177,7 +178,7 @@ val quorum : t -> int
 val rto_cap_us : t -> int
 
 (** Derived debounce of {!Cert.reclaim} leadership bids: one Ω reaction
-    period ([fd_period_us]) plus the topology's worst-case RTT — long
+    period ({!fd_period_us}) plus the topology's worst-case RTT — long
     enough for an in-flight election round to settle, and much tighter
     than the former fixed 1 s on typical deployments. *)
 val reclaim_debounce_us : t -> int

@@ -3,13 +3,13 @@
 
    Replaces the oracle that previously wired [System.fail_dc] straight to
    [Replica.suspect]: each DC now runs a detector node that broadcasts
-   [Msg.Fd_ping] to its peers every [fd_period_us] and suspects any DC it
-   has not heard from for [detection_delay_us]. Suspicion is a *local,
-   fallible* judgement — a transient partition or a gray link produces
-   false suspicions, which is precisely the regime Ω permits: eventually,
-   once the network stabilises, correct DCs stop being suspected
-   ([unsuspect] fires when their pings resume) and all observers converge
-   on trusting the same leader.
+   [Msg.Fd_ping] to its peers every [Config.fd_period_us] and suspects
+   any DC it has not heard from for [detection_delay_us]. Suspicion is a
+   *local, fallible* judgement — a transient partition or a gray link
+   produces false suspicions, which is precisely the regime Ω permits:
+   eventually, once the network stabilises, correct DCs stop being
+   suspected ([unsuspect] fires when their pings resume) and all
+   observers converge on trusting the same leader.
 
    The detector only observes and notifies; what trust means is the
    replicas' business ([Replica.suspect] / [Replica.unsuspect] and the
@@ -86,7 +86,7 @@ let handle t ~observer msg =
    got to observe the crash because recovery was quicker than its
    period). *)
 let arm t dc =
-  let period = t.cfg.Config.fd_period_us in
+  let period = Config.fd_period_us in
   let timeout = t.cfg.Config.detection_delay_us in
   let dcs = Config.dcs t.cfg in
   t.gens.(dc) <- t.gens.(dc) + 1;

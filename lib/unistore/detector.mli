@@ -1,12 +1,12 @@
 (** Heartbeat-based Ω failure detector.
 
     One detector node per data center: it broadcasts {!Msg.Fd_ping} to
-    its peers every [fd_period_us] and suspects any DC silent for longer
-    than [detection_delay_us]. Suspicion is local and fallible (transient
-    partitions produce false suspicions); when pings resume the DC is
-    rehabilitated. [on_suspect] / [on_restore] fire on each observer's
-    transitions — {!System} wires them to {!Replica.suspect} /
-    {!Replica.unsuspect}. *)
+    its peers every {!Config.fd_period_us} and suspects any DC silent
+    for longer than [detection_delay_us]. Suspicion is local and
+    fallible (transient partitions produce false suspicions); when pings
+    resume the DC is rehabilitated. [on_suspect] / [on_restore] fire on
+    each observer's transitions — {!System} wires them to
+    {!Replica.suspect} / {!Replica.unsuspect}. *)
 
 type t
 

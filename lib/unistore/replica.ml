@@ -81,9 +81,9 @@ let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
     last_prep_ts = 0;
     propagated_upto = 0;
     txns = Hashtbl.create 64;
-    wait_known_local = Sim.Heap.create (fun () -> ());
-    wait_known_strong = Sim.Heap.create (fun () -> ());
-    wait_uniform_local = Sim.Heap.create (fun () -> ());
+    wait_known_local = Sim.Heap.create ~less:wait_before;
+    wait_known_strong = Sim.Heap.create ~less:wait_before;
+    wait_uniform_local = Sim.Heap.create ~less:wait_before;
     wait_seq = 0;
     waiters = [];
     cert = None;

@@ -105,6 +105,12 @@ type pending_cert = {
   mutable p_done : bool;
 }
 
+(* A "wait until" on one vector entry: [w_k] runs once the entry
+   reaches [w_at]. [w_seq] breaks ties in registration order. *)
+type wait = { w_at : int; w_seq : int; w_k : unit -> unit }
+
+let wait_before a b = a.w_at < b.w_at || (a.w_at = b.w_at && a.w_seq < b.w_seq)
+
 (* Maximum entries per snapshot-transfer or repair-reply message: bounds
    message size during catch-up. *)
 let catchup_chunk = 256
@@ -223,9 +229,9 @@ type t = {
   (* "wait until" queues, keyed by the threshold waited for, flushed when
      the corresponding vector entry advances; a list of (predicate,
      action) pairs, newest first, remains for the multi-entry attach *)
-  wait_known_local : (unit -> unit) Sim.Heap.t;
-  wait_known_strong : (unit -> unit) Sim.Heap.t;
-  wait_uniform_local : (unit -> unit) Sim.Heap.t;
+  wait_known_local : wait Sim.Heap.t;
+  wait_known_strong : wait Sim.Heap.t;
+  wait_uniform_local : wait Sim.Heap.t;
   mutable wait_seq : int;
   mutable waiters : ((unit -> bool) * (unit -> unit)) list;
   (* --- strong transactions ------------------------------------------- *)
@@ -363,15 +369,14 @@ let gc_claim t =
 
 let push_wait t heap ~threshold k =
   t.wait_seq <- t.wait_seq + 1;
-  Sim.Heap.push heap ~time:threshold ~seq:t.wait_seq k
+  Sim.Heap.push heap { w_at = threshold; w_seq = t.wait_seq; w_k = k }
 
 let rec flush_wait heap ~frontier =
-  match Sim.Heap.peek heap with
-  | Some e when e.Sim.Heap.time <= frontier ->
-      ignore (Sim.Heap.pop heap);
-      e.Sim.Heap.value ();
-      flush_wait heap ~frontier
-  | _ -> ()
+  if (not (Sim.Heap.is_empty heap)) && (Sim.Heap.top heap).w_at <= frontier
+  then begin
+    (Sim.Heap.pop heap).w_k ();
+    flush_wait heap ~frontier
+  end
 
 (* Run [k] once knownVec[d] >= local and knownVec[strong] >= strong
    (Algorithm A3 line 4). *)

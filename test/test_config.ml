@@ -115,7 +115,7 @@ let test_reclaim_debounce_derivation () =
     let cfg = U.Config.default ~topo () in
     Alcotest.(check int)
       (name ^ ": debounce = fd period + max RTT")
-      (cfg.U.Config.fd_period_us + Net.Topology.max_rtt_us topo)
+      (U.Config.fd_period_us + Net.Topology.max_rtt_us topo)
       (U.Config.reclaim_debounce_us cfg);
     Alcotest.(check bool)
       (name ^ ": tighter than the old fixed 1 s")
