@@ -11,7 +11,10 @@
 # `attempted`, `failed` and every metric except the wall-clock and
 # allocator ones (setup_s, alloc_mwords_per_sim_s, live_heap_mb), which
 # only have to stay inside BENCHMARK.json's bounds. Prints each
-# difference; exits 1 if there is any, 2 on a usage or run error.
+# difference; exits 1 if there is any, 2 on a usage or run error. Also
+# prints, for information only (never a failure), both trees'
+# alloc_mwords_per_sim_s and live_heap_mb side by side with the change
+# in percent, so one run also sizes an allocation change.
 # About 1.5 min per tree and seed on a 2-vCPU host.
 set -euo pipefail
 
@@ -64,5 +67,12 @@ for w in ["geo-causal", "strong-openloop", "nemesis-churn"]:
             print("%s seed %s: %s parent %r change %r" % (w, s, name, pa, ch))
         print("%s seed %s: %s" % (w, s, "DIFFERS" if bad else "identical"))
         diffs += len(bad)
+        for m in ("alloc_mwords_per_sim_s", "live_heap_mb"):
+            pa, ch = (r["metrics"].get(m, {}).get("value") for r in (a, b))
+            if pa is None or ch is None:
+                continue
+            pct = "%+.2f%%" % (100.0 * (ch - pa) / pa) if pa else "n/a"
+            print("%s seed %s:   %s parent %.3f change %.3f (%s)"
+                  % (w, s, m, pa, ch, pct))
 sys.exit(1 if diffs else 0)
 EOF

@@ -173,15 +173,18 @@ let idle = -1
    (retransmits, fast retransmits, duplicate acks, suppressed
    duplicates, acks), drops by cause, and per-link backlog gauges.
    Handle lookups are cached here so the per-message cost is a hash hit
-   plus an increment; with no meter installed the cost is one branch. *)
+   (the kinds) or an array read (the links, indexed by
+   [src_dc * dcs + dst_dc]) plus an increment, with nothing allocated;
+   with no meter installed the cost is one branch. *)
 type 'm meter = {
   reg : Sim.Metrics.t;
   kind_of : 'm -> string;
   size_of : 'm -> int;  (* estimated wire bytes *)
   by_kind_sent : (string, Sim.Metrics.counter * Sim.Metrics.counter) Hashtbl.t;
   by_kind_recv : (string, Sim.Metrics.counter) Hashtbl.t;
-  by_link : (int * int, Sim.Metrics.counter * Sim.Metrics.counter) Hashtbl.t;
-  by_link_backlog : (int * int, Sim.Metrics.gauge) Hashtbl.t;
+  dcs : int;
+  by_link : (Sim.Metrics.counter * Sim.Metrics.counter) option array;
+  by_link_backlog : Sim.Metrics.gauge option array;
   m_retransmit : Sim.Metrics.counter;
   m_fast_retransmit : Sim.Metrics.counter;
   m_dup_ack : Sim.Metrics.counter;
@@ -279,9 +282,9 @@ let lab_retransmit t =
 (* "<node>/handle:<kind>" label for a handler-execution event, cached
    per (node, kind). Only called when the profiler is on. *)
 let handler_label t n kind =
-  match Hashtbl.find_opt n.lab_cache kind with
-  | Some l -> l
-  | None ->
+  match Hashtbl.find n.lab_cache kind with
+  | l -> l
+  | exception Not_found ->
       let l = Sim.Prof.label t.prof (n.name ^ "/handle:" ^ kind) in
       Hashtbl.replace n.lab_cache kind l;
       l
@@ -309,6 +312,7 @@ let rto_cap t = t.rto_cap_us
 
 let set_meter t reg ~kind_of ~size_of =
   let c ?labels name = Sim.Metrics.counter reg ?labels name in
+  let dcs = Topology.dcs t.topo in
   t.meter <-
     Some
       {
@@ -317,8 +321,9 @@ let set_meter t reg ~kind_of ~size_of =
         size_of;
         by_kind_sent = Hashtbl.create 64;
         by_kind_recv = Hashtbl.create 64;
-        by_link = Hashtbl.create 32;
-        by_link_backlog = Hashtbl.create 32;
+        dcs;
+        by_link = Array.make (dcs * dcs) None;
+        by_link_backlog = Array.make (dcs * dcs) None;
         m_retransmit = c "net_retransmits_total";
         m_fast_retransmit = c "net_fast_retransmits_total";
         m_dup_ack = c "net_dup_acks_total";
@@ -330,11 +335,13 @@ let set_meter t reg ~kind_of ~size_of =
           c ~labels:[ ("cause", "partition") ] "net_dropped_total";
       }
 
-(* Cached (counter, bytes-counter) per message kind / DC link. *)
+(* Cached (counter, bytes-counter) per message kind / DC link, interned
+   on first use. A hit allocates nothing ([Hashtbl.find], not
+   [find_opt]). *)
 let meter_kind_sent m kind =
-  match Hashtbl.find_opt m.by_kind_sent kind with
-  | Some pair -> pair
-  | None ->
+  match Hashtbl.find m.by_kind_sent kind with
+  | pair -> pair
+  | exception Not_found ->
       let labels = [ ("kind", kind) ] in
       let pair =
         ( Sim.Metrics.counter m.reg ~labels "net_sent_total",
@@ -344,9 +351,9 @@ let meter_kind_sent m kind =
       pair
 
 let meter_kind_recv m kind =
-  match Hashtbl.find_opt m.by_kind_recv kind with
-  | Some ctr -> ctr
-  | None ->
+  match Hashtbl.find m.by_kind_recv kind with
+  | ctr -> ctr
+  | exception Not_found ->
       let ctr =
         Sim.Metrics.counter m.reg ~labels:[ ("kind", kind) ] "net_received_total"
       in
@@ -357,7 +364,8 @@ let link_labels ~src_dc ~dst_dc =
   [ ("src_dc", string_of_int src_dc); ("dst_dc", string_of_int dst_dc) ]
 
 let meter_link m ~src_dc ~dst_dc =
-  match Hashtbl.find_opt m.by_link (src_dc, dst_dc) with
+  let i = (src_dc * m.dcs) + dst_dc in
+  match m.by_link.(i) with
   | Some pair -> pair
   | None ->
       let labels = link_labels ~src_dc ~dst_dc in
@@ -365,11 +373,12 @@ let meter_link m ~src_dc ~dst_dc =
         ( Sim.Metrics.counter m.reg ~labels "net_link_sent_total",
           Sim.Metrics.counter m.reg ~labels "net_link_sent_bytes" )
       in
-      Hashtbl.replace m.by_link (src_dc, dst_dc) pair;
+      m.by_link.(i) <- Some pair;
       pair
 
 let meter_backlog m ~src_dc ~dst_dc =
-  match Hashtbl.find_opt m.by_link_backlog (src_dc, dst_dc) with
+  let i = (src_dc * m.dcs) + dst_dc in
+  match m.by_link_backlog.(i) with
   | Some g -> g
   | None ->
       let g =
@@ -377,7 +386,7 @@ let meter_backlog m ~src_dc ~dst_dc =
           ~labels:(link_labels ~src_dc ~dst_dc)
           "net_flow_backlog"
       in
-      Hashtbl.replace m.by_link_backlog (src_dc, dst_dc) g;
+      m.by_link_backlog.(i) <- Some g;
       g
 
 (* Backlog delta on the (src_dc, dst_dc) gauge; the gauge also tracks
@@ -513,12 +522,13 @@ let base_rto t ~src_dc ~dst_dc =
 
 (* The (src, dst) channel, created on first use. Its key packs both
    addresses into one int (addresses are node-array indices, far below
-   2^31), so neither the table nor a lookup allocates a pair. *)
+   2^31), so neither the table nor a lookup allocates a pair, and a hit
+   allocates no option either. *)
 let chan t ~src_node ~dst_node =
   let key = (src_node.addr lsl 31) lor dst_node.addr in
-  match Hashtbl.find_opt t.chans key with
-  | Some ch -> ch
-  | None ->
+  match Hashtbl.find t.chans key with
+  | ch -> ch
+  | exception Not_found ->
       let ch =
         {
           src = src_node;

@@ -10,6 +10,9 @@ type 'a record = {
 
 type 's snap = { snap_seq : int; state : 's }
 
+(* A durability continuation: [k] runs once record [w_seq] is durable. *)
+type waiter = { w_seq : int; w_k : unit -> unit }
+
 (* The disk models a datacenter SSD: ~0.5 ms fsync (NVMe flush), ~200 MB/s
    sustained sequential writes. The gray-disk nemesis degrades both at
    runtime ([set_slow]). *)
@@ -27,7 +30,9 @@ type ('a, 's) t = {
   mutable inflight : 'a record list;  (* oldest first, fsync under way *)
   mutable durable : 'a record list;  (* newest first *)
   mutable busy : bool;  (* an fsync is in flight *)
-  mutable waiters : (int * int * (unit -> unit)) list;  (* gen, seq, k *)
+  waiters : waiter Queue.t;
+      (* oldest first, so in [w_seq] order; all of the current [gen]:
+         [crash], [scrub] and [recover] clear it *)
   mutable snapshot : 's snap option;  (* installed (durable) snapshot *)
   mutable snap_req : int;  (* snapshot write generation: latest wins *)
   mutable snap_writing : bool;
@@ -64,7 +69,7 @@ let create ~eng ?metrics ~size ~snap_size () =
     inflight = [];
     durable = [];
     busy = false;
-    waiters = [];
+    waiters = Queue.create ();
     snapshot = None;
     snap_req = 0;
     snap_writing = false;
@@ -104,15 +109,14 @@ let write_delay t bytes =
 let durable_seq t =
   match t.durable with [] -> 0 | r :: _ -> r.seq
 
+(* Run, oldest first, the continuations whose record is now durable. *)
 let run_waiters t =
   let floor = durable_seq t in
-  let ready, rest =
-    List.partition (fun (g, s, _) -> g = t.gen && s <= floor) t.waiters
-  in
-  t.waiters <- rest;
-  List.iter
-    (fun (_, _, k) -> k ())
-    (List.sort (fun (_, a, _) (_, b, _) -> compare a b) ready)
+  while
+    (not (Queue.is_empty t.waiters)) && (Queue.peek t.waiters).w_seq <= floor
+  do
+    (Queue.take t.waiters).w_k ()
+  done
 
 (* Group commit: one fsync covers everything buffered when it starts;
    appends landing during the write ride the next one. *)
@@ -130,8 +134,12 @@ let rec maybe_fsync t =
           t.durable <- List.rev_append t.inflight t.durable;
           t.inflight <- [];
           t.busy <- false;
-          Option.iter (fun h -> Sim.Metrics.observe h delay) t.m_fsync;
-          Option.iter (fun c -> Sim.Metrics.incr ~by:bytes c) t.m_bytes;
+          (match t.m_fsync with
+          | Some h -> Sim.Metrics.observe h delay
+          | None -> ());
+          (match t.m_bytes with
+          | Some c -> Sim.Metrics.incr ~by:bytes c
+          | None -> ());
           run_waiters t;
           maybe_fsync t
         end)
@@ -146,7 +154,7 @@ let append t ?k payload =
   t.buffered <- r :: t.buffered;
   (match k with
   | Some k when !unsafe_ack -> Sim.Engine.schedule t.eng ~delay:0 k
-  | Some k -> t.waiters <- (t.gen, seq, k) :: t.waiters
+  | Some k -> Queue.add { w_seq = seq; w_k = k } t.waiters
   | None -> ());
   maybe_fsync t;
   seq
@@ -171,7 +179,7 @@ let tear_next t = t.tear_armed <- true
 
 let crash t =
   t.gen <- t.gen + 1;
-  t.waiters <- [];
+  Queue.clear t.waiters;
   t.buffered <- [];
   t.busy <- false;
   t.snap_writing <- false;
@@ -214,7 +222,7 @@ let recover t =
   t.buffered <- [];
   t.inflight <- [];
   t.busy <- false;
-  t.waiters <- [];
+  Queue.clear t.waiters;
   t.next <-
     (match t.durable with
     | r :: _ -> r.seq + 1
@@ -224,7 +232,7 @@ let recover t =
 
 let scrub t =
   t.gen <- t.gen + 1;
-  t.waiters <- [];
+  Queue.clear t.waiters;
   t.buffered <- [];
   t.inflight <- [];
   t.durable <- [];

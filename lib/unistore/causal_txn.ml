@@ -216,9 +216,10 @@ let handle_commit t ~tid ~vec ~lc ~origin =
           log_async t (W_commit tx);
           History.system_commit t.history ~tid ~writes:p.pc_writes ~vec ~lc
             ~origin ~accumulate:true;
-          Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"commit"
-            "%a local-ts=%d writes=%d" Types.tid_pp tid (Vc.get vec t.dc)
-            (List.length p.pc_writes))
+          if Sim.Trace.enabled t.trace then
+            Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"commit"
+              "%a local-ts=%d writes=%d" Types.tid_pp tid (Vc.get vec t.dc)
+              (List.length p.pc_writes))
 
 (* ------------------------------------------------------------------ *)
 (* Presumed-abort resolution of orphaned causal 2PCs (persistence

@@ -276,8 +276,9 @@ let apply_batch t ~origin ~from_ts txs =
   if txs <> [] then log_async t (W_replicate (origin, txs, from_ts))
 
 let handle_replicate t ~origin ~txs ~from_ts =
-  Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"replicate"
-    "from dc%d: %d txs" origin (List.length txs);
+  if Sim.Trace.enabled t.trace then
+    Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"replicate"
+      "from dc%d: %d txs" origin (List.length txs);
   let last =
     List.fold_left
       (fun acc tx -> max acc (Vc.get tx.Types.tx_vec origin))

@@ -12,14 +12,21 @@ open Replica_state
 let remote_snapshot_vec t =
   if Config.tracks_uniformity t.cfg then t.uniform_vec else t.stable_vec
 
+(* Whether a pending (ts, arrival) sample is covered by [bound]: a
+   closure-free scan, so a flush that makes nothing visible allocates
+   nothing. *)
+let rec any_visible bound = function
+  | [] -> false
+  | (ts, _) :: rest -> ts <= bound || any_visible bound rest
+
 (* Record Fig. 6 samples: remote transactions become visible when the
    mode's snapshot vector covers them. *)
 let flush_visibility t =
   if t.cfg.Config.measure_visibility && t.part = 0 then begin
     let vis = remote_snapshot_vec t in
     for origin = 0 to dcs t - 1 do
-      if origin <> t.dc then begin
-        let pending = t.pending_vis.(origin) in
+      let pending = t.pending_vis.(origin) in
+      if origin <> t.dc && any_visible (Vc.get vis origin) !pending then begin
         let visible, waiting =
           List.partition (fun (ts, _) -> ts <= Vc.get vis origin) !pending
         in
@@ -37,22 +44,16 @@ let flush_visibility t =
 
 (* uniformVec[j] := max over groups of f+1 DCs containing d of the
    minimum stableVec[j] within the group (Algorithm A5 lines 10–15).
-   The best group keeps d and the f other DCs with the largest values. *)
+   The best group keeps d and the f other DCs with the largest values;
+   the f-th largest is selected in place ([Vc.nth_largest]), so the
+   recompute allocates nothing. *)
 let recompute_uniform t =
   let d = dcs t and f = t.cfg.Config.f in
   for j = 0 to d - 1 do
     let own = Vc.get t.stable_matrix.(t.dc) j in
     let cand =
       if f = 0 then own
-      else begin
-        let others = ref [] in
-        for h = 0 to d - 1 do
-          if h <> t.dc then others := Vc.get t.stable_matrix.(h) j :: !others
-        done;
-        let sorted = List.sort (fun a b -> compare b a) !others in
-        let fth = List.nth sorted (f - 1) in
-        min own fth
-      end
+      else min own (Vc.nth_largest t.stable_matrix ~skip:t.dc j f)
     in
     Vc.bump t.uniform_vec j cand
   done;
@@ -123,11 +124,11 @@ let handle_kv_up t ~part ~vec =
    history, repaired from the siblings' forwarding buffers (the GC
    floors retain it for us, see [prune_committed]). *)
 let handle_knownvec_global t ~dc ~vec ~stable =
-  Option.iter
-    (fun s ->
+  (match stable with
+  | Some s ->
       Vc.merge_into t.stable_matrix.(dc) s;
-      recompute_uniform t)
-    stable;
+      recompute_uniform t
+  | None -> ());
   Vc.merge_into t.global_matrix.(dc) vec;
   match t.sync with
   | None -> ()

@@ -321,7 +321,10 @@ let deliver_strong t txs ~strong_ts =
   if strong_ts > Vc.strong t.known_vec then Vc.set_strong t.known_vec strong_ts;
   (* dummy heartbeats deliver empty write sets; only real updates are
      worth tracing *)
-  if List.exists (fun tx -> tx.Types.tx_writes <> []) txs then
+  if
+    Sim.Trace.enabled t.trace
+    && List.exists (fun tx -> tx.Types.tx_writes <> []) txs
+  then
     Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"deliver-strong"
       "ts=%d txs=%d" strong_ts (List.length txs);
   flush_wait t.wait_known_strong ~frontier:(Vc.strong t.known_vec)

@@ -75,6 +75,26 @@ let bump_strong v x =
   let i = strong_index v in
   if x > v.(i) then v.(i) <- x
 
+(* The [n]-th largest of entry [i] over the rows other than [skip],
+   ties counted: the largest value that at least [n] of those rows
+   reach. Quadratic in the row count (a DC count, at most a handful)
+   and allocation-free, unlike sorting a fresh list. *)
+let nth_largest rows ~skip i n =
+  let rows_n = Array.length rows in
+  if n < 1 || n >= rows_n then invalid_arg "Vc.nth_largest: n out of range";
+  let best = ref min_int in
+  for h = 0 to rows_n - 1 do
+    let v = rows.(h).(i) in
+    if h <> skip && v > !best then begin
+      let reach = ref 0 in
+      for h' = 0 to rows_n - 1 do
+        if h' <> skip && rows.(h').(i) >= v then incr reach
+      done;
+      if !reach >= n then best := v
+    end
+  done;
+  !best
+
 let pp ppf v =
   let n = Array.length v in
   Fmt.pf ppf "[";

@@ -46,5 +46,11 @@ val merge_into : t -> t -> unit
 val bump : t -> int -> int -> unit
 
 val bump_strong : t -> int -> unit
+
+(** [nth_largest rows ~skip i n] is the [n]-th largest value (1-based,
+    ties counted) of entry [i] over every row but [rows.(skip)], as a
+    descending sort would place it; allocates nothing. Requires
+    [1 <= n < Array.length rows] and [skip] a row index. *)
+val nth_largest : t array -> skip:int -> int -> int -> int
 val pp : t Fmt.t
 val to_string : t -> string

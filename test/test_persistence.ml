@@ -100,6 +100,53 @@ let test_wal_torn_tail () =
     (List.init len (fun i -> i + 1) @ [ 99 ])
     tail'
 
+(* Durability continuations run oldest first across group commits, and
+   a crash, a scrub or a recovery drops every pending one: the appends
+   made afterwards are the only ones acked, still in order. *)
+let test_wal_waiters_order () =
+  let eng = Sim.Engine.create () in
+  let w = make_wal eng in
+  let acked = ref [] in
+  let append_at us v =
+    Sim.Engine.schedule_at eng ~time:us (fun () ->
+        ignore
+          (Wal.append w
+             ~k:(fun () -> acked := (v, Sim.Engine.now eng) :: !acked)
+             v))
+  in
+  (* 300us apart against a 500us fsync: batches of one and two; record
+     i is appended i-th, so it gets sequence number i *)
+  for i = 1 to 12 do
+    append_at (i * 300) i
+  done;
+  Sim.Engine.run eng ~until:100_000;
+  let acks = List.rev !acked in
+  Alcotest.(check (list int)) "acked in sequence order"
+    (List.init 12 (fun i -> i + 1))
+    (List.map fst acks);
+  Alcotest.(check bool) "over several group commits" true
+    (List.length (List.sort_uniq compare (List.map snd acks)) >= 4);
+  let pending_then cut label =
+    acked := [];
+    let base = Sim.Engine.now eng in
+    for i = 1 to 3 do
+      append_at (base + (i * 100)) (100 + i)
+    done;
+    Sim.Engine.run eng ~until:(base + 350);
+    cut ();
+    let after = Sim.Engine.now eng in
+    append_at (after + 1) 200;
+    append_at (after + 2) 201;
+    Sim.Engine.run eng ~until:(after + 100_000);
+    Alcotest.(check (list int))
+      (label ^ ": only the later appends are acked, in order")
+      [ 200; 201 ]
+      (List.rev_map fst !acked)
+  in
+  pending_then (fun () -> Wal.crash w; ignore (Wal.recover w)) "crash";
+  pending_then (fun () -> Wal.scrub w) "scrub";
+  pending_then (fun () -> ignore (Wal.recover w)) "recover"
+
 (* Snapshots bound replay: once installed, recovery returns the
    snapshot plus only the log suffix above its boundary. *)
 let test_wal_snapshot_bounds_replay () =
@@ -382,6 +429,8 @@ let suite =
       test_wal_torn_tail;
     Alcotest.test_case "snapshots bound replay to the suffix" `Quick
       test_wal_snapshot_bounds_replay;
+    Alcotest.test_case "durability acks run in order; none survive a cut"
+      `Quick test_wal_waiters_order;
     Alcotest.test_case "clean node restart recovers locally, zero WAN bytes"
       `Slow test_clean_node_restart;
     Alcotest.test_case "torn-tail restart truncates, replays, rejoins" `Slow

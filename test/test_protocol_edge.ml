@@ -368,6 +368,50 @@ let test_gap_repair_frontier_order () =
   Alcotest.(check int) "no further gaps" 2
     (counter_total reg "replicate_gap_detected_total")
 
+(* A sibling claim whose stableVec raises nothing costs no allocation,
+   even with a visibility sample pending: the uniformVec recompute
+   selects in place and the visibility flush only scans. A claim that
+   does raise uniformVec still releases the sample. *)
+let test_idle_claim_allocates_nothing () =
+  let cfg =
+    U.Config.default ~topo:(Util.default_topo ()) ~partitions:4 ~f:1 ~seed:42
+      ~measure_visibility:true ()
+  in
+  let sys = U.System.create cfg in
+  let r = U.System.replica sys ~dc:0 ~part:0 in
+  let origin = 1 in
+  let samples () =
+    match
+      U.History.visibility_samples (U.System.history sys) ~observer:0 ~origin
+    with
+    | None -> 0
+    | Some s -> Sim.Stats.count s
+  in
+  U.Replica.handle r
+    (U.Msg.Replicate
+       {
+         origin;
+         txs = [ stream_tx ~origin ~ts:100 ~key:0 ~v:1 ];
+         from_ts = 0;
+         claim = None;
+       });
+  let zero = Vclock.Vc.create ~dcs:3 in
+  let idle =
+    U.Msg.Knownvec_global { dc = 2; vec = zero; stable = Some zero }
+  in
+  let w0 = Gc.minor_words () in
+  U.Replica.handle r idle;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "no words allocated" 0. words;
+  Alcotest.(check int) "the sample stays pending" 0 (samples ());
+  let raised = Vclock.Vc.of_array [| 0; 100; 0; 0 |] in
+  U.Replica.handle r (U.Msg.Stable_down { vec = raised });
+  U.Replica.handle r
+    (U.Msg.Knownvec_global { dc = 2; vec = zero; stable = Some raised });
+  Alcotest.(check int) "uniformVec covers the sample" 100
+    (Vclock.Vc.get (U.Replica.uniform_vec r) origin);
+  Alcotest.(check int) "the sample is released" 1 (samples ())
+
 let suite =
   [
     Alcotest.test_case "strong multi-partition atomicity" `Slow
@@ -389,4 +433,6 @@ let suite =
       `Quick test_heartbeat_continuity;
     Alcotest.test_case "gap detect, then repair, then frontier jump" `Quick
       test_gap_repair_frontier_order;
+    Alcotest.test_case "a claim raising nothing allocates nothing" `Quick
+      test_idle_claim_allocates_nothing;
   ]

@@ -116,6 +116,35 @@ let qcheck_leq_partial_order =
       let antisym = (not (Vc.leq a b && Vc.leq b a)) || Vc.equal a b in
       trans && antisym)
 
+(* [nth_largest] against the reference it replaces in the uniformVec
+   recompute: collect the other rows' entries, sort descending, take
+   the (n-1)-th. Entries are drawn from 0..3 so rows tie often. *)
+let gen_nth_case =
+  QCheck.Gen.(
+    int_range 2 7 >>= fun d ->
+    int_range 1 (d - 1) >>= fun n ->
+    int_bound (d - 1) >>= fun skip ->
+    int_bound (d - 1) >>= fun entry ->
+    array_repeat d (array_repeat (d + 1) (int_bound 3)) >>= fun rows ->
+    return (rows, skip, entry, n))
+
+let print_nth_case (rows, skip, entry, n) =
+  Printf.sprintf "rows=[%s] skip=%d entry=%d n=%d"
+    (String.concat "; " (Array.to_list (Array.map Vc.to_string rows)))
+    skip entry n
+
+let qcheck_nth_largest =
+  QCheck.Test.make ~name:"nth_largest equals sort-then-nth" ~count:1000
+    (QCheck.make ~print:print_nth_case gen_nth_case)
+    (fun (rows, skip, entry, n) ->
+      let others = ref [] in
+      Array.iteri
+        (fun h row -> if h <> skip then others := Vc.get row entry :: !others)
+        rows;
+      let sorted = List.sort (fun a b -> compare b a) !others in
+      let reference = List.nth sorted (n - 1) in
+      Vc.nth_largest rows ~skip entry n = reference)
+
 let suite =
   [
     Alcotest.test_case "create zero vector" `Quick test_create;
@@ -136,4 +165,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_meet_lower_bound;
     QCheck_alcotest.to_alcotest qcheck_absorption;
     QCheck_alcotest.to_alcotest qcheck_leq_partial_order;
+    QCheck_alcotest.to_alcotest qcheck_nth_largest;
   ]
