@@ -10,8 +10,10 @@
 # seed on the parent and on this working tree, and compares `correct`,
 # `attempted`, `failed` and every metric except the wall-clock and
 # allocator ones (setup_s, alloc_mwords_per_sim_s, live_heap_mb), which
-# only have to stay inside BENCHMARK.json's bounds. Prints each
-# difference; exits 1 if there is any, 2 on a usage or run error. Also
+# only have to stay inside BENCHMARK.json's bounds. It also replays every
+# schedule in this tree's explore/corpus/ with both trees' explorer and
+# compares the printed verdicts byte for byte. Prints each difference;
+# exits 1 if there is any, 2 on a usage or run error. Also
 # prints, for information only (never a failure), both trees'
 # alloc_mwords_per_sim_s and live_heap_mb side by side with the change
 # in percent, so one run also sizes an allocation change.
@@ -47,7 +49,31 @@ for tree in parent change; do
   done
 done
 
-python3 - "$out" "${seeds[@]}" <<'EOF'
+dune=(dune)
+command -v dune >/dev/null || dune=(opam exec -- dune)
+for tree in parent change; do
+  dir=$PWD
+  [ "$tree" = parent ] && dir=$out/parent
+  if ! (cd "$dir" && "${dune[@]}" build --root . --display quiet bin/explore.exe 2>/dev/null); then
+    echo "equiv: $tree explorer failed to build" >&2
+    exit 2
+  fi
+  # a failing oracle exits 1; its verdict lines are what gets compared
+  for f in explore/corpus/*.json; do
+    "$dir/_build/default/bin/explore.exe" --replay "$f" || true
+  done > "$out/$tree-corpus.txt"
+done
+corpus=0
+if cmp -s "$out/parent-corpus.txt" "$out/change-corpus.txt"; then
+  echo "corpus replay: identical"
+else
+  diff "$out/parent-corpus.txt" "$out/change-corpus.txt" | sed 's/^/corpus replay: /' || true
+  echo "corpus replay: DIFFERS"
+  corpus=1
+fi
+
+status=0
+python3 - "$out" "${seeds[@]}" <<'EOF' || status=$?
 import json, sys
 
 out, seeds = sys.argv[1], sys.argv[2:]
@@ -76,3 +102,5 @@ for w in ["geo-causal", "strong-openloop", "nemesis-churn"]:
                   % (w, s, m, pa, ch, pct))
 sys.exit(1 if diffs else 0)
 EOF
+[ "$status" -le 1 ] || exit "$status"
+exit $((status | corpus))

@@ -126,7 +126,6 @@ type t = {
      by [propagate_period_us]. *)
   broadcast_period_us : int;
   clock_skew_us : int;  (* max absolute per-replica clock skew *)
-  detection_delay_us : int;  (* Ω suspicion timeout: silence before suspect *)
   link_faults : Net.Faults.spec option;  (* lossy inter-DC links (nemesis) *)
   gc_grace_us : int;  (* how long a crashed DC holds GC floors (rejoin) *)
   client_failover_us : int;  (* client request timeout before DC failover;
@@ -153,7 +152,7 @@ type t = {
 let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     ?(mode = Unistore) ?(conflict = Serializable) ?(leader_dc = 0)
     ?(broadcast_period_us = 5_000) ?(clock_skew_us = 1_000)
-    ?(detection_delay_us = 500_000) ?link_faults ?(gc_grace_us = 10_000_000)
+    ?link_faults ?(gc_grace_us = 10_000_000)
     ?(client_failover_us = 0) ?(admission_max_pending = 0)
     ?(persistence = false) ?(snapshot_interval_us = 2_000_000)
     ?(costs = default_costs)
@@ -194,7 +193,6 @@ let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     leader_dc;
     broadcast_period_us;
     clock_skew_us;
-    detection_delay_us;
     link_faults;
     gc_grace_us;
     client_failover_us;
@@ -217,6 +215,9 @@ let propagate_period_us = 5_000
 (* Ω heartbeat broadcast / check period. *)
 let fd_period_us = 100_000
 
+(* Ω suspicion timeout: a DC silent for this long is suspected. *)
+let detection_delay_us = 500_000
+
 (* Period of the leader's dummy strong transaction, which keeps the
    strong vector advancing when no client commits a strong transaction. *)
 let strong_heartbeat_us = 10_000
@@ -229,14 +230,11 @@ let dcs t = Net.Topology.dcs t.topo
 let quorum t = t.f + 1
 
 (* Ceiling of the reliable transport's retransmission backoff, derived
-   from the deployment: the Ω suspicion timeout (the detector's check
-   period times its silence threshold, configured here directly as
-   [detection_delay_us]) plus the worst-case link RTT. A healed link's
-   backlog then starts flowing again within one suspicion window however
-   far the backoff had climbed, so a tightened detector configuration
-   (small [detection_delay_us]) tightens the cap with it instead of
-   being silently undercut by a hard-coded constant. *)
-let rto_cap_us t = t.detection_delay_us + Net.Topology.max_rtt_us t.topo
+   from the deployment: the Ω suspicion timeout ([detection_delay_us])
+   plus the worst-case link RTT. A healed link's backlog then starts
+   flowing again within one suspicion window however far the backoff
+   had climbed. *)
+let rto_cap_us t = detection_delay_us + Net.Topology.max_rtt_us t.topo
 
 (* Debounce of the leadership-reclaim bids a rejoined leader-home group
    member issues while trust has converged back to it ([Cert.reclaim]):

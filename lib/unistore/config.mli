@@ -72,8 +72,6 @@ type t = {
           the step advances it, so sibling exchange runs at this period,
           capped below by {!propagate_period_us}. *)
   clock_skew_us : int;  (** max absolute per-replica clock skew *)
-  detection_delay_us : int;
-      (** Ω suspicion timeout: a DC silent for this long is suspected *)
   link_faults : Net.Faults.spec option;
       (** install lossy inter-DC links with these rates (nemesis runs);
           [None] keeps the network perfectly reliable *)
@@ -134,7 +132,6 @@ val default :
   ?leader_dc:int ->
   ?broadcast_period_us:int ->
   ?clock_skew_us:int ->
-  ?detection_delay_us:int ->
   ?link_faults:Net.Faults.spec ->
   ?gc_grace_us:int ->
   ?client_failover_us:int ->
@@ -158,6 +155,9 @@ val propagate_period_us : int
 (** Ω heartbeat broadcast / check period: 100 ms. *)
 val fd_period_us : int
 
+(** Ω suspicion timeout: a DC silent for this long is suspected; 500 ms. *)
+val detection_delay_us : int
+
 (** Period of the leader's dummy strong transaction: 10 ms. *)
 val strong_heartbeat_us : int
 
@@ -171,10 +171,8 @@ val dcs : t -> int
 val quorum : t -> int
 
 (** Derived ceiling of the reliable transport's retransmission backoff:
-    the Ω suspicion timeout ([detection_delay_us], i.e. detector period
-    × silence threshold) plus the topology's worst-case RTT. Installed
-    into the network by {!System.create} so tightened detector
-    configurations tighten the cap with them. *)
+    the Ω suspicion timeout ({!detection_delay_us}) plus the topology's
+    worst-case RTT. Installed into the network by {!System.create}. *)
 val rto_cap_us : t -> int
 
 (** Derived debounce of {!Cert.reclaim} leadership bids: one Ω reaction

@@ -4,11 +4,11 @@
    Replaces the oracle that previously wired [System.fail_dc] straight to
    [Replica.suspect]: each DC now runs a detector node that broadcasts
    [Msg.Fd_ping] to its peers every [Config.fd_period_us] and suspects
-   any DC it has not heard from for [detection_delay_us]. Suspicion is a
-   *local, fallible* judgement — a transient partition or a gray link
-   produces false suspicions, which is precisely the regime Ω permits:
-   eventually, once the network stabilises, correct DCs stop being
-   suspected ([unsuspect] fires when their pings resume) and all
+   any DC it has not heard from for [Config.detection_delay_us].
+   Suspicion is a *local, fallible* judgement — a transient partition or
+   a gray link produces false suspicions, which is precisely the regime
+   Ω permits: eventually, once the network stabilises, correct DCs stop
+   being suspected ([unsuspect] fires when their pings resume) and all
    observers converge on trusting the same leader.
 
    The detector only observes and notifies; what trust means is the
@@ -87,7 +87,7 @@ let handle t ~observer msg =
    period). *)
 let arm t dc =
   let period = Config.fd_period_us in
-  let timeout = t.cfg.Config.detection_delay_us in
+  let timeout = Config.detection_delay_us in
   let dcs = Config.dcs t.cfg in
   t.gens.(dc) <- t.gens.(dc) + 1;
   let gen = t.gens.(dc) in

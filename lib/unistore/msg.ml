@@ -112,9 +112,10 @@ type t =
      repairs instead (see Replication.handle_replicate). Overstating
      [from_ts] is safe (spurious repair); understating it would hide a
      gap, so senders derive it from what they actually shipped/retained,
-     never from a belief about the receiver. [claim] is the sender's
-     sibling gossip, riding its own stream once per propagate tick;
-     forwarded messages (sender <> origin) carry none. *)
+     never from a belief about the receiver. [txs] ascend by [origin]'s
+     timestamp: the receiver applies them in arrival order. [claim] is
+     the sender's sibling gossip, riding its own stream once per
+     propagate tick; forwarded messages (sender <> origin) carry none. *)
   | Replicate of {
       origin : int;
       txs : Types.tx_rec list;
@@ -137,7 +138,8 @@ type t =
   (* Repair reply chunk: [from_ts] chains chunks ([covered] on the final
      chunk is how far the server's own frontier vouches for the window —
      the requester may jump its frontier to [covered] even if the window
-     was empty of transactions). *)
+     was empty of transactions). [txs] ascend in stream order, as in
+     [Replicate]. *)
   | Repair_log of {
       origin : int;
       txs : Types.tx_rec list;

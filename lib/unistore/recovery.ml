@@ -33,8 +33,8 @@ let node_snapshot_bytes ns =
   + List.fold_left
       (fun acc p -> acc + 32 + Msg.writes_bytes p.pc_writes)
       8 ns.ns_prepared
-  + Array.fold_left (fun acc l -> acc + txs_bytes l) 8 ns.ns_committed
-  + txs_bytes ns.ns_propagated
+  + Array.fold_left (fun acc l -> acc + txs_bytes l) 8 ns.ns_retained
+  + txs_bytes ns.ns_unshipped
   + Array.fold_left
       (fun acc l -> acc + 8 + (16 * List.length l))
       8 ns.ns_frontier_tids
@@ -81,8 +81,8 @@ let snapshot_of t =
         (Store.Oplog.keys t.oplog);
     ns_known = Vc.copy t.known_vec;
     ns_prepared = t.prepared_causal;
-    ns_committed = Array.map (fun q -> !q) t.committed_causal;
-    ns_propagated = !(t.propagated_log);
+    ns_unshipped = t.unshipped;
+    ns_retained = Array.copy t.retained;
     ns_last_prep = t.last_prep_ts;
     ns_frontier_tids = Array.copy t.frontier_tids;
     ns_frontier_ts = Array.copy t.frontier_ts;
@@ -114,8 +114,8 @@ let zero_vec t v =
   Vc.set_strong v 0
 
 (* A peer DC rejoined with empty state: forget everything its pre-crash
-   gossip claimed it stored, so the causal buffers and decided logs are
-   retained for it until its fresh vectors arrive. *)
+   gossip claimed it stored, so the stream logs and decided logs are
+   kept for it until its fresh vectors arrive. *)
 let reset_peer_view t ~dc =
   if dc <> t.dc then begin
     zero_vec t t.global_matrix.(dc);
@@ -136,11 +136,11 @@ let wipe_state t =
   Array.iter (zero_vec t) t.stable_matrix;
   Array.iter (zero_vec t) t.global_matrix;
   t.prepared_causal <- [];
-  t.propagated_log := [];
+  t.unshipped <- [];
   t.last_prep_ts <- 0;
   t.propagated_upto <- 0;
   for i = 0 to dcs t - 1 do
-    t.committed_causal.(i) := [];
+    t.retained.(i) <- [];
     t.frontier_tids.(i) <- [];
     t.frontier_ts.(i) <- -1;
     t.pending_vis.(i) := [];
@@ -254,7 +254,7 @@ let finish_sync t s =
   end;
   (* Re-seed the outgoing stream position at the recovered frontier:
      everything at or below it is held first-hand (snapshot, WAL replay
-     or repaired into [propagated_log]), and every commit above it is
+     or repaired into our retained log), and every commit above it is
      still queued, so the first post-recovery batch honestly covers
      (frontier, batch-last]. Receivers ahead of the boundary dedup;
      receivers behind it trip the gap check and repair from us. *)
@@ -269,9 +269,8 @@ let finish_sync t s =
 let handle_sync_request t ~from ~part ~sq =
   if part = t.part && not (is_syncing t) then begin
     let cut = Vc.copy t.known_vec in
-    let pending = !(t.committed_causal.(t.dc)) in
     let unpropagated vec =
-      List.exists (fun tx -> tx.Types.tx_vec == vec) pending
+      List.exists (fun tx -> tx.Types.tx_vec == vec) t.unshipped
     in
     let chunk = ref [] and n = ref 0 in
     let flush ~last =
@@ -421,8 +420,8 @@ let install_snapshot t ns =
   Vc.merge_into t.known_vec ns.ns_known;
   t.prepared_causal <-
     List.map (fun p -> { p with pc_at = now t }) ns.ns_prepared;
-  Array.iteri (fun i l -> t.committed_causal.(i) := l) ns.ns_committed;
-  t.propagated_log := ns.ns_propagated;
+  t.unshipped <- ns.ns_unshipped;
+  Array.blit ns.ns_retained 0 t.retained 0 (dcs t);
   t.last_prep_ts <- ns.ns_last_prep;
   Array.iteri (fun i l -> t.frontier_tids.(i) <- l) ns.ns_frontier_tids;
   Array.iteri (fun i v -> t.frontier_ts.(i) <- v) ns.ns_frontier_ts;

@@ -76,8 +76,8 @@ let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
     stable_matrix = Array.init d (fun _ -> Vc.create ~dcs:d);
     global_matrix = Array.init d (fun _ -> Vc.create ~dcs:d);
     prepared_causal = [];
-    committed_causal = Array.init d (fun _ -> ref []);
-    propagated_log = ref [];
+    unshipped = [];
+    retained = Array.make d [];
     last_prep_ts = 0;
     propagated_upto = 0;
     txns = Hashtbl.create 64;
@@ -139,14 +139,14 @@ let pending_strong t =
       if pc.p_done || pc.p_tx.st_origin = -1 then acc else acc + 1)
     t.pending_cert 0
 
-(* Causal-log backlog retained for [origin] (GC grace-window tests):
-   the forwarded buffer for remote origins, the propagated log for our
-   own. *)
-let committed_backlog t ~origin =
-  if origin = t.dc then List.length !(t.propagated_log)
-  else List.length !(t.committed_causal.(origin))
+(* Causal-log backlog retained for [origin] (GC grace-window tests). *)
+let committed_backlog t ~origin = List.length t.retained.(origin)
 
 let repair_active t ~origin = t.repair.(origin).r_active
+let insert_tx = Replica_state.insert_tx
+let above = Replica_state.above
+let at_or_below = Replica_state.at_or_below
+let retained_range = Replica_state.retained_range
 
 let set_disk_slow t ~factor = Option.iter (Store.Wal.set_slow ~factor) t.disk
 let scrub_disk t = Option.iter Store.Wal.scrub t.disk

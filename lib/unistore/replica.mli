@@ -102,7 +102,7 @@ val begin_rejoin : t -> on_done:(unit -> unit) -> unit
 val is_syncing : t -> bool
 
 (** A peer DC rejoined with empty state: zero its rows of the gossip
-    matrices so the GC floors (causal buffers, decided logs) hold until
+    matrices so the GC floors (stream logs, decided logs) hold until
     its fresh vectors arrive. *)
 val reset_peer_view : t -> dc:int -> unit
 
@@ -114,6 +114,20 @@ val committed_backlog : t -> origin:int -> int
 (** Whether an origin-scoped repair pull for [origin]'s stream is in
     flight. *)
 val repair_active : t -> origin:int -> bool
+
+(** {2 Stream logs}
+
+    Each origin's log is kept newest first by the origin's commit-vector
+    entry, ties newest inserted first. [insert_tx] conses unless the
+    entry is older than the head; [above] returns the log itself when it
+    drops nothing; [at_or_below] returns a shared suffix;
+    [retained_range] returns (lo, hi] oldest first, as streams ship. *)
+
+val insert_tx : int -> Types.tx_rec list -> Types.tx_rec -> Types.tx_rec list
+val above : int -> int -> Types.tx_rec list -> Types.tx_rec list
+val at_or_below : int -> int -> Types.tx_rec list -> Types.tx_rec list
+val retained_range :
+  int -> lo:int -> hi:int -> Types.tx_rec list -> Types.tx_rec list
 
 (** {2 Node-level persistence ([Config.persistence])}
 

@@ -13,13 +13,6 @@ open Replica_state
    replica. *)
 let repair_round_us = 300_000
 
-(* A batch of [origin]'s stream in stream order. *)
-let sort_by_origin origin txs =
-  List.sort
-    (fun a b ->
-      compare (Vc.get a.Types.tx_vec origin) (Vc.get b.Types.tx_vec origin))
-    txs
-
 let live_peers t =
   List.init (dcs t) Fun.id
   |> List.filter (fun i -> i <> t.dc && not (Network.dc_failed t.net i))
@@ -140,80 +133,66 @@ let propagate_local_txs t =
         List.fold_left (fun acc p -> min acc p.pc_ts) max_int ps
       in
       Vc.bump t.known_vec t.dc (min_ts - 1));
-  let q = t.committed_causal.(t.dc) in
-  let ready, keep =
-    List.partition
-      (fun tx -> Vc.get tx.Types.tx_vec t.dc <= Vc.get t.known_vec t.dc)
-      !q
-  in
-  q := keep;
-  let ready = sort_by_origin t.dc ready in
+  let frontier = Vc.get t.known_vec t.dc in
+  let ready = at_or_below t.dc frontier t.unshipped in
+  t.unshipped <- above t.dc frontier t.unshipped;
+  let batch = List.rev ready in
   let claim = Some (sibling_claim t) in
   for i = 0 to dcs t - 1 do
     if i <> t.dc then
-      if ready <> [] then
+      if batch <> [] then
         send t (sibling t i)
-          (Msg.Replicate { origin = t.dc; txs = ready; from_ts = prev; claim })
+          (Msg.Replicate { origin = t.dc; txs = batch; from_ts = prev; claim })
       else
         send t (sibling t i)
           (Msg.Heartbeat
-             {
-               origin = t.dc;
-               ts = Vc.get t.known_vec t.dc;
-               from_ts = prev;
-               claim;
-             })
+             { origin = t.dc; ts = frontier; from_ts = prev; claim })
   done;
   (* advance the stream position to what receivers will now hold — and
      never move it back: WAL replay re-queues every tail commit, even
      ones the previous incarnation already propagated (peers prune fully
-     covered entries from their relay buffers, so the rejoin pull cannot
+     covered entries from their retained logs, so the rejoin pull cannot
      redeliver and dequeue them), and re-shipping such a batch must not
      regress the boundary below commits the receivers provably hold, or
      the next heartbeat claims their window empty and receivers jump
      clean over them *)
   t.propagated_upto <-
     max t.propagated_upto
-      (match List.rev ready with
-      | last :: _ -> Vc.get last.Types.tx_vec t.dc
-      | [] -> Vc.get t.known_vec t.dc);
+      (match ready with last :: _ -> origin_ts t.dc last | [] -> frontier);
   (* retain what was just shipped: rejoiners catch up on our history
      from this log (nobody else may hold our full frontier) *)
-  if ready <> [] then
-    t.propagated_log := List.rev_append ready !(t.propagated_log);
-  flush_wait t.wait_known_local ~frontier:(Vc.get t.known_vec t.dc)
+  t.retained.(t.dc) <- List.fold_left (insert_tx t.dc) t.retained.(t.dc) batch;
+  flush_wait t.wait_known_local ~frontier
 
-(* Apply a contiguous batch of [origin]'s stream, in stream order:
-   dedup against the frontier, materialize the writes, queue for
-   forwarding (or re-retain own history), advance the frontier, log the
-   batch. Shared by the direct stream ([handle_replicate]) and the
-   repair path ([handle_repair_log]) — idempotence comes from the
-   tid-at-frontier dedup, so overlapping deliveries are safe. *)
+(* Apply a contiguous batch of [origin]'s stream, in stream order
+   (every sender ships oldest first): dedup against the frontier,
+   materialize the writes, retain for forwarding and repair, advance the
+   frontier, log the batch. Shared by the direct stream
+   ([handle_replicate]) and the repair path ([handle_repair_log]) —
+   idempotence comes from the tid-at-frontier dedup, so overlapping
+   deliveries are safe. *)
 let apply_batch t ~origin ~from_ts txs =
-  let txs = sort_by_origin origin txs in
   List.iter
     (fun tx ->
-      let ts = Vc.get tx.Types.tx_vec origin in
-      (* An own-origin transaction still sitting in the pending
-         propagation queue was restored there by WAL replay
-         ([W_commit]) — already applied to the store, but below nothing
-         the frontier records, because replay cannot know how far the
-         previous incarnation propagated. A repair of our own stream
-         redelivering it proves a peer holds it: move it to the
-         propagated log (it must be servable to repair pulls) instead of
-         applying it twice. *)
+      let ts = origin_ts origin tx in
+      (* An own-origin transaction still sitting in [unshipped] was
+         restored there by WAL replay ([W_commit]) — already applied to
+         the store, but below nothing the frontier records, because
+         replay cannot know how far the previous incarnation propagated.
+         A repair of our own stream redelivering it proves a peer holds
+         it: move it to our retained log (it must be servable to repair
+         pulls) instead of applying it twice. *)
       let restored_own =
         origin = t.dc
         &&
-        let q = t.committed_causal.(t.dc) in
         match
           List.partition
             (fun r -> Types.tid_equal r.Types.tx_tid tx.Types.tx_tid)
-            !q
+            t.unshipped
         with
         | [], _ -> false
         | _, rest ->
-            q := rest;
+            t.unshipped <- rest;
             true
       in
       (* below the frontier = duplicate; equal-timestamp siblings of the
@@ -254,14 +233,10 @@ let apply_batch t ~origin ~from_ts txs =
            query must not apply it a second time) *)
         if origin = t.dc then begin
           drop_prepared t tx.Types.tx_tid;
-          t.propagated_log := tx :: !(t.propagated_log);
           t.last_prep_ts <- max t.last_prep_ts ts;
           observe_clock t ts
-        end
-        else begin
-          let q = t.committed_causal.(origin) in
-          q := tx :: !q
         end;
+        t.retained.(origin) <- insert_tx origin t.retained.(origin) tx;
         (* backfill below the frontier must not regress it *)
         if ts > Vc.get t.known_vec origin then Vc.set t.known_vec origin ts;
         if
@@ -319,9 +294,6 @@ let handle_heartbeat t ~origin ~ts ~from_ts =
    requester's deadline rotates past us. *)
 let handle_repair_request t ~from ~origin ~vec_from ~sq =
   if not (is_syncing t) then begin
-    let source =
-      if origin = t.dc then !(t.propagated_log) else !(t.committed_causal.(origin))
-    in
     let vouch = Vc.get t.known_vec origin in
     (* Serve everything we can vouch for above [vec_from] — deliberately
        NOT capped at the requester's [upto]. The claim behind [upto] is
@@ -337,38 +309,27 @@ let handle_repair_request t ~from ~origin ~vec_from ~sq =
        and the stream re-links. [upto] still matters to the requester
        (its done-check target); here it is unused. *)
     let txs =
-      List.filter
-        (fun tx ->
-          let ts = Vc.get tx.Types.tx_vec origin in
-          ts > vec_from && ts <= vouch)
-        source
+      retained_range origin ~lo:vec_from ~hi:vouch t.retained.(origin)
     in
-    let txs = sort_by_origin origin txs in
     let covered = if vouch >= vec_from then vouch else vec_from in
+    (* a chunk's newest entry comes first in its reversed split *)
     let rec split n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | tx :: rest -> split (n - 1) (tx :: acc) rest
+      | tx :: rest when n > 0 -> split (n - 1) (tx :: acc) rest
+      | rest -> (acc, rest)
     in
     let rec ship from_ts txs =
-      let batch, rest = split catchup_chunk [] txs in
-      let batch_last =
-        List.fold_left
-          (fun acc tx -> max acc (Vc.get tx.Types.tx_vec origin))
-          from_ts batch
-      in
+      let rev_batch, rest = split catchup_chunk [] txs in
       let last = rest = [] in
+      let upto =
+        match rev_batch with
+        | newest :: _ when not last -> origin_ts origin newest
+        | _ -> covered
+      in
       send t from
         (Msg.Repair_log
-           {
-             origin;
-             txs = batch;
-             from_ts;
-             covered = (if last then covered else batch_last);
-             last;
-             sq;
-           });
-      if not last then ship batch_last rest
+           { origin; txs = List.rev rev_batch; from_ts; covered = upto;
+             last; sq });
+      if not last then ship upto rest
     in
     ship vec_from txs
   end
@@ -422,11 +383,7 @@ let forward_remote_txs t ~dst ~origin =
   let threshold = Vc.get t.global_matrix.(dst) origin in
   let vouch = Vc.get t.known_vec origin in
   let txs =
-    List.filter
-      (fun tx ->
-        let ts = Vc.get tx.Types.tx_vec origin in
-        ts >= threshold && ts <= vouch)
-      !(t.committed_causal.(origin))
+    retained_range origin ~lo:(threshold - 1) ~hi:vouch t.retained.(origin)
   in
   if txs <> [] then
     send t (sibling t dst)
@@ -477,21 +434,13 @@ let stable_at_holders t vec =
   in
   go 0
 
-(* Drop forwarded buffers — and our own propagated log — once every live
-   DC and every crashed DC still within its rejoin grace period stores
-   them (§5.5). The origin's own claim counts too: a DC that lost its
-   history in a crash gets it back only from these buffers, and until
-   its fresh claim arrives its row is pinned at zero
-   ([reset_peer_view]). *)
+(* Each tree step, drop from every origin's retained log, our own
+   included, what every floor holder claims to store (§5.5). The
+   origin's own claim counts too: a DC that lost its history in a crash
+   gets it back only from these logs, and until its fresh claim arrives
+   its row is pinned at zero ([reset_peer_view]). *)
 let prune_committed t =
   for j = 0 to dcs t - 1 do
-    (* an entry is covered iff its timestamp is at or below every
-       floor-holder's claim about origin [j] *)
     let floor = holders_floor t ~init:max_int (fun v -> Vc.get v j) in
-    let covered tx = Vc.get tx.Types.tx_vec j <= floor in
-    let q = if j = t.dc then t.propagated_log else t.committed_causal.(j) in
-    (* runs every broadcast tick: rebuild the list only when something
-       is actually dropped *)
-    if List.exists covered !q then
-      q := List.filter (fun tx -> not (covered tx)) !q
+    t.retained.(j) <- above j floor t.retained.(j)
   done

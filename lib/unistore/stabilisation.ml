@@ -121,7 +121,7 @@ let handle_kv_up t ~part ~vec =
    is also how the replica learns which of its own pre-crash
    transactions a sibling holds: nobody else ever sends a DC its own
    stream back, so a claim above our own frontier is a gap in our own
-   history, repaired from the siblings' forwarding buffers (the GC
+   history, repaired from the siblings' retained logs (the GC
    floors retain it for us, see [prune_committed]). *)
 let handle_knownvec_global t ~dc ~vec ~stable =
   (match stable with

@@ -355,7 +355,7 @@ let test_reclaim_debounce_bound () =
          done));
   U.System.run sys ~until:6_000_000;
   let deadline =
-    crash_at + cfg.U.Config.detection_delay_us + (2 * debounce) + 500_000
+    crash_at + U.Config.detection_delay_us + (2 * debounce) + 500_000
   in
   Alcotest.(check bool)
     (Fmt.str "strong commits resume by %d us (first: %d us)" deadline

@@ -412,6 +412,135 @@ let test_idle_claim_allocates_nothing () =
     (Vclock.Vc.get (U.Replica.uniform_vec r) origin);
   Alcotest.(check int) "the sample is released" 1 (samples ())
 
+(* The stream-log helpers against list references, over random
+   insertion orders with ties and out-of-order backfills: entry [i] of
+   the generated list is inserted [i]-th, at that origin timestamp. *)
+let qcheck_stream_log =
+  let origin = 1 in
+  let ts tx = Vclock.Vc.get tx.U.Types.tx_vec origin in
+  let seqs = List.map (fun tx -> tx.U.Types.tx_tid.sq) in
+  QCheck.Test.make ~name:"stream logs keep origin order" ~count:500
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 40) (int_range 0 15))
+        (int_range (-1) 16) (int_range (-1) 16))
+    (fun (tss, lo, hi) ->
+      let txs =
+        List.mapi
+          (fun i t ->
+            { (stream_tx ~origin ~ts:t ~key:0 ~v:i) with
+              U.Types.tx_tid = { cl = 0; sq = i } })
+          tss
+      in
+      let log = List.fold_left (U.Replica.insert_tx origin) [] txs in
+      (* newest first, equal timestamps newest inserted first *)
+      let reference =
+        List.stable_sort (fun a b -> compare (ts b) (ts a)) (List.rev txs)
+      in
+      let in_range tx = ts tx > lo && ts tx <= hi in
+      let old_range =
+        List.sort (fun a b -> compare (ts a) (ts b)) (List.filter in_range log)
+      in
+      let range = U.Replica.retained_range origin ~lo ~hi log in
+      let w0 = Gc.minor_words () in
+      let kept = U.Replica.above origin (-1) log in
+      let words = Gc.minor_words () -. w0 in
+      seqs log = seqs reference
+      && seqs (U.Replica.above origin lo log)
+         = seqs (List.filter (fun tx -> ts tx > lo) log)
+      && seqs (U.Replica.at_or_below origin lo log)
+         = seqs (List.filter (fun tx -> ts tx <= lo) log)
+      (* the old reader's result up to the order of equal timestamps,
+         and exactly the log's own order reversed *)
+      && List.map ts range = List.map ts old_range
+      && List.sort compare (seqs range) = List.sort compare (seqs old_range)
+      && seqs range = seqs (List.rev (List.filter in_range log))
+      && kept == log && words = 0.)
+
+(* Every sender ships a stream batch oldest first: [apply_batch] applies
+   in arrival order and drops what falls at or below the frontier, so it
+   relies on that. An isolated dc0 replica whose own retained log took a
+   backfill (a restored own commit repaired in below a newer entry)
+   serves a repair pull in order and, suspecting dc1, forwards dc1's
+   stream to dc2 in order. Every message it sends lands in a probe. *)
+let test_senders_ship_in_stream_order () =
+  let cfg =
+    U.Config.default ~topo:(Util.default_topo ()) ~partitions:1
+      ~mode:U.Config.Causal_only ~use_hlc:true ~clock_skew_us:0 ()
+  in
+  let eng = Sim.Engine.create () in
+  let net = Net.Network.create eng cfg.U.Config.topo in
+  let sent = ref [] in
+  let probes =
+    Array.init 3 (fun dc ->
+        Net.Network.register net ~dc ~cost:(fun _ -> 0) (fun m ->
+            sent := (dc, m) :: !sent))
+  in
+  let r =
+    U.Replica.create cfg eng net ~dc:0 ~part:0 ~uid:0 ~skew:0
+      ~history:(U.History.create ()) ~trace:Sim.Trace.disabled
+      ~metrics:(Sim.Metrics.create ())
+  in
+  U.Replica.set_addr r
+    (Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (U.Replica.handle r));
+  U.Replica.set_env r
+    { e_lookup = (fun dc _ -> probes.(dc)); e_rb_cert = None;
+      e_dc_pending = None };
+  let repair ~origin txs =
+    U.Replica.handle r
+      (U.Msg.Repair_log
+         { origin; txs; from_ts = 0; covered = 0; last = true; sq = 0 })
+  in
+  (* own commit [a] (ts 200) sits unshipped; a repair of our own stream
+     brings the newer [b] (ts 300), then [a] itself, which proves a peer
+     holds it and moves it into the retained log below [b] *)
+  let a = stream_tx ~origin:0 ~ts:200 ~key:0 ~v:1 in
+  let b = stream_tx ~origin:0 ~ts:300 ~key:0 ~v:2 in
+  U.Replica.handle r
+    (U.Msg.Prepare
+       { from = probes.(0); tid = a.tx_tid; writes = a.tx_writes;
+         snap = Vclock.Vc.create ~dcs:3 });
+  U.Replica.handle r
+    (U.Msg.Commit { tid = a.tx_tid; vec = a.tx_vec; lc = 200; origin = 0 });
+  repair ~origin:0 [ b ];
+  repair ~origin:0 [ a ];
+  Alcotest.(check int) "both own transactions retained" 2
+    (U.Replica.committed_backlog r ~origin:0);
+  (* dc1's stream, in order, then forwarded on dc1's suspicion *)
+  let c ts = stream_tx ~origin:1 ~ts ~key:0 ~v:ts in
+  U.Replica.handle r
+    (U.Msg.Replicate
+       { origin = 1; txs = [ c 100; c 250 ]; from_ts = 0; claim = None });
+  U.Replica.handle r
+    (U.Msg.Replicate
+       { origin = 1; txs = [ c 400 ]; from_ts = 250; claim = None });
+  U.Replica.handle r
+    (U.Msg.Repair_request
+       { from = probes.(1); origin = 0; vec_from = 0; upto = 300; sq = 9 });
+  U.Replica.suspect r 1;
+  U.Replica.start_timers r ~phase:0;
+  Sim.Engine.run ~until:300_000 eng;
+  let stamps origin txs =
+    List.map (fun tx -> Vclock.Vc.get tx.U.Types.tx_vec origin) txs
+  in
+  let served, forwarded =
+    List.fold_left
+      (fun (served, forwarded) (dc, m) ->
+        match m with
+        | U.Msg.Repair_log { origin = 0; txs; sq = 9; _ } when dc = 1 ->
+            (stamps 0 txs :: served, forwarded)
+        | U.Msg.Replicate { origin = 1; txs; _ } when dc = 2 ->
+            (served, stamps 1 txs :: forwarded)
+        | _ -> (served, forwarded))
+      ([], []) (List.rev !sent)
+  in
+  Alcotest.(check (list (list int))) "repair reply ascends" [ [ 200; 300 ] ]
+    served;
+  Alcotest.(check bool) "forwarded at least once" true (forwarded <> []);
+  List.iter
+    (Alcotest.(check (list int)) "forwarded batch ascends" [ 100; 250; 400 ])
+    forwarded
+
 let suite =
   [
     Alcotest.test_case "strong multi-partition atomicity" `Slow
@@ -435,4 +564,7 @@ let suite =
       test_gap_repair_frontier_order;
     Alcotest.test_case "a claim raising nothing allocates nothing" `Quick
       test_idle_claim_allocates_nothing;
+    QCheck_alcotest.to_alcotest qcheck_stream_log;
+    Alcotest.test_case "senders ship stream batches oldest first" `Quick
+      test_senders_ship_in_stream_order;
   ]

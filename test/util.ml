@@ -10,11 +10,11 @@ let default_topo () =
 let make_system ?(topo = default_topo ()) ?(partitions = 4) ?(f = 1)
     ?(mode = U.Config.Unistore) ?(conflict = U.Config.Serializable)
     ?(seed = 42) ?(clock_skew_us = 1_000) ?leader_dc ?link_faults
-    ?detection_delay_us ?gc_grace_us ?client_failover_us
+    ?gc_grace_us ?client_failover_us
     ?persistence ?snapshot_interval_us ?(trace_enabled = false) () =
   let cfg =
     U.Config.default ~topo ~partitions ~f ~mode ~conflict ~seed ~clock_skew_us
-      ?leader_dc ?link_faults ?detection_delay_us ?gc_grace_us
+      ?leader_dc ?link_faults ?gc_grace_us
       ?client_failover_us ?persistence ?snapshot_interval_us ~trace_enabled ~record_history:true ()
   in
   U.System.create cfg
