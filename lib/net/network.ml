@@ -11,7 +11,9 @@
      one physical copy on a lossy link — costs one engine event when the
      CPU is idle on arrival and two when it is busy: the send schedules
      the handler at [arrival + cost], and the per-node arrival inbox
-     settles the FIFO queue lazily (see [settle]);
+     settles the FIFO queue lazily (see [settle]). Both events carry
+     the arrival record to a function the network builds once
+     ([Sim.Engine.schedule_call]), so no hop allocates a closure;
    - whole-data-center crash failures: a failed DC neither sends nor
      receives from the moment of the crash (§2 considers only whole-DC
      failures).
@@ -220,6 +222,11 @@ type 'm t = {
   mutable dropped_partition : int;
   mutable retransmissions : int;
   mutable dups_suppressed : int;
+  (* the engine functions of an arrival's event and of its deferred
+     handler event, built once by [create]: each event carries only its
+     arrival record ([Sim.Engine.schedule_call]) *)
+  arrive : 'm arrival -> unit;
+  serve : 'm arrival -> unit;
 }
 
 (* Retransmission backoff is capped so a healed link catches up on its
@@ -230,32 +237,6 @@ type 'm t = {
    (see [Unistore.Config.rto_cap_us]); this constant is only the
    fallback for transports wired without a protocol configuration. *)
 let default_rto_cap_us = 500_000
-
-let create eng topo =
-  {
-    eng;
-    topo;
-    rng = Sim.Rng.split (Sim.Engine.rng eng) ~id:0x4e45;
-    nodes = [||];
-    node_count = 0;
-    failed = Array.make (Topology.dcs topo) false;
-    failed_at = Array.make (Topology.dcs topo) (-1);
-    chans = Hashtbl.create 256;
-    no_unacked = Queue.create ();
-    faults = None;
-    trace = Sim.Trace.disabled;
-    meter = None;
-    prof = Sim.Engine.prof eng;
-    lab_ack = Sim.Prof.none;
-    lab_retransmit = Sim.Prof.none;
-    rto_cap_us = default_rto_cap_us;
-    send_seq = 0;
-    dropped_crash = 0;
-    dropped_loss = 0;
-    dropped_partition = 0;
-    retransmissions = 0;
-    dups_suppressed = 0;
-  }
 
 let topology t = t.topo
 
@@ -601,8 +582,8 @@ let rec push_arrival t ch ~rseq ~at msg =
     }
   in
   Sim.Heap.push n.inbox r;
-  Sim.Engine.schedule_at t.eng ~label:(label_for t n msg)
-    ~time:(at + n.cost msg) (on_arrival t r)
+  Sim.Engine.schedule_call t.eng ~label:(label_for t n msg)
+    ~time:(at + n.cost msg) t.arrive r
 
 (* The arrival's one event. Settling the inbox through the arrival is
    exact: anything arriving earlier was queued before this event, which
@@ -610,14 +591,15 @@ let rec push_arrival t ch ~rseq ~at msg =
    event then moves there once (a second event, same label). A dropped
    arrival — stale epoch, dead node, lossy duplicate or packet beyond a
    gap — makes this event a no-op. *)
-and on_arrival t r () =
+and on_arrival t r =
   let n = r.a_chan.dst in
   if r.a_finish = unsettled then settle t n ~upto:r.a_at;
   let finish = r.a_finish in
-  if finish = Sim.Engine.now t.eng then run_handler t n r.a_msg r.a_dep
+  if finish = Sim.Engine.now t.eng then serve t r
   else if finish <> dropped then
-    Sim.Engine.schedule_at t.eng ~time:finish (fun () ->
-        run_handler t n r.a_msg r.a_dep)
+    Sim.Engine.schedule_call t.eng ~time:finish t.serve r
+
+and serve t r = run_handler t r.a_chan.dst r.a_msg r.a_dep
 
 (* Serve every inbox arrival at or before [upto], in arrival order, as
    the node's FIFO CPU would have on arrival. The arrival-time checks run
@@ -868,6 +850,37 @@ let reliable_send t f ch msg =
   transmit t f ch seq msg;
   arm_timer t f ch
 
+let create eng topo =
+  let rec t =
+    {
+      eng;
+      topo;
+      rng = Sim.Rng.split (Sim.Engine.rng eng) ~id:0x4e45;
+      nodes = [||];
+      node_count = 0;
+      failed = Array.make (Topology.dcs topo) false;
+      failed_at = Array.make (Topology.dcs topo) (-1);
+      chans = Hashtbl.create 256;
+      no_unacked = Queue.create ();
+      faults = None;
+      trace = Sim.Trace.disabled;
+      meter = None;
+      prof = Sim.Engine.prof eng;
+      lab_ack = Sim.Prof.none;
+      lab_retransmit = Sim.Prof.none;
+      rto_cap_us = default_rto_cap_us;
+      send_seq = 0;
+      dropped_crash = 0;
+      dropped_loss = 0;
+      dropped_partition = 0;
+      retransmissions = 0;
+      dups_suppressed = 0;
+      arrive = (fun r -> on_arrival t r);
+      serve = (fun r -> serve t r);
+    }
+  in
+  t
+
 (* ------------------------------------------------------------------ *)
 (* Failures.                                                            *)
 
@@ -1038,6 +1051,16 @@ let unacked_matching t ~f =
             (fun acc (_, msg) -> if f (m.kind_of msg) then acc + 1 else acc)
             acc ch.unacked)
         t.chans 0
+
+(* The latest CPU slot booked on a live node, as the inbox stands now:
+   call [settle_all] first to book every arrival before now. *)
+let cpu_booked_until t =
+  let last = ref idle in
+  for addr = 0 to t.node_count - 1 do
+    let n = t.nodes.(addr) in
+    if not (node_failed t n) then last := max !last n.busy_until
+  done;
+  !last
 
 let node_processed t addr = (node t addr).processed
 let node_busy_us t addr = (node t addr).busy_us

@@ -161,5 +161,16 @@ val unacked_backlog : 'm t -> int
     backlog when no meter is installed. *)
 val unacked_matching : 'm t -> f:(string -> bool) -> int
 
+(** Serve every inbox arrival strictly before now, booking its CPU
+    slot, as a failure operation does before it changes a node's state.
+    Eager settling books the same slots the lazy path would. *)
+val settle_all : 'm t -> unit
+
+(** The latest finish time of a CPU slot booked on any live node (-1 if
+    none was ever booked). After {!settle_all}, a value well past now
+    means a node still has queued work: messages delivered to its inbox
+    and waiting for its CPU. *)
+val cpu_booked_until : 'm t -> int
+
 val node_processed : 'm t -> addr -> int
 val node_busy_us : 'm t -> addr -> int

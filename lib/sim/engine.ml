@@ -1,8 +1,11 @@
 (* Discrete-event simulation engine.
 
    Simulated time is [int] microseconds. The run loop pops the earliest
-   event and executes its thunk; thunks schedule further events. Ties on
-   time break on scheduling order, so runs are fully deterministic.
+   event and applies its function to its argument — a thunk to [()],
+   or, for events queued with [schedule_call], a function shared by
+   many events to the argument each carries; events schedule further
+   events. Ties on time break on scheduling order, so runs are fully
+   deterministic.
 
    Same-event continuations ([defer]): a thunk may queue work to run
    right after it returns, at the same instant and before the next
@@ -30,8 +33,19 @@
    it for the [sim_events_per_sec] artifact line, excluding setup and
    artifact-writing time from the denominator. *)
 
-(* A queued event; [tag] is its attribution label. *)
-type event = { time : int; seq : int; tag : Prof.label; f : unit -> unit }
+(* A queued event: [run arg] at [time]; [tag] is its attribution label.
+   A thunk is [run] with [arg = ()]; [schedule_call] queues a function
+   shared by many events with a per-event argument, so the caller
+   allocates no closure per event. *)
+type event =
+  | Ev : {
+      time : int;
+      seq : int;
+      tag : Prof.label;
+      run : 'a -> unit;
+      arg : 'a;
+    }
+      -> event
 
 type t = {
   queue : event Heap.t;
@@ -57,7 +71,7 @@ let drain t =
 let create ?(seed = 42) () =
   {
     queue =
-      Heap.create ~less:(fun a b ->
+      Heap.create ~less:(fun (Ev a) (Ev b) ->
           a.time < b.time || (a.time = b.time && a.seq < b.seq));
     now = 0;
     seq = 0;
@@ -84,19 +98,22 @@ let ticket t =
   t.seq <- t.seq + 1;
   t.seq
 
-let push t ~label ~time ~ticket f =
+let push t ~label ~time ~ticket run arg =
   let time = if time < t.now then t.now else time in
   let tag = if label <> Prof.none then label else t.cur_label in
-  Heap.push t.queue { time; seq = ticket; tag; f }
+  Heap.push t.queue (Ev { time; seq = ticket; tag; run; arg })
 
 (* Both keep their own default for [label]: a defaulted optional
    argument compiles to an inlined wrapper, so callers passing [~label]
    allocate no option. *)
 let schedule_ticket t ?(label = Prof.none) ~time ~ticket f =
-  push t ~label ~time ~ticket f
+  push t ~label ~time ~ticket f ()
 
 let schedule_at t ?(label = Prof.none) ~time f =
-  push t ~label ~time ~ticket:(ticket t) f
+  push t ~label ~time ~ticket:(ticket t) f ()
+
+let schedule_call t ?(label = Prof.none) ~time run arg =
+  push t ~label ~time ~ticket:(ticket t) run arg
 
 (* Inside an event, the keys below the executing event's have had their
    turn; outside the loop, those at or before now that precede every
@@ -108,7 +125,7 @@ let passed t ~time ~ticket =
     || time = t.now
        && (Heap.is_empty t.queue
           ||
-          let e = Heap.top t.queue in
+          let (Ev e) = Heap.top t.queue in
           e.time <> t.now || ticket < e.seq)
 
 let schedule t ?(label = Prof.none) ~delay f =
@@ -120,19 +137,23 @@ let defer t f =
 
 let stop t = t.stopped <- true
 
+let top_time t =
+  let (Ev e) = Heap.top t.queue in
+  e.time
+
 let run ?until t =
   t.stopped <- false;
   let limit = match until with None -> max_int | Some u -> u in
   let rec loop () =
     if t.stopped || Heap.is_empty t.queue then ()
-    else if (Heap.top t.queue).time > limit then
+    else if top_time t > limit then
       (* Leave the clock at the limit and the event in the queue: a
          later [run] slice must see it — dropping it here kills
          self-rescheduling loops (periodic tasks, retransmission
          timers) for the rest of the simulation. *)
       t.now <- max t.now limit
     else begin
-      let { time; seq; tag; f } = Heap.pop t.queue in
+      let (Ev { time; seq; tag; run; arg }) = Heap.pop t.queue in
       t.now <- time;
       t.cur_seq <- seq;
       t.executed <- t.executed + 1;
@@ -140,12 +161,12 @@ let run ?until t =
       if Prof.is_on t.prof then begin
         t.cur_label <- tag;
         Prof.account t.prof tag (fun () ->
-            f ();
+            run arg;
             drain t);
         t.cur_label <- Prof.none
       end
       else begin
-        f ();
+        run arg;
         drain t
       end;
       t.in_event <- false;

@@ -5,6 +5,15 @@
    written as fibers, which keeps workload code direct-style while all
    protocol handlers remain plain event handlers.
 
+   Parking: a blocking fiber registers itself where it waits — on the
+   ivar, or as a sleep's expiry event — and then performs [Park], a
+   constant effect whose handler only stores the continuation in the
+   fiber's own record. Every fiber builds its handler, its [resume]
+   function and its [Park] answer once, at spawn, so an await on an
+   empty ivar allocates only the stored continuation's option. An ivar
+   awaited by one fiber and nothing else holds that fiber itself
+   ([Parked]); a second waiter turns it into a list of callbacks.
+
    Wakeups: an ivar's waiters resume through [Engine.defer], at the end
    of the event that filled it — the same instant, no engine event of
    their own, and never re-entrantly inside the filler's handler. A
@@ -16,64 +25,127 @@
    start and its sleep expiries to it. Ivar resumptions run inside the
    filling event and are accounted under the filler's label. *)
 
+open Effect.Deep
+
+type fiber = {
+  eng : Engine.t;
+  label : Prof.label;
+  (* the continuation while suspended *)
+  mutable k : (unit, unit) continuation option;
+  (* continue the fiber; built at spawn *)
+  resume : unit -> unit;
+  (* [Some] of this record, the value of [running] while it runs *)
+  me : fiber option;
+}
+
+type _ Effect.t += Park : unit Effect.t
+
+(* The fiber executing right now, if any, on this domain: set when a
+   fiber is entered, cleared when it parks or ends. *)
+let running : fiber option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
 module Ivar = struct
-  type 'a state = Empty of ('a -> unit) list | Full of 'a
+  type 'a state =
+    | Empty
+    | Parked of fiber  (* one waiter, a fiber in [await] *)
+    | Waiting of ('a -> unit) list  (* waiters, newest first *)
+    | Full of 'a
+
   type 'a t = { mutable state : 'a state }
 
-  let create () = { state = Empty [] }
+  let create () = { state = Empty }
+  let wake f _ = f.resume ()
 
   let fill eng iv v =
     match iv.state with
     | Full _ -> invalid_arg "Ivar.fill: already filled"
-    | Empty waiters ->
+    | Empty -> iv.state <- Full v
+    | Parked f ->
+        iv.state <- Full v;
+        Engine.defer eng f.resume
+    | Waiting waiters ->
         iv.state <- Full v;
         List.iter
           (fun k -> Engine.defer eng (fun () -> k v))
           (List.rev waiters)
 
-  let is_filled iv = match iv.state with Full _ -> true | Empty _ -> false
-  let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
+  let is_filled iv = match iv.state with Full _ -> true | _ -> false
+  let peek iv = match iv.state with Full v -> Some v | _ -> None
 
   let upon eng iv k =
     match iv.state with
     | Full v -> Engine.defer eng (fun () -> k v)
-    | Empty waiters -> iv.state <- Empty (k :: waiters)
+    | Empty -> iv.state <- Waiting [ k ]
+    | Parked f -> iv.state <- Waiting [ k; wake f ]
+    | Waiting waiters -> iv.state <- Waiting (k :: waiters)
 end
 
-type _ Effect.t +=
-  | Await : 'a Ivar.t -> 'a Effect.t
-  | Sleep : int -> unit Effect.t
+let self name =
+  match !(Domain.DLS.get running) with
+  | Some f -> f
+  | None -> invalid_arg (name ^ ": not inside a fiber")
 
-let await iv = Effect.perform (Await iv)
-let sleep delay = Effect.perform (Sleep delay)
+(* A fiber waiting on a filled ivar resumes after the current event, as
+   one waiting on an empty ivar resumes after the filling one. *)
+let await (iv : 'a Ivar.t) : 'a =
+  let f = self "Fiber.await" in
+  (match iv.state with
+  | Full _ -> Engine.defer f.eng f.resume
+  | Empty -> iv.state <- Parked f
+  | Parked g -> iv.state <- Waiting [ Ivar.wake f; Ivar.wake g ]
+  | Waiting waiters -> iv.state <- Waiting (Ivar.wake f :: waiters));
+  Effect.perform Park;
+  match iv.state with Full v -> v | _ -> assert false
 
-let spawn eng ?(label = Prof.none) f =
-  let open Effect.Deep in
+let sleep delay =
+  let f = self "Fiber.sleep" in
+  Engine.schedule f.eng ~label:f.label ~delay f.resume;
+  Effect.perform Park
+
+let spawn eng ?(label = Prof.none) body =
   (* Resolve inheritance now: sleep expiries are scheduled from inside
      the fiber, which may be running under a filler's label. *)
   let label =
     if label <> Prof.none then label else Engine.current_label eng
   in
+  let cur = Domain.DLS.get running in
+  let rec f =
+    {
+      eng;
+      label;
+      k = None;
+      me = Some f;
+      resume =
+        (fun () ->
+          cur := f.me;
+          continue (Option.get f.k) ());
+    }
+  in
+  let parked =
+    Some
+      (fun k ->
+        f.k <- Some k;
+        cur := None)
+  in
   let handler =
     {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
+      retc = (fun () -> cur := None);
+      exnc =
+        (fun e ->
+          cur := None;
+          raise e);
       effc =
         (fun (type b) (eff : b Effect.t) ->
           match eff with
-          | Await iv ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  Ivar.upon eng iv (fun v -> continue k v))
-          | Sleep delay ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  Engine.schedule eng ~label ~delay (fun () -> continue k ()))
+          | Park -> (parked : ((b, unit) continuation -> unit) option)
           | _ -> None);
     }
   in
   (* Start the fiber as an event so spawning inside a fiber is safe. *)
-  Engine.schedule eng ~label ~delay:0 (fun () -> match_with f () handler)
+  Engine.schedule eng ~label ~delay:0 (fun () ->
+      cur := f.me;
+      match_with body () handler)
 
 (* Convenience: await n ivars of the same type, in order. *)
 let await_all ivs = List.map await ivs

@@ -4,15 +4,25 @@
    OCaml versions and so that independent components (each client, each
    replica) can draw from independent streams derived from one seed. *)
 
-type t = { mutable state : int64 }
+(* The state is 8 bytes read and written in place: a mutable [int64]
+   field would box a fresh value on every draw, whereas the compiler
+   keeps the intermediate [int64]s of an inlined draw unboxed, so [int]
+   and [bool] allocate nothing and [float] only the box of the float it
+   returns. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -20,15 +30,14 @@ let next_int64 t =
 (* Derive an independent stream: hash the parent state with a stream id. *)
 let split t ~id =
   let z = next_int64 t in
-  let mix = Int64.add z (Int64.mul (Int64.of_int (id + 1)) 0xD6E8FEB86659FD93L) in
-  { state = mix }
+  of_state (Int64.add z (Int64.mul (Int64.of_int (id + 1)) 0xD6E8FEB86659FD93L))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let r = Int64.shift_right_logical (next_int64 t) 1 in
   Int64.to_int (Int64.rem r (Int64.of_int bound))
 
-let float t bound =
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   (* 53 random bits, as in standard doubles-from-bits constructions *)
   r /. 9007199254740992.0 *. bound

@@ -5,7 +5,13 @@
    proceeds. The client maintains its causal past [pastVec] and a Lamport
    clock, provides read-your-writes across transactions through the
    snapshot computation, and supports on-demand durability
-   (uniform_barrier) and migration (attach). *)
+   (uniform_barrier) and migration (attach).
+
+   Every call blocks the session's fiber until its reply, so a session
+   has at most one call in flight, as the paper's client does: it lives
+   in one slot (request number and ivar), and a reply that matches no
+   call in flight — one that arrived after its call timed out — is
+   dropped. *)
 
 module Vc = Vclock.Vc
 module Network = Net.Network
@@ -38,9 +44,12 @@ type t = {
   mutable sq : int;
   (* which DCs a failover may target; installed by [System.new_client] *)
   mutable dc_live : int -> bool;
-  (* a pending entry resolves to [Some reply], or [None] when failover
-     is enabled and the request timed out (its DC presumed crashed) *)
-  pending : (int, Msg.t option Ivar.t) Hashtbl.t;
+  (* the call in flight: its request number ([no_call] when none) and
+     the ivar it resolves, to [Some reply], or to [None] when failover
+     is enabled and the request timed out (its DC presumed crashed). A
+     session blocks on each call, so at most one is in flight. *)
+  mutable call_req : int;
+  mutable call_iv : Msg.t option Ivar.t;
   (* failover watchdog (see [watchdog]): (req, deadline) per call sent
      with a timeout, oldest first; its timer is armed iff it is
      non-empty *)
@@ -61,6 +70,8 @@ and cur = {
   mutable c_ops : Types.opdesc list;
 }
 
+let no_call = 0
+
 exception Aborted
 
 (* The coordinator shed the strong commit before certification
@@ -68,6 +79,11 @@ exception Aborted
    retried. Distinct from [Aborted] so open-loop drivers can count shed
    load instead of re-executing. *)
 exception Overloaded
+
+(* Resolve the call in flight and clear the slot. *)
+let resolve t reply =
+  t.call_req <- no_call;
+  Ivar.fill t.eng t.call_iv reply
 
 let create ~id ~eng ~net ~cfg ~history ~trace ~metrics ~dc ~replicas_of_dc =
   let t =
@@ -103,7 +119,8 @@ let create ~id ~eng ~net ~cfg ~history ~trace ~metrics ~dc ~replicas_of_dc =
       req = 0;
       sq = 0;
       dc_live = (fun _ -> true);
-      pending = Hashtbl.create 8;
+      call_req = no_call;
+      call_iv = Ivar.create ();
       watch = Queue.create ();
       cur = None;
     }
@@ -117,17 +134,10 @@ let create ~id ~eng ~net ~cfg ~history ~trace ~metrics ~dc ~replicas_of_dc =
       | Msg.R_strong { req; _ }
       | Msg.R_ok { req }
       | Msg.R_overloaded { req } ->
-          Some req
-      | _ -> None
+          req
+      | _ -> no_call
     in
-    match req with
-    | None -> ()
-    | Some req -> (
-        match Hashtbl.find_opt t.pending req with
-        | None -> ()
-        | Some iv ->
-            Hashtbl.remove t.pending req;
-            Ivar.fill eng iv (Some msg))
+    if req <> no_call && req = t.call_req then resolve t (Some msg)
   in
   (* ~client:true — the session lives *near* the DC, not *in* it: a DC
      crash must not kill the client, or it could never fail over *)
@@ -138,7 +148,7 @@ let create ~id ~eng ~net ~cfg ~history ~trace ~metrics ~dc ~replicas_of_dc =
   t
 
 let id t = t.id
-let in_flight t = Hashtbl.length t.pending > 0
+let in_flight t = t.call_req <> no_call
 let dc t = t.dc
 let past t = t.past
 let lamport t = t.lc
@@ -163,17 +173,13 @@ let rec watchdog t () =
   let rec sweep () =
     match Queue.peek_opt t.watch with
     | None -> ()
-    | Some (req, deadline) -> (
-        match Hashtbl.find_opt t.pending req with
-        | Some _ when deadline > now -> ()
-        | pending ->
-            ignore (Queue.pop t.watch);
-            Option.iter
-              (fun iv ->
-                Hashtbl.remove t.pending req;
-                Ivar.fill t.eng iv None)
-              pending;
-            sweep ())
+    | Some (req, deadline) ->
+        let pending = req = t.call_req in
+        if not (pending && deadline > now) then begin
+          ignore (Queue.pop t.watch);
+          if pending then resolve t None;
+          sweep ()
+        end
   in
   sweep ();
   Option.iter (fun (_, deadline) -> arm t deadline) (Queue.peek_opt t.watch)
@@ -188,10 +194,12 @@ and arm t deadline =
    until the timeout, returning [None] (the request or its reply died
    with a crashed DC; a reply arriving after the timeout is dropped). *)
 let call_raw t dst msg_of_req =
+  if t.call_req <> no_call then invalid_arg "Client: a call is in flight";
   t.req <- t.req + 1;
   let req = t.req in
   let iv = Ivar.create () in
-  Hashtbl.replace t.pending req iv;
+  t.call_req <- req;
+  t.call_iv <- iv;
   Network.send t.net ~src:t.addr ~dst (msg_of_req req);
   let timeout = t.cfg.Config.client_failover_us in
   if timeout > 0 then begin

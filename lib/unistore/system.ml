@@ -572,12 +572,20 @@ let background_kind = function
       true
   | _ -> false
 
+(* How far past now a live node's CPU may be booked at quiescence:
+   background traffic keeps a node a few message costs ahead, while a
+   node working through a delivered backlog is booked far ahead. *)
+let quiet_cpu_slack_us = 10_000
+
 (* Unacknowledged data-plane messages count: on lossy links the tail of
    causal replication can sit in retransmission for several RTOs after
-   the protocol counters reach zero. *)
+   the protocol counters reach zero. So do messages delivered to a live
+   node's inbox and still waiting for its CPU. *)
 let quiet t =
   let live dc = not (Network.dc_failed t.net dc) in
-  pending_strong t = 0
+  Network.settle_all t.net;
+  Network.cpu_booked_until t.net <= now t + quiet_cpu_slack_us
+  && pending_strong t = 0
   && (not
         (List.exists
            (fun c -> Client.in_flight c && live (Client.dc c))

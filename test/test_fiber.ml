@@ -212,6 +212,54 @@ let test_defer_outside_run () =
   Alcotest.(check bool) "ran as an event" true !ran;
   Alcotest.(check int) "one event" 1 (Sim.Engine.executed_events eng)
 
+(* One await/fill/resume cycle's allocation is pinned: the fiber parks
+   its own continuation on the ivar, and the fill defers the fiber's
+   resume function, built once at spawn. A fiber awaits 1,000 ivars in
+   turn, each filled by an event queued beforehand. *)
+let test_await_cycle_alloc () =
+  let n = 1_000 in
+  let eng = Sim.Engine.create () in
+  let ivs = Array.init (n + 1) (fun _ -> Ivar.create ()) in
+  let sum = ref 0 in
+  Fiber.spawn eng (fun () ->
+      Array.iter (fun iv -> sum := !sum + Fiber.await iv) ivs);
+  Array.iteri
+    (fun i iv ->
+      Sim.Engine.schedule eng ~delay:(10 * (i + 1)) (fun () ->
+          Ivar.fill eng iv 1))
+    ivs;
+  (* start the fiber and run its first cycle *)
+  Sim.Engine.run eng ~until:10;
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run eng;
+  let words_per_cycle = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every fill received" (n + 1) !sum;
+  Alcotest.(check bool)
+    (Fmt.str "%.1f words per cycle (at most 12)" words_per_cycle)
+    true
+    (words_per_cycle <= 12.)
+
+(* Waiters wake in registration order, whatever their kind: a fiber
+   parked alone on the ivar, then an [upon] callback, then a second
+   fiber. *)
+let test_mixed_waiters_wake_in_order () =
+  let eng = Sim.Engine.create () in
+  let iv = Ivar.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  Fiber.spawn eng (fun () -> note (Fmt.str "fiber 1 got %d" (Fiber.await iv)));
+  Sim.Engine.schedule eng ~delay:1 (fun () ->
+      Ivar.upon eng iv (fun v -> note (Fmt.str "upon got %d" v)));
+  Sim.Engine.schedule eng ~delay:2 (fun () ->
+      Fiber.spawn eng (fun () ->
+          note (Fmt.str "fiber 2 got %d" (Fiber.await iv))));
+  Sim.Engine.schedule eng ~delay:5 (fun () -> Ivar.fill eng iv 4);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string))
+    "registration order"
+    [ "fiber 1 got 4"; "upon got 4"; "fiber 2 got 4" ]
+    (List.rev !log)
+
 let suite =
   [
     Alcotest.test_case "sleep wakes at the right time" `Quick test_sleep;
@@ -236,4 +284,8 @@ let suite =
       test_defer_nested_fifo;
     Alcotest.test_case "a defer outside the run loop is an event" `Quick
       test_defer_outside_run;
+    Alcotest.test_case "an await/fill/resume cycle's allocation is pinned"
+      `Quick test_await_cycle_alloc;
+    Alcotest.test_case "mixed waiters wake in registration order" `Quick
+      test_mixed_waiters_wake_in_order;
   ]

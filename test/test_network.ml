@@ -702,6 +702,62 @@ let lossy_properties =
         lossy_channels_exactly_once_fifo;
     ]
 
+(* The direct path's allocation per message is pinned: the send (its
+   arrival record and engine event), the arrival event, and the handler
+   event a busy CPU moves it to. Every event carries its arrival record
+   to one function the network built once, so no hop allocates a
+   closure. A burst of 1,000 messages lands at one instant: the first
+   finds the CPU idle, the rest queue behind it and take the second
+   event. *)
+let test_direct_path_alloc () =
+  let n = 1_000 in
+  let eng, net = mk () in
+  let got = ref 0 in
+  let a = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (fun _ -> ()) in
+  let b =
+    Net.Network.register net ~dc:1 ~cost:(fun _ -> 10) (fun (_ : int) ->
+        incr got)
+  in
+  let burst () =
+    for i = 1 to n do
+      Net.Network.send net ~src:a ~dst:b i
+    done;
+    Sim.Engine.run eng
+  in
+  (* the first burst creates the channel and sizes the queues *)
+  burst ();
+  let w0 = Gc.minor_words () in
+  burst ();
+  let words_per_msg = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "all delivered" (2 * n) !got;
+  Alcotest.(check bool)
+    (Fmt.str "direct path: %.1f words/msg (at most 25)" words_per_msg)
+    true
+    (words_per_msg <= 25.)
+
+(* [settle_all] books the CPU slots of everything delivered before now,
+   so [cpu_booked_until] shows a node's queued work: 100 messages of
+   1 ms each reach [b] at once (30.5 ms), and just after they land the
+   node is booked 100 ms ahead. A crashed node's backlog does not
+   count. *)
+let test_cpu_booked_until () =
+  let eng, net = mk () in
+  let a = Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (fun _ -> ()) in
+  let b =
+    Net.Network.register net ~dc:1 ~cost:(fun _ -> 1_000) (fun (_ : int) -> ())
+  in
+  for i = 1 to 100 do
+    Net.Network.send net ~src:a ~dst:b i
+  done;
+  Sim.Engine.run eng ~until:30_600;
+  Net.Network.settle_all net;
+  Alcotest.(check int) "booked through the last message's slot"
+    (30_500 + (100 * 1_000))
+    (Net.Network.cpu_booked_until net);
+  Net.Network.fail_dc net 1;
+  Alcotest.(check bool) "a crashed node's backlog does not count" true
+    (Net.Network.cpu_booked_until net < 30_600)
+
 let suite =
   [
     Alcotest.test_case "WAN latency from the topology" `Quick test_latency;
@@ -723,6 +779,10 @@ let suite =
       test_client_survives_colocated_recovery;
     Alcotest.test_case "partition-heal backlog drains in linear time" `Quick
       test_partition_heal_backlog;
+    Alcotest.test_case "direct-path allocation per message is pinned" `Quick
+      test_direct_path_alloc;
+    Alcotest.test_case "settled inboxes show booked CPU work" `Quick
+      test_cpu_booked_until;
     Alcotest.test_case "topology matches the paper's RTTs" `Quick
       test_topology_paper_rtts;
     Alcotest.test_case "deployment growth order (§8.3)" `Quick

@@ -533,6 +533,61 @@ let test_watchdog_one_timer () =
   Alcotest.(check bool) "many calls inside one timeout window" true
     (!calls_on > 100)
 
+(* A reply that arrives after its call timed out is dropped, even while
+   the session has a newer call in flight: a session keeps one call, and
+   only that call's reply resolves it. Two scripted stand-ins answer for
+   "dc0" and "dc1" (both physically in one DC, 100 us apart) and answer
+   a START after 15 ms and 5 ms: the call to dc0 times out at 10 ms, the
+   session fails over to dc1 (answered at once) and retries there. dc0's
+   late reply lands at 15.2 ms, while the retry is in flight; the retry
+   must still complete on its own reply, at 15.4 ms plus the session's
+   service cost for the two replies it took since the failover. *)
+let test_late_reply_dropped () =
+  let timeout = 10_000 in
+  let cfg = U.Config.default ~client_failover_us:timeout () in
+  let eng = Sim.Engine.create () in
+  let net =
+    Net.Network.create eng
+      (Net.Topology.create ~intra_dc_us:100 ~jitter_us:0
+         [| Net.Topology.Virginia; Net.Topology.California |])
+  in
+  let snap = Vclock.Vc.create ~dcs:3 in
+  let stand_in ~delay =
+    let me = ref (-1) in
+    me :=
+      Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (function
+        | U.Msg.C_start { client; req; tid; _ } ->
+            Sim.Engine.schedule eng ~delay (fun () ->
+                Net.Network.send net ~src:!me ~dst:client
+                  (U.Msg.R_started { req; tid; snap }))
+        | U.Msg.C_failover { client; req; _ } ->
+            Net.Network.send net ~src:!me ~dst:client (U.Msg.R_ok { req })
+        | _ -> ());
+    !me
+  in
+  let dc0 = stand_in ~delay:15_000 and dc1 = stand_in ~delay:5_000 in
+  let c =
+    Client.create ~id:0 ~eng ~net ~cfg ~history:(U.History.create ())
+      ~trace:Sim.Trace.disabled ~metrics:(Sim.Metrics.create ()) ~dc:0
+      ~replicas_of_dc:(fun dc -> [| (if dc = 0 then dc0 else dc1) |])
+  in
+  Client.set_dc_live c (fun dc -> dc = 1);
+  let aborted = ref false and started = ref (-1) in
+  Fiber.spawn eng (fun () ->
+      (try Client.start c with Client.Aborted -> aborted := true);
+      Client.start c;
+      started := Sim.Engine.now eng);
+  Sim.Engine.run eng ~until:100_000;
+  Alcotest.(check bool) "the first START timed out" true !aborted;
+  Alcotest.(check int) "failed over to dc1" 1 (Client.dc c);
+  let cost = U.Msg.cost cfg.U.Config.costs in
+  let tid = { U.Types.cl = 0; sq = 2 } in
+  Alcotest.(check int) "the retry completed on its own reply"
+    (15_400 + cost (U.Msg.R_ok { req = 2 })
+    + cost (U.Msg.R_started { req = 3; tid; snap }))
+    !started;
+  Alcotest.(check bool) "no call in flight" false (Client.in_flight c)
+
 let suite =
   [
     Alcotest.test_case
@@ -556,4 +611,6 @@ let suite =
       `Quick test_watchdog_exact_timeout;
     Alcotest.test_case "one failover watchdog timer per session" `Quick
       test_watchdog_one_timer;
+    Alcotest.test_case "a reply after the timeout is dropped" `Quick
+      test_late_reply_dropped;
   ]
