@@ -22,8 +22,6 @@ type tag = { lc : int; origin : int }
 let tag_compare a b =
   match compare a.lc b.lc with 0 -> compare a.origin b.origin | c -> c
 
-let tag_pp ppf t = Fmt.pf ppf "%d@%d" t.lc t.origin
-
 type op =
   | Reg_write of int
   | Ctr_add of int
@@ -37,10 +35,6 @@ let op_pp ppf = function
   | Set_add v -> Fmt.pf ppf "set_add(%d)" v
   | Set_remove v -> Fmt.pf ppf "set_remove(%d)" v
   | Mv_write v -> Fmt.pf ppf "mv_write(%d)" v
-
-(* Whether the operation modifies state (all of the above do; reads are
-   not logged). Kept as a function so new read-like ops slot in. *)
-let is_update (_ : op) = true
 
 type state =
   | Empty
@@ -144,8 +138,3 @@ let int_value = function
   | V_int v -> v
   | V_none -> 0
   | v -> invalid_arg (Fmt.str "Crdt.int_value: %a" value_pp v)
-
-let set_value = function
-  | V_set vs -> vs
-  | V_none -> []
-  | v -> invalid_arg (Fmt.str "Crdt.set_value: %a" value_pp v)

@@ -9,7 +9,6 @@
 type tag = { lc : int; origin : int }
 
 val tag_compare : tag -> tag -> int
-val tag_pp : tag Fmt.t
 
 type op =
   | Reg_write of int
@@ -18,8 +17,6 @@ type op =
   | Set_remove of int
   | Mv_write of int
 
-val op_pp : op Fmt.t
-val is_update : op -> bool
 
 type state
 
@@ -47,6 +44,3 @@ val apply_to_value : value -> op -> value
 
 (** Project an integer (registers, counters); [V_none] reads as 0. *)
 val int_value : value -> int
-
-(** Project a set; [V_none] reads as the empty set. *)
-val set_value : value -> int list

@@ -61,7 +61,6 @@ val run_with :
 
 (** {2 Fingerprints} *)
 
-val features : Unistore.System.t -> Oracle.verdict list -> string list
 val fingerprint : string list -> string
 
 (** {2 Trials and exploration} *)

@@ -25,7 +25,6 @@ type verdict = { oracle : string; pass : bool; detail : string }
 
 val ok : verdict list -> bool
 val first_failure : verdict list -> verdict option
-val verdict_to_json : verdict -> Sim.Json.t
 val to_json : verdict list -> Sim.Json.t
 val pp_verdict : verdict Fmt.t
 

@@ -16,8 +16,6 @@ let region_name = function
   | Ireland -> "ireland"
   | Brazil -> "brazil"
 
-let all_regions = [| Virginia; California; Frankfurt; Ireland; Brazil |]
-
 let region_index = function
   | Virginia -> 0
   | California -> 1

@@ -4,8 +4,6 @@
 
 type region = Virginia | California | Frankfurt | Ireland | Brazil
 
-val region_name : region -> string
-val all_regions : region array
 
 type t
 

@@ -11,14 +11,14 @@
    fiber's own record. Every fiber builds its handler, its [resume]
    function and its [Park] answer once, at spawn, so an await on an
    empty ivar allocates only the stored continuation's option. An ivar
-   awaited by one fiber and nothing else holds that fiber itself
-   ([Parked]); a second waiter turns it into a list of callbacks.
+   has at most one waiter: the client, its one user, blocks one session
+   fiber on each call.
 
-   Wakeups: an ivar's waiters resume through [Engine.defer], at the end
+   Wakeups: an ivar's waiter resumes through [Engine.defer], at the end
    of the event that filled it — the same instant, no engine event of
-   their own, and never re-entrantly inside the filler's handler. A
-   reply handler's fill thus resumes the client fiber inside the
-   handler's own event.
+   its own, and never re-entrantly inside the filler's handler. A reply
+   handler's fill thus resumes the client fiber inside the handler's
+   own event.
 
    Profiling: a fiber resolves its attribution label once at spawn
    (explicit [?label], else inherited from the spawner) and pins its
@@ -46,16 +46,10 @@ let running : fiber option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 module Ivar = struct
-  type 'a state =
-    | Empty
-    | Parked of fiber  (* one waiter, a fiber in [await] *)
-    | Waiting of ('a -> unit) list  (* waiters, newest first *)
-    | Full of 'a
-
+  type 'a state = Empty | Parked of fiber | Full of 'a
   type 'a t = { mutable state : 'a state }
 
   let create () = { state = Empty }
-  let wake f _ = f.resume ()
 
   let fill eng iv v =
     match iv.state with
@@ -64,21 +58,6 @@ module Ivar = struct
     | Parked f ->
         iv.state <- Full v;
         Engine.defer eng f.resume
-    | Waiting waiters ->
-        iv.state <- Full v;
-        List.iter
-          (fun k -> Engine.defer eng (fun () -> k v))
-          (List.rev waiters)
-
-  let is_filled iv = match iv.state with Full _ -> true | _ -> false
-  let peek iv = match iv.state with Full v -> Some v | _ -> None
-
-  let upon eng iv k =
-    match iv.state with
-    | Full v -> Engine.defer eng (fun () -> k v)
-    | Empty -> iv.state <- Waiting [ k ]
-    | Parked f -> iv.state <- Waiting [ k; wake f ]
-    | Waiting waiters -> iv.state <- Waiting (k :: waiters)
 end
 
 let self name =
@@ -93,8 +72,7 @@ let await (iv : 'a Ivar.t) : 'a =
   (match iv.state with
   | Full _ -> Engine.defer f.eng f.resume
   | Empty -> iv.state <- Parked f
-  | Parked g -> iv.state <- Waiting [ Ivar.wake f; Ivar.wake g ]
-  | Waiting waiters -> iv.state <- Waiting (Ivar.wake f :: waiters));
+  | Parked _ -> invalid_arg "Fiber.await: the ivar already has a waiter");
   Effect.perform Park;
   match iv.state with Full v -> v | _ -> assert false
 
@@ -146,6 +124,3 @@ let spawn eng ?(label = Prof.none) body =
   Engine.schedule eng ~label ~delay:0 (fun () ->
       cur := f.me;
       match_with body () handler)
-
-(* Convenience: await n ivars of the same type, in order. *)
-let await_all ivs = List.map await ivs

@@ -116,8 +116,6 @@ let enable ?(sample_every = 64) t =
   if t.n = 0 then ignore (intern t "other");
   t.on <- true
 
-let disable t = t.on <- false
-
 (* Intern [name]; a disabled profiler interns nothing and returns
    [none], so instrumentation sites can call this unconditionally. *)
 let label t name = if t.on then intern t name else none

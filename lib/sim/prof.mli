@@ -28,7 +28,6 @@ val create : unit -> t
     in events (default 64; must be >= 1). *)
 val enable : ?sample_every:int -> t -> unit
 
-val disable : t -> unit
 val is_on : t -> bool
 
 (** Replace the wall clock (default [Unix.gettimeofday]); tests inject

@@ -11,7 +11,7 @@
    spans ([emit_span], a start time plus a duration). Spans carry the
    transaction-lifecycle phases of the protocol instrumentation and
    render as duration events in the Chrome trace-event export
-   ([to_chrome]), which Perfetto and chrome://tracing load directly. *)
+   ([chrome_json]), which Perfetto and chrome://tracing load directly. *)
 
 type event = {
   ev_time : int;  (* simulated microseconds (span: start time) *)
@@ -129,11 +129,6 @@ let pp_event ppf e =
     Fmt.pf ppf "%8dus %-14s %-12s %s" e.ev_time e.ev_source e.ev_kind
       e.ev_detail
 
-(* Render the trace (or a filtered view) as a timeline. *)
-let dump ?source ?kind ppf t =
-  List.iter (fun e -> Fmt.pf ppf "%a@." pp_event e) (events ?source ?kind t);
-  if t.dropped > 0 then Fmt.pf ppf "... %d events dropped (capacity)@." t.dropped
-
 (* Per-kind histogram, largest first. *)
 let summary t =
   let tbl = Hashtbl.create 16 in
@@ -204,5 +199,3 @@ let chrome_json t =
       ("traceEvents", Json.List (meta @ !evs));
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let to_chrome ppf t = Format.pp_print_string ppf (Json.to_string (chrome_json t))

@@ -37,7 +37,6 @@ val events : ?source:string -> ?kind:string -> t -> event list
 val count : ?source:string -> ?kind:string -> t -> int
 val between : t -> start:int -> stop:int -> event list
 val pp_event : event Fmt.t
-val dump : ?source:string -> ?kind:string -> Format.formatter -> t -> unit
 
 (** Event counts per kind, most frequent first. *)
 val summary : t -> (string * int) list
@@ -46,6 +45,3 @@ val summary : t -> (string * int) list
     named track per distinct [ev_source]; spans as duration events,
     instants as instant events. *)
 val chrome_json : t -> Json.t
-
-(** Write {!chrome_json} compactly to a formatter. *)
-val to_chrome : Format.formatter -> t -> unit

@@ -243,6 +243,5 @@ let scrub t =
   t.next <- 1
 
 let set_slow t ~factor = t.slow <- max 1 factor
-let durable_count t = List.length t.durable
 let next_seq t = t.next
 let quiescent t = (not t.busy) && t.buffered = [] && not t.snap_writing

@@ -76,9 +76,6 @@ val set_slow : ('a, 's) t -> factor:int -> unit
 (** Gray-disk fault: multiply fsync latency (and divide bandwidth) by
     [factor] until reset with [factor:1]. *)
 
-val durable_count : ('a, 's) t -> int
-(** Number of durable (replayable) records currently on disk. *)
-
 val next_seq : ('a, 's) t -> int
 (** The sequence number the next append will get. *)
 

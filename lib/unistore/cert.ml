@@ -85,9 +85,8 @@ type t = {
   mutable trusted : int;  (* Ω: the data center currently trusted *)
   prepared : (Types.tid, accepted) Hashtbl.t;
   (* the prepared entries voting commit with operations here, by the
-     keys they touch; under [All_strong] only their number *)
+     keys they touch *)
   voting_by_key : (Store.Keyspace.key, accepted list) Hashtbl.t;
-  mutable voting : int;
   decided : Decided_log.t;
   mutable last_ts : int;  (* leader: last proposed strong timestamp *)
   mutable do_not_wait : Types.tid list;
@@ -120,7 +119,6 @@ let create ~bid_interval_us ctx ~leader_dc =
     trusted = leader_dc;
     prepared = Hashtbl.create 32;
     voting_by_key = Hashtbl.create 16;
-    voting = 0;
     decided =
       Decided_log.create ~conflict:ctx.x_conflict ~ops_slice:ctx.x_ops_slice
         ~dcs:ctx.x_dcs;
@@ -170,11 +168,7 @@ let rec index_ops t e ~add = function
       | es -> Hashtbl.replace t.voting_by_key o.key es);
       index_ops t e ~add ops
 
-let index t e ~add =
-  if e.p.ps_vote && e.ops <> [] then
-    if t.ctx.x_conflict = Config.All_strong then
-      t.voting <- (t.voting + if add then 1 else -1)
-    else index_ops t e ~add e.ops
+let index t e ~add = if e.p.ps_vote then index_ops t e ~add e.ops
 
 (* A re-ACCEPT replaces the entry: the old record leaves the index. *)
 let add_prepared t (p : Msg.prepared_strong) =
@@ -211,32 +205,24 @@ let add_decided t (d : Msg.decided_strong) =
 (* Certification check (Algorithm A8): a transaction commits only if its
    snapshot includes every conflicting committed transaction
    ([Decided_log.check]), and no conflicting transaction is concurrently
-   prepared to commit. Every relation but [All_strong] relates
-   operations on one key only, so the prepared side looks up only the
-   transaction's own keys in the index.                                  *)
+   prepared to commit. Both conflict relations relate operations on one
+   key only, so the prepared side looks up only the transaction's own
+   keys in the index.                                                    *)
 
 let certification_check t (tx : Msg.strong_tx) ~lc =
   let ops = t.ctx.x_ops_slice tx.st_ops in
   let prepared_conflict () =
-    if t.ctx.x_conflict = Config.All_strong then
-      let own =
-        match Hashtbl.find_opt t.prepared tx.st_tid with
-        | Some e when e.p.ps_vote && e.ops <> [] -> 1
-        | _ -> 0
-      in
-      t.voting > own
-    else
-      List.exists
-        (fun (o : Types.opdesc) ->
-          match Hashtbl.find_opt t.voting_by_key o.key with
-          | None -> false
-          | Some es ->
-              List.exists
-                (fun e ->
-                  (not (Types.tid_equal e.p.ps_tx.st_tid tx.st_tid))
-                  && List.exists (Config.ops_conflict t.ctx.x_conflict o) e.ops)
-                es)
-        ops
+    List.exists
+      (fun (o : Types.opdesc) ->
+        match Hashtbl.find_opt t.voting_by_key o.key with
+        | None -> false
+        | Some es ->
+            List.exists
+              (fun e ->
+                (not (Types.tid_equal e.p.ps_tx.st_tid tx.st_tid))
+                && List.exists (Config.ops_conflict t.ctx.x_conflict o) e.ops)
+              es)
+      ops
   in
   if ops = [] then (true, lc)
   else if prepared_conflict () then (false, lc)
@@ -572,7 +558,6 @@ let handle_new_leader t ~b ~from ~from_dc =
 let install_state ?delivered t ~prepared ~decided =
   Hashtbl.reset t.prepared;
   Hashtbl.reset t.voting_by_key;
-  t.voting <- 0;
   Decided_log.reset ?delivered t.decided;
   List.iter (add_decided t) decided;
   List.iter

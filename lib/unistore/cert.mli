@@ -25,10 +25,7 @@ type ctx = {
   x_dcs : int;
   x_quorum : int;
   x_conflict : Config.conflict_spec;
-      (** the deployment's conflict relation ([Config.txs_conflict]);
-          [All_strong] (REDBLUE) certifies against a count of
-          commit-voting prepared entries and a running join of commit
-          vectors instead of the per-key indexes *)
+      (** the deployment's conflict relation ([Config.txs_conflict]) *)
   x_ops_slice : Types.opsmap -> Types.opdesc list;
       (** a transaction's operations relevant to this group *)
   x_clock : unit -> int;

@@ -243,14 +243,3 @@ let pp_result ppf r =
     Fmt.pf ppf "PoR check FAILED:@,%a"
       Fmt.(list ~sep:cut string)
       r.violations
-
-let result_to_json r =
-  Sim.Json.Obj
-    [
-      ("ok", Sim.Json.Bool (ok r));
-      ("transactions", Sim.Json.Int r.transactions);
-      ("reads_checked", Sim.Json.Int r.reads_checked);
-      ("conflicts_checked", Sim.Json.Int r.conflicts_checked);
-      ( "violations",
-        Sim.Json.List (List.map (fun v -> Sim.Json.String v) r.violations) );
-    ]

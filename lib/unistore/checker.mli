@@ -31,8 +31,3 @@ val check :
   result
 
 val pp_result : result Fmt.t
-
-(** JSON verdict for bench/explore artifacts:
-    [{"ok", "transactions", "reads_checked", "conflicts_checked",
-    "violations"}]. *)
-val result_to_json : result -> Sim.Json.t

@@ -9,9 +9,9 @@
 
    Every call blocks the session's fiber until its reply, so a session
    has at most one call in flight, as the paper's client does: it lives
-   in one slot (request number and ivar), and a reply that matches no
-   call in flight — one that arrived after its call timed out — is
-   dropped. *)
+   in one slot (request number, ivar and failover deadline), and a
+   reply that matches no call in flight — one that arrived after its
+   call timed out — is dropped. *)
 
 module Vc = Vclock.Vc
 module Network = Net.Network
@@ -44,16 +44,16 @@ type t = {
   mutable sq : int;
   (* which DCs a failover may target; installed by [System.new_client] *)
   mutable dc_live : int -> bool;
-  (* the call in flight: its request number ([no_call] when none) and
-     the ivar it resolves, to [Some reply], or to [None] when failover
-     is enabled and the request timed out (its DC presumed crashed). A
-     session blocks on each call, so at most one is in flight. *)
+  (* the call in flight: its request number ([no_call] when none), the
+     ivar it resolves — to [Some reply], or to [None] when failover is
+     enabled and the request timed out (its DC presumed crashed) — and
+     its failover deadline. A session blocks on each call, so at most
+     one is in flight. *)
   mutable call_req : int;
   mutable call_iv : Msg.t option Ivar.t;
-  (* failover watchdog (see [watchdog]): (req, deadline) per call sent
-     with a timeout, oldest first; its timer is armed iff it is
-     non-empty *)
-  watch : (int * int) Queue.t;
+  mutable call_deadline : int;
+  (* whether the failover watchdog's timer is pending (see [watchdog]) *)
+  mutable armed : bool;
   (* current transaction *)
   mutable cur : cur option;
 }
@@ -121,7 +121,8 @@ let create ~id ~eng ~net ~cfg ~history ~trace ~metrics ~dc ~replicas_of_dc =
       dc_live = (fun _ -> true);
       call_req = no_call;
       call_iv = Ivar.create ();
-      watch = Queue.create ();
+      call_deadline = 0;
+      armed = false;
       cur = None;
     }
   in
@@ -161,51 +162,45 @@ let pick_coordinator t =
   replicas.(Sim.Rng.int t.rng (Array.length replicas))
 
 (* Failover watchdog: one engine timer per session, not one per call.
-   Every call sent with a timeout appends (req, send + timeout) to a
-   FIFO; the timeout is constant, so deadlines are monotone and the
-   head's is the earliest. The timer fires at the head's deadline,
-   drops the calls already answered, times out the expired ones and
-   re-arms at the next unanswered call's deadline — each call still
-   times out at exactly its send time plus [client_failover_us]. An
-   idle session leaves the timer disarmed. *)
-let rec watchdog t () =
-  let now = Engine.now t.eng in
-  let rec sweep () =
-    match Queue.peek_opt t.watch with
-    | None -> ()
-    | Some (req, deadline) ->
-        let pending = req = t.call_req in
-        if not (pending && deadline > now) then begin
-          ignore (Queue.pop t.watch);
-          if pending then resolve t None;
-          sweep ()
-        end
-  in
-  sweep ();
-  Option.iter (fun (_, deadline) -> arm t deadline) (Queue.peek_opt t.watch)
+   A call sent while the timer is idle arms it at the call's deadline,
+   its send time plus [client_failover_us]. When the timer fires, the
+   call in flight, if any, times out if its deadline has passed;
+   otherwise it is a later call, sent while the timer was pending for
+   an earlier one that got its reply, and the timer re-arms at its
+   deadline. Each call thus times out at exactly its own deadline, and
+   an idle session leaves the timer disarmed. *)
+let rec watchdog t =
+  t.armed <- false;
+  if t.call_req <> no_call then
+    if t.call_deadline <= Engine.now t.eng then resolve t None else arm t
 
-and arm t deadline =
-  Engine.schedule_at t.eng
+and arm t =
+  t.armed <- true;
+  Engine.schedule_call t.eng
     ~label:(Sim.Prof.label (Engine.prof t.eng) "client/watchdog")
-    ~time:deadline (watchdog t)
+    ~time:t.call_deadline watchdog t
 
-(* One round trip, without failover: blocks the calling fiber until the
-   reply, or — when failover is enabled ([client_failover_us] > 0) —
-   until the timeout, returning [None] (the request or its reply died
-   with a crashed DC; a reply arriving after the timeout is dropped). *)
-let call_raw t dst msg_of_req =
-  if t.call_req <> no_call then invalid_arg "Client: a call is in flight";
+(* The request number of the next call: callers take it, build their
+   message with it and pass the message to [call_raw]. *)
+let next_req t =
   t.req <- t.req + 1;
-  let req = t.req in
+  t.req
+
+(* One round trip, without failover, for the message built with the
+   last [next_req]: blocks the calling fiber until the reply, or — when
+   failover is enabled ([client_failover_us] > 0) — until the timeout,
+   returning [None] (the request or its reply died with a crashed DC; a
+   reply arriving after the timeout is dropped). *)
+let call_raw t dst msg =
+  if t.call_req <> no_call then invalid_arg "Client: a call is in flight";
   let iv = Ivar.create () in
-  t.call_req <- req;
+  t.call_req <- t.req;
   t.call_iv <- iv;
-  Network.send t.net ~src:t.addr ~dst (msg_of_req req);
+  Network.send t.net ~src:t.addr ~dst msg;
   let timeout = t.cfg.Config.client_failover_us in
   if timeout > 0 then begin
-    let deadline = Engine.now t.eng + timeout in
-    if Queue.is_empty t.watch then arm t deadline;
-    Queue.push (req, deadline) t.watch
+    t.call_deadline <- Engine.now t.eng + timeout;
+    if not t.armed then arm t
   end;
   Fiber.await iv
 
@@ -240,8 +235,8 @@ let rec failover t =
       t.dc <- dc;
       let dst = pick_coordinator t in
       (match
-         call_raw t dst (fun req ->
-             Msg.C_failover { client = t.addr; req; past = t.past })
+         call_raw t dst
+           (Msg.C_failover { client = t.addr; req = next_req t; past = t.past })
        with
       | Some (Msg.R_ok _) -> t.lc <- t.lc + 1
       | Some m ->
@@ -253,8 +248,8 @@ let rec failover t =
    aborts the surrounding transaction ([run_txn] re-executes it there);
    in-flight strong commits are instead re-submitted under the same tid
    (see [commit]). *)
-let call t dst msg_of_req =
-  match call_raw t dst msg_of_req with
+let call t dst msg =
+  match call_raw t dst msg with
   | Some m -> m
   | None ->
       failover t;
@@ -270,8 +265,9 @@ let start ?(label = "txn") ?(strong = false) t =
   let coord = pick_coordinator t in
   let start_us = Engine.now t.eng in
   match
-    call t coord (fun req ->
-        Msg.C_start { client = t.addr; client_id = t.id; req; tid; past = t.past })
+    call t coord
+      (Msg.C_start
+         { client = t.addr; client_id = t.id; req = next_req t; tid; past = t.past })
   with
   | Msg.R_started { snap; _ } ->
       t.cur <-
@@ -298,8 +294,8 @@ let cur t =
 let read ?(cls = Types.cls_default) t key =
   let c = cur t in
   match
-    call t c.c_coord (fun req ->
-        Msg.C_read { client = t.addr; req; tid = c.c_tid; key; cls })
+    call t c.c_coord
+      (Msg.C_read { client = t.addr; req = next_req t; tid = c.c_tid; key; cls })
   with
   | Msg.R_value { value; lc; _ } ->
       (match lc with Some lc -> t.lc <- max t.lc lc | None -> ());
@@ -314,8 +310,9 @@ let read_int ?cls t key = Crdt.int_value (read ?cls t key)
 let update ?(cls = Types.cls_default) t key op =
   let c = cur t in
   match
-    call t c.c_coord (fun req ->
-        Msg.C_update { client = t.addr; req; tid = c.c_tid; key; op; cls })
+    call t c.c_coord
+      (Msg.C_update
+         { client = t.addr; req = next_req t; tid = c.c_tid; key; op; cls })
   with
   | Msg.R_ok _ ->
       c.c_writes <- { Types.wkey = key; wop = op; wcls = cls } :: c.c_writes;
@@ -396,11 +393,11 @@ let rec resubmit_strong t c =
   in
   let dst = pick_coordinator t in
   match
-    call_raw t dst (fun req ->
-        Msg.C_resubmit_strong
+    call_raw t dst
+      (Msg.C_resubmit_strong
           {
             client = t.addr;
-            req;
+            req = next_req t;
             tx =
               {
                 st_tid = c.c_tid;
@@ -433,8 +430,9 @@ let commit t =
         ~start:c.c_start_us
         (Fmt.str "%a %s" Types.tid_pp c.c_tid c.c_label);
     match
-      call_raw t c.c_coord (fun req ->
-          Msg.C_commit_strong { client = t.addr; req; tid = c.c_tid; lc = t.lc })
+      call_raw t c.c_coord
+        (Msg.C_commit_strong
+           { client = t.addr; req = next_req t; tid = c.c_tid; lc = t.lc })
     with
     | Some (Msg.R_strong { dec; vec; lc; _ }) ->
         finish_strong t c ~dec ~vec ~lc
@@ -458,8 +456,9 @@ let commit t =
   else begin
     t.lc <- t.lc + 1;
     match
-      call t c.c_coord (fun req ->
-          Msg.C_commit_causal { client = t.addr; req; tid = c.c_tid; lc = t.lc })
+      call t c.c_coord
+        (Msg.C_commit_causal
+           { client = t.addr; req = next_req t; tid = c.c_tid; lc = t.lc })
     with
     | Msg.R_committed { vec; _ } ->
         Sim.Metrics.observe t.h_lat_causal (Engine.now t.eng - c.c_start_us);
@@ -481,8 +480,8 @@ let uniform_barrier t =
     invalid_arg "Client.uniform_barrier: transaction in progress";
   let coord = pick_coordinator t in
   match
-    call t coord (fun req ->
-        Msg.C_uniform_barrier { client = t.addr; req; past = t.past })
+    call t coord
+      (Msg.C_uniform_barrier { client = t.addr; req = next_req t; past = t.past })
   with
   | Msg.R_ok _ -> t.lc <- t.lc + 1
   | m -> invalid_arg ("Client.uniform_barrier: unexpected reply " ^ Msg.kind m)
@@ -493,7 +492,7 @@ let attach t ~dc =
   let replicas = t.replicas_of_dc dc in
   let dst = replicas.(Sim.Rng.int t.rng (Array.length replicas)) in
   match
-    call t dst (fun req -> Msg.C_attach { client = t.addr; req; past = t.past })
+    call t dst (Msg.C_attach { client = t.addr; req = next_req t; past = t.past })
   with
   | Msg.R_ok _ ->
       t.lc <- t.lc + 1;

@@ -8,9 +8,9 @@
    - [Causal_only]    transactional causal consistency only (CAUSAL);
    - [Strong]         serializability: every transaction is strong and all
                       operations on the same key conflict (STRONG);
-   - [Red_blue]       causal + strong with a single centralized replicated
-                      certification service and all strong pairs
-                      conflicting (REDBLUE);
+   - [Red_blue]       causal + strong with every strong transaction
+                      certified by one centralized replicated service,
+                      which aborts on data conflicts only (REDBLUE);
    - [Cure_ft]        Cure plus transaction forwarding: no uniformity
                       tracking, remote transactions visible at stability
                       (CUREFT);
@@ -34,19 +34,14 @@ let mode_name = function
 
 (* The conflict relation ⋈ on operations (§3), lifted to transactions:
    two strong transactions conflict if they perform conflicting
-   operations on the same data item (except [All_strong], which makes
-   every pair of strong transactions conflict, as REDBLUE does). *)
+   operations on the same data item. *)
 type conflict_spec =
   | Serializable  (* same key, at least one side writes *)
-  | Write_write  (* same key, both sides write *)
-  | All_strong
   | Classes of (int * int) list  (* symmetric conflicting class pairs *)
 
 let ops_conflict spec (o1 : Types.opdesc) (o2 : Types.opdesc) =
   match spec with
-  | All_strong -> true
   | Serializable -> o1.key = o2.key && (o1.write || o2.write)
-  | Write_write -> o1.key = o2.key && o1.write && o2.write
   | Classes pairs ->
       o1.key = o2.key
       && List.exists
@@ -58,15 +53,9 @@ let ops_conflict spec (o1 : Types.opdesc) (o2 : Types.opdesc) =
    under certification, [ops2] those of a previously prepared/decided
    one (both restricted to one partition by the caller). *)
 let txs_conflict spec ops1 ops2 =
-  match spec with
-  | All_strong ->
-      (* a transaction with no operations (dummy strong heartbeat)
-         conflicts with nothing *)
-      ops1 <> [] && ops2 <> []
-  | _ ->
-      List.exists
-        (fun o1 -> List.exists (fun o2 -> ops_conflict spec o1 o2) ops2)
-        ops1
+  List.exists
+    (fun o1 -> List.exists (fun o2 -> ops_conflict spec o1 o2) ops2)
+    ops1
 
 (* CPU service costs, microseconds per message, charged to the node that
    processes the message. These model the m4.2xlarge cores of §8: they

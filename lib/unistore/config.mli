@@ -5,8 +5,9 @@
 
 (** The evaluated systems: [Unistore] (full protocol), [Causal_only]
     (CAUSAL), [Strong] (serializability: all transactions strong, reads
-    conflict with writes), [Red_blue] (centralized certification with
-    every pair of strong transactions conflicting), [Cure_ft] (Cure plus
+    conflict with writes), [Red_blue] (every strong transaction
+    certified by one centralized service, which aborts on data
+    conflicts only), [Cure_ft] (Cure plus
     transaction forwarding, no uniformity tracking), [Uniform_only]
     (UniStore minus strong transactions). *)
 type mode =
@@ -21,12 +22,9 @@ val mode_name : mode -> string
 
 (** The conflict relation ⋈ on operations (§3), lifted to transactions:
     two strong transactions conflict iff they perform conflicting
-    operations on the same data item ([All_strong] ignores items and
-    makes every pair of non-empty strong transactions conflict). *)
+    operations on the same data item. *)
 type conflict_spec =
   | Serializable  (** same key, at least one side writes *)
-  | Write_write  (** same key, both sides write *)
-  | All_strong
   | Classes of (int * int) list
       (** symmetric pairs of conflicting operation classes *)
 

@@ -1,7 +1,7 @@
 (* The decided log is indexed so that the check of Algorithm A8 runs in
    time proportional to the transaction's own footprint, not to the
-   history: a per-key index or, for the all-conflict relation of
-   REDBLUE, a running join of commit vectors. *)
+   history: committed transactions are indexed by the keys they
+   touched. *)
 
 module Vc = Vclock.Vc
 
@@ -25,9 +25,6 @@ type t = {
   (* committed transactions indexed by the keys they touched at this
      group, for the per-key conflict check *)
   decided_by_key : (Store.Keyspace.key, Msg.decided_strong list ref) Hashtbl.t;
-  (* running join over committed vectors (all-conflict fast path) *)
-  mutable decided_join : Vc.t option;
-  mutable decided_max_lc : int;
   (* committed but not yet delivered, in delivery order *)
   mutable undelivered : Msg.decided_strong Delivery_queue.t;
   mutable queued : int;  (* entries ever queued: the tie-break key *)
@@ -47,8 +44,6 @@ let create ~conflict ~ops_slice ~dcs =
     ops_slice;
     decided = Hashtbl.create 256;
     decided_by_key = Hashtbl.create 256;
-    decided_join = None;
-    decided_max_lc = 0;
     undelivered = Delivery_queue.empty;
     queued = 0;
     pruned_below = 0;
@@ -86,12 +81,6 @@ let add t (d : Msg.decided_strong) =
           in
           if not (List.memq d !cell) then cell := d :: !cell)
         ops;
-      if ops <> [] then begin
-        (match t.decided_join with
-        | None -> t.decided_join <- Some (Vc.copy d.ds_vec)
-        | Some j -> Vc.merge_into j d.ds_vec);
-        t.decided_max_lc <- max t.decided_max_lc d.ds_lc
-      end;
       let ts = Vc.strong d.ds_vec in
       if ts > t.last_delivered then begin
         t.queued <- t.queued + 1;
@@ -110,40 +99,29 @@ let add t (d : Msg.decided_strong) =
 let check t ~ops ~snap ~lc =
   if ops = [] then (true, lc)
   else
-    let vote, lc =
-      if t.conflict = Config.All_strong then
-        match t.decided_join with
-        | None -> (true, lc)
-        | Some j ->
-            ( Vc.leq j snap,
-              if lc <= t.decided_max_lc then t.decided_max_lc + 1 else lc )
-      else begin
-        (* an entry conflicting on several keys is folded in once per
-           key: both updates are idempotent *)
-        let vote = ref true and lc' = ref lc in
-        List.iter
-          (fun (o : Types.opdesc) ->
-            match Hashtbl.find_opt t.decided_by_key o.key with
-            | None -> ()
-            | Some cell ->
-                List.iter
-                  (fun (d : Msg.decided_strong) ->
-                    if
-                      List.exists
-                        (fun (o' : Types.opdesc) ->
-                          o'.key = o.key && Config.ops_conflict t.conflict o o')
-                        (t.ops_slice d.ds_tx.st_ops)
-                    then begin
-                      if not (Vc.leq d.ds_vec snap) then vote := false;
-                      if !lc' <= d.ds_lc then lc' := d.ds_lc + 1
-                    end)
-                  !cell)
-          ops;
-        (!vote, !lc')
-      end
-    in
-    ( vote && Vc.strong snap >= t.pruned_below && Vc.leq t.pruned_join snap,
-      lc )
+    (* an entry conflicting on several keys is folded in once per key:
+       both updates are idempotent *)
+    let vote = ref true and lc = ref lc in
+    List.iter
+      (fun (o : Types.opdesc) ->
+        match Hashtbl.find_opt t.decided_by_key o.key with
+        | None -> ()
+        | Some cell ->
+            List.iter
+              (fun (d : Msg.decided_strong) ->
+                if
+                  List.exists
+                    (fun (o' : Types.opdesc) ->
+                      o'.key = o.key && Config.ops_conflict t.conflict o o')
+                    (t.ops_slice d.ds_tx.st_ops)
+                then begin
+                  if not (Vc.leq d.ds_vec snap) then vote := false;
+                  if !lc <= d.ds_lc then lc := d.ds_lc + 1
+                end)
+              !cell)
+      ops;
+    ( !vote && Vc.strong snap >= t.pruned_below && Vc.leq t.pruned_join snap,
+      !lc )
 
 let frontier_below t ~gate =
   Option.map
@@ -204,8 +182,6 @@ let prune ?(covered = fun _ -> true) t ~floor =
 let reset ?delivered t =
   Hashtbl.reset t.decided;
   Hashtbl.reset t.decided_by_key;
-  t.decided_join <- None;
-  t.decided_max_lc <- 0;
   t.undelivered <- Delivery_queue.empty;
   Option.iter
     (fun d ->

@@ -34,29 +34,24 @@ type t = {
   trace : Sim.Trace.t;
   on_suspect : observer:int -> dc:int -> unit;
   on_restore : observer:int -> dc:int -> unit;
-  mutable suspicions : int;
-  mutable false_suspicions : int;  (* suspected a DC that had not crashed *)
-  mutable restorations : int;
-  (* the same transitions, in the metrics registry *)
+  (* Ω transitions, counted once, in the metrics registry; a false
+     suspicion suspected a DC that had not crashed *)
   m_suspicions : Sim.Metrics.counter;
   m_false_suspicions : Sim.Metrics.counter;
   m_restorations : Sim.Metrics.counter;
 }
 
-let suspicions t = t.suspicions
-let false_suspicions t = t.false_suspicions
-let restorations t = t.restorations
+let suspicions t = Sim.Metrics.counter_value t.m_suspicions
+let false_suspicions t = Sim.Metrics.counter_value t.m_false_suspicions
+let restorations t = Sim.Metrics.counter_value t.m_restorations
 
 let mark_suspected t ~observer ~dc =
   let v = t.views.(observer) in
   if not v.suspected.(dc) then begin
     v.suspected.(dc) <- true;
-    t.suspicions <- t.suspicions + 1;
     Sim.Metrics.incr t.m_suspicions;
-    if not (Network.dc_failed t.net dc) then begin
-      t.false_suspicions <- t.false_suspicions + 1;
-      Sim.Metrics.incr t.m_false_suspicions
-    end;
+    if not (Network.dc_failed t.net dc) then
+      Sim.Metrics.incr t.m_false_suspicions;
     Sim.Trace.emitf t.trace ~source:"fd" ~kind:"suspect"
       "dc%d suspects dc%d%s" observer dc
       (if Network.dc_failed t.net dc then "" else " (falsely)");
@@ -68,7 +63,6 @@ let heard_from t ~observer ~dc =
   v.last_heard.(dc) <- Engine.now t.eng;
   if v.suspected.(dc) then begin
     v.suspected.(dc) <- false;
-    t.restorations <- t.restorations + 1;
     Sim.Metrics.incr t.m_restorations;
     Sim.Trace.emitf t.trace ~source:"fd" ~kind:"unsuspect"
       "dc%d rehabilitates dc%d" observer dc;
@@ -165,9 +159,6 @@ let create cfg eng net ~trace ~metrics ~on_suspect ~on_restore =
       trace;
       on_suspect;
       on_restore;
-      suspicions = 0;
-      false_suspicions = 0;
-      restorations = 0;
       m_suspicions = Sim.Metrics.counter metrics "fd_suspicions_total";
       m_false_suspicions =
         Sim.Metrics.counter metrics "fd_false_suspicions_total";

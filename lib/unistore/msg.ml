@@ -158,7 +158,7 @@ type t =
      on resuming service that unpins the siblings' GC floors. The
      periodic exchange rides the stream ([claim] of [Replicate] and
      [Heartbeat]). *)
-  | Knownvec_global of { dc : int; vec : Vc.t; stable : Vc.t option }
+  | Knownvec_global of { dc : int; claim : claim }
   (* ---- certification service (Algorithms A7–A10) ------------------- *)
   | Prepare_strong of {
       rid : int;
@@ -243,12 +243,8 @@ type t =
 
 (* A sibling claim costs the vector merge, plus the uniformVec
    recomputation when it carries a stableVec. *)
-let gossip_cost (c : Config.costs) stable =
+let claim_cost (c : Config.costs) { stable; _ } =
   if Option.is_some stable then c.c_stablevec + c.c_vec else c.c_vec
-
-let claim_cost c = function
-  | None -> 0
-  | Some { stable; _ } -> gossip_cost c stable
 
 (* Service cost of a message (CPU microseconds at the processing node). *)
 let cost (c : Config.costs) = function
@@ -266,13 +262,15 @@ let cost (c : Config.costs) = function
   | Commit _ -> c.c_commit
   | Commit_query _ -> c.c_base
   | Commit_abort _ -> c.c_commit
-  | Replicate { txs; claim; _ } ->
-      c.c_base + (c.c_replicate_tx * List.length txs) + claim_cost c claim
-  | Heartbeat { claim; _ } -> c.c_vec + claim_cost c claim
+  | Replicate { txs; claim; _ } -> (
+      c.c_base + (c.c_replicate_tx * List.length txs)
+      + match claim with Some cl -> claim_cost c cl | None -> 0)
+  | Heartbeat { claim; _ } -> (
+      c.c_vec + match claim with Some cl -> claim_cost c cl | None -> 0)
   | Repair_request _ -> c.c_base
   | Repair_log { txs; _ } -> c.c_base + (c.c_replicate_tx * List.length txs)
   | Kv_up _ | Stable_down _ -> c.c_vec
-  | Knownvec_global { stable; _ } -> gossip_cost c stable
+  | Knownvec_global { claim; _ } -> claim_cost c claim
   | Prepare_strong { tx; _ } ->
       if List.for_all (fun (_, ws) -> ws = []) tx.st_wbuff then c.c_cert_ro
       else c.c_cert
@@ -329,12 +327,8 @@ let decided_bytes d =
   40 + wbuff_bytes d.ds_tx.st_wbuff + opsmap_bytes d.ds_tx.st_ops
   + vc_bytes d.ds_vec
 
-let gossip_bytes vec stable =
-  vc_bytes vec + Option.fold ~none:0 ~some:vc_bytes stable
-
-let claim_bytes = function
-  | None -> 0
-  | Some { vec; stable } -> gossip_bytes vec stable
+let claim_bytes { vec; stable } =
+  vc_bytes vec + match stable with Some s -> vc_bytes s | None -> 0
 
 let size_bytes = function
   | C_start { past; _ } -> header_bytes + 24 + vc_bytes past
@@ -362,15 +356,17 @@ let size_bytes = function
   | Replicate { txs; claim; _ } ->
       List.fold_left
         (fun acc tx -> acc + tx_bytes tx)
-        (header_bytes + 16 + claim_bytes claim)
+        (header_bytes + 16
+        + match claim with Some cl -> claim_bytes cl | None -> 0)
         txs
-  | Heartbeat { claim; _ } -> header_bytes + 24 + claim_bytes claim
+  | Heartbeat { claim; _ } -> (
+      header_bytes + 24
+      + match claim with Some cl -> claim_bytes cl | None -> 0)
   | Repair_request _ -> header_bytes + 40
   | Repair_log { txs; _ } ->
       List.fold_left (fun acc tx -> acc + tx_bytes tx) (header_bytes + 40) txs
   | Kv_up { vec; _ } -> header_bytes + 8 + vc_bytes vec
-  | Knownvec_global { vec; stable; _ } ->
-      header_bytes + 8 + gossip_bytes vec stable
+  | Knownvec_global { claim; _ } -> header_bytes + 8 + claim_bytes claim
   | Stable_down { vec } -> header_bytes + vc_bytes vec
   | Prepare_strong { tx; _ } -> header_bytes + 40 + strong_tx_bytes tx
   | Already_decided { vec; _ } -> header_bytes + 32 + vc_bytes vec

@@ -348,17 +348,6 @@ let partition_during_sync ~rejoiner ~peer ~from_us ~until_us =
     { at_us = until_us; ev = Heal (rejoiner, peer) };
   ]
 
-(* Gray out both directions of the rejoiner <-> peer link: a one-way
-   degradation would stall either the pull or its reply, and the sync
-   must treat sustained silence the same either way. *)
-let degrade_during_sync ~rejoiner ~peer ~extra_us ~from_us ~until_us =
-  [
-    { at_us = from_us; ev = Degrade { src = peer; dst = rejoiner; extra_us } };
-    { at_us = from_us; ev = Degrade { src = rejoiner; dst = peer; extra_us } };
-    { at_us = until_us; ev = Restore { src = peer; dst = rejoiner } };
-    { at_us = until_us; ev = Restore { src = rejoiner; dst = peer } };
-  ]
-
 (* Crash a polled sibling mid-round; pair with the caller's own
    recovery step if the sibling should come back. *)
 let crash_during_sync ~peer ~at_us = [ { at_us; ev = Crash_dc peer } ]

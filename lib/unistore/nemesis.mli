@@ -42,9 +42,7 @@ val pp_step : Format.formatter -> step -> unit
     ([lib/explore]): one JSON object per step with an ["ev"]
     discriminator, replayable byte-deterministically. *)
 
-val step_to_json : step -> Sim.Json.t
 val schedule_to_json : schedule -> Sim.Json.t
-val step_of_json : Sim.Json.t -> (step, string) result
 val schedule_of_json : Sim.Json.t -> (schedule, string) result
 
 (** {2 Validation}
@@ -58,10 +56,6 @@ val schedule_of_json : Sim.Json.t -> (schedule, string) result
     prior [Crash_node] of the same node. {!inject} runs it and raises
     [Invalid_argument] on any error. *)
 val validate : Config.t -> schedule -> (unit, string) result
-
-(** Inject one event immediately. Enables the network fault model on
-    first use if the configuration did not install one. *)
-val inject_event : System.t -> event -> unit
 
 (** Schedule every step onto the system's engine (call before
     {!System.run}). Validates the schedule first ({!validate}) and
@@ -77,16 +71,6 @@ val merge : schedule list -> schedule
     must drop it from the round and finish with the others. *)
 val partition_during_sync :
   rejoiner:int -> peer:int -> from_us:int -> until_us:int -> schedule
-
-(** Gray out both directions of the [rejoiner] <-> [peer] link by
-    [extra_us] for \[[from_us], [until_us]\]. *)
-val degrade_during_sync :
-  rejoiner:int ->
-  peer:int ->
-  extra_us:int ->
-  from_us:int ->
-  until_us:int ->
-  schedule
 
 (** Crash a polled sibling mid-round. *)
 val crash_during_sync : peer:int -> at_us:int -> schedule

@@ -192,10 +192,9 @@ let request_cert_state t =
 
 (* Send [claim] to every live sibling outside the propagate tick, whose
    stream messages carry it otherwise. *)
-let gossip t ({ vec; stable } : Msg.claim) =
+let gossip t claim =
   List.iter
-    (fun i ->
-      send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; vec; stable }))
+    (fun i -> send t (sibling t i) (Msg.Knownvec_global { dc = t.dc; claim }))
     (Replication.live_peers t)
 
 (* Tell every live sibling how far we hold each stream. Besides pinning

@@ -308,8 +308,7 @@ let restart_from_disk t ~on_done =
    stream part, exactly as a standalone KNOWNVEC_GLOBAL from [origin]. *)
 let handle_claim t ~origin = function
   | None -> ()
-  | Some { Msg.vec; stable } ->
-      Stabilisation.handle_knownvec_global t ~dc:origin ~vec ~stable
+  | Some claim -> Stabilisation.handle_knownvec_global t ~dc:origin claim
 
 let dispatch t msg =
   match msg with
@@ -363,8 +362,8 @@ let dispatch t msg =
       Replication.handle_repair_log t ~origin ~txs ~from_ts ~covered ~last ~sq
   | Msg.Kv_up { part; vec } -> Stabilisation.handle_kv_up t ~part ~vec
   | Msg.Stable_down { vec } -> Stabilisation.update_stable t vec
-  | Msg.Knownvec_global { dc; vec; stable } ->
-      Stabilisation.handle_knownvec_global t ~dc ~vec ~stable
+  | Msg.Knownvec_global { dc; claim } ->
+      Stabilisation.handle_knownvec_global t ~dc claim
   | Msg.Accept_ack { part; b; rid; tid; vote; ts; lc; from_dc } ->
       Strong_coord.handle_accept_ack t ~part ~b ~rid ~tid ~vote ~ts ~lc
         ~from_dc

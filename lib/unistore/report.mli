@@ -11,11 +11,6 @@
     p90_ms, p99_ms}] with [null] statistics when the set is empty. *)
 val latency_json : Sim.Stats.sample_set -> Sim.Json.t
 
-(** The strong-transaction phase histograms ([strong_phase_us]) in
-    lifecycle order (execute, uniform_wait, certify), each as
-    [{phase, count, mean_ms, p50_ms, p90_ms, p99_ms}]. *)
-val phases_json : Sim.Metrics.t -> Sim.Json.t
-
 (** The full report for a run: name, mode, seed, simulated duration,
     throughput, commit/abort counts, latency summaries ([all] /
     [causal] / [strong]), [strong_phases], and the metrics snapshot.

@@ -123,7 +123,7 @@ let handle_kv_up t ~part ~vec =
    stream back, so a claim above our own frontier is a gap in our own
    history, repaired from the siblings' retained logs (the GC
    floors retain it for us, see [prune_committed]). *)
-let handle_knownvec_global t ~dc ~vec ~stable =
+let handle_knownvec_global t ~dc ({ vec; stable } : Msg.claim) =
   (match stable with
   | Some s ->
       Vc.merge_into t.stable_matrix.(dc) s;

@@ -9,8 +9,7 @@ val bump_snapshot_source : t -> Vc.t -> unit
 val update_stable : t -> Vc.t -> unit
 val broadcast_vecs : t -> unit
 val handle_kv_up : t -> part:int -> vec:Vc.t -> unit
-val handle_knownvec_global :
-  t -> dc:int -> vec:Vc.t -> stable:Vc.t option -> unit
+val handle_knownvec_global : t -> dc:int -> Msg.claim -> unit
 val handle_uniform_barrier : t -> client:Msg.addr -> req:int -> past:Vc.t -> unit
 val handle_attach : t -> client:Msg.addr -> req:int -> past:Vc.t -> unit
 val handle_failover : t -> client:Msg.addr -> req:int -> past:Vc.t -> unit

@@ -6,16 +6,11 @@ type tid = { cl : int; sq : int }
 
 let tid_pp ppf t = Fmt.pf ppf "t%d.%d" t.cl t.sq
 let tid_equal a b = a.cl = b.cl && a.sq = b.sq
-let tid_compare a b =
-  match compare a.cl b.cl with 0 -> compare a.sq b.sq | c -> c
 
 (* Description of one operation for the conflict relation ⋈ (§3): the key
    it touches, an application-assigned operation class, and whether it is
    an update. The read set rset of Algorithm A2 is a list of these. *)
 type opdesc = { key : Store.Keyspace.key; cls : int; write : bool }
-
-let opdesc_pp ppf o =
-  Fmt.pf ppf "%s(%a,c%d)" (if o.write then "w" else "r") Store.Keyspace.pp o.key o.cls
 
 (* Default operation class when the application does not declare one. *)
 let cls_default = 0
@@ -34,9 +29,6 @@ type opsmap = (int * opdesc list) list
 
 let wbuff_partitions (w : wbuff) = List.map fst w
 
-let wbuff_find (w : wbuff) part =
-  match List.assoc_opt part w with None -> [] | Some l -> l
-
 let opsmap_find (o : opsmap) part =
   match List.assoc_opt part o with None -> [] | Some l -> l
 
@@ -53,6 +45,3 @@ type tx_rec = {
 }
 
 let tx_tag tx = { Crdt.lc = tx.tx_lc; origin = tx.tx_origin }
-
-let tx_pp ppf tx =
-  Fmt.pf ppf "%a@%a" tid_pp tx.tx_tid Vclock.Vc.pp tx.tx_vec

@@ -6,14 +6,12 @@ type tid = { cl : int; sq : int }
 
 val tid_pp : tid Fmt.t
 val tid_equal : tid -> tid -> bool
-val tid_compare : tid -> tid -> int
 
 (** One operation as seen by the conflict relation ⋈ (§3): key,
     application-assigned class, update flag. The read set of Algorithm A2
     is a list of these. *)
 type opdesc = { key : Store.Keyspace.key; cls : int; write : bool }
 
-val opdesc_pp : opdesc Fmt.t
 val cls_default : int
 
 (** One buffered write of a transaction. *)
@@ -28,7 +26,6 @@ type wbuff = (int * write list) list
 type opsmap = (int * opdesc list) list
 
 val wbuff_partitions : wbuff -> int list
-val wbuff_find : wbuff -> int -> write list
 val opsmap_find : opsmap -> int -> opdesc list
 val opsmap_partitions : opsmap -> int list
 
@@ -44,5 +41,3 @@ type tx_rec = {
 
 (** The CRDT tag of a transaction's writes. *)
 val tx_tag : tx_rec -> Crdt.tag
-
-val tx_pp : tx_rec Fmt.t

@@ -631,29 +631,6 @@ let test_retry_stale_clock () =
   Alcotest.(check (list string)) "each on its own clock" [ tid_s 2 ]
     (retried ~at:2_100)
 
-(* The all-conflict relation of REDBLUE: every pair of non-empty strong
-   transactions conflicts, whatever keys they touch, and committed ones
-   are checked through the running join of their commit vectors. *)
-let test_all_conflict () =
-  let bus, m = setup ~conflict:U.Config.All_strong () in
-  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
-  prepare bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
-  Alcotest.(check (pair bool int)) "disjoint keys conflict while prepared"
-    (false, 0) (vote_lc (m 0) 2);
-  decide bus ~n:1 ~ts:1000 ~dec:true;
-  prepare bus ~coord:99 ~n:3 ~key:7 ~snap:snap0;
-  Alcotest.(check (pair bool int)) "a snapshot missing the commit aborts"
-    (false, 2) (vote_lc (m 0) 3);
-  prepare bus ~coord:99 ~n:4 ~key:8 ~snap:(strong_vec 1000);
-  Alcotest.(check (pair bool int)) "a covering snapshot commits, lc bumped"
-    (true, 2) (vote_lc (m 0) 4);
-  let dummy =
-    { (tx_of ~n:5 [] ~snap:snap0) with st_wbuff = [ (0, []) ]; st_ops = [ (0, []) ] }
-  in
-  prepare_tx bus ~coord:99 ~n:5 dummy;
-  Alcotest.(check (pair bool int)) "an empty slice certifies against any snapshot"
-    (true, 0) (vote_lc (m 0) 5)
-
 (* ------------------------------------------------------------------ *)
 (* Decided_log against a brute-force reference: random decided
    histories under each conflict relation, a prune at a random floor,
@@ -700,9 +677,7 @@ let gen_check_case =
       (oneofl
          [
            U.Config.Serializable;
-           U.Config.Write_write;
            U.Config.Classes [ (1, 1); (1, 2) ];
-           U.Config.All_strong;
          ])
       (list_size (int_bound 25) gen_decision)
       (opt (pair (int_bound 40) (int_bound 20)))
@@ -716,9 +691,7 @@ let print_check_case (spec, ds, prune, (ops, snap, lc)) =
   Fmt.str "%s; %s; prune %s; check [%s] snap %s lc %d"
     (match spec with
     | U.Config.Serializable -> "serializable"
-    | Write_write -> "write-write"
-    | Classes _ -> "classes"
-    | All_strong -> "all-strong")
+    | Classes _ -> "classes")
     (String.concat "; "
        (List.map
           (fun (d : U.Msg.decided_strong) ->
@@ -733,9 +706,7 @@ let print_check_case (spec, ds, prune, (ops, snap, lc)) =
 
 (* The check's (vote, lc) equals a fold over every unpruned commit that
    conflicts, plus the prune-floor rule: the snapshot's strong entry is
-   at least the floor and it covers every pruned decision. Under
-   [All_strong] the running maximum of Lamport clocks is never pruned,
-   so the bump counts pruned commits too. *)
+   at least the floor and it covers every pruned decision. *)
 let check_matches_reference (spec, ds, prune, (ops, snap, lc)) =
   let log = new_log spec in
   let fresh =
@@ -772,20 +743,16 @@ let check_matches_reference (spec, ds, prune, (ops, snap, lc)) =
       fresh
   in
   let conflicts (d : U.Msg.decided_strong) =
-    spec = U.Config.All_strong
-    || List.exists
-         (fun (o : U.Types.opdesc) ->
-           List.exists
-             (fun (o' : U.Types.opdesc) ->
-               o.key = o'.key && U.Config.ops_conflict spec o o')
-             (slice d.ds_tx.st_ops))
-         ops
+    List.exists
+      (fun (o : U.Types.opdesc) ->
+        List.exists
+          (fun (o' : U.Types.opdesc) ->
+            o.key = o'.key && U.Config.ops_conflict spec o o')
+          (slice d.ds_tx.st_ops))
+      ops
   in
   let live =
     List.filter (fun d -> conflicts d && not (is_pruned d)) commits
-  in
-  let bumped =
-    if spec = U.Config.All_strong then commits else live
   in
   let expected =
     if ops = [] then (true, lc)
@@ -797,7 +764,7 @@ let check_matches_reference (spec, ds, prune, (ops, snap, lc)) =
         && Vc.leq pruned_vecs snap,
         List.fold_left
           (fun acc (d : U.Msg.decided_strong) -> max acc (d.ds_lc + 1))
-          lc bumped )
+          lc live )
   in
   D.check log ~ops ~snap ~lc = expected
   && D.count log
@@ -1075,9 +1042,7 @@ let gen_model_case =
       (oneofl
          [
            U.Config.Serializable;
-           U.Config.Write_write;
            U.Config.Classes [ (1, 1); (1, 2) ];
-           U.Config.All_strong;
          ])
       (list_size (int_bound 30)
          (frequency
@@ -1100,9 +1065,7 @@ let print_model_case (spec, steps) =
   Fmt.str "%s; %s"
     (match spec with
     | U.Config.Serializable -> "serializable"
-    | Write_write -> "write-write"
-    | Classes _ -> "classes"
-    | All_strong -> "all-strong")
+    | Classes _ -> "classes")
     (String.concat "; "
        (List.map
           (function
@@ -1195,8 +1158,6 @@ let suite =
       `Quick test_size_and_cost_model;
     Alcotest.test_case "retry clock: only silent entries, restarted"
       `Quick test_retry_stale_clock;
-    Alcotest.test_case "all-conflict relation (REDBLUE)" `Quick
-      test_all_conflict;
     Alcotest.test_case "check cost independent of the prepared set" `Quick
       test_check_cost_independent_of_prepared;
     ]

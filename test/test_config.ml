@@ -12,11 +12,6 @@ let test_serializable_conflicts () =
   Alcotest.(check bool) "r-r same key" false (c (od 1 0 false) (od 1 0 false));
   Alcotest.(check bool) "different keys" false (c (od 1 0 true) (od 2 0 true))
 
-let test_write_write_conflicts () =
-  let c = U.Config.ops_conflict U.Config.Write_write in
-  Alcotest.(check bool) "w-w" true (c (od 1 0 true) (od 1 0 true));
-  Alcotest.(check bool) "r-w" false (c (od 1 0 false) (od 1 0 true))
-
 let test_class_conflicts_symmetric () =
   let c = U.Config.ops_conflict (U.Config.Classes [ (1, 2) ]) in
   Alcotest.(check bool) "declared pair" true (c (od 1 1 true) (od 1 2 false));
@@ -24,14 +19,15 @@ let test_class_conflicts_symmetric () =
   Alcotest.(check bool) "undeclared pair" false (c (od 1 1 true) (od 1 3 true));
   Alcotest.(check bool) "different keys" false (c (od 1 1 true) (od 2 2 true))
 
-let test_all_strong_dummies () =
+let test_empty_transactions () =
   (* dummy strong heartbeats (no operations) conflict with nothing *)
-  Alcotest.(check bool) "two non-empty" true
-    (U.Config.txs_conflict U.Config.All_strong [ od 1 0 true ] [ od 2 0 true ]);
+  let spec = U.Config.Serializable in
+  Alcotest.(check bool) "two writers of one key" true
+    (U.Config.txs_conflict spec [ od 1 0 true ] [ od 1 0 true ]);
   Alcotest.(check bool) "empty left" false
-    (U.Config.txs_conflict U.Config.All_strong [] [ od 2 0 true ]);
+    (U.Config.txs_conflict spec [] [ od 1 0 true ]);
   Alcotest.(check bool) "empty right" false
-    (U.Config.txs_conflict U.Config.All_strong [ od 1 0 true ] [])
+    (U.Config.txs_conflict spec [ od 1 0 true ] [])
 
 let test_mode_predicates () =
   let mk mode = U.Config.default ~mode () in
@@ -138,12 +134,10 @@ let suite =
   [
     Alcotest.test_case "serializable conflict relation" `Quick
       test_serializable_conflicts;
-    Alcotest.test_case "write-write conflict relation" `Quick
-      test_write_write_conflicts;
     Alcotest.test_case "class conflicts are symmetric and keyed" `Quick
       test_class_conflicts_symmetric;
-    Alcotest.test_case "all-strong ignores empty transactions" `Quick
-      test_all_strong_dummies;
+    Alcotest.test_case "empty transactions never conflict" `Quick
+      test_empty_transactions;
     Alcotest.test_case "mode predicates" `Quick test_mode_predicates;
     Alcotest.test_case "effective strength per mode" `Quick
       test_effective_strong;

@@ -30,16 +30,20 @@ let test_await_already_filled () =
   Sim.Engine.run eng;
   Alcotest.(check int) "immediate value" 7 !got
 
-let test_multiple_waiters () =
+(* An ivar has one waiter: a second fiber awaiting it is refused, and
+   the first still receives the value. *)
+let test_second_await_raises () =
   let eng = Sim.Engine.create () in
   let iv = Ivar.create () in
-  let sum = ref 0 in
-  for _ = 1 to 5 do
-    Fiber.spawn eng (fun () -> sum := !sum + Fiber.await iv)
-  done;
+  let got = ref 0 and refused = ref false in
+  Fiber.spawn eng (fun () -> got := Fiber.await iv);
+  Fiber.spawn eng (fun () ->
+      try ignore (Fiber.await iv)
+      with Invalid_argument _ -> refused := true);
   Sim.Engine.schedule eng ~delay:10 (fun () -> Ivar.fill eng iv 3);
   Sim.Engine.run eng;
-  Alcotest.(check int) "all waiters woke" 15 !sum
+  Alcotest.(check bool) "the second await raised" true !refused;
+  Alcotest.(check int) "the first waiter woke" 3 !got
 
 let test_double_fill_raises () =
   let eng = Sim.Engine.create () in
@@ -48,15 +52,6 @@ let test_double_fill_raises () =
   Alcotest.check_raises "double fill"
     (Invalid_argument "Ivar.fill: already filled") (fun () ->
       Ivar.fill eng iv 2)
-
-let test_peek_is_filled () =
-  let eng = Sim.Engine.create () in
-  let iv = Ivar.create () in
-  Alcotest.(check bool) "unfilled" false (Ivar.is_filled iv);
-  Alcotest.(check (option int)) "no peek" None (Ivar.peek iv);
-  Ivar.fill eng iv 5;
-  Alcotest.(check bool) "filled" true (Ivar.is_filled iv);
-  Alcotest.(check (option int)) "peek" (Some 5) (Ivar.peek iv)
 
 let test_ping_pong () =
   let eng = Sim.Engine.create () in
@@ -106,19 +101,6 @@ let test_sequential_composition () =
     [ (0, 0); (1, 2); (2, 4); (3, 6); (4, 8) ]
     (List.rev !order)
 
-let test_await_all () =
-  let eng = Sim.Engine.create () in
-  let ivs = List.init 4 (fun _ -> Ivar.create ()) in
-  let got = ref [] in
-  Fiber.spawn eng (fun () -> got := Fiber.await_all ivs);
-  List.iteri
-    (fun i iv ->
-      Sim.Engine.schedule eng ~delay:(10 * (i + 1)) (fun () ->
-          Ivar.fill eng iv i))
-    ivs;
-  Sim.Engine.run eng;
-  Alcotest.(check (list int)) "values in list order" [ 0; 1; 2; 3 ] !got
-
 let test_exception_propagates () =
   let eng = Sim.Engine.create () in
   Fiber.spawn eng (fun () -> failwith "boom");
@@ -167,7 +149,7 @@ let test_wakeup_adds_no_event () =
   let eng = Sim.Engine.create () in
   let ivs = List.init 3 (fun _ -> Ivar.create ()) in
   let got = ref [] in
-  Fiber.spawn eng (fun () -> got := Fiber.await_all ivs);
+  Fiber.spawn eng (fun () -> got := List.map Fiber.await ivs);
   List.iteri
     (fun i iv ->
       Sim.Engine.schedule eng ~delay:(10 * (i + 1)) (fun () ->
@@ -239,40 +221,18 @@ let test_await_cycle_alloc () =
     true
     (words_per_cycle <= 12.)
 
-(* Waiters wake in registration order, whatever their kind: a fiber
-   parked alone on the ivar, then an [upon] callback, then a second
-   fiber. *)
-let test_mixed_waiters_wake_in_order () =
-  let eng = Sim.Engine.create () in
-  let iv = Ivar.create () in
-  let log = ref [] in
-  let note s = log := s :: !log in
-  Fiber.spawn eng (fun () -> note (Fmt.str "fiber 1 got %d" (Fiber.await iv)));
-  Sim.Engine.schedule eng ~delay:1 (fun () ->
-      Ivar.upon eng iv (fun v -> note (Fmt.str "upon got %d" v)));
-  Sim.Engine.schedule eng ~delay:2 (fun () ->
-      Fiber.spawn eng (fun () ->
-          note (Fmt.str "fiber 2 got %d" (Fiber.await iv))));
-  Sim.Engine.schedule eng ~delay:5 (fun () -> Ivar.fill eng iv 4);
-  Sim.Engine.run eng;
-  Alcotest.(check (list string))
-    "registration order"
-    [ "fiber 1 got 4"; "upon got 4"; "fiber 2 got 4" ]
-    (List.rev !log)
-
 let suite =
   [
     Alcotest.test_case "sleep wakes at the right time" `Quick test_sleep;
     Alcotest.test_case "await blocks until fill" `Quick test_await_filled_later;
     Alcotest.test_case "await on a filled ivar" `Quick
       test_await_already_filled;
-    Alcotest.test_case "multiple waiters all wake" `Quick test_multiple_waiters;
+    Alcotest.test_case "a second await on one ivar raises" `Quick
+      test_second_await_raises;
     Alcotest.test_case "double fill rejected" `Quick test_double_fill_raises;
-    Alcotest.test_case "peek and is_filled" `Quick test_peek_is_filled;
     Alcotest.test_case "two fibers exchange messages" `Quick test_ping_pong;
     Alcotest.test_case "sequential awaits stay ordered" `Quick
       test_sequential_composition;
-    Alcotest.test_case "await_all returns in list order" `Quick test_await_all;
     Alcotest.test_case "exceptions propagate out of fibers" `Quick
       test_exception_propagates;
     Alcotest.test_case "fibers can spawn fibers" `Quick test_spawn_inside_fiber;
@@ -286,6 +246,4 @@ let suite =
       test_defer_outside_run;
     Alcotest.test_case "an await/fill/resume cycle's allocation is pinned"
       `Quick test_await_cycle_alloc;
-    Alcotest.test_case "mixed waiters wake in registration order" `Quick
-      test_mixed_waiters_wake_in_order;
   ]

@@ -28,7 +28,8 @@ let meter sys =
     | U.Msg.Replicate { origin; claim; _ }
     | U.Msg.Heartbeat { origin; claim; _ } ->
         stream origin claim
-    | U.Msg.Knownvec_global { stable = Some _; _ } -> "knownvec_global+stable"
+    | U.Msg.Knownvec_global { claim = { stable = Some _; _ }; _ } ->
+        "knownvec_global+stable"
     | m -> U.Msg.kind m
   in
   Net.Network.set_meter net reg ~kind_of ~size_of:U.Msg.size_bytes;
@@ -47,7 +48,9 @@ let own_stream sent =
 let test_cost_model () =
   let c = U.Config.default_costs and v = Vc.create ~dcs:3 in
   let claim stable = Some { U.Msg.vec = v; stable } in
-  let gossip stable = U.Msg.Knownvec_global { dc = 0; vec = v; stable } in
+  let gossip stable =
+    U.Msg.Knownvec_global { dc = 0; claim = { vec = v; stable } }
+  in
   let heartbeat claim =
     U.Msg.Heartbeat { origin = 0; ts = 1; from_ts = 0; claim }
   in

@@ -34,14 +34,12 @@ let gen_scenario =
           sc_keys = 1 + keys;
           sc_strong_pct = strong_pct;
           sc_conflict =
-            (match conflict with
-            | 0 -> U.Config.Serializable
-            | 1 -> U.Config.Write_write
-            | _ -> U.Config.Classes [ (1, 1); (1, 2) ]);
+            (if conflict = 0 then U.Config.Serializable
+             else U.Config.Classes [ (1, 1); (1, 2) ]);
         })
       (pair
          (quad (int_bound 10_000) (int_bound 5) (int_bound 2) (int_bound 5))
-         (quad (int_bound 12) (int_bound 15) (int_bound 100) (int_bound 2))))
+         (quad (int_bound 12) (int_bound 15) (int_bound 100) (int_bound 1))))
 
 let arb_scenario = QCheck.make ~print:pp_scenario gen_scenario
 

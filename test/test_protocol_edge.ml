@@ -397,7 +397,7 @@ let test_idle_claim_allocates_nothing () =
        });
   let zero = Vclock.Vc.create ~dcs:3 in
   let idle =
-    U.Msg.Knownvec_global { dc = 2; vec = zero; stable = Some zero }
+    U.Msg.Knownvec_global { dc = 2; claim = { vec = zero; stable = Some zero } }
   in
   let w0 = Gc.minor_words () in
   U.Replica.handle r idle;
@@ -407,7 +407,8 @@ let test_idle_claim_allocates_nothing () =
   let raised = Vclock.Vc.of_array [| 0; 100; 0; 0 |] in
   U.Replica.handle r (U.Msg.Stable_down { vec = raised });
   U.Replica.handle r
-    (U.Msg.Knownvec_global { dc = 2; vec = zero; stable = Some raised });
+    (U.Msg.Knownvec_global
+       { dc = 2; claim = { vec = zero; stable = Some raised } });
   Alcotest.(check int) "uniformVec covers the sample" 100
     (Vclock.Vc.get (U.Replica.uniform_vec r) origin);
   Alcotest.(check int) "the sample is released" 1 (samples ())

@@ -588,6 +588,75 @@ let test_late_reply_dropped () =
     !started;
   Alcotest.(check bool) "no call in flight" false (Client.in_flight c)
 
+(* After a late reply is dropped, the next call still times out at its
+   own send time plus the timeout, though the watchdog was armed for an
+   earlier deadline. Scripted stand-ins answer for "dc0", "dc1" and
+   "dc2" (all physically in one DC, 100 us apart): dc0 answers a START
+   after 15 ms, dc1 answers a failover at once and never a START, dc2
+   answers everything at once. The START to dc0 times out at 10 ms; the
+   failover to dc1, sent then, arms the watchdog for 20 ms; the retried
+   START to dc1 leaves a little later and must time out at its own
+   deadline, not at 20 ms. dc0's reply lands at 15.2 ms, in between, and
+   resolves nothing. *)
+let test_next_call_after_late_reply () =
+  let timeout = 10_000 in
+  let cfg = U.Config.default ~client_failover_us:timeout () in
+  let eng = Sim.Engine.create () in
+  let net =
+    Net.Network.create eng
+      (Net.Topology.create ~intra_dc_us:100 ~jitter_us:0
+         [| Net.Topology.Virginia; Net.Topology.California |])
+  in
+  let snap = Vclock.Vc.create ~dcs:3 in
+  let failovers = ref [] in
+  let stand_in ~start_delay =
+    let me = ref (-1) in
+    me :=
+      Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (function
+        | U.Msg.C_start { client; req; tid; _ } ->
+            Option.iter
+              (fun delay ->
+                Sim.Engine.schedule eng ~delay (fun () ->
+                    Net.Network.send net ~src:!me ~dst:client
+                      (U.Msg.R_started { req; tid; snap })))
+              start_delay
+        | U.Msg.C_failover { client; req; _ } ->
+            failovers := Sim.Engine.now eng :: !failovers;
+            Net.Network.send net ~src:!me ~dst:client (U.Msg.R_ok { req })
+        | _ -> ());
+    !me
+  in
+  let dcs =
+    [|
+      stand_in ~start_delay:(Some 15_000);
+      stand_in ~start_delay:None;
+      stand_in ~start_delay:(Some 0);
+    |]
+  in
+  let c =
+    Client.create ~id:0 ~eng ~net ~cfg ~history:(U.History.create ())
+      ~trace:Sim.Trace.disabled ~metrics:(Sim.Metrics.create ()) ~dc:0
+      ~replicas_of_dc:(fun dc -> [| dcs.(dc) |])
+  in
+  let aborts = ref 0 and retry_sent = ref (-1) in
+  let in_flight_at_late_reply = ref false in
+  Sim.Engine.schedule eng ~delay:15_300 (fun () ->
+      in_flight_at_late_reply := Client.in_flight c);
+  Fiber.spawn eng (fun () ->
+      (try Client.start c with Client.Aborted -> incr aborts);
+      retry_sent := Sim.Engine.now eng;
+      (try Client.start c with Client.Aborted -> incr aborts);
+      Client.start c);
+  Sim.Engine.run eng ~until:100_000;
+  Alcotest.(check int) "both STARTs timed out" 2 !aborts;
+  Alcotest.(check int) "failed over to dc2" 2 (Client.dc c);
+  Alcotest.(check bool) "the retry was in flight when dc0's reply landed"
+    true !in_flight_at_late_reply;
+  Alcotest.(check (list int)) "each call timed out at its own deadline"
+    [ timeout + 100; !retry_sent + timeout + 100 ]
+    (List.rev !failovers);
+  Alcotest.(check bool) "no call in flight" false (Client.in_flight c)
+
 let suite =
   [
     Alcotest.test_case
@@ -613,4 +682,6 @@ let suite =
       test_watchdog_one_timer;
     Alcotest.test_case "a reply after the timeout is dropped" `Quick
       test_late_reply_dropped;
+    Alcotest.test_case "the next call after a late reply times out on time"
+      `Quick test_next_call_after_late_reply;
   ]

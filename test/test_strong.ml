@@ -149,7 +149,7 @@ let test_serializable_mode_read_only_strong () =
 
 let test_redblue_mode () =
   let sys =
-    Util.make_system ~mode:U.Config.Red_blue ~conflict:U.Config.All_strong ()
+    Util.make_system ~mode:U.Config.Red_blue ()
   in
   U.System.preload sys 4 (Crdt.Reg_write 0);
   let commits = ref 0 in
