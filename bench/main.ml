@@ -8,7 +8,8 @@
 
    `--json <dir>` additionally writes one machine-readable
    BENCH_<name>.json per artefact (plus TRACE_<name>.json Chrome-trace
-   exports where a run records a trace) into <dir>. *)
+   exports where a run records a trace) into <dir>. The profile
+   artefact writes BENCH_profile.json even without it, into bench-out. *)
 
 let artefacts =
   [

@@ -185,6 +185,11 @@ let run () =
     "merged: %d events over %d labels, %.1f%% attributed; verdicts: \
      coverage-ge-95=%b required-labels-present=%b"
     total (List.length merged) coverage coverage_ge_95 labels_present;
+  (* Always write the artifact, into bench-out without [--json]:
+     bin/perfcheck.exe gates bench-out/BENCH_profile.json, and a run
+     that left an older file in place would have it gate that one. *)
+  let json_dir = !Common.json_dir in
+  if json_dir = None then Common.json_dir := Some "bench-out";
   Common.emit_folded ~name:"profile"
     (Prof.folded_of_entries ~sample_every merged);
   Common.emit_artifact ~name:"profile"
@@ -204,4 +209,5 @@ let run () =
                ("required_labels_present", Json.Bool labels_present);
                ("all_pass", Json.Bool (coverage_ge_95 && labels_present));
              ] );
-       ])
+       ]);
+  Common.json_dir := json_dir

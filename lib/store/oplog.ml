@@ -17,12 +17,14 @@ type entry = { op : Crdt.op; vec : Vclock.Vc.t; tag : Crdt.tag }
 type t = {
   table : (Keyspace.key, entry list ref) Hashtbl.t;
   mutable appended : int;
+  mutable live : int;  (* entries held: [append] and [clear] keep it *)
 }
 
-let create () = { table = Hashtbl.create 1024; appended = 0 }
+let create () = { table = Hashtbl.create 1024; appended = 0; live = 0 }
 
 let append t key ~op ~vec ~tag =
   t.appended <- t.appended + 1;
+  t.live <- t.live + 1;
   let e = { op; vec; tag } in
   match Hashtbl.find_opt t.table key with
   | None -> Hashtbl.replace t.table key (ref [ e ])
@@ -41,11 +43,28 @@ let entries t key =
 (* Discard every version (crash-recovery wipe before a snapshot install).
    The lifetime [appended] counter is kept: it counts work done, not
    state held. *)
-let clear t = Hashtbl.reset t.table
+let clear t =
+  Hashtbl.reset t.table;
+  t.live <- 0
 
 let version_count t key = List.length (entries t key)
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table []
 let appended t = t.appended
+let length t = t.live
+
+(* One table pass filling the arrays from the end: the order of
+   [keys]. *)
+let snapshot t =
+  let n = Hashtbl.length t.table in
+  let keys = Array.make n 0 and lists = Array.make n [] in
+  let i = ref n in
+  Hashtbl.iter
+    (fun k l ->
+      decr i;
+      keys.(!i) <- k;
+      lists.(!i) <- !l)
+    t.table;
+  (keys, lists)
 
 (* Materialise [key] within [snap]: value plus the highest Lamport clock
    among contributing operations (returned to the client to advance its
@@ -69,23 +88,3 @@ let read t key ~snap =
   let state, max_lc = scan Crdt.empty (-1) (entries t key) in
   let lc = if max_lc < 0 then None else Some max_lc in
   (Crdt.read state, lc)
-
-(* Drop entries dominated by [horizon] for keys whose newest entry already
-   lies below it, folding them into nothing for registers (the newest one
-   is kept as the base). Only sound when no future snapshot can exclude
-   [horizon]; the replica passes a sufficiently old uniform vector. *)
-let compact t ~horizon =
-  let compact_key _ entries =
-    match !entries with
-    | [] -> ()
-    | newest :: _ ->
-        if Vclock.Vc.leq newest.vec horizon then
-          (* Everything below the horizon collapses; keep the full list
-             only for non-register types whose value is a fold. *)
-          match newest.op with
-          | Crdt.Reg_write _ -> entries := [ newest ]
-          | Crdt.Ctr_add _ | Crdt.Set_add _ | Crdt.Set_remove _
-          | Crdt.Mv_write _ ->
-              ()
-  in
-  Hashtbl.iter compact_key t.table

@@ -24,11 +24,14 @@ val keys : t -> Keyspace.key list
 (** Total number of appends over the log's lifetime. *)
 val appended : t -> int
 
+(** Number of entries held, over every key. *)
+val length : t -> int
+
+(** Every key and its entry list (the list itself, not a copy), in the
+    order of {!keys}. *)
+val snapshot : t -> Keyspace.key array * entry list array
+
 (** [read t key ~snap] returns the key's value within the snapshot and
     the highest Lamport clock among contributing operations (None when
     the key has no visible version). *)
 val read : t -> Keyspace.key -> snap:Vclock.Vc.t -> Crdt.value * int option
-
-(** Collapse history below a horizon vector that every future snapshot is
-    guaranteed to include (register keys keep only their last writer). *)
-val compact : t -> horizon:Vclock.Vc.t -> unit

@@ -195,7 +195,7 @@ let apply_commit t tx =
       Store.Oplog.append t.oplog w.Types.wkey ~op:w.Types.wop
         ~vec:tx.Types.tx_vec ~tag)
     tx.Types.tx_writes;
-  t.unshipped <- insert_tx t.dc t.unshipped tx
+  Stream_log.push t.unshipped tx
 
 let handle_commit t ~tid ~vec ~lc ~origin =
   at_clock t (Vc.get vec t.dc) (fun () ->

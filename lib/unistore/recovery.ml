@@ -21,14 +21,14 @@ let wal_record_bytes = function
   | W_cert (Cert.E_accept p) -> 8 + Msg.prepared_bytes p
   | W_cert (Cert.E_abort { vec; _ }) -> 24 + Msg.vc_bytes vec
 
+(* The oplog term comes from the key and entry counts: 8 bytes a key,
+   and per entry 24 plus its commit vector, which has the width of every
+   vector of the deployment. *)
 let node_snapshot_bytes ns =
   let txs_bytes l = List.fold_left (fun acc tx -> acc + Msg.tx_bytes tx) 8 l in
-  List.fold_left
-    (fun acc (_, es) ->
-      List.fold_left
-        (fun acc (e : Store.Oplog.entry) -> acc + 24 + Msg.vc_bytes e.vec)
-        (acc + 8) es)
-    8 ns.ns_oplog
+  8
+  + (8 * Array.length ns.ns_keys)
+  + (ns.ns_entry_count * (24 + Msg.vc_bytes ns.ns_known))
   + Msg.vc_bytes ns.ns_known
   + List.fold_left
       (fun acc p -> acc + 32 + Msg.writes_bytes p.pc_writes)
@@ -69,20 +69,20 @@ let enable_persistence t =
   | None -> ()
 
 (* Copy-out of everything a restart needs. Shared immutable structure
-   (tx records, oplog entries and their commit vectors) is retained by
+   (each key's entry list, tx records, commit vectors) is retained by
    reference — in particular a transaction's oplog entries keep sharing
    its record's vector array, which [handle_sync_request] relies on to
    recognise unpropagated commits physically. *)
 let snapshot_of t =
+  let keys, entries = Store.Oplog.snapshot t.oplog in
   {
-    ns_oplog =
-      List.map
-        (fun key -> (key, Store.Oplog.entries t.oplog key))
-        (Store.Oplog.keys t.oplog);
+    ns_keys = keys;
+    ns_entries = entries;
+    ns_entry_count = Store.Oplog.length t.oplog;
     ns_known = Vc.copy t.known_vec;
     ns_prepared = t.prepared_causal;
-    ns_unshipped = t.unshipped;
-    ns_retained = Array.copy t.retained;
+    ns_unshipped = Stream_log.to_list t.unshipped;
+    ns_retained = Array.map Stream_log.to_list t.retained;
     ns_last_prep = t.last_prep_ts;
     ns_frontier_tids = Array.copy t.frontier_tids;
     ns_frontier_ts = Array.copy t.frontier_ts;
@@ -101,6 +101,8 @@ let take_snapshot t =
   match t.disk with
   | None -> ()
   | Some w -> Store.Wal.snapshot w ~seq:(Store.Wal.next_seq w - 1) (snapshot_of t)
+
+let snapshot_bytes t = node_snapshot_bytes (snapshot_of t)
 
 (* ------------------------------------------------------------------ *)
 (* Catch-up after a DC rejoin or a node restart: the snapshot transfer,
@@ -136,11 +138,11 @@ let wipe_state t =
   Array.iter (zero_vec t) t.stable_matrix;
   Array.iter (zero_vec t) t.global_matrix;
   t.prepared_causal <- [];
-  t.unshipped <- [];
+  Stream_log.clear t.unshipped;
   t.last_prep_ts <- 0;
   t.propagated_upto <- 0;
   for i = 0 to dcs t - 1 do
-    t.retained.(i) <- [];
+    Stream_log.clear t.retained.(i);
     t.frontier_tids.(i) <- [];
     t.frontier_ts.(i) <- -1;
     t.pending_vis.(i) := [];
@@ -268,9 +270,6 @@ let finish_sync t s =
 let handle_sync_request t ~from ~part ~sq =
   if part = t.part && not (is_syncing t) then begin
     let cut = Vc.copy t.known_vec in
-    let unpropagated vec =
-      List.exists (fun tx -> tx.Types.tx_vec == vec) t.unshipped
-    in
     let chunk = ref [] and n = ref 0 in
     let flush ~last =
       send t from
@@ -279,17 +278,18 @@ let handle_sync_request t ~from ~part ~sq =
       chunk := [];
       n := 0
     in
-    List.iter
-      (fun key ->
-        List.iter
-          (fun (e : Store.Oplog.entry) ->
-            if not (unpropagated e.vec) then begin
-              chunk := (key, e.op, e.vec, e.tag) :: !chunk;
-              incr n;
-              if !n >= catchup_chunk then flush ~last:false
-            end)
-          (Store.Oplog.entries t.oplog key))
-      (Store.Oplog.keys t.oplog);
+    let rec add key = function
+      | [] -> ()
+      | (e : Store.Oplog.entry) :: rest ->
+          if not (Stream_log.mem_vec t.unshipped e.vec) then begin
+            chunk := (key, e.op, e.vec, e.tag) :: !chunk;
+            incr n;
+            if !n >= catchup_chunk then flush ~last:false
+          end;
+          add key rest
+    in
+    let keys, entries = Store.Oplog.snapshot t.oplog in
+    Array.iteri (fun i key -> add key entries.(i)) keys;
     flush ~last:true
   end
 
@@ -408,19 +408,19 @@ let crash_node t =
   match t.disk with Some w -> Store.Wal.crash w | None -> ()
 
 let install_snapshot t ns =
-  List.iter
-    (fun (key, es) ->
+  Array.iteri
+    (fun i key ->
       (* [Oplog.entries] lists newest first; re-append oldest first *)
       List.iter
         (fun (e : Store.Oplog.entry) ->
           Store.Oplog.append t.oplog key ~op:e.op ~vec:e.vec ~tag:e.tag)
-        (List.rev es))
-    ns.ns_oplog;
+        (List.rev ns.ns_entries.(i)))
+    ns.ns_keys;
   Vc.merge_into t.known_vec ns.ns_known;
   t.prepared_causal <-
     List.map (fun p -> { p with pc_at = now t }) ns.ns_prepared;
-  t.unshipped <- ns.ns_unshipped;
-  Array.blit ns.ns_retained 0 t.retained 0 (dcs t);
+  Stream_log.push_list t.unshipped ns.ns_unshipped;
+  Array.iteri (fun i l -> Stream_log.push_list t.retained.(i) l) ns.ns_retained;
   t.last_prep_ts <- ns.ns_last_prep;
   Array.iteri (fun i l -> t.frontier_tids.(i) <- l) ns.ns_frontier_tids;
   Array.iteri (fun i v -> t.frontier_ts.(i) <- v) ns.ns_frontier_ts;

@@ -6,6 +6,7 @@ open Replica_state
 
 val enable_persistence : t -> unit
 val take_snapshot : t -> unit
+val snapshot_bytes : t -> int
 val reset_peer_view : t -> dc:int -> unit
 val gossip : t -> Msg.claim -> unit
 val sync_complete : t -> sync_state -> bool

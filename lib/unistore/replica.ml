@@ -76,8 +76,8 @@ let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
     stable_matrix = Array.init d (fun _ -> Vc.create ~dcs:d);
     global_matrix = Array.init d (fun _ -> Vc.create ~dcs:d);
     prepared_causal = [];
-    unshipped = [];
-    retained = Array.make d [];
+    unshipped = Stream_log.create ~origin:dc;
+    retained = Array.init d (fun origin -> Stream_log.create ~origin);
     last_prep_ts = 0;
     propagated_upto = 0;
     txns = Hashtbl.create 64;
@@ -139,14 +139,10 @@ let pending_strong t =
       if pc.p_done || pc.p_tx.st_origin = -1 then acc else acc + 1)
     t.pending_cert 0
 
-(* Causal-log backlog retained for [origin] (GC grace-window tests). *)
-let committed_backlog t ~origin = List.length t.retained.(origin)
-
+let stream_log t ~origin = t.retained.(origin)
+let unshipped t = t.unshipped
+let snapshot_bytes = Recovery.snapshot_bytes
 let repair_active t ~origin = t.repair.(origin).r_active
-let insert_tx = Replica_state.insert_tx
-let above = Replica_state.above
-let at_or_below = Replica_state.at_or_below
-let retained_range = Replica_state.retained_range
 
 let set_disk_slow t ~factor = Option.iter (Store.Wal.set_slow ~factor) t.disk
 let scrub_disk t = Option.iter Store.Wal.scrub t.disk
@@ -256,7 +252,7 @@ let start_timers t ~phase =
                  entry of a DC cut off by a partition. *)
               let floor =
                 Replication.holders_floor t ~init:(Cert.last_delivered c)
-                  Vc.strong
+                  (dcs t)
               in
               Cert.prune_decided c
                 ~covered:(Replication.stable_at_holders t)

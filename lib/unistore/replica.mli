@@ -106,28 +106,24 @@ val is_syncing : t -> bool
     its fresh vectors arrive. *)
 val reset_peer_view : t -> dc:int -> unit
 
-(** Retained causal-log backlog for [origin] (grace-window tests). *)
-val committed_backlog : t -> origin:int -> int
-
 (** {2 Replication-continuity inspection (tests and debugging)} *)
 
 (** Whether an origin-scoped repair pull for [origin]'s stream is in
     flight. *)
 val repair_active : t -> origin:int -> bool
 
-(** {2 Stream logs}
+(** {2 Stream logs and snapshots (tests)} *)
 
-    Each origin's log is kept newest first by the origin's commit-vector
-    entry, ties newest inserted first. [insert_tx] conses unless the
-    entry is older than the head; [above] returns the log itself when it
-    drops nothing; [at_or_below] returns a shared suffix;
-    [retained_range] returns (lo, hi] oldest first, as streams ship. *)
+(** What this replica keeps of [origin]'s stream for forwarding and
+    repair; its own slot holds what it shipped. *)
+val stream_log : t -> origin:int -> Stream_log.t
 
-val insert_tx : int -> Types.tx_rec list -> Types.tx_rec -> Types.tx_rec list
-val above : int -> int -> Types.tx_rec list -> Types.tx_rec list
-val at_or_below : int -> int -> Types.tx_rec list -> Types.tx_rec list
-val retained_range :
-  int -> lo:int -> hi:int -> Types.tx_rec list -> Types.tx_rec list
+(** This replica's commits not yet shipped. *)
+val unshipped : t -> Stream_log.t
+
+(** Bytes the replica's snapshot would write now, as the disk charges
+    them. *)
+val snapshot_bytes : t -> int
 
 (** {2 Node-level persistence ([Config.persistence])}
 

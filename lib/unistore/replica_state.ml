@@ -70,10 +70,12 @@ type wal_record =
    state is volatile (clients re-drive via failover, participants via
    COMMIT_QUERY against the durable decisions). *)
 type node_snapshot = {
-  ns_oplog : (Store.Keyspace.key * Store.Oplog.entry list) list;
+  ns_keys : Store.Keyspace.key array;
+  ns_entries : Store.Oplog.entry list array;  (* per key, by reference *)
+  ns_entry_count : int;
   ns_known : Vclock.Vc.t;
   ns_prepared : prepared_causal list;
-  ns_unshipped : Types.tx_rec list;
+  ns_unshipped : Types.tx_rec list;  (* stream logs, oldest first *)
   ns_retained : Types.tx_rec list array;
   ns_last_prep : int;
   ns_frontier_tids : Types.tid list array;
@@ -206,12 +208,12 @@ type t = {
   global_matrix : Vc.t array;  (* per DC *)
   (* --- causal transactions ------------------------------------------ *)
   mutable prepared_causal : prepared_causal list;
-  (* Stream logs ([insert_tx]): our commits not yet shipped, and what
-     we keep of each origin's stream for forwarding and repair until the
-     GC floors cover it (§5.5). Our own slot holds what we shipped: only
-     we hold our history above our peers' view of it. *)
-  mutable unshipped : Types.tx_rec list;
-  retained : Types.tx_rec list array;
+  (* Stream logs: our commits not yet shipped, and what we keep of each
+     origin's stream for forwarding and repair until the GC floors cover
+     it (§5.5). Our own slot holds what we shipped: only we hold our
+     history above our peers' view of it. *)
+  unshipped : Stream_log.t;
+  retained : Stream_log.t array;
   mutable last_prep_ts : int;
   (* Stream position of our own replication stream as receivers see it:
      the continuity boundary ([from_ts]) of the next outgoing batch. A
@@ -307,44 +309,8 @@ let drop_prepared t tid =
   t.prepared_causal <-
     List.filter (fun p -> not (Types.tid_equal p.pc_tid tid)) t.prepared_causal
 
-(* Stream logs keep origin order so that no reader sorts: newest first
-   by the origin's timestamp, equal timestamps newest inserted first. *)
-
+(* An origin's timestamp of a stream transaction: its [Stream_log] key. *)
 let origin_ts origin tx = Vc.get tx.Types.tx_vec origin
-
-(* Add [tx] to the log [q] of [origin]'s stream: a cons, unless [tx] is
-   older than the newest entry (a backfill), which walks in past every
-   newer one. *)
-let rec insert_tx origin q tx =
-  match q with
-  | y :: rest when origin_ts origin y > origin_ts origin tx ->
-      y :: insert_tx origin rest tx
-  | _ -> tx :: q
-
-(* The entries above [ts]: [l] itself, allocating nothing, when none is
-   at or below it. *)
-let rec above origin ts l =
-  match l with
-  | y :: rest when origin_ts origin y > ts ->
-      let kept = above origin ts rest in
-      if kept == rest then l else y :: kept
-  | _ -> []
-
-(* The entries at or below [ts]: a suffix of [l], shared. *)
-let rec at_or_below origin ts = function
-  | y :: rest when origin_ts origin y > ts -> at_or_below origin ts rest
-  | l -> l
-
-(* The entries in (lo, hi], oldest first — the order every stream
-   message carries. The walk stops at the first entry at or below
-   [lo]. *)
-let retained_range origin ~lo ~hi l =
-  let rec go acc = function
-    | y :: rest when origin_ts origin y > lo ->
-        go (if origin_ts origin y <= hi then y :: acc else acc) rest
-    | _ -> acc
-  in
-  go [] l
 
 (* Profiler label of a periodic task: per DC, not per partition —
    partitions of one DC do identical periodic work, and per-partition

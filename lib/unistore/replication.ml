@@ -115,6 +115,12 @@ let sibling_claim t =
   in
   { Msg.vec = gc_claim t; stable }
 
+(* The timestamp of the last entry of an oldest-first batch. *)
+let rec newest_ts origin = function
+  | [ tx ] -> origin_ts origin tx
+  | _ :: rest -> newest_ts origin rest
+  | [] -> invalid_arg "Replication.newest_ts: empty batch"
+
 let propagate_local_txs t =
   (* the batch below carries exactly our stream window
      (propagated_upto, new]: every queued commit's timestamp exceeds the
@@ -134,9 +140,7 @@ let propagate_local_txs t =
       in
       Vc.bump t.known_vec t.dc (min_ts - 1));
   let frontier = Vc.get t.known_vec t.dc in
-  let ready = at_or_below t.dc frontier t.unshipped in
-  t.unshipped <- above t.dc frontier t.unshipped;
-  let batch = List.rev ready in
+  let batch = Stream_log.take_through t.unshipped frontier in
   let claim = Some (sibling_claim t) in
   for i = 0 to dcs t - 1 do
     if i <> t.dc then
@@ -158,10 +162,10 @@ let propagate_local_txs t =
      clean over them *)
   t.propagated_upto <-
     max t.propagated_upto
-      (match ready with last :: _ -> origin_ts t.dc last | [] -> frontier);
+      (match batch with [] -> frontier | _ -> newest_ts t.dc batch);
   (* retain what was just shipped: rejoiners catch up on our history
      from this log (nobody else may hold our full frontier) *)
-  t.retained.(t.dc) <- List.fold_left (insert_tx t.dc) t.retained.(t.dc) batch;
+  Stream_log.push_list t.retained.(t.dc) batch;
   flush_wait t.wait_known_local ~frontier
 
 (* Apply a contiguous batch of [origin]'s stream, in stream order
@@ -183,17 +187,7 @@ let apply_batch t ~origin ~from_ts txs =
          it: move it to our retained log (it must be servable to repair
          pulls) instead of applying it twice. *)
       let restored_own =
-        origin = t.dc
-        &&
-        match
-          List.partition
-            (fun r -> Types.tid_equal r.Types.tx_tid tx.Types.tx_tid)
-            t.unshipped
-        with
-        | [], _ -> false
-        | _, rest ->
-            t.unshipped <- rest;
-            true
+        origin = t.dc && Stream_log.remove t.unshipped tx.Types.tx_tid
       in
       (* below the frontier = duplicate; equal-timestamp siblings of the
          last applied transaction dedup by tid *)
@@ -236,7 +230,7 @@ let apply_batch t ~origin ~from_ts txs =
           t.last_prep_ts <- max t.last_prep_ts ts;
           observe_clock t ts
         end;
-        t.retained.(origin) <- insert_tx origin t.retained.(origin) tx;
+        Stream_log.push t.retained.(origin) tx;
         (* backfill below the frontier must not regress it *)
         if ts > Vc.get t.known_vec origin then Vc.set t.known_vec origin ts;
         if
@@ -308,9 +302,7 @@ let handle_repair_request t ~from ~origin ~vec_from ~sq =
        message behind the reply on the same FIFO channel chains cleanly
        and the stream re-links. [upto] still matters to the requester
        (its done-check target); here it is unused. *)
-    let txs =
-      retained_range origin ~lo:vec_from ~hi:vouch t.retained.(origin)
-    in
+    let txs = Stream_log.range t.retained.(origin) ~lo:vec_from ~hi:vouch in
     let covered = if vouch >= vec_from then vouch else vec_from in
     (* a chunk's newest entry comes first in its reversed split *)
     let rec split n acc = function
@@ -383,7 +375,7 @@ let forward_remote_txs t ~dst ~origin =
   let threshold = Vc.get t.global_matrix.(dst) origin in
   let vouch = Vc.get t.known_vec origin in
   let txs =
-    retained_range origin ~lo:(threshold - 1) ~hi:vouch t.retained.(origin)
+    Stream_log.range t.retained.(origin) ~lo:(threshold - 1) ~hi:vouch
   in
   if txs <> [] then
     send t (sibling t dst)
@@ -412,14 +404,14 @@ let holds_floor t i =
   | None -> true
   | Some at -> now t - at < t.cfg.Config.gc_grace_us
 
-(* The minimum of [init] and [claim] of every floor-holding sibling's
-   globalMatrix row: how far every DC that may still need a log has
-   told us it stores. *)
-let holders_floor t ~init claim =
+(* The minimum of [init] and entry [entry] of every floor-holding
+   sibling's globalMatrix row ([dcs t] is the strong entry): how far
+   every DC that may still need a log has told us it stores. *)
+let holders_floor t ~init entry =
   let floor = ref init in
   for i = 0 to dcs t - 1 do
     if i <> t.dc && holds_floor t i then
-      floor := min !floor (claim t.global_matrix.(i))
+      floor := Int.min !floor (Vc.get t.global_matrix.(i) entry)
   done;
   !floor
 
@@ -441,6 +433,5 @@ let stable_at_holders t vec =
    its row is pinned at zero ([reset_peer_view]). *)
 let prune_committed t =
   for j = 0 to dcs t - 1 do
-    let floor = holders_floor t ~init:max_int (fun v -> Vc.get v j) in
-    t.retained.(j) <- above j floor t.retained.(j)
+    Stream_log.drop_through t.retained.(j) (holders_floor t ~init:max_int j)
   done

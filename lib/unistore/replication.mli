@@ -17,6 +17,6 @@ val handle_repair_log :
   last:bool -> sq:int -> unit
 val run_forwarding : t -> unit
 val holds_floor : t -> int -> bool
-val holders_floor : t -> init:int -> (Vc.t -> int) -> int
+val holders_floor : t -> init:int -> int -> int
 val stable_at_holders : t -> Vc.t -> bool
 val prune_committed : t -> unit

@@ -19,6 +19,7 @@ let () =
       ("prof", Test_prof.suite);
       ("protocol", Test_protocol_basic.suite);
       ("protocol-edge", Test_protocol_edge.suite);
+      ("stream-log", Test_stream_log.suite);
       ("strong", Test_strong.suite);
       ("cert", Test_cert.suite);
       ("failures", Test_failures.suite);

@@ -1,4 +1,5 @@
-(* Per-key operation logs: snapshot reads, ordering, compaction. *)
+(* Per-key operation logs: snapshot reads, ordering, the live entry
+   count and the snapshot copy-out. *)
 
 module Vc = Vclock.Vc
 
@@ -70,26 +71,6 @@ let test_same_txn_double_write () =
   let v, _ = Store.Oplog.read log 4 ~snap:(vec [ 2; 2 ]) in
   Alcotest.check value_t "second write of the txn wins" (Crdt.V_int 2) v
 
-let test_compact_registers () =
-  let log = Store.Oplog.create () in
-  for i = 1 to 10 do
-    Store.Oplog.append log 5 ~op:(Crdt.Reg_write i) ~vec:(vec [ i; 0 ])
-      ~tag:(tag i 0)
-  done;
-  Store.Oplog.compact log ~horizon:(vec [ 100; 100 ]);
-  Alcotest.(check int) "register history collapsed" 1
-    (Store.Oplog.version_count log 5);
-  let v, _ = Store.Oplog.read log 5 ~snap:(vec [ 100; 100 ]) in
-  Alcotest.check value_t "value preserved" (Crdt.V_int 10) v
-
-let test_compact_respects_horizon () =
-  let log = Store.Oplog.create () in
-  Store.Oplog.append log 6 ~op:(Crdt.Reg_write 1) ~vec:(vec [ 1; 0 ]) ~tag:(tag 1 0);
-  Store.Oplog.append log 6 ~op:(Crdt.Reg_write 2) ~vec:(vec [ 9; 0 ]) ~tag:(tag 2 0);
-  Store.Oplog.compact log ~horizon:(vec [ 5; 5 ]);
-  Alcotest.(check int) "nothing dropped above the horizon" 2
-    (Store.Oplog.version_count log 6)
-
 let qcheck_read_matches_fold =
   (* a snapshot read equals folding exactly the in-snapshot entries *)
   QCheck.Test.make ~name:"snapshot read equals direct fold" ~count:300
@@ -119,6 +100,29 @@ let qcheck_read_matches_fold =
       in
       got = expected)
 
+(* The live entry count follows appends and clears, and the snapshot
+   holds every key with its entry list itself, in the order of [keys]. *)
+let qcheck_count_and_snapshot =
+  QCheck.Test.make ~name:"live count and snapshot follow the log" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 60) (option (int_bound 12)))
+    (fun steps ->
+      let log = Store.Oplog.create () in
+      List.iteri
+        (fun i -> function
+          | Some key ->
+              Store.Oplog.append log key ~op:(Crdt.Reg_write i)
+                ~vec:(vec [ i; 0 ]) ~tag:(tag i 0)
+          | None -> Store.Oplog.clear log)
+        steps;
+      let keys = Store.Oplog.keys log in
+      let snap_keys, snap_entries = Store.Oplog.snapshot log in
+      Store.Oplog.length log
+      = List.fold_left (fun acc k -> acc + Store.Oplog.version_count log k) 0 keys
+      && Array.to_list snap_keys = keys
+      && Array.for_all2
+           (fun k es -> es == Store.Oplog.entries log k)
+           snap_keys snap_entries)
+
 let suite =
   [
     Alcotest.test_case "reading an absent key" `Quick test_empty_read;
@@ -130,9 +134,6 @@ let suite =
     Alcotest.test_case "entries kept in tag order" `Quick test_entries_order;
     Alcotest.test_case "double write in one txn" `Quick
       test_same_txn_double_write;
-    Alcotest.test_case "compaction collapses register history" `Quick
-      test_compact_registers;
-    Alcotest.test_case "compaction respects the horizon" `Quick
-      test_compact_respects_horizon;
     QCheck_alcotest.to_alcotest qcheck_read_matches_fold;
+    QCheck_alcotest.to_alcotest qcheck_count_and_snapshot;
   ]

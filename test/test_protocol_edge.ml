@@ -413,9 +413,9 @@ let test_idle_claim_allocates_nothing () =
     (Vclock.Vc.get (U.Replica.uniform_vec r) origin);
   Alcotest.(check int) "the sample is released" 1 (samples ())
 
-(* The stream-log helpers against list references, over random
-   insertion orders with ties and out-of-order backfills: entry [i] of
-   the generated list is inserted [i]-th, at that origin timestamp. *)
+(* [Stream_log] against list references, over random insertion orders
+   with ties and out-of-order backfills: entry [i] of the generated list
+   is inserted [i]-th, at that origin timestamp. *)
 let qcheck_stream_log =
   let origin = 1 in
   let ts tx = Vclock.Vc.get tx.U.Types.tx_vec origin in
@@ -433,30 +433,32 @@ let qcheck_stream_log =
               U.Types.tx_tid = { cl = 0; sq = i } })
           tss
       in
-      let log = List.fold_left (U.Replica.insert_tx origin) [] txs in
-      (* newest first, equal timestamps newest inserted first *)
+      let build () =
+        let log = U.Stream_log.create ~origin in
+        List.iter (U.Stream_log.push log) txs;
+        log
+      in
+      (* newest first, equal timestamps newest inserted first: the log
+         holds exactly this order reversed *)
       let reference =
-        List.stable_sort (fun a b -> compare (ts b) (ts a)) (List.rev txs)
+        List.rev
+          (List.stable_sort (fun a b -> compare (ts b) (ts a)) (List.rev txs))
       in
       let in_range tx = ts tx > lo && ts tx <= hi in
-      let old_range =
-        List.sort (fun a b -> compare (ts a) (ts b)) (List.filter in_range log)
-      in
-      let range = U.Replica.retained_range origin ~lo ~hi log in
-      let w0 = Gc.minor_words () in
-      let kept = U.Replica.above origin (-1) log in
-      let words = Gc.minor_words () -. w0 in
-      seqs log = seqs reference
-      && seqs (U.Replica.above origin lo log)
-         = seqs (List.filter (fun tx -> ts tx > lo) log)
-      && seqs (U.Replica.at_or_below origin lo log)
-         = seqs (List.filter (fun tx -> ts tx <= lo) log)
-      (* the old reader's result up to the order of equal timestamps,
-         and exactly the log's own order reversed *)
-      && List.map ts range = List.map ts old_range
-      && List.sort compare (seqs range) = List.sort compare (seqs old_range)
-      && seqs range = seqs (List.rev (List.filter in_range log))
-      && kept == log && words = 0.)
+      let log = build () in
+      let range = U.Stream_log.range log ~lo ~hi in
+      let dropped = build () in
+      U.Stream_log.drop_through dropped lo;
+      let taken_from = build () in
+      let taken = U.Stream_log.take_through taken_from lo in
+      seqs (U.Stream_log.to_list log) = seqs reference
+      && U.Stream_log.length log = List.length txs
+      && seqs (U.Stream_log.to_list dropped)
+         = seqs (List.filter (fun tx -> ts tx > lo) reference)
+      && seqs taken = seqs (List.filter (fun tx -> ts tx <= lo) reference)
+      && seqs (U.Stream_log.to_list taken_from)
+         = seqs (List.filter (fun tx -> ts tx > lo) reference)
+      && seqs range = seqs (List.filter in_range reference))
 
 (* Every sender ships a stream batch oldest first: [apply_batch] applies
    in arrival order and drops what falls at or below the frontier, so it
@@ -506,7 +508,7 @@ let test_senders_ship_in_stream_order () =
   repair ~origin:0 [ b ];
   repair ~origin:0 [ a ];
   Alcotest.(check int) "both own transactions retained" 2
-    (U.Replica.committed_backlog r ~origin:0);
+    (U.Stream_log.length (U.Replica.stream_log r ~origin:0));
   (* dc1's stream, in order, then forwarded on dc1's suspicion *)
   let c ts = stream_tx ~origin:1 ~ts ~key:0 ~v:ts in
   U.Replica.handle r

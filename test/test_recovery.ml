@@ -252,8 +252,8 @@ let test_gc_grace_floors () =
   let r1 = U.System.replica sys ~dc:1 ~part:0 in
   let own_during = ref (-1) and fwd_during = ref (-1) in
   Sim.Engine.schedule (U.System.engine sys) ~delay:1_800_000 (fun () ->
-      own_during := U.Replica.committed_backlog r0 ~origin:0;
-      fwd_during := U.Replica.committed_backlog r1 ~origin:0);
+      own_during := U.Stream_log.length (U.Replica.stream_log r0 ~origin:0);
+      fwd_during := U.Stream_log.length (U.Replica.stream_log r1 ~origin:0));
   (* grace expires at 2.3s; the floors release and the broadcast-driven
      prune empties the logs well before 4.5s *)
   Util.run sys ~until:4_500_000;
@@ -262,9 +262,9 @@ let test_gc_grace_floors () =
   Alcotest.(check bool) "peers retain the forwarded buffer during grace"
     true (!fwd_during > 0);
   Alcotest.(check int) "propagated log pruned after grace" 0
-    (U.Replica.committed_backlog r0 ~origin:0);
+    (U.Stream_log.length (U.Replica.stream_log r0 ~origin:0));
   Alcotest.(check int) "forwarded buffer pruned after grace" 0
-    (U.Replica.committed_backlog r1 ~origin:0)
+    (U.Stream_log.length (U.Replica.stream_log r1 ~origin:0))
 
 (* Seeded schedules: by default no recovery is drawn (existing seeds
    keep their schedules); with a recovery budget, a crashed DC recovers
