@@ -143,6 +143,7 @@ let wipe_state t =
   t.propagated_upto <- 0;
   for i = 0 to dcs t - 1 do
     Stream_log.clear t.retained.(i);
+    t.retained_from.(i) <- 0;
     t.frontier_tids.(i) <- [];
     t.frontier_ts.(i) <- -1;
     t.pending_vis.(i) := [];
@@ -302,10 +303,14 @@ let handle_sync_store t ~sq ~entries ~last ~cut =
         entries;
       if last then begin
         (* install the cut: the store now materialises everything below
-           it, so it becomes the replication frontier, the floor for new
-           prepare timestamps and the delivery frontier of the
-           certification member *)
+           it, so it becomes the replication frontier, the floor of our
+           retained logs' completeness, the floor for new prepare
+           timestamps and the delivery frontier of the certification
+           member *)
         Vc.merge_into t.known_vec cut;
+        for j = 0 to dcs t - 1 do
+          t.retained_from.(j) <- Vc.get cut j
+        done;
         t.last_prep_ts <- Vc.get cut t.dc;
         observe_clock t (Vc.get cut t.dc);
         observe_clock t (Vc.strong cut);

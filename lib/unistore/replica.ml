@@ -78,6 +78,7 @@ let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
     prepared_causal = [];
     unshipped = Stream_log.create ~origin:dc;
     retained = Array.init d (fun origin -> Stream_log.create ~origin);
+    retained_from = Array.make d 0;
     last_prep_ts = 0;
     propagated_upto = 0;
     txns = Hashtbl.create 64;

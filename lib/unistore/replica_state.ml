@@ -214,6 +214,11 @@ type t = {
      history above our peers' view of it. *)
   unshipped : Stream_log.t;
   retained : Stream_log.t array;
+  (* Per origin, the timestamp above which [retained] is complete: 0
+     until a WAN rejoin installs a snapshot, whose cut it then is (the
+     logs restart empty there, and what lies below the cut reached us as
+     store entries, not as stream transactions). *)
+  retained_from : int array;
   mutable last_prep_ts : int;
   (* Stream position of our own replication stream as receivers see it:
      the continuity boundary ([from_ts]) of the next outgoing batch. A

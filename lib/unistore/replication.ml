@@ -281,13 +281,15 @@ let handle_heartbeat t ~origin ~ts ~from_ts =
    [origin]'s stream in (vec_from, upto], chunked with chained [from_ts]
    boundaries, then a final chunk whose [covered] says how far our own
    first-hand frontier vouches the window (the requester may jump there
-   even if the window held no transactions). GC floors guarantee
-   completeness: nothing above the requester's own gossiped claim — and
-   [vec_from] never exceeds it — is ever pruned. A replica that is
-   itself catching up must not serve (its log is still partial); the
-   requester's deadline rotates past us. *)
+   even if the window held no transactions). GC floors keep the log
+   complete above the requester's gossiped claim, which never exceeds
+   [vec_from], but a log refilled after a WAN rejoin is complete only
+   above the snapshot cut ([retained_from]): a window reaching below it
+   would vouch for transactions we never held, so we refuse it, as we
+   do while catching up (the log is still partial). The requester's
+   deadline rotates past us. *)
 let handle_repair_request t ~from ~origin ~vec_from ~sq =
-  if not (is_syncing t) then begin
+  if (not (is_syncing t)) && vec_from >= t.retained_from.(origin) then begin
     let vouch = Vc.get t.known_vec origin in
     (* Serve everything we can vouch for above [vec_from] — deliberately
        NOT capped at the requester's [upto]. The claim behind [upto] is

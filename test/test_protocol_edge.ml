@@ -460,13 +460,10 @@ let qcheck_stream_log =
          = seqs (List.filter (fun tx -> ts tx > lo) reference)
       && seqs range = seqs (List.filter in_range reference))
 
-(* Every sender ships a stream batch oldest first: [apply_batch] applies
-   in arrival order and drops what falls at or below the frontier, so it
-   relies on that. An isolated dc0 replica whose own retained log took a
-   backfill (a restored own commit repaired in below a newer entry)
-   serves a repair pull in order and, suspecting dc1, forwards dc1's
-   stream to dc2 in order. Every message it sends lands in a probe. *)
-let test_senders_ship_in_stream_order () =
+(* One causal dc0 replica with 1 partition of a 3-DC deployment whose
+   siblings are probes: every message the replica sends lands in [sent]
+   as (destination DC, message), newest first. *)
+let probe_rig () =
   let cfg =
     U.Config.default ~topo:(Util.default_topo ()) ~partitions:1
       ~mode:U.Config.Causal_only ~use_hlc:true ~clock_skew_us:0 ()
@@ -489,6 +486,68 @@ let test_senders_ship_in_stream_order () =
   U.Replica.set_env r
     { e_lookup = (fun dc _ -> probes.(dc)); e_rb_cert = None;
       e_dc_pending = None };
+  (eng, r, probes, sent)
+
+(* The transaction stamps of every [Repair_log] of [origin]'s stream the
+   rig's replica sent to [dc], oldest message first. *)
+let repair_logs sent ~dc ~origin =
+  List.filter_map
+    (fun (to_dc, m) ->
+      match m with
+      | U.Msg.Repair_log { origin = o; txs; _ } when to_dc = dc && o = origin
+        ->
+          Some (List.map (fun tx -> Vclock.Vc.get tx.U.Types.tx_vec origin) txs)
+      | _ -> None)
+    (List.rev sent)
+
+(* A replica that rejoined by WAN snapshot holds no stream transaction
+   below the snapshot's cut: its retained logs restart empty there. It
+   must refuse a repair window starting below the cut (serving it would
+   vouch, through [covered], for transactions it never held, and the
+   requester would jump over them), and still serve one starting at the
+   cut. *)
+let test_repair_refused_below_snapshot_cut () =
+  let eng, r, probes, sent = probe_rig () in
+  let zero = Vclock.Vc.create ~dcs:3 in
+  let cut = Vclock.Vc.of_array [| 0; 1_000; 0; 0 |] in
+  U.Replica.begin_rejoin r ~on_done:(fun () -> ());
+  U.Replica.handle r
+    (U.Msg.Sync_store { sq = 1; entries = []; last = true; cut });
+  List.iter
+    (fun dc ->
+      U.Replica.handle r
+        (U.Msg.Knownvec_global { dc; claim = { vec = zero; stable = None } }))
+    [ 1; 2 ];
+  Alcotest.(check bool) "the rejoin finished" false (U.Replica.is_syncing r);
+  let request ~vec_from ~sq =
+    U.Replica.handle r
+      (U.Msg.Repair_request
+         { from = probes.(2); origin = 1; vec_from; upto = 1_000; sq })
+  in
+  request ~vec_from:500 ~sq:5;
+  request ~vec_from:1_000 ~sq:6;
+  Sim.Engine.run ~until:300_000 eng;
+  let replies =
+    List.filter_map
+      (fun (dc, m) ->
+        match m with
+        | U.Msg.Repair_log { origin = 1; covered; sq; _ } when dc = 2 ->
+            Some (sq, covered)
+        | _ -> None)
+      (List.rev !sent)
+  in
+  Alcotest.(check (list (pair int int)))
+    "only the window from the cut is served, covering to the cut"
+    [ (6, 1_000) ] replies
+
+(* Every sender ships a stream batch oldest first: [apply_batch] applies
+   in arrival order and drops what falls at or below the frontier, so it
+   relies on that. An isolated dc0 replica whose own retained log took a
+   backfill (a restored own commit repaired in below a newer entry)
+   serves a repair pull in order and, suspecting dc1, forwards dc1's
+   stream to dc2 in order. Every message it sends lands in a probe. *)
+let test_senders_ship_in_stream_order () =
+  let eng, r, probes, sent = probe_rig () in
   let repair ~origin txs =
     U.Replica.handle r
       (U.Msg.Repair_log
@@ -570,4 +629,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_stream_log;
     Alcotest.test_case "senders ship stream batches oldest first" `Quick
       test_senders_ship_in_stream_order;
+    Alcotest.test_case "repair refuses a window below the snapshot cut"
+      `Quick test_repair_refused_below_snapshot_cut;
   ]
