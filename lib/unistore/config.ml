@@ -11,9 +11,9 @@
    - [Red_blue]       causal + strong with every strong transaction
                       certified by one centralized replicated service,
                       which aborts on data conflicts only (REDBLUE);
-   - [Cure_ft]        Cure plus transaction forwarding: no uniformity
-                      tracking, remote transactions visible at stability
-                      (CUREFT);
+   - [Cure_ft]        Cure plus transaction forwarding (by pull): no
+                      uniformity tracking, remote transactions visible at
+                      stability (CUREFT);
    - [Uniform_only]   UniStore minus strong transactions (UNIFORM). *)
 
 type mode =

@@ -8,7 +8,7 @@
     conflict with writes), [Red_blue] (every strong transaction
     certified by one centralized service, which aborts on data
     conflicts only), [Cure_ft] (Cure plus
-    transaction forwarding, no uniformity tracking), [Uniform_only]
+    transaction forwarding by pull, no uniformity tracking), [Uniform_only]
     (UniStore minus strong transactions). *)
 type mode =
   | Unistore

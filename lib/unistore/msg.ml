@@ -113,21 +113,22 @@ type t =
      [from_ts] is safe (spurious repair); understating it would hide a
      gap, so senders derive it from what they actually shipped/retained,
      never from a belief about the receiver. [txs] ascend by [origin]'s
-     timestamp: the receiver applies them in arrival order. [claim] is
-     the sender's sibling gossip, riding its own stream once per
-     propagate tick; forwarded messages (sender <> origin) carry none. *)
+     timestamp: the receiver applies them in arrival order. Only the
+     origin sends its own stream, so [claim], the origin's sibling
+     gossip, rides every one, once per propagate tick. *)
   | Replicate of {
       origin : int;
       txs : Types.tx_rec list;
       from_ts : int;
-      claim : claim option;
+      claim : claim;
     }
-  | Heartbeat of { origin : int; ts : int; from_ts : int; claim : claim option }
-  (* Origin-scoped repair pull: backfill exactly the window
+  | Heartbeat of { origin : int; ts : int; from_ts : int; claim : claim }
+  (* Origin-scoped repair pull, for a gap, a catch-up or a suspected
+     origin (Replication.pull_suspected): backfill the window
      (vec_from, upto] of [origin]'s stream from whoever holds it (the
      origin itself or any sibling — GC floors guarantee retention, see
-     Replication.prune_committed). [sq] tags the attempt so replies from an
-     abandoned target are discarded after deadline failover. *)
+     Replication.prune_committed). [sq] tags the attempt so replies from
+     an abandoned target are discarded after deadline failover. *)
   | Repair_request of {
       from : addr;
       origin : int;
@@ -262,11 +263,9 @@ let cost (c : Config.costs) = function
   | Commit _ -> c.c_commit
   | Commit_query _ -> c.c_base
   | Commit_abort _ -> c.c_commit
-  | Replicate { txs; claim; _ } -> (
-      c.c_base + (c.c_replicate_tx * List.length txs)
-      + match claim with Some cl -> claim_cost c cl | None -> 0)
-  | Heartbeat { claim; _ } -> (
-      c.c_vec + match claim with Some cl -> claim_cost c cl | None -> 0)
+  | Replicate { txs; claim; _ } ->
+      c.c_base + (c.c_replicate_tx * List.length txs) + claim_cost c claim
+  | Heartbeat { claim; _ } -> c.c_vec + claim_cost c claim
   | Repair_request _ -> c.c_base
   | Repair_log { txs; _ } -> c.c_base + (c.c_replicate_tx * List.length txs)
   | Kv_up _ | Stable_down _ -> c.c_vec
@@ -356,12 +355,9 @@ let size_bytes = function
   | Replicate { txs; claim; _ } ->
       List.fold_left
         (fun acc tx -> acc + tx_bytes tx)
-        (header_bytes + 16
-        + match claim with Some cl -> claim_bytes cl | None -> 0)
+        (header_bytes + 16 + claim_bytes claim)
         txs
-  | Heartbeat { claim; _ } -> (
-      header_bytes + 24
-      + match claim with Some cl -> claim_bytes cl | None -> 0)
+  | Heartbeat { claim; _ } -> header_bytes + 24 + claim_bytes claim
   | Repair_request _ -> header_bytes + 40
   | Repair_log { txs; _ } ->
       List.fold_left (fun acc tx -> acc + tx_bytes tx) (header_bytes + 40) txs

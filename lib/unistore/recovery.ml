@@ -303,14 +303,11 @@ let handle_sync_store t ~sq ~entries ~last ~cut =
         entries;
       if last then begin
         (* install the cut: the store now materialises everything below
-           it, so it becomes the replication frontier, the floor of our
-           retained logs' completeness, the floor for new prepare
-           timestamps and the delivery frontier of the certification
-           member *)
+           it, so it becomes the replication frontier (and our stream
+           logs' [retained_from]), the floor for new prepare timestamps
+           and the delivery frontier of the certification member *)
         Vc.merge_into t.known_vec cut;
-        for j = 0 to dcs t - 1 do
-          t.retained_from.(j) <- Vc.get cut j
-        done;
+        Array.blit cut 0 t.retained_from 0 (dcs t);
         t.last_prep_ts <- Vc.get cut t.dc;
         observe_clock t (Vc.get cut t.dc);
         observe_clock t (Vc.strong cut);

@@ -5,8 +5,8 @@
    - [Causal_txn]: transaction coordination and the causal commit path
      (Algorithms A2–A3), with presumed-abort resolution of orphaned
      intra-DC 2PCs;
-   - [Replication]: replication, heartbeats and forwarding (A4), with
-     stream-continuity checks and gap repair;
+   - [Replication]: replication and heartbeats (A4), with
+     stream-continuity checks and gap repair, which also forwards (A4);
    - [Stabilisation]: the metadata protocol computing stableVec and
      uniformVec (A5) over the in-DC dissemination tree of §5.4, uniform
      barriers and client attachment (§5.6);
@@ -207,7 +207,7 @@ let start_timers t ~phase =
     ~phase:(phase + 1) (fun () ->
       if live () then begin
         Replication.propagate_local_txs t;
-        Replication.run_forwarding t;
+        Replication.pull_suspected t;
         true
       end
       else false);
@@ -301,12 +301,6 @@ let begin_rejoin t ~on_done =
 let restart_from_disk t ~on_done =
   Recovery.restart_from_disk t ~resume:(resume t ~on_done)
 
-(* The sibling gossip riding an own-stream message: handled after the
-   stream part, exactly as a standalone KNOWNVEC_GLOBAL from [origin]. *)
-let handle_claim t ~origin = function
-  | None -> ()
-  | Some claim -> Stabilisation.handle_knownvec_global t ~dc:origin claim
-
 let dispatch t msg =
   match msg with
   | Msg.C_start { client; client_id; req; tid; past } ->
@@ -344,12 +338,14 @@ let dispatch t msg =
   | Msg.Commit_query { from; tid; part = _ } ->
       Causal_txn.handle_commit_query t ~from ~tid
   | Msg.Commit_abort { tid } -> Causal_txn.handle_commit_abort t ~tid
+  (* the sibling gossip riding an own-stream message is handled after
+     the stream part, exactly as a standalone KNOWNVEC_GLOBAL *)
   | Msg.Replicate { origin; txs; from_ts; claim } ->
       Replication.handle_replicate t ~origin ~txs ~from_ts;
-      handle_claim t ~origin claim
+      Stabilisation.handle_knownvec_global t ~dc:origin claim
   | Msg.Heartbeat { origin; ts; from_ts; claim } ->
       Replication.handle_heartbeat t ~origin ~ts ~from_ts;
-      handle_claim t ~origin claim
+      Stabilisation.handle_knownvec_global t ~dc:origin claim
   | Msg.Repair_request { from; origin; vec_from; upto = _; sq } ->
       Replication.handle_repair_request t ~from ~origin ~vec_from ~sq
   | Msg.Repair_log { origin; txs; from_ts; covered; last; sq } as m ->

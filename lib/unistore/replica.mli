@@ -1,7 +1,8 @@
 (** Partition replica p_d^m: transaction coordination and the causal
-    commit path (Algorithms A1–A3), replication/heartbeats/forwarding
-    (A4), the stableVec/uniformVec metadata protocol (A5), uniform
-    barriers and attach (§5.6), and the coordinator side of strong
+    commit path (Algorithms A1–A3), replication, heartbeats and gap
+    repair, which also forwards a suspected DC's stream by pull (A4),
+    the stableVec/uniformVec metadata protocol (A5), uniform barriers
+    and attach (§5.6), and the coordinator side of strong
     certification (A6–A7). Group-member certification lives in {!Cert}.
     Each algorithm lives in a private module of this library; this
     interface is the replica's only entry point.
@@ -57,11 +58,11 @@ val start_timers : t -> phase:int -> unit
 val handle : t -> Msg.t -> unit
 
 (** Ω notification: [failed_dc] is believed to have crashed — re-point
-    leaders led by it and start forwarding its transactions (§5.5). *)
+    leaders led by it and pull its stream from siblings (§5.5). *)
 val suspect : t -> int -> unit
 
 (** Ω rehabilitation: heartbeats from [dc] resumed (partition heal or
-    false suspicion); stop forwarding for it and recompute trust, which
+    false suspicion); stop pulling its stream and recompute trust, which
     can hand leadership back to the preferred DC. *)
 val unsuspect : t -> int -> unit
 
@@ -114,8 +115,8 @@ val repair_active : t -> origin:int -> bool
 
 (** {2 Stream logs and snapshots (tests)} *)
 
-(** What this replica keeps of [origin]'s stream for forwarding and
-    repair; its own slot holds what it shipped. *)
+(** What this replica keeps of [origin]'s stream to serve repair
+    pulls; its own slot holds what it shipped. *)
 val stream_log : t -> origin:int -> Stream_log.t
 
 (** This replica's commits not yet shipped. *)

@@ -209,15 +209,13 @@ type t = {
   (* --- causal transactions ------------------------------------------ *)
   mutable prepared_causal : prepared_causal list;
   (* Stream logs: our commits not yet shipped, and what we keep of each
-     origin's stream for forwarding and repair until the GC floors cover
-     it (§5.5). Our own slot holds what we shipped: only we hold our
+     origin's stream to serve repair pulls until the GC floors cover it
+     (§5.5). Our own slot holds what we shipped: only we hold our
      history above our peers' view of it. *)
   unshipped : Stream_log.t;
   retained : Stream_log.t array;
-  (* Per origin, the timestamp above which [retained] is complete: 0
-     until a WAN rejoin installs a snapshot, whose cut it then is (the
-     logs restart empty there, and what lies below the cut reached us as
-     store entries, not as stream transactions). *)
+  (* Per origin, the timestamp above which [retained] is complete: the
+     snapshot cut after a WAN rejoin (the logs restart empty there). *)
   retained_from : int array;
   mutable last_prep_ts : int;
   (* Stream position of our own replication stream as receivers see it:

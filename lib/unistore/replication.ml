@@ -1,9 +1,10 @@
-(* Replication, heartbeats, forwarding (Algorithm A4), and the
-   stream-continuity machinery that makes them gap-detecting: every
-   frontier-advancing message carries [from_ts], the boundary its sender
-   vouches contiguity from, and a receiver whose frontier sits below
-   the boundary refuses the jump and pulls the missing window
-   through [Repair_request]/[Repair_log] instead.                       *)
+(* Replication and heartbeats (Algorithm A4), and the stream-continuity
+   machinery that makes them gap-detecting: every frontier-advancing
+   message carries [from_ts], the boundary its sender vouches contiguity
+   from, and a receiver whose frontier sits below the boundary refuses
+   the jump and pulls the missing window through
+   [Repair_request]/[Repair_log] instead. That pull is the one catch-up
+   path: it also forwards a suspected DC's stream ([pull_suspected]).   *)
 
 open Replica_state
 
@@ -77,10 +78,19 @@ let rec start_repair_round t origin =
             else start_repair_round t origin
           end)
 
-(* A continuity break in [origin]'s stream: refuse the jump, account it,
-   remember the claimed frontier and (outside WAL replay) start the
-   repair. Detections while a repair is already in flight only raise the
-   target. *)
+(* Raise the target of [origin]'s repair to [upto] and (outside WAL
+   replay) start a round unless one is in flight. *)
+let want_window t origin ~upto =
+  let r = t.repair.(origin) in
+  if upto > r.r_upto then r.r_upto <- upto;
+  if (not r.r_active) && (not t.replaying) && alive t then begin
+    r.r_attempt <- 0;
+    r.r_stalled <- 0;
+    start_repair_round t origin
+  end
+
+(* A continuity break in [origin]'s stream: refuse the jump, account it
+   and repair up to the claimed frontier. *)
 let note_gap t ~origin ~floor ~from_ts ~claimed =
   Sim.Metrics.incr
     (Sim.Metrics.counter t.metrics "replicate_gap_detected_total");
@@ -88,13 +98,7 @@ let note_gap t ~origin ~floor ~from_ts ~claimed =
     "dc%d's stream jumps (%d, %d] but our floor is %d: repairing instead \
      of trusting"
     origin from_ts claimed floor;
-  let r = t.repair.(origin) in
-  if claimed > r.r_upto then r.r_upto <- claimed;
-  if (not r.r_active) && (not t.replaying) && alive t then begin
-    r.r_attempt <- 0;
-    r.r_stalled <- 0;
-    start_repair_round t origin
-  end
+  want_window t origin ~upto:claimed
 
 (* The sibling gossip of Algorithm A5, riding our stream: the GC claim,
    taken after the tick raised our own entry, and our stableVec when the
@@ -141,7 +145,7 @@ let propagate_local_txs t =
       Vc.bump t.known_vec t.dc (min_ts - 1));
   let frontier = Vc.get t.known_vec t.dc in
   let batch = Stream_log.take_through t.unshipped frontier in
-  let claim = Some (sibling_claim t) in
+  let claim = sibling_claim t in
   for i = 0 to dcs t - 1 do
     if i <> t.dc then
       if batch <> [] then
@@ -170,7 +174,7 @@ let propagate_local_txs t =
 
 (* Apply a contiguous batch of [origin]'s stream, in stream order
    (every sender ships oldest first): dedup against the frontier,
-   materialize the writes, retain for forwarding and repair, advance the
+   materialize the writes, retain for repair, advance the
    frontier, log the batch. Shared by the direct stream
    ([handle_replicate]) and the repair path ([handle_repair_log]) —
    idempotence comes from the tid-at-frontier dedup, so overlapping
@@ -283,11 +287,10 @@ let handle_heartbeat t ~origin ~ts ~from_ts =
    first-hand frontier vouches the window (the requester may jump there
    even if the window held no transactions). GC floors keep the log
    complete above the requester's gossiped claim, which never exceeds
-   [vec_from], but a log refilled after a WAN rejoin is complete only
-   above the snapshot cut ([retained_from]): a window reaching below it
-   would vouch for transactions we never held, so we refuse it, as we
-   do while catching up (the log is still partial). The requester's
-   deadline rotates past us. *)
+   [vec_from], but only above [retained_from] after a WAN rejoin: we
+   refuse a window reaching below it, as we refuse to serve while
+   catching up (the log is still partial). The requester's deadline
+   rotates past us. *)
 let handle_repair_request t ~from ~origin ~vec_from ~sq =
   if (not (is_syncing t)) && vec_from >= t.retained_from.(origin) then begin
     let vouch = Vc.get t.known_vec origin in
@@ -364,37 +367,28 @@ let handle_repair_log t ~origin ~txs ~from_ts ~covered ~last ~sq =
     start_repair_round t origin
   end
 
-(* FORWARD_REMOTE_TXS(i, j): forward transactions that originated at the
-   (suspected) DC j to DC i, skipping what i already stores according to
-   globalMatrix (Algorithm A4 lines 22–27). *)
-let forward_remote_txs t ~dst ~origin =
-  (* include transactions at the threshold itself: distinct transactions
-     may share the frontier timestamp and the receiver dedups by tid.
-     [threshold] is an honest continuity boundary: it is [dst]'s own
-     gossiped claim (never above its frontier, so no false gap there)
-     and the GC floor pins our retention above it (so we hold — and ship
-     — everything in between) *)
-  let threshold = Vc.get t.global_matrix.(dst) origin in
-  let vouch = Vc.get t.known_vec origin in
-  let txs =
-    Stream_log.range t.retained.(origin) ~lo:(threshold - 1) ~hi:vouch
-  in
-  if txs <> [] then
-    send t (sibling t dst)
-      (Msg.Replicate { origin; txs; from_ts = threshold; claim = None })
-  else if vouch > threshold then
-    send t (sibling t dst)
-      (Msg.Heartbeat { origin; ts = vouch; from_ts = threshold; claim = None })
-
-let run_forwarding t =
-  List.iter
-    (fun j ->
-      if j <> t.dc then
-        for i = 0 to dcs t - 1 do
-          if i <> t.dc && i <> j && not (Network.dc_failed t.net i) then
-            forward_remote_txs t ~dst:i ~origin:j
-        done)
-    t.suspected
+(* FORWARD_REMOTE_TXS (Algorithm A4 lines 22–27) as a pull: for each DC
+   [j] we suspect, a live sibling [i] we do not suspect whose gossiped
+   claim holds [j]'s stream beyond our frontier, and who stopped hearing
+   [j] itself (its own entry runs Ω's timeout ahead of its [j] entry),
+   makes us repair [j]'s stream up to that claim. Without the second
+   test a partial partition would have us relay a stream that still
+   reaches everyone. Rounds are closed-loop: nothing is sent unasked. *)
+let pull_suspected t =
+  for j = 0 to dcs t - 1 do
+    if List.mem j t.suspected then
+      for i = 0 to dcs t - 1 do
+        let row = t.global_matrix.(i) in
+        let held = Vc.get row j in
+        if
+          i <> t.dc
+          && held > Vc.get t.known_vec j
+          && Vc.get row i - held > Config.detection_delay_us
+          && (not (List.mem i t.suspected))
+          && not (Network.dc_failed t.net i)
+        then want_window t j ~upto:held
+      done
+  done
 
 (* Does DC [i] still hold the garbage-collection floors? Live DCs always
    do. A crashed DC keeps holding them — frozen at its last gossiped

@@ -1,4 +1,7 @@
-(** Replication, heartbeats, forwarding and gap repair (Algorithm A4). *)
+(** Replication and heartbeats (Algorithm A4), and gap repair: the one
+    pull that fills a gapped stream, catches up a rejoined or restarted
+    replica, and fetches a suspected DC's stream from the siblings that
+    hold it further (A4's forwarding). *)
 
 open Replica_state
 
@@ -15,7 +18,7 @@ val handle_repair_request :
 val handle_repair_log :
   t -> origin:int -> txs:Types.tx_rec list -> from_ts:int -> covered:int ->
   last:bool -> sq:int -> unit
-val run_forwarding : t -> unit
+val pull_suspected : t -> unit
 val holds_floor : t -> int -> bool
 val holders_floor : t -> init:int -> int -> int
 val stable_at_holders : t -> Vc.t -> bool

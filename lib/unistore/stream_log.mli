@@ -1,6 +1,6 @@
 (** One origin's stream log: what a replica keeps of that origin's
     replication stream (its own commits not yet shipped, or what it
-    retains for forwarding and repair until the GC floors cover it,
+    retains to serve repair pulls until the GC floors cover it,
     §5.5).
 
     Entries are kept oldest first by the origin's commit-vector entry;

@@ -345,7 +345,7 @@ let strong_heartbeat t =
     ~lc:0 ~k:ignore
 
 (* ------------------------------------------------------------------ *)
-(* Failure handling: Ω updates and forwarding activation.               *)
+(* Failure handling: Ω updates.                                          *)
 
 (* Ω's leader choice: the first non-suspected DC in the fixed order
    starting from the configured home leader. Every replica applies the
@@ -385,7 +385,8 @@ let suspect t failed_dc =
   if failed_dc <> t.dc && not (List.mem failed_dc t.suspected) then begin
     t.suspected <- failed_dc :: t.suspected;
     Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"suspect"
-      "dc%d suspected; forwarding its transactions" failed_dc;
+      "dc%d suspected; pulling its stream from siblings that hold it further"
+      failed_dc;
     retarget_unless_self_bid t;
     (* eagerly finish 2PCs the suspected DC was coordinating: an
        orphaned accepted-but-undecided transaction blocks delivery of
@@ -397,7 +398,7 @@ let suspect t failed_dc =
   end
 
 (* Rehabilitation: Ω stopped suspecting [dc] (heartbeats resumed after a
-   partition heal or a false suspicion). Forwarding on its behalf stops
+   partition heal or a false suspicion). Pulling its stream stops
    and trust is recomputed, possibly handing leadership back. *)
 let unsuspect t dc =
   if List.mem dc t.suspected then begin

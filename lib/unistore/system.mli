@@ -51,8 +51,8 @@ val spawn_client : t -> dc:int -> (Client.t -> unit) -> Client.t
 (** Crash a whole data center (§2): its nodes stop sending and
     receiving. The heartbeat-based Ω detector notices the silence
     (within [detection_delay_us] plus a ping period) and notifies each
-    surviving DC, which re-elects Paxos leaders and starts forwarding
-    the failed DC's transactions. *)
+    surviving DC, which re-elects Paxos leaders and pulls the failed
+    DC's transactions from the siblings that hold them. *)
 val fail_dc : t -> int -> unit
 
 (** Recover a crashed data center (the tentpole of the recovery PR):

@@ -195,12 +195,51 @@ let test_strong_availability_non_leader_failure () =
   Alcotest.(check int) "strong commits with 2 of 3 DCs" 5 !commits;
   Util.assert_convergence sys
 
+(* A4 forwards a suspected DC's transactions only when their holder
+   suspects it too. With only dc0–dc1 partitioned, dc0 suspects dc1
+   while dc2 still hears it and holds dc1's stream further than dc0:
+   dc0 must not relay dc1's stream through dc2, so it sends no repair
+   pull for dc1's stream (and receives no [Repair_log] for it). *)
+let test_no_relay_while_holder_hears_origin () =
+  let sys = Util.make_system ~partitions:2 () in
+  let net = U.System.network sys and reg = Sim.Metrics.create () in
+  let kind_of = function
+    | U.Msg.Repair_request { from; origin = 1; _ }
+      when Net.Network.dc_of net from = 0 ->
+        "dc0 pulls dc1"
+    | m -> U.Msg.kind m
+  in
+  Net.Network.set_meter net reg ~kind_of ~size_of:U.Msg.size_bytes;
+  ignore
+    (U.System.spawn_client sys ~dc:1 (fun c ->
+         for i = 1 to 100 do
+           Client.start c;
+           Client.update c 100 (Crdt.Reg_write i);
+           ignore (Client.commit c);
+           Fiber.sleep 20_000
+         done));
+  U.Nemesis.inject sys
+    [ { U.Nemesis.at_us = 500_000; ev = U.Nemesis.Partition (0, 1) } ];
+  Util.run sys ~until:3_000_000;
+  Alcotest.(check bool) "Ω suspects across the partition" true
+    (U.Detector.false_suspicions (U.System.detector sys) > 0);
+  Alcotest.(check int) "dc0 pulls nothing of dc1's stream" 0
+    (List.fold_left
+       (fun acc (labels, c) ->
+         if List.assoc_opt "kind" labels = Some "dc0 pulls dc1" then
+           acc + Sim.Metrics.counter_value c
+         else acc)
+       0
+       (Sim.Metrics.counters_matching reg "net_sent_total"))
+
 let suite =
   [
     Alcotest.test_case "Fig. 1: forwarding after origin failure" `Slow
       test_fig1_forwarding;
     Alcotest.test_case "Fig. 1 control: unreplicated txn is lost" `Quick
       test_fig1_lost_when_unreplicated;
+    Alcotest.test_case "no relay while the holder still hears the origin"
+      `Quick test_no_relay_while_holder_hears_origin;
     Alcotest.test_case "Fig. 2: strong commit waits for uniformity" `Slow
       test_fig2_strong_liveness;
     Alcotest.test_case "Paxos leader recovery" `Slow test_leader_recovery;

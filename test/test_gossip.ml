@@ -2,32 +2,25 @@
    partition's own replication stream message to a sibling (REPLICATE,
    or HEARTBEAT when idle) carries its claim: the knownVec GC claim and,
    when the mode tracks uniformity and it advanced since the last one
-   attached, its stableVec. Forwarded stream messages carry no claim.
-   A standalone KNOWNVEC_GLOBAL is sent only outside the tick: by a
-   replica catching up, without a stableVec (it does not vouch for
-   stability), and once by a replica resuming service. *)
+   attached, its stableVec. Only an origin sends its own stream, so the
+   type makes every stream message carry a claim. A standalone
+   KNOWNVEC_GLOBAL is sent only outside the tick: by a replica catching
+   up, without a stableVec (it does not vouch for stability), and once
+   by a replica resuming service. *)
 
 module U = Unistore
 module Vc = Vclock.Vc
 
 (* Classify every message the network sends into a private registry:
-   stream messages by who sent them (a crashed origin sends nothing, so
-   a stream message of a crashed origin is forwarded) and by what claim
-   they carry; everything else by its kind. *)
+   stream messages by the claim they carry, everything else by its
+   kind. *)
 let meter sys =
   let net = U.System.network sys and reg = Sim.Metrics.create () in
-  let stream origin (claim : U.Msg.claim option) =
-    (if Net.Network.dc_failed net origin then "fwd/" else "own/")
-    ^
-    match claim with
-    | None -> "none"
-    | Some { stable = None; _ } -> "claim"
-    | Some { stable = Some _; _ } -> "claim+stable"
-  in
   let kind_of = function
-    | U.Msg.Replicate { origin; claim; _ }
-    | U.Msg.Heartbeat { origin; claim; _ } ->
-        stream origin claim
+    | U.Msg.Replicate { claim = { stable = None; _ }; _ }
+    | U.Msg.Heartbeat { claim = { stable = None; _ }; _ } ->
+        "stream/claim"
+    | U.Msg.Replicate _ | U.Msg.Heartbeat _ -> "stream/claim+stable"
     | U.Msg.Knownvec_global { claim = { stable = Some _; _ }; _ } ->
         "knownvec_global+stable"
     | m -> U.Msg.kind m
@@ -42,15 +35,12 @@ let meter sys =
       0
       (Sim.Metrics.counters_matching reg "net_sent_total")
 
-let own_stream sent =
-  sent "own/none" + sent "own/claim" + sent "own/claim+stable"
+let stream sent = sent "stream/claim" + sent "stream/claim+stable"
 
 let test_cost_model () =
   let c = U.Config.default_costs and v = Vc.create ~dcs:3 in
-  let claim stable = Some { U.Msg.vec = v; stable } in
-  let gossip stable =
-    U.Msg.Knownvec_global { dc = 0; claim = { vec = v; stable } }
-  in
+  let claim stable = { U.Msg.vec = v; stable } in
+  let gossip stable = U.Msg.Knownvec_global { dc = 0; claim = claim stable } in
   let heartbeat claim =
     U.Msg.Heartbeat { origin = 0; ts = 1; from_ts = 0; claim }
   in
@@ -65,18 +55,16 @@ let test_cost_model () =
   Alcotest.(check int) "a gossip without one costs the merge alone"
     c.U.Config.c_vec
     (cost (gossip None));
-  Alcotest.(check int) "a heartbeat without a claim costs its own merge"
-    c.U.Config.c_vec
-    (cost (heartbeat None));
   Alcotest.(check int) "a claim adds exactly the gossip's charge to a \
-                        heartbeat: the per-tick CPU charge is unchanged"
-    (cost (heartbeat None) + cost (gossip (Some v)))
+                        heartbeat's own merge: the per-tick CPU charge is \
+                        unchanged"
+    (c.U.Config.c_vec + cost (gossip (Some v)))
     (cost (heartbeat (claim (Some v))));
   Alcotest.(check int) "so does a claim without a stableVec"
-    (cost (heartbeat None) + cost (gossip None))
+    (c.U.Config.c_vec + cost (gossip None))
     (cost (heartbeat (claim None)));
   Alcotest.(check int) "and a claim on a replicate batch"
-    (cost (replicate None) + cost (gossip (Some v)))
+    (c.U.Config.c_base + cost (gossip (Some v)))
     (cost (replicate (claim (Some v))))
 
 let test_one_message_per_sibling_per_tick () =
@@ -89,8 +77,8 @@ let test_one_message_per_sibling_per_tick () =
     Vc.copy (U.Replica.uniform_vec (U.System.replica sys ~dc ~part:0))
   in
   Util.run sys ~until:1_000_000;
-  let own_before = own_stream sent
-  and stable_before = sent "own/claim+stable"
+  let stream_before = stream sent
+  and stable_before = sent "stream/claim+stable"
   and gossip_before = sent "knownvec_global" in
   let uniform_before = Array.init dcs uniform in
   let ticks = 20 in
@@ -98,10 +86,10 @@ let test_one_message_per_sibling_per_tick () =
   Alcotest.(check int)
     "partitions x DCs x (DCs - 1) sibling stream messages per tick"
     (ticks * partitions * dcs * (dcs - 1))
-    (own_stream sent - own_before);
+    (stream sent - stream_before);
   Alcotest.(check int) "every one carries a claim with a stableVec"
-    (own_stream sent - own_before)
-    (sent "own/claim+stable" - stable_before);
+    (stream sent - stream_before)
+    (sent "stream/claim+stable" - stable_before);
   Alcotest.(check int) "no standalone knownvec_global is sent" 0
     (sent "knownvec_global" - gossip_before);
   Alcotest.(check int) "no stableVec message kind exists" 0 (sent "stablevec");
@@ -128,16 +116,14 @@ let test_slow_broadcast_attaches_stable_per_tree_step () =
   let sys = U.System.create cfg in
   let sent = meter sys in
   Util.run sys ~until:500_000;
-  let own_before = own_stream sent
-  and stable_before = sent "own/claim+stable" in
+  let stream_before = stream sent
+  and stable_before = sent "stream/claim+stable" in
   Util.run sys ~until:1_500_000;
-  let own = own_stream sent - own_before
-  and stable = sent "own/claim+stable" - stable_before in
-  Alcotest.(check int) "every own stream message still carries a claim" 0
-    (sent "own/none");
-  let share = float_of_int stable /. float_of_int own in
+  let streamed = stream sent - stream_before
+  and stable = sent "stream/claim+stable" - stable_before in
+  let share = float_of_int stable /. float_of_int streamed in
   Alcotest.(check bool)
-    (Fmt.str "about one in four carries a stableVec (%d of %d)" stable own)
+    (Fmt.str "about one in four carries a stableVec (%d of %d)" stable streamed)
     true
     (share > 0.2 && share < 0.3)
 
@@ -146,10 +132,8 @@ let test_cure_claims_carry_no_stablevec () =
   let sent = meter sys in
   Util.run sys ~until:500_000;
   Alcotest.(check bool) "Cure's stream carries knownVec claims" true
-    (sent "own/claim" > 0);
-  Alcotest.(check int) "none carries a stableVec" 0 (sent "own/claim+stable");
-  Alcotest.(check int) "and every own stream message carries a claim" 0
-    (sent "own/none")
+    (sent "stream/claim" > 0);
+  Alcotest.(check int) "none carries a stableVec" 0 (sent "stream/claim+stable")
 
 let test_rejoiner_gossips_no_stablevec () =
   let partitions = 2 in
@@ -174,24 +158,6 @@ let test_rejoiner_gossips_no_stablevec () =
     (sent "knownvec_global+stable"
     <= partitions * (U.Config.dcs (U.System.cfg sys) - 1))
 
-(* dc1 loses dc2's stream to a partition, then dc2 crashes: dc0, which
-   holds dc2's stream further, forwards it to dc1 once Ω suspects dc2.
-   Those forwarded messages speak for dc2's stream, not for the
-   forwarder, so they carry no claim. *)
-let test_forwarded_stream_carries_no_claim () =
-  let sys = Util.make_system ~partitions:2 () in
-  let sent = meter sys in
-  U.Nemesis.inject sys
-    [
-      { U.Nemesis.at_us = 500_000; ev = U.Nemesis.Partition (1, 2) };
-      { at_us = 1_000_000; ev = U.Nemesis.Crash_dc 2 };
-    ];
-  Util.run sys ~until:3_000_000;
-  Alcotest.(check bool) "dc2's stream was forwarded" true
-    (sent "fwd/none" > 0);
-  Alcotest.(check int) "no forwarded message carried a claim" 0
-    (sent "fwd/claim" + sent "fwd/claim+stable")
-
 let suite =
   [
     Alcotest.test_case "gossip cost: stableVec charge only when carried" `Quick
@@ -202,8 +168,6 @@ let suite =
       test_cure_claims_carry_no_stablevec;
     Alcotest.test_case "a rejoiner gossips no stableVec" `Quick
       test_rejoiner_gossips_no_stablevec;
-    Alcotest.test_case "forwarded stream messages carry no claim" `Quick
-      test_forwarded_stream_carries_no_claim;
     Alcotest.test_case "a slow tree step attaches stableVec 1 in 4" `Quick
       test_slow_broadcast_attaches_stable_per_tree_step;
   ]

@@ -260,6 +260,10 @@ let stream_tx ~origin ~ts ~key ~v =
     tx_origin = 7_000 + origin;
   }
 
+(* The sibling claim of an origin that vouches for nothing: receivers
+   only merge it. *)
+let empty_claim = { U.Msg.vec = Vclock.Vc.create ~dcs:3; stable = None }
+
 (* Heartbeats jump frontiers exactly like batches do: a heartbeat whose
    continuity boundary ([from_ts]) exceeds the receiver's floor claims a
    window the receiver never saw, and must be refused — or a heartbeat
@@ -271,7 +275,7 @@ let test_heartbeat_continuity () =
   let origin = 1 in
   let frontier () = Vclock.Vc.get (U.Replica.known_vec r) origin in
   let heartbeat ~ts ~from_ts =
-    U.Replica.handle r (U.Msg.Heartbeat { origin; ts; from_ts; claim = None })
+    U.Replica.handle r (U.Msg.Heartbeat { origin; ts; from_ts; claim = empty_claim })
   in
   heartbeat ~ts:500 ~from_ts:0;
   Alcotest.(check int) "contiguous heartbeat adopts the frontier" 500
@@ -310,7 +314,7 @@ let test_gap_repair_frontier_order () =
            origin;
            txs = [ stream_tx ~origin ~ts ~key ~v ];
            from_ts;
-           claim = None;
+           claim = empty_claim;
          })
   in
   replicate ~ts:100 ~v:1 ~from_ts:0;
@@ -393,7 +397,7 @@ let test_idle_claim_allocates_nothing () =
          origin;
          txs = [ stream_tx ~origin ~ts:100 ~key:0 ~v:1 ];
          from_ts = 0;
-         claim = None;
+         claim = empty_claim;
        });
   let zero = Vclock.Vc.create ~dcs:3 in
   let idle =
@@ -544,8 +548,9 @@ let test_repair_refused_below_snapshot_cut () =
    in arrival order and drops what falls at or below the frontier, so it
    relies on that. An isolated dc0 replica whose own retained log took a
    backfill (a restored own commit repaired in below a newer entry)
-   serves a repair pull in order and, suspecting dc1, forwards dc1's
-   stream to dc2 in order. Every message it sends lands in a probe. *)
+   serves a repair pull of its own stream in order. Suspecting dc1, it
+   pushes nothing of dc1's stream to dc2: dc1's window arrives at dc2 by
+   pull, oldest first. *)
 let test_senders_ship_in_stream_order () =
   let eng, r, probes, sent = probe_rig () in
   let repair ~origin txs =
@@ -568,40 +573,117 @@ let test_senders_ship_in_stream_order () =
   repair ~origin:0 [ a ];
   Alcotest.(check int) "both own transactions retained" 2
     (U.Stream_log.length (U.Replica.stream_log r ~origin:0));
-  (* dc1's stream, in order, then forwarded on dc1's suspicion *)
   let c ts = stream_tx ~origin:1 ~ts ~key:0 ~v:ts in
   U.Replica.handle r
     (U.Msg.Replicate
-       { origin = 1; txs = [ c 100; c 250 ]; from_ts = 0; claim = None });
+       { origin = 1; txs = [ c 100; c 250 ]; from_ts = 0; claim = empty_claim });
   U.Replica.handle r
     (U.Msg.Replicate
-       { origin = 1; txs = [ c 400 ]; from_ts = 250; claim = None });
+       { origin = 1; txs = [ c 400 ]; from_ts = 250; claim = empty_claim });
   U.Replica.handle r
     (U.Msg.Repair_request
        { from = probes.(1); origin = 0; vec_from = 0; upto = 300; sq = 9 });
   U.Replica.suspect r 1;
   U.Replica.start_timers r ~phase:0;
   Sim.Engine.run ~until:300_000 eng;
-  let stamps origin txs =
-    List.map (fun tx -> Vclock.Vc.get tx.U.Types.tx_vec origin) txs
-  in
-  let served, forwarded =
-    List.fold_left
-      (fun (served, forwarded) (dc, m) ->
-        match m with
-        | U.Msg.Repair_log { origin = 0; txs; sq = 9; _ } when dc = 1 ->
-            (stamps 0 txs :: served, forwarded)
-        | U.Msg.Replicate { origin = 1; txs; _ } when dc = 2 ->
-            (served, stamps 1 txs :: forwarded)
-        | _ -> (served, forwarded))
-      ([], []) (List.rev !sent)
-  in
   Alcotest.(check (list (list int))) "repair reply ascends" [ [ 200; 300 ] ]
-    served;
-  Alcotest.(check bool) "forwarded at least once" true (forwarded <> []);
-  List.iter
-    (Alcotest.(check (list int)) "forwarded batch ascends" [ 100; 250; 400 ])
-    forwarded
+    (repair_logs !sent ~dc:1 ~origin:0);
+  Alcotest.(check bool) "nothing of dc1's stream is pushed to dc2" false
+    (List.exists
+       (function
+         | 2, (U.Msg.Replicate { origin = 1; _ } | U.Msg.Heartbeat { origin = 1; _ })
+           ->
+             true
+         | _ -> false)
+       !sent);
+  U.Replica.handle r
+    (U.Msg.Repair_request
+       { from = probes.(2); origin = 1; vec_from = 0; upto = 400; sq = 3 });
+  Sim.Engine.run ~until:400_000 eng;
+  Alcotest.(check (list (list int))) "dc1's window arrives by pull, ascending"
+    [ [ 100; 250; 400 ] ]
+    (repair_logs !sent ~dc:2 ~origin:1)
+
+(* The rig's dc0 replica holds dc1's stream to 100 and suspects dc1.
+   dc2's claim says it holds dc1's stream to 400 and how far its own
+   entry runs: [own] = 400 + a full Ω timeout means dc2 stopped hearing
+   dc1 too. Returns the [Repair_request]s for dc1's stream the replica
+   sent to dc2 within 300 ms, as (vec_from, upto). *)
+let pull_requests ~own =
+  let eng, r, _, sent = probe_rig () in
+  U.Replica.handle r
+    (U.Msg.Replicate
+       { origin = 1; txs = [ stream_tx ~origin:1 ~ts:100 ~key:0 ~v:1 ];
+         from_ts = 0; claim = empty_claim });
+  U.Replica.handle r
+    (U.Msg.Knownvec_global
+       { dc = 2;
+         claim = { vec = Vclock.Vc.of_array [| 0; 400; own; 0 |];
+                   stable = None } });
+  U.Replica.suspect r 1;
+  U.Replica.start_timers r ~phase:0;
+  Sim.Engine.run ~until:300_000 eng;
+  List.filter_map
+    (function
+      | 2, U.Msg.Repair_request { origin = 1; vec_from; upto; _ } ->
+          Some (vec_from, upto)
+      | _ -> None)
+    (List.rev !sent)
+
+(* A4's forwarding as a pull: a sibling whose claim holds a suspected
+   origin's stream further, and who stopped hearing the origin itself,
+   is asked for the window — once per round, not once per tick. While
+   the holder still hears the origin, nothing is asked: the origin's
+   own stream still reaches everyone it can. *)
+let test_suspected_stream_pulled_from_holder () =
+  let timeout = U.Config.detection_delay_us in
+  Alcotest.(check (list (pair int int)))
+    "one round asks the holder for (100, 400]" [ (100, 400) ]
+    (pull_requests ~own:(400 + timeout + 1));
+  Alcotest.(check (list (pair int int)))
+    "a holder still hearing the origin is not asked" []
+    (pull_requests ~own:(400 + timeout))
+
+(* The forwarding storm's regression: a destination trailing on a
+   crashed origin's stream used to be re-sent the whole retained window
+   on every propagate tick until its gossiped claim caught up. Now it
+   gets the window once per repair round it starts: one request, one
+   reply, however many ticks pass. *)
+let test_trailing_destination_gets_window_once_per_round () =
+  let eng, r, probes, sent = probe_rig () in
+  let c ts = stream_tx ~origin:1 ~ts ~key:0 ~v:ts in
+  U.Replica.handle r
+    (U.Msg.Replicate
+       { origin = 1; txs = [ c 100; c 250; c 400 ]; from_ts = 0;
+         claim = empty_claim });
+  U.Replica.suspect r 1;
+  U.Replica.start_timers r ~phase:0;
+  (* dc2 trails at 100 on dc1's stream and keeps saying so *)
+  let trailing = Vclock.Vc.of_array [| 0; 100; 0; 0 |] in
+  for tick = 0 to 59 do
+    Sim.Engine.run ~until:(tick * 5_000) eng;
+    U.Replica.handle r
+      (U.Msg.Knownvec_global
+         { dc = 2; claim = { vec = trailing; stable = None } })
+  done;
+  U.Replica.handle r
+    (U.Msg.Repair_request
+       { from = probes.(2); origin = 1; vec_from = 100; upto = 400; sq = 1 });
+  Sim.Engine.run ~until:600_000 eng;
+  let carrying =
+    List.filter
+      (function
+        | 2, (U.Msg.Replicate { origin = 1; _ } | U.Msg.Repair_log { origin = 1; _ })
+          ->
+            true
+        | _ -> false)
+      !sent
+  in
+  Alcotest.(check int) "one message carries dc1's window to dc2" 1
+    (List.length carrying);
+  Alcotest.(check (list (list int))) "the window above dc2's frontier"
+    [ [ 250; 400 ] ]
+    (repair_logs !sent ~dc:2 ~origin:1)
 
 let suite =
   [
@@ -631,4 +713,9 @@ let suite =
       test_senders_ship_in_stream_order;
     Alcotest.test_case "repair refuses a window below the snapshot cut"
       `Quick test_repair_refused_below_snapshot_cut;
+    Alcotest.test_case "a suspected origin's stream is pulled from its holder"
+      `Quick test_suspected_stream_pulled_from_holder;
+    Alcotest.test_case "a trailing DC gets a crashed origin's window once \
+                        per round"
+      `Quick test_trailing_destination_gets_window_once_per_round;
   ]
