@@ -32,6 +32,35 @@ let test_fig1_forwarding () =
   Alcotest.(check int) "t1 forwarded to Frankfurt despite d1's crash" 77 !seen;
   Util.assert_convergence sys
 
+(* Figure 1 with the direct path cut for certain: a dc1–dc2 partition
+   keeps t1 from Frankfurt (dc2) while Virginia (dc0) receives it, and
+   then California (dc1) fails. Only forwarding can make t1 visible at
+   Frankfurt: dc2 pulls dc1's stream from dc0 once both suspect dc1. *)
+let test_fig1_forwarding_behind_partition () =
+  let sys = Util.make_system ~partitions:2 () in
+  U.System.preload sys 100 (Crdt.Reg_write 0);
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = 10_000; ev = U.Nemesis.Partition (1, 2) };
+      { at_us = 1_000_000; ev = U.Nemesis.Crash_dc 1 };
+    ];
+  ignore
+    (U.System.spawn_client sys ~dc:1 (fun c ->
+         Fiber.sleep 50_000;
+         Client.start c;
+         Client.update c 100 (Crdt.Reg_write 77);
+         ignore (Client.commit c)));
+  let seen = ref (-1) in
+  ignore
+    (U.System.spawn_client sys ~dc:2 (fun c ->
+         Fiber.sleep 4_000_000;
+         Client.start c;
+         seen := Client.read_int c 100;
+         ignore (Client.commit c)));
+  Util.run sys ~until:6_000_000;
+  Alcotest.(check int) "t1 pulled to Frankfurt from Virginia" 77 !seen;
+  Util.assert_convergence sys
+
 (* Control for Figure 1: the replication window. If the origin fails
    before replicating anywhere, the transaction is lost — causal
    transactions are not durable until uniform (§4). *)
@@ -236,6 +265,8 @@ let suite =
   [
     Alcotest.test_case "Fig. 1: forwarding after origin failure" `Slow
       test_fig1_forwarding;
+    Alcotest.test_case "Fig. 1 behind a partition: forwarding by pull" `Quick
+      test_fig1_forwarding_behind_partition;
     Alcotest.test_case "Fig. 1 control: unreplicated txn is lost" `Quick
       test_fig1_lost_when_unreplicated;
     Alcotest.test_case "no relay while the holder still hears the origin"

@@ -275,7 +275,8 @@ let test_heartbeat_continuity () =
   let origin = 1 in
   let frontier () = Vclock.Vc.get (U.Replica.known_vec r) origin in
   let heartbeat ~ts ~from_ts =
-    U.Replica.handle r (U.Msg.Heartbeat { origin; ts; from_ts; claim = empty_claim })
+    U.Replica.handle r
+      (U.Msg.Heartbeat { origin; ts; from_ts; claim = empty_claim })
   in
   heartbeat ~ts:500 ~from_ts:0;
   Alcotest.(check int) "contiguous heartbeat adopts the frontier" 500
@@ -576,7 +577,8 @@ let test_senders_ship_in_stream_order () =
   let c ts = stream_tx ~origin:1 ~ts ~key:0 ~v:ts in
   U.Replica.handle r
     (U.Msg.Replicate
-       { origin = 1; txs = [ c 100; c 250 ]; from_ts = 0; claim = empty_claim });
+       { origin = 1; txs = [ c 100; c 250 ]; from_ts = 0;
+         claim = empty_claim });
   U.Replica.handle r
     (U.Msg.Replicate
        { origin = 1; txs = [ c 400 ]; from_ts = 250; claim = empty_claim });
@@ -591,8 +593,9 @@ let test_senders_ship_in_stream_order () =
   Alcotest.(check bool) "nothing of dc1's stream is pushed to dc2" false
     (List.exists
        (function
-         | 2, (U.Msg.Replicate { origin = 1; _ } | U.Msg.Heartbeat { origin = 1; _ })
-           ->
+         | ( 2,
+             ( U.Msg.Replicate { origin = 1; _ }
+             | U.Msg.Heartbeat { origin = 1; _ } ) ) ->
              true
          | _ -> false)
        !sent);
@@ -673,8 +676,9 @@ let test_trailing_destination_gets_window_once_per_round () =
   let carrying =
     List.filter
       (function
-        | 2, (U.Msg.Replicate { origin = 1; _ } | U.Msg.Repair_log { origin = 1; _ })
-          ->
+        | ( 2,
+            ( U.Msg.Replicate { origin = 1; _ }
+            | U.Msg.Repair_log { origin = 1; _ } ) ) ->
             true
         | _ -> false)
       !sent
