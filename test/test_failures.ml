@@ -265,10 +265,10 @@ let suite =
   [
     Alcotest.test_case "Fig. 1: forwarding after origin failure" `Slow
       test_fig1_forwarding;
-    Alcotest.test_case "Fig. 1 behind a partition: forwarding by pull" `Quick
-      test_fig1_forwarding_behind_partition;
     Alcotest.test_case "Fig. 1 control: unreplicated txn is lost" `Quick
       test_fig1_lost_when_unreplicated;
+    Alcotest.test_case "Fig. 1 behind a partition: forwarding by pull" `Quick
+      test_fig1_forwarding_behind_partition;
     Alcotest.test_case "no relay while the holder still hears the origin"
       `Quick test_no_relay_while_holder_hears_origin;
     Alcotest.test_case "Fig. 2: strong commit waits for uniformity" `Slow
