@@ -17,6 +17,10 @@ let fig1 () =
   let sys = U.System.create cfg in
   Common.track sys;
   U.System.preload sys 1 (Crdt.Reg_write 0);
+  (* cut California–Frankfurt before t1 commits: no copy of t1 can reach
+     Frankfurt directly, so only forwarding makes it visible there *)
+  U.Nemesis.inject sys
+    [ { U.Nemesis.at_us = 0; ev = U.Nemesis.Partition (1, 2) } ];
   ignore
     (U.System.spawn_client sys ~dc:1 (fun c ->
          Client.start c;
@@ -26,7 +30,8 @@ let fig1 () =
            (U.System.now sys)));
   Sim.Engine.schedule (U.System.engine sys) ~delay:45_000 (fun () ->
       Common.note
-        "t=%6dus  California fails: t1 reached Virginia but not Frankfurt"
+        "t=%6dus  California fails: t1 reached Virginia; the link to \
+         Frankfurt is cut"
         (U.System.now sys);
       U.System.fail_dc sys 1);
   let forwarded = ref false in

@@ -50,7 +50,7 @@
    inbox is a [Sim.Heap] on (arrival time, send seq).
 
    Dropped messages are counted by cause (DC crash, random loss,
-   partition) and optionally reported to a [Sim.Trace.t].
+   partition) in the meter and optionally reported to a [Sim.Trace.t].
 
    The module is parametric in the message type: the protocol layer
    instantiates it with its own message variant. *)
@@ -169,15 +169,14 @@ let unsettled = -1
 let dropped = -2
 let idle = -1
 
-(* Optional instrumentation sink. When installed, the transport feeds a
-   metrics registry: per-message-kind and per-DC-link traffic counters
-   (messages and estimated bytes), reliable-layer counters
-   (retransmits, fast retransmits, duplicate acks, suppressed
+(* The transport's instrumentation, and the only place its counts live:
+   it feeds a metrics registry with per-message-kind and per-DC-link
+   traffic counters (messages and estimated bytes), reliable-layer
+   counters (retransmits, fast retransmits, duplicate acks, suppressed
    duplicates, acks), drops by cause, and per-link backlog gauges.
    Handle lookups are cached here so the per-message cost is a hash hit
    (the kinds) or an array read (the links, indexed by
-   [src_dc * dcs + dst_dc]) plus an increment, with nothing allocated;
-   with no meter installed the cost is one branch. *)
+   [src_dc * dcs + dst_dc]) plus an increment, with nothing allocated. *)
 type 'm meter = {
   reg : Sim.Metrics.t;
   kind_of : 'm -> string;
@@ -203,13 +202,12 @@ type 'm t = {
   rng : Sim.Rng.t;
   mutable nodes : 'm node array;
   mutable node_count : int;
-  mutable failed : bool array;
-  failed_at : int array;  (* crash time per DC, -1 when never/not failed *)
+  failed_at : int array;  (* crash time per DC, -1 while it is live *)
   chans : (int, 'm chan) Hashtbl.t;  (* see [chan] *)
   no_unacked : (int * 'm) Queue.t;  (* never added to: see ['m chan] *)
   mutable faults : Faults.t option;
   mutable trace : Sim.Trace.t;
-  mutable meter : 'm meter option;
+  mutable meter : 'm meter;
   (* transport-level profiling labels, interned on first use so the
      profiler can be enabled either before or after [create] *)
   prof : Sim.Prof.t;
@@ -217,11 +215,6 @@ type 'm t = {
   mutable lab_retransmit : Sim.Prof.label;
   mutable rto_cap_us : int;  (* retransmission-backoff ceiling *)
   mutable send_seq : int;  (* arrivals queued so far: the inbox tie-break *)
-  mutable dropped_crash : int;
-  mutable dropped_loss : int;
-  mutable dropped_partition : int;
-  mutable retransmissions : int;
-  mutable dups_suppressed : int;
   (* the engine functions of an arrival's event and of its deferred
      handler event, built once by [create]: each event carries only its
      arrival record ([Sim.Engine.schedule_call]) *)
@@ -291,30 +284,29 @@ let set_rto_cap t cap =
 
 let rto_cap t = t.rto_cap_us
 
-let set_meter t reg ~kind_of ~size_of =
+let make_meter reg ~dcs ~kind_of ~size_of =
   let c ?labels name = Sim.Metrics.counter reg ?labels name in
-  let dcs = Topology.dcs t.topo in
-  t.meter <-
-    Some
-      {
-        reg;
-        kind_of;
-        size_of;
-        by_kind_sent = Hashtbl.create 64;
-        by_kind_recv = Hashtbl.create 64;
-        dcs;
-        by_link = Array.make (dcs * dcs) None;
-        by_link_backlog = Array.make (dcs * dcs) None;
-        m_retransmit = c "net_retransmits_total";
-        m_fast_retransmit = c "net_fast_retransmits_total";
-        m_dup_ack = c "net_dup_acks_total";
-        m_dup_suppressed = c "net_dups_suppressed_total";
-        m_ack = c "net_acks_total";
-        m_drop_crash = c ~labels:[ ("cause", "crash") ] "net_dropped_total";
-        m_drop_loss = c ~labels:[ ("cause", "loss") ] "net_dropped_total";
-        m_drop_partition =
-          c ~labels:[ ("cause", "partition") ] "net_dropped_total";
-      }
+  {
+    reg;
+    kind_of;
+    size_of;
+    by_kind_sent = Hashtbl.create 64;
+    by_kind_recv = Hashtbl.create 64;
+    dcs;
+    by_link = Array.make (dcs * dcs) None;
+    by_link_backlog = Array.make (dcs * dcs) None;
+    m_retransmit = c "net_retransmits_total";
+    m_fast_retransmit = c "net_fast_retransmits_total";
+    m_dup_ack = c "net_dup_acks_total";
+    m_dup_suppressed = c "net_dups_suppressed_total";
+    m_ack = c "net_acks_total";
+    m_drop_crash = c ~labels:[ ("cause", "crash") ] "net_dropped_total";
+    m_drop_loss = c ~labels:[ ("cause", "loss") ] "net_dropped_total";
+    m_drop_partition = c ~labels:[ ("cause", "partition") ] "net_dropped_total";
+  }
+
+let set_meter t reg ~kind_of ~size_of =
+  t.meter <- make_meter reg ~dcs:(Topology.dcs t.topo) ~kind_of ~size_of
 
 (* Cached (counter, bytes-counter) per message kind / DC link, interned
    on first use. A hit allocates nothing ([Hashtbl.find], not
@@ -373,26 +365,17 @@ let meter_backlog m ~src_dc ~dst_dc =
 (* Backlog delta on the (src_dc, dst_dc) gauge; the gauge also tracks
    its all-time maximum, the peak flow-buffer depth. *)
 let meter_backlog_add t ~src_dc ~dst_dc delta =
-  match t.meter with
-  | None -> ()
-  | Some m ->
-      if delta <> 0 then
-        Sim.Metrics.gauge_add (meter_backlog m ~src_dc ~dst_dc)
-          (float_of_int delta)
+  if delta <> 0 then
+    Sim.Metrics.gauge_add (meter_backlog t.meter ~src_dc ~dst_dc)
+      (float_of_int delta)
+
+let drop_counter m = function
+  | Crash -> m.m_drop_crash
+  | Loss -> m.m_drop_loss
+  | Partition -> m.m_drop_partition
 
 let count_drop t cause ~src_dc ~dst_dc =
-  (match cause with
-  | Crash -> t.dropped_crash <- t.dropped_crash + 1
-  | Loss -> t.dropped_loss <- t.dropped_loss + 1
-  | Partition -> t.dropped_partition <- t.dropped_partition + 1);
-  (match t.meter with
-  | None -> ()
-  | Some m ->
-      Sim.Metrics.incr
-        (match cause with
-        | Crash -> m.m_drop_crash
-        | Loss -> m.m_drop_loss
-        | Partition -> m.m_drop_partition));
+  Sim.Metrics.incr (drop_counter t.meter cause);
   if Sim.Trace.enabled t.trace then
     Sim.Trace.emitf t.trace ~source:"net" ~kind:"drop" "%s dc%d->dc%d"
       (drop_cause_name cause) src_dc dst_dc
@@ -439,12 +422,12 @@ let node t addr =
   t.nodes.(addr)
 
 let dc_of t addr = (node t addr).dc
-let dc_failed t dc = t.failed.(dc)
+let dc_failed t dc = t.failed_at.(dc) >= 0
 
 (* A node is dead iff it crashed on its own ([down]) or its DC crashed
    and it belongs to the DC's failure domain — client nodes are external
    and outlive the crash. *)
-let node_failed t n = n.down || (t.failed.(n.dc) && not n.client)
+let node_failed t n = n.down || (dc_failed t n.dc && not n.client)
 
 (* Base one-way transit time of a physical transmission, jitter included. *)
 let transit_us t ~src_dc ~dst_dc =
@@ -460,19 +443,15 @@ let transit_us t ~src_dc ~dst_dc =
 let run_handler t n msg ep =
   if (not (node_failed t n)) && ep = n.epoch then begin
     n.processed <- n.processed + 1;
-    (match t.meter with
-    | None -> ()
-    | Some m -> Sim.Metrics.incr (meter_kind_recv m (m.kind_of msg)));
+    Sim.Metrics.incr (meter_kind_recv t.meter (t.meter.kind_of msg));
     n.handler msg
   end
 
-(* handler events carry the node's own identity plus the message kind
-   (when a meter names kinds), so replica work is attributed to
-   "dcN/replica/handle:Replicate" rather than to whoever sent it *)
+(* handler events carry the node's own identity plus the message kind,
+   so replica work is attributed to "dcN/replica/handle:Replicate"
+   rather than to whoever sent it *)
 let label_for t n msg =
-  if Sim.Prof.is_on t.prof then
-    handler_label t n
-      (match t.meter with Some m -> m.kind_of msg | None -> "msg")
+  if Sim.Prof.is_on t.prof then handler_label t n (t.meter.kind_of msg)
   else Sim.Prof.none
 
 (* Take the node's next FIFO CPU slot for [msg], arrived at [at]:
@@ -633,10 +612,7 @@ and receive t n r =
   let seq = r.a_rseq and ch = r.a_chan in
   if seq < ch.expected || Seqs.mem seq ch.ooo then begin
     r.a_finish <- dropped;
-    t.dups_suppressed <- t.dups_suppressed + 1;
-    match t.meter with
-    | None -> ()
-    | Some m -> Sim.Metrics.incr m.m_dup_suppressed
+    Sim.Metrics.incr t.meter.m_dup_suppressed
   end
   else if seq = ch.expected then begin
     r.a_finish <- take_cpu n ~at:r.a_at r.a_msg;
@@ -704,18 +680,14 @@ and ack_lands t f ch ~upto =
        further duplicate acks, which must not trigger resends of their
        own. *)
     ch.dup_acks <- ch.dup_acks + 1;
-    (match t.meter with None -> () | Some m -> Sim.Metrics.incr m.m_dup_ack);
+    Sim.Metrics.incr t.meter.m_dup_ack;
     if ch.dup_acks >= 3 then begin
       ch.dup_acks <- 0;
       ch.in_recovery <- true;
       ch.rto_us <- base_rto t ~src_dc:ch.src.dc ~dst_dc:ch.dst.dc;
       let s, m = Queue.peek ch.unacked in
-      t.retransmissions <- t.retransmissions + 1;
-      (match t.meter with
-      | None -> ()
-      | Some mt ->
-          Sim.Metrics.incr mt.m_retransmit;
-          Sim.Metrics.incr mt.m_fast_retransmit);
+      Sim.Metrics.incr t.meter.m_retransmit;
+      Sim.Metrics.incr t.meter.m_fast_retransmit;
       transmit t f ch s m
     end
   end
@@ -771,7 +743,7 @@ and send_ack t ch ~at ~upto =
       match Faults.judge f t.rng ~src:src_dc ~dst:dst_dc with
       | Faults.Cut | Faults.Lost -> ()  (* lost acks just delay the sender *)
       | Faults.Deliver { extra_us; _ } ->
-          (match t.meter with None -> () | Some m -> Sim.Metrics.incr m.m_ack);
+          Sim.Metrics.incr t.meter.m_ack;
           (* [at] is at most one service cost ago, well inside any WAN
              transit; the clamp only guards a zero-latency topology *)
           let at =
@@ -828,10 +800,7 @@ let rec arm_timer t f ch =
           else begin
             Queue.iter
               (fun (seq, msg) ->
-                t.retransmissions <- t.retransmissions + 1;
-                (match t.meter with
-                | None -> ()
-                | Some m -> Sim.Metrics.incr m.m_retransmit);
+                Sim.Metrics.incr t.meter.m_retransmit;
                 transmit t f ch seq msg)
               ch.unacked;
             ch.rto_us <- min (2 * ch.rto_us) t.rto_cap_us;
@@ -850,7 +819,7 @@ let reliable_send t f ch msg =
   transmit t f ch seq msg;
   arm_timer t f ch
 
-let create eng topo =
+let create eng topo reg ~kind_of ~size_of =
   let rec t =
     {
       eng;
@@ -858,23 +827,17 @@ let create eng topo =
       rng = Sim.Rng.split (Sim.Engine.rng eng) ~id:0x4e45;
       nodes = [||];
       node_count = 0;
-      failed = Array.make (Topology.dcs topo) false;
       failed_at = Array.make (Topology.dcs topo) (-1);
       chans = Hashtbl.create 256;
       no_unacked = Queue.create ();
       faults = None;
       trace = Sim.Trace.disabled;
-      meter = None;
+      meter = make_meter reg ~dcs:(Topology.dcs topo) ~kind_of ~size_of;
       prof = Sim.Engine.prof eng;
       lab_ack = Sim.Prof.none;
       lab_retransmit = Sim.Prof.none;
       rto_cap_us = default_rto_cap_us;
       send_seq = 0;
-      dropped_crash = 0;
-      dropped_loss = 0;
-      dropped_partition = 0;
-      retransmissions = 0;
-      dups_suppressed = 0;
       arrive = (fun r -> on_arrival t r);
       serve = (fun r -> serve t r);
     }
@@ -904,16 +867,15 @@ let settle_all t =
 let fail_dc t dc =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.fail_dc: no such data center";
-  if not t.failed.(dc) then begin
+  if not (dc_failed t dc) then begin
     settle_all t;
-    t.failed.(dc) <- true;
     t.failed_at.(dc) <- Sim.Engine.now t.eng
   end
 
 let dc_failed_at t dc =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.dc_failed_at: no such data center";
-  if t.failed.(dc) then Some t.failed_at.(dc) else None
+  if dc_failed t dc then Some t.failed_at.(dc) else None
 
 (* Discard every channel touching a node matched by [matches], so
    post-recovery traffic starts with no FIFO floor and fresh sequence
@@ -945,9 +907,8 @@ let reset_channels t ~matches =
 let recover_dc t dc =
   if dc < 0 || dc >= Topology.dcs t.topo then
     invalid_arg "Network.recover_dc: no such data center";
-  if t.failed.(dc) then begin
+  if dc_failed t dc then begin
     settle_all t;
-    t.failed.(dc) <- false;
     t.failed_at.(dc) <- -1;
     (* client nodes kept their state through the crash: their epochs and
        their channels to live DCs are intact and must not be reset *)
@@ -997,18 +958,16 @@ let send t ~src ~dst msg =
   if node_failed t src_node || node_failed t dst_node then
     count_drop t Crash ~src_dc:src_node.dc ~dst_dc:dst_node.dc
   else begin
-    (match t.meter with
-    | None -> ()
-    | Some m ->
-        let bytes = m.size_of msg in
-        let kind_msgs, kind_bytes = meter_kind_sent m (m.kind_of msg) in
-        Sim.Metrics.incr kind_msgs;
-        Sim.Metrics.incr ~by:bytes kind_bytes;
-        let link_msgs, link_bytes =
-          meter_link m ~src_dc:src_node.dc ~dst_dc:dst_node.dc
-        in
-        Sim.Metrics.incr link_msgs;
-        Sim.Metrics.incr ~by:bytes link_bytes);
+    let m = t.meter in
+    let bytes = m.size_of msg in
+    let kind_msgs, kind_bytes = meter_kind_sent m (m.kind_of msg) in
+    Sim.Metrics.incr kind_msgs;
+    Sim.Metrics.add kind_bytes bytes;
+    let link_msgs, link_bytes =
+      meter_link m ~src_dc:src_node.dc ~dst_dc:dst_node.dc
+    in
+    Sim.Metrics.incr link_msgs;
+    Sim.Metrics.add link_bytes bytes;
     let ch = chan t ~src_node ~dst_node in
     match t.faults with
     | Some f when src_node.dc <> dst_node.dc -> reliable_send t f ch msg
@@ -1025,14 +984,15 @@ let send_self t ~node:addr msg =
     handle_at t n msg ~finish:(take_cpu n ~at:now msg)
   end
 
-let messages_dropped t =
-  t.dropped_crash + t.dropped_loss + t.dropped_partition
+let drops t cause = Sim.Metrics.counter_value (drop_counter t.meter cause)
+let dropped_crash t = drops t Crash
+let dropped_loss t = drops t Loss
+let dropped_partition t = drops t Partition
+let messages_dropped t = dropped_crash t + dropped_loss t + dropped_partition t
+let retransmissions t = Sim.Metrics.counter_value t.meter.m_retransmit
 
-let dropped_crash t = t.dropped_crash
-let dropped_loss t = t.dropped_loss
-let dropped_partition t = t.dropped_partition
-let retransmissions t = t.retransmissions
-let duplicates_suppressed t = t.dups_suppressed
+let duplicates_suppressed t =
+  Sim.Metrics.counter_value t.meter.m_dup_suppressed
 
 (* In-flight reliable-layer backlog: messages sent but not yet
    acknowledged across all channels (0 once the network is quiescent). *)
@@ -1041,16 +1001,13 @@ let unacked_backlog t =
   Hashtbl.fold (fun _ ch acc -> acc + Queue.length ch.unacked) t.chans 0
 
 let unacked_matching t ~f =
-  match t.meter with
-  | None -> unacked_backlog t
-  | Some m ->
-      apply_all_held t;
-      Hashtbl.fold
-        (fun _ ch acc ->
-          Queue.fold
-            (fun acc (_, msg) -> if f (m.kind_of msg) then acc + 1 else acc)
-            acc ch.unacked)
-        t.chans 0
+  apply_all_held t;
+  Hashtbl.fold
+    (fun _ ch acc ->
+      Queue.fold
+        (fun acc (_, msg) -> if f (t.meter.kind_of msg) then acc + 1 else acc)
+        acc ch.unacked)
+    t.chans 0
 
 (* The latest CPU slot booked on a live node, as the inbox stands now:
    call [settle_all] first to book every arrival before now. *)

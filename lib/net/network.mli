@@ -18,7 +18,25 @@ type addr = int
 
 type 'm t
 
-val create : Sim.Engine.t -> Topology.t -> 'm t
+(** [create eng topo reg ~kind_of ~size_of] builds a transport that
+    keeps all of its counts in the registry [reg]: per-message-kind
+    send/receive counters and byte counts ([net_sent_total],
+    [net_sent_bytes], [net_received_total]), per-DC link traffic
+    ([net_link_sent_total], [net_link_sent_bytes]), reliable-layer
+    counters ([net_retransmits_total], [net_fast_retransmits_total],
+    [net_dup_acks_total], [net_dups_suppressed_total],
+    [net_acks_total]), drops by cause ([net_dropped_total]) and per-link
+    flow-buffer depth gauges ([net_flow_backlog], with tracked maxima).
+    [kind_of] names a message; [size_of] estimates its wire size in
+    bytes. *)
+val create :
+  Sim.Engine.t ->
+  Topology.t ->
+  Sim.Metrics.t ->
+  kind_of:('m -> string) ->
+  size_of:('m -> int) ->
+  'm t
+
 val topology : 'm t -> Topology.t
 
 (** [register t ~dc ~cost handler] adds a node in data center [dc].
@@ -33,8 +51,8 @@ val topology : 'm t -> Topology.t
     still drop), and its channels survive the DC's recovery.
 
     [~name] is the node's profiling identity: handler-execution events
-    are attributed to ["<name>/handle:<kind>"] (kind from the installed
-    meter's [kind_of], or ["msg"] without one). Defaults to
+    are attributed to ["<name>/handle:<kind>"] (kind from the meter's
+    [kind_of]). Defaults to
     ["node<addr>"]. Every delivery, on reliable and lossy links alike,
     runs as one such event when the CPU is idle on arrival.
 
@@ -122,20 +140,15 @@ val rto_cap : 'm t -> int
 
 (** {1 Metrics} *)
 
-(** Install a metrics registry. The transport then maintains
-    per-message-kind send/receive counters and byte counts
-    ([net_sent_total], [net_sent_bytes], [net_received_total]), per-DC
-    link traffic ([net_link_sent_total], [net_link_sent_bytes]),
-    reliable-layer counters ([net_retransmits_total],
-    [net_fast_retransmits_total], [net_dup_acks_total],
-    [net_dups_suppressed_total], [net_acks_total]), drops by cause
-    ([net_dropped_total]) and per-link flow-buffer depth gauges
-    ([net_flow_backlog], with tracked maxima). [kind_of] names a
-    message; [size_of] estimates its wire size in bytes. *)
+(** Replace the meter given to {!create}: from now on the counts go to
+    [reg], with messages named by [kind_of], and the statistics below
+    read them there. *)
 val set_meter :
   'm t -> Sim.Metrics.t -> kind_of:('m -> string) -> size_of:('m -> int) -> unit
 
-(** {1 Statistics} *)
+(** {1 Statistics}
+
+    Read from the meter's counters. *)
 
 (** Total drops, all causes (= crash + loss + partition). *)
 val messages_dropped : 'm t -> int
@@ -157,8 +170,7 @@ val unacked_backlog : 'm t -> int
 (** Unacknowledged messages whose meter kind satisfies [f] — lets a
     drain loop wait for data-plane traffic to clear while ignoring
     periodic background kinds (failure-detector pings, stability
-    gossip) that are always momentarily in flight. Counts the whole
-    backlog when no meter is installed. *)
+    gossip) that are always momentarily in flight. *)
 val unacked_matching : 'm t -> f:(string -> bool) -> int
 
 (** Serve every inbox arrival strictly before now, booking its CPU

@@ -64,7 +64,8 @@ let intern tbl make ?(labels = []) name =
 let counter t ?labels name =
   intern t.counters (fun () -> { c_value = 0 }) ?labels name
 
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
+let add c n = c.c_value <- c.c_value + n
+let incr c = add c 1
 let counter_value c = c.c_value
 
 (* --- gauges -------------------------------------------------------- *)

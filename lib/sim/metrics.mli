@@ -20,7 +20,10 @@ val create : unit -> t
 type counter
 
 val counter : t -> ?labels:labels -> string -> counter
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
+
+(** [add c n] adds [n] to [c]. *)
+val add : counter -> int -> unit
 val counter_value : counter -> int
 
 (** {1 Gauges} *)

@@ -138,7 +138,7 @@ let rec maybe_fsync t =
           | Some h -> Sim.Metrics.observe h delay
           | None -> ());
           (match t.m_bytes with
-          | Some c -> Sim.Metrics.incr ~by:bytes c
+          | Some c -> Sim.Metrics.add c bytes
           | None -> ());
           run_waiters t;
           maybe_fsync t
@@ -172,7 +172,7 @@ let snapshot t ~seq state =
         t.snapshot <- Some { snap_seq = seq; state };
         t.durable <- List.filter (fun r -> r.seq > seq) t.durable;
         t.snap_writing <- false;
-        Option.iter (fun c -> Sim.Metrics.incr ~by:bytes c) t.m_bytes
+        Option.iter (fun c -> Sim.Metrics.add c bytes) t.m_bytes
       end)
 
 let tear_next t = t.tear_armed <- true

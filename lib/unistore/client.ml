@@ -30,10 +30,6 @@ type t = {
   metrics : Sim.Metrics.t;
   (* cached metrics handles (shared, interned in the system registry) *)
   h_phase_execute : Sim.Metrics.histogram;
-  h_lat_causal : Sim.Metrics.histogram;
-  h_lat_strong : Sim.Metrics.histogram;
-  c_committed : Sim.Metrics.counter;
-  c_aborted : Sim.Metrics.counter;
   rng : Sim.Rng.t;
   mutable dc : int;
   mutable addr : Msg.addr;
@@ -100,16 +96,6 @@ let create ~id ~eng ~net ~cfg ~history ~trace ~metrics ~dc ~replicas_of_dc =
         Sim.Metrics.histogram metrics
           ~labels:[ ("phase", "execute") ]
           "strong_phase_us";
-      h_lat_causal =
-        Sim.Metrics.histogram metrics
-          ~labels:[ ("class", "causal") ]
-          "txn_latency_us";
-      h_lat_strong =
-        Sim.Metrics.histogram metrics
-          ~labels:[ ("class", "strong") ]
-          "txn_latency_us";
-      c_committed = Sim.Metrics.counter metrics "txn_committed_total";
-      c_aborted = Sim.Metrics.counter metrics "txn_aborted_total";
       rng = Sim.Rng.split (Engine.rng eng) ~id:(id + 1_000_000);
       dc;
       addr = -1;
@@ -205,10 +191,9 @@ let call_raw t dst msg =
   Fiber.await iv
 
 (* DC failover: the session DC stopped answering, so presume it crashed
-   and migrate to a live DC that carries the causal past. The new
-   coordinator blocks the R_ok until its uniformVec covers [pastVec]'s
-   remote entries (the CL_ATTACH wait), so causality holds across the
-   switch. Caveat: if the past references transactions the crashed DC
+   and attach to a live DC with the causal past (CL_ATTACH, §5.6). The
+   new coordinator blocks the R_ok until its uniformVec covers
+   [pastVec]'s remote entries, so causality holds across the switch. Caveat: if the past references transactions the crashed DC
    never replicated, that wait never completes — the sacrifice whole-DC
    crashes force. *)
 let rec failover t =
@@ -236,7 +221,7 @@ let rec failover t =
       let dst = pick_coordinator t in
       (match
          call_raw t dst
-           (Msg.C_failover { client = t.addr; req = next_req t; past = t.past })
+           (Msg.C_attach { client = t.addr; req = next_req t; past = t.past })
        with
       | Some (Msg.R_ok _) -> t.lc <- t.lc + 1
       | Some m ->
@@ -341,21 +326,18 @@ let record t c ~vec ~lc =
     ~latency_us:(commit_us - c.c_start_us)
 
 let finish_strong t c ~dec ~vec ~lc =
-  Sim.Metrics.observe t.h_lat_strong (Engine.now t.eng - c.c_start_us);
   if Sim.Trace.enabled t.trace then
     Sim.Trace.emit_span t.trace ~source:t.trace_src
       ~kind:(if dec then "txn-strong" else "txn-aborted")
       ~start:c.c_start_us
       (Fmt.str "%a %s" Types.tid_pp c.c_tid c.c_label);
   if dec then begin
-    Sim.Metrics.incr t.c_committed;
     t.past <- vec;
     t.lc <- max t.lc lc;
     record t c ~vec ~lc;
     `Committed vec
   end
   else begin
-    Sim.Metrics.incr t.c_aborted;
     History.aborted t.history;
     `Aborted
   end
@@ -461,8 +443,6 @@ let commit t =
            { client = t.addr; req = next_req t; tid = c.c_tid; lc = t.lc })
     with
     | Msg.R_committed { vec; _ } ->
-        Sim.Metrics.observe t.h_lat_causal (Engine.now t.eng - c.c_start_us);
-        Sim.Metrics.incr t.c_committed;
         if Sim.Trace.enabled t.trace then
           Sim.Trace.emit_span t.trace ~source:t.trace_src ~kind:"txn-causal"
             ~start:c.c_start_us

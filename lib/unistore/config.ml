@@ -108,7 +108,6 @@ type t = {
   f : int;  (* tolerated data-center failures *)
   mode : mode;
   conflict : conflict_spec;
-  leader_dc : int;  (* initial Paxos leader DC (Virginia in §8) *)
   (* BROADCAST_VECS period (5 ms in §8): the in-DC stableVec tree step.
      A sibling's stableVec rides its next stream message after the step
      advances it, so sibling exchange runs at this period, capped below
@@ -116,7 +115,6 @@ type t = {
   broadcast_period_us : int;
   clock_skew_us : int;  (* max absolute per-replica clock skew *)
   link_faults : Net.Faults.spec option;  (* lossy inter-DC links (nemesis) *)
-  gc_grace_us : int;  (* how long a crashed DC holds GC floors (rejoin) *)
   client_failover_us : int;  (* client request timeout before DC failover;
                                 0 disables failover (calls block forever) *)
   admission_max_pending : int;  (* per-DC bound on in-flight strong
@@ -139,9 +137,8 @@ type t = {
 }
 
 let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
-    ?(mode = Unistore) ?(conflict = Serializable) ?(leader_dc = 0)
-    ?(broadcast_period_us = 5_000) ?(clock_skew_us = 1_000)
-    ?link_faults ?(gc_grace_us = 10_000_000)
+    ?(mode = Unistore) ?(conflict = Serializable)
+    ?(broadcast_period_us = 5_000) ?(clock_skew_us = 1_000) ?link_faults
     ?(client_failover_us = 0) ?(admission_max_pending = 0)
     ?(persistence = false) ?(snapshot_interval_us = 2_000_000)
     ?(costs = default_costs)
@@ -161,10 +158,7 @@ let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     invalid_arg
       "Config.default: with link faults, need dcs <= 2f+1 so that \
        certification quorums intersect under false suspicion";
-  if leader_dc < 0 || leader_dc >= dcs then
-    invalid_arg "Config.default: bad leader";
   if partitions <= 0 then invalid_arg "Config.default: bad partitions";
-  if gc_grace_us < 0 then invalid_arg "Config.default: bad gc_grace_us";
   if client_failover_us < 0 then
     invalid_arg "Config.default: bad client_failover_us";
   if admission_max_pending < 0 then
@@ -179,11 +173,9 @@ let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     f;
     mode;
     conflict;
-    leader_dc;
     broadcast_period_us;
     clock_skew_us;
     link_faults;
-    gc_grace_us;
     client_failover_us;
     admission_max_pending;
     persistence;
@@ -197,6 +189,13 @@ let default ?(topo = Net.Topology.three_dcs ()) ?(partitions = 8) ?(f = 1)
     profile;
     profile_sample_every;
   }
+
+(* Initial Paxos leader DC (Virginia in §8). *)
+let leader_dc = 0
+
+(* How long a crashed DC holds the GC floors, so it can rejoin by log
+   catch-up. *)
+let gc_grace_us = 10_000_000
 
 (* Period of PROPAGATE_LOCAL_TXS (5 ms in §8). *)
 let propagate_period_us = 5_000

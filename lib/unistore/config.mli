@@ -63,7 +63,6 @@ type t = {
   f : int;  (** tolerated data-center failures *)
   mode : mode;
   conflict : conflict_spec;
-  leader_dc : int;  (** initial Paxos leader DC (Virginia in §8) *)
   broadcast_period_us : int;
       (** BROADCAST_VECS period (5 ms in §8): the in-DC stableVec tree
           step. A sibling's stableVec rides its next stream message after
@@ -73,10 +72,6 @@ type t = {
   link_faults : Net.Faults.spec option;
       (** install lossy inter-DC links with these rates (nemesis runs);
           [None] keeps the network perfectly reliable *)
-  gc_grace_us : int;
-      (** how long a crashed DC keeps holding the causal-log and
-          decided-log GC floors, so it can rejoin by log catch-up; after
-          expiry the floors advance and a rejoiner needs a full snapshot *)
   client_failover_us : int;
       (** client-side request timeout before the session fails over to
           another live DC; [0] disables failover (calls block forever on
@@ -127,11 +122,9 @@ val default :
   ?f:int ->
   ?mode:mode ->
   ?conflict:conflict_spec ->
-  ?leader_dc:int ->
   ?broadcast_period_us:int ->
   ?clock_skew_us:int ->
   ?link_faults:Net.Faults.spec ->
-  ?gc_grace_us:int ->
   ?client_failover_us:int ->
   ?admission_max_pending:int ->
   ?persistence:bool ->
@@ -146,6 +139,15 @@ val default :
   ?profile_sample_every:int ->
   unit ->
   t
+
+(** Initial Paxos leader DC of every certification group: dc0 (Virginia
+    in §8). *)
+val leader_dc : int
+
+(** How long a crashed DC keeps holding the causal-log and decided-log
+    GC floors, so it can rejoin by log catch-up: 10 s. After expiry the
+    floors advance and a rejoiner needs a full snapshot. *)
+val gc_grace_us : int
 
 (** PROPAGATE_LOCAL_TXS period: 5 ms, as in §8. *)
 val propagate_period_us : int

@@ -69,12 +69,11 @@ type t =
   | C_commit_causal of { client : addr; req : int; tid : Types.tid; lc : int }
   | C_commit_strong of { client : addr; req : int; tid : Types.tid; lc : int }
   | C_uniform_barrier of { client : addr; req : int; past : Vc.t }
+  (* CL_ATTACH (§5.6): also how a session fails over to a new DC after
+     its own stopped answering *)
   | C_attach of { client : addr; req : int; past : Vc.t }
-  (* DC failover (§5.6 / crash recovery): attach carrying the session's
-     causal past after the previous DC was suspected... *)
-  | C_failover of { client : addr; req : int; past : Vc.t }
-  (* ...and idempotent re-submission of an in-flight strong transaction
-     at the new DC: same tid, so certification deduplicates. *)
+  (* idempotent re-submission of an in-flight strong transaction at the
+     failover DC: same tid, so certification deduplicates *)
   | C_resubmit_strong of {
       client : addr;
       req : int;
@@ -250,8 +249,7 @@ let claim_cost (c : Config.costs) { stable; _ } =
 (* Service cost of a message (CPU microseconds at the processing node). *)
 let cost (c : Config.costs) = function
   | C_start _ | C_read _ | C_update _ | C_commit_causal _ | C_commit_strong _
-  | C_uniform_barrier _ | C_attach _ | C_failover _ ->
-      c.c_base
+  | C_uniform_barrier _ | C_attach _ -> c.c_base
   | C_resubmit_strong _ -> c.c_prepare
   | R_started _ | R_value _ | R_committed _ | R_strong _ | R_ok _
   | R_overloaded _ ->
@@ -334,8 +332,7 @@ let size_bytes = function
   | C_read _ -> header_bytes + 32
   | C_update _ -> header_bytes + 40
   | C_commit_causal _ | C_commit_strong _ -> header_bytes + 24
-  | C_uniform_barrier { past; _ } | C_attach { past; _ }
-  | C_failover { past; _ } ->
+  | C_uniform_barrier { past; _ } | C_attach { past; _ } ->
       header_bytes + 16 + vc_bytes past
   | C_resubmit_strong { tx; _ } -> header_bytes + 40 + strong_tx_bytes tx
   | R_started { snap; _ } -> header_bytes + 24 + vc_bytes snap
@@ -402,7 +399,6 @@ let kind = function
   | C_commit_strong _ -> "c_commit_strong"
   | C_uniform_barrier _ -> "c_uniform_barrier"
   | C_attach _ -> "c_attach"
-  | C_failover _ -> "c_failover"
   | C_resubmit_strong _ -> "c_resubmit_strong"
   | R_started _ -> "r_started"
   | R_value _ -> "r_value"

@@ -336,7 +336,7 @@ let sync_admits s msg =
   | _ when s.s_snapshot -> false
   | Msg.C_start _ | Msg.C_read _ | Msg.C_update _ | Msg.C_commit_causal _
   | Msg.C_commit_strong _ | Msg.C_uniform_barrier _ | Msg.C_attach _
-  | Msg.C_failover _ | Msg.C_resubmit_strong _ | Msg.Get_version _
+  | Msg.C_resubmit_strong _ | Msg.Get_version _
   | Msg.Version _ | Msg.Prepare _ | Msg.Prepare_ack _ | Msg.Commit _ ->
       false
   | _ -> true
@@ -522,11 +522,12 @@ let restart_from_disk t ~resume =
           t.replaying <- false;
           (* everything recovered is on disk by definition *)
           Vc.merge_into t.durable_known t.known_vec;
-          Sim.Metrics.incr
-            ~by:(List.length tail)
-            (Sim.Metrics.counter t.metrics "replay_entries_total");
-          Sim.Metrics.incr ~by:!local_bytes
-            (Sim.Metrics.counter t.metrics "local_catchup_bytes_total");
+          Sim.Metrics.add
+            (Sim.Metrics.counter t.metrics "replay_entries_total")
+            (List.length tail);
+          Sim.Metrics.add
+            (Sim.Metrics.counter t.metrics "local_catchup_bytes_total")
+            !local_bytes;
           observe_clock t (Vc.get t.known_vec t.dc);
           observe_clock t (Vc.strong t.known_vec);
           Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"node-restart"

@@ -63,7 +63,6 @@ let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
       Sim.Metrics.histogram metrics
         ~labels:[ ("phase", "certify") ]
         "strong_phase_us";
-    h_visibility = Sim.Metrics.histogram metrics "visibility_delay_us";
     c_strong_commit = Sim.Metrics.counter metrics "strong_committed_total";
     c_strong_abort = Sim.Metrics.counter metrics "strong_aborted_total";
     oplog = Store.Oplog.create ();
@@ -88,7 +87,7 @@ let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
     wait_seq = 0;
     waiters = [];
     cert = None;
-    trusted = cfg.Config.leader_dc;
+    trusted = Config.leader_dc;
     pending_cert = Hashtbl.create 16;
     rid_ctr = 0;
     hb_ctr = 0;
@@ -178,7 +177,7 @@ let make_cert t =
     Some
       (Cert.create
          ~bid_interval_us:(Config.reclaim_debounce_us t.cfg)
-         ctx ~leader_dc:t.cfg.Config.leader_dc)
+         ctx ~leader_dc:Config.leader_dc)
 
 (* Start the periodic tasks (Algorithm A4 line 1, Algorithm A5 line 1,
    heartbeats for strong transactions). [phase] staggers replicas.
@@ -317,8 +316,6 @@ let dispatch t msg =
       Stabilisation.handle_uniform_barrier t ~client ~req ~past
   | Msg.C_attach { client; req; past } ->
       Stabilisation.handle_attach t ~client ~req ~past
-  | Msg.C_failover { client; req; past } ->
-      Stabilisation.handle_failover t ~client ~req ~past
   | Msg.C_resubmit_strong { client; req; tx; lc } ->
       Strong_coord.handle_resubmit_strong t ~client ~req tx ~lc
   | Msg.Sync_request { from; part; sq } ->
@@ -349,9 +346,9 @@ let dispatch t msg =
   | Msg.Repair_request { from; origin; vec_from; upto = _; sq } ->
       Replication.handle_repair_request t ~from ~origin ~vec_from ~sq
   | Msg.Repair_log { origin; txs; from_ts; covered; last; sq } as m ->
-      Sim.Metrics.incr
-        ~by:(Msg.size_bytes m)
-        (Sim.Metrics.counter t.metrics "repair_log_bytes_total");
+      Sim.Metrics.add
+        (Sim.Metrics.counter t.metrics "repair_log_bytes_total")
+        (Msg.size_bytes m);
       Replication.handle_repair_log t ~origin ~txs ~from_ts ~covered ~last ~sq
   | Msg.Kv_up { part; vec } -> Stabilisation.handle_kv_up t ~part ~vec
   | Msg.Stable_down { vec } -> Stabilisation.update_stable t vec
@@ -389,9 +386,9 @@ let handle t msg =
       if Recovery.sync_admits s msg then begin
         (match msg with
         | Msg.Sync_store _ when s.s_snapshot ->
-            Sim.Metrics.incr
-              ~by:(Msg.size_bytes msg)
+            Sim.Metrics.add
               (Sim.Metrics.counter t.metrics "sync_snapshot_bytes_total")
+              (Msg.size_bytes msg)
         | _ -> ());
         dispatch t msg;
         (* the message may have been the one completing the catch-up *)

@@ -181,11 +181,10 @@ type t = {
   trace : Sim.Trace.t;
   trace_src : string;
   (* cached metrics handles: strong-transaction phase breakdown and
-     remote-visibility delay (interned in the system-wide registry) *)
+     outcomes (interned in the system-wide registry) *)
   metrics : Sim.Metrics.t;
   h_phase_uniform : Sim.Metrics.histogram;
   h_phase_certify : Sim.Metrics.histogram;
-  h_visibility : Sim.Metrics.histogram;
   c_strong_commit : Sim.Metrics.counter;
   c_strong_abort : Sim.Metrics.counter;
   oplog : Store.Oplog.t;

@@ -398,7 +398,7 @@ let pull_suspected t =
 let holds_floor t i =
   match Network.dc_failed_at t.net i with
   | None -> true
-  | Some at -> now t - at < t.cfg.Config.gc_grace_us
+  | Some at -> now t - at < Config.gc_grace_us
 
 (* The minimum of [init] and entry [entry] of every floor-holding
    sibling's globalMatrix row ([dcs t] is the strong entry): how far

@@ -33,10 +33,8 @@ let flush_visibility t =
         pending := waiting;
         List.iter
           (fun (_, arrival) ->
-            let delay_us = now t - arrival in
-            Sim.Metrics.observe t.h_visibility delay_us;
             History.visibility_delay t.history ~observer:t.dc ~origin
-              ~delay_us)
+              ~delay_us:(now t - arrival))
           visible
       end
     done
@@ -158,13 +156,3 @@ let handle_attach t ~client ~req ~past =
   in
   let reply () = send t client (Msg.R_ok { req }) in
   if covered () then reply () else t.waiters <- (covered, reply) :: t.waiters
-
-(* A client whose session DC crashed migrates here carrying its causal
-   past; like ATTACH, the reply is held until this DC's uniformVec covers
-   the past's remote entries, so the first snapshot started afterwards
-   includes everything the client has observed. The client counts the
-   failover. *)
-let handle_failover t ~client ~req ~past =
-  Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"failover"
-    "client %d attached after failover" client;
-  handle_attach t ~client ~req ~past

@@ -12,4 +12,3 @@ val handle_kv_up : t -> part:int -> vec:Vc.t -> unit
 val handle_knownvec_global : t -> dc:int -> Msg.claim -> unit
 val handle_uniform_barrier : t -> client:Msg.addr -> req:int -> past:Vc.t -> unit
 val handle_attach : t -> client:Msg.addr -> req:int -> past:Vc.t -> unit
-val handle_failover : t -> client:Msg.addr -> req:int -> past:Vc.t -> unit

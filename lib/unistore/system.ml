@@ -113,7 +113,7 @@ let make_rb_certs cfg eng net ~replicas ~addrs ~rng =
       Some
         (Cert.create
            ~bid_interval_us:(Config.reclaim_debounce_us cfg)
-           ctx ~leader_dc:cfg.Config.leader_dc)
+           ctx ~leader_dc:Config.leader_dc)
   done;
   Array.init dcs (fun dc ->
       match cert_refs.(dc) with
@@ -133,7 +133,14 @@ let create cfg =
       (Engine.prof eng);
   let prof_label name = Sim.Prof.label (Engine.prof eng) name in
   let rng = Rng.split (Engine.rng eng) ~id:0x515 in
-  let net = Network.create eng cfg.Config.topo in
+  (* one metrics registry per deployment; the network meter feeds it the
+     transport counters, replicas/clients the transaction-lifecycle
+     histograms, the detector its transition counters *)
+  let metrics = Sim.Metrics.create () in
+  let net =
+    Network.create eng cfg.Config.topo metrics ~kind_of:Msg.kind
+      ~size_of:Msg.size_bytes
+  in
   let history = History.create ~record_full:cfg.Config.record_history () in
   History.set_clock history (fun () -> Engine.now eng);
   let trace =
@@ -142,11 +149,6 @@ let create cfg =
       ~enabled:cfg.Config.trace_enabled ()
   in
   Network.set_trace net trace;
-  (* one metrics registry per deployment; the network meter feeds it the
-     transport counters, replicas/clients the transaction-lifecycle
-     histograms, the detector its transition counters *)
-  let metrics = Sim.Metrics.create () in
-  Network.set_meter net metrics ~kind_of:Msg.kind ~size_of:Msg.size_bytes;
   (* retransmission backoff cap derived from the deployment instead of a
      hard-coded constant: see [Config.rto_cap_us] *)
   Network.set_rto_cap net (Config.rto_cap_us cfg);

@@ -80,15 +80,15 @@ let test_partition_snapshot_source () =
   Alcotest.(check int) "dc1's increments visible at dc2 exactly once" !c1
     vals.(1)
 
-(* (2) A sibling is partitioned away while the rejoiner catches up: the
-   snapshot comes from dc1, but dc0 sits behind a cut link. Once Ω
-   suspects dc0 the rejoin must finish against dc1 alone, before the
-   heal. The cert leaders live at dc1 here so the partitioned sibling is
-   a plain follower: a rejoiner cut off from the live *leader*
-   legitimately cannot finish its strong-side catch-up until the
-   heal. *)
+(* (2) A sibling is partitioned away while the rejoiner catches up: dc1
+   sits behind a cut link from just before the recovery until after the
+   writers stop. Once Ω suspects dc1 the rejoin must finish against dc0
+   alone, before the heal. The partitioned sibling is a plain follower
+   (the cert leaders live at dc0): a rejoiner cut off from the live
+   *leader* legitimately cannot finish its strong-side catch-up until
+   the heal. *)
 let test_partition_polled_sibling () =
-  let sys = Util.make_system ~partitions:3 ~seed:23 ~leader_dc:1 () in
+  let sys = Util.make_system ~partitions:3 ~seed:23 () in
   let keys = [| 110; 111 |] in
   Array.iter (fun k -> U.System.preload sys k (Crdt.Ctr_add 0)) keys;
   U.Nemesis.inject sys
@@ -98,7 +98,7 @@ let test_partition_polled_sibling () =
            { U.Nemesis.at_us = 1_500_000; ev = U.Nemesis.Crash_dc 2 };
            { at_us = 3_000_000; ev = U.Nemesis.Recover_dc 2 };
          ];
-         U.Nemesis.partition_during_sync ~rejoiner:2 ~peer:0
+         U.Nemesis.partition_during_sync ~rejoiner:2 ~peer:1
            ~from_us:2_950_000 ~until_us:6_000_000;
        ]);
   let c0 = spawn_writer sys ~dc:0 ~key:keys.(0) ~until:6_500_000

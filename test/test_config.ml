@@ -57,11 +57,6 @@ let test_validation () =
        ignore (U.Config.default ~partitions:0 ());
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad leader rejected" true
-    (try
-       ignore (U.Config.default ~leader_dc:7 ());
-       false
-     with Invalid_argument _ -> true);
   (* f ranges over 0 .. dcs - 1: the three-DC default topology *)
   Alcotest.(check bool) "f = dcs rejected" true
     (try

@@ -7,18 +7,22 @@ module Fiber = Sim.Fiber
 
 (* Figure 1: transaction forwarding preserves Eventual Visibility.
    t1 commits at d1 and reaches only d2 before d1 fails; d2 must forward
-   t1 so it eventually becomes visible at d3. *)
+   t1 so it eventually becomes visible at d3. The d1–d3 link is cut
+   before the commit, so t1 cannot reach d3 directly, not even a copy
+   already in flight at the crash. *)
 let test_fig1_forwarding () =
   let sys = Util.make_system () in
   let d1 = 1 (* California *) and d3 = 2 (* Frankfurt *) in
   U.System.preload sys 100 (Crdt.Reg_write 0);
+  U.Nemesis.inject sys
+    [ { U.Nemesis.at_us = 0; ev = U.Nemesis.Partition (d1, d3) } ];
   ignore
     (U.System.spawn_client sys ~dc:d1 (fun c ->
          Client.start c;
          Client.update c 100 (Crdt.Reg_write 77);
          ignore (Client.commit c)));
-  (* Ca→Va is 30.5 ms one way and Ca→Fra 72.5 ms: failing California at
-     45 ms lets Virginia receive t1 while Frankfurt never does directly *)
+  (* Ca→Va is 30.5 ms one way: failing California at 45 ms lets Virginia
+     receive t1 first *)
   Sim.Engine.schedule (U.System.engine sys) ~delay:45_000 (fun () ->
       U.System.fail_dc sys d1);
   let seen = ref (-1) in

@@ -7,7 +7,7 @@ let test_counters () =
   let reg = M.create () in
   let c = M.counter reg "requests_total" in
   M.incr c;
-  M.incr ~by:4 c;
+  M.add c 4;
   Alcotest.(check int) "value" 5 (M.counter_value c);
   (* same (name, labels) interns to the same counter *)
   let c' = M.counter reg "requests_total" in

@@ -1,13 +1,13 @@
 (* Network substrate: latency, FIFO channels, CPU serialization, DC
    failures. *)
 
-let mk ?(jitter = 0) () =
+let mk ?(jitter = 0) ?(reg = Sim.Metrics.create ()) () =
   let eng = Sim.Engine.create () in
   let topo =
     Net.Topology.create ~intra_dc_us:100 ~jitter_us:jitter
       [| Net.Topology.Virginia; Net.Topology.California; Net.Topology.Frankfurt |]
   in
-  (eng, Net.Network.create eng topo)
+  (eng, Net.Network.create eng topo reg ~kind_of:(fun _ -> "m") ~size_of:(fun _ -> 8))
 
 let test_latency () =
   let eng, net = mk () in
@@ -439,15 +439,14 @@ let test_zero_cost_keeps_fifo () =
 
 (* --- the reliable layer ------------------------------------------------ *)
 
-(* A lossy transport (all rates zero, no jitter) with a meter installed,
-   and a reader for its reliable-layer counters. Virginia -> California
+(* A lossy transport (all rates zero, no jitter) and a reader for its
+   reliable-layer counters. Virginia -> California
    is 30.5 ms one way, so a data packet's ack lands 61 ms after the send
    and the base retransmission timeout is 71 ms. *)
 let metered () =
-  let eng, net = mk () in
-  let f = Net.Network.enable_faults net in
   let reg = Sim.Metrics.create () in
-  Net.Network.set_meter net reg ~kind_of:(fun _ -> "m") ~size_of:(fun _ -> 8);
+  let eng, net = mk ~reg () in
+  let f = Net.Network.enable_faults net in
   let count name = Sim.Metrics.counter_value (Sim.Metrics.counter reg name) in
   (eng, net, f, count)
 

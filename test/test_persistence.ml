@@ -486,8 +486,7 @@ let capture r =
 let test_snapshot_restart_round_trip () =
   let sys =
     Util.make_system ~partitions:2 ~seed:11 ~mode:U.Config.Causal_only
-      ~persistence:true ~snapshot_interval_us:200_000
-      ~gc_grace_us:60_000_000 ()
+      ~persistence:true ~snapshot_interval_us:200_000 ()
   in
   U.Nemesis.inject sys
     [ { U.Nemesis.at_us = 300_000; ev = U.Nemesis.Crash_dc 1 } ];

@@ -474,7 +474,10 @@ let probe_rig () =
       ~mode:U.Config.Causal_only ~use_hlc:true ~clock_skew_us:0 ()
   in
   let eng = Sim.Engine.create () in
-  let net = Net.Network.create eng cfg.U.Config.topo in
+  let net =
+    Net.Network.create eng cfg.U.Config.topo (Sim.Metrics.create ())
+      ~kind_of:U.Msg.kind ~size_of:U.Msg.size_bytes
+  in
   let sent = ref [] in
   let probes =
     Array.init 3 (fun dc ->

@@ -235,7 +235,7 @@ let test_strong_resubmission_exactly_once () =
    while the crashed DC is within its rejoin grace period, and pruned
    once the grace expires. *)
 let test_gc_grace_floors () =
-  let sys = Util.make_system ~partitions:1 ~seed:3 ~gc_grace_us:2_000_000 () in
+  let sys = Util.make_system ~partitions:1 ~seed:3 () in
   let key = 5 in
   U.System.preload sys key (Crdt.Ctr_add 0);
   U.Nemesis.inject sys
@@ -251,12 +251,13 @@ let test_gc_grace_floors () =
   let r0 = U.System.replica sys ~dc:0 ~part:0 in
   let r1 = U.System.replica sys ~dc:1 ~part:0 in
   let own_during = ref (-1) and fwd_during = ref (-1) in
-  Sim.Engine.schedule (U.System.engine sys) ~delay:1_800_000 (fun () ->
+  Sim.Engine.schedule (U.System.engine sys) ~delay:9_800_000 (fun () ->
       own_during := U.Stream_log.length (U.Replica.stream_log r0 ~origin:0);
       fwd_during := U.Stream_log.length (U.Replica.stream_log r1 ~origin:0));
-  (* grace expires at 2.3s; the floors release and the broadcast-driven
-     prune empties the logs well before 4.5s *)
-  Util.run sys ~until:4_500_000;
+  (* grace ([Config.gc_grace_us], 10 s) expires at 10.3s; the floors
+     release and the broadcast-driven prune empties the logs well before
+     12.5s *)
+  Util.run sys ~until:12_500_000;
   Alcotest.(check bool) "origin retains its propagated log during grace"
     true (!own_during > 0);
   Alcotest.(check bool) "peers retain the forwarded buffer during grace"
@@ -550,6 +551,7 @@ let test_late_reply_dropped () =
     Net.Network.create eng
       (Net.Topology.create ~intra_dc_us:100 ~jitter_us:0
          [| Net.Topology.Virginia; Net.Topology.California |])
+      (Sim.Metrics.create ()) ~kind_of:U.Msg.kind ~size_of:U.Msg.size_bytes
   in
   let snap = Vclock.Vc.create ~dcs:3 in
   let stand_in ~delay =
@@ -560,7 +562,7 @@ let test_late_reply_dropped () =
             Sim.Engine.schedule eng ~delay (fun () ->
                 Net.Network.send net ~src:!me ~dst:client
                   (U.Msg.R_started { req; tid; snap }))
-        | U.Msg.C_failover { client; req; _ } ->
+        | U.Msg.C_attach { client; req; _ } ->
             Net.Network.send net ~src:!me ~dst:client (U.Msg.R_ok { req })
         | _ -> ());
     !me
@@ -606,6 +608,7 @@ let test_next_call_after_late_reply () =
     Net.Network.create eng
       (Net.Topology.create ~intra_dc_us:100 ~jitter_us:0
          [| Net.Topology.Virginia; Net.Topology.California |])
+      (Sim.Metrics.create ()) ~kind_of:U.Msg.kind ~size_of:U.Msg.size_bytes
   in
   let snap = Vclock.Vc.create ~dcs:3 in
   let failovers = ref [] in
@@ -620,7 +623,7 @@ let test_next_call_after_late_reply () =
                     Net.Network.send net ~src:!me ~dst:client
                       (U.Msg.R_started { req; tid; snap })))
               start_delay
-        | U.Msg.C_failover { client; req; _ } ->
+        | U.Msg.C_attach { client; req; _ } ->
             failovers := Sim.Engine.now eng :: !failovers;
             Net.Network.send net ~src:!me ~dst:client (U.Msg.R_ok { req })
         | _ -> ());

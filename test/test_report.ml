@@ -119,9 +119,6 @@ let test_lifecycle_metrics () =
     Sim.Metrics.counter_value (Sim.Metrics.counter reg name)
   in
   let h = U.System.history sys in
-  Alcotest.(check int) "txn_committed_total matches history"
-    (U.History.committed_total h)
-    (counter "txn_committed_total");
   Alcotest.(check int) "strong_committed_total matches history"
     (U.History.committed_strong h)
     (counter "strong_committed_total");

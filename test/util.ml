@@ -9,13 +9,11 @@ let default_topo () =
    so the PoR checker can run afterwards. *)
 let make_system ?(topo = default_topo ()) ?(partitions = 4) ?(f = 1)
     ?(mode = U.Config.Unistore) ?(conflict = U.Config.Serializable)
-    ?(seed = 42) ?(clock_skew_us = 1_000) ?leader_dc ?link_faults
-    ?gc_grace_us ?client_failover_us
+    ?(seed = 42) ?(clock_skew_us = 1_000) ?link_faults ?client_failover_us
     ?persistence ?snapshot_interval_us ?(trace_enabled = false) () =
   let cfg =
     U.Config.default ~topo ~partitions ~f ~mode ~conflict ~seed ~clock_skew_us
-      ?leader_dc ?link_faults ?gc_grace_us
-      ?client_failover_us ?persistence ?snapshot_interval_us ~trace_enabled ~record_history:true ()
+      ?link_faults ?client_failover_us ?persistence ?snapshot_interval_us ~trace_enabled ~record_history:true ()
   in
   U.System.create cfg
 
