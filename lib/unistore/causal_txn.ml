@@ -221,14 +221,18 @@ let handle_commit t ~tid ~vec ~lc ~origin =
               (List.length p.pc_writes))
 
 (* ------------------------------------------------------------------ *)
-(* Presumed-abort resolution of orphaned causal 2PCs (persistence
-   mode). A node crash can strand either side of the intra-DC 2PC: a
-   participant holding a durable prepared entry whose coordinator died
-   (the entry's timestamp blocks the replication frontier forever), or
-   a coordinator whose participant died before acking. The participant
-   asks the coordinator for the outcome; the coordinator answers from
-   its durable decision log. "No record" means abort — safe, because no
-   COMMIT ever leaves before the decision is fsynced ([W_decide]). *)
+(* Resolution of orphaned causal 2PCs. A node crash can strand either
+   side of the intra-DC 2PC: a participant holding a durable prepared
+   entry whose coordinator died (the entry's timestamp blocks the
+   replication frontier forever), or a coordinator whose participant
+   died before acking. In every mode a coordinator's PREPARE can also
+   reach a partition still catching up after a DC rejoin, which drops
+   it ([Recovery.sync_admits]). The participant asks the coordinator for
+   the outcome; the coordinator answers from its durable decision log.
+   "No record" means abort — safe, because no COMMIT ever leaves before
+   the decision is fsynced ([W_decide]). Without a disk there is no
+   log, and none is needed: a participant drops a COMMIT only while
+   catching up, when it holds no PREPARE either. *)
 
 let handle_commit_query t ~from ~tid =
   if Hashtbl.mem t.txns tid then ()  (* still deciding; asked again later *)
@@ -252,10 +256,11 @@ let handle_commit_abort t ~tid =
    restart's dwell time, so orphans resolve while the roll proceeds. *)
 let orphan_age_us = 1_000_000
 
-(* Periodic persistence housekeeping: participants query the outcome of
-   stale prepares (presumed abort), coordinators re-send PREPAREs that a
-   participant crash swallowed (participants dedup by tid), and old
-   decisions are pruned once every participant had ample time to ask. *)
+(* Periodic housekeeping: participants query the outcome of stale
+   prepares (presumed abort), coordinators re-send PREPAREs that a
+   participant crash or catch-up swallowed (participants dedup by tid),
+   and old decisions are pruned once every participant had ample time
+   to ask. *)
 let resolve_orphans t =
   let cutoff = now t - orphan_age_us in
   List.iter

@@ -272,16 +272,19 @@ let start_timers t ~phase =
           Recovery.take_snapshot t;
           true
         end
-        else false);
-    Engine.every t.eng
-      ~label:(lab "orphans")
-      ~period:500_000 ~phase:(phase + 5) (fun () ->
-        if live () then begin
-          Causal_txn.resolve_orphans t;
-          true
-        end
         else false)
-  end
+  end;
+  (* in every mode: a partition still catching up drops the PREPAREs
+     that reach it ([Recovery.sync_admits]), and only this re-send
+     settles their 2PCs *)
+  Engine.every t.eng
+    ~label:(lab "orphans")
+    ~period:500_000 ~phase:(phase + 5) (fun () ->
+      if live () then begin
+        Causal_txn.resolve_orphans t;
+        true
+      end
+      else false)
 
 (* Once a catch-up completes: fresh periodic tasks, an immediate tree
    step and sibling claim so siblings unpin the GC floors, and trust

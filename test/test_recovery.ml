@@ -660,6 +660,49 @@ let test_next_call_after_late_reply () =
     (List.rev !failovers);
   Alcotest.(check bool) "no call in flight" false (Client.in_flight c)
 
+(* Without persistence, a partition still catching up after its DC
+   rejoined drops the PREPAREs that reach it ([Recovery.sync_admits]).
+   dc2's partition 1 holds a large store, so partition 0 finishes its
+   catch-up first. Four dc2 sessions then each commit a transaction that
+   writes both partitions; those coordinated by partition 0 commit while
+   partition 1 is still syncing (the others' START is dropped, and they
+   wait). The coordinator re-sends each lost PREPARE once partition 1 is
+   back, and every 2PC that started commits. *)
+let test_prepare_dropped_during_catchup () =
+  let sys = Util.make_system ~partitions:2 () in
+  for i = 0 to 19_999 do
+    U.System.preload sys ((2 * i) + 1) (Crdt.Ctr_add 0)
+  done;
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = 500_000; ev = U.Nemesis.Crash_dc 2 };
+      { at_us = 1_000_000; ev = U.Nemesis.Recover_dc 2 };
+    ];
+  let p0 = U.System.replica sys ~dc:2 ~part:0
+  and p1 = U.System.replica sys ~dc:2 ~part:1 in
+  let started = ref 0 and committed = ref 0 and behind = ref 0 in
+  for _ = 1 to 4 do
+    ignore
+      (U.System.spawn_client sys ~dc:2 (fun c ->
+           Fiber.sleep 1_000_100;
+           while U.Replica.is_syncing p0 do
+             Fiber.sleep 1_000
+           done;
+           Client.start c;
+           incr started;
+           Client.update c 0 (Crdt.Ctr_add 1);
+           Client.update c 1 (Crdt.Ctr_add 1);
+           if U.Replica.is_syncing p1 then incr behind;
+           match Client.commit c with
+           | `Committed _ -> incr committed
+           | `Aborted -> ()))
+  done;
+  Util.run sys ~until:5_000_000;
+  Alcotest.(check bool) "a commit left while partition 1 was catching up"
+    true (!behind > 0);
+  Alcotest.(check int) "every started 2PC committed" !started !committed;
+  Util.assert_convergence sys
+
 let suite =
   [
     Alcotest.test_case
@@ -687,4 +730,6 @@ let suite =
       test_late_reply_dropped;
     Alcotest.test_case "the next call after a late reply times out on time"
       `Quick test_next_call_after_late_reply;
+    Alcotest.test_case "a PREPARE dropped during catch-up is re-sent" `Slow
+      test_prepare_dropped_during_catchup;
   ]
