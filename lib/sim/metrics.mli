@@ -21,8 +21,6 @@ type counter
 
 val counter : t -> ?labels:labels -> string -> counter
 val incr : counter -> unit
-
-(** [add c n] adds [n] to [c]. *)
 val add : counter -> int -> unit
 val counter_value : counter -> int
 

@@ -193,8 +193,9 @@ let call_raw t dst msg =
 (* DC failover: the session DC stopped answering, so presume it crashed
    and attach to a live DC with the causal past (CL_ATTACH, §5.6). The
    new coordinator blocks the R_ok until its uniformVec covers
-   [pastVec]'s remote entries, so causality holds across the switch. Caveat: if the past references transactions the crashed DC
-   never replicated, that wait never completes — the sacrifice whole-DC
+   [pastVec]'s remote entries, so causality holds across the switch.
+   Caveat: if the past references transactions the crashed DC never
+   replicated, that wait never completes — the sacrifice whole-DC
    crashes force. *)
 let rec failover t =
   let dcs = Config.dcs t.cfg in

@@ -348,10 +348,11 @@ let strong_heartbeat t =
 (* Failure handling: Ω updates.                                          *)
 
 (* Ω's leader choice: the first non-suspected DC in the fixed order
-   starting from the home leader ([Config.leader_dc]). Every replica applies the
-   same rule, so once suspicions agree, trust agrees — and when a falsely
-   suspected preferred DC is rehabilitated, everyone re-trusts it, which
-   (via Nack / recover at a higher ballot) converges leadership back. *)
+   starting from the home leader ([Config.leader_dc]). Every replica
+   applies the same rule, so once suspicions agree, trust agrees — and
+   when a falsely suspected preferred DC is rehabilitated, everyone
+   re-trusts it, which (via Nack / recover at a higher ballot) converges
+   leadership back. *)
 let preferred_leader t =
   let n = dcs t in
   let home = Config.leader_dc in

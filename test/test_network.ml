@@ -7,7 +7,9 @@ let mk ?(jitter = 0) ?(reg = Sim.Metrics.create ()) () =
     Net.Topology.create ~intra_dc_us:100 ~jitter_us:jitter
       [| Net.Topology.Virginia; Net.Topology.California; Net.Topology.Frankfurt |]
   in
-  (eng, Net.Network.create eng topo reg ~kind_of:(fun _ -> "m") ~size_of:(fun _ -> 8))
+  ( eng,
+    Net.Network.create eng topo reg ~kind_of:(fun _ -> "m")
+      ~size_of:(fun _ -> 8) )
 
 let test_latency () =
   let eng, net = mk () in
@@ -440,9 +442,9 @@ let test_zero_cost_keeps_fifo () =
 (* --- the reliable layer ------------------------------------------------ *)
 
 (* A lossy transport (all rates zero, no jitter) and a reader for its
-   reliable-layer counters. Virginia -> California
-   is 30.5 ms one way, so a data packet's ack lands 61 ms after the send
-   and the base retransmission timeout is 71 ms. *)
+   reliable-layer counters. Virginia -> California is 30.5 ms one way,
+   so a data packet's ack lands 61 ms after the send and the base
+   retransmission timeout is 71 ms. *)
 let metered () =
   let reg = Sim.Metrics.create () in
   let eng, net = mk ~reg () in

@@ -13,7 +13,8 @@ let make_system ?(topo = default_topo ()) ?(partitions = 4) ?(f = 1)
     ?persistence ?snapshot_interval_us ?(trace_enabled = false) () =
   let cfg =
     U.Config.default ~topo ~partitions ~f ~mode ~conflict ~seed ~clock_skew_us
-      ?link_faults ?client_failover_us ?persistence ?snapshot_interval_us ~trace_enabled ~record_history:true ()
+      ?link_faults ?client_failover_us ?persistence ?snapshot_interval_us
+      ~trace_enabled ~record_history:true ()
   in
   U.System.create cfg
 
