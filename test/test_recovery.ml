@@ -663,10 +663,10 @@ let test_next_call_after_late_reply () =
 (* Without persistence, a partition still catching up after its DC
    rejoined drops the PREPAREs that reach it ([Recovery.sync_admits]).
    dc2's partition 1 holds a large store, so partition 0 finishes its
-   catch-up first. Four dc2 sessions then each commit a transaction that
-   writes both partitions; those coordinated by partition 0 commit while
-   partition 1 is still syncing (the others' START is dropped, and they
-   wait). The coordinator re-sends each lost PREPARE once partition 1 is
+   catch-up first. Eight dc2 sessions then each commit a transaction
+   that writes both partitions; those coordinated by partition 0 commit
+   while partition 1 is still syncing (the others' START is dropped, and
+   they wait). The coordinator re-sends each lost PREPARE once partition 1 is
    back, and every 2PC that started commits. *)
 let test_prepare_dropped_during_catchup () =
   let sys = Util.make_system ~partitions:2 () in
@@ -681,7 +681,7 @@ let test_prepare_dropped_during_catchup () =
   let p0 = U.System.replica sys ~dc:2 ~part:0
   and p1 = U.System.replica sys ~dc:2 ~part:1 in
   let started = ref 0 and committed = ref 0 and behind = ref 0 in
-  for _ = 1 to 4 do
+  for _ = 1 to 8 do
     ignore
       (U.System.spawn_client sys ~dc:2 (fun c ->
            Fiber.sleep 1_000_100;
