@@ -231,8 +231,12 @@ let handle_commit t ~tid ~vec ~lc ~origin =
    the outcome; the coordinator answers from its durable decision log.
    "No record" means abort — safe, because no COMMIT ever leaves before
    the decision is fsynced ([W_decide]). Without a disk there is no
-   log, and none is needed: a participant drops a COMMIT only while
-   catching up, when it holds no PREPARE either. *)
+   decision log, so participants never ask: a coordinator that has
+   decided forgets the transaction, and its "abort" could race its own
+   COMMIT waiting on the participant's clock. Nor need they: only a
+   whole-DC crash stops a node without a disk, and it takes the
+   participants' prepares too, so the coordinator of every prepare
+   held is alive and re-sends until it decides. *)
 
 let handle_commit_query t ~from ~tid =
   if Hashtbl.mem t.txns tid then ()  (* still deciding; asked again later *)
@@ -256,19 +260,20 @@ let handle_commit_abort t ~tid =
    restart's dwell time, so orphans resolve while the roll proceeds. *)
 let orphan_age_us = 1_000_000
 
-(* Periodic housekeeping: participants query the outcome of stale
-   prepares (presumed abort), coordinators re-send PREPAREs that a
+(* Periodic housekeeping: participants with a disk query the outcome of
+   stale prepares (presumed abort), coordinators re-send PREPAREs that a
    participant crash or catch-up swallowed (participants dedup by tid),
    and old decisions are pruned once every participant had ample time
    to ask. *)
 let resolve_orphans t =
   let cutoff = now t - orphan_age_us in
-  List.iter
-    (fun p ->
-      if p.pc_at <= cutoff then
-        send t p.pc_from
-          (Msg.Commit_query { from = t.addr; tid = p.pc_tid; part = t.part }))
-    t.prepared_causal;
+  if persistent t then
+    List.iter
+      (fun p ->
+        if p.pc_at <= cutoff then
+          send t p.pc_from
+            (Msg.Commit_query { from = t.addr; tid = p.pc_tid; part = t.part }))
+      t.prepared_causal;
   Hashtbl.iter
     (fun _ ct ->
       if ct.ct_pending > 0 && not ct.ct_deciding && ct.ct_started <= cutoff

@@ -703,6 +703,42 @@ let test_prepare_dropped_during_catchup () =
   Alcotest.(check int) "every started 2PC committed" !started !committed;
   Util.assert_convergence sys
 
+(* Without persistence a coordinator keeps no record of a transaction
+   once it has decided, so a participant that asked it about a stale
+   prepare would hear "abort" even for a commit. Here dc0's partition 1
+   holds a PREPARE from partition 0 (a coordinator with no record of
+   the tid, as after its decision) whose COMMIT waits 2.5 s on the
+   participant's clock, past the orphan age. The COMMIT must still apply
+   the write when the clock gets there. *)
+let test_prepare_outlives_orphan_age () =
+  let sys = Util.make_system ~partitions:2 () in
+  let key = 1 (* partition 1 *) in
+  U.System.preload sys key (Crdt.Ctr_add 0);
+  Util.run sys ~until:100_000;
+  let p1 = U.System.replica sys ~dc:0 ~part:1 in
+  (* System registers the replicas first, DC by DC and partition by
+     partition: dc0's partition 0 is address 0 *)
+  let coordinator = 0 in
+  let tid = { U.Types.cl = 9_000; sq = 1 } in
+  let snap = Vclock.Vc.create ~dcs:3 in
+  U.Replica.handle p1
+    (U.Msg.Prepare
+       {
+         from = coordinator;
+         tid;
+         writes =
+           [ { U.Types.wkey = key; wop = Crdt.Ctr_add 1;
+               wcls = U.Types.cls_default } ];
+         snap;
+       });
+  let vec = Vclock.Vc.copy snap in
+  Vclock.Vc.set vec 0 (U.System.now sys + 2_500_000);
+  U.Replica.handle p1 (U.Msg.Commit { tid; vec; lc = 1; origin = 9_000 });
+  Util.run sys ~until:4_000_000;
+  let value, _ = Store.Oplog.read (U.Replica.oplog p1) key ~snap:vec in
+  Alcotest.(check string) "the committed write is applied" "1"
+    (Fmt.to_to_string Crdt.value_pp value)
+
 let suite =
   [
     Alcotest.test_case
@@ -732,4 +768,6 @@ let suite =
       `Quick test_next_call_after_late_reply;
     Alcotest.test_case "a PREPARE dropped during catch-up is re-sent" `Slow
       test_prepare_dropped_during_catchup;
+    Alcotest.test_case "a COMMIT waiting past the orphan age applies"
+      `Quick test_prepare_outlives_orphan_age;
   ]
