@@ -265,15 +265,17 @@ let deliver_ready t =
    from the new leader, and nothing in the protocol revisits the stale
    promise: the member is wedged as a non-delivering Follower forever
    (and a restarting replica's sync, which waits on the strong frontier,
-   wedges with it). Chase the group instead: step back to Recovering
-   (stop voting, [handle_new_state] accepts again) and re-ask for the
-   state; a leader at or above our promise answers with NEW_STATE at
-   its ballot. Debounced on the bid clock — deliveries arrive in
-   bursts, and a Recovering member retries on later evidence if the
-   first request is lost. *)
+   wedges with it). A Restoring member is no exception: a higher ballot
+   means a quorum promised it, so the group will never follow ours
+   (A10). Chase the group instead: step back to Recovering (stop voting,
+   [handle_new_state] accepts again) and re-ask for the state; a leader
+   at or above our promise answers with NEW_STATE at its ballot.
+   Debounced on the bid clock — deliveries arrive in bursts, and a
+   Recovering member retries on later evidence if the first request is
+   lost. *)
 let chase_ballot t b =
   if
-    b > t.ballot && t.status <> Restoring
+    b > t.ballot
     && t.ctx.x_now () - t.last_bid >= t.bid_interval_us
   then begin
     t.last_bid <- t.ctx.x_now ();

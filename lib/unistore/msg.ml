@@ -217,19 +217,16 @@ type t =
   | New_state_ack of { b : int; from : addr }
   (* ---- DC rejoin: snapshot transfer ---------------------------------- *)
   (* A recovering replica asks a live sibling of its partition for a
-     snapshot of the materialized store. [sq] tags the attempt so chunks
-     from an abandoned peer are discarded after a rotation. *)
-  | Sync_request of { from : addr; part : int; sq : int }
-  (* Snapshot chunk: raw oplog entries (bounded count per message). The
-     final chunk carries [last = true] and the cut vector — the peer's
-     knownVec at snapshot time; entries above it (the peer's own not yet
-     propagated commits) are excluded and reach the rejoiner through
-     ordinary replication, whose windows above the cut gap repair fills
-     ([Repair_request]/[Repair_log]). *)
+     snapshot of the materialized store. *)
+  | Sync_request of { from : addr }
+  (* The whole snapshot in one message: raw oplog entries and the cut
+     vector — the peer's knownVec at snapshot time. Entries above the cut
+     (the peer's own not yet propagated commits) are excluded and reach
+     the rejoiner through ordinary replication, whose windows above the
+     cut gap repair fills ([Repair_request]/[Repair_log]). The rejoiner
+     installs the first that arrives, whichever request drew it. *)
   | Sync_store of {
-      sq : int;
       entries : (Store.Keyspace.key * Crdt.op * Vc.t * Crdt.tag) list;
-      last : bool;
       cut : Vc.t;
     }
   (* A Restoring certification member asks the group leader to re-send
@@ -382,11 +379,11 @@ let size_bytes = function
            (header_bytes + 24) decided)
         prepared
   | New_state_ack _ -> header_bytes + 16
-  | Sync_request _ -> header_bytes + 16
-  | Sync_store { entries; cut; _ } ->
+  | Sync_request _ -> header_bytes + 8
+  | Sync_store { entries; cut } ->
       List.fold_left
         (fun acc (_, _, vec, _) -> acc + 24 + vc_bytes vec)
-        (header_bytes + 8 + vc_bytes cut)
+        (header_bytes + vc_bytes cut)
         entries
   | State_request _ -> header_bytes + 16
   | Fd_ping _ -> header_bytes + 8

@@ -127,8 +127,7 @@ let reset_peer_view t ~dc =
 (* Everything a crash destroys. The clocks, rid/heartbeat counters and
    the lifetime metrics survive (restarted processes keep their
    identity); everything else restarts empty and is rebuilt by the
-   catch-up. Ω's suspicions are reset once per recovery by the callers,
-   not on every snapshot attempt. *)
+   catch-up. Ω's suspicions are reset once per recovery by the callers. *)
 let wipe_state t =
   Store.Oplog.clear t.oplog;
   List.iter (zero_vec t)
@@ -162,21 +161,17 @@ let wipe_state t =
   t.waiters <- []
 
 (* Ask an eligible sibling for the snapshot, rotating the peer across
-   attempts. Any partially applied chunks from an abandoned attempt are
-   discarded by re-wiping; stale chunks still in flight are dropped by
-   the [sq] check. *)
+   attempts. Earlier attempts are not cancelled: whichever answer
+   arrives first is installed. *)
 let request_snapshot t s =
-  s.s_sq <- s.s_sq + 1;
-  s.s_progress <- false;
-  wipe_state t;
+  s.s_attempt <- s.s_attempt + 1;
   match Replication.eligible_peers t with
   | [] -> ()  (* nobody to sync from; the retry tick keeps looking *)
   | peers ->
-      let peer = List.nth peers (s.s_sq mod List.length peers) in
+      let peer = List.nth peers (s.s_attempt mod List.length peers) in
       Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-request"
-        "snapshot from dc%d (attempt %d)" peer s.s_sq;
-      send t (sibling t peer)
-        (Msg.Sync_request { from = t.addr; part = t.part; sq = s.s_sq })
+        "snapshot from dc%d (attempt %d)" peer s.s_attempt;
+      send t (sibling t peer) (Msg.Sync_request { from = t.addr })
 
 let request_cert_state t =
   match t.cert with
@@ -268,62 +263,53 @@ let finish_sync t s =
    (our knownVec) and reach the rejoiner through ordinary replication.
    Those entries are recognised physically: a pending transaction's oplog
    entries share its record's commit-vector array. *)
-let handle_sync_request t ~from ~part ~sq =
-  if part = t.part && not (is_syncing t) then begin
-    let cut = Vc.copy t.known_vec in
-    let chunk = ref [] and n = ref 0 in
-    let flush ~last =
-      send t from
-        (Msg.Sync_store
-           { sq; entries = List.rev !chunk; last; cut = Vc.copy cut });
-      chunk := [];
-      n := 0
-    in
-    let rec add key = function
-      | [] -> ()
-      | (e : Store.Oplog.entry) :: rest ->
-          if not (Stream_log.mem_vec t.unshipped e.vec) then begin
-            chunk := (key, e.op, e.vec, e.tag) :: !chunk;
-            incr n;
-            if !n >= catchup_chunk then flush ~last:false
-          end;
-          add key rest
-    in
+let handle_sync_request t ~from =
+  if not (is_syncing t) then begin
     let keys, entries = Store.Oplog.snapshot t.oplog in
-    Array.iteri (fun i key -> add key entries.(i)) keys;
-    flush ~last:true
+    let acc = ref [] in
+    Array.iteri
+      (fun i key ->
+        List.iter
+          (fun (e : Store.Oplog.entry) ->
+            if not (Stream_log.mem_vec t.unshipped e.vec) then
+              acc := (key, e.op, e.vec, e.tag) :: !acc)
+          entries.(i))
+      keys;
+    send t from
+      (Msg.Sync_store { entries = List.rev !acc; cut = Vc.copy t.known_vec })
   end
 
-let handle_sync_store t ~sq ~entries ~last ~cut =
+(* Install the first snapshot that arrives, whichever attempt drew it:
+   the replica admitted nothing else since the wipe, so any sibling's
+   complete snapshot is a valid cut, and gap repair fills everything
+   above it. *)
+let handle_sync_store t ~entries ~cut =
   match t.sync with
-  | Some s when s.s_snapshot && s.s_sq = sq ->
-      s.s_progress <- true;
+  | Some s when s.s_snapshot ->
       List.iter
         (fun (key, op, vec, tag) -> Store.Oplog.append t.oplog key ~op ~vec ~tag)
         entries;
-      if last then begin
-        (* install the cut: the store now materialises everything below
-           it, so it becomes the replication frontier (and our stream
-           logs' [retained_from]), the floor for new prepare timestamps
-           and the delivery frontier of the certification member *)
-        Vc.merge_into t.known_vec cut;
-        Array.blit cut 0 t.retained_from 0 (dcs t);
-        t.last_prep_ts <- Vc.get cut t.dc;
-        observe_clock t (Vc.get cut t.dc);
-        observe_clock t (Vc.strong cut);
-        (match t.cert with
-        | Some c -> Cert.begin_rejoin c ~delivered:(Vc.strong cut)
-        | None -> ());
-        s.s_snapshot <- false;
-        Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-snapshot"
-          "installed cut %a" Vc.pp cut;
-        request_cert_state t;
-        gossip_known t
-      end
-  | _ -> ()  (* stale chunk from an abandoned attempt *)
+      (* install the cut: the store now materialises everything below
+         it, so it becomes the replication frontier (and our stream
+         logs' [retained_from]), the floor for new prepare timestamps
+         and the delivery frontier of the certification member *)
+      Vc.merge_into t.known_vec cut;
+      Array.blit cut 0 t.retained_from 0 (dcs t);
+      t.last_prep_ts <- Vc.get cut t.dc;
+      observe_clock t (Vc.get cut t.dc);
+      observe_clock t (Vc.strong cut);
+      (match t.cert with
+      | Some c -> Cert.begin_rejoin c ~delivered:(Vc.strong cut)
+      | None -> ());
+      s.s_snapshot <- false;
+      Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-snapshot"
+        "installed cut %a" Vc.pp cut;
+      request_cert_state t;
+      gossip_known t
+  | _ -> ()  (* a later answer, after the install *)
 
 (* What a replica admits while catching up. The snapshot phase admits
-   snapshot chunks only. The replication stream is dropped there, not
+   the snapshot only. The replication stream is dropped there, not
    buffered: the cut covers everything the stream carried up to it, and
    the first message whose window starts above the cut trips the
    continuity check and is repaired. After the snapshot everything
@@ -346,8 +332,7 @@ let make_sync t ~wan ~resume =
     {
       s_wan = wan;
       s_snapshot = wan;
-      s_sq = 0;
-      s_progress = false;
+      s_attempt = 0;
       s_heard = [];
       s_started = now t;
       s_done = resume;
@@ -356,8 +341,8 @@ let make_sync t ~wan ~resume =
   t.sync <- Some s;
   s
 
-(* The retry tick driving the catch-up until it completes: rotate a
-   snapshot source that sent nothing since the last tick, re-ask for the
+(* The retry tick driving the catch-up until it completes: ask the next
+   snapshot source while none is installed, re-ask for the
    certification state, re-send our claims to siblings that are
    catching up too. *)
 let arm_sync_retry t s =
@@ -365,12 +350,10 @@ let arm_sync_retry t s =
   Engine.every t.eng ~label:(task_label t "sync") ~period ~phase:(t.uid * 13 mod period) (fun () ->
       match t.sync with
       | Some s' when s' == s && alive t -> (
-          (if s.s_snapshot then begin
-             (* no chunk since the last tick: the peer died, refused, or
-                sits behind a partition; rotate to the next one *)
-             if s.s_progress then s.s_progress <- false
-             else request_snapshot t s
-           end
+          (if s.s_snapshot then
+             (* the peers asked so far died, refused, or sit behind a
+                partition or a slow link; ask the next one too *)
+             request_snapshot t s
            else if sync_complete t s then finish_sync t s
            else begin
              if not (cert_caught_up t) then request_cert_state t;
@@ -390,6 +373,7 @@ let begin_rejoin t ~resume =
   (match t.cert with
   | Some c -> Cert.begin_rejoin c ~delivered:0
   | None -> ());
+  wipe_state t;
   request_snapshot t s;
   arm_sync_retry t s
 

@@ -11,10 +11,10 @@ val reset_peer_view : t -> dc:int -> unit
 val gossip : t -> Msg.claim -> unit
 val sync_complete : t -> sync_state -> bool
 val finish_sync : t -> sync_state -> unit
-val handle_sync_request : t -> from:Msg.addr -> part:int -> sq:int -> unit
+val handle_sync_request : t -> from:Msg.addr -> unit
 val handle_sync_store :
-  t -> sq:int -> entries:(Store.Keyspace.key * Crdt.op * Vc.t * Crdt.tag) list ->
-  last:bool -> cut:Vc.t -> unit
+  t -> entries:(Store.Keyspace.key * Crdt.op * Vc.t * Crdt.tag) list ->
+  cut:Vc.t -> unit
 val sync_admits : sync_state -> Msg.t -> bool
 val begin_rejoin : t -> resume:(unit -> unit) -> unit
 val crash_node : t -> unit

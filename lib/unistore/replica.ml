@@ -321,10 +321,9 @@ let dispatch t msg =
       Stabilisation.handle_attach t ~client ~req ~past
   | Msg.C_resubmit_strong { client; req; tx; lc } ->
       Strong_coord.handle_resubmit_strong t ~client ~req tx ~lc
-  | Msg.Sync_request { from; part; sq } ->
-      Recovery.handle_sync_request t ~from ~part ~sq
-  | Msg.Sync_store { sq; entries; last; cut } ->
-      Recovery.handle_sync_store t ~sq ~entries ~last ~cut
+  | Msg.Sync_request { from } -> Recovery.handle_sync_request t ~from
+  | Msg.Sync_store { entries; cut } ->
+      Recovery.handle_sync_store t ~entries ~cut
   | Msg.Get_version { from; tid; key; snap } ->
       Causal_txn.handle_get_version t ~from ~tid ~key ~snap
   | Msg.Version { tid; key; value; lc } ->

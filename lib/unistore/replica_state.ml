@@ -113,8 +113,8 @@ type wait = { w_at : int; w_seq : int; w_k : unit -> unit }
 
 let wait_before a b = a.w_at < b.w_at || (a.w_at = b.w_at && a.w_seq < b.w_seq)
 
-(* Maximum entries per snapshot-transfer or repair-reply message: bounds
-   message size during catch-up. *)
+(* Maximum transactions per repair-reply message: bounds message size
+   during catch-up. *)
 let catchup_chunk = 256
 
 (* Per-origin repair pull (gap repair of the causal replication stream).
@@ -148,9 +148,8 @@ type repair_state = {
    stream, which only its peers still hold, is back. *)
 type sync_state = {
   s_wan : bool;  (* DC rejoin over the WAN, not a restart from disk *)
-  mutable s_snapshot : bool;  (* waiting for the snapshot's last chunk *)
-  mutable s_sq : int;  (* snapshot attempt tag echoed by [Sync_store] *)
-  mutable s_progress : bool;  (* snapshot chunk seen since last tick *)
+  mutable s_snapshot : bool;  (* waiting for the snapshot *)
+  mutable s_attempt : int;  (* snapshot requests sent; rotates the peer *)
   mutable s_heard : int list;  (* peers whose knownVec gossip arrived *)
   s_started : int;
   s_done : unit -> unit;  (* resumes service, then System's callback *)

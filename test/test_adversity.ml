@@ -42,9 +42,10 @@ let read_back sys ~dc ~keys ~at =
 
 (* (1) The snapshot source is partitioned away mid-SYNC_STORE: dc2's
    first snapshot request goes to dc1 (peer rotation starts there), but
-   the dc1 <-> dc2 link is cut across the whole window. The no-progress
-   retry must fail the snapshot over to dc0 and finish the rejoin with
-   the partition still up. *)
+   the dc1 <-> dc2 link is cut across the whole window. The retry tick,
+   which asks the next peer while no snapshot is installed, must reach
+   dc0, install its snapshot and finish the rejoin with the partition
+   still up. *)
 let test_partition_snapshot_source () =
   let sys = Util.make_system ~partitions:3 ~seed:21 () in
   let keys = [| 100; 101 |] in
@@ -364,6 +365,40 @@ let test_reclaim_debounce_bound () =
     (!first_after <= deadline);
   Util.assert_convergence sys
 
+(* (8) A rejoiner whose snapshot requests queue behind a partition (the
+   shape of explore seed 19, trial 0): dc2 is cut off from both peers
+   for its first second back, so every request the retry tick sends
+   meanwhile waits on the links and is answered at the heal, together
+   with the newer ones. The store is large enough that one snapshot
+   takes longer to apply than the 500 ms retry period. The first complete
+   snapshot must install whichever request drew it, the rejoin must
+   finish, and the stores must converge. *)
+let test_snapshot_requests_queued_behind_partition () =
+  let sys = Util.make_system ~partitions:1 ~seed:31 () in
+  (* 60,000 entries at 12 us each: one snapshot books about 0.72 s of
+     the rejoiner's CPU *)
+  let keys = Array.init 60_000 (fun i -> 1_000 + i) in
+  Array.iter (fun k -> U.System.preload sys k (Crdt.Ctr_add 0)) keys;
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = 1_000_000; ev = U.Nemesis.Crash_dc 2 };
+      { at_us = 1_900_000; ev = Partition (1, 2) };
+      { at_us = 2_000_000; ev = Recover_dc 2 };
+      { at_us = 2_000_000; ev = Partition (2, 0) };
+      { at_us = 3_000_000; ev = Heal (1, 2) };
+      { at_us = 4_000_000; ev = Heal_all };
+    ];
+  let c0 = spawn_writer sys ~dc:0 ~key:keys.(0) ~until:5_000_000
+      ~period:90_000
+  in
+  U.System.run sys ~until:8_000_000;
+  Alcotest.(check bool) "dc2 finished catching up" false
+    (U.System.dc_syncing sys 2);
+  Util.assert_convergence sys;
+  let vals = read_back sys ~dc:2 ~keys:[| keys.(0) |] ~at:8_500_000 in
+  Alcotest.(check int) "dc0's increments visible at dc2 exactly once" !c0
+    vals.(0)
+
 let suite =
   [
     Alcotest.test_case
@@ -383,4 +418,6 @@ let suite =
       `Quick test_overlap_schedule_determinism;
     Alcotest.test_case "leadership reclaim honours the derived debounce"
       `Slow test_reclaim_debounce_bound;
+    Alcotest.test_case "snapshot requests queued behind a partition rejoin"
+      `Slow test_snapshot_requests_queued_behind_partition;
   ]

@@ -454,6 +454,36 @@ let test_unknown_entry_recertified_when_restoring_ends () =
   Alcotest.(check (list string)) "certified afresh" [ tid_s 1 ]
     (List.map (Fmt.str "%a" U.Types.tid_pp) bus.certify_calls)
 
+(* A Restoring leader that learns a decision at a higher ballot has
+   been superseded: a quorum promised that ballot, and the group will
+   never follow ours. It must chase the group like any other member —
+   step back to Recovering and ask for the state — or it never delivers
+   what the new leader decides. *)
+let test_restoring_member_chases_higher_ballot () =
+  let bus, m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  bus.members.(0) <- None;
+  U.Cert.set_trusted (m 1) 1;
+  U.Cert.set_trusted (m 2) 1;
+  pump bus;
+  Alcotest.(check string) "dc1 restoring" "restoring"
+    (U.Cert.status_name (U.Cert.status (m 1)));
+  (* past the bid debounce; dc0 won ballot 3 without dc1 *)
+  bus.clock <- bus.clock + 1_000_000;
+  bus.sent <- [];
+  ignore
+    (U.Cert.handle (m 1)
+       (U.Msg.Learn_decision
+          { b = 3; tid = tid 1; dec = true; vec = strong_vec 1000; lc = 1; upto = 1000 }));
+  Alcotest.(check string) "dc1 steps back to recovering" "recovering"
+    (U.Cert.status_name (U.Cert.status (m 1)));
+  Alcotest.(check int) "and asks the group for the state" 3
+    (List.length
+       (List.filter
+          (fun (src, _, msg) ->
+            match msg with U.Msg.State_request _ -> src = 1 | _ -> false)
+          bus.sent))
+
 (* A decided entry that conflicts with a transaction on two keys is
    folded in once per key; the vote and the Lamport bump are those of a
    single fold. *)
@@ -1160,5 +1190,7 @@ let suite =
       `Quick test_retry_stale_clock;
     Alcotest.test_case "check cost independent of the prepared set" `Quick
       test_check_cost_independent_of_prepared;
+    Alcotest.test_case "a restoring member chases a higher ballot" `Quick
+      test_restoring_member_chases_higher_ballot;
     ]
   @ decided_log_properties @ cert_model_properties

@@ -519,8 +519,7 @@ let test_repair_refused_below_snapshot_cut () =
   let zero = Vclock.Vc.create ~dcs:3 in
   let cut = Vclock.Vc.of_array [| 0; 1_000; 0; 0 |] in
   U.Replica.begin_rejoin r ~on_done:(fun () -> ());
-  U.Replica.handle r
-    (U.Msg.Sync_store { sq = 1; entries = []; last = true; cut });
+  U.Replica.handle r (U.Msg.Sync_store { entries = []; cut });
   List.iter
     (fun dc ->
       U.Replica.handle r

@@ -97,13 +97,14 @@ let test_crash_recover_convergence () =
    dc2's last writes before its crash reach dc1 only (dc0 <-> dc2 is cut
    from 1 s), and dc0 <-> dc1 is cut through the outage, so forwarding
    cannot bring them to dc0 either. dc2's first snapshot request goes
-   to dc1, but the retry tick fires before any chunk arrives and
-   rotates the request to dc0, whose cut misses those writes (checked
-   below, so a schedule drift cannot hollow the test out). Nobody else
-   sends a DC its own stream, and no stream message from dc2 itself can
-   reveal the gap: the rejoiner must learn it from dc1's gossip and
-   repair its own stream, and every DC must end up holding every acked
-   write. *)
+   to dc1, but the retry tick fires at the same instant, before any
+   snapshot arrives, and asks dc0 too. dc0's snapshot lands first and
+   is installed; its cut misses those writes (the last request going
+   to dc0 is checked below, so a schedule drift cannot hollow the test
+   out). Nobody else sends a DC its own stream, and no stream message
+   from dc2 itself can reveal the gap: the rejoiner must learn it from
+   dc1's gossip and repair its own stream, and every DC must end up
+   holding every acked write. *)
 let test_rejoiner_recovers_own_commits () =
   let sys =
     Util.make_system ~partitions:1 ~seed:19 ~trace_enabled:true ()
