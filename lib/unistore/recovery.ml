@@ -134,6 +134,7 @@ let wipe_state t =
     [ t.known_vec; t.durable_known; t.stable_vec; t.uniform_vec ];
   t.stable_sent <- Vc.create ~dcs:(dcs t);
   Array.iter (zero_vec t) t.local_agg;
+  t.reported <- 0;
   Array.iter (zero_vec t) t.stable_matrix;
   Array.iter (zero_vec t) t.global_matrix;
   t.prepared_causal <- [];
@@ -210,6 +211,19 @@ let cert_caught_up t =
       | Cert.Leader | Cert.Follower -> true
       | Cert.Recovering | Cert.Restoring -> false)
 
+(* DC [i] does not hold up our catch-up: it is us, crashed, or it told
+   us how far it holds our own stream and we hold that much again, or
+   it never told us and Ω suspects it ([sync_complete]). *)
+let peer_settled t s ~own i =
+  i = t.dc
+  || Network.dc_failed t.net i
+  ||
+  if List.mem i s.s_heard then Vc.get t.global_matrix.(i) t.dc <= own
+  else List.mem i t.suspected
+
+let rec peers_settled t s ~own i =
+  i >= dcs t || (peer_settled t s ~own i && peers_settled t s ~own (i + 1))
+
 (* Caught up once the snapshot is installed, the certification member
    re-entered its group, and every live sibling has told us how far it
    holds our own stream — and we hold that much again
@@ -226,14 +240,9 @@ let cert_caught_up t =
    stream stand still while we are out of service, so they cannot run
    away. *)
 let sync_complete t s =
-  let own = Vc.get t.known_vec t.dc in
   (not s.s_snapshot)
   && cert_caught_up t
-  && List.for_all
-       (fun i ->
-         if List.mem i s.s_heard then Vc.get t.global_matrix.(i) t.dc <= own
-         else List.mem i t.suspected)
-       (Replication.live_peers t)
+  && peers_settled t s ~own:(Vc.get t.known_vec t.dc) 0
 
 (* Leave the catch-up; [s_done] then resumes normal operation. *)
 let finish_sync t s =

@@ -38,7 +38,8 @@ type env = Replica_state.env = {
   e_dc_pending : (int -> int) option;
 }
 
-let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
+let create cfg eng net ~dc ~part ~uid ~skew ~tick_origin ~history ~trace
+    ~metrics =
   let d = Config.dcs cfg in
   {
     cfg;
@@ -72,6 +73,8 @@ let create cfg eng net ~dc ~part ~uid ~skew ~history ~trace ~metrics =
     stable_sent = Vc.create ~dcs:d;
     uniform_vec = Vc.create ~dcs:d;
     local_agg = Array.init cfg.Config.partitions (fun _ -> Vc.create ~dcs:d);
+    reported = 0;
+    tick_origin;
     stable_matrix = Array.init d (fun _ -> Vc.create ~dcs:d);
     global_matrix = Array.init d (fun _ -> Vc.create ~dcs:d);
     prepared_causal = [];
@@ -118,6 +121,7 @@ let set_addr t addr = t.addr <- addr
 let set_env t env = t.env <- env
 let oplog t = t.oplog
 let known_vec t = t.known_vec
+let stable_vec t = t.stable_vec
 let uniform_vec t = t.uniform_vec
 let cert t = t.cert
 let is_syncing = is_syncing
@@ -179,119 +183,102 @@ let make_cert t =
          ~bid_interval_us:(Config.reclaim_debounce_us t.cfg)
          ctx ~leader_dc:Config.leader_dc)
 
+(* Delay from now to the next instant congruent to [at] modulo
+   [period]: a task armed with it keeps its DC's schedule whenever it is
+   (re)started. *)
+let next_phase t ~period at =
+  let d = (at - now t) mod period in
+  if d <= 0 then d + period else d
+
 (* Start the periodic tasks (Algorithm A4 line 1, Algorithm A5 line 1,
-   heartbeats for strong transactions). [phase] staggers replicas.
+   heartbeats for strong transactions), on the DC's schedule: a leaf's
+   tree step at the DC's tick origin, every partition's propagate tick
+   [Stabilisation.stable_lead_us] later, so the stableVec the round
+   computes rides that period's stream, and the other tasks just after.
+   Internal tree nodes have no tree-step timer: they forward when their
+   children report ([Stabilisation.handle_kv_up]).
    The generation check retires a previous incarnation's tasks across a
    crash/rejoin cycle: a task from before the crash must not resume just
    because the DC is alive again (the rejoin arms fresh ones). *)
-let start_timers t ~phase =
+let start_timers t =
   let cfg = t.cfg in
   t.timer_gen <- t.timer_gen + 1;
   let gen = t.timer_gen in
-  let live () = t.timer_gen = gen && alive t in
-  let lab = task_label t in
-  (* the in-DC tree step runs just before the stream send of the same
-     period, so the stableVec it computes rides that send at once *)
-  Engine.every t.eng
-    ~label:(lab "broadcast")
-    ~period:cfg.Config.broadcast_period_us ~phase (fun () ->
-      if live () then begin
-        Stabilisation.broadcast_vecs t;
-        true
-      end
-      else false);
-  Engine.every t.eng
-    ~label:(lab "propagate")
-    ~period:Config.propagate_period_us
-    ~phase:(phase + 1) (fun () ->
-      if live () then begin
-        Replication.propagate_local_txs t;
-        Replication.pull_suspected t;
-        true
-      end
-      else false);
-  if Config.has_strong cfg && not (Config.centralized_cert cfg) then begin
-    Engine.every t.eng
-      ~label:(lab "strong_heartbeat")
-      ~period:Config.strong_heartbeat_us
-      ~phase:(phase + 2) (fun () ->
-        if live () then begin
-          (match t.cert with
-          | Some c ->
-              if
-                Cert.is_leader c
-                && now t - Cert.idle_since c >= Config.strong_heartbeat_us
-              then Strong_coord.strong_heartbeat t
-          | None -> ());
+  (* [f] every [period], at the instants congruent to [at], for as long
+     as this incarnation lives *)
+  let every task ~period ~at f =
+    Engine.every t.eng ~label:(task_label t task) ~period
+      ~phase:(next_phase t ~period at) (fun () ->
+        if t.timer_gen = gen && alive t then begin
+          f ();
           true
         end
-        else false);
+        else false)
+  in
+  let prop = t.tick_origin + Stabilisation.stable_lead_us t in
+  if Stabilisation.is_leaf t then
+    every "broadcast" ~period:cfg.Config.broadcast_period_us
+      ~at:t.tick_origin (fun () -> Stabilisation.broadcast_vecs t);
+  every "propagate" ~period:Config.propagate_period_us ~at:prop (fun () ->
+      Replication.prune_committed t;
+      Replication.propagate_local_txs t;
+      Replication.pull_suspected t);
+  if Config.has_strong cfg && not (Config.centralized_cert cfg) then begin
+    every "strong_heartbeat" ~period:Config.strong_heartbeat_us
+      ~at:(prop + 1) (fun () ->
+        match t.cert with
+        | Some c ->
+            if
+              Cert.is_leader c
+              && now t - Cert.idle_since c >= Config.strong_heartbeat_us
+            then Strong_coord.strong_heartbeat t
+        | None -> ());
     (* housekeeping runs far less often than heartbeats: it walks the
        whole decided table *)
-    Engine.every t.eng
-      ~label:(lab "housekeeping")
-      ~period:500_000 ~phase:(phase + 3) (fun () ->
-        if live () then begin
-          (match t.cert with
-          | Some c ->
-              Cert.retry_stale c
-                ~older_than_us:(4 * Strong_coord.cert_retry_us);
-              (* Prune only below every sibling's delivered strong
-                 frontier (the strong slot of its gossiped knownVec): a
-                 member cut off by a partition — even one falsely
-                 suspected — must still find the decisions it missed in
-                 the group's decided logs when it rejoins, and NEW_STATE
-                 cannot resurrect a pruned entry. A crashed DC holds the
-                 floor too while its rejoin grace period lasts — frozen
-                 at its pre-crash frontier until it recovers, then pinned
-                 at zero by [reset_peer_view] until its member has caught
-                 up — and releases it only once the grace period expires
-                 without a rejoin. An entry must also be stable at every
-                 floor holder, whole vector: a snapshot whose strong
-                 entry passed the floor may still miss it through the
-                 entry of a DC cut off by a partition. *)
-              let floor =
-                Replication.holders_floor t ~init:(Cert.last_delivered c)
-                  (dcs t)
-              in
-              Cert.prune_decided c
-                ~covered:(Replication.stable_at_holders t)
-                ~floor
-          | None -> ());
-          true
-        end
-        else false)
+    every "housekeeping" ~period:500_000 ~at:(prop + 2) (fun () ->
+        match t.cert with
+        | Some c ->
+            Cert.retry_stale c ~older_than_us:(4 * Strong_coord.cert_retry_us);
+            (* Prune only below every sibling's delivered strong
+               frontier (the strong slot of its gossiped knownVec): a
+               member cut off by a partition — even one falsely
+               suspected — must still find the decisions it missed in
+               the group's decided logs when it rejoins, and NEW_STATE
+               cannot resurrect a pruned entry. A crashed DC holds the
+               floor too while its rejoin grace period lasts — frozen
+               at its pre-crash frontier until it recovers, then pinned
+               at zero by [reset_peer_view] until its member has caught
+               up — and releases it only once the grace period expires
+               without a rejoin. An entry must also be stable at every
+               floor holder, whole vector: a snapshot whose strong
+               entry passed the floor may still miss it through the
+               entry of a DC cut off by a partition. *)
+            let floor =
+              Replication.holders_floor t ~init:(Cert.last_delivered c)
+                (dcs t)
+            in
+            Cert.prune_decided c
+              ~covered:(Replication.stable_at_holders t)
+              ~floor
+        | None -> ())
   end;
-  if persistent t then begin
-    (* periodic snapshot + truncate bounds WAL replay after a crash *)
-    Engine.every t.eng
-      ~label:(lab "snapshot")
-      ~period:cfg.Config.snapshot_interval_us
-      ~phase:(phase + 4) (fun () ->
-        if live () then begin
-          Recovery.take_snapshot t;
-          true
-        end
-        else false)
-  end;
+  (* periodic snapshot + truncate bounds WAL replay after a crash *)
+  if persistent t then
+    every "snapshot" ~period:cfg.Config.snapshot_interval_us ~at:(prop + 3)
+      (fun () -> Recovery.take_snapshot t);
   (* in every mode: a partition still catching up drops the PREPAREs
      that reach it ([Recovery.sync_admits]), and only this re-send
      settles their 2PCs *)
-  Engine.every t.eng
-    ~label:(lab "orphans")
-    ~period:500_000 ~phase:(phase + 5) (fun () ->
-      if live () then begin
-        Causal_txn.resolve_orphans t;
-        true
-      end
-      else false)
+  every "orphans" ~period:500_000 ~at:(prop + 4) (fun () ->
+      Causal_txn.resolve_orphans t)
 
-(* Once a catch-up completes: fresh periodic tasks, an immediate tree
-   step and sibling claim so siblings unpin the GC floors, and trust
-   recomputed from the suspicions recorded while catching up (possibly
-   reclaiming leadership through the ordinary recovery protocol). *)
+(* Once a catch-up completes: fresh periodic tasks on the DC's
+   schedule, an immediate tree step and sibling claim so siblings unpin
+   the GC floors, and trust recomputed from the suspicions recorded
+   while catching up (possibly reclaiming leadership through the
+   ordinary recovery protocol). *)
 let resume t ~on_done () =
-  start_timers t ~phase:(t.uid * 7 mod 1_000);
+  start_timers t;
   Stabilisation.broadcast_vecs t;
   Recovery.gossip t (Replication.sibling_claim t);
   Strong_coord.retarget_trust t;

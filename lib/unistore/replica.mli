@@ -29,6 +29,7 @@ val create :
   part:int ->
   uid:int ->
   skew:int ->
+  tick_origin:int ->
   history:History.t ->
   trace:Sim.Trace.t ->
   metrics:Sim.Metrics.t ->
@@ -50,9 +51,11 @@ val cert : t -> Cert.t option
 val holds_floor : t -> int -> bool
 
 (** Start the periodic protocol tasks: PROPAGATE_LOCAL_TXS,
-    BROADCAST_VECS, strong heartbeats and certification housekeeping.
-    [phase] staggers replicas. *)
-val start_timers : t -> phase:int -> unit
+    BROADCAST_VECS (leaves of the in-DC tree only), strong heartbeats and
+    certification housekeeping, phased from the DC's [tick_origin] (the
+    offset of its schedule within the period, shared by every replica
+    of the DC). *)
+val start_timers : t -> unit
 
 (** Process one protocol message (registered as the network handler). *)
 val handle : t -> Msg.t -> unit
@@ -171,4 +174,5 @@ val oplog : t -> Store.Oplog.t
 val pending_strong : t -> int
 
 val known_vec : t -> Vclock.Vc.t
+val stable_vec : t -> Vclock.Vc.t
 val uniform_vec : t -> Vclock.Vc.t

@@ -202,6 +202,12 @@ type t = {
   mutable stable_sent : Vc.t;
   uniform_vec : Vc.t;
   local_agg : Vc.t array;  (* dissemination tree: child partition aggregates *)
+  (* dissemination tree: bit [i] is set once child [2 * part + 1 + i]
+     has reported since this node last forwarded *)
+  mutable reported : int;
+  (* this DC's tick origin: every leaf's tree step and every partition's
+     propagate tick are phased from it ([Replica.start_timers]) *)
+  tick_origin : int;
   stable_matrix : Vc.t array;  (* per DC *)
   global_matrix : Vc.t array;  (* per DC *)
   (* --- causal transactions ------------------------------------------ *)

@@ -422,7 +422,7 @@ let stable_at_holders t vec =
   in
   go 0
 
-(* Each tree step, drop from every origin's retained log, our own
+(* Each propagate tick, drop from every origin's retained log, our own
    included, what every floor holder claims to store (§5.5). The
    origin's own claim counts too: a DC that lost its history in a crash
    gets it back only from these logs, and until its fresh claim arrives

@@ -73,46 +73,85 @@ let bump_uniform_remote t vec = bump_remote t t.uniform_vec vec
 let bump_snapshot_source t vec = bump_remote t (remote_snapshot_vec t) vec
 
 (* ------------------------------------------------------------------ *)
-(* The in-DC dissemination tree and the sibling exchange. The tree step
-   runs once per broadcast period; the siblings' claims arrive on their
-   streams (Msg.claim) or, outside the tick, as KNOWNVEC_GLOBAL.        *)
+(* The in-DC dissemination tree and the sibling exchange. Only leaves
+   tick, once per broadcast period on their DC's shared schedule; a
+   parent forwards its subtree minimum as soon as every child has
+   reported since its last forward, so one round climbs the tree in one
+   hop per level and each node still sends one message per round. The
+   siblings' claims arrive on their streams (Msg.claim) or, outside the
+   tick, as KNOWNVEC_GLOBAL.                                             *)
 
 let tree_parent part = (part - 1) / 2
-let tree_children t part =
-  let c1 = (2 * part) + 1 and c2 = (2 * part) + 2 in
-  List.filter (fun c -> c < partitions t) [ c1; c2 ]
+let first_child part = (2 * part) + 1
+
+(* The [reported] bits of [part]'s children that exist. *)
+let children_mask t =
+  let c = first_child t.part and n = partitions t in
+  (if c < n then 1 else 0) lor if c + 1 < n then 2 else 0
+
+let is_leaf t = first_child t.part >= partitions t
+
+(* How long after a leaf tick the round's stableVec reaches every
+   partition: [Kv_up] climbs the tree's depth and [Stable_down] takes one
+   more hop, each hop the in-DC one-way latency, its jitter and the
+   receiver's vector merge. On top comes the queue of a quiet DC: one
+   stableVec-carrying heartbeat from every sibling DC. Each sibling's
+   heartbeats reach all partitions at about the same instant, a fixed
+   phase of this DC's schedule, so one delays the round at one level at
+   most, and without the allowance a round that meets them misses the
+   tick in most periods. Every partition's propagate tick comes this
+   long after its DC's leaf tick, so the round's stableVec rides that
+   period's stream. *)
+let stable_lead_us t =
+  let topo = t.cfg.Config.topo and c = t.cfg.Config.costs in
+  let rec depth n = if n <= 1 then 0 else 1 + depth (n / 2) in
+  ((depth (partitions t) + 1)
+   * (Net.Topology.one_way topo ~src:t.dc ~dst:t.dc
+     + Net.Topology.jitter_us topo + c.Config.c_vec))
+  + ((dcs t - 1) * ((2 * c.Config.c_vec) + c.Config.c_stablevec))
 
 let subtree_agg t =
-  List.fold_left
-    (fun agg c -> Vc.meet agg t.local_agg.(c))
-    (Vc.copy t.known_vec) (tree_children t t.part)
+  let agg = Vc.copy t.known_vec in
+  let c = first_child t.part in
+  for child = c to min (c + 1) (partitions t - 1) do
+    Vc.meet_into agg t.local_agg.(child)
+  done;
+  agg
 
 let update_stable t vec =
   Vc.merge_into t.stable_vec vec;
   Vc.merge_into t.stable_matrix.(t.dc) t.stable_vec;
   recompute_uniform t
 
+(* One node's step of a round: its subtree minimum goes one level up;
+   at the root it is the DC-wide minimum, merged into stableVec and
+   pushed directly to every partition (aggregation is a tree,
+   dissemination one hop, keeping stabilisation latency low). Run by a
+   leaf's tick, by a parent once all its children reported, and once by
+   every replica resuming service. *)
 let broadcast_vecs t =
+  t.reported <- 0;
   let agg = subtree_agg t in
   if t.part = 0 then begin
-    (* root of the dissemination tree: agg is the DC-wide minimum; the
-       result is pushed directly to every partition (aggregation is a
-       tree, dissemination one hop, keeping stabilisation latency low) *)
     update_stable t agg;
+    (* one value snapshot for every copy: receivers only read it *)
+    let vec = Vc.copy t.stable_vec in
     for p = 1 to partitions t - 1 do
-      send t (local_replica t p)
-        (Msg.Stable_down { vec = Vc.copy t.stable_vec })
+      send t (local_replica t p) (Msg.Stable_down { vec })
     done
   end
   else
     send t
       (local_replica t (tree_parent t.part))
-      (Msg.Kv_up { part = t.part; vec = agg });
-  Replication.prune_committed t
+      (Msg.Kv_up { part = t.part; vec = agg })
 
+(* Partial minima only grow: keep the freshest report per child. A
+   replica still catching up does not forward (it vouches for no
+   stability); it forwards once on resuming service. *)
 let handle_kv_up t ~part ~vec =
-  (* partial minima only grow; keep the freshest report per child *)
-  Vc.merge_into t.local_agg.(part) vec
+  Vc.merge_into t.local_agg.(part) vec;
+  t.reported <- t.reported lor (1 lsl (part - first_child t.part));
+  if t.reported = children_mask t && not (is_syncing t) then broadcast_vecs t
 
 (* A sibling's stableVec, if it sent one, feeds uniformVec first; then
    its knownVec claim pins our GC floors. While catching up, the claim
@@ -120,7 +159,7 @@ let handle_kv_up t ~part ~vec =
    transactions a sibling holds: nobody else ever sends a DC its own
    stream back, so a claim above our own frontier is a gap in our own
    history, repaired from the siblings' retained logs (the GC
-   floors retain it for us, see [prune_committed]). *)
+   floors retain it for us, see [Replication.prune_committed]). *)
 let handle_knownvec_global t ~dc ({ vec; stable } : Msg.claim) =
   (match stable with
   | Some s ->

@@ -161,16 +161,24 @@ let create cfg =
   | None -> ());
   let dcs = Config.dcs cfg in
   let partitions = cfg.Config.partitions in
+  let skews =
+    Array.init dcs (fun _ ->
+        Array.init partitions (fun _ ->
+            let s = cfg.Config.clock_skew_us in
+            if s = 0 then 0 else Rng.int rng (2 * s) - s))
+  in
+  (* one tick origin per DC: its replicas keep one schedule
+     ([Replica.start_timers]), and DCs do not tick in lock-step *)
+  let tick_origins =
+    Array.init dcs (fun _ -> Rng.int rng Config.propagate_period_us)
+  in
   let replicas =
     Array.init dcs (fun dc ->
         Array.init partitions (fun part ->
-            let skew =
-              let s = cfg.Config.clock_skew_us in
-              if s = 0 then 0 else Rng.int rng (2 * s) - s
-            in
             Replica.create cfg eng net ~dc ~part
               ~uid:((dc * partitions) + part)
-              ~skew ~history ~trace ~metrics))
+              ~skew:skews.(dc).(part) ~tick_origin:tick_origins.(dc)
+              ~history ~trace ~metrics))
   in
   let addrs =
     Array.map
@@ -219,13 +227,7 @@ let create cfg =
      durable events route into the same WAL) *)
   if cfg.Config.persistence then
     Array.iter (Array.iter Replica.enable_persistence) replicas;
-  (* start periodic tasks, staggered so replicas do not broadcast in
-     lock-step *)
-  Array.iter
-    (Array.iter (fun r ->
-         Replica.start_timers r
-           ~phase:(Rng.int rng Config.propagate_period_us)))
-    replicas;
+  Array.iter (Array.iter Replica.start_timers) replicas;
   (* the REDBLUE leader needs dummy strong heartbeats too: partition 0's
      replica of the leader DC submits them *)
   if Config.centralized_cert cfg then

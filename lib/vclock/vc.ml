@@ -68,6 +68,13 @@ let merge_into v1 v2 =
     if v2.(i) > v1.(i) then v1.(i) <- v2.(i)
   done
 
+(* In-place meet: v1 := meet v1 v2. *)
+let meet_into v1 v2 =
+  check_compat v1 v2;
+  for i = 0 to Array.length v1 - 1 do
+    if v2.(i) < v1.(i) then v1.(i) <- v2.(i)
+  done
+
 (* v.(i) := max v.(i) x *)
 let bump v i x = if x > v.(i) then v.(i) <- x
 

@@ -42,6 +42,9 @@ val meet : t -> t -> t
 (** In-place [v1 := join v1 v2]. *)
 val merge_into : t -> t -> unit
 
+(** In-place [v1 := meet v1 v2]. *)
+val meet_into : t -> t -> unit
+
 (** [bump v i x] is [v.(i) <- max v.(i) x]. *)
 val bump : t -> int -> int -> unit
 

@@ -158,6 +158,149 @@ let test_rejoiner_gossips_no_stablevec () =
     (sent "knownvec_global+stable"
     <= partitions * (U.Config.dcs (U.System.cfg sys) - 1))
 
+(* The in-DC dissemination tree of a quiet 8-partition DC. *)
+let tree_partitions = 8
+
+(* Levels below the root of the binary tree over [n] partitions. *)
+let rec tree_depth n = if n <= 1 then 0 else 1 + tree_depth (n / 2)
+
+let stable sys ~dc ~part =
+  U.Replica.stable_vec (U.System.replica sys ~dc ~part)
+
+(* A remote entry every partition of dc0 holds reaches the root's
+   stableVec within one broadcast period (the wait for the next leaf
+   tick) plus (depth + 1) intra-DC hops: the round climbs the tree one
+   hop per level, with a hop of slack. A hop is the in-DC one-way
+   latency, its jitter and the receiver's vector merge; on top comes
+   the queue of a quiet DC, one stableVec-carrying heartbeat from every
+   sibling DC. Sampled every 50 us over 100 ms. *)
+let test_tree_round_reaches_root () =
+  let sys = Util.make_system ~partitions:tree_partitions () in
+  let cfg = U.System.cfg sys in
+  let dcs = U.Config.dcs cfg and c = cfg.U.Config.costs in
+  let topo = cfg.U.Config.topo in
+  let hop =
+    Net.Topology.one_way topo ~src:0 ~dst:0
+    + Net.Topology.jitter_us topo + c.U.Config.c_vec
+  in
+  let queue = (dcs - 1) * ((2 * c.U.Config.c_vec) + c.U.Config.c_stablevec) in
+  let bound =
+    cfg.U.Config.broadcast_period_us
+    + ((tree_depth tree_partitions + 1) * hop)
+    + queue
+  in
+  let held j =
+    let m = ref max_int in
+    for part = 0 to tree_partitions - 1 do
+      let r = U.System.replica sys ~dc:0 ~part in
+      m := min !m (Vc.get (U.Replica.known_vec r) j)
+    done;
+    !m
+  in
+  let step = 50 and start = 500_000 and stop = 600_000 in
+  Util.run sys ~until:start;
+  (* (sampled at, remote entry, value every partition held) *)
+  let pending = ref [] and worst = ref 0 and checked = ref 0 in
+  let now = ref start in
+  while !now < stop + bound do
+    let root = stable sys ~dc:0 ~part:0 in
+    pending :=
+      List.filter
+        (fun (at, j, x) ->
+          if Vc.get root j >= x then begin
+            worst := max !worst (!now - at);
+            incr checked;
+            false
+          end
+          else true)
+        !pending;
+    if !now < stop then
+      for j = 1 to dcs - 1 do
+        pending := (!now, j, held j) :: !pending
+      done;
+    now := !now + step;
+    Util.run sys ~until:!now
+  done;
+  Alcotest.(check bool)
+    (Fmt.str "every sample reached the root (%d checked)" !checked)
+    true
+    (!pending = [] && !checked > 0);
+  Alcotest.(check bool)
+    (Fmt.str "within %d us (worst %d us)" bound !worst)
+    true
+    (!worst <= bound + step)
+
+(* The tree's send rate: each round, every non-root partition sends one
+   [Kv_up] and the root one [Stable_down] per other partition, whether
+   a timer or the children's reports drive a node. So neither kind
+   exceeds (partitions - 1) per broadcast period per DC (one round of
+   slack for the window's edges). *)
+let test_tree_sends_per_period () =
+  let partitions = tree_partitions in
+  let sys = Util.make_system ~partitions () in
+  let sent = meter sys in
+  let cfg = U.System.cfg sys in
+  let dcs = U.Config.dcs cfg and period = cfg.U.Config.broadcast_period_us in
+  Util.run sys ~until:500_000;
+  let kv = sent "kv_up" and down = sent "stable_down" in
+  let rounds = 200 in
+  Util.run sys ~until:(500_000 + (rounds * period));
+  let bound = dcs * (partitions - 1) * (rounds + 1) in
+  List.iter
+    (fun (kind, n) ->
+      Alcotest.(check bool)
+        (Fmt.str "%s: %d sends, at most %d" kind n bound)
+        true
+        (n > 0 && n <= bound))
+    [ ("kv_up", sent "kv_up" - kv); ("stable_down", sent "stable_down" - down) ]
+
+(* A crashed tree node stalls the rounds through it; once it restarted
+   from its disk and caught up, the root and a leaf see stableVec
+   advance again on every remote entry within a few periods. Crashes
+   the root, then an internal node. *)
+let test_tree_survives_node_restart () =
+  let sys =
+    Util.make_system ~partitions:tree_partitions ~persistence:true ()
+  in
+  let cfg = U.System.cfg sys in
+  let dcs = U.Config.dcs cfg and period = cfg.U.Config.broadcast_period_us in
+  let leaf = tree_partitions - 1 in
+  let restart ~part ~at =
+    Util.run sys ~until:at;
+    U.System.fail_node sys ~dc:0 ~part;
+    Util.run sys ~until:(at + 100_000);
+    U.System.restart_node sys ~dc:0 ~part;
+    let deadline = at + 2_000_000 in
+    while
+      U.Replica.is_syncing (U.System.replica sys ~dc:0 ~part)
+      && U.System.now sys < deadline
+    do
+      Util.run sys ~until:(U.System.now sys + 1_000)
+    done;
+    Alcotest.(check bool)
+      (Fmt.str "partition %d caught up" part)
+      false
+      (U.Replica.is_syncing (U.System.replica sys ~dc:0 ~part));
+    let watched = [ ("root", 0); ("leaf", leaf) ] in
+    let before =
+      List.map (fun (_, p) -> Vc.copy (stable sys ~dc:0 ~part:p)) watched
+    in
+    Util.run sys ~until:(U.System.now sys + (4 * period));
+    List.iter2
+      (fun (name, p) v ->
+        let now = stable sys ~dc:0 ~part:p in
+        for j = 1 to dcs - 1 do
+          Alcotest.(check bool)
+            (Fmt.str "after restarting partition %d, the %s's stableVec[%d] \
+                      advances" part name j)
+            true
+            (Vc.get now j > Vc.get v j)
+        done)
+      watched before
+  in
+  restart ~part:0 ~at:500_000;
+  restart ~part:1 ~at:3_000_000
+
 let suite =
   [
     Alcotest.test_case "gossip cost: stableVec charge only when carried" `Quick
@@ -170,4 +313,10 @@ let suite =
       test_rejoiner_gossips_no_stablevec;
     Alcotest.test_case "a slow tree step attaches stableVec 1 in 4" `Quick
       test_slow_broadcast_attaches_stable_per_tree_step;
+    Alcotest.test_case "a tree round reaches the root within a period" `Quick
+      test_tree_round_reaches_root;
+    Alcotest.test_case "tree sends per period per DC" `Quick
+      test_tree_sends_per_period;
+    Alcotest.test_case "the tree survives a node restart" `Quick
+      test_tree_survives_node_restart;
   ]

@@ -485,7 +485,7 @@ let probe_rig () =
             sent := (dc, m) :: !sent))
   in
   let r =
-    U.Replica.create cfg eng net ~dc:0 ~part:0 ~uid:0 ~skew:0
+    U.Replica.create cfg eng net ~dc:0 ~part:0 ~uid:0 ~skew:0 ~tick_origin:0
       ~history:(U.History.create ()) ~trace:Sim.Trace.disabled
       ~metrics:(Sim.Metrics.create ())
   in
@@ -588,7 +588,7 @@ let test_senders_ship_in_stream_order () =
     (U.Msg.Repair_request
        { from = probes.(1); origin = 0; vec_from = 0; upto = 300; sq = 9 });
   U.Replica.suspect r 1;
-  U.Replica.start_timers r ~phase:0;
+  U.Replica.start_timers r;
   Sim.Engine.run ~until:300_000 eng;
   Alcotest.(check (list (list int))) "repair reply ascends" [ [ 200; 300 ] ]
     (repair_logs !sent ~dc:1 ~origin:0);
@@ -626,7 +626,7 @@ let pull_requests ~own =
          claim = { vec = Vclock.Vc.of_array [| 0; 400; own; 0 |];
                    stable = None } });
   U.Replica.suspect r 1;
-  U.Replica.start_timers r ~phase:0;
+  U.Replica.start_timers r;
   Sim.Engine.run ~until:300_000 eng;
   List.filter_map
     (function
@@ -662,7 +662,7 @@ let test_trailing_destination_gets_window_once_per_round () =
        { origin = 1; txs = [ c 100; c 250; c 400 ]; from_ts = 0;
          claim = empty_claim });
   U.Replica.suspect r 1;
-  U.Replica.start_timers r ~phase:0;
+  U.Replica.start_timers r;
   (* dc2 trails at 100 on dc1's stream and keeps saying so *)
   let trailing = Vclock.Vc.of_array [| 0; 100; 0; 0 |] in
   for tick = 0 to 59 do

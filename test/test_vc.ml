@@ -43,7 +43,10 @@ let test_join_meet () =
 let test_merge_into () =
   let a = v3 1 5 2 7 in
   Vc.merge_into a (v3 3 1 2 4);
-  Alcotest.(check bool) "in-place join" true (Vc.equal a (v3 3 5 2 7))
+  Alcotest.(check bool) "in-place join" true (Vc.equal a (v3 3 5 2 7));
+  let b = v3 1 5 2 7 in
+  Vc.meet_into b (v3 3 1 2 4);
+  Alcotest.(check bool) "in-place meet" true (Vc.equal b (v3 1 1 2 4))
 
 let test_bump () =
   let a = v3 1 1 1 1 in
