@@ -8,8 +8,9 @@
    words/event budgets, budgeted-label presence and attribution
    coverage fail hard (exit 1); wall-clock throughput and unbudgeted
    new labels only warn. [--init] writes a fresh baseline derived from
-   the artifact's measured values with headroom — run it after a
-   deliberate change to the hot path, and commit the result. *)
+   the artifact's measured values with headroom, keeping an existing
+   BASELINE's advisory events/sec floor — run it after a deliberate
+   change to the hot path, and commit the result. *)
 
 let read_json path =
   let ic = open_in path in
@@ -30,7 +31,11 @@ let () =
   match Array.to_list Sys.argv with
   | [ _; "--init"; baseline_path; artifact_path ] ->
       let artifact = read_json artifact_path in
-      let baseline = Sim.Perfgate.baseline_of_artifact artifact in
+      let previous =
+        if Sys.file_exists baseline_path then Some (read_json baseline_path)
+        else None
+      in
+      let baseline = Sim.Perfgate.baseline_of_artifact ?previous artifact in
       let oc = open_out baseline_path in
       output_string oc (Sim.Json.to_string_pretty baseline);
       output_char oc '\n';

@@ -152,9 +152,11 @@ let check ~baseline ~artifact =
 (* Derive a baseline from a measured artifact: budgets are the measured
    words/event inflated by [headroom_pct] (absorbing compiler/runtime
    drift below the gate's own tolerance), the advisory events/sec floor
-   is half the measured rate. [bin/perfcheck.exe --init] writes this. *)
+   is [previous]'s if it has one, else half the measured rate: one run's
+   wall-clock rate is too noisy to re-pin it by. [bin/perfcheck.exe
+   --init] writes this. *)
 let baseline_of_artifact ?(headroom_pct = 5.0) ?(tolerance_pct = 10.0)
-    ?(min_coverage_pct = 95.0) ?(min_events = 500) artifact =
+    ?(min_coverage_pct = 95.0) ?(min_events = 500) ?previous artifact =
   let budgets =
     match profile_of artifact with
     | None -> []
@@ -176,9 +178,13 @@ let baseline_of_artifact ?(headroom_pct = 5.0) ?(tolerance_pct = 10.0)
           (artifact_labels profile)
   in
   let floor =
-    match field "sim_events_per_sec" artifact with
-    | Some rate -> [ ("events_per_sec_floor", Json.Float (rate /. 2.0)) ]
-    | None -> []
+    match
+      ( Option.bind previous (field "events_per_sec_floor"),
+        field "sim_events_per_sec" artifact )
+    with
+    | Some floor, _ -> [ ("events_per_sec_floor", Json.Float floor) ]
+    | None, Some rate -> [ ("events_per_sec_floor", Json.Float (rate /. 2.0)) ]
+    | None, None -> []
   in
   Json.Obj
     ([

@@ -19,7 +19,9 @@ val check : baseline:Json.t -> artifact:Json.t -> result
 (** Derive a fresh baseline from a measured artifact: each measured
     words-per-event of a label carrying at least [min_events] events
     (default 500) becomes a budget inflated by [headroom_pct] (default
-    5%), and the advisory events/sec floor is half the measured rate.
+    5%), and the advisory events/sec floor is [previous]'s (the
+    baseline being replaced) when it has one, else half the measured
+    rate: one run's wall-clock rate is too noisy to re-pin it by.
     Labels below the floor are neither budgeted nor warned about — with
     a handful of events, words/event swings wildly on unrelated changes
     and carries no regression signal. *)
@@ -28,6 +30,7 @@ val baseline_of_artifact :
   ?tolerance_pct:float ->
   ?min_coverage_pct:float ->
   ?min_events:int ->
+  ?previous:Json.t ->
   Json.t ->
   Json.t
 

@@ -14,31 +14,40 @@
 
 type entry = { op : Crdt.op; vec : Vclock.Vc.t; tag : Crdt.tag }
 
+(* A key's list is immutable and may be shared: the initial version t0
+   is one list installed at every replica, and a snapshot holds each
+   key's list by reference. A new entry conses onto it. *)
 type t = {
-  table : (Keyspace.key, entry list ref) Hashtbl.t;
+  table : (Keyspace.key, entry list) Hashtbl.t;
   mutable appended : int;
-  mutable live : int;  (* entries held: [append] and [clear] keep it *)
+  mutable live : int;  (* entries held: [append], [install], [clear] *)
 }
 
 let create () = { table = Hashtbl.create 1024; appended = 0; live = 0 }
+
+(* Common case: the new entry has the highest tag and goes first. *)
+let rec insert e = function
+  | [] -> [ e ]
+  | e0 :: _ as rest when Crdt.tag_compare e.tag e0.tag >= 0 -> e :: rest
+  | e0 :: rest -> e0 :: insert e rest
 
 let append t key ~op ~vec ~tag =
   t.appended <- t.appended + 1;
   t.live <- t.live + 1;
   let e = { op; vec; tag } in
-  match Hashtbl.find_opt t.table key with
-  | None -> Hashtbl.replace t.table key (ref [ e ])
-  | Some entries ->
-      (* Common case: the new entry has the highest tag and goes first. *)
-      let rec insert = function
-        | [] -> [ e ]
-        | e0 :: _ as rest when Crdt.tag_compare e.tag e0.tag >= 0 -> e :: rest
-        | e0 :: rest -> e0 :: insert rest
-      in
-      entries := insert !entries
+  match Hashtbl.find t.table key with
+  | entries -> Hashtbl.replace t.table key (insert e entries)
+  | exception Not_found -> Hashtbl.replace t.table key [ e ]
+
+let install t key entries =
+  if Hashtbl.mem t.table key then invalid_arg "Oplog.install: key has versions";
+  let n = List.length entries in
+  t.appended <- t.appended + n;
+  t.live <- t.live + n;
+  Hashtbl.replace t.table key entries
 
 let entries t key =
-  match Hashtbl.find_opt t.table key with None -> [] | Some l -> !l
+  match Hashtbl.find_opt t.table key with None -> [] | Some l -> l
 
 (* Discard every version (crash-recovery wipe before a snapshot install).
    The lifetime [appended] counter is kept: it counts work done, not
@@ -62,7 +71,7 @@ let snapshot t =
     (fun k l ->
       decr i;
       keys.(!i) <- k;
-      lists.(!i) <- !l)
+      lists.(!i) <- l)
     t.table;
   (keys, lists)
 

@@ -11,6 +11,12 @@ type t
 val create : unit -> t
 val append : t -> Keyspace.key -> op:Crdt.op -> vec:Vclock.Vc.t -> tag:Crdt.tag -> unit
 
+(** [install t key entries] gives [key], which must hold no version yet
+    ([Invalid_argument] otherwise), the list [entries] (newest first,
+    as {!entries} returns it) by reference, so replicas and snapshots
+    may share one immutable list. It counts as that many appends. *)
+val install : t -> Keyspace.key -> entry list -> unit
+
 (** Entries for a key, newest (highest tag) first. *)
 val entries : t -> Keyspace.key -> entry list
 

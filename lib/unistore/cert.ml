@@ -236,9 +236,9 @@ let certification_check t (tx : Msg.strong_tx) ~lc =
    LEARN_DECISION that carries the decision: on every link a decision
    arrives before any frontier above it.                                 *)
 
-let deliver_upto t ts =
+let deliver t ~ts batch =
   t.last_activity <- t.ctx.x_now ();
-  t.ctx.x_deliver (Decided_log.deliver_upto t.decided ts) ~strong_ts:ts
+  t.ctx.x_deliver batch ~strong_ts:ts
 
 (* Leader: deliver every committed entry below the lowest timestamp a
    prepared entry voting commit holds (it may still commit there), and
@@ -251,10 +251,10 @@ let deliver_ready t =
         (fun _ { p; _ } acc -> if p.ps_vote then min acc p.ps_ts else acc)
         t.prepared max_int
     in
-    match Decided_log.frontier_below t.decided ~gate with
+    match Decided_log.deliver_below t.decided ~gate with
     | None -> 0
-    | Some ts ->
-        deliver_upto t ts;
+    | Some (ts, batch) ->
+        deliver t ~ts batch;
         ts
 
 (* A member that sees a group message at a ballot ABOVE its own missed
@@ -290,7 +290,7 @@ let follow_frontier t ~b ~ts =
   if
     (t.status = Leader || t.status = Follower)
     && t.ballot = b && last_delivered t < ts
-  then deliver_upto t ts
+  then deliver t ~ts (Decided_log.deliver_upto t.decided ts)
 
 (* ------------------------------------------------------------------ *)
 (* PREPARE_STRONG and ACCEPT (Algorithm A9 lines 1–17).                  *)

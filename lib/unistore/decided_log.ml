@@ -5,18 +5,15 @@
 
 module Vc = Vclock.Vc
 
-(* The delivery queue's order: ascending strong timestamp, and among
-   equal timestamps the entry queued last first. Keys are (strong ts,
-   minus a per-member queueing counter), so queueing and delivery cost
+(* A delivery queue entry. The queue pops in ascending strong
+   timestamp, and among equal timestamps the entry queued last first
+   ([n] is a per-member queueing counter), so queueing and delivery cost
    a logarithm of the queue's length, not the length: the queue grows
    long exactly when delivery stalls, e.g. behind an orphaned prepared
    entry during a partition. *)
-module Delivery_queue = Map.Make (struct
-  type t = int * int
+type queued = { q_ts : int; q_n : int; q_d : Msg.decided_strong }
 
-  let compare (ts1, q1) (ts2, q2) =
-    match Int.compare ts1 ts2 with 0 -> Int.compare q1 q2 | c -> c
-end)
+let queued_before a b = a.q_ts < b.q_ts || (a.q_ts = b.q_ts && a.q_n > b.q_n)
 
 type t = {
   conflict : Config.conflict_spec;
@@ -26,7 +23,7 @@ type t = {
      group, for the per-key conflict check *)
   decided_by_key : (Store.Keyspace.key, Msg.decided_strong list ref) Hashtbl.t;
   (* committed but not yet delivered, in delivery order *)
-  mutable undelivered : Msg.decided_strong Delivery_queue.t;
+  undelivered : queued Sim.Heap.t;
   mutable queued : int;  (* entries ever queued: the tie-break key *)
   (* strong timestamp up to which decided transactions may have been
      garbage-collected: snapshots below it can no longer be certified
@@ -44,7 +41,7 @@ let create ~conflict ~ops_slice ~dcs =
     ops_slice;
     decided = Hashtbl.create 256;
     decided_by_key = Hashtbl.create 256;
-    undelivered = Delivery_queue.empty;
+    undelivered = Sim.Heap.create ~less:queued_before;
     queued = 0;
     pruned_below = 0;
     pruned_join = Vc.create ~dcs;
@@ -84,7 +81,7 @@ let add t (d : Msg.decided_strong) =
       let ts = Vc.strong d.ds_vec in
       if ts > t.last_delivered then begin
         t.queued <- t.queued + 1;
-        t.undelivered <- Delivery_queue.add (ts, - t.queued) d t.undelivered
+        Sim.Heap.push t.undelivered { q_ts = ts; q_n = t.queued; q_d = d }
       end
     end
   end;
@@ -123,27 +120,34 @@ let check t ~ops ~snap ~lc =
     ( !vote && Vc.strong snap >= t.pruned_below && Vc.leq t.pruned_join snap,
       !lc )
 
-let frontier_below t ~gate =
-  Option.map
-    (fun ((ts, _), _) -> ts)
-    (Delivery_queue.find_last_opt (fun (ts, _) -> ts < gate) t.undelivered)
+let to_tx_rec (d : Msg.decided_strong) =
+  {
+    Types.tx_tid = d.ds_tx.st_tid;
+    tx_writes = List.concat_map snd d.ds_tx.st_wbuff;
+    tx_vec = d.ds_vec;
+    tx_lc = d.ds_lc;
+    tx_origin = d.ds_tx.st_origin;
+  }
+
+(* Dequeue every entry at or below [upto], in delivery order, with the
+   highest timestamp dequeued ([last] if none). *)
+let rec dequeue t ~upto acc last =
+  let h = t.undelivered in
+  if Sim.Heap.is_empty h || (Sim.Heap.top h).q_ts > upto then (List.rev acc, last)
+  else
+    let q = Sim.Heap.pop h in
+    dequeue t ~upto (to_tx_rec q.q_d :: acc) q.q_ts
 
 let deliver_upto t ts =
   t.last_delivered <- ts;
-  let deliverable, _, rest = Delivery_queue.split (ts, max_int) t.undelivered in
-  t.undelivered <- rest;
-  Delivery_queue.fold
-    (fun _ (d : Msg.decided_strong) acc ->
-      {
-        Types.tx_tid = d.ds_tx.st_tid;
-        tx_writes = List.concat_map snd d.ds_tx.st_wbuff;
-        tx_vec = d.ds_vec;
-        tx_lc = d.ds_lc;
-        tx_origin = d.ds_tx.st_origin;
-      }
-      :: acc)
-    deliverable []
-  |> List.rev
+  fst (dequeue t ~upto:ts [] ts)
+
+let deliver_below t ~gate =
+  match dequeue t ~upto:(gate - 1) [] 0 with
+  | [], _ -> None
+  | batch, ts ->
+      t.last_delivered <- ts;
+      Some (ts, batch)
 
 (* Snapshots lag the delivery frontier by at most the WAN round trip
    plus a few broadcast periods, which this margin dominates: a
@@ -182,7 +186,7 @@ let prune ?(covered = fun _ -> true) t ~floor =
 let reset ?delivered t =
   Hashtbl.reset t.decided;
   Hashtbl.reset t.decided_by_key;
-  t.undelivered <- Delivery_queue.empty;
+  Sim.Heap.clear t.undelivered;
   Option.iter
     (fun d ->
       t.last_delivered <- d;

@@ -36,12 +36,14 @@ val check :
 
 val last_delivered : t -> int
 
-(** Highest queued strong timestamp below [gate]. *)
-val frontier_below : t -> gate:int -> int option
-
 (** Advance the frontier to [ts] and dequeue, as one batch in delivery
     order, every committed transaction at or below it. *)
 val deliver_upto : t -> int -> Types.tx_rec list
+
+(** Advance the frontier to the highest queued strong timestamp below
+    [gate] and dequeue the batch {!deliver_upto} would; [None] (and no
+    change) when nothing queued is below [gate]. *)
+val deliver_below : t -> gate:int -> (int * Types.tx_rec list) option
 
 val prune_margin_us : int
 

@@ -404,12 +404,7 @@ let crash_node t =
 
 let install_snapshot t ns =
   Array.iteri
-    (fun i key ->
-      (* [Oplog.entries] lists newest first; re-append oldest first *)
-      List.iter
-        (fun (e : Store.Oplog.entry) ->
-          Store.Oplog.append t.oplog key ~op:e.op ~vec:e.vec ~tag:e.tag)
-        (List.rev ns.ns_entries.(i)))
+    (fun i key -> Store.Oplog.install t.oplog key ns.ns_entries.(i))
     ns.ns_keys;
   Vc.merge_into t.known_vec ns.ns_known;
   t.prepared_causal <-

@@ -22,6 +22,9 @@ type t = {
   detector : Detector.t;
   mutable clients : Client.t list;
   mutable next_client : int;
+  (* the initial version t0 of each preloaded op, shared by every key
+     and replica that holds it *)
+  t0 : (Crdt.op, Store.Oplog.entry list) Hashtbl.t;
 }
 
 let cfg t = t.cfg
@@ -367,20 +370,36 @@ let create cfg =
     detector;
     clients = [];
     next_client = 0;
+    t0 = Hashtbl.create 8;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Database population: install an initial version of a key at every
    data center, below every possible snapshot (commit vector 0), the
-   moral equivalent of the paper's dedicated initial transaction t0. *)
+   moral equivalent of the paper's dedicated initial transaction t0.
+   Every key preloaded with the same op shares one entry list: nothing
+   mutates an entry, and a later write conses onto the list. *)
 
 let preload t key op =
   let partitions = t.cfg.Config.partitions in
   let part = Store.Keyspace.partition ~partitions key in
-  let vec = Vc.create ~dcs:(Config.dcs t.cfg) in
-  let tag = { Crdt.lc = 0; origin = -1 } in
-  Array.iter
-    (fun row -> Store.Oplog.append (Replica.oplog row.(part)) key ~op ~vec ~tag)
+  let t0 =
+    match Hashtbl.find_opt t.t0 op with
+    | Some l -> l
+    | None ->
+        let l =
+          [
+            {
+              Store.Oplog.op;
+              vec = Vc.create ~dcs:(Config.dcs t.cfg);
+              tag = { Crdt.lc = 0; origin = -1 };
+            };
+          ]
+        in
+        Hashtbl.replace t.t0 op l;
+        l
+  in
+  Array.iter (fun row -> Store.Oplog.install (Replica.oplog row.(part)) key t0)
     t.replicas;
   History.preloaded t.history ~key ~op
 

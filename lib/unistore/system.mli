@@ -38,7 +38,7 @@ val clients_in_flight : t -> int
 
 (** Install an initial version of a key at every data center, below
     every possible snapshot (the paper's initial transaction t0). Must
-    be called before {!run}. *)
+    be called before {!run}, once per key. *)
 val preload : t -> Store.Keyspace.key -> Crdt.op -> unit
 
 (** Create a client session attached to [dc] (no fiber). *)

@@ -807,6 +807,12 @@ type delivery_step = Add of int * bool * int | Deliver of int | Gate of int
 let deliveries_match_model steps =
   let log = new_log U.Config.Serializable in
   let queue = ref [] and seq = ref 0 and frontier = ref 0 and seen = ref [] in
+  let deliver_model ts =
+    let due, rest = List.partition (fun (t, _, _) -> t <= ts) !queue in
+    queue := rest;
+    frontier := ts;
+    List.map (fun (_, _, n) -> n) (List.sort compare due)
+  in
   List.for_all
     (function
       | Add (n, dec, ts) ->
@@ -821,19 +827,26 @@ let deliveries_match_model steps =
           end;
           fresh = expected
       | Deliver ts ->
-          let due, rest = List.partition (fun (t, _, _) -> t <= ts) !queue in
-          queue := rest;
-          frontier := ts;
-          List.map (fun tx -> tx.U.Types.tx_tid.sq) (D.deliver_upto log ts)
-          = List.map (fun (_, _, n) -> n) (List.sort compare due)
+          let due = deliver_model ts in
+          List.map (fun tx -> tx.U.Types.tx_tid.sq) (D.deliver_upto log ts) = due
           && D.last_delivered log = ts
-      | Gate gate ->
-          D.frontier_below log ~gate
-          = List.fold_left
+      | Gate gate -> (
+          (* the frontier is the highest queued timestamp below the gate *)
+          let top =
+            List.fold_left
               (fun acc (t, _, _) ->
                 if t < gate then Some (max t (Option.value acc ~default:t))
                 else acc)
-              None !queue)
+              None !queue
+          in
+          match (D.deliver_below log ~gate, top) with
+          | None, None -> D.last_delivered log = !frontier
+          | Some (ts, batch), Some f ->
+              let due = deliver_model f in
+              ts = f
+              && List.map (fun tx -> tx.U.Types.tx_tid.sq) batch = due
+              && D.last_delivered log = f
+          | _ -> false))
     steps
 
 let gen_delivery_steps =

@@ -123,6 +123,47 @@ let qcheck_count_and_snapshot =
            (fun k es -> es == Store.Oplog.entries log k)
            snap_keys snap_entries)
 
+(* Replicas share one preloaded t0 list: a write at one replica conses
+   onto it and leaves the others' lists (physically) and reads as they
+   were. *)
+let test_shared_t0_write () =
+  let t0 = [ { Store.Oplog.op = Crdt.Reg_write 7; vec = vec [ 0; 0 ]; tag = tag 0 (-1) } ] in
+  let logs = Array.init 3 (fun _ -> Store.Oplog.create ()) in
+  Array.iter (fun log -> Store.Oplog.install log 5 t0) logs;
+  Store.Oplog.append logs.(0) 5 ~op:(Crdt.Reg_write 9) ~vec:(vec [ 1; 0 ]) ~tag:(tag 1 0);
+  let snap = vec [ 5; 5 ] in
+  let v, _ = Store.Oplog.read logs.(0) 5 ~snap in
+  Alcotest.check value_t "the writer reads its write" (Crdt.V_int 9) v;
+  Alcotest.(check int) "the writer holds two versions" 2
+    (Store.Oplog.version_count logs.(0) 5);
+  Alcotest.(check bool) "on the shared tail" true
+    (List.tl (Store.Oplog.entries logs.(0) 5) == t0);
+  for i = 1 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "replica %d keeps the shared list" i) true
+      (Store.Oplog.entries logs.(i) 5 == t0);
+    let v, lc = Store.Oplog.read logs.(i) 5 ~snap in
+    Alcotest.check value_t (Printf.sprintf "replica %d reads t0" i) (Crdt.V_int 7) v;
+    Alcotest.(check (option int)) (Printf.sprintf "replica %d t0 clock" i) (Some 0) lc
+  done
+
+(* [install] counts as one append per entry, and only into a key that
+   holds no version. *)
+let test_install_counts () =
+  let log = Store.Oplog.create () in
+  let e lc v = { Store.Oplog.op = Crdt.Reg_write v; vec = vec [ lc; 0 ]; tag = tag lc 0 } in
+  Store.Oplog.install log 1 [ e 3 30; e 1 10 ];
+  Alcotest.(check int) "two entries held" 2 (Store.Oplog.length log);
+  Alcotest.(check int) "two appends" 2 (Store.Oplog.appended log);
+  Store.Oplog.append log 2 ~op:(Crdt.Reg_write 5) ~vec:(vec [ 1; 0 ]) ~tag:(tag 1 0);
+  Alcotest.check_raises "a key with versions is refused"
+    (Invalid_argument "Oplog.install: key has versions") (fun () ->
+      Store.Oplog.install log 2 [ e 4 40 ]);
+  Alcotest.(check int) "three entries held" 3 (Store.Oplog.length log);
+  Store.Oplog.clear log;
+  Store.Oplog.install log 2 [ e 4 40 ];
+  Alcotest.(check int) "after a clear: one entry held" 1 (Store.Oplog.length log);
+  Alcotest.(check int) "appends survive the clear" 4 (Store.Oplog.appended log)
+
 let suite =
   [
     Alcotest.test_case "reading an absent key" `Quick test_empty_read;
@@ -134,6 +175,9 @@ let suite =
     Alcotest.test_case "entries kept in tag order" `Quick test_entries_order;
     Alcotest.test_case "double write in one txn" `Quick
       test_same_txn_double_write;
+    Alcotest.test_case "a write to a shared t0 list stays local" `Quick
+      test_shared_t0_write;
+    Alcotest.test_case "install counts its entries" `Quick test_install_counts;
     QCheck_alcotest.to_alcotest qcheck_read_matches_fold;
     QCheck_alcotest.to_alcotest qcheck_count_and_snapshot;
   ]

@@ -375,6 +375,25 @@ let test_perfgate_baseline_floor () =
   Alcotest.(check (list string)) "only busy labels budgeted" [ "busy" ]
     budgets
 
+(* A re-pin keeps the advisory floor it replaces: one run's wall-clock
+   rate would move it by chance. Without a previous floor, half the
+   measured rate. *)
+let test_perfgate_init_keeps_floor () =
+  let floor b = Option.bind (Json.member "events_per_sec_floor" b) Json.to_float_opt in
+  let a = artifact ~rate:200_000.0 [ ("busy", 10.0, 5000) ] in
+  let previous =
+    Json.Obj [ ("events_per_sec_floor", Json.Float 358_771.5); ("budgets", Json.List []) ]
+  in
+  Alcotest.(check (option (float 0.0))) "previous floor kept" (Some 358_771.5)
+    (floor (Sim.Perfgate.baseline_of_artifact ~previous a));
+  Alcotest.(check (option (float 0.0))) "fresh floor is half the rate"
+    (Some 100_000.0)
+    (floor (Sim.Perfgate.baseline_of_artifact a));
+  Alcotest.(check (option (float 0.0))) "a floorless baseline gets one"
+    (Some 100_000.0)
+    (floor
+       (Sim.Perfgate.baseline_of_artifact ~previous:(Json.Obj [ ("budgets", Json.List []) ]) a))
+
 let suite =
   [
     Alcotest.test_case "disabled profiling is zero-cost" `Quick
@@ -407,6 +426,8 @@ let suite =
       test_perfgate_advisory_only_warns;
     Alcotest.test_case "perfcheck: artifact without profile fails" `Quick
       test_perfgate_no_profile_section;
+    Alcotest.test_case "perfcheck: --init keeps the advisory floor" `Quick
+      test_perfgate_init_keeps_floor;
     Alcotest.test_case "perfcheck: tiny labels are not budgeted" `Quick
       test_perfgate_baseline_floor;
   ]

@@ -475,6 +475,78 @@ let test_lossy_restart_durability_sweep () =
         keys)
     [ 1; 2; 3 ]
 
+(* Every key preloaded with the same op shares one t0 entry at every
+   replica. A seeded run with a node restart from disk (its snapshot
+   installs each key's list by reference) and a whole-DC rejoin (the
+   snapshot transfer re-appends the entries) must converge, and the
+   shared t0 vector must still be all zeros: nothing mutates an entry's
+   vector. A key nobody writes keeps the very list preload installed at
+   the restarted node. *)
+let test_shared_t0_survives_restart_and_rejoin () =
+  let sys =
+    Util.make_system ~partitions:2 ~seed:5 ~persistence:true
+      ~snapshot_interval_us:500_000 ()
+  in
+  let keys = [| 100; 101; 102; 103 |] and idle = 104 in
+  Array.iter (fun k -> U.System.preload sys k (Crdt.Ctr_add 0)) keys;
+  U.System.preload sys idle (Crdt.Ctr_add 0);
+  let part = Store.Keyspace.partition ~partitions:2 idle in
+  let t0_list () = Store.Oplog.entries (U.Replica.oplog (U.System.replica sys ~dc:1 ~part)) idle in
+  let t0 = t0_list () in
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = 1_200_000; ev = Crash_node { dc = 0; part } };
+      { at_us = 1_800_000; ev = Restart_node { dc = 0; part } };
+      { at_us = 2_500_000; ev = Crash_dc 2 };
+      { at_us = 3_500_000; ev = Recover_dc 2 };
+    ];
+  let commits = ref 0 in
+  for dc = 0 to 1 do
+    ignore
+      (U.System.spawn_client sys ~dc (fun c ->
+           let i = ref dc in
+           while U.System.now sys < 5_000_000 do
+             (try
+                Client.start c ~strong:(!i mod 5 = 0);
+                Client.update c keys.(!i mod 4) (Crdt.Ctr_add 1);
+                match Client.commit c with
+                | `Committed _ -> incr commits
+                | `Aborted -> ()
+              with Client.Aborted -> ());
+             incr i;
+             Fiber.sleep 80_000
+           done))
+  done;
+  Util.run sys ~until:9_000_000;
+  Alcotest.(check bool) "the node is back" false
+    (U.System.node_down sys ~dc:0 ~part);
+  Alcotest.(check bool) "dc2 caught up" false (U.System.dc_syncing sys 2);
+  Alcotest.(check bool) "the workload committed" true (!commits > 20);
+  Util.assert_por sys;
+  Util.assert_convergence sys;
+  let zero = Vclock.Vc.create ~dcs:3 in
+  for dc = 0 to 2 do
+    Array.iter
+      (fun k ->
+        let p = Store.Keyspace.partition ~partitions:2 k in
+        let entries =
+          Store.Oplog.entries (U.Replica.oplog (U.System.replica sys ~dc ~part:p)) k
+        in
+        match List.rev entries with
+        | [] -> Alcotest.failf "dc%d lost key %d" dc k
+        | (e : Store.Oplog.entry) :: _ ->
+            Alcotest.(check int) (Printf.sprintf "dc%d key %d: t0 origin" dc k) (-1)
+              e.tag.Crdt.origin;
+            Alcotest.(check bool)
+              (Printf.sprintf "dc%d key %d: t0 vector all zeros" dc k)
+              true
+              (Vclock.Vc.equal e.vec zero))
+      (Array.append keys [| idle |])
+  done;
+  Alcotest.(check bool) "the restarted node kept the shared list" true
+    (Store.Oplog.entries (U.Replica.oplog (U.System.replica sys ~dc:0 ~part)) idle == t0);
+  Alcotest.(check bool) "and so did its sibling" true (t0_list () == t0)
+
 (* The failover watchdog times an unanswered call out at exactly its
    send time plus [client_failover_us]: the session's DC is crashed, so
    the START sent at 1.2 s never gets a reply, and the session fails
@@ -766,6 +838,8 @@ let suite =
       `Slow test_restart_behind_partition_keeps_acked_writes;
     Alcotest.test_case "lossy-link x node-restart durability sweep" `Slow
       test_lossy_restart_durability_sweep;
+    Alcotest.test_case "the shared t0 version survives a restart and a rejoin"
+      `Slow test_shared_t0_survives_restart_and_rejoin;
     Alcotest.test_case "an unanswered call times out at send + timeout"
       `Quick test_watchdog_exact_timeout;
     Alcotest.test_case "one failover watchdog timer per session" `Quick
