@@ -43,6 +43,7 @@ let node_snapshot_bytes ns =
   + List.fold_left
       (fun acc (_, (vec, _, _)) -> acc + 32 + Msg.vc_bytes vec)
       8 ns.ns_decisions
+  + (8 * Array.length ns.ns_retained_from)
   + (match ns.ns_cert with
     | None -> 8
     | Some (_, _, ps) ->
@@ -90,6 +91,7 @@ let snapshot_of t =
       Hashtbl.fold
         (fun tid (_, vec, lc, origin) acc -> (tid, (vec, lc, origin)) :: acc)
         t.coord_decisions [];
+    ns_retained_from = Array.copy t.retained_from;
     ns_cert =
       (match t.cert with Some c -> Some (Cert.persistent_state c) | None -> None);
   }
@@ -161,18 +163,45 @@ let wipe_state t =
   Sim.Heap.clear t.wait_uniform_local;
   t.waiters <- []
 
-(* Ask an eligible sibling for the snapshot, rotating the peer across
-   attempts. Earlier attempts are not cancelled: whichever answer
-   arrives first is installed. *)
+(* How long an unsuspected snapshot source may stay silent before the
+   request goes to another sibling: one catching up itself refuses
+   without a word ([handle_sync_request]), and a node crash can lose the
+   request. Far above an answer's round trip and apply time, so a slow
+   but live source is not asked twice. *)
+let snapshot_silence_us = 2_000_000
+
+(* Ask one eligible sibling for the snapshot: the next one below the
+   sibling asked last in cyclic DC order, starting below our own DC. The
+   transport is reliable and FIFO, so the answer comes unless the
+   sibling dies, is cut off, or refuses; the retry tick re-asks only
+   then ([snapshot_overdue]). An earlier request is not cancelled:
+   whichever answer arrives first is installed. *)
 let request_snapshot t s =
-  s.s_attempt <- s.s_attempt + 1;
   match Replication.eligible_peers t with
   | [] -> ()  (* nobody to sync from; the retry tick keeps looking *)
   | peers ->
-      let peer = List.nth peers (s.s_attempt mod List.length peers) in
+      let n = dcs t in
+      let from = if s.s_asked < 0 then t.dc else s.s_asked in
+      (* ends by [k = n] at the latest: [peers] is not empty *)
+      let rec pick k =
+        let i = (from - k + n) mod n in
+        if List.mem i peers then i else pick (k + 1)
+      in
+      let peer = pick 1 in
+      s.s_asked <- peer;
+      s.s_asked_at <- now t;
       Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-request"
-        "snapshot from dc%d (attempt %d)" peer s.s_attempt;
+        "snapshot from dc%d" peer;
       send t (sibling t peer) (Msg.Sync_request { from = t.addr })
+
+(* Evidence that the asked sibling will not answer: nobody was asked
+   yet, its DC failed, Ω suspects it, or it stayed silent past
+   [snapshot_silence_us]. *)
+let snapshot_overdue t s =
+  s.s_asked < 0
+  || Network.dc_failed t.net s.s_asked
+  || List.mem s.s_asked t.suspected
+  || now t - s.s_asked_at >= snapshot_silence_us
 
 let request_cert_state t =
   match t.cert with
@@ -288,7 +317,7 @@ let handle_sync_request t ~from =
       (Msg.Sync_store { entries = List.rev !acc; cut = Vc.copy t.known_vec })
   end
 
-(* Install the first snapshot that arrives, whichever attempt drew it:
+(* Install the first snapshot that arrives, whichever request drew it:
    the replica admitted nothing else since the wipe, so any sibling's
    complete snapshot is a valid cut, and gap repair fills everything
    above it. *)
@@ -341,7 +370,8 @@ let make_sync t ~wan ~resume =
     {
       s_wan = wan;
       s_snapshot = wan;
-      s_attempt = 0;
+      s_asked = -1;
+      s_asked_at = 0;
       s_heard = [];
       s_started = now t;
       s_done = resume;
@@ -350,19 +380,18 @@ let make_sync t ~wan ~resume =
   t.sync <- Some s;
   s
 
-(* The retry tick driving the catch-up until it completes: ask the next
-   snapshot source while none is installed, re-ask for the
-   certification state, re-send our claims to siblings that are
-   catching up too. *)
+(* The retry tick driving the catch-up until it completes: ask another
+   snapshot source while none is installed and the asked one will not
+   answer, re-ask for the certification state, re-send our claims to
+   siblings that are catching up too. *)
 let arm_sync_retry t s =
   let period = 500_000 in
   Engine.every t.eng ~label:(task_label t "sync") ~period ~phase:(t.uid * 13 mod period) (fun () ->
       match t.sync with
       | Some s' when s' == s && alive t -> (
-          (if s.s_snapshot then
-             (* the peers asked so far died, refused, or sit behind a
-                partition or a slow link; ask the next one too *)
-             request_snapshot t s
+          (if s.s_snapshot then begin
+             if snapshot_overdue t s then request_snapshot t s
+           end
            else if sync_complete t s then finish_sync t s
            else begin
              if not (cert_caught_up t) then request_cert_state t;
@@ -417,7 +446,8 @@ let install_snapshot t ns =
   List.iter
     (fun (tid, (vec, lc, origin)) ->
       Hashtbl.replace t.coord_decisions tid (now t, vec, lc, origin))
-    ns.ns_decisions
+    ns.ns_decisions;
+  Array.blit ns.ns_retained_from 0 t.retained_from 0 (dcs t)
 
 (* Replay one WAL record on top of the snapshot. Applied-state records
    re-run the ordinary apply paths (their dedup makes replay idempotent

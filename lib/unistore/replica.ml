@@ -92,6 +92,7 @@ let create cfg eng net ~dc ~part ~uid ~skew ~tick_origin ~history ~trace
     cert = None;
     trusted = Config.leader_dc;
     pending_cert = Hashtbl.create 16;
+    cert_armed = false;
     rid_ctr = 0;
     hb_ctr = 0;
     suspected = [];

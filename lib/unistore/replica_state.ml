@@ -81,6 +81,7 @@ type node_snapshot = {
   ns_frontier_tids : Types.tid list array;
   ns_frontier_ts : int array;
   ns_decisions : (Types.tid * (Vclock.Vc.t * int * int)) list;
+  ns_retained_from : int array;  (* per origin: the snapshot cut's floor *)
   ns_cert : (int * int * Msg.prepared_strong list) option;
       (* ballot, cballot, accepted log — [Cert.persistent_state] *)
 }
@@ -104,6 +105,7 @@ type pending_cert = {
   p_groups : (int * cert_group) list;
   p_k : Cert.cert_result -> unit;
   p_submitted : int;  (* when CERTIFY registered it (queue-delay metric) *)
+  mutable p_due : int;  (* next PREPARE_STRONG re-send: p_submitted + k × period *)
   mutable p_done : bool;
 }
 
@@ -149,7 +151,8 @@ type repair_state = {
 type sync_state = {
   s_wan : bool;  (* DC rejoin over the WAN, not a restart from disk *)
   mutable s_snapshot : bool;  (* waiting for the snapshot *)
-  mutable s_attempt : int;  (* snapshot requests sent; rotates the peer *)
+  mutable s_asked : int;  (* DC the snapshot was last asked of; -1 before *)
+  mutable s_asked_at : int;  (* when it was asked *)
   mutable s_heard : int list;  (* peers whose knownVec gossip arrived *)
   s_started : int;
   s_done : unit -> unit;  (* resumes service, then System's callback *)
@@ -219,7 +222,8 @@ type t = {
   unshipped : Stream_log.t;
   retained : Stream_log.t array;
   (* Per origin, the timestamp above which [retained] is complete: the
-     snapshot cut after a WAN rejoin (the logs restart empty there). *)
+     snapshot cut after a WAN rejoin (the logs restart empty there).
+     Kept in the node snapshot, so a later restart from disk keeps it. *)
   retained_from : int array;
   mutable last_prep_ts : int;
   (* Stream position of our own replication stream as receivers see it:
@@ -245,6 +249,7 @@ type t = {
   mutable cert : Cert.t option;  (* per-partition group member (not REDBLUE) *)
   mutable trusted : int;  (* leader DC Ω trusts, for every group *)
   pending_cert : (int, pending_cert) Hashtbl.t;
+  mutable cert_armed : bool;  (* the certification-retry watchdog is pending *)
   mutable rid_ctr : int;
   mutable hb_ctr : int;
   (* --- failure handling ---------------------------------------------- *)

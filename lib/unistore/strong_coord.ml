@@ -12,11 +12,15 @@ let group_leader_addr t g =
     | None -> invalid_arg "Replica: REDBLUE group without service nodes"
   else t.env.e_lookup t.trusted g
 
+(* The partitions a transaction writes or reads, ascending, each once;
+   built without intermediate lists, since every strong heartbeat runs
+   it. *)
 let groups_of t (tx : Msg.strong_tx) =
   if Config.centralized_cert t.cfg then [ rb_group t ]
   else
-    List.sort_uniq compare
-      (Types.wbuff_partitions tx.st_wbuff @ Types.opsmap_partitions tx.st_ops)
+    let add acc (p, _) = if List.mem p acc then acc else p :: acc in
+    List.sort compare
+      (List.fold_left add (List.fold_left add [] tx.st_wbuff) tx.st_ops)
 
 (* Re-send PREPARE_STRONG if certification has not concluded: covers
    leader failures. Far above worst-case queueing delays so an overloaded
@@ -25,25 +29,53 @@ let cert_retry_us = 2_000_000
 
 let send_prepare_strong t pc =
   List.iter
-    (fun (g, _) ->
-      send t (group_leader_addr t g)
-        (Msg.Prepare_strong
-           {
-             rid = pc.p_rid;
-             caller = pc.p_caller;
-             coord = t.addr;
-             tx = pc.p_tx;
-             lc = pc.p_lc;
-           }))
-    (List.filter (fun (_, g) -> not g.g_done) pc.p_groups)
+    (fun (g, gs) ->
+      if not gs.g_done then
+        send t (group_leader_addr t g)
+          (Msg.Prepare_strong
+             {
+               rid = pc.p_rid;
+               caller = pc.p_caller;
+               coord = t.addr;
+               tx = pc.p_tx;
+               lc = pc.p_lc;
+             }))
+    pc.p_groups
 
-let rec schedule_cert_retry t pc =
-  Engine.schedule t.eng ~delay:cert_retry_us (fun () ->
-      if alive t && (not pc.p_done) && Hashtbl.mem t.pending_cert pc.p_rid
-      then begin
+(* Certification-retry watchdog: one engine timer per replica, not one
+   per certification. A pending certification is due for a re-send at
+   its submit time plus k × [cert_retry_us] ([p_due]), and the timer is
+   armed at the earliest due time of any pending one; a certification
+   submitted later is due no earlier, so it needs no timer of its own.
+   When the timer fires, every certification due re-sends, in
+   submission order, and the timer re-arms at the next due time — or
+   stays idle once nothing is pending. A finished certification leaves
+   [pending_cert] and so holds no timer. *)
+let rec cert_watchdog t =
+  t.cert_armed <- false;
+  if alive t then begin
+    let at = now t in
+    let due =
+      Hashtbl.fold
+        (fun _ pc acc -> if pc.p_due <= at then pc :: acc else acc)
+        t.pending_cert []
+    in
+    List.iter
+      (fun pc ->
         send_prepare_strong t pc;
-        schedule_cert_retry t pc
-      end)
+        pc.p_due <- pc.p_due + cert_retry_us)
+      (List.sort (fun a b -> compare a.p_rid b.p_rid) due);
+    arm_cert_watchdog t
+  end
+
+and arm_cert_watchdog t =
+  let next =
+    Hashtbl.fold (fun _ pc acc -> Int.min pc.p_due acc) t.pending_cert max_int
+  in
+  if next < max_int then begin
+    t.cert_armed <- true;
+    Engine.schedule_call t.eng ~time:next cert_watchdog t
+  end
 
 (* CERTIFY (Algorithm A7): submit to every involved group's leader and
    collect quorums of ACCEPT_ACKs. *)
@@ -75,18 +107,20 @@ let rec certify t ~caller tx ~lc ~k =
       p_groups = groups;
       p_k = k;
       p_submitted = now t;
+      p_due = now t + cert_retry_us;
       p_done = false;
     }
   in
   Hashtbl.replace t.pending_cert rid pc;
   send_prepare_strong t pc;
-  schedule_cert_retry t pc;
+  if not t.cert_armed then arm_cert_watchdog t;
   (* A strong transaction with an empty footprint (no reads, no writes)
      involves no certification group at all: nothing conflicts with it
      and no ACCEPT_ACK will ever arrive, so deciding it here is the only
      exit. Without this, the pending_cert entry leaked forever — the
-     pending_certifications gauge never drained and the retry timer
-     spun — which admission control would turn into a permanent wedge. *)
+     pending_certifications gauge never drained and the retry watchdog
+     kept re-arming — which admission control would turn into a
+     permanent wedge. *)
   if pc.p_groups = [] then complete_cert_if_ready t pc
 
 and finish_cert t pc result =
@@ -334,12 +368,14 @@ let strong_heartbeat t =
   t.hb_ctr <- t.hb_ctr + 1;
   let tid = { Types.cl = -(t.uid + 2); sq = t.hb_ctr } in
   let g = if Config.centralized_cert t.cfg then rb_group t else t.part in
+  (* one empty slot of group [g], shared by the write and read maps *)
+  let slot = [ (g, []) ] in
   certify t ~caller:Msg.Normal
     {
       Msg.st_tid = tid;
       st_origin = -1;
-      st_wbuff = [ (g, []) ];
-      st_ops = [ (g, []) ];
+      st_wbuff = slot;
+      st_ops = slot;
       st_snap = Vc.create ~dcs:(dcs t);
     }
     ~lc:0 ~k:ignore

@@ -27,12 +27,8 @@ type wbuff = (int * write list) list
 
 type opsmap = (int * opdesc list) list
 
-let wbuff_partitions (w : wbuff) = List.map fst w
-
 let opsmap_find (o : opsmap) part =
   match List.assoc_opt part o with None -> [] | Some l -> l
-
-let opsmap_partitions (o : opsmap) = List.map fst o
 
 (* A committed update transaction as it travels between replicas
    (committedCausal entries and REPLICATE payloads, Algorithm A4). *)

@@ -25,9 +25,7 @@ type wbuff = (int * write list) list
 (** Operation descriptors keyed by partition. *)
 type opsmap = (int * opdesc list) list
 
-val wbuff_partitions : wbuff -> int list
 val opsmap_find : opsmap -> int -> opdesc list
-val opsmap_partitions : opsmap -> int list
 
 (** A committed update transaction as replicated between data centers
     (committedCausal entries, REPLICATE payloads). *)

@@ -41,11 +41,10 @@ let read_back sys ~dc ~keys ~at =
   vals
 
 (* (1) The snapshot source is partitioned away mid-SYNC_STORE: dc2's
-   first snapshot request goes to dc1 (peer rotation starts there), but
-   the dc1 <-> dc2 link is cut across the whole window. The retry tick,
-   which asks the next peer while no snapshot is installed, must reach
-   dc0, install its snapshot and finish the rejoin with the partition
-   still up. *)
+   snapshot request goes to dc1 (the sibling below it), but the
+   dc1 <-> dc2 link is cut across the whole window. Once Ω suspects
+   dc1, the retry tick must ask dc0, install its snapshot and finish
+   the rejoin with the partition still up. *)
 let test_partition_snapshot_source () =
   let sys = Util.make_system ~partitions:3 ~seed:21 () in
   let keys = [| 100; 101 |] in
@@ -367,14 +366,15 @@ let test_reclaim_debounce_bound () =
 
 (* (8) A rejoiner whose snapshot requests queue behind a partition (the
    shape of explore seed 19, trial 0): dc2 is cut off from both peers
-   for its first second back, so every request the retry tick sends
-   meanwhile waits on the links and is answered at the heal, together
-   with the newer ones. The store is large enough that one snapshot
-   takes longer to apply than the 500 ms retry period. The first complete
-   snapshot must install whichever request drew it, the rejoin must
-   finish, and the stores must converge. *)
+   for its first second back, so Ω suspects the sibling it asked and the
+   retry tick asks the other; every request waits on the links and is
+   answered at the heal, together with the newer ones. The store is
+   large enough that one snapshot takes longer to apply than the 500 ms
+   retry period. The first complete snapshot must install whichever
+   request drew it, the rejoin must finish, the stores must converge,
+   and the rejoiner re-asks only on suspicion. *)
 let test_snapshot_requests_queued_behind_partition () =
-  let sys = Util.make_system ~partitions:1 ~seed:31 () in
+  let sys = Util.make_system ~partitions:1 ~seed:31 ~trace_enabled:true () in
   (* 60,000 entries at 12 us each: one snapshot books about 0.72 s of
      the rejoiner's CPU *)
   let keys = Array.init 60_000 (fun i -> 1_000 + i) in
@@ -394,6 +394,17 @@ let test_snapshot_requests_queued_behind_partition () =
   U.System.run sys ~until:8_000_000;
   Alcotest.(check bool) "dc2 finished catching up" false
     (U.System.dc_syncing sys 2);
+  (* one request at the rejoin, then one per tick on which Ω suspects
+     the sibling asked last: dc1 at 2.0 s, dc0 at 3.0 s, dc1 again at
+     3.5 s *)
+  let requests =
+    Sim.Trace.events ~source:"replica 2.0" ~kind:"sync-request"
+      (U.System.trace sys)
+  in
+  Alcotest.(check bool)
+    (Fmt.str "at most 3 snapshot requests (sent %d)" (List.length requests))
+    true
+    (List.length requests <= 3);
   Util.assert_convergence sys;
   let vals = read_back sys ~dc:2 ~keys:[| keys.(0) |] ~at:8_500_000 in
   Alcotest.(check int) "dc0's increments visible at dc2 exactly once" !c0

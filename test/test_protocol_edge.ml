@@ -465,37 +465,6 @@ let qcheck_stream_log =
          = seqs (List.filter (fun tx -> ts tx > lo) reference)
       && seqs range = seqs (List.filter in_range reference))
 
-(* One causal dc0 replica with 1 partition of a 3-DC deployment whose
-   siblings are probes: every message the replica sends lands in [sent]
-   as (destination DC, message), newest first. *)
-let probe_rig () =
-  let cfg =
-    U.Config.default ~topo:(Util.default_topo ()) ~partitions:1
-      ~mode:U.Config.Causal_only ~use_hlc:true ~clock_skew_us:0 ()
-  in
-  let eng = Sim.Engine.create () in
-  let net =
-    Net.Network.create eng cfg.U.Config.topo (Sim.Metrics.create ())
-      ~kind_of:U.Msg.kind ~size_of:U.Msg.size_bytes
-  in
-  let sent = ref [] in
-  let probes =
-    Array.init 3 (fun dc ->
-        Net.Network.register net ~dc ~cost:(fun _ -> 0) (fun m ->
-            sent := (dc, m) :: !sent))
-  in
-  let r =
-    U.Replica.create cfg eng net ~dc:0 ~part:0 ~uid:0 ~skew:0 ~tick_origin:0
-      ~history:(U.History.create ()) ~trace:Sim.Trace.disabled
-      ~metrics:(Sim.Metrics.create ())
-  in
-  U.Replica.set_addr r
-    (Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (U.Replica.handle r));
-  U.Replica.set_env r
-    { e_lookup = (fun dc _ -> probes.(dc)); e_rb_cert = None;
-      e_dc_pending = None };
-  (eng, r, probes, sent)
-
 (* The transaction stamps of every [Repair_log] of [origin]'s stream the
    rig's replica sent to [dc], oldest message first. *)
 let repair_logs sent ~dc ~origin =
@@ -515,7 +484,7 @@ let repair_logs sent ~dc ~origin =
    requester would jump over them), and still serve one starting at the
    cut. *)
 let test_repair_refused_below_snapshot_cut () =
-  let eng, r, probes, sent = probe_rig () in
+  let eng, r, probes, sent = Util.probe_rig () in
   let zero = Vclock.Vc.create ~dcs:3 in
   let cut = Vclock.Vc.of_array [| 0; 1_000; 0; 0 |] in
   U.Replica.begin_rejoin r ~on_done:(fun () -> ());
@@ -555,7 +524,7 @@ let test_repair_refused_below_snapshot_cut () =
    pushes nothing of dc1's stream to dc2: dc1's window arrives at dc2 by
    pull, oldest first. *)
 let test_senders_ship_in_stream_order () =
-  let eng, r, probes, sent = probe_rig () in
+  let eng, r, probes, sent = Util.probe_rig () in
   let repair ~origin txs =
     U.Replica.handle r
       (U.Msg.Repair_log
@@ -615,7 +584,7 @@ let test_senders_ship_in_stream_order () =
    dc1 too. Returns the [Repair_request]s for dc1's stream the replica
    sent to dc2 within 300 ms, as (vec_from, upto). *)
 let pull_requests ~own =
-  let eng, r, _, sent = probe_rig () in
+  let eng, r, _, sent = Util.probe_rig () in
   U.Replica.handle r
     (U.Msg.Replicate
        { origin = 1; txs = [ stream_tx ~origin:1 ~ts:100 ~key:0 ~v:1 ];
@@ -655,7 +624,7 @@ let test_suspected_stream_pulled_from_holder () =
    gets the window once per repair round it starts: one request, one
    reply, however many ticks pass. *)
 let test_trailing_destination_gets_window_once_per_round () =
-  let eng, r, probes, sent = probe_rig () in
+  let eng, r, probes, sent = Util.probe_rig () in
   let c ts = stream_tx ~origin:1 ~ts ~key:0 ~v:ts in
   U.Replica.handle r
     (U.Msg.Replicate
@@ -691,6 +660,88 @@ let test_trailing_destination_gets_window_once_per_round () =
     [ [ 250; 400 ] ]
     (repair_logs !sent ~dc:2 ~origin:1)
 
+(* Certification retries run off one watchdog timer per replica. Three
+   certifications nobody answers, two submitted at 0.1 s and one at
+   1.1 s: each re-sends its PREPARE_STRONG at exactly its submit time
+   plus k × [cert_retry_us], the two due at one instant in submission
+   order, and a certification that finished is not re-sent. While
+   certifications are pending and the network is idle, the replica
+   holds one engine event, not one per certification. *)
+let test_cert_retry_watchdog () =
+  let reg = Sim.Metrics.create () in
+  let eng, r, _, sent = Util.probe_rig ~reg () in
+  let period = 2_000_000 (* [Strong_coord.cert_retry_us], internal *) in
+  let tid n = { U.Types.cl = 7; sq = n } in
+  let submit n =
+    U.Replica.certify r ~caller:U.Msg.Normal
+      {
+        U.Msg.st_tid = tid n;
+        st_origin = 7;
+        st_wbuff =
+          [ (0, [ { U.Types.wkey = n; wop = Crdt.Ctr_add 1; wcls = 0 } ]) ];
+        st_ops = [];
+        st_snap = Vclock.Vc.create ~dcs:3;
+      }
+      ~lc:0 ~k:(fun _ -> ())
+  in
+  Sim.Engine.schedule_at eng ~time:100_000 (fun () -> submit 1; submit 2);
+  Sim.Engine.schedule_at eng ~time:1_100_000 (fun () -> submit 3);
+  let prepares_by time =
+    Sim.Engine.run ~until:time eng;
+    List.fold_left
+      (fun acc (labels, c) ->
+        if List.assoc_opt "kind" labels = Some "prepare_strong" then
+          acc + Sim.Metrics.counter_value c
+        else acc)
+      0
+      (Sim.Metrics.counters_matching reg "net_sent_total")
+  in
+  let check_sent time n =
+    Alcotest.(check int) (Fmt.str "PREPARE_STRONGs sent by %d us" time) n
+      (prepares_by time)
+  in
+  check_sent 1_000_000 2;
+  Alcotest.(check int)
+    "two pending events: the watchdog and the third submission" 2
+    (Sim.Engine.pending_events eng);
+  check_sent 1_200_000 3;
+  Alcotest.(check int) "one pending event for three certifications" 1
+    (Sim.Engine.pending_events eng);
+  check_sent (100_000 + period - 1) 3;
+  check_sent (100_000 + period) 5;
+  check_sent (1_100_000 + period - 1) 5;
+  check_sent (1_100_000 + period) 6;
+  (* certification 2 finishes: it is not re-sent *)
+  let rid2 =
+    List.find_map
+      (fun (_, m) ->
+        match m with
+        | U.Msg.Prepare_strong { rid; tx; _ }
+          when U.Types.tid_equal tx.st_tid (tid 2) ->
+            Some rid
+        | _ -> None)
+      !sent
+    |> Option.get
+  in
+  U.Replica.handle r
+    (U.Msg.Already_decided
+       { rid = rid2; tid = tid 2; dec = false; vec = Vclock.Vc.create ~dcs:3;
+         lc = 0 });
+  check_sent (100_000 + (2 * period) - 1) 6;
+  check_sent (100_000 + (2 * period)) 7;
+  check_sent (1_100_000 + (2 * period)) 8;
+  Sim.Engine.run ~until:(1_200_000 + (2 * period)) eng;
+  let order =
+    List.filter_map
+      (fun (_, m) ->
+        match m with
+        | U.Msg.Prepare_strong { tx; _ } -> Some tx.st_tid.sq
+        | _ -> None)
+      (List.rev !sent)
+  in
+  Alcotest.(check (list int)) "re-sends in submission order"
+    [ 1; 2; 3; 1; 2; 3; 1; 3 ] order
+
 let suite =
   [
     Alcotest.test_case "strong multi-partition atomicity" `Slow
@@ -724,4 +775,6 @@ let suite =
     Alcotest.test_case "a trailing DC gets a crashed origin's window once \
                         per round"
       `Quick test_trailing_destination_gets_window_once_per_round;
+    Alcotest.test_case "certification retries share one watchdog timer"
+      `Quick test_cert_retry_watchdog;
   ]

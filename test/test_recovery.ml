@@ -103,15 +103,15 @@ let test_crash_recover_convergence () =
 (* A rejoiner's own pre-crash commits that its snapshot source lacks.
    dc2's last writes before its crash reach dc1 only (dc0 <-> dc2 is cut
    from 1 s), and dc0 <-> dc1 is cut through the outage, so forwarding
-   cannot bring them to dc0 either. dc2's first snapshot request goes
-   to dc1, but the retry tick fires at the same instant, before any
-   snapshot arrives, and asks dc0 too. dc0's snapshot lands first and
-   is installed; its cut misses those writes (the last request going
-   to dc0 is checked below, so a schedule drift cannot hollow the test
+   cannot bring them to dc0 either. dc2 asks dc1 for its snapshot, but
+   dc1 <-> dc2 is cut from just before the rejoin to 4 s: once Ω
+   suspects dc1, the retry tick asks dc0, whose snapshot lands first and
+   is installed; its cut misses those writes (both requests and their
+   order are checked below, so a schedule drift cannot hollow the test
    out). Nobody else sends a DC its own stream, and no stream message
    from dc2 itself can reveal the gap: the rejoiner must learn it from
-   dc1's gossip and repair its own stream, and every DC must end up
-   holding every acked write. *)
+   dc1's gossip after the heal and repair its own stream, and every DC
+   must end up holding every acked write. *)
 let test_rejoiner_recovers_own_commits () =
   let sys =
     Util.make_system ~partitions:1 ~seed:19 ~trace_enabled:true ()
@@ -124,7 +124,9 @@ let test_rejoiner_recovers_own_commits () =
       { at_us = 2_000_000; ev = Crash_dc 2 };
       { at_us = 2_000_000; ev = Partition (0, 1) };
       { at_us = 2_000_000; ev = Heal (0, 2) };
+      { at_us = 2_900_000; ev = Partition (1, 2) };
       { at_us = 3_000_000; ev = Recover_dc 2 };
+      { at_us = 4_000_000; ev = Heal (1, 2) };
       { at_us = 5_000_000; ev = Heal (0, 1) };
     ];
   let commits = ref 0 in
@@ -145,8 +147,10 @@ let test_rejoiner_recovers_own_commits () =
       (Sim.Trace.events ~source:"replica 2.0" ~kind:"sync-request"
          (U.System.trace sys))
   in
-  Alcotest.(check string) "the snapshot came from dc0" "snapshot from dc0"
-    (String.sub (List.hd (List.rev snapshot_sources)) 0 17);
+  Alcotest.(check (list string))
+    "dc1 was asked, then dc0 once Ω suspected dc1"
+    [ "snapshot from dc1"; "snapshot from dc0" ]
+    snapshot_sources;
   Alcotest.(check bool) "dc2 finished catching up" false
     (U.System.dc_syncing sys 2);
   Util.assert_por sys;
@@ -163,6 +167,158 @@ let test_rejoiner_recovers_own_commits () =
       (Printf.sprintf "dc2's increments visible exactly once at dc%d" dc)
       !commits !v
   done
+
+(* Messages of [kind] the network sent, over every link. *)
+let sent_of_kind reg kind =
+  List.fold_left
+    (fun acc (labels, c) ->
+      if List.assoc_opt "kind" labels = Some kind then
+        acc + Sim.Metrics.counter_value c
+      else acc)
+    0
+    (Sim.Metrics.counters_matching reg "net_sent_total")
+
+(* A DC rejoining next to healthy siblings asks one of them once: one
+   SYNC_REQUEST and one SYNC_STORE per partition. Asking a second
+   sibling on the retry tick's first firing, a few hundred microseconds
+   after the first request, sent two of each and applied both
+   snapshots. *)
+let test_rejoin_one_snapshot_per_partition () =
+  let partitions = 3 in
+  let sys = Util.make_system ~partitions ~seed:13 () in
+  let keys = [| 100; 101; 102 |] in
+  Array.iter (fun k -> U.System.preload sys k (Crdt.Ctr_add 0)) keys;
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = 1_000_000; ev = U.Nemesis.Crash_dc 2 };
+      { at_us = 2_000_000; ev = Recover_dc 2 };
+    ];
+  for dc = 0 to 1 do
+    ignore
+      (U.System.spawn_client sys ~dc (fun c ->
+           let i = ref 0 in
+           while U.System.now sys < 3_000_000 do
+             Client.run_txn c (fun c ->
+                 Client.update c keys.(!i mod 3) (Crdt.Ctr_add 1));
+             incr i;
+             Fiber.sleep 40_000
+           done))
+  done;
+  Util.run sys ~until:4_000_000;
+  Alcotest.(check bool) "dc2 finished catching up" false
+    (U.System.dc_syncing sys 2);
+  let reg = U.System.metrics sys in
+  Alcotest.(check int) "one snapshot request per partition" partitions
+    (sent_of_kind reg "sync_request");
+  Alcotest.(check int) "one snapshot per partition" partitions
+    (sent_of_kind reg "sync_store");
+  Util.assert_por sys;
+  Util.assert_convergence sys
+
+(* A snapshot source that refuses is asked again elsewhere after the
+   silence bound. dc1 and dc2 crash together and rejoin together; dc2
+   asks dc1, which is catching up itself and so stays silent, and Ω
+   has no reason to suspect it. Only once dc1 has been silent for the
+   silence bound does dc2's retry tick ask dc0; both
+   DCs then finish and the stores converge. *)
+let test_silent_snapshot_source_reasked () =
+  let sys =
+    Util.make_system ~partitions:1 ~seed:17 ~mode:U.Config.Causal_only
+      ~trace_enabled:true ()
+  in
+  let key = 100 in
+  U.System.preload sys key (Crdt.Ctr_add 0);
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = 1_000_000; ev = U.Nemesis.Crash_dc 1 };
+      { at_us = 1_000_000; ev = Crash_dc 2 };
+      { at_us = 2_000_000; ev = Recover_dc 1 };
+      { at_us = 2_000_000; ev = Recover_dc 2 };
+    ];
+  ignore
+    (U.System.spawn_client sys ~dc:0 (fun c ->
+         while U.System.now sys < 3_000_000 do
+           Client.run_txn c (fun c -> Client.update c key (Crdt.Ctr_add 1));
+           Fiber.sleep 50_000
+         done));
+  Util.run sys ~until:7_000_000;
+  let requests =
+    Sim.Trace.events ~source:"replica 2.0" ~kind:"sync-request"
+      (U.System.trace sys)
+  in
+  Alcotest.(check (list string)) "dc2 asked dc1, then dc0"
+    [ "snapshot from dc1"; "snapshot from dc0" ]
+    (List.map (fun (e : Sim.Trace.event) -> e.ev_detail) requests);
+  (* the silence bound ([Recovery.snapshot_silence_us], internal) is
+     2 s; the retry tick runs every 500 ms *)
+  (match requests with
+  | [ first; second ] ->
+      let gap = second.ev_time - first.ev_time in
+      Alcotest.(check bool)
+        (Fmt.str "re-asked after the silence bound, within one tick (%d us)"
+           gap)
+        true
+        (gap >= 2_000_000 && gap < 2_500_000)
+  | _ -> ());
+  Alcotest.(check bool) "dc1 finished catching up" false
+    (U.System.dc_syncing sys 1);
+  Alcotest.(check bool) "dc2 finished catching up" false
+    (U.System.dc_syncing sys 2);
+  Util.assert_convergence sys
+
+(* The snapshot cut's floor survives a restart from disk. A replica
+   that rejoined by WAN snapshot at cut 1000 of dc1's stream holds
+   nothing of that stream below the cut, and still holds nothing there
+   after it crashes and restarts from its own disk: it must keep
+   refusing a repair window that starts below the cut (serving it would
+   vouch, through [covered], for transactions it never held), and keep
+   serving one that starts at the cut. *)
+let test_snapshot_floor_survives_restart () =
+  let eng, r, probes, sent = Util.probe_rig ~persistence:true () in
+  let zero = Vclock.Vc.create ~dcs:3 in
+  let cut = Vclock.Vc.of_array [| 0; 1_000; 0; 0 |] in
+  let settle () =
+    List.iter
+      (fun dc ->
+        U.Replica.handle r
+          (U.Msg.Knownvec_global { dc; claim = { vec = zero; stable = None } }))
+      [ 1; 2 ]
+  in
+  U.Replica.begin_rejoin r ~on_done:(fun () -> ());
+  U.Replica.handle r (U.Msg.Sync_store { entries = []; cut });
+  settle ();
+  Alcotest.(check bool) "the rejoin finished" false (U.Replica.is_syncing r);
+  (* the re-seeding snapshot lands on disk *)
+  Sim.Engine.run ~until:300_000 eng;
+  U.Replica.crash_node r;
+  sent := [];
+  U.Replica.restart_from_disk r ~on_done:(fun () -> ());
+  settle ();
+  Alcotest.(check bool) "the restart finished" false (U.Replica.is_syncing r);
+  let request ~vec_from ~sq =
+    U.Replica.handle r
+      (U.Msg.Repair_request
+         { from = probes.(2); origin = 1; vec_from; upto = 1_000; sq })
+  in
+  request ~vec_from:500 ~sq:5;
+  request ~vec_from:1_000 ~sq:6;
+  Sim.Engine.run ~until:600_000 eng;
+  Alcotest.(check bool) "the restart used the disk, not the WAN" false
+    (List.exists
+       (fun (_, m) -> match m with U.Msg.Sync_request _ -> true | _ -> false)
+       !sent);
+  let replies =
+    List.filter_map
+      (fun (dc, m) ->
+        match m with
+        | U.Msg.Repair_log { origin = 1; covered; sq; _ } when dc = 2 ->
+            Some (sq, covered)
+        | _ -> None)
+      (List.rev !sent)
+  in
+  Alcotest.(check (list (pair int int)))
+    "only the window from the cut is served, covering to the cut"
+    [ (6, 1_000) ] replies
 
 (* A client attached to the DC that crashes: its next transaction times
    out, the session migrates to a live DC blocking until the causal past
@@ -832,6 +988,12 @@ let suite =
       `Slow test_gc_grace_floors;
     Alcotest.test_case "rejoiner gets back own commits its snapshot lacked"
       `Slow test_rejoiner_recovers_own_commits;
+    Alcotest.test_case "a rejoin with healthy peers moves one snapshot"
+      `Slow test_rejoin_one_snapshot_per_partition;
+    Alcotest.test_case "a silent snapshot source is re-asked elsewhere"
+      `Slow test_silent_snapshot_source_reasked;
+    Alcotest.test_case "the snapshot cut's floor survives a restart"
+      `Quick test_snapshot_floor_survives_restart;
     Alcotest.test_case "seeded schedules pair recoveries with crashes"
       `Quick test_random_schedule_recovery;
     Alcotest.test_case "restart behind a partition keeps acked writes"

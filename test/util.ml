@@ -39,3 +39,38 @@ let assert_convergence sys =
   | errs -> Alcotest.failf "divergence:@.%s" (String.concat "\n" errs)
 
 let int_value = Crdt.int_value
+
+(* One dc0 replica with 1 partition of a 3-DC deployment whose siblings
+   are probes: every message the replica sends lands in [sent] as
+   (destination DC, message), newest first. Causal-only by default;
+   [reg] receives the network's send meter ([net_sent_total] by kind),
+   and [persistence] gives the replica its simulated disk. *)
+let probe_rig ?(mode = U.Config.Causal_only) ?(persistence = false)
+    ?(reg = Sim.Metrics.create ()) () =
+  let cfg =
+    U.Config.default ~topo:(default_topo ()) ~partitions:1 ~mode ~persistence
+      ~use_hlc:true ~clock_skew_us:0 ()
+  in
+  let eng = Sim.Engine.create () in
+  let net =
+    Net.Network.create eng cfg.U.Config.topo reg ~kind_of:U.Msg.kind
+      ~size_of:U.Msg.size_bytes
+  in
+  let sent = ref [] in
+  let probes =
+    Array.init 3 (fun dc ->
+        Net.Network.register net ~dc ~cost:(fun _ -> 0) (fun m ->
+            sent := (dc, m) :: !sent))
+  in
+  let r =
+    U.Replica.create cfg eng net ~dc:0 ~part:0 ~uid:0 ~skew:0 ~tick_origin:0
+      ~history:(U.History.create ()) ~trace:Sim.Trace.disabled
+      ~metrics:(Sim.Metrics.create ())
+  in
+  U.Replica.set_addr r
+    (Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (U.Replica.handle r));
+  U.Replica.set_env r
+    { e_lookup = (fun dc _ -> probes.(dc)); e_rb_cert = None;
+      e_dc_pending = None };
+  if persistence then U.Replica.enable_persistence r;
+  (eng, r, probes, sent)
