@@ -15,8 +15,8 @@ let test_fig3_snapshot_read =
   let snap = Vc.of_array [| 500; 500; 500; 500 |] in
   for i = 1 to 1000 do
     let vec = Vc.of_array [| i; 0; 0; 0 |] in
-    Store.Oplog.append log (i mod 50) ~op:(Crdt.Reg_write i) ~vec
-      ~tag:{ Crdt.lc = i; origin = 0 }
+    Store.Oplog.append log (i mod 50)
+      { Store.Oplog.op = Crdt.Reg_write i; vec; tag = { Crdt.lc = i; origin = 0 } }
   done;
   Test.make ~name:"fig3: op-log snapshot read"
     (Staged.stage (fun () -> ignore (Store.Oplog.read log 7 ~snap)))

@@ -139,6 +139,43 @@ let durability sys ~schedule =
             (List.length l) (List.hd l);
       }
 
+(* Wedged followers: certification members at correct DCs, node up,
+   whose delivery frontier trails their group's furthest such member by
+   more than [wedge_us] at quiescence. Strong heartbeats keep every
+   frontier moving, so healthy members end within a few broadcast
+   periods of each other; a member no leader's message reaches falls
+   behind by the length of the outage. *)
+let wedge_us = 1_000_000
+
+let wedged_followers sys =
+  let correct = correct_dcs sys in
+  List.concat_map
+    (fun part ->
+      let members =
+        List.filter_map
+          (fun dc ->
+            if U.System.node_down sys ~dc ~part then None
+            else
+              Option.map
+                (fun c -> (dc, U.Cert.last_delivered c))
+                (U.Replica.cert (U.System.replica sys ~dc ~part)))
+          correct
+      in
+      let far_dc, far =
+        List.fold_left
+          (fun ((_, best) as acc) (dc, ts) -> if ts > best then (dc, ts) else acc)
+          (-1, min_int) members
+      in
+      List.filter_map
+        (fun (dc, ts) ->
+          if far - ts > wedge_us then
+            Some
+              (Fmt.str "group %d: dc%d delivered to %d us, %d ms behind dc%d"
+                 part dc ts ((far - ts) / 1000) far_dc)
+          else None)
+        members)
+    (List.init (U.System.cfg sys).U.Config.partitions Fun.id)
+
 let liveness sys =
   let cfg = U.System.cfg sys in
   let dcs = U.Config.dcs cfg in
@@ -186,7 +223,8 @@ let liveness sys =
       (fun c -> not (orphaned c))
       (List.filter U.Client.in_flight (U.System.clients sys))
   in
-  if pending = 0 && syncing = [] && stuck = [] then
+  let wedged = wedged_followers sys in
+  if pending = 0 && syncing = [] && stuck = [] && wedged = [] then
     {
       oracle = "liveness";
       pass = true;
@@ -203,8 +241,12 @@ let liveness sys =
       detail =
         Fmt.str
           "%d pending strong certifications, %d DCs still syncing, %d \
-           clients with a call in flight"
-          pending (List.length syncing) (List.length stuck);
+           clients with a call in flight%s"
+          pending (List.length syncing) (List.length stuck)
+          (match wedged with
+          | [] -> ""
+          | w :: _ ->
+              Fmt.str ", %d wedged followers; first: %s" (List.length wedged) w);
     }
 
 let all sys ~schedule =

@@ -19,7 +19,10 @@
       before the ack, and explored schedules crash at most [f] DCs).
     - {b liveness}: quiescence really is quiescence — no strong
       transaction stuck in certification, no data center still syncing,
-      no client session with a call outstanding. *)
+      no client session with a call outstanding, and no wedged
+      follower: no certification member at a correct data center whose
+      delivery frontier ({!Unistore.Cert.last_delivered}) trails the
+      furthest member of its group by more than a second. *)
 
 type verdict = { oracle : string; pass : bool; detail : string }
 

@@ -14,9 +14,11 @@
 
 type entry = { op : Crdt.op; vec : Vclock.Vc.t; tag : Crdt.tag }
 
-(* A key's list is immutable and may be shared: the initial version t0
-   is one list installed at every replica, and a snapshot holds each
-   key's list by reference. A new entry conses onto it. *)
+(* Entries and a key's list are immutable and may be shared: a write's
+   entry is built once, at commit, and every replica holds that entry;
+   the initial version t0 is one list installed at every replica, and a
+   snapshot holds each key's list by reference. A new entry conses onto
+   it. *)
 type t = {
   table : (Keyspace.key, entry list) Hashtbl.t;
   mutable appended : int;
@@ -31,10 +33,9 @@ let rec insert e = function
   | e0 :: _ as rest when Crdt.tag_compare e.tag e0.tag >= 0 -> e :: rest
   | e0 :: rest -> e0 :: insert e rest
 
-let append t key ~op ~vec ~tag =
+let append t key e =
   t.appended <- t.appended + 1;
   t.live <- t.live + 1;
-  let e = { op; vec; tag } in
   match Hashtbl.find t.table key with
   | entries -> Hashtbl.replace t.table key (insert e entries)
   | exception Not_found -> Hashtbl.replace t.table key [ e ]

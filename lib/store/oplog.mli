@@ -4,12 +4,17 @@
     vector of its transaction and its CRDT tag; a read materialises the
     key's state within a snapshot vector. *)
 
+(** One version: immutable, and fixed at commit, so every replica's log
+    may hold the same entry. *)
 type entry = { op : Crdt.op; vec : Vclock.Vc.t; tag : Crdt.tag }
 
 type t
 
 val create : unit -> t
-val append : t -> Keyspace.key -> op:Crdt.op -> vec:Vclock.Vc.t -> tag:Crdt.tag -> unit
+
+(** [append t key e] adds the version [e] to [key]'s list by reference:
+    the log pays for the list cell only. *)
+val append : t -> Keyspace.key -> entry -> unit
 
 (** [install t key entries] gives [key], which must hold no version yet
     ([Invalid_argument] otherwise), the list [entries] (newest first,

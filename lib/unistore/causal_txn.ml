@@ -189,12 +189,7 @@ let handle_prepare t ~from ~tid ~writes ~snap =
    and the WAL replay of [W_commit]. *)
 let apply_commit t tx =
   drop_prepared t tx.Types.tx_tid;
-  let tag = Types.tx_tag tx in
-  List.iter
-    (fun w ->
-      Store.Oplog.append t.oplog w.Types.wkey ~op:w.Types.wop
-        ~vec:tx.Types.tx_vec ~tag)
-    tx.Types.tx_writes;
+  Types.iter_writes (fun w e -> Store.Oplog.append t.oplog w.Types.wkey e) tx;
   Stream_log.push t.unshipped tx
 
 let handle_commit t ~tid ~vec ~lc ~origin =
@@ -203,13 +198,7 @@ let handle_commit t ~tid ~vec ~lc ~origin =
       | None -> ()
       | Some p ->
           let tx =
-            {
-              Types.tx_tid = tid;
-              tx_writes = p.pc_writes;
-              tx_vec = vec;
-              tx_lc = lc;
-              tx_origin = origin;
-            }
+            Types.tx_rec ~tid ~writes:p.pc_writes ~vec ~lc ~origin
           in
           apply_commit t tx;
           log_async t (W_commit tx);

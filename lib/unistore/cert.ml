@@ -18,7 +18,7 @@
 
 module Vc = Vclock.Vc
 
-type cert_result = Decided of bool * Vc.t * int | Unknown
+type cert_result = Decided of bool * Types.tx_rec | Unknown
 
 type ctx = {
   x_dc : int;
@@ -60,7 +60,7 @@ type status = Leader | Follower | Recovering | Restoring
 type event =
   | E_ballot of { b : int; cb : int }
   | E_accept of Msg.prepared_strong
-  | E_abort of { tid : Types.tid; vec : Vc.t; lc : int }
+  | E_abort of Types.tx_rec  (* the abort decision's record *)
 
 let status_name = function
   | Leader -> "leader"
@@ -94,7 +94,7 @@ type t = {
      [install_state] can apply them to the prepared entries it installs
      (the state may have been captured before the decision reached its
      sender). *)
-  learned : (Types.tid, bool * Vc.t * int) Hashtbl.t;
+  learned : (Types.tid, bool * Types.tx_rec) Hashtbl.t;
   mutable recovery_acks :
     (int * (int * Msg.prepared_strong list * Msg.decided_strong list)) list;
   mutable state_acks : int list;
@@ -197,9 +197,7 @@ let send_others t msg =
 (* Record a decision; log a fresh abort (see [event]). *)
 let add_decided t (d : Msg.decided_strong) =
   if Decided_log.add t.decided d && not d.ds_dec then
-    log_durably t
-      (E_abort { tid = d.ds_tx.st_tid; vec = d.ds_vec; lc = d.ds_lc })
-      ignore
+    log_durably t (E_abort d.ds_record) ignore
 
 (* ------------------------------------------------------------------ *)
 (* Certification check (Algorithm A8): a transaction commits only if its
@@ -326,8 +324,7 @@ let handle_prepare_strong t ~rid ~caller ~coord (tx : Msg.strong_tx) ~lc =
     match Decided_log.find t.decided tid with
     | Some d ->
         t.ctx.x_send coord
-          (Msg.Already_decided
-             { rid; tid; dec = d.ds_dec; vec = d.ds_vec; lc = d.ds_lc })
+          (Msg.Already_decided { rid; dec = d.ds_dec; record = d.ds_record })
     | None -> (
         match Hashtbl.find_opt t.prepared tid with
         | Some { p; _ } ->
@@ -372,14 +369,14 @@ let handle_prepare_strong t ~rid ~caller ~coord (tx : Msg.strong_tx) ~lc =
 (* ------------------------------------------------------------------ *)
 (* DECISION and LEARN_DECISION (Algorithm A9 lines 18–25).               *)
 
-let decided_of (p : Msg.prepared_strong) ~dec ~vec ~lc =
-  { Msg.ds_tx = p.ps_tx; ds_dec = dec; ds_vec = vec; ds_lc = lc }
+let decided_of (p : Msg.prepared_strong) ~dec ~record =
+  { Msg.ds_tx = p.ps_tx; ds_dec = dec; ds_record = record }
 
 (* Move an accepted transaction to the decided log. *)
-let decide_prepared t e ~dec ~vec ~lc =
+let decide_prepared t e ~dec ~record =
   index t e ~add:false;
   Hashtbl.remove t.prepared e.p.ps_tx.st_tid;
-  add_decided t (decided_of e.p ~dec ~vec ~lc)
+  add_decided t (decided_of e.p ~dec ~record)
 
 (* Re-run the 2PC of a prepared entry from here, restarting its RETRY
    clock. The clock is bumped in place: callers iterate [prepared]. *)
@@ -417,13 +414,13 @@ let end_restoring t =
    frees, and tell the other members both in one LEARN_DECISION. The
    frontier is taken after [end_restoring], so a decision that ends
    Restoring carries the entries the flip frees. *)
-let lead_decision t ~tid ~dec ~vec ~lc =
-  (match Hashtbl.find_opt t.prepared tid with
-  | Some e -> decide_prepared t e ~dec ~vec ~lc
+let lead_decision t ~dec ~(record : Types.tx_rec) =
+  (match Hashtbl.find_opt t.prepared record.tx_tid with
+  | Some e -> decide_prepared t e ~dec ~record
   | None -> ());
   end_restoring t;
   let upto = deliver_ready t in
-  send_others t (Msg.Learn_decision { b = t.ballot; tid; dec; vec; lc; upto })
+  send_others t (Msg.Learn_decision { b = t.ballot; dec; record; upto })
 
 (* Restoring ending outside a decision (the re-certifications of
    [start_restoring] concluded, or came back Unknown): no LEARN_DECISION
@@ -443,25 +440,26 @@ let restoring_done t =
    PREPARE_STRONG retry never refreshes it — and an exact-match guard
    would drop those decisions forever, leaving the restored leader's
    prepared table stuck and [restoring_done] unreachable. *)
-let handle_decision t ~b ~tid ~dec ~vec ~lc =
+let handle_decision t ~b ~dec ~(record : Types.tx_rec) =
   if (t.status = Leader || t.status = Restoring) && b <= t.ballot then
-    t.ctx.x_at_clock (Vc.strong vec) (fun () ->
+    t.ctx.x_at_clock (Vc.strong record.tx_vec) (fun () ->
         if
           b <= t.ballot
           && (t.status = Leader || t.status = Restoring)
           && t.ctx.x_alive ()
-        then lead_decision t ~tid ~dec ~vec ~lc)
+        then lead_decision t ~dec ~record)
 
 (* The decision applies under [b <= ballot] (chosen values survive
    ballot changes), the frontier [upto] under the exact-ballot rule —
    also when this member never accepted the transaction. *)
-let handle_learn_decision t ~b ~tid ~dec ~vec ~lc ~upto =
+let handle_learn_decision t ~b ~dec ~(record : Types.tx_rec) ~upto =
   chase_ballot t b;
-  if t.status = Recovering then Hashtbl.replace t.learned tid (dec, vec, lc)
+  if t.status = Recovering then
+    Hashtbl.replace t.learned record.tx_tid (dec, record)
   else if b <= t.ballot then begin
-    (match Hashtbl.find_opt t.prepared tid with
+    (match Hashtbl.find_opt t.prepared record.tx_tid with
     | None -> ()  (* already decided or never accepted here *)
-    | Some e when t.status = Follower -> decide_prepared t e ~dec ~vec ~lc
+    | Some e when t.status = Follower -> decide_prepared t e ~dec ~record
     | Some _ ->
         (* A leader learning a decision from an older ballot's leader
            relays it under its own ballot, ahead of any frontier above
@@ -469,7 +467,7 @@ let handle_learn_decision t ~b ~tid ~dec ~vec ~lc ~upto =
            would otherwise deliver past the entry while it is still
            prepared there, and the decision arriving afterwards lands
            below its frontier, where [add_decided] queues nothing. *)
-        lead_decision t ~tid ~dec ~vec ~lc);
+        lead_decision t ~dec ~record);
     follow_frontier t ~b ~ts:upto
   end
 
@@ -567,10 +565,10 @@ let install_state ?delivered t ~prepared ~decided =
       if not (Decided_log.mem t.decided p.ps_tx.st_tid) then add_prepared t p)
     prepared;
   Hashtbl.iter
-    (fun tid (dec, vec, lc) ->
+    (fun tid (dec, record) ->
       match Hashtbl.find_opt t.prepared tid with
       | None -> ()
-      | Some e -> decide_prepared t e ~dec ~vec ~lc)
+      | Some e -> decide_prepared t e ~dec ~record)
     t.learned;
   Hashtbl.reset t.learned
 
@@ -675,7 +673,7 @@ let restart ?(decision = fun _ -> None) t ~ballot ~cballot ~prepared
     List.partition_map
       (fun (p : Msg.prepared_strong) ->
         match decision p.ps_tx.st_tid with
-        | Some (dec, vec, lc) -> Either.Left (decided_of p ~dec ~vec ~lc)
+        | Some (dec, record) -> Either.Left (decided_of p ~dec ~record)
         | None -> Either.Right p)
       prepared
   in
@@ -766,10 +764,9 @@ let handle t msg =
       reclaim t;
       handle_prepare_strong t ~rid ~caller ~coord tx ~lc
   | Msg.Accept { b; rid; p } -> handle_accept t ~b ~rid p
-  | Msg.Decision { b; tid; dec; vec; lc } ->
-      handle_decision t ~b ~tid ~dec ~vec ~lc
-  | Msg.Learn_decision { b; tid; dec; vec; lc; upto } ->
-      handle_learn_decision t ~b ~tid ~dec ~vec ~lc ~upto
+  | Msg.Decision { b; dec; record } -> handle_decision t ~b ~dec ~record
+  | Msg.Learn_decision { b; dec; record; upto } ->
+      handle_learn_decision t ~b ~dec ~record ~upto
   | Msg.Deliver { b; ts } ->
       chase_ballot t b;
       follow_frontier t ~b ~ts

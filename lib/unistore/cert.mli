@@ -15,8 +15,9 @@
     certification (CERTIFY, Algorithm A7) lives in [Strong_coord]. *)
 
 type cert_result =
-  | Decided of bool * Vclock.Vc.t * int
-      (** decision, commit vector, Lamport clock *)
+  | Decided of bool * Types.tx_rec
+      (** decision and its record ({!Msg.decided_record}): commit
+          vector, Lamport clock *)
   | Unknown  (** a quorum does not know the transaction (recovery only) *)
 
 type ctx = {
@@ -60,8 +61,9 @@ type status = Leader | Follower | Recovering | Restoring
 type event =
   | E_ballot of { b : int; cb : int }
   | E_accept of Msg.prepared_strong
-  | E_abort of { tid : Types.tid; vec : Vclock.Vc.t; lc : int }
-      (** an abort decision this member learned: appended without
+  | E_abort of Types.tx_rec
+      (** an abort decision this member learned, as its record
+          ({!Msg.decided_record}): appended without
           waiting, so a replayed accept of an aborted transaction does
           not come back undecided (a commit is named by the replica's
           delivered-strong record instead) *)
@@ -146,12 +148,12 @@ val persistent_state : t -> int * int * Msg.prepared_strong list
     NEW_LEADER_ACK promise still holds. The decided log is dropped and
     the delivery frontier seeded at [delivered], the strong frontier the
     replica re-derived from its replayed delivered-strong records. An
-    accepted entry for which [decision] returns [Some (dec, vec, lc)]
+    accepted entry for which [decision] returns [Some (dec, record)]
     (the disk names its fate: delivered here, or a logged {!E_abort})
     comes back decided rather than prepared. The member stays
     [Recovering] until NEW_STATE restores the decided log. *)
 val restart :
-  ?decision:(Types.tid -> (bool * Vclock.Vc.t * int) option) ->
+  ?decision:(Types.tid -> (bool * Types.tx_rec) option) ->
   t ->
   ballot:int ->
   cballot:int ->

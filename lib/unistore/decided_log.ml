@@ -57,7 +57,7 @@ let last_delivered t = t.last_delivered
 let max_commit_ts t =
   Hashtbl.fold
     (fun _ (d : Msg.decided_strong) acc ->
-      if d.ds_dec then max acc (Vc.strong d.ds_vec) else acc)
+      if d.ds_dec then max acc (Vc.strong d.ds_record.tx_vec) else acc)
     t.decided 0
 
 let add t (d : Msg.decided_strong) =
@@ -78,7 +78,7 @@ let add t (d : Msg.decided_strong) =
           in
           if not (List.memq d !cell) then cell := d :: !cell)
         ops;
-      let ts = Vc.strong d.ds_vec in
+      let ts = Vc.strong d.ds_record.tx_vec in
       if ts > t.last_delivered then begin
         t.queued <- t.queued + 1;
         Sim.Heap.push t.undelivered { q_ts = ts; q_n = t.queued; q_d = d }
@@ -112,31 +112,24 @@ let check t ~ops ~snap ~lc =
                       o'.key = o.key && Config.ops_conflict t.conflict o o')
                     (t.ops_slice d.ds_tx.st_ops)
                 then begin
-                  if not (Vc.leq d.ds_vec snap) then vote := false;
-                  if !lc <= d.ds_lc then lc := d.ds_lc + 1
+                  let r = d.ds_record in
+                  if not (Vc.leq r.tx_vec snap) then vote := false;
+                  if !lc <= r.tx_lc then lc := r.tx_lc + 1
                 end)
               !cell)
       ops;
     ( !vote && Vc.strong snap >= t.pruned_below && Vc.leq t.pruned_join snap,
       !lc )
 
-let to_tx_rec (d : Msg.decided_strong) =
-  {
-    Types.tx_tid = d.ds_tx.st_tid;
-    tx_writes = List.concat_map snd d.ds_tx.st_wbuff;
-    tx_vec = d.ds_vec;
-    tx_lc = d.ds_lc;
-    tx_origin = d.ds_tx.st_origin;
-  }
-
 (* Dequeue every entry at or below [upto], in delivery order, with the
-   highest timestamp dequeued ([last] if none). *)
+   highest timestamp dequeued ([last] if none). What is delivered is the
+   decision's own record, the one every member shares. *)
 let rec dequeue t ~upto acc last =
   let h = t.undelivered in
   if Sim.Heap.is_empty h || (Sim.Heap.top h).q_ts > upto then (List.rev acc, last)
   else
     let q = Sim.Heap.pop h in
-    dequeue t ~upto (to_tx_rec q.q_d :: acc) q.q_ts
+    dequeue t ~upto (q.q_d.ds_record :: acc) q.q_ts
 
 let deliver_upto t ts =
   t.last_delivered <- ts;
@@ -167,8 +160,9 @@ let prune ?(covered = fun _ -> true) t ~floor =
     if keep_after > t.pruned_below then t.pruned_below <- keep_after;
     Hashtbl.filter_map_inplace
       (fun _ (d : Msg.decided_strong) ->
-        if Vc.strong d.ds_vec <= keep_after && covered d.ds_vec then begin
-          Vc.merge_into t.pruned_join d.ds_vec;
+        let vec = d.ds_record.tx_vec in
+        if Vc.strong vec <= keep_after && covered vec then begin
+          Vc.merge_into t.pruned_join vec;
           List.iter
             (fun (o : Types.opdesc) ->
               match Hashtbl.find_opt t.decided_by_key o.key with

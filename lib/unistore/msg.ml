@@ -32,13 +32,26 @@ type prepared_strong = {
   ps_lc : int;
 }
 
-(* Decided strong transaction (decidedStrong). *)
+(* Decided strong transaction (decidedStrong). [ds_record] is the
+   decision's record: commit vector, Lamport clock and, for a commit,
+   the writes delivery applies. *)
 type decided_strong = {
   ds_tx : strong_tx;
   ds_dec : bool;  (* committed? *)
-  ds_vec : Vc.t;  (* commit vector (meaningful when committed) *)
-  ds_lc : int;
+  ds_record : Types.tx_rec;
 }
+
+(* The record of deciding [tx] at [vec] and [lc]: for a commit, every
+   write of the transaction (each partition applies its own) with their
+   opLog entries; for an abort, none. Built once per decision, by
+   whoever decides, and carried by reference in DECISION,
+   LEARN_DECISION and ALREADY_DECIDED, so every member of every
+   involved group delivers — and every replica stores — the same
+   entries. *)
+let decided_record tx ~dec ~vec ~lc =
+  Types.tx_rec ~tid:tx.st_tid
+    ~writes:(if dec then List.concat_map snd tx.st_wbuff else [])
+    ~vec ~lc ~origin:tx.st_origin
 
 type cert_caller = Normal | Restoring
 
@@ -167,7 +180,7 @@ type t =
       tx : strong_tx;
       lc : int;
     }
-  | Already_decided of { rid : int; tid : Types.tid; dec : bool; vec : Vc.t; lc : int }
+  | Already_decided of { rid : int; dec : bool; record : Types.tx_rec }
   | Accept of { b : int; rid : int; p : prepared_strong }
   | Accept_ack of {
       part : int;
@@ -181,17 +194,17 @@ type t =
     }
   | Unknown_tx of { b : int; rid : int; tid : Types.tid; coord : addr }
   | Unknown_tx_ack of { part : int; rid : int; tid : Types.tid; from_dc : int }
-  | Decision of { b : int; tid : Types.tid; dec : bool; vec : Vc.t; lc : int }
+  (* [record] is the decision's ([decided_record]), shared by
+     reference: its tid, commit vector and Lamport clock. *)
+  | Decision of { b : int; dec : bool; record : Types.tx_rec }
   (* The leader's one message per decision: the decision, and the
      delivery frontier [upto] it frees (0 when it frees none), so the
      decision always reaches a member before any frontier above it.
      A bare [Deliver] carries a frontier freed by leader recovery. *)
   | Learn_decision of {
       b : int;
-      tid : Types.tid;
       dec : bool;
-      vec : Vc.t;
-      lc : int;
+      record : Types.tx_rec;
       upto : int;
     }
   | Deliver of { b : int; ts : int }
@@ -219,14 +232,15 @@ type t =
   (* A recovering replica asks a live sibling of its partition for a
      snapshot of the materialized store. *)
   | Sync_request of { from : addr }
-  (* The whole snapshot in one message: raw oplog entries and the cut
-     vector — the peer's knownVec at snapshot time. Entries above the cut
-     (the peer's own not yet propagated commits) are excluded and reach
-     the rejoiner through ordinary replication, whose windows above the
-     cut gap repair fills ([Repair_request]/[Repair_log]). The rejoiner
+  (* The whole snapshot in one message: each key's oplog entry list,
+     by reference, and the cut vector — the peer's knownVec at snapshot
+     time. Entries above the cut (the peer's own not yet propagated
+     commits) are filtered out of their key's list and reach the
+     rejoiner through ordinary replication, whose windows above the cut
+     gap repair fills ([Repair_request]/[Repair_log]). The rejoiner
      installs the first that arrives, whichever request drew it. *)
   | Sync_store of {
-      entries : (Store.Keyspace.key * Crdt.op * Vc.t * Crdt.tag) list;
+      entries : (Store.Keyspace.key * Store.Oplog.entry list) list;
       cut : Vc.t;
     }
   (* A Restoring certification member asks the group leader to re-send
@@ -281,7 +295,9 @@ let cost (c : Config.costs) = function
       c.c_base
   | Sync_request _ | State_request _ -> c.c_base
   | Sync_store { entries; _ } ->
-      c.c_base + (c.c_replicate_tx * List.length entries)
+      List.fold_left
+        (fun acc (_, l) -> acc + (c.c_replicate_tx * List.length l))
+        c.c_base entries
   | Fd_ping _ -> c.c_vec
 
 (* Cost profile of the REDBLUE centralized service nodes: certification
@@ -319,7 +335,7 @@ let prepared_bytes p = 48 + strong_tx_bytes p.ps_tx
 (* A decided entry is never certified again, so it ships no snapshot. *)
 let decided_bytes d =
   40 + wbuff_bytes d.ds_tx.st_wbuff + opsmap_bytes d.ds_tx.st_ops
-  + vc_bytes d.ds_vec
+  + vc_bytes d.ds_record.tx_vec
 
 let claim_bytes { vec; stable } =
   vc_bytes vec + match stable with Some s -> vc_bytes s | None -> 0
@@ -359,13 +375,13 @@ let size_bytes = function
   | Knownvec_global { claim; _ } -> header_bytes + 8 + claim_bytes claim
   | Stable_down { vec } -> header_bytes + vc_bytes vec
   | Prepare_strong { tx; _ } -> header_bytes + 40 + strong_tx_bytes tx
-  | Already_decided { vec; _ } -> header_bytes + 32 + vc_bytes vec
+  | Already_decided { record; _ } -> header_bytes + 32 + vc_bytes record.tx_vec
   | Accept { p; _ } -> header_bytes + 56 + strong_tx_bytes p.ps_tx
   | Accept_ack _ -> header_bytes + 56
   | Unknown_tx _ -> header_bytes + 32
   | Unknown_tx_ack _ -> header_bytes + 32
-  | Decision { vec; _ } -> header_bytes + 32 + vc_bytes vec
-  | Learn_decision { vec; _ } -> header_bytes + 40 + vc_bytes vec
+  | Decision { record; _ } -> header_bytes + 32 + vc_bytes record.tx_vec
+  | Learn_decision { record; _ } -> header_bytes + 40 + vc_bytes record.tx_vec
   | Deliver _ -> header_bytes + 16
   | Push_updates { txs; _ } ->
       List.fold_left (fun acc tx -> acc + tx_bytes tx) (header_bytes + 16) txs
@@ -382,7 +398,10 @@ let size_bytes = function
   | Sync_request _ -> header_bytes + 8
   | Sync_store { entries; cut } ->
       List.fold_left
-        (fun acc (_, _, vec, _) -> acc + 24 + vc_bytes vec)
+        (fun acc (_, l) ->
+          List.fold_left
+            (fun acc (e : Store.Oplog.entry) -> acc + 24 + vc_bytes e.vec)
+            acc l)
         (header_bytes + vc_bytes cut)
         entries
   | State_request _ -> header_bytes + 16

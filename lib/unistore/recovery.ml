@@ -19,7 +19,7 @@ let wal_record_bytes = function
   | W_decide (_, vec, _, _) -> 32 + Msg.vc_bytes vec
   | W_cert (Cert.E_ballot _) -> 24
   | W_cert (Cert.E_accept p) -> 8 + Msg.prepared_bytes p
-  | W_cert (Cert.E_abort { vec; _ }) -> 24 + Msg.vc_bytes vec
+  | W_cert (Cert.E_abort r) -> 24 + Msg.vc_bytes r.tx_vec
 
 (* The oplog term comes from the key and entry counts: 8 bytes a key,
    and per entry 24 plus its commit vector, which has the width of every
@@ -296,25 +296,31 @@ let finish_sync t s =
   t.propagated_upto <- Vc.get t.known_vec t.dc;
   s.s_done ()
 
-(* Serve a snapshot to a rejoining sibling: every oplog entry except the
-   writes of our own not-yet-propagated commits, which sit above the cut
-   (our knownVec) and reach the rejoiner through ordinary replication.
-   Those entries are recognised physically: a pending transaction's oplog
-   entries share its record's commit-vector array. *)
+(* Serve a snapshot to a rejoining sibling: each key's oplog entry list,
+   by reference, except the writes of our own not-yet-propagated
+   commits, which sit above the cut (our knownVec) and reach the
+   rejoiner through ordinary replication. Those entries are recognised
+   physically: a pending transaction's oplog entries share its record's
+   commit-vector array. Only a key holding one is filtered, into a list
+   of its own; every other list — the t0 list of a never-written key
+   among them — is shipped, and installed, as it is. *)
 let handle_sync_request t ~from =
   if not (is_syncing t) then begin
-    let keys, entries = Store.Oplog.snapshot t.oplog in
+    let keys, lists = Store.Oplog.snapshot t.oplog in
+    let unshipped (e : Store.Oplog.entry) =
+      Stream_log.mem_vec t.unshipped e.vec
+    in
     let acc = ref [] in
-    Array.iteri
-      (fun i key ->
-        List.iter
-          (fun (e : Store.Oplog.entry) ->
-            if not (Stream_log.mem_vec t.unshipped e.vec) then
-              acc := (key, e.op, e.vec, e.tag) :: !acc)
-          entries.(i))
-      keys;
-    send t from
-      (Msg.Sync_store { entries = List.rev !acc; cut = Vc.copy t.known_vec })
+    for i = Array.length keys - 1 downto 0 do
+      let l = lists.(i) in
+      let l =
+        if List.exists unshipped l then
+          List.filter (fun e -> not (unshipped e)) l
+        else l
+      in
+      if l <> [] then acc := (keys.(i), l) :: !acc
+    done;
+    send t from (Msg.Sync_store { entries = !acc; cut = Vc.copy t.known_vec })
   end
 
 (* Install the first snapshot that arrives, whichever request drew it:
@@ -324,9 +330,7 @@ let handle_sync_request t ~from =
 let handle_sync_store t ~entries ~cut =
   match t.sync with
   | Some s when s.s_snapshot ->
-      List.iter
-        (fun (key, op, vec, tag) -> Store.Oplog.append t.oplog key ~op ~vec ~tag)
-        entries;
+      List.iter (fun (key, l) -> Store.Oplog.install t.oplog key l) entries;
       (* install the cut: the store now materialises everything below
          it, so it becomes the replication frontier (and our stream
          logs' [retained_from]), the floor for new prepare timestamps
@@ -467,8 +471,7 @@ let replay_record t cert_acc fates = function
       Replication.handle_replicate t ~origin ~txs ~from_ts
   | W_strong (txs, strong_ts) ->
       List.iter
-        (fun (tx : Types.tx_rec) ->
-          Hashtbl.replace fates tx.tx_tid (true, tx.tx_vec, tx.tx_lc))
+        (fun (tx : Types.tx_rec) -> Hashtbl.replace fates tx.tx_tid (true, tx))
         txs;
       Strong_coord.deliver_strong t txs ~strong_ts
   | W_decide (tid, vec, lc, origin) ->
@@ -486,8 +489,7 @@ let replay_record t cert_acc fates = function
              prepared
       in
       cert_acc := (bal, cbal, prepared)
-  | W_cert (Cert.E_abort { tid; vec; lc }) ->
-      Hashtbl.replace fates tid (false, vec, lc)
+  | W_cert (Cert.E_abort r) -> Hashtbl.replace fates r.tx_tid (false, r)
 
 (* Restart from the node's own disk: replay snapshot + WAL tail, hand
    certification its durable promises back, then catch up what was

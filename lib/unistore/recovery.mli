@@ -13,7 +13,7 @@ val sync_complete : t -> sync_state -> bool
 val finish_sync : t -> sync_state -> unit
 val handle_sync_request : t -> from:Msg.addr -> unit
 val handle_sync_store :
-  t -> entries:(Store.Keyspace.key * Crdt.op * Vc.t * Crdt.tag) list ->
+  t -> entries:(Store.Keyspace.key * Store.Oplog.entry list) list ->
   cut:Vc.t -> unit
 val sync_admits : sync_state -> Msg.t -> bool
 val begin_rejoin : t -> resume:(unit -> unit) -> unit

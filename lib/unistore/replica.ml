@@ -347,8 +347,8 @@ let dispatch t msg =
   | Msg.Accept_ack { part; b; rid; tid; vote; ts; lc; from_dc } ->
       Strong_coord.handle_accept_ack t ~part ~b ~rid ~tid ~vote ~ts ~lc
         ~from_dc
-  | Msg.Already_decided { rid; tid; dec; vec; lc } ->
-      Strong_coord.handle_already_decided t ~rid ~tid ~dec ~vec ~lc
+  | Msg.Already_decided { rid; dec; record } ->
+      Strong_coord.handle_already_decided t ~rid ~dec ~record
   | Msg.Unknown_tx_ack { part; rid; tid; from_dc } ->
       Strong_coord.handle_unknown_tx_ack t ~part ~rid ~tid ~from_dc
   | Msg.Push_updates { txs; strong_ts } ->

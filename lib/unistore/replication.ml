@@ -214,14 +214,10 @@ let apply_batch t ~origin ~from_ts txs =
         if ts >= t.frontier_ts.(origin) then
           t.frontier_tids.(origin) <-
             tx.Types.tx_tid :: t.frontier_tids.(origin);
-        if not restored_own then begin
-          let tag = Types.tx_tag tx in
-          List.iter
-            (fun w ->
-              Store.Oplog.append t.oplog w.Types.wkey ~op:w.Types.wop
-                ~vec:tx.Types.tx_vec ~tag)
-            tx.Types.tx_writes
-        end;
+        if not restored_own then
+          Types.iter_writes
+            (fun w e -> Store.Oplog.append t.oplog w.Types.wkey e)
+            tx;
         (* own-origin transactions only arrive here through a repair of
            our own stream after a crash: they are our pre-crash history,
            already propagated by our previous incarnation — retain them

@@ -17,13 +17,7 @@ type t = {
 }
 
 let vacant =
-  {
-    Types.tx_tid = { cl = -1; sq = -1 };
-    tx_writes = [];
-    tx_vec = [||];
-    tx_lc = 0;
-    tx_origin = -1;
-  }
+  Types.tx_rec ~tid:{ cl = -1; sq = -1 } ~writes:[] ~vec:[||] ~lc:0 ~origin:(-1)
 
 let create ~origin = { origin; data = [||]; head = 0; len = 0 }
 let length t = t.len

@@ -155,21 +155,21 @@ and complete_cert_if_ready t pc =
     let lc =
       List.fold_left (fun acc (_, g) -> max acc g.g_lc) pc.p_lc pc.p_groups
     in
+    let record = Msg.decided_record tx ~dec ~vec ~lc in
     if dec then
-      History.system_commit t.history ~tid:tx.st_tid
-        ~writes:(List.concat_map snd tx.st_wbuff)
+      History.system_commit t.history ~tid:tx.st_tid ~writes:record.tx_writes
         ~vec ~lc ~origin:tx.st_origin ~accumulate:false;
-    decide t pc ~ballot:(fun gs -> gs.g_ballot) ~dec ~vec ~lc
+    decide t pc ~ballot:(fun gs -> gs.g_ballot) ~dec ~record
   end
 
 (* Send the decision to every involved group's leader, then finish. *)
-and decide t pc ~ballot ~dec ~vec ~lc =
+and decide t pc ~ballot ~dec ~(record : Types.tx_rec) =
   List.iter
     (fun (g, gs) ->
       send t (group_leader_addr t g)
-        (Msg.Decision { b = ballot gs; tid = pc.p_tx.st_tid; dec; vec; lc }))
+        (Msg.Decision { b = ballot gs; dec; record }))
     pc.p_groups;
-  finish_cert t pc (Cert.Decided (dec, vec, lc))
+  finish_cert t pc (Cert.Decided (dec, record))
 
 (* The progress of group [part] in certification [rid] of [tid], if
    still pending. *)
@@ -201,16 +201,16 @@ let handle_accept_ack t ~part ~b ~rid ~tid ~vote ~ts ~lc ~from_dc =
       end
   | _ -> ()
 
-let handle_already_decided t ~rid ~tid ~dec ~vec ~lc =
+let handle_already_decided t ~rid ~dec ~(record : Types.tx_rec) =
   match Hashtbl.find_opt t.pending_cert rid with
-  | Some pc when Types.tid_equal pc.p_tx.st_tid tid ->
+  | Some pc when Types.tid_equal pc.p_tx.st_tid record.tx_tid ->
       (* Propagate the decision to every involved group — including
          those that never acked us (ballot still unknown): a Restoring
          leader re-certifying its prepared table depends on this reply
          to clear the entry, and its own RETRY task is off while it
          restores. Leaders accept decisions from any older ballot, so
          0 is a safe stand-in when none was learned. *)
-      decide t pc ~ballot:(fun gs -> max gs.g_ballot 0) ~dec ~vec ~lc
+      decide t pc ~ballot:(fun gs -> max gs.g_ballot 0) ~dec ~record
   | _ -> ()
 
 let handle_unknown_tx_ack t ~part ~rid ~tid ~from_dc =
@@ -269,10 +269,11 @@ let certify_when_uniform t ~client ~req (tx : Msg.strong_tx) ~lc =
               ~start:uniform_us
               (Fmt.str "%a" Types.tid_pp tid);
           match result with
-          | Cert.Decided (dec, vec, lc) ->
+          | Cert.Decided (dec, r) ->
               Sim.Metrics.incr
                 (if dec then t.c_strong_commit else t.c_strong_abort);
-              send t client (Msg.R_strong { req; dec; vec; lc })
+              send t client
+                (Msg.R_strong { req; dec; vec = r.tx_vec; lc = r.tx_lc })
           | Cert.Unknown ->
               (* cannot happen for NORMAL callers; fail the commit *)
               Sim.Metrics.incr t.c_strong_abort;
@@ -336,17 +337,11 @@ let handle_resubmit_strong t ~client ~req (tx : Msg.strong_tx) ~lc =
    node. *)
 let deliver_strong t txs ~strong_ts =
   List.iter
-    (fun tx ->
-      let tag = Types.tx_tag tx in
-      List.iter
-        (fun w ->
-          if
-            Store.Keyspace.partition ~partitions:(partitions t) w.Types.wkey
-            = t.part
-          then
-            Store.Oplog.append t.oplog w.Types.wkey ~op:w.Types.wop
-              ~vec:tx.Types.tx_vec ~tag)
-        tx.Types.tx_writes)
+    (Types.iter_writes (fun w e ->
+         if
+           Store.Keyspace.partition ~partitions:(partitions t) w.Types.wkey
+           = t.part
+         then Store.Oplog.append t.oplog w.Types.wkey e))
     txs;
   (* logged including empty (heartbeat) batches: the replayed strong
      frontier seeds [Cert.restart ~delivered], and an understated

@@ -11,7 +11,7 @@ val handle_accept_ack :
   t -> part:int -> b:int -> rid:int -> tid:Types.tid -> vote:bool -> ts:int -> lc:int ->
   from_dc:int -> unit
 val handle_already_decided :
-  t -> rid:int -> tid:Types.tid -> dec:bool -> vec:Vc.t -> lc:int -> unit
+  t -> rid:int -> dec:bool -> record:Types.tx_rec -> unit
 val handle_unknown_tx_ack :
   t -> part:int -> rid:int -> tid:Types.tid -> from_dc:int -> unit
 val handle_commit_strong :

@@ -69,15 +69,8 @@ let make_rb_certs cfg eng net ~replicas ~addrs ~rng =
       for p = 0 to partitions - 1 do
         let sliced =
           List.map
-            (fun tx ->
-              {
-                tx with
-                Types.tx_writes =
-                  List.filter
-                    (fun w ->
-                      Store.Keyspace.partition ~partitions w.Types.wkey = p)
-                    tx.Types.tx_writes;
-              })
+            (Types.filter_writes (fun w ->
+                 Store.Keyspace.partition ~partitions w.Types.wkey = p))
             txs
         in
         Network.send net ~src:addr ~dst:addrs.(dc).(p)

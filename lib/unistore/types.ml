@@ -31,13 +31,39 @@ let opsmap_find (o : opsmap) part =
   match List.assoc_opt part o with None -> [] | Some l -> l
 
 (* A committed update transaction as it travels between replicas
-   (committedCausal entries and REPLICATE payloads, Algorithm A4). *)
+   (committedCausal entries and REPLICATE payloads, Algorithm A4). Its
+   opLog entries — one per write, in [tx_writes] order, sharing the
+   commit vector and one tag — are built once, by [tx_rec], where the
+   commit vector is bound: every replica, WAL record and snapshot holds
+   these same entries. They are filled at construction, never later:
+   the WAL checksums a record's payload at append and again at
+   recovery, so a payload that changed in between would read back as
+   torn. *)
 type tx_rec = {
   tx_tid : tid;
   tx_writes : write list;
   tx_vec : Vclock.Vc.t;  (* commit vector *)
   tx_lc : int;  (* Lamport clock of the commit *)
-  tx_origin : int;  (* issuing client, tie-breaker for LWW tags *)
+  tx_entries : Store.Oplog.entry list;
 }
 
-let tx_tag tx = { Crdt.lc = tx.tx_lc; origin = tx.tx_origin }
+let tx_rec ~tid ~writes ~vec ~lc ~origin =
+  let entries =
+    match writes with
+    | [] -> []
+    | _ ->
+        let tag = { Crdt.lc; origin } in
+        List.map (fun w -> { Store.Oplog.op = w.wop; vec; tag }) writes
+  in
+  { tx_tid = tid; tx_writes = writes; tx_vec = vec; tx_lc = lc;
+    tx_entries = entries }
+
+let iter_writes f tx = List.iter2 f tx.tx_writes tx.tx_entries
+
+let filter_writes keep tx =
+  let writes, entries =
+    List.fold_right2
+      (fun w e ((ws, es) as acc) -> if keep w then (w :: ws, e :: es) else acc)
+      tx.tx_writes tx.tx_entries ([], [])
+  in
+  { tx with tx_writes = writes; tx_entries = entries }

@@ -113,6 +113,10 @@ let setup ?conflict () =
 
 let tid n = { U.Types.cl = 9; sq = n }
 
+(* The record of a decision on [tid n]: commit vector and clock. *)
+let record ?(lc = 1) n ~vec =
+  U.Types.tx_rec ~tid:(tid n) ~writes:[] ~vec ~lc ~origin:9
+
 let wbuff_of keys : U.Types.wbuff =
   [
     ( 0,
@@ -196,7 +200,7 @@ let decide ?(leader = 0) ?(b = 0) bus ~n ~ts ~dec =
     bus.queue
     @ [
         ( leader,
-          U.Msg.Decision { b; tid = tid n; dec; vec = strong_vec ts; lc = 1 } );
+          U.Msg.Decision { b; dec; record = record n ~vec:(strong_vec ts) } );
       ];
   pump bus
 
@@ -269,7 +273,7 @@ let test_leader_recovery_preserves_decisions () =
   Vc.set_strong vec 3000;
   bus.queue <-
     bus.queue
-    @ [ (1, U.Msg.Decision { b = 1; tid = tid 2; dec = true; vec; lc = 1 }) ];
+    @ [ (1, U.Msg.Decision { b = 1; dec = true; record = record 2 ~vec }) ];
   pump bus;
   Alcotest.(check string) "dc1 now leads" "leader"
     (U.Cert.status_name (U.Cert.status (m 1)));
@@ -306,7 +310,7 @@ let test_rejoiner_keeps_decision_learned_while_recovering () =
   let handle2 msg = ignore (U.Cert.handle (m 2) msg) in
   handle2
     (U.Msg.Learn_decision
-       { b = 0; tid = tid 1; dec = true; vec; lc = 1; upto = 1000 });
+       { b = 0; dec = true; record = record 1 ~vec; upto = 1000 });
   handle2 (U.Msg.New_state { b = 0; prepared; decided = []; from = 0 });
   Alcotest.(check string) "rejoiner follows again" "follower"
     (U.Cert.status_name (U.Cert.status (m 2)));
@@ -347,9 +351,9 @@ let test_decision_is_one_message_per_other_member () =
       Alcotest.(check bool) "sent by the leader to another member" true
         (src = 0 && dst <> 0);
       match msg with
-      | Learn_decision { tid = t; upto; _ } ->
+      | Learn_decision { record; upto; _ } ->
           Alcotest.(check string) "the decided tid" (tid_s 1)
-            (Fmt.str "%a" U.Types.tid_pp t);
+            (Fmt.str "%a" U.Types.tid_pp record.tx_tid);
           Alcotest.(check int) "carrying the freed frontier" 1000 upto
       | m -> Alcotest.failf "unexpected %s" (U.Msg.kind m))
     bus.sent;
@@ -387,12 +391,12 @@ let test_frontier_followed_without_the_prepared_entry () =
   let handle2 msg = ignore (U.Cert.handle (m 2) msg) in
   handle2
     (U.Msg.Learn_decision
-       { b = 0; tid = tid 1; dec = true; vec = strong_vec 1000; lc = 1; upto = 0 });
+       { b = 0; dec = true; record = record 1 ~vec:(strong_vec 1000); upto = 0 });
   Alcotest.(check int) "decided, no frontier yet" 0
     (List.length (calls_at bus 2));
   handle2
     (U.Msg.Learn_decision
-       { b = 0; tid = tid 7; dec = true; vec = strong_vec 1500; lc = 1; upto = 1000 });
+       { b = 0; dec = true; record = record 7 ~vec:(strong_vec 1500); upto = 1000 });
   Alcotest.(check int) "advanced to upto" 1000 (U.Cert.last_delivered (m 2));
   Alcotest.(check (list (pair int (list string))))
     "delivering what it had queued"
@@ -417,7 +421,7 @@ let test_old_ballot_decision_relayed_before_frontier () =
   ignore
     (U.Cert.handle (m 1)
        (U.Msg.Learn_decision
-          { b = 0; tid = tid 1; dec = true; vec = strong_vec 1000; lc = 1; upto = 1000 }));
+          { b = 0; dec = true; record = record 1 ~vec:(strong_vec 1000); upto = 1000 }));
   pump bus;
   Alcotest.(check string) "dc1 leads" "leader"
     (U.Cert.status_name (U.Cert.status (m 1)));
@@ -474,7 +478,7 @@ let test_restoring_member_chases_higher_ballot () =
   ignore
     (U.Cert.handle (m 1)
        (U.Msg.Learn_decision
-          { b = 3; tid = tid 1; dec = true; vec = strong_vec 1000; lc = 1; upto = 1000 }));
+          { b = 3; dec = true; record = record 1 ~vec:(strong_vec 1000); upto = 1000 }));
   Alcotest.(check string) "dc1 steps back to recovering" "recovering"
     (U.Cert.status_name (U.Cert.status (m 1)));
   Alcotest.(check int) "and asks the group for the state" 3
@@ -577,7 +581,7 @@ let test_restart_decides_what_the_disk_names () =
   decide bus ~n:2 ~ts:1100 ~dec:false;
   let aborts =
     List.filter_map
-      (function U.Cert.E_abort { tid; _ } -> Some tid | _ -> None)
+      (function U.Cert.E_abort r -> Some r.tx_tid | _ -> None)
       !logged
   in
   Alcotest.(check bool) "the abort is logged, the commit is not" true
@@ -586,8 +590,8 @@ let test_restart_decides_what_the_disk_names () =
   let vec = Vc.create ~dcs:3 in
   Vc.set_strong vec 1000;
   let decision id =
-    if U.Types.tid_equal id (tid 1) then Some (true, vec, 1)
-    else if U.Types.tid_equal id (tid 2) then Some (false, snap0, 1)
+    if U.Types.tid_equal id (tid 1) then Some (true, record 1 ~vec)
+    else if U.Types.tid_equal id (tid 2) then Some (false, record 2 ~vec:snap0)
     else None
   in
   U.Cert.restart (m 1) ~decision ~ballot ~cballot ~prepared:accepted
@@ -620,7 +624,11 @@ let test_size_and_cost_model () =
     { U.Msg.ps_tx = tx; ps_coord = 4; ps_vote = true; ps_ts = 1000; ps_lc = 3 }
   in
   let d =
-    { U.Msg.ds_tx = tx; ds_dec = true; ds_vec = Vc.create ~dcs:3; ds_lc = 3 }
+    {
+      U.Msg.ds_tx = tx;
+      ds_dec = true;
+      ds_record = U.Msg.decided_record tx ~dec:true ~vec:(Vc.create ~dcs:3) ~lc:3;
+    }
   in
   Alcotest.(check (pair int int)) "prepared and decided entry bytes"
     (296, 288)
@@ -686,8 +694,7 @@ let decision ~n ~dec ~ops ~vec ~lc =
     U.Msg.ds_tx =
       { (tx_of ~n [] ~snap:snap0) with st_wbuff = []; st_ops = [ (0, ops) ] };
     ds_dec = dec;
-    ds_vec = vec;
-    ds_lc = lc;
+    ds_record = record n ~vec ~lc;
   }
 
 let slice ops = List.concat_map snd ops
@@ -727,7 +734,7 @@ let print_check_case (spec, ds, prune, (ops, snap, lc)) =
           (fun (d : U.Msg.decided_strong) ->
             Fmt.str "%s %s [%s] %s lc %d" (tid_s d.ds_tx.st_tid.sq)
               (if d.ds_dec then "commit" else "abort")
-              (ops_s (slice d.ds_tx.st_ops)) (Vc.to_string d.ds_vec) d.ds_lc)
+              (ops_s (slice d.ds_tx.st_ops)) (Vc.to_string d.ds_record.tx_vec) d.ds_record.tx_lc)
           ds))
     (match prune with
     | None -> "none"
@@ -748,8 +755,8 @@ let check_matches_reference (spec, ds, prune, (ops, snap, lc)) =
     match prune with
     | Some (keep_after, cov) ->
         keep_after > 0
-        && Vc.strong d.ds_vec <= keep_after
-        && Vc.get d.ds_vec 0 <= cov
+        && Vc.strong d.ds_record.tx_vec <= keep_after
+        && Vc.get d.ds_record.tx_vec 0 <= cov
     | None -> false
   in
   Option.iter
@@ -764,7 +771,7 @@ let check_matches_reference (spec, ds, prune, (ops, snap, lc)) =
   let pruned_vecs = Vc.create ~dcs in
   List.iter
     (fun (d : U.Msg.decided_strong) ->
-      if is_pruned d then Vc.merge_into pruned_vecs d.ds_vec)
+      if is_pruned d then Vc.merge_into pruned_vecs d.ds_record.tx_vec)
     fresh;
   let commits =
     List.filter
@@ -788,12 +795,12 @@ let check_matches_reference (spec, ds, prune, (ops, snap, lc)) =
     if ops = [] then (true, lc)
     else
       ( List.for_all
-          (fun (d : U.Msg.decided_strong) -> Vc.leq d.ds_vec snap)
+          (fun (d : U.Msg.decided_strong) -> Vc.leq d.ds_record.tx_vec snap)
           live
         && Vc.strong snap >= pruned_below
         && Vc.leq pruned_vecs snap,
         List.fold_left
-          (fun acc (d : U.Msg.decided_strong) -> max acc (d.ds_lc + 1))
+          (fun acc (d : U.Msg.decided_strong) -> max acc (d.ds_record.tx_lc + 1))
           lc live )
   in
   D.check log ~ops ~snap ~lc = expected
@@ -923,7 +930,11 @@ let prepared_of (tx : U.Msg.strong_tx) ~vote ~coord =
   { U.Msg.ps_tx = tx; ps_coord = coord; ps_vote = vote; ps_ts = 50; ps_lc = 0 }
 
 let decided_of_tx (tx : U.Msg.strong_tx) ~dec =
-  { U.Msg.ds_tx = tx; ds_dec = dec; ds_vec = strong_vec 60; ds_lc = 1 }
+  {
+    U.Msg.ds_tx = tx;
+    ds_dec = dec;
+    ds_record = U.Msg.decided_record tx ~dec ~vec:(strong_vec 60) ~lc:1;
+  }
 
 let reference_vote spec m (tx : U.Msg.strong_tx) =
   let _, _, prepared = U.Cert.persistent_state m in
@@ -967,11 +978,14 @@ let run_model (spec, steps) =
   in
   let reelect r =
     let ballot, cballot, prepared = U.Cert.persistent_state m in
-    let disk = picks r.disk (fun tx dec -> (tx.U.Msg.st_tid, dec)) in
+    let disk = picks r.disk (fun tx dec -> (tx, dec)) in
     let decision tid =
       Option.map
-        (fun dec -> (dec, strong_vec 60, 1))
-        (List.assoc_opt tid disk)
+        (fun (tx, dec) ->
+          (dec, U.Msg.decided_record tx ~dec ~vec:(strong_vec 60) ~lc:1))
+        (List.find_opt
+           (fun ((tx : U.Msg.strong_tx), _) -> U.Types.tid_equal tx.st_tid tid)
+           disk)
     in
     U.Cert.restart m ~decision ~ballot ~cballot ~prepared ~delivered:0;
     List.iter handle
@@ -979,10 +993,8 @@ let run_model (spec, steps) =
            U.Msg.Learn_decision
              {
                b = ballot;
-               tid = tx.st_tid;
                dec;
-               vec = strong_vec 60;
-               lc = 1;
+               record = U.Msg.decided_record tx ~dec ~vec:(strong_vec 60) ~lc:1;
                upto = 0;
              }));
     U.Cert.set_trusted m 1;
@@ -1061,7 +1073,12 @@ let run_model (spec, steps) =
             (fun (tx : U.Msg.strong_tx) ->
               handle
                 (U.Msg.Decision
-                   { b; tid = tx.st_tid; dec; vec = strong_vec 60; lc = 1 }))
+                   {
+                     b;
+                     dec;
+                     record =
+                       U.Msg.decided_record tx ~dec ~vec:(strong_vec 60) ~lc:1;
+                   }))
             (pick i);
           true
       | M_check (ops, own) -> check ops own

@@ -159,6 +159,32 @@ let test_clean_run_oracles_pass () =
         true v.Oracle.pass)
     verdicts
 
+(* A follower no leader's message reaches stops delivering while the
+   rest of its group moves on: a causal-only run (strong heartbeats
+   still run) with dc2 cut off from the leader DC dc0 for good. dc2 is
+   up, not syncing, and no real strong transaction is pending, so only
+   the wedged-follower check sees it. *)
+let test_liveness_catches_wedged_follower () =
+  let p = { (quiet_profile ()) with E.p_strong_ratio = 0.0 } in
+  let sched = [ { U.Nemesis.at_us = 1_000_000; ev = U.Nemesis.Partition (0, 2) } ] in
+  let verdicts, _sys = E.run_with p ~seed:11 ~sched in
+  match List.find_opt (fun v -> v.Oracle.oracle = "liveness") verdicts with
+  | None -> Alcotest.fail "no liveness verdict"
+  | Some v ->
+      Alcotest.(check bool) (Fmt.str "liveness fails (%s)" v.detail) false v.pass;
+      let names s =
+        let n = String.length s in
+        let rec go i =
+          i + n <= String.length v.detail
+          && (String.sub v.detail i n = s || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool)
+        (Fmt.str "the detail names the group and dc2 (%s)" v.detail)
+        true
+        (names "wedged" && names "group " && names "dc2 delivered")
+
 (* --- determinism of the swarm loop ---------------------------------- *)
 
 let test_explore_deterministic () =
@@ -275,6 +301,8 @@ let suite =
       test_profile_json_roundtrip;
     Alcotest.test_case "all oracles pass on a clean run" `Quick
       test_clean_run_oracles_pass;
+    Alcotest.test_case "liveness catches a wedged follower" `Quick
+      test_liveness_catches_wedged_follower;
     Alcotest.test_case "exploration is deterministic under its seed" `Slow
       test_explore_deterministic;
     Alcotest.test_case "planted unsafe-ack bug: found, shrunk, replayed" `Slow

@@ -9,6 +9,7 @@ let vec entries =
   v
 
 let tag lc origin = { Crdt.lc; origin }
+let entry op vec tag = { Store.Oplog.op; vec; tag }
 let value_t = Alcotest.testable Crdt.value_pp ( = )
 
 let test_empty_read () =
@@ -19,9 +20,9 @@ let test_empty_read () =
 
 let test_snapshot_filtering () =
   let log = Store.Oplog.create () in
-  Store.Oplog.append log 1 ~op:(Crdt.Reg_write 1) ~vec:(vec [ 1; 0 ]) ~tag:(tag 1 0);
-  Store.Oplog.append log 1 ~op:(Crdt.Reg_write 2) ~vec:(vec [ 5; 0 ]) ~tag:(tag 2 0);
-  Store.Oplog.append log 1 ~op:(Crdt.Reg_write 3) ~vec:(vec [ 9; 0 ]) ~tag:(tag 3 0);
+  Store.Oplog.append log 1 (entry (Crdt.Reg_write 1) (vec [ 1; 0 ]) (tag 1 0));
+  Store.Oplog.append log 1 (entry (Crdt.Reg_write 2) (vec [ 5; 0 ]) (tag 2 0));
+  Store.Oplog.append log 1 (entry (Crdt.Reg_write 3) (vec [ 9; 0 ]) (tag 3 0));
   let v, lc = Store.Oplog.read log 1 ~snap:(vec [ 6; 0 ]) in
   Alcotest.check value_t "snapshot excludes newer write" (Crdt.V_int 2) v;
   Alcotest.(check (option int)) "lamport of winner" (Some 2) lc;
@@ -34,17 +35,17 @@ let test_lww_across_origins () =
   let log = Store.Oplog.create () in
   (* concurrent writes from two DCs: the higher Lamport tag must win
      regardless of append order *)
-  Store.Oplog.append log 7 ~op:(Crdt.Reg_write 10) ~vec:(vec [ 0; 3 ]) ~tag:(tag 9 1);
-  Store.Oplog.append log 7 ~op:(Crdt.Reg_write 20) ~vec:(vec [ 3; 0 ]) ~tag:(tag 4 0);
+  Store.Oplog.append log 7 (entry (Crdt.Reg_write 10) (vec [ 0; 3 ]) (tag 9 1));
+  Store.Oplog.append log 7 (entry (Crdt.Reg_write 20) (vec [ 3; 0 ]) (tag 4 0));
   let v, lc = Store.Oplog.read log 7 ~snap:(vec [ 5; 5 ]) in
   Alcotest.check value_t "higher tag wins" (Crdt.V_int 10) v;
   Alcotest.(check (option int)) "its lamport" (Some 9) lc
 
 let test_counter_fold () =
   let log = Store.Oplog.create () in
-  Store.Oplog.append log 2 ~op:(Crdt.Ctr_add 5) ~vec:(vec [ 1; 0 ]) ~tag:(tag 1 0);
-  Store.Oplog.append log 2 ~op:(Crdt.Ctr_add 3) ~vec:(vec [ 0; 1 ]) ~tag:(tag 1 1);
-  Store.Oplog.append log 2 ~op:(Crdt.Ctr_add 2) ~vec:(vec [ 2; 0 ]) ~tag:(tag 2 0);
+  Store.Oplog.append log 2 (entry (Crdt.Ctr_add 5) (vec [ 1; 0 ]) (tag 1 0));
+  Store.Oplog.append log 2 (entry (Crdt.Ctr_add 3) (vec [ 0; 1 ]) (tag 1 1));
+  Store.Oplog.append log 2 (entry (Crdt.Ctr_add 2) (vec [ 2; 0 ]) (tag 2 0));
   let v, _ = Store.Oplog.read log 2 ~snap:(vec [ 1; 1 ]) in
   Alcotest.check value_t "partial sum" (Crdt.V_int 8) v;
   let v, _ = Store.Oplog.read log 2 ~snap:(vec [ 9; 9 ]) in
@@ -52,9 +53,9 @@ let test_counter_fold () =
 
 let test_entries_order () =
   let log = Store.Oplog.create () in
-  Store.Oplog.append log 3 ~op:(Crdt.Reg_write 1) ~vec:(vec [ 1; 0 ]) ~tag:(tag 5 0);
-  Store.Oplog.append log 3 ~op:(Crdt.Reg_write 2) ~vec:(vec [ 2; 0 ]) ~tag:(tag 1 0);
-  Store.Oplog.append log 3 ~op:(Crdt.Reg_write 3) ~vec:(vec [ 3; 0 ]) ~tag:(tag 9 0);
+  Store.Oplog.append log 3 (entry (Crdt.Reg_write 1) (vec [ 1; 0 ]) (tag 5 0));
+  Store.Oplog.append log 3 (entry (Crdt.Reg_write 2) (vec [ 2; 0 ]) (tag 1 0));
+  Store.Oplog.append log 3 (entry (Crdt.Reg_write 3) (vec [ 3; 0 ]) (tag 9 0));
   let tags =
     List.map (fun e -> e.Store.Oplog.tag.Crdt.lc) (Store.Oplog.entries log 3)
   in
@@ -66,8 +67,8 @@ let test_same_txn_double_write () =
   (* two writes to the same key in one transaction share the tag; the
      later one must win *)
   let log = Store.Oplog.create () in
-  Store.Oplog.append log 4 ~op:(Crdt.Reg_write 1) ~vec:(vec [ 1; 0 ]) ~tag:(tag 3 0);
-  Store.Oplog.append log 4 ~op:(Crdt.Reg_write 2) ~vec:(vec [ 1; 0 ]) ~tag:(tag 3 0);
+  Store.Oplog.append log 4 (entry (Crdt.Reg_write 1) (vec [ 1; 0 ]) (tag 3 0));
+  Store.Oplog.append log 4 (entry (Crdt.Reg_write 2) (vec [ 1; 0 ]) (tag 3 0));
   let v, _ = Store.Oplog.read log 4 ~snap:(vec [ 2; 2 ]) in
   Alcotest.check value_t "second write of the txn wins" (Crdt.V_int 2) v
 
@@ -83,8 +84,7 @@ let qcheck_read_matches_fold =
       let log = Store.Oplog.create () in
       List.iteri
         (fun i (a, b, v) ->
-          Store.Oplog.append log 1 ~op:(Crdt.Reg_write v) ~vec:(vec [ a; b ])
-            ~tag:(tag i 0))
+          Store.Oplog.append log 1 (entry (Crdt.Reg_write v) (vec [ a; b ]) (tag i 0)))
         writes;
       let snap = vec [ 10; 10 ] in
       let got, _ = Store.Oplog.read log 1 ~snap in
@@ -110,8 +110,7 @@ let qcheck_count_and_snapshot =
       List.iteri
         (fun i -> function
           | Some key ->
-              Store.Oplog.append log key ~op:(Crdt.Reg_write i)
-                ~vec:(vec [ i; 0 ]) ~tag:(tag i 0)
+              Store.Oplog.append log key (entry (Crdt.Reg_write i) (vec [ i; 0 ]) (tag i 0))
           | None -> Store.Oplog.clear log)
         steps;
       let keys = Store.Oplog.keys log in
@@ -130,7 +129,7 @@ let test_shared_t0_write () =
   let t0 = [ { Store.Oplog.op = Crdt.Reg_write 7; vec = vec [ 0; 0 ]; tag = tag 0 (-1) } ] in
   let logs = Array.init 3 (fun _ -> Store.Oplog.create ()) in
   Array.iter (fun log -> Store.Oplog.install log 5 t0) logs;
-  Store.Oplog.append logs.(0) 5 ~op:(Crdt.Reg_write 9) ~vec:(vec [ 1; 0 ]) ~tag:(tag 1 0);
+  Store.Oplog.append logs.(0) 5 (entry (Crdt.Reg_write 9) (vec [ 1; 0 ]) (tag 1 0));
   let snap = vec [ 5; 5 ] in
   let v, _ = Store.Oplog.read logs.(0) 5 ~snap in
   Alcotest.check value_t "the writer reads its write" (Crdt.V_int 9) v;
@@ -146,6 +145,21 @@ let test_shared_t0_write () =
     Alcotest.(check (option int)) (Printf.sprintf "replica %d t0 clock" i) (Some 0) lc
   done
 
+(* [append] holds the entry it is given by reference: two logs that
+   append one entry share it, and each pays only for its list cell. *)
+let test_append_shares_entry () =
+  let e = entry (Crdt.Reg_write 4) (vec [ 2; 0 ]) (tag 2 0) in
+  let logs = Array.init 2 (fun _ -> Store.Oplog.create ()) in
+  Store.Oplog.append logs.(0) 6 (entry (Crdt.Reg_write 1) (vec [ 1; 0 ]) (tag 1 0));
+  Array.iter (fun log -> Store.Oplog.append log 6 e) logs;
+  Array.iteri
+    (fun i log ->
+      Alcotest.(check bool) (Printf.sprintf "log %d holds the entry itself" i) true
+        (List.hd (Store.Oplog.entries log 6) == e))
+    logs;
+  Alcotest.(check (list int)) "ordered by tag" [ 2; 1 ]
+    (List.map (fun e -> e.Store.Oplog.tag.Crdt.lc) (Store.Oplog.entries logs.(0) 6))
+
 (* [install] counts as one append per entry, and only into a key that
    holds no version. *)
 let test_install_counts () =
@@ -154,7 +168,7 @@ let test_install_counts () =
   Store.Oplog.install log 1 [ e 3 30; e 1 10 ];
   Alcotest.(check int) "two entries held" 2 (Store.Oplog.length log);
   Alcotest.(check int) "two appends" 2 (Store.Oplog.appended log);
-  Store.Oplog.append log 2 ~op:(Crdt.Reg_write 5) ~vec:(vec [ 1; 0 ]) ~tag:(tag 1 0);
+  Store.Oplog.append log 2 (entry (Crdt.Reg_write 5) (vec [ 1; 0 ]) (tag 1 0));
   Alcotest.check_raises "a key with versions is refused"
     (Invalid_argument "Oplog.install: key has versions") (fun () ->
       Store.Oplog.install log 2 [ e 4 40 ]);
@@ -177,6 +191,7 @@ let suite =
       test_same_txn_double_write;
     Alcotest.test_case "a write to a shared t0 list stays local" `Quick
       test_shared_t0_write;
+    Alcotest.test_case "append shares the entry" `Quick test_append_shares_entry;
     Alcotest.test_case "install counts its entries" `Quick test_install_counts;
     QCheck_alcotest.to_alcotest qcheck_read_matches_fold;
     QCheck_alcotest.to_alcotest qcheck_count_and_snapshot;

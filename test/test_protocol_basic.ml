@@ -318,6 +318,41 @@ let test_deterministic_histories () =
   Alcotest.(check bool) "same seed, identical histories" true (h1 = h2);
   Alcotest.(check bool) "different seed, different timings" true (h1 <> h3)
 
+(* One version per write: a causal write replicated to the other DCs
+   and a strong write delivered by certification are each one opLog
+   entry, held by reference at every DC's replica of the key. *)
+let test_write_entry_shared_by_every_dc () =
+  let sys = Util.make_system () in
+  let dcs = U.Config.dcs (U.System.cfg sys) in
+  let partitions = (U.System.cfg sys).U.Config.partitions in
+  ignore
+    (U.System.spawn_client sys ~dc:0 (fun c ->
+         Client.start c;
+         Client.update c 10 (Crdt.Reg_write 7);
+         ignore (Client.commit c);
+         Client.start c ~strong:true;
+         Client.update c 11 (Crdt.Reg_write 8);
+         ignore (Client.commit c)));
+  Util.run sys ~until:2_000_000;
+  List.iter
+    (fun key ->
+      let head dc =
+        let part = Store.Keyspace.partition ~partitions key in
+        match
+          Store.Oplog.entries (U.Replica.oplog (U.System.replica sys ~dc ~part)) key
+        with
+        | e :: _ -> e
+        | [] -> Alcotest.failf "dc%d has no version of key %d" dc key
+      in
+      let e = head 0 in
+      for dc = 1 to dcs - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "key %d: dc%d holds dc0's entry itself" key dc)
+          true
+          (head dc == e)
+      done)
+    [ 10; 11 ]
+
 let suite =
   [
     Alcotest.test_case "read your writes across transactions" `Quick
@@ -340,4 +375,6 @@ let suite =
       test_remote_visibility_needs_uniformity;
     Alcotest.test_case "histories are deterministic per seed" `Quick
       test_deterministic_histories;
+    Alcotest.test_case "a write's entry is shared by every DC" `Quick
+      test_write_entry_shared_by_every_dc;
   ]

@@ -248,17 +248,16 @@ let counter_total reg name =
 
 (* A committed transaction of [origin]'s stream as replication carries
    it: one register write with the origin's stream timestamp. *)
-let stream_tx ~origin ~ts ~key ~v =
+let stream_tx_as ~tid ~origin ~ts ~key ~v =
   let vec = Vclock.Vc.create ~dcs:3 in
   Vclock.Vc.set vec origin ts;
-  {
-    U.Types.tx_tid = { cl = 7_000 + origin; sq = ts };
-    tx_writes =
-      [ { U.Types.wkey = key; wop = Crdt.Reg_write v; wcls = U.Types.cls_default } ];
-    tx_vec = vec;
-    tx_lc = ts;
-    tx_origin = 7_000 + origin;
-  }
+  U.Types.tx_rec ~tid
+    ~writes:
+      [ { U.Types.wkey = key; wop = Crdt.Reg_write v; wcls = U.Types.cls_default } ]
+    ~vec ~lc:ts ~origin:(7_000 + origin)
+
+let stream_tx ~origin ~ts =
+  stream_tx_as ~tid:{ U.Types.cl = 7_000 + origin; sq = ts } ~origin ~ts
 
 (* The sibling claim of an origin that vouches for nothing: receivers
    only merge it. *)
@@ -434,8 +433,7 @@ let qcheck_stream_log =
       let txs =
         List.mapi
           (fun i t ->
-            { (stream_tx ~origin ~ts:t ~key:0 ~v:i) with
-              U.Types.tx_tid = { cl = 0; sq = i } })
+            stream_tx_as ~tid:{ cl = 0; sq = i } ~origin ~ts:t ~key:0 ~v:i)
           tss
       in
       let build () =
@@ -725,8 +723,10 @@ let test_cert_retry_watchdog () =
   in
   U.Replica.handle r
     (U.Msg.Already_decided
-       { rid = rid2; tid = tid 2; dec = false; vec = Vclock.Vc.create ~dcs:3;
-         lc = 0 });
+       { rid = rid2; dec = false;
+         record =
+           U.Types.tx_rec ~tid:(tid 2) ~writes:[] ~vec:(Vclock.Vc.create ~dcs:3)
+             ~lc:0 ~origin:0 });
   check_sent (100_000 + (2 * period) - 1) 6;
   check_sent (100_000 + (2 * period)) 7;
   check_sent (1_100_000 + (2 * period)) 8;

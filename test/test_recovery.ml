@@ -634,7 +634,7 @@ let test_lossy_restart_durability_sweep () =
 (* Every key preloaded with the same op shares one t0 entry at every
    replica. A seeded run with a node restart from disk (its snapshot
    installs each key's list by reference) and a whole-DC rejoin (the
-   snapshot transfer re-appends the entries) must converge, and the
+   snapshot transfer installs each list by reference too) must converge, and the
    shared t0 vector must still be all zeros: nothing mutates an entry's
    vector. A key nobody writes keeps the very list preload installed at
    the restarted node. *)
@@ -702,6 +702,64 @@ let test_shared_t0_survives_restart_and_rejoin () =
   Alcotest.(check bool) "the restarted node kept the shared list" true
     (Store.Oplog.entries (U.Replica.oplog (U.System.replica sys ~dc:0 ~part)) idle == t0);
   Alcotest.(check bool) "and so did its sibling" true (t0_list () == t0)
+
+(* A rejoin snapshot ships each key's entry list by reference and the
+   rejoiner installs it as is. Writes stop before dc2 crashes, so what
+   dc2 holds after its rejoin came from the snapshot: the never-written
+   key's list is the very t0 list preload installed, and a written
+   key's newest entry is the one its writer's commit built, shared with
+   the DC that served the snapshot (and with every other DC). Key 103
+   is written twice by one transaction: its two entries share a tag,
+   and a rejoiner that re-sorted them would read the first write. *)
+let test_rejoin_installs_shared_lists () =
+  let sys = Util.make_system ~partitions:2 ~seed:5 () in
+  let keys = [| 100; 101; 102; 103 |] and idle = 104 in
+  Array.iter (fun k -> U.System.preload sys k (Crdt.Reg_write 0)) keys;
+  U.System.preload sys idle (Crdt.Reg_write 0);
+  let entries dc k =
+    let part = Store.Keyspace.partition ~partitions:2 k in
+    Store.Oplog.entries (U.Replica.oplog (U.System.replica sys ~dc ~part)) k
+  in
+  let t0 = entries 2 idle in
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = 2_500_000; ev = Crash_dc 2 };
+      { at_us = 3_000_000; ev = Recover_dc 2 };
+    ];
+  for dc = 0 to 1 do
+    ignore
+      (U.System.spawn_client sys ~dc (fun c ->
+           Array.iteri
+             (fun i k ->
+               Client.start c ~strong:(i = 2);
+               Client.update c k (Crdt.Reg_write ((10 * dc) + i + 1));
+               if k = 103 then Client.update c k (Crdt.Reg_write (100 + dc));
+               ignore (Client.commit c))
+             keys))
+  done;
+  Util.run sys ~until:6_000_000;
+  Alcotest.(check bool) "dc2 caught up" false (U.System.dc_syncing sys 2);
+  Util.assert_convergence sys;
+  Alcotest.(check bool) "the never-written key keeps the t0 list" true
+    (entries 2 idle == t0);
+  Array.iter
+    (fun k ->
+      let newest dc =
+        match entries dc k with
+        | e :: _ -> e
+        | [] -> Alcotest.failf "dc%d lost key %d" dc k
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "key %d: written before the crash" k)
+        true
+        ((newest 2).tag.Crdt.origin <> -1);
+      for dc = 0 to 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "key %d: the rejoiner shares dc%d's newest entry" k dc)
+          true
+          (newest 2 == newest dc)
+      done)
+    keys
 
 (* The failover watchdog times an unanswered call out at exactly its
    send time plus [client_failover_us]: the session's DC is crashed, so
@@ -1000,6 +1058,8 @@ let suite =
       `Slow test_restart_behind_partition_keeps_acked_writes;
     Alcotest.test_case "lossy-link x node-restart durability sweep" `Slow
       test_lossy_restart_durability_sweep;
+    Alcotest.test_case "a rejoin installs the snapshot's lists by reference"
+      `Quick test_rejoin_installs_shared_lists;
     Alcotest.test_case "the shared t0 version survives a restart and a rejoin"
       `Slow test_shared_t0_survives_restart_and_rejoin;
     Alcotest.test_case "an unanswered call times out at send + timeout"

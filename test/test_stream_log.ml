@@ -9,13 +9,7 @@ let origin = 0
 let tx ts =
   let vec = Vclock.Vc.create ~dcs:2 in
   Vclock.Vc.set vec origin ts;
-  {
-    U.Types.tx_tid = { cl = 0; sq = ts };
-    tx_writes = [];
-    tx_vec = vec;
-    tx_lc = ts;
-    tx_origin = 0;
-  }
+  U.Types.tx_rec ~tid:{ cl = 0; sq = ts } ~writes:[] ~vec ~lc:ts ~origin:0
 
 (* A log holding timestamps 1..n, pushed in order. *)
 let filled n =
@@ -84,6 +78,28 @@ let test_backfill_and_remove () =
   Alcotest.(check (list int)) "the rest in order" [ 5; 10; 20 ]
     (List.map (fun t -> t.U.Types.tx_lc) (U.Stream_log.to_list log))
 
+(* A rejoin snapshot leaves out the writes of unshipped commits by
+   recognising their entries' commit vector physically: every entry a
+   record builds shares the record's vector array, and an equal copy is
+   not recognised. *)
+let test_entries_share_the_record_vector () =
+  let vec = Vclock.Vc.create ~dcs:2 in
+  Vclock.Vc.set vec origin 7;
+  let w key = { U.Types.wkey = key; wop = Crdt.Reg_write key; wcls = 0 } in
+  let r =
+    U.Types.tx_rec ~tid:{ cl = 0; sq = 7 } ~writes:[ w 1; w 2 ] ~vec ~lc:7
+      ~origin:0
+  in
+  let log = U.Stream_log.create ~origin in
+  U.Stream_log.push log r;
+  Alcotest.(check int) "one entry per write" 2 (List.length r.tx_entries);
+  Alcotest.(check bool) "each entry is recognised" true
+    (List.for_all
+       (fun (e : Store.Oplog.entry) -> U.Stream_log.mem_vec log e.vec)
+       r.tx_entries);
+  Alcotest.(check bool) "an equal copy is not" false
+    (U.Stream_log.mem_vec log (Vclock.Vc.copy vec))
+
 let suite =
   [
     Alcotest.test_case "steady-state push allocates nothing" `Quick
@@ -93,4 +109,6 @@ let suite =
       test_steady_state_ring;
     Alcotest.test_case "backfill and remove keep order" `Quick
       test_backfill_and_remove;
+    Alcotest.test_case "entries share the record's vector" `Quick
+      test_entries_share_the_record_vector;
   ]
