@@ -3,7 +3,8 @@
 
    Each logical partition has one certification group formed by its
    sibling replicas across data centers; one member is the Paxos leader.
-   REDBLUE instead runs a single group of per-DC service nodes. Members
+   REDBLUE instead runs a single group of per-DC service nodes, each
+   driven by partition 0's replica of its DC. Members
    hold [prepared] (accepted but undecided) transactions and a
    [Decided_log]; the leader certifies new transactions against both,
    the coordinator ([Strong_coord]) collects quorums of ACCEPT_ACKs, and

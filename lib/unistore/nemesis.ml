@@ -233,6 +233,15 @@ let validate cfg (sched : schedule) =
          or shrink the topology"
     else Ok ()
   in
+  (* [System] refuses node crashes and DC recovery under REDBLUE (a
+     restart needs a prior crash) *)
+  let* () =
+    let refused = function Crash_node _ | Recover_dc _ -> true | _ -> false in
+    match List.find_opt (fun s -> refused s.ev) sched with
+    | Some s when Config.centralized_cert cfg ->
+        err "%a is unsupported under the REDBLUE centralized service" pp_step s
+    | _ -> Ok ()
+  in
   (* node-level events need a disk to survive on *)
   let* () =
     if (not cfg.Config.persistence) && List.exists (fun s -> is_node_event s.ev) sched

@@ -52,9 +52,10 @@ val schedule_of_json : Sim.Json.t -> (schedule, string) result
     a topology with [dcs > 2f+1] (split-brain certification);
     node-level events without [Config.persistence]; [Crash_node] /
     [Restart_node] mixed with a [Crash_dc] of the same DC (the DC
-    failure domain destroys the disks); and [Restart_node] without a
-    prior [Crash_node] of the same node. {!inject} runs it and raises
-    [Invalid_argument] on any error. *)
+    failure domain destroys the disks); [Restart_node] without a
+    prior [Crash_node] of the same node; and node crashes or
+    [Recover_dc] under the REDBLUE centralized service. {!inject} runs
+    it and raises [Invalid_argument] on any error. *)
 val validate : Config.t -> schedule -> (unit, string) result
 
 (** Schedule every step onto the system's engine (call before

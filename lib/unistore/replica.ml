@@ -34,8 +34,7 @@ type nonrec t = t
 
 type env = Replica_state.env = {
   e_lookup : int -> int -> Msg.addr;
-  e_rb_cert : (int -> Msg.addr) option;
-  e_dc_pending : (int -> int) option;
+  e_dc_pending : int -> int;
 }
 
 let create cfg eng net ~dc ~part ~uid ~skew ~tick_origin ~history ~trace
@@ -51,7 +50,7 @@ let create cfg eng net ~dc ~part ~uid ~skew ~tick_origin ~history ~trace
     skew;
     hlc = 0;
     addr = -1;
-    env = { e_lookup = (fun _ _ -> -1); e_rb_cert = None; e_dc_pending = None };
+    env = { e_lookup = (fun _ _ -> -1); e_dc_pending = (fun _ -> 0) };
     history;
     trace;
     trace_src = Fmt.str "replica %d.%d" dc part;
@@ -126,12 +125,9 @@ let stable_vec t = t.stable_vec
 let uniform_vec t = t.uniform_vec
 let cert t = t.cert
 let is_syncing = is_syncing
-let holds_floor = Replication.holds_floor
 let suspect = Strong_coord.suspect
 let unsuspect = Strong_coord.unsuspect
-let preferred_leader = Strong_coord.preferred_leader
 let certify = Strong_coord.certify
-let strong_heartbeat = Strong_coord.strong_heartbeat
 let reset_peer_view = Recovery.reset_peer_view
 let enable_persistence = Recovery.enable_persistence
 let crash_node = Recovery.crash_node
@@ -184,6 +180,8 @@ let make_cert t =
          ~bid_interval_us:(Config.reclaim_debounce_us t.cfg)
          ctx ~leader_dc:Config.leader_dc)
 
+let host_cert t c = t.cert <- Some c
+
 (* Delay from now to the next instant congruent to [at] modulo
    [period]: a task armed with it keeps its DC's schedule whenever it is
    (re)started. *)
@@ -224,45 +222,37 @@ let start_timers t =
       Replication.prune_committed t;
       Replication.propagate_local_txs t;
       Replication.pull_suspected t);
-  if Config.has_strong cfg && not (Config.centralized_cert cfg) then begin
-    every "strong_heartbeat" ~period:Config.strong_heartbeat_us
-      ~at:(prop + 1) (fun () ->
-        match t.cert with
-        | Some c ->
-            if
-              Cert.is_leader c
-              && now t - Cert.idle_since c >= Config.strong_heartbeat_us
-            then Strong_coord.strong_heartbeat t
-        | None -> ());
-    (* housekeeping runs far less often than heartbeats: it walks the
-       whole decided table *)
-    every "housekeeping" ~period:500_000 ~at:(prop + 2) (fun () ->
-        match t.cert with
-        | Some c ->
-            Cert.retry_stale c ~older_than_us:(4 * Strong_coord.cert_retry_us);
-            (* Prune only below every sibling's delivered strong
-               frontier (the strong slot of its gossiped knownVec): a
-               member cut off by a partition — even one falsely
-               suspected — must still find the decisions it missed in
-               the group's decided logs when it rejoins, and NEW_STATE
-               cannot resurrect a pruned entry. A crashed DC holds the
-               floor too while its rejoin grace period lasts — frozen
-               at its pre-crash frontier until it recovers, then pinned
-               at zero by [reset_peer_view] until its member has caught
-               up — and releases it only once the grace period expires
-               without a rejoin. An entry must also be stable at every
-               floor holder, whole vector: a snapshot whose strong
-               entry passed the floor may still miss it through the
-               entry of a DC cut off by a partition. *)
-            let floor =
-              Replication.holders_floor t ~init:(Cert.last_delivered c)
-                (dcs t)
-            in
-            Cert.prune_decided c
-              ~covered:(Replication.stable_at_holders t)
-              ~floor
-        | None -> ())
-  end;
+  (match t.cert with
+  | Some c ->
+      every "strong_heartbeat" ~period:Config.strong_heartbeat_us
+        ~at:(prop + 1) (fun () ->
+          if
+            Cert.is_leader c
+            && now t - Cert.idle_since c >= Config.strong_heartbeat_us
+          then Strong_coord.strong_heartbeat t);
+      (* housekeeping runs far less often than heartbeats: it walks the
+         whole decided table *)
+      every "housekeeping" ~period:500_000 ~at:(prop + 2) (fun () ->
+          Cert.retry_stale c ~older_than_us:(4 * Strong_coord.cert_retry_us);
+          (* Prune only below every sibling's delivered strong frontier
+             (the strong slot of its gossiped knownVec): a member cut
+             off by a partition — even one falsely suspected — must
+             still find the decisions it missed in the group's decided
+             logs when it rejoins, and NEW_STATE cannot resurrect a
+             pruned entry. A crashed DC holds the floor too while its
+             rejoin grace period lasts — frozen at its pre-crash
+             frontier until it recovers, then pinned at zero by
+             [reset_peer_view] until its member has caught up — and
+             releases it only once the grace period expires without a
+             rejoin. An entry must also be stable at every floor
+             holder, whole vector: a snapshot whose strong entry passed
+             the floor may still miss it through the entry of a DC cut
+             off by a partition. *)
+          let floor =
+            Replication.holders_floor t ~init:(Cert.last_delivered c) (dcs t)
+          in
+          Cert.prune_decided c ~covered:(Replication.stable_at_holders t) ~floor)
+  | None -> ());
   (* periodic snapshot + truncate bounds WAL replay after a crash *)
   if persistent t then
     every "snapshot" ~period:cfg.Config.snapshot_interval_us ~at:(prop + 3)

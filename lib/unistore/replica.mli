@@ -14,9 +14,10 @@ type t
 
 (** Late-bound addresses provided by [System]. *)
 type env = {
-  e_lookup : int -> int -> Msg.addr;  (** dc, partition -> replica *)
-  e_rb_cert : (int -> Msg.addr) option;  (** dc -> REDBLUE service node *)
-  e_dc_pending : (int -> int) option;
+  e_lookup : int -> int -> Msg.addr;
+      (** dc, partition -> replica; partition [Config.partitions] (the
+          REDBLUE pseudo-group) -> the DC's service node *)
+  e_dc_pending : int -> int;
       (** dc -> in-flight strong certifications DC-wide; drives admission
           control ([Config.admission_max_pending]) *)
 }
@@ -43,16 +44,18 @@ val set_env : t -> env -> unit
     membership (not used under REDBLUE). *)
 val make_cert : t -> unit
 
+(** Hold [c] as this replica's certification member: under REDBLUE,
+    partition 0 of each DC holds the DC's service member, which runs on
+    its own node but is driven (heartbeats, housekeeping, Ω, RETRY) as
+    any group member is. *)
+val host_cert : t -> Cert.t -> unit
+
 val cert : t -> Cert.t option
 
-(** Does DC [i] still hold the garbage-collection floors? Live DCs
-    always do; a crashed DC holds them for [Config.gc_grace_us] after
-    its crash, so it can rejoin by log catch-up. *)
-val holds_floor : t -> int -> bool
-
 (** Start the periodic protocol tasks: PROPAGATE_LOCAL_TXS,
-    BROADCAST_VECS (leaves of the in-DC tree only), strong heartbeats and
-    certification housekeeping, phased from the DC's [tick_origin] (the
+    BROADCAST_VECS (leaves of the in-DC tree only), and, on a replica
+    holding a certification member, strong heartbeats and certification
+    housekeeping, phased from the DC's [tick_origin] (the
     offset of its schedule within the period, shared by every replica
     of the DC). *)
 val start_timers : t -> unit
@@ -69,10 +72,6 @@ val suspect : t -> int -> unit
     can hand leadership back to the preferred DC. *)
 val unsuspect : t -> int -> unit
 
-(** The DC this replica's Ω currently trusts: the first non-suspected DC
-    starting from the configured leader. *)
-val preferred_leader : t -> int
-
 (** Coordinator-side certification (Algorithm A7): submit to every
     involved group leader, collect quorums of ACCEPT_ACKs, broadcast the
     decision, pass the result to [k]. *)
@@ -83,9 +82,6 @@ val certify :
   lc:int ->
   k:(Cert.cert_result -> unit) ->
   unit
-
-(** Submit a dummy strong transaction (Algorithm A6 line 10). *)
-val strong_heartbeat : t -> unit
 
 (** {2 DC crash recovery} *)
 
@@ -138,8 +134,8 @@ val snapshot_bytes : t -> int
     logged asynchronously and a crash loses only what a peer still
     holds. See DESIGN.md §4g. *)
 
-(** Attach the simulated disk (call after {!make_cert}; [System] does
-    this when [Config.persistence] is set). *)
+(** Attach the simulated disk (call after {!make_cert} or {!host_cert};
+    [System] does this when [Config.persistence] is set). *)
 val enable_persistence : t -> unit
 
 (** Node-level process crash: retire the timers, abandon any running

@@ -161,11 +161,12 @@ type sync_state = {
 (* Addresses the replica needs but cannot know at construction time;
    provided by [System] before the simulation starts. *)
 type env = {
-  e_lookup : int -> int -> Msg.addr;  (* dc, partition -> replica *)
-  e_rb_cert : (int -> Msg.addr) option;  (* dc -> REDBLUE service node *)
+  (* dc, partition -> replica; the REDBLUE pseudo-group ([rb_group])
+     maps to the DC's service node *)
+  e_lookup : int -> int -> Msg.addr;
   (* DC-wide in-flight strong certifications (the level behind the
      pending_certifications gauge); drives admission control *)
-  e_dc_pending : (int -> int) option;
+  e_dc_pending : int -> int;
 }
 
 type t = {
@@ -246,7 +247,9 @@ type t = {
   mutable wait_seq : int;
   mutable waiters : ((unit -> bool) * (unit -> unit)) list;
   (* --- strong transactions ------------------------------------------- *)
-  mutable cert : Cert.t option;  (* per-partition group member (not REDBLUE) *)
+  (* certification group member: this partition's, or under REDBLUE
+     (partition 0 only) the DC's service member *)
+  mutable cert : Cert.t option;
   mutable trusted : int;  (* leader DC Ω trusts, for every group *)
   pending_cert : (int, pending_cert) Hashtbl.t;
   mutable cert_armed : bool;  (* the certification-retry watchdog is pending *)

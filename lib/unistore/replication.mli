@@ -19,7 +19,6 @@ val handle_repair_log :
   t -> origin:int -> txs:Types.tx_rec list -> from_ts:int -> covered:int ->
   last:bool -> sq:int -> unit
 val pull_suspected : t -> unit
-val holds_floor : t -> int -> bool
 val holders_floor : t -> init:int -> int -> int
 val stable_at_holders : t -> Vc.t -> bool
 val prune_committed : t -> unit

@@ -5,12 +5,7 @@
 
 open Replica_state
 
-let group_leader_addr t g =
-  if g = rb_group t then
-    match t.env.e_rb_cert with
-    | Some f -> f t.trusted
-    | None -> invalid_arg "Replica: REDBLUE group without service nodes"
-  else t.env.e_lookup t.trusted g
+let group_leader_addr t g = t.env.e_lookup t.trusted g
 
 (* The partitions a transaction writes or reads, ascending, each once;
    built without intermediate lists, since every strong heartbeat runs
@@ -231,11 +226,7 @@ let handle_unknown_tx_ack t ~part ~rid ~tid ~from_dc =
    frontier moving. *)
 let admission_shed t =
   let bound = t.cfg.Config.admission_max_pending in
-  bound > 0
-  &&
-  match t.env.e_dc_pending with
-  | Some pending_of_dc -> pending_of_dc t.dc >= bound
-  | None -> false
+  bound > 0 && t.env.e_dc_pending t.dc >= bound
 
 let shed_commit t ~client ~req ~tid =
   (* interned on the first shed so runs that never overload keep their

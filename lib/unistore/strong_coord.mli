@@ -20,7 +20,6 @@ val handle_resubmit_strong :
   t -> client:Msg.addr -> req:int -> Msg.strong_tx -> lc:int -> unit
 val deliver_strong : t -> Types.tx_rec list -> strong_ts:int -> unit
 val strong_heartbeat : t -> unit
-val preferred_leader : t -> int
 val retarget_trust : t -> unit
 val suspect : t -> int -> unit
 val unsuspect : t -> int -> unit

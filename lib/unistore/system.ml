@@ -18,7 +18,6 @@ type t = {
   metrics : Sim.Metrics.t;
   replicas : Replica.t array array;  (* [dc].(partition) *)
   addrs : Msg.addr array array;
-  rb_certs : (Cert.t * Msg.addr) array;  (* REDBLUE service nodes, per DC *)
   detector : Detector.t;
   mutable clients : Client.t list;
   mutable next_client : int;
@@ -43,19 +42,23 @@ let clients_in_flight t =
 
 (* Build the REDBLUE certification service: one node per DC forming a
    single Paxos group whose committed updates are pushed to the DC's data
-   partitions. RETRY/recovery re-certification is delegated to partition
-   0's replica of the DC. *)
+   partitions. Each DC's member runs on its own node, but partition 0's
+   replica of the DC holds it and drives it as any certification member
+   ([Replica.host_cert]): heartbeats, housekeeping, Ω trust and RETRY.
+   Returns the service nodes' addresses, per DC. *)
 let make_rb_certs cfg eng net ~replicas ~addrs ~rng =
   let dcs = Config.dcs cfg in
   let partitions = cfg.Config.partitions in
   let rb_addrs = Array.make dcs (-1) in
-  let cert_refs = Array.make dcs None in
   for dc = 0 to dcs - 1 do
     let skew =
       let s = cfg.Config.clock_skew_us in
       if s = 0 then 0 else Rng.int rng (2 * s) - s
     in
-    let handler msg = Option.iter (fun c -> Cert.handle c msg) cert_refs.(dc) in
+    let host = replicas.(dc).(0) in
+    let handler msg =
+      Option.iter (fun c -> Cert.handle c msg) (Replica.cert host)
+    in
     let addr =
       Network.register net ~dc
         ~name:(Fmt.str "dc%d/rbcert" dc)
@@ -101,24 +104,16 @@ let make_rb_certs cfg eng net ~replicas ~addrs ~rng =
             else
               Engine.schedule_at eng ~time:(ts - skew) (fun () ->
                   if not (Network.dc_failed net dc) then k ()));
-        x_certify = Replica.certify replicas.(dc).(0);
+        x_certify = Replica.certify host;
         x_alive = (fun () -> not (Network.dc_failed net dc));
       }
     in
-    cert_refs.(dc) <-
-      Some
-        (Cert.create
-           ~bid_interval_us:(Config.reclaim_debounce_us cfg)
-           ctx ~leader_dc:Config.leader_dc)
+    Replica.host_cert host
+      (Cert.create
+         ~bid_interval_us:(Config.reclaim_debounce_us cfg)
+         ctx ~leader_dc:Config.leader_dc)
   done;
-  Array.init dcs (fun dc ->
-      match cert_refs.(dc) with
-      | Some c -> (c, rb_addrs.(dc))
-      | None ->
-          failwith
-            (Fmt.str
-               "System.make_rb_certs: no certification service built for dc%d"
-               dc))
+  rb_addrs
 
 let create cfg =
   let eng = Engine.create ~seed:cfg.Config.seed () in
@@ -193,27 +188,24 @@ let create cfg =
     (fun dc row ->
       Array.iteri (fun part r -> Replica.set_addr r addrs.(dc).(part)) row)
     replicas;
-  let rb_certs =
+  let rb_addrs =
     if Config.centralized_cert cfg then
       make_rb_certs cfg eng net ~replicas ~addrs ~rng
     else [||]
   in
   let env =
     {
-      Replica.e_lookup = (fun dc part -> addrs.(dc).(part));
-      e_rb_cert =
-        (if Config.centralized_cert cfg then
-           Some (fun dc -> snd rb_certs.(dc))
-         else None);
+      Replica.e_lookup =
+        (fun dc part ->
+          if part < partitions then addrs.(dc).(part) else rb_addrs.(dc));
       (* admission control reads the DC-wide in-flight strong
          certification count — the same level the
          [pending_certifications] gauge samples *)
       e_dc_pending =
-        Some
-          (fun dc ->
-            Array.fold_left
-              (fun acc r -> acc + Replica.pending_strong r)
-              0 replicas.(dc));
+        (fun dc ->
+          Array.fold_left
+            (fun acc r -> acc + Replica.pending_strong r)
+            0 replicas.(dc));
     }
   in
   Array.iter (Array.iter (fun r -> Replica.set_env r env)) replicas;
@@ -224,87 +216,16 @@ let create cfg =
   if cfg.Config.persistence then
     Array.iter (Array.iter Replica.enable_persistence) replicas;
   Array.iter (Array.iter Replica.start_timers) replicas;
-  (* the REDBLUE leader needs dummy strong heartbeats too: partition 0's
-     replica of the leader DC submits them *)
-  if Config.centralized_cert cfg then
-    Engine.every eng
-      ~label:(prof_label "rbcert/heartbeat")
-      ~period:Config.strong_heartbeat_us
-      ~phase:(Rng.int rng Config.strong_heartbeat_us) (fun () ->
-        let live_leader =
-          let rec find dc =
-            if dc >= dcs then None
-            else if Network.dc_failed net dc then find (dc + 1)
-            else Some dc
-          in
-          (* heartbeat from whichever DC currently leads *)
-          let rec leading dc =
-            if dc >= dcs then find 0
-            else
-              let c, _ = rb_certs.(dc) in
-              if Cert.is_leader c && not (Network.dc_failed net dc) then
-                Some dc
-              else leading (dc + 1)
-          in
-          leading 0
-        in
-        (match live_leader with
-        | Some dc ->
-            let c, _ = rb_certs.(dc) in
-            if
-              Engine.now eng - Cert.idle_since c
-              >= Config.strong_heartbeat_us
-            then Replica.strong_heartbeat replicas.(dc).(0)
-        | None -> ());
-        true);
-  if Config.centralized_cert cfg then
-    Engine.every eng
-      ~label:(prof_label "rbcert/housekeeping")
-      ~period:500_000 ~phase:123 (fun () ->
-        Array.iteri
-          (fun dc (c, _) ->
-            if not (Network.dc_failed net dc) then begin
-              Cert.retry_stale c ~older_than_us:2_400_000;
-              (* no service may prune a decision some live (possibly
-                 partitioned) peer has yet to deliver; a crashed DC holds
-                 the floor at its pre-crash delivery point for the
-                 replicas' grace period ([Replica.holds_floor]), then
-                 releases it (recovery is unsupported under REDBLUE, so
-                 the release is final) *)
-              let floor = ref (Cert.last_delivered c) in
-              Array.iteri
-                (fun dc' (c', _) ->
-                  if dc' <> dc && Replica.holds_floor replicas.(dc).(0) dc'
-                  then
-                    floor := min !floor (Cert.last_delivered c'))
-                rb_certs;
-              Cert.prune_decided c ~floor:!floor
-            end)
-          rb_certs;
-        true);
   (* the Ω failure detector: heartbeats + timeout suspicion, notifying
-     each observer DC's replicas (and the REDBLUE service) of suspicion
-     and rehabilitation transitions *)
-  let retarget_rb observer =
-    if Config.centralized_cert cfg then begin
-      let c, _ = rb_certs.(observer) in
-      let pref = Replica.preferred_leader replicas.(observer).(0) in
-      if Cert.trusted c <> pref then Cert.set_trusted c pref
-    end
-  in
+     each observer DC's replicas of suspicion and rehabilitation
+     transitions *)
   let on_suspect ~observer ~dc =
-    if not (Network.dc_failed net observer) then begin
-      Array.iter (fun r -> Replica.suspect r dc) replicas.(observer);
-      retarget_rb observer;
-      if Config.centralized_cert cfg then
-        Cert.retry_suspected (fst rb_certs.(observer)) ~dc
-    end
+    if not (Network.dc_failed net observer) then
+      Array.iter (fun r -> Replica.suspect r dc) replicas.(observer)
   in
   let on_restore ~observer ~dc =
-    if not (Network.dc_failed net observer) then begin
-      Array.iter (fun r -> Replica.unsuspect r dc) replicas.(observer);
-      retarget_rb observer
-    end
+    if not (Network.dc_failed net observer) then
+      Array.iter (fun r -> Replica.unsuspect r dc) replicas.(observer)
   in
   let detector =
     Detector.create cfg eng net ~trace ~metrics ~on_suspect ~on_restore
@@ -359,7 +280,6 @@ let create cfg =
     metrics;
     replicas;
     addrs;
-    rb_certs;
     detector;
     clients = [];
     next_client = 0;
@@ -524,6 +444,11 @@ let fail_dc t dc =
    Whole-DC crashes above remain the machine-destroying domain.         *)
 
 let fail_node t ~dc ~part =
+  (* partition 0's disk holds the DC's REDBLUE service member, whose
+     node would stay up through the restart *)
+  if Config.centralized_cert t.cfg then
+    invalid_arg
+      "System.fail_node: unsupported under the REDBLUE centralized service";
   Network.fail_node t.net t.addrs.(dc).(part);
   Replica.crash_node t.replicas.(dc).(part);
   Sim.Trace.emitf t.trace ~source:"system" ~kind:"node-crash"
@@ -548,9 +473,7 @@ let restart_node t ~dc ~part =
        here, so between them they hold every entry the node left
        undecided. Ω cannot help — the DC never went silent. *)
     let coord = t.addrs.(dc).(part) in
-    retry_coordinated t ~at:[ dc ] ~coords:[ coord ];
-    if Config.centralized_cert t.cfg then
-      Cert.retry_coordinated (fst t.rb_certs.(dc)) ~coord
+    retry_coordinated t ~at:[ dc ] ~coords:[ coord ]
   end
 
 let set_disk_slow t ~dc ~part ~factor =

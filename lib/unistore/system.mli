@@ -82,7 +82,9 @@ val dc_syncing : t -> int -> bool
 
 (** Crash one replica process: it stops sending/receiving, its timers
     retire, un-fsynced WAL appends are lost (the in-flight head may
-    tear). *)
+    tear). Raises [Invalid_argument] under the REDBLUE centralized
+    service: partition 0's disk holds the DC's service member, whose
+    node stays up. *)
 val fail_node : t -> dc:int -> part:int -> unit
 
 (** Restart a crashed node from its own disk (warned no-op if the node

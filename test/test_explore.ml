@@ -10,9 +10,9 @@ module U = Unistore
 module E = Explore.Explorer
 module Oracle = Explore.Oracle
 
-let cfg ?(persistence = false) () =
+let cfg ?(persistence = false) ?mode () =
   U.Config.default ~topo:(Net.Topology.three_dcs ()) ~partitions:2 ~f:1
-    ~persistence ()
+    ~persistence ?mode ()
 
 let ok = Alcotest.(check bool) "validates" true
 let rejected = Alcotest.(check bool) "rejected" false
@@ -73,7 +73,15 @@ let test_validate_rules () =
   ok
     (valid
        (cfg ~persistence:true ())
-       (crash_restart ~at:1_000 () @ crash_restart ~at:5_000 ()))
+       (crash_restart ~at:1_000 () @ crash_restart ~at:5_000 ()));
+  (* REDBLUE refuses node crashes and DC recovery, not DC crashes *)
+  let redblue = cfg ~persistence:true ~mode:U.Config.Red_blue () in
+  let crash_dc = { U.Nemesis.at_us = 1_000; ev = U.Nemesis.Crash_dc 1 } in
+  rejected (valid redblue (crash_restart ()));
+  rejected
+    (valid redblue
+       [ crash_dc; { U.Nemesis.at_us = 2_000; ev = U.Nemesis.Recover_dc 1 } ]);
+  ok (valid redblue [ crash_dc ])
 
 (* Random schedules satisfy validate by construction — including
    multiple node-crash cycles, which may draw the same node twice and

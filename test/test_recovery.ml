@@ -431,6 +431,53 @@ let test_gc_grace_floors () =
   Alcotest.(check int) "forwarded buffer pruned after grace" 0
     (U.Stream_log.length (U.Replica.stream_log r1 ~origin:0))
 
+(* A DC that crashes and recovers inside Ω's detection delay is never
+   suspected, so [Cert.retry_suspected] does not finish the strong 2PCs
+   its nodes were coordinating. Its rejoined members have no accepted
+   log, and the client does not fail over. Only [System.recover_dc]'s
+   RETRY at the surviving members ([Cert.retry_coordinated]) decides an
+   entry the crash orphaned; without it, the entry blocks every later
+   delivery in its group until the stale-entry retry fires seconds
+   later. The crash offsets span the 2PC's legs, and at each the group's
+   strong frontier at a survivor moves within 2 s of the recovery. *)
+let recover_in_detection_delay_run ~crash_offset_us =
+  let sys = Util.make_system ~partitions:1 ~seed:5 () in
+  let key = 3 in
+  U.System.preload sys key (Crdt.Ctr_add 0);
+  let submit_us = 600_000 in
+  let crash_us = submit_us + crash_offset_us in
+  let recover_us = crash_us + 200_000 in
+  U.Nemesis.inject sys
+    [
+      { U.Nemesis.at_us = crash_us; ev = U.Nemesis.Crash_dc 2 };
+      { U.Nemesis.at_us = recover_us; ev = U.Nemesis.Recover_dc 2 };
+    ];
+  ignore
+    (U.System.spawn_client sys ~dc:2 (fun c ->
+         Fiber.sleep submit_us;
+         Client.start c ~strong:true;
+         Client.update c key (Crdt.Ctr_add 1);
+         ignore (Client.commit c)));
+  let frontier () =
+    match U.Replica.cert (U.System.replica sys ~dc:1 ~part:0) with
+    | Some c -> U.Cert.last_delivered c
+    | None -> Alcotest.fail "dc1 holds no certification member"
+  in
+  Util.run sys ~until:recover_us;
+  let at_recovery = frontier () in
+  Util.run sys ~until:(recover_us + 2_000_000);
+  (at_recovery, frontier ())
+
+let test_recover_in_detection_delay_retries () =
+  List.iter
+    (fun crash_offset_us ->
+      let before, after = recover_in_detection_delay_run ~crash_offset_us in
+      Alcotest.(check bool)
+        (Fmt.str "offset %dus: the strong frontier moves (%d -> %d)"
+           crash_offset_us before after)
+        true (after > before))
+    [ 0; 25_000; 50_000; 75_000; 100_000 ]
+
 (* Seeded schedules: by default no recovery is drawn (existing seeds
    keep their schedules); with a recovery budget, a crashed DC recovers
    after its crash and before the final heal. *)
@@ -1052,6 +1099,8 @@ let suite =
       `Slow test_silent_snapshot_source_reasked;
     Alcotest.test_case "the snapshot cut's floor survives a restart"
       `Quick test_snapshot_floor_survives_restart;
+    Alcotest.test_case "a DC recovered inside the detection delay unblocks"
+      `Slow test_recover_in_detection_delay_retries;
     Alcotest.test_case "seeded schedules pair recoveries with crashes"
       `Quick test_random_schedule_recovery;
     Alcotest.test_case "restart behind a partition keeps acked writes"

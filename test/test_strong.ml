@@ -182,6 +182,48 @@ let test_redblue_mode () =
   Alcotest.(check bool) "all clients progressed" true (!commits >= 3);
   Util.assert_convergence sys
 
+(* REDBLUE leader failover: the service's leader DC crashes at 1 s. Ω
+   at the survivors retargets their service members (partition 0 holds
+   each DC's), dc1's member takes over the group, the coordinators
+   re-send to it, and the survivors keep certifying and converge. *)
+let test_redblue_leader_failover () =
+  let sys = Util.make_system ~mode:U.Config.Red_blue () in
+  (* partition 0's disk holds the service member: no node faults *)
+  Alcotest.check_raises "node crashes are refused"
+    (Invalid_argument
+       "System.fail_node: unsupported under the REDBLUE centralized service")
+    (fun () -> U.System.fail_node sys ~dc:1 ~part:0);
+  let crash_us = 1_000_000 in
+  let keys = [| 20; 21; 22 |] in
+  Array.iter (fun k -> U.System.preload sys k (Crdt.Ctr_add 0)) keys;
+  U.Nemesis.inject sys
+    [ { U.Nemesis.at_us = crash_us; ev = U.Nemesis.Crash_dc 0 } ];
+  let after_crash = ref 0 in
+  for dc = 1 to 2 do
+    ignore
+      (U.System.spawn_client sys ~dc (fun c ->
+           let i = ref dc in
+           while U.System.now sys < 4_000_000 do
+             let started_us = U.System.now sys in
+             Client.start c ~strong:true;
+             let k = keys.(!i mod Array.length keys) in
+             Client.update c k (Crdt.Ctr_add 1);
+             (match Client.commit c with
+             | `Committed _ when started_us > crash_us -> incr after_crash
+             | `Committed _ | `Aborted -> ());
+             incr i;
+             Fiber.sleep 100_000
+           done))
+  done;
+  Util.run sys ~until:10_000_000;
+  Alcotest.(check bool)
+    (Fmt.str "transactions started after the crash commit (%d)" !after_crash)
+    true (!after_crash > 0);
+  Alcotest.(check int) "no strong transaction left pending" 0
+    (U.System.pending_strong sys);
+  Util.assert_por sys;
+  Util.assert_convergence sys
+
 let test_strong_lamport_order_matches_certification () =
   (* Property 5: conflicting strong transactions are ordered by strong
      timestamp, and the earlier is in the later's snapshot — exercised
@@ -323,6 +365,8 @@ let suite =
       test_serializable_mode_read_only_strong;
     Alcotest.test_case "REDBLUE centralized certification" `Slow
       test_redblue_mode;
+    Alcotest.test_case "REDBLUE survives its leader DC's crash" `Slow
+      test_redblue_leader_failover;
     Alcotest.test_case "strong timestamps distinct (Property 5)" `Slow
       test_strong_lamport_order_matches_certification;
     Alcotest.test_case "leader crash mid-certification is exactly-once"

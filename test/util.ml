@@ -70,7 +70,6 @@ let probe_rig ?(mode = U.Config.Causal_only) ?(persistence = false)
   U.Replica.set_addr r
     (Net.Network.register net ~dc:0 ~cost:(fun _ -> 0) (U.Replica.handle r));
   U.Replica.set_env r
-    { e_lookup = (fun dc _ -> probes.(dc)); e_rb_cert = None;
-      e_dc_pending = None };
+    { e_lookup = (fun dc _ -> probes.(dc)); e_dc_pending = (fun _ -> 0) };
   if persistence then U.Replica.enable_persistence r;
   (eng, r, probes, sent)
