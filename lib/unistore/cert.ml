@@ -92,12 +92,14 @@ type t = {
   mutable last_ts : int;  (* leader: last proposed strong timestamp *)
   mutable do_not_wait : Types.tid list;
   (* Decisions learned while [Recovering]: chosen values, kept until
-     [install_state] can apply them to the prepared entries it installs
+     [install] can apply them to the prepared entries it installs
      (the state may have been captured before the decision reached its
      sender). *)
   learned : (Types.tid, bool * Types.tx_rec) Hashtbl.t;
-  mutable recovery_acks :
-    (int * (int * Msg.prepared_strong list * Msg.decided_strong list)) list;
+  (* this ballot's acks by DC; once it installs, their floors and
+     frontiers only, and [sent_floor] is the floor its NEW_STATE carries *)
+  mutable recovery_acks : (int * Msg.ack) list;
+  mutable sent_floor : int option;
   mutable state_acks : int list;
   mutable last_activity : int;  (* time of last delivery (heartbeating) *)
   mutable last_bid : int;  (* time of the last leadership bid (debounce) *)
@@ -127,6 +129,7 @@ let create ~bid_interval_us ctx ~leader_dc =
     do_not_wait = [];
     learned = Hashtbl.create 8;
     recovery_acks = [];
+    sent_floor = None;
     state_acks = [];
     last_activity = 0;
     last_bid = -bid_interval_us;
@@ -152,7 +155,7 @@ let prune_decided ?covered t ~floor =
   Decided_log.prune ?covered t.decided ~floor
 
 (* The index follows [prepared] at its three mutation points:
-   [add_prepared], [decide_prepared] and [install_state]. An entry with
+   [add_prepared], [decide_prepared] and [install]. An entry with
    two operations on one key is listed twice and dropped twice. *)
 let rec drop e = function
   | [] -> []
@@ -256,6 +259,13 @@ let deliver_ready t =
         deliver t ~ts batch;
         ts
 
+(* Ask members [dcs] for the group state ([handle_state_request]). *)
+let request_state t ~dcs =
+  let delivered = last_delivered t in
+  let from = t.ctx.x_self () in
+  let msg = Msg.State_request { from; ballot = t.ballot; delivered } in
+  List.iter (fun dc -> t.ctx.x_send (t.ctx.x_member dc) msg) dcs
+
 (* A member that sees a group message at a ballot ABOVE its own missed
    an election — e.g. it was Recovering after a restart while the
    NEW_LEADER round ran, so it could neither promise nor adopt the
@@ -268,7 +278,8 @@ let deliver_ready t =
    means a quorum promised it, so the group will never follow ours
    (A10). Chase the group instead: step back to Recovering (stop voting,
    [handle_new_state] accepts again) and re-ask for the state; a leader
-   at or above our promise answers with NEW_STATE at its ballot.
+   at or above our promise, with its floor at or below our frontier,
+   answers with NEW_STATE at its ballot.
    Debounced on the bid clock — deliveries arrive in bursts, and a
    Recovering member retries on later evidence if the first request is
    lost. *)
@@ -279,8 +290,7 @@ let chase_ballot t b =
   then begin
     t.last_bid <- t.ctx.x_now ();
     t.status <- Recovering;
-    broadcast t
-      (Msg.State_request { from = t.ctx.x_self (); ballot = t.ballot })
+    request_state t ~dcs:(List.init t.ctx.x_dcs Fun.id)
   end
 
 (* A frontier the leader of ballot [b] freed: only a member at exactly
@@ -483,14 +493,17 @@ let handle_unknown_tx t ~b ~rid ~tid ~coord =
 
 let prepared_list t = Hashtbl.fold (fun _ { p; _ } acc -> p :: acc) t.prepared []
 
-(* This member's whole log, as a NEW_LEADER_ACK (given [cballot]) or a
-   NEW_STATE. *)
+(* This member's whole log and its floor, as a NEW_LEADER_ACK (given
+   [cballot]) or a NEW_STATE. *)
 let state_msg ?cballot t ~b =
   let prepared = prepared_list t and decided = Decided_log.to_list t.decided in
-  let from = t.ctx.x_self () in
+  let from = t.ctx.x_self () and floor = Decided_log.floor t.decided in
   match cballot with
-  | Some cballot -> Msg.New_leader_ack { b; cballot; prepared; decided; from }
-  | None -> Msg.New_state { b; prepared; decided; from }
+  | Some cballot ->
+      let delivered = last_delivered t in
+      let ack = { Msg.cballot; floor; delivered; prepared; decided } in
+      Msg.New_leader_ack { b; ack; from }
+  | None -> Msg.New_state { b; floor; prepared; decided; from }
 
 (* Bid for leadership: NEW_LEADER at this member's next ballot, which
    restarts the reclaim debounce. *)
@@ -499,6 +512,7 @@ let bid t =
   let rec next b = if b mod t.ctx.x_dcs = t.ctx.x_dc then b else next (b + 1) in
   let b = next (t.ballot + 1) in
   t.recovery_acks <- [];
+  t.sent_floor <- None;
   t.state_acks <- [];
   broadcast t (Msg.New_leader { b; from = t.ctx.x_self () })
 
@@ -554,12 +568,12 @@ let handle_new_leader t ~b ~from ~from_dc =
   end
   else t.ctx.x_send from (Msg.Nack { b = t.ballot; from = t.ctx.x_self () })
 
-(* Replace this member's certification state (recovery), then decide the
-   installed prepared entries whose decision was learned meanwhile. *)
-let install_state ?delivered t ~prepared ~decided =
+(* The one install of every state transfer (restart, rejoin, NEW_STATE,
+   election): decisions merge in, the prepared entries are replaced (and
+   decided where a decision was learned meanwhile), the floor is set. *)
+let install t ~floor ~prepared ~decided =
   Hashtbl.reset t.prepared;
   Hashtbl.reset t.voting_by_key;
-  Decided_log.reset ?delivered t.decided;
   List.iter (add_decided t) decided;
   List.iter
     (fun (p : Msg.prepared_strong) ->
@@ -571,59 +585,93 @@ let install_state ?delivered t ~prepared ~decided =
       | None -> ()
       | Some e -> decide_prepared t e ~dec ~record)
     t.learned;
-  Hashtbl.reset t.learned
+  Hashtbl.reset t.learned;
+  Decided_log.set_floor t.decided floor
 
-let handle_new_leader_ack t ~b ~cballot ~prepared ~decided ~from_dc =
-  if t.status = Recovering && t.ballot = b then begin
-    (* our election is making progress: push the reclaim debounce out so
-       leader-bound traffic cannot restart the election from under us —
-       the full round (acks, install, NEW_STATE fsync+acks) takes about
-       a debounce interval, so debouncing only from the bid start
-       livelocks on back-to-back re-elections *)
-    t.last_bid <- t.ctx.x_now ();
-    if not (List.mem_assoc from_dc t.recovery_acks) then
-      t.recovery_acks <-
-        (from_dc, (cballot, prepared, decided)) :: t.recovery_acks;
-    if List.length t.recovery_acks >= t.ctx.x_quorum then begin
-      let acks = List.map snd t.recovery_acks in
-      t.recovery_acks <- [];
-      let max_cb =
-        List.fold_left (fun acc (cb, _, _) -> max acc cb) (-1) acks
-      in
-      (* Accepted values come from the highest cballot only (Paxos), but
-         a decision is a chosen value whoever reports it. A member at a
-         lower cballot — typically the old leader, which learns decisions
-         first — may be the only one in the quorum that holds the
-         decision of an entry the others still have prepared (a
-         LEARN_DECISION reaching a Recovering member is only stashed).
-         Dropping it would put that entry back in [prepared], where it
-         blocks delivery until a RETRY decides it again. *)
-      let from_max = List.filter (fun (cb, _, _) -> cb = max_cb) acks in
-      let decided = List.concat_map (fun (_, _, d) -> d) acks in
-      let prepared = List.concat_map (fun (_, p, _) -> p) from_max in
-      install_state t ~prepared ~decided;
-      let max_prep =
-        Hashtbl.fold (fun _ { p; _ } acc -> max acc p.ps_ts) t.prepared 0
-      in
-      let max_ts = max max_prep (Decided_log.max_commit_ts t.decided) in
-      t.ctx.x_at_clock max_ts (fun () ->
-          if t.status = Recovering && t.ballot = b && t.ctx.x_alive () then begin
-            t.last_bid <- t.ctx.x_now ();
-            t.cballot <- b;
-            t.last_ts <- max t.last_ts max_ts;
-            t.state_acks <- [ t.ctx.x_dc ];
-            let state = state_msg t ~b in
-            log_durably t (E_ballot { b; cb = b }) (fun () ->
-                send_others t state)
-          end)
-    end
-  end
+(* The q-th lowest floor among [acks]: every accept quorum meets the q
+   lowest-floor ackers, each of which holds its accepts above its own
+   floor, so their logs together hold every decision above it. *)
+let vouched t acks =
+  List.nth
+    (List.sort compare (List.map (fun (_, a) -> a.Msg.floor) acks))
+    (t.ctx.x_quorum - 1)
 
-let handle_new_state t ~b ~prepared ~decided ~from =
-  if t.status = Recovering && b >= t.ballot then begin
+let voucher (a : Msg.ack) = { a with prepared = []; decided = [] }
+
+let install_election t ~b acks =
+  let max_cb =
+    List.fold_left (fun acc (_, a) -> max acc a.Msg.cballot) (-1) acks
+  in
+  (* Accepted values come from the highest cballot only (Paxos), but
+     a decision is a chosen value whoever reports it. A member at a
+     lower cballot — typically the old leader, which learns decisions
+     first — may be the only one in the quorum that holds the
+     decision of an entry the others still have prepared (a
+     LEARN_DECISION reaching a Recovering member is only stashed).
+     Dropping it would put that entry back in [prepared], where it
+     blocks delivery until a RETRY decides it again. *)
+  let from_max = List.filter (fun (_, a) -> a.Msg.cballot = max_cb) acks in
+  let floor = vouched t acks in
+  install t ~floor
+    ~prepared:(List.concat_map (fun (_, a) -> a.Msg.prepared) from_max)
+    ~decided:(List.concat_map (fun (_, a) -> a.Msg.decided) acks);
+  t.sent_floor <- Some floor;
+  t.recovery_acks <- List.map (fun (dc, a) -> (dc, voucher a)) acks;
+  let max_prep =
+    Hashtbl.fold (fun _ { p; _ } acc -> max acc p.ps_ts) t.prepared 0
+  in
+  let max_ts = max max_prep (Decided_log.max_commit_ts t.decided) in
+  t.ctx.x_at_clock max_ts (fun () ->
+      if t.status = Recovering && t.ballot = b && t.ctx.x_alive () then begin
+        t.last_bid <- t.ctx.x_now ();
+        t.cballot <- b;
+        t.last_ts <- max t.last_ts max_ts;
+        t.state_acks <- [ t.ctx.x_dc ];
+        let state = state_msg t ~b in
+        log_durably t (E_ballot { b; cb = b }) (fun () -> send_others t state)
+      end)
+
+(* A candidate installs once a quorum acked and their vouched floor is
+   at or below every acker's frontier and its own. A later ack counts
+   only from a member that refused the NEW_STATE: the floor drops to the
+   new vouched one; the member gets a NEW_STATE, or a new election. *)
+let handle_new_leader_ack t ~b ~from_dc (ack : Msg.ack) =
+  if t.ballot = b && not (List.mem_assoc from_dc t.recovery_acks) then
+    match t.sent_floor with
+    | None when t.status = Recovering ->
+        (* our election is making progress: push the reclaim debounce out
+           so leader-bound traffic cannot restart the election from under
+           us — the full round (acks, install, NEW_STATE fsync+acks) takes
+           about a debounce interval, so debouncing only from the bid
+           start livelocks on back-to-back re-elections *)
+        t.last_bid <- t.ctx.x_now ();
+        let acks = (from_dc, ack) :: t.recovery_acks in
+        t.recovery_acks <- acks;
+        let low = List.fold_left (fun d (_, a) -> min d a.Msg.delivered) in
+        if
+          List.length acks >= t.ctx.x_quorum
+          && vouched t acks <= low (last_delivered t) acks
+        then install_election t ~b acks
+    | Some sent when ack.delivered < sent ->
+        List.iter (add_decided t) ack.decided;
+        let acks = (from_dc, voucher ack) :: t.recovery_acks in
+        t.recovery_acks <- acks;
+        let floor = min (Decided_log.floor t.decided) (vouched t acks) in
+        Decided_log.set_floor t.decided floor;
+        if ack.delivered < floor then bid t
+        else if t.cballot = b then
+          t.ctx.x_send (t.ctx.x_member from_dc) (state_msg t ~b)
+    | _ -> ()
+
+(* A NEW_STATE whose floor is above our frontier would skip what lies
+   between: refused (our late ack or next STATE_REQUEST reports it). *)
+let handle_new_state t ~b ~floor ~prepared ~decided ~from =
+  if t.status = Recovering && b >= t.ballot && floor <= last_delivered t
+  then begin
     t.cballot <- b;
     t.ballot <- b;
-    install_state t ~prepared ~decided;
+    let floor = min floor (Decided_log.floor t.decided) in
+    install t ~floor ~prepared ~decided;
     t.status <- Follower;
     log_durably t (E_ballot { b; cb = b }) (fun () ->
         t.ctx.x_send from (Msg.New_state_ack { b; from = t.ctx.x_self () }))
@@ -650,27 +698,34 @@ let start_restoring t =
                 restoring_done t))
       to_certify
 
-(* What a node snapshot must capture of its cert member: the durable
-   promises (ballots) and the accepted-but-undecided log. Everything
-   else is group-recoverable. *)
-let persistent_state t = (t.ballot, t.cballot, prepared_list t)
+(* What a node snapshot keeps of its cert member (see the interface). *)
+type disk = int * int * Msg.prepared_strong list * Msg.decided_strong list
+
+let persistent_state t =
+  let above d = Vc.strong d.Msg.ds_record.tx_vec > last_delivered t in
+  let decided = List.filter above (Decided_log.to_list t.decided) in
+  (t.ballot, t.cballot, prepared_list t, decided)
 
 (* Until the group state arrives ([New_state]) the member neither votes
    nor acks: the "catch up the decided log before voting" a restart
-   needs. The accepts whose fate the disk names come back decided, below
-   the frontier, so a re-election this member leads hands the group
-   their decisions, not undecided entries. *)
-let restart ?(decision = fun _ -> None) t ~ballot ~cballot ~prepared
-    ~delivered =
+   needs. The disk lost the decisions at or below the frontier, so the
+   floor starts there. The accepts whose fate the disk names come back
+   decided, so a re-election this member leads hands the group their
+   decisions, not undecided entries. *)
+let restart ?(decision = fun _ -> None) t disk ~delivered =
+  let ballot, cballot, prepared, decided =
+    Option.value disk ~default:(0, 0, [], [])
+  in
   t.status <- Recovering;
   t.ballot <- max t.ballot ballot;
   t.cballot <- max t.cballot cballot;
   t.last_activity <- t.ctx.x_now ();
   t.do_not_wait <- [];
   t.recovery_acks <- [];
+  t.sent_floor <- None;
   t.state_acks <- [];
   Hashtbl.reset t.learned;
-  let decided, prepared =
+  let fated, prepared =
     List.partition_map
       (fun (p : Msg.prepared_strong) ->
         match decision p.ps_tx.st_tid with
@@ -678,44 +733,23 @@ let restart ?(decision = fun _ -> None) t ~ballot ~cballot ~prepared
         | None -> Either.Right p)
       prepared
   in
-  install_state ~delivered t ~prepared ~decided
+  Decided_log.reset t.decided ~delivered;
+  install t ~floor:delivered ~prepared ~decided:(List.rev_append fated decided)
 
-(* No accepted log: pretending otherwise would let a pre-crash entry
-   leak into a recovery ack. The ballot is left alone: the group's
-   current ballot is at least the pre-crash one, so the leader's
-   [New_state {b}] passes the [b >= ballot] check. *)
-let begin_rejoin t ~delivered =
-  restart t ~ballot:t.ballot ~cballot:t.cballot ~prepared:[] ~delivered
-
-(* A rejoining member asks for the group state; only the leader answers
-   (with a targeted [New_state] under its current ballot — the same
-   message leader recovery broadcasts). A non-leader replies with a NACK
-   carrying the ballot to beat — or bids itself when it trusts its own
-   DC — so a rejoiner whose group currently has no live leader (the
-   leader-home DC crashed and recovered before anyone took over) is not
-   left retrying into silence forever.
-
-   [ballot] is the requester's durable promise. A leader still working
-   below it (the requester crashed after promising a higher ballot the
-   rest of the group never completed) cannot answer usefully: its
-   [New_state {b}] fails the requester's [b >= ballot] check, and the
-   requester's periodic retry re-asks the same leader — a permanent
-   wedge. Lowering the requester's ballot would break its promise, so
-   the leader instead re-establishes itself above the requester's
-   ballot through the ordinary recovery protocol (the [handle_nack]
-   adopt-and-bid move), after which its [New_state] broadcast
-   reaches the requester at an acceptable ballot. *)
-let handle_state_request t ~from ~ballot =
-  if t.status = Leader then begin
-    if ballot > t.ballot then begin
-      t.ballot <- ballot;
-      bid t
-    end
-    else t.ctx.x_send from (state_msg t ~b:t.ballot)
-  end
-  else begin
+(* The leader answers a STATE_REQUEST if the requester would install the
+   NEW_STATE (ballot at least its durable promise, floor at most its
+   frontier), and re-elects itself otherwise. Any other member NACKs, or
+   bids when it trusts its own DC: a group may have no live leader. *)
+let handle_state_request t ~from ~ballot ~delivered =
+  if t.status <> Leader then begin
     reclaim t;
     t.ctx.x_send from (Msg.Nack { b = t.ballot; from = t.ctx.x_self () })
+  end
+  else if ballot <= t.ballot && Decided_log.floor t.decided <= delivered then
+    t.ctx.x_send from (state_msg t ~b:t.ballot)
+  else begin
+    t.ballot <- max t.ballot ballot;
+    bid t
   end
 
 let handle_new_state_ack t ~b ~from_dc =
@@ -776,13 +810,12 @@ let handle t msg =
   | Msg.Nack { b; _ } -> handle_nack t ~b
   | Msg.New_leader { b; from } ->
       handle_new_leader t ~b ~from ~from_dc:(t.ctx.x_dc_of from)
-  | Msg.New_leader_ack { b; cballot; prepared; decided; from } ->
-      handle_new_leader_ack t ~b ~cballot ~prepared ~decided
-        ~from_dc:(t.ctx.x_dc_of from)
-  | Msg.New_state { b; prepared; decided; from } ->
-      handle_new_state t ~b ~prepared ~decided ~from
+  | Msg.New_leader_ack { b; ack; from } ->
+      handle_new_leader_ack t ~b ~from_dc:(t.ctx.x_dc_of from) ack
+  | Msg.New_state { b; floor; prepared; decided; from } ->
+      handle_new_state t ~b ~floor ~prepared ~decided ~from
   | Msg.New_state_ack { b; from } ->
       handle_new_state_ack t ~b ~from_dc:(t.ctx.x_dc_of from)
-  | Msg.State_request { from; ballot } ->
-      handle_state_request t ~from ~ballot
+  | Msg.State_request { from; ballot; delivered } ->
+      handle_state_request t ~from ~ballot ~delivered
   | _ -> ()

@@ -120,14 +120,8 @@ val retry_coordinated : t -> coord:Msg.addr -> unit
     decision. *)
 val prune_decided : ?covered:(Vclock.Vc.t -> bool) -> t -> floor:int -> unit
 
-(** DC rejoin after a crash: {!restart} with the member's own ballots
-    and no accepted log (the disk was lost with the DC). [delivered] is
-    the strong entry of the snapshot cut the rejoiner installed. The
-    member then requests the group state ({!Msg.State_request}); the
-    leader's [New_state] reply installs the decided/prepared log —
-    queuing for delivery only transactions above the snapshot — and
-    moves the member to [Follower], after which it votes again. *)
-val begin_rejoin : t -> delivered:int -> unit
+(** Ask members [dcs] for the group state ({!Msg.State_request}). *)
+val request_state : t -> dcs:int list -> unit
 
 (** {1 Node-level persistence} *)
 
@@ -137,27 +131,31 @@ val begin_rejoin : t -> delivered:int -> unit
     hook, continuations run inline (memory-only mode). *)
 val set_log : t -> (event -> k:(unit -> unit) -> unit) -> unit
 
-(** What a node snapshot captures of this member:
-    [(ballot, cballot, prepared)] — the durable promises and the
-    accepted-but-undecided log. Everything else is group-recoverable. *)
-val persistent_state : t -> int * int * Msg.prepared_strong list
+(** What a node's disk keeps of this member:
+    [(ballot, cballot, prepared, decided)] — the durable promises, the
+    accepted-but-undecided log, and the decisions above the delivery
+    frontier (shared records). Everything else is group-recoverable. *)
+type disk = int * int * Msg.prepared_strong list * Msg.decided_strong list
 
-(** Node-level restart from the member's own disk: the ballots (each
-    raised to at least the given one) and the accepted log [prepared]
-    survived (snapshot + WAL replay), so every pre-crash ACCEPT_ACK /
-    NEW_LEADER_ACK promise still holds. The decided log is dropped and
-    the delivery frontier seeded at [delivered], the strong frontier the
-    replica re-derived from its replayed delivered-strong records. An
-    accepted entry for which [decision] returns [Some (dec, record)]
-    (the disk names its fate: delivered here, or a logged {!E_abort})
-    comes back decided rather than prepared. The member stays
-    [Recovering] until NEW_STATE restores the decided log. *)
+val persistent_state : t -> disk
+
+(** Restart from what the disk kept (snapshot + WAL replay): the ballots
+    (each raised to at least the disk's), the accepted log and the
+    decisions above the frontier, so every pre-crash ACCEPT_ACK /
+    NEW_LEADER_ACK promise still holds. The rest of the decided log is
+    lost: it restarts with its frontier and floor at [delivered], the
+    strong frontier the replica re-derived. An accepted entry for which
+    [decision] returns [Some (dec, record)] (the disk names its fate:
+    delivered here, or a logged {!E_abort}) comes back decided. A DC
+    rejoin restarts with no disk ([None]) at its snapshot cut's strong
+    entry; this breaks the floor rule when the DC accepted above that
+    cut before it crashed (a known violation, open: its floor belongs
+    at the crash time). The member stays [Recovering] until it installs
+    a NEW_STATE whose floor is at or below [delivered]. *)
 val restart :
   ?decision:(Types.tid -> (bool * Types.tx_rec) option) ->
   t ->
-  ballot:int ->
-  cballot:int ->
-  prepared:Msg.prepared_strong list ->
+  disk option ->
   delivered:int ->
   unit
 

@@ -177,12 +177,11 @@ let prune ?(covered = fun _ -> true) t ~floor =
       t.decided
   end
 
-let reset ?delivered t =
+let floor t = t.pruned_below
+let set_floor t floor = t.pruned_below <- floor
+
+let reset t ~delivered =
   Hashtbl.reset t.decided;
   Hashtbl.reset t.decided_by_key;
   Sim.Heap.clear t.undelivered;
-  Option.iter
-    (fun d ->
-      t.last_delivered <- d;
-      t.pruned_below <- max t.pruned_below d)
-    delivered
+  t.last_delivered <- delivered

@@ -53,6 +53,9 @@ val prune_margin_us : int
     commit vector [covered]. *)
 val prune : ?covered:(Vclock.Vc.t -> bool) -> t -> floor:int -> unit
 
-(** Forget every decision and queued delivery; with [delivered], seed
-    the frontier there and raise the prune floor to it. *)
-val reset : ?delivered:int -> t -> unit
+(** Below the floor decisions may be missing (pruned, or lost with a disk). *)
+val floor : t -> int
+val set_floor : t -> int -> unit
+
+(** Forget every decision and queued delivery; seed the frontier. *)
+val reset : t -> delivered:int -> unit

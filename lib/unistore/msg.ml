@@ -55,6 +55,15 @@ let decided_record tx ~dec ~vec ~lc =
 
 type cert_caller = Normal | Restoring
 
+(* A member's state in a NEW_LEADER_ACK ([Cert]'s floor rule). *)
+type ack = {
+  cballot : int;
+  floor : int;
+  delivered : int;
+  prepared : prepared_strong list;
+  decided : decided_strong list;
+}
+
 (* Sibling gossip carried by an own-stream message (Algorithm A5): the
    sender's knownVec GC claim and, when it advanced since the last one
    the sender attached and the mode tracks uniformity, its stableVec.
@@ -214,15 +223,10 @@ type t =
   (* ---- leader recovery (Algorithm A10) ------------------------------ *)
   | Nack of { b : int; from : addr }
   | New_leader of { b : int; from : addr }
-  | New_leader_ack of {
-      b : int;
-      cballot : int;
-      prepared : prepared_strong list;
-      decided : decided_strong list;
-      from : addr;
-    }
+  | New_leader_ack of { b : int; ack : ack; from : addr }
   | New_state of {
       b : int;
+      floor : int;
       prepared : prepared_strong list;
       decided : decided_strong list;
       from : addr;
@@ -243,12 +247,9 @@ type t =
       entries : (Store.Keyspace.key * Store.Oplog.entry list) list;
       cut : Vc.t;
     }
-  (* A Restoring certification member asks the group leader to re-send
-     the decided/prepared state ([New_state]). [ballot] is the
-     requester's durable ballot promise: the leader must answer at a
-     ballot at least this high (re-electing itself above it first if
-     need be), or the reply fails the requester's [b >= ballot] check. *)
-  | State_request of { from : addr; ballot : int }
+  (* A Recovering certification member asks for the group state, giving
+     its durable promise [ballot] and frontier [delivered] ([Cert]). *)
+  | State_request of { from : addr; ballot : int; delivered : int }
   (* ---- Ω failure detector ------------------------------------------- *)
   | Fd_ping of { from_dc : int }
 
@@ -386,13 +387,15 @@ let size_bytes = function
   | Push_updates { txs; _ } ->
       List.fold_left (fun acc tx -> acc + tx_bytes tx) (header_bytes + 16) txs
   | Nack _ | New_leader _ -> header_bytes + 16
-  | New_leader_ack { prepared; decided; _ } | New_state { prepared; decided; _ }
-    ->
+  | ( New_leader_ack { ack = { prepared; decided; _ }; _ }
+    | New_state { prepared; decided; _ } ) as m ->
+      (* the floor, and an ack's frontier *)
+      let floors = match m with New_leader_ack _ -> 16 | _ -> 8 in
       List.fold_left
         (fun acc p -> acc + prepared_bytes p)
         (List.fold_left
            (fun acc d -> acc + decided_bytes d)
-           (header_bytes + 24) decided)
+           (header_bytes + 24 + floors) decided)
         prepared
   | New_state_ack _ -> header_bytes + 16
   | Sync_request _ -> header_bytes + 8
@@ -404,7 +407,7 @@ let size_bytes = function
             acc l)
         (header_bytes + vc_bytes cut)
         entries
-  | State_request _ -> header_bytes + 16
+  | State_request _ -> header_bytes + 24
   | Fd_ping _ -> header_bytes + 8
 
 let kind = function

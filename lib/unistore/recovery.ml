@@ -46,8 +46,11 @@ let node_snapshot_bytes ns =
   + (8 * Array.length ns.ns_retained_from)
   + (match ns.ns_cert with
     | None -> 8
-    | Some (_, _, ps) ->
-        List.fold_left (fun acc p -> acc + Msg.prepared_bytes p) 24 ps)
+    | Some (_, _, ps, ds) ->
+        List.fold_left
+          (fun acc d -> acc + Msg.decided_bytes d)
+          (List.fold_left (fun acc p -> acc + Msg.prepared_bytes p) 24 ps)
+          ds)
 
 (* Attach the simulated disk and route certification's durable events
    ([Cert.set_log]) into it. [System] calls this — after [make_cert] —
@@ -203,20 +206,11 @@ let snapshot_overdue t s =
   || List.mem s.s_asked t.suspected
   || now t - s.s_asked_at >= snapshot_silence_us
 
+(* broadcast: only the group leader answers, and a stale trust view
+   cannot say who that is right now *)
 let request_cert_state t =
-  match t.cert with
-  | None -> ()
-  | Some c ->
-      (* broadcast: only the group leader answers, and a stale trust view
-         cannot say who that is right now. Carry our durable ballot so a
-         leader still working below it (we crashed mid-election and our
-         WAL kept the higher promise) knows to re-elect above it rather
-         than answer with a [New_state] we are bound to refuse. *)
-      let ballot = Cert.ballot c in
-      List.iter
-        (fun i ->
-          send t (sibling t i) (Msg.State_request { from = t.addr; ballot }))
-        (Replication.live_peers t)
+  let dcs = Replication.live_peers t in
+  Option.iter (fun c -> Cert.request_state c ~dcs) t.cert
 
 (* Send [claim] to every live sibling outside the propagate tick, whose
    stream messages carry it otherwise. *)
@@ -341,7 +335,7 @@ let handle_sync_store t ~entries ~cut =
       observe_clock t (Vc.get cut t.dc);
       observe_clock t (Vc.strong cut);
       (match t.cert with
-      | Some c -> Cert.begin_rejoin c ~delivered:(Vc.strong cut)
+      | Some c -> Cert.restart c None ~delivered:(Vc.strong cut)
       | None -> ());
       s.s_snapshot <- false;
       Sim.Trace.emitf t.trace ~source:t.trace_src ~kind:"sync-snapshot"
@@ -412,9 +406,7 @@ let begin_rejoin t ~resume =
   t.timer_gen <- t.timer_gen + 1;
   t.suspected <- [];
   let s = make_sync t ~wan:true ~resume in
-  (match t.cert with
-  | Some c -> Cert.begin_rejoin c ~delivered:0
-  | None -> ());
+  Option.iter (fun c -> Cert.restart c None ~delivered:0) t.cert;
   wipe_state t;
   request_snapshot t s;
   arm_sync_retry t s
@@ -477,10 +469,10 @@ let replay_record t cert_acc fates = function
   | W_decide (tid, vec, lc, origin) ->
       Hashtbl.replace t.coord_decisions tid (now t, vec, lc, origin)
   | W_cert (Cert.E_ballot { b; cb }) ->
-      let bal, cbal, prepared = !cert_acc in
-      cert_acc := (max bal b, max cbal cb, prepared)
+      let bal, cbal, prepared, decided = !cert_acc in
+      cert_acc := (max bal b, max cbal cb, prepared, decided)
   | W_cert (Cert.E_accept p) ->
-      let bal, cbal, prepared = !cert_acc in
+      let bal, cbal, prepared, decided = !cert_acc in
       let prepared =
         p
         :: List.filter
@@ -488,7 +480,7 @@ let replay_record t cert_acc fates = function
                not (Types.tid_equal q.ps_tx.st_tid p.ps_tx.st_tid))
              prepared
       in
-      cert_acc := (bal, cbal, prepared)
+      cert_acc := (bal, cbal, prepared, decided)
   | W_cert (Cert.E_abort r) -> Hashtbl.replace fates r.tx_tid (false, r)
 
 (* Restart from the node's own disk: replay snapshot + WAL tail, hand
@@ -531,7 +523,7 @@ let restart_from_disk t ~resume =
             ref
               (match snap with
               | Some { ns_cert = Some st; _ } -> st
-              | _ -> (0, 0, []))
+              | _ -> (0, 0, [], []))
           in
           let fates = Hashtbl.create 64 in
           List.iter
@@ -556,8 +548,7 @@ let restart_from_disk t ~resume =
             (match snap with Some _ -> "a snapshot" | None -> "an empty disk");
           (match t.cert with
           | Some c ->
-              let ballot, cballot, prepared = !cert_acc in
-              Cert.restart c ~ballot ~cballot ~prepared
+              Cert.restart c (Some !cert_acc)
                 ~decision:(Hashtbl.find_opt fates)
                 ~delivered:(Vc.strong t.known_vec)
           | None -> ());

@@ -82,8 +82,7 @@ type node_snapshot = {
   ns_frontier_ts : int array;
   ns_decisions : (Types.tid * (Vclock.Vc.t * int * int)) list;
   ns_retained_from : int array;  (* per origin: the snapshot cut's floor *)
-  ns_cert : (int * int * Msg.prepared_strong list) option;
-      (* ballot, cballot, accepted log — [Cert.persistent_state] *)
+  ns_cert : Cert.disk option;  (* [Cert.persistent_state] *)
 }
 
 (* Per-group progress of an outstanding certification request. *)

@@ -155,7 +155,7 @@ let prepare ?origin ?leader ?(keys = []) bus ~coord ~n ~key ~snap =
 
 (* The vote and Lamport clock the leader [c] proposed for [tid n]. *)
 let vote_lc c n =
-  let _, _, prepared = U.Cert.persistent_state c in
+  let _, _, prepared, _ = U.Cert.persistent_state c in
   let p =
     List.find
       (fun (p : U.Msg.prepared_strong) ->
@@ -304,14 +304,15 @@ let test_prune_decided () =
 let test_rejoiner_keeps_decision_learned_while_recovering () =
   let bus, m = setup () in
   prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
-  let _, _, prepared = U.Cert.persistent_state (m 0) in
-  U.Cert.begin_rejoin (m 2) ~delivered:0;
+  let _, _, prepared, _ = U.Cert.persistent_state (m 0) in
+  U.Cert.restart (m 2) None ~delivered:0;
   let vec = strong_vec 1000 in
   let handle2 msg = ignore (U.Cert.handle (m 2) msg) in
   handle2
     (U.Msg.Learn_decision
        { b = 0; dec = true; record = record 1 ~vec; upto = 1000 });
-  handle2 (U.Msg.New_state { b = 0; prepared; decided = []; from = 0 });
+  handle2
+    (U.Msg.New_state { b = 0; floor = 0; prepared; decided = []; from = 0 });
   Alcotest.(check string) "rejoiner follows again" "follower"
     (U.Cert.status_name (U.Cert.status (m 2)));
   Alcotest.(check int) "nothing left prepared" 0 (U.Cert.prepared_count (m 2));
@@ -488,6 +489,170 @@ let test_restoring_member_chases_higher_ballot () =
             match msg with U.Msg.State_request _ -> src = 1 | _ -> false)
           bus.sent))
 
+(* A committed decision on [tid n] at strong timestamp [ts]. *)
+let decided_at n ~ts =
+  let tx = tx_of ~n [ n ] ~snap:snap0 in
+  let record = U.Msg.decided_record tx ~dec:true ~vec:(strong_vec ts) ~lc:1 in
+  { U.Msg.ds_tx = tx; ds_dec = true; ds_record = record }
+
+(* The floors of the NEW_STATEs [src] sent [dst], newest first. *)
+let new_state_floors bus ~src ~dst =
+  List.filter_map
+    (fun (s, d, msg) ->
+      match msg with
+      | U.Msg.New_state { floor; _ } when s = src && d = dst -> Some floor
+      | _ -> None)
+    bus.sent
+
+let delivered_at bus dc n =
+  List.exists
+    (fun (m, _, tids) -> m = dc && List.mem (tid_s n) tids)
+    bus.deliver_calls
+
+let status_of c = U.Cert.status_name (U.Cert.status c)
+
+(* A restart must not forget a decision that was still queued for
+   delivery when the snapshot was taken: it has left the accepted log,
+   and no delivered-strong record names it. Here tx2 is decided above
+   the frontier but gated behind the undecided tx1 at follower dc1. *)
+let test_restart_keeps_queued_decisions () =
+  let bus, m = setup () in
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  prepare bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
+  decide bus ~n:2 ~ts:2000 ~dec:true;
+  Alcotest.(check bool) "tx2 is gated" false (delivered_at bus 1 2);
+  let disk = U.Cert.persistent_state (m 1) in
+  U.Cert.restart (m 1) (Some disk) ~delivered:(U.Cert.last_delivered (m 1));
+  Alcotest.(check int) "the queued decision survives the restart" 1
+    (U.Cert.decided_count (m 1));
+  ignore
+    (U.Cert.handle (m 1)
+       (U.Msg.New_state
+          { b = 0; floor = 0; prepared = []; decided = []; from = 0 }));
+  pump bus;
+  ignore (U.Cert.handle (m 1) (U.Msg.Deliver { b = 0; ts = 2000 }));
+  Alcotest.(check bool) "and is delivered once the frontier passes it" true
+    (delivered_at bus 1 2)
+
+(* A candidate restarted from its disk (floor 5000) must not install
+   with an acker whose frontier is below that floor: the quorum of the
+   two meets an accept quorum only at the candidate, which forgot what
+   was decided below 5000. It installs once a second low-floor member
+   acked, and at that member's floor. *)
+let test_candidate_waits_for_low_floor_quorum () =
+  let bus, m = setup () in
+  U.Cert.restart (m 0) (Some (0, 0, [], [])) ~delivered:5000;
+  let m2 = m 2 in
+  bus.members.(2) <- None;
+  U.Cert.set_trusted (m 0) 1;
+  U.Cert.set_trusted (m 0) 0;
+  pump bus;
+  let b = U.Cert.ballot (m 0) in
+  Alcotest.(check (list int)) "no NEW_STATE with dc1 alone" []
+    (new_state_floors bus ~src:0 ~dst:1);
+  bus.members.(2) <- Some m2;
+  ignore (U.Cert.handle m2 (U.Msg.New_leader { b; from = 0 }));
+  pump bus;
+  Alcotest.(check (list int)) "the low-floor quorum vouches floor 0" [ 0 ]
+    (new_state_floors bus ~src:0 ~dst:1);
+  Alcotest.(check string) "dc1 follows" "follower" (status_of (m 1))
+
+(* An ack landing after the install, from a member whose frontier is
+   below the floor the NEW_STATE carried (dc1 refused it), lowers the
+   floor to the new vouched one and draws a fresh NEW_STATE. *)
+let test_late_ack_gets_a_fresh_new_state () =
+  let bus, m = setup () in
+  let handle dc msg = ignore (U.Cert.handle (m dc) msg) in
+  U.Cert.restart (m 0) (Some (0, 0, [], [])) ~delivered:5000;
+  U.Cert.restart (m 2) None ~delivered:6000;
+  handle 2
+    (U.Msg.New_state
+       { b = 0; floor = 0; prepared = []; decided = []; from = 0 });
+  let m1 = m 1 in
+  bus.members.(1) <- None;
+  U.Cert.set_trusted (m 0) 1;
+  U.Cert.set_trusted (m 0) 0;
+  pump bus;
+  let b = U.Cert.ballot (m 0) in
+  Alcotest.(check (list int)) "installed at dc0's floor" [ 5000 ]
+    (new_state_floors bus ~src:0 ~dst:1);
+  Alcotest.(check string) "dc0 leads" "leader" (status_of (m 0));
+  bus.members.(1) <- Some m1;
+  handle 1 (U.Msg.New_leader { b; from = 0 });
+  handle 1
+    (U.Msg.New_state
+       { b; floor = 5000; prepared = []; decided = []; from = 0 });
+  Alcotest.(check string) "dc1 refuses a floor above its frontier"
+    "recovering" (status_of m1);
+  pump bus;
+  Alcotest.(check (list int)) "its late ack draws a NEW_STATE at floor 0"
+    [ 0; 5000 ]
+    (new_state_floors bus ~src:0 ~dst:1);
+  Alcotest.(check string) "which it installs" "follower" (status_of m1)
+
+(* A NEW_STATE whose floor is above the receiver's frontier is refused.
+   One it accepts merges: the receiver keeps its own decisions, and its
+   floor becomes the lower of the two. *)
+let test_new_state_refused_above_frontier_merged_below () =
+  let bus, m = setup () in
+  let handle msg = ignore (U.Cert.handle (m 1) msg) in
+  let own = decided_at 1 ~ts:1500 and other = decided_at 2 ~ts:1200 in
+  U.Cert.restart (m 1) (Some (0, 0, [], [ own ])) ~delivered:1000;
+  handle
+    (U.Msg.New_state
+       { b = 0; floor = 2000; prepared = []; decided = []; from = 0 });
+  Alcotest.(check string) "refused" "recovering" (status_of (m 1));
+  handle
+    (U.Msg.New_state
+       { b = 0; floor = 500; prepared = []; decided = [ other ]; from = 0 });
+  Alcotest.(check string) "accepted" "follower" (status_of (m 1));
+  Alcotest.(check int) "merged, own decision kept" 2
+    (U.Cert.decided_count (m 1));
+  U.Cert.set_trusted (m 1) 2;
+  handle (U.Msg.New_leader { b = 2; from = 2 });
+  let floors =
+    List.filter_map
+      (fun (src, _, msg) ->
+        match msg with
+        | U.Msg.New_leader_ack { ack; _ } when src = 1 -> Some ack.floor
+        | _ -> None)
+      bus.sent
+  in
+  Alcotest.(check (list int)) "the lower floor" [ 500 ] floors
+
+(* A member that rejoined over the WAN holds no decision below its
+   snapshot cut. Winning an election with a lagging member alone, its
+   NEW_STATE would let the laggard follow past a write only the crashed
+   old leader and the rejoiner ever held: tx1, accepted by dc0 and dc2
+   while dc1 was cut off. The rejoiner waits for a quorum that vouches
+   a floor at or below the laggard's frontier. *)
+let test_rejoined_member_wins_election_with_lagging_member () =
+  let bus, m = setup () in
+  let m1 = m 1 in
+  bus.members.(1) <- None;
+  prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
+  decide bus ~n:1 ~ts:3000 ~dec:true;
+  Alcotest.(check bool) "dc2 delivered tx1" true (delivered_at bus 2 1);
+  bus.members.(1) <- Some m1;
+  let m0 = m 0 in
+  bus.members.(0) <- None;
+  U.Cert.restart (m 2) None ~delivered:5000;
+  U.Cert.set_trusted m1 2;
+  U.Cert.set_trusted (m 2) 2;
+  pump bus;
+  let b = U.Cert.ballot (m 2) in
+  Alcotest.(check (list int)) "no NEW_STATE while dc1 is the only acker" []
+    (new_state_floors bus ~src:2 ~dst:1);
+  bus.members.(0) <- Some m0;
+  U.Cert.set_trusted m0 2;
+  ignore (U.Cert.handle m0 (U.Msg.New_leader { b; from = 2 }));
+  pump bus;
+  Alcotest.(check string) "dc2 leads" "leader" (status_of (m 2));
+  prepare ~leader:2 bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
+  decide ~leader:2 ~b bus ~n:2 ~ts:6000 ~dec:true;
+  Alcotest.(check bool) "dc1 delivers tx1" true (delivered_at bus 1 1);
+  Alcotest.(check bool) "then tx2" true (delivered_at bus 1 2)
+
 (* A decided entry that conflicts with a transaction on two keys is
    folded in once per key; the vote and the Lamport bump are those of a
    single fold. *)
@@ -512,7 +677,7 @@ let test_restart_and_rejoin_reset () =
   prepare bus ~coord:99 ~n:1 ~key:5 ~snap:snap0;
   prepare bus ~coord:99 ~n:2 ~key:6 ~snap:snap0;
   decide bus ~n:1 ~ts:1000 ~dec:true;
-  let ballot, cballot, prepared = U.Cert.persistent_state (m 1) in
+  let ballot, cballot, prepared, _ = U.Cert.persistent_state (m 1) in
   Alcotest.(check int) "one entry still accepted" 1 (List.length prepared);
   Alcotest.(check bool) "something decided" true
     (U.Cert.decided_count (m 1) > 0);
@@ -524,18 +689,18 @@ let test_restart_and_rejoin_reset () =
     Alcotest.(check int) (name ^ " decided log dropped") 0
       (U.Cert.decided_count c)
   in
-  U.Cert.restart (m 1) ~ballot:(ballot + 3) ~cballot:(cballot + 3) ~prepared
+  U.Cert.restart (m 1) (Some (ballot + 3, cballot + 3, prepared, []))
     ~delivered:700;
   check_parked "restart" (m 1) ~delivered:700;
   Alcotest.(check int) "restart keeps the replayed entry" 1
     (U.Cert.prepared_count (m 1));
   (* replaying older ballots cannot lower the promises *)
-  U.Cert.restart (m 1) ~ballot ~cballot ~prepared ~delivered:700;
-  let b', cb', _ = U.Cert.persistent_state (m 1) in
+  U.Cert.restart (m 1) (Some (ballot, cballot, prepared, [])) ~delivered:700;
+  let b', cb', _, _ = U.Cert.persistent_state (m 1) in
   Alcotest.(check (pair int int)) "max of the ballots"
     (ballot + 3, cballot + 3) (b', cb');
   let ballot2 = U.Cert.ballot (m 2) in
-  U.Cert.begin_rejoin (m 2) ~delivered:800;
+  U.Cert.restart (m 2) None ~delivered:800;
   check_parked "rejoin" (m 2) ~delivered:800;
   Alcotest.(check int) "rejoin drops the accepted log" 0
     (U.Cert.prepared_count (m 2));
@@ -586,7 +751,7 @@ let test_restart_decides_what_the_disk_names () =
   in
   Alcotest.(check bool) "the abort is logged, the commit is not" true
     (List.length aborts = 1 && U.Types.tid_equal (List.hd aborts) (tid 2));
-  let ballot, cballot, _ = U.Cert.persistent_state (m 1) in
+  let ballot, cballot, _, _ = U.Cert.persistent_state (m 1) in
   let vec = Vc.create ~dcs:3 in
   Vc.set_strong vec 1000;
   let decision id =
@@ -594,12 +759,13 @@ let test_restart_decides_what_the_disk_names () =
     else if U.Types.tid_equal id (tid 2) then Some (false, record 2 ~vec:snap0)
     else None
   in
-  U.Cert.restart (m 1) ~decision ~ballot ~cballot ~prepared:accepted
+  U.Cert.restart (m 1) ~decision (Some (ballot, cballot, accepted, []))
     ~delivered:1000;
   Alcotest.(check int) "nothing comes back prepared" 0
     (U.Cert.prepared_count (m 1));
   Alcotest.(check int) "both come back decided" 2 (U.Cert.decided_count (m 1));
-  U.Cert.restart (m 1) ~ballot ~cballot ~prepared:accepted ~delivered:1000;
+  U.Cert.restart (m 1) (Some (ballot, cballot, accepted, []))
+    ~delivered:1000;
   Alcotest.(check int) "without a named fate an accept stays prepared" 2
     (U.Cert.prepared_count (m 1))
 
@@ -646,8 +812,20 @@ let test_size_and_cost_model () =
         (304, 150, 100) );
       (U.Msg.Accept { b = 0; rid = 1; p }, (320, 30, 30));
       (U.Msg.C_resubmit_strong { client = 9; req = 1; tx; lc = 2 }, (304, 20, 20));
-      ( U.Msg.New_state { b = 0; prepared = [ p ]; decided = [ d ]; from = 0 },
-        (624, 10, 10) );
+      ( U.Msg.New_state
+          { b = 0; floor = 0; prepared = [ p ]; decided = [ d ]; from = 0 },
+        (632, 10, 10) );
+      ( U.Msg.New_leader_ack
+          {
+            b = 0;
+            ack =
+              { cballot = 0; floor = 0; delivered = 0; prepared = [ p ];
+                decided = [ d ] };
+            from = 0;
+          },
+        (640, 10, 10) );
+      ( U.Msg.State_request { from = 0; ballot = 0; delivered = 0 },
+        (40, 10, 10) );
     ]
 
 (* RETRY re-certifies only the entries silent for [older_than_us], and a
@@ -937,7 +1115,7 @@ let decided_of_tx (tx : U.Msg.strong_tx) ~dec =
   }
 
 let reference_vote spec m (tx : U.Msg.strong_tx) =
-  let _, _, prepared = U.Cert.persistent_state m in
+  let _, _, prepared, _ = U.Cert.persistent_state m in
   not
     (List.exists
        (fun (p : U.Msg.prepared_strong) ->
@@ -948,7 +1126,7 @@ let reference_vote spec m (tx : U.Msg.strong_tx) =
        prepared)
 
 let find_prepared m n =
-  let _, _, prepared = U.Cert.persistent_state m in
+  let _, _, prepared, _ = U.Cert.persistent_state m in
   List.find_opt
     (fun (p : U.Msg.prepared_strong) ->
       U.Types.tid_equal p.ps_tx.st_tid (tid n))
@@ -977,7 +1155,7 @@ let run_model (spec, steps) =
     List.filter_map (fun (i, v) -> Option.map (fun tx -> f tx v) (pick i)) l
   in
   let reelect r =
-    let ballot, cballot, prepared = U.Cert.persistent_state m in
+    let ballot, cballot, prepared, _ = U.Cert.persistent_state m in
     let disk = picks r.disk (fun tx dec -> (tx, dec)) in
     let decision tid =
       Option.map
@@ -987,7 +1165,8 @@ let run_model (spec, steps) =
            (fun ((tx : U.Msg.strong_tx), _) -> U.Types.tid_equal tx.st_tid tid)
            disk)
     in
-    U.Cert.restart m ~decision ~ballot ~cballot ~prepared ~delivered:0;
+    U.Cert.restart m ~decision (Some (ballot, cballot, prepared, []))
+      ~delivered:0;
     List.iter handle
       (picks r.learned (fun tx dec ->
            U.Msg.Learn_decision
@@ -1005,12 +1184,17 @@ let run_model (spec, steps) =
       (U.Msg.New_leader_ack
          {
            b;
-           cballot = cballot + r.peer_cb;
-           prepared =
-             picks r.peer_prepared (fun tx vote ->
-                 prepared_of tx ~vote ~coord:98);
-           decided =
-             picks r.peer_decided (fun tx dec -> decided_of_tx tx ~dec);
+           ack =
+             {
+               cballot = cballot + r.peer_cb;
+               floor = 0;
+               delivered = 0;
+               prepared =
+                 picks r.peer_prepared (fun tx vote ->
+                     prepared_of tx ~vote ~coord:98);
+               decided =
+                 picks r.peer_decided (fun tx dec -> decided_of_tx tx ~dec);
+             };
            from = 1;
          });
     handle (U.Msg.New_state_ack { b; from = 1 });
@@ -1222,5 +1406,15 @@ let suite =
       test_check_cost_independent_of_prepared;
     Alcotest.test_case "a restoring member chases a higher ballot" `Quick
       test_restoring_member_chases_higher_ballot;
+    Alcotest.test_case "a restart keeps the decisions queued for delivery"
+      `Quick test_restart_keeps_queued_decisions;
+    Alcotest.test_case "a candidate waits for a low-floor quorum" `Quick
+      test_candidate_waits_for_low_floor_quorum;
+    Alcotest.test_case "a late ack below the floor gets a fresh NEW_STATE"
+      `Quick test_late_ack_gets_a_fresh_new_state;
+    Alcotest.test_case "NEW_STATE refused above the frontier, merged below"
+      `Quick test_new_state_refused_above_frontier_merged_below;
+    Alcotest.test_case "a WAN-rejoined candidate and a lagging member"
+      `Quick test_rejoined_member_wins_election_with_lagging_member;
     ]
   @ decided_log_properties @ cert_model_properties
